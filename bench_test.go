@@ -419,17 +419,21 @@ func BenchmarkWorkloadMatrix(b *testing.B) {
 	b.ReportMetric(float64(aborts), "aborts")
 }
 
-// BenchmarkShardedCheckedThroughput pins the sharding win on one
-// disjoint cell: the same live-monitored workload at one shard (one
-// streaming checker lane, global quiescent cuts) versus four (one
-// lane and one cut domain per shard). The p8 writeheavy cold cell is
-// where the single lane hurts most: eight processes interleave into
-// shared segments, and with 128 variables the linear-extension
-// enumeration that propagates feasible snapshots across segments pays
-// for large diverging snapshots at every memoized state, while each
-// shard-local lane sees only its own two processes' chains over its
-// own quarter of the keyspace — so the sharded cell's
-// checked-throughput must be a multiple, not a few percent.
+// BenchmarkShardedCheckedThroughput compares one live-monitored
+// workload at one shard (one streaming checker lane, global quiescent
+// cuts) and at four (one lane and one cut domain per shard). The p8
+// writeheavy cold disjoint cell is where the single lane used to hurt
+// most: eight processes interleave into shared cut-starved segments,
+// and a search that enumerated their interleavings sustained a few
+// hundred checked-ops/s against tens of thousands at four shards
+// (334 vs 47 073 on the 2-core box this was last measured on). The
+// segment search now places transactions over disjoint variables
+// without branching, so the single lane's cost on this cell is linear
+// in the segment and it is the faster configuration there (177 187 vs
+// 97 028: four lanes, four cut domains and the router on two cores buy
+// nothing the search still needs). The pair stays as the measurement
+// ROADMAP item 3 asks for — whether more than one shard still pays —
+// and the ratio is printed, not asserted.
 func BenchmarkShardedCheckedThroughput(b *testing.B) {
 	e, ok := engine.Lookup("native-tl2")
 	if !ok {

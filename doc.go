@@ -51,7 +51,7 @@
 // transaction carried open across one has its unverifiable reads
 // waived — instead of refusing.
 //
-// Monitored sessions scale by sharding the keyspace end to end
+// Monitored sessions can shard the keyspace end to end
 // (SessionConfig.Shards): the variables split into contiguous shards,
 // each worker group serves its own shard, a quiescent cut pauses only
 // one shard's workers, and the monitor checks the shards in parallel
@@ -61,7 +61,13 @@
 // a session whose transactions cross shards degrades the cuts to
 // global ones but keeps the same verdict — the sharded checker is
 // verdict-equivalent to the single-lane one by construction (property
-// tested). The workload matrix (internal/workload) is declared once
+// tested). What sharding buys is cut locality and checker parallelism
+// on spare cores, no longer search cost: the segment search places
+// transactions over disjoint variables without enumerating their
+// interleavings, so on the cell sharding was built for (eight
+// processes, write-heavy, cold, disjoint) one lane now checks about
+// 177k operations a second on two cores against 97k at four shards,
+// where it used to manage 334 against 47k. The workload matrix (internal/workload) is declared once
 // and executed against every (algorithm, substrate) pair, optionally
 // recording, checking, live-monitoring, or shard-sweeping each cell
 // (per-cell liveness class, recorder overhead, and per-shard cut

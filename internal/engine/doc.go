@@ -95,8 +95,16 @@
 // # Sharding
 //
 // SessionConfig.Shards partitions a monitored native session end to
-// end so the checker keeps up with the workers instead of serializing
-// behind one stream. The keyspace splits into S contiguous shards
+// end: shard-local cuts pause a fraction of the workers, and checker
+// lanes run in parallel where there are cores for them. It was built
+// when one checker lane could not keep up with eight workers — the
+// segment search enumerated the interleavings of processes that never
+// touch the same variable — and that reason is gone: the search now
+// places such transactions in one pass, and on a 2-core box the
+// 8-process write-heavy cold disjoint cell checks faster at one shard
+// than at four (BenchmarkShardedCheckedThroughput: 177k vs 97k
+// checked-ops/s; 334 vs 47k before). Measure before choosing Shards >
+// 1; ROADMAP item 3 keeps the question open. The keyspace splits into S contiguous shards
 // (variable v lands on shard v*S/Vars) and the worker pool into S
 // matching groups (worker p on shard p*S/MaxWorkers), so on a
 // disjoint workload each transaction stays inside its home shard.

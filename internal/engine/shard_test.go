@@ -48,8 +48,9 @@ func TestShardConfigValidation(t *testing.T) {
 
 // TestShardedLiveAgreesWithSingleChecker is the engine-level half of
 // the sharded-equals-single property: a sharded live run's verdict
-// must match a post-hoc single-checker replay of the same history, and
-// the per-shard cut accounting must add up. Run with -race.
+// must match a single-lane replay of the same history through the
+// monitor an unsharded live session runs, and the per-shard cut
+// accounting must add up. Run with -race.
 func TestShardedLiveAgreesWithSingleChecker(t *testing.T) {
 	for _, body := range []struct {
 		name string
@@ -93,9 +94,12 @@ func TestShardedLiveAgreesWithSingleChecker(t *testing.T) {
 			if len(st.Live.ShardSegments) != shards {
 				t.Fatalf("ShardSegments covers %d lanes, want %d", len(st.Live.ShardSegments), shards)
 			}
-			// Replay the recorded history through an unsharded monitor:
-			// the verdicts must agree.
-			m, err := monitor.New(monitor.Config{})
+			// Replay the recorded history through the monitor of an
+			// unsharded live session (48-transaction segments, forced
+			// frontiers when cut-starved): shard-local cuts are not global
+			// quiescent points, so an exact replay would refuse whenever
+			// the schedule supplied no global one. The verdicts must agree.
+			m, err := monitor.New(monitor.Config{SegmentTxns: 48, Approx: true})
 			if err != nil {
 				t.Fatal(err)
 			}

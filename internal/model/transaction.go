@@ -158,6 +158,86 @@ func (e *wfError) Error() string {
 	return fmt.Sprintf("event %d (%s): %s", e.Index, e.Event, e.Msg)
 }
 
+// procParse is one process's state while a history is parsed.
+type procParse struct {
+	// pending is 1 + the index of the process's unanswered invocation,
+	// 0 when it has none.
+	pending int
+	inTxn   bool // the process has an open transaction
+
+	// Transactions only: the process's completed operations (counted by
+	// the first pass, then the next free slot of its run in the
+	// operation slab), its transaction count, its open transaction.
+	ops  int
+	seq  int
+	open *Transaction
+}
+
+// Parser parses histories into transactions like Transactions, but
+// into storage it keeps: what Parse returns is valid only until the
+// next call. It serves callers that parse one bounded window after
+// another, as the streaming checkers do at every cut. The zero value
+// is ready to use.
+type Parser struct {
+	index map[Proc]int32 // process -> position in procs: the one map a parse needs
+	procs []procParse
+	slab  []Transaction
+	txns  []*Transaction
+	ops   []Op
+}
+
+func (p *Parser) reset() {
+	if p.index == nil {
+		p.index = make(map[Proc]int32, 8)
+		p.procs = make([]procParse, 0, 8)
+	}
+	clear(p.index)
+	p.procs = p.procs[:0]
+}
+
+// of returns the process's state, valid until the next call.
+func (p *Parser) of(proc Proc) *procParse {
+	i, ok := p.index[proc]
+	if !ok {
+		i = int32(len(p.procs))
+		p.index[proc] = i
+		p.procs = append(p.procs, procParse{})
+	}
+	return &p.procs[i]
+}
+
+// step checks event i against the process's alphabet and advances the
+// state over it.
+func (s *procParse) step(h History, i int) error {
+	e := h[i]
+	switch {
+	case e.Kind.IsInvocation():
+		if s.pending != 0 {
+			return &wfError{i, e, "invocation while a previous invocation is pending"}
+		}
+		s.pending = i + 1
+		s.inTxn = true
+	case e.Kind.IsResponse():
+		if s.pending == 0 {
+			if e.Kind == RespAbort && s.inTxn {
+				s.inTxn = false // completion abort
+				return nil
+			}
+			return &wfError{i, e, "response without a pending invocation"}
+		}
+		if inv := h[s.pending-1]; !Matches(inv, e) {
+			return &wfError{i, e, fmt.Sprintf("response does not match invocation %s", inv)}
+		}
+		s.pending = 0
+		if e.Kind == RespCommit || e.Kind == RespAbort {
+			s.inTxn = false
+		}
+	default:
+		return &wfError{i, e, "unknown event kind"}
+	}
+	return nil
+}
+
 // CheckWellFormed verifies that the history is a valid sequence over
 // the per-process alphabets Σ_k: for every process, events strictly
 // alternate invocation–response with matching pairs, starting with an
@@ -170,35 +250,11 @@ func (e *wfError) Error() string {
 // last operation already returned; the paper defines completion at
 // transaction granularity, above the event alphabet.
 func CheckWellFormed(h History) error {
-	pending := make(map[Proc]*int) // index of pending invocation per process
-	inTxn := make(map[Proc]bool)   // open transaction per process
+	var p Parser
+	p.reset()
 	for i, e := range h {
-		switch {
-		case e.Kind.IsInvocation():
-			if pending[e.Proc] != nil {
-				return &wfError{i, e, "invocation while a previous invocation is pending"}
-			}
-			idx := i
-			pending[e.Proc] = &idx
-			inTxn[e.Proc] = true
-		case e.Kind.IsResponse():
-			pi := pending[e.Proc]
-			if pi == nil {
-				if e.Kind == RespAbort && inTxn[e.Proc] {
-					inTxn[e.Proc] = false // completion abort
-					continue
-				}
-				return &wfError{i, e, "response without a pending invocation"}
-			}
-			if !Matches(h[*pi], e) {
-				return &wfError{i, e, fmt.Sprintf("response does not match invocation %s", h[*pi])}
-			}
-			pending[e.Proc] = nil
-			if e.Kind == RespCommit || e.Kind == RespAbort {
-				inTxn[e.Proc] = false
-			}
-		default:
-			return &wfError{i, e, "unknown event kind"}
+		if err := p.of(e.Proc).step(h, i); err != nil {
+			return err
 		}
 	}
 	return nil
@@ -211,57 +267,83 @@ func CheckWellFormed(h History) error {
 // The returned slice is ordered by the index of each transaction's
 // first event, which makes iteration deterministic.
 func Transactions(h History) ([]*Transaction, error) {
-	if err := CheckWellFormed(h); err != nil {
-		return nil, err
-	}
-	open := make(map[Proc]*Transaction)
-	seq := make(map[Proc]int)
-	pendingInv := make(map[Proc]Event)
-	hasPending := make(map[Proc]bool)
-	var txns []*Transaction
+	var p Parser
+	return p.Parse(h)
+}
 
-	ensure := func(p Proc, i int) *Transaction {
-		t := open[p]
-		if t == nil {
-			t = &Transaction{Proc: p, Seq: seq[p], Status: Live, First: i, Last: i}
-			seq[p]++
-			open[p] = t
-			txns = append(txns, t)
+// Parse is Transactions into the parser's storage.
+//
+// A first pass checks well-formedness and counts, so the transactions
+// and their operations are each sized once for the whole history: a
+// process's operations occupy one run of the operation slab, in
+// program order, and each transaction's Ops is its stretch of that
+// run.
+func (p *Parser) Parse(h History) ([]*Transaction, error) {
+	p.reset()
+	txnCount, opCount := 0, 0
+	for i, e := range h {
+		s := p.of(e.Proc)
+		if e.Kind.IsInvocation() && !s.inTxn {
+			txnCount++
 		}
-		return t
+		if s.pending != 0 {
+			s.ops++ // every answer to an invocation completes an operation
+			opCount++
+		}
+		if err := s.step(h, i); err != nil {
+			return nil, err
+		}
+	}
+	if txnCount == 0 {
+		return nil, nil
+	}
+	if cap(p.slab) < txnCount {
+		p.slab = make([]Transaction, txnCount)
+		p.txns = make([]*Transaction, 0, txnCount)
+	}
+	if cap(p.ops) < opCount {
+		p.ops = make([]Op, opCount)
+	}
+	slab, txns, ops := p.slab[:txnCount], p.txns[:0], p.ops[:opCount]
+	next := 0
+	for i := range p.procs {
+		s := &p.procs[i]
+		next, s.ops = next+s.ops, next
+		s.pending = 0
 	}
 
 	for i, e := range h {
+		s := p.of(e.Proc)
+		t := s.open
+		if t == nil {
+			// Well-formedness makes this an invocation.
+			t = &slab[len(txns)]
+			*t = Transaction{Proc: e.Proc, Seq: s.seq, Status: Live, First: i, Ops: ops[s.ops:s.ops]}
+			s.seq++
+			s.open = t
+			txns = append(txns, t)
+		}
+		t.Last = i
+		if e.Kind.IsInvocation() {
+			s.pending = i + 1
+			continue
+		}
+		answered := s.pending != 0
+		var inv Event
+		if answered {
+			inv = h[s.pending-1]
+			s.pending = 0
+		}
 		switch e.Kind {
-		case InvRead, InvWrite, InvTryCommit:
-			t := ensure(e.Proc, i)
-			t.Last = i
-			pendingInv[e.Proc] = e
-			hasPending[e.Proc] = true
 		case RespValue:
-			t := open[e.Proc]
-			t.Last = i
-			inv := pendingInv[e.Proc]
 			t.Ops = append(t.Ops, Op{Kind: OpRead, Var: inv.Var, Val: e.Val})
-			hasPending[e.Proc] = false
 		case RespOK:
-			t := open[e.Proc]
-			t.Last = i
-			inv := pendingInv[e.Proc]
 			t.Ops = append(t.Ops, Op{Kind: OpWrite, Var: inv.Var, Val: inv.Val})
-			hasPending[e.Proc] = false
 		case RespCommit:
-			t := open[e.Proc]
-			t.Last = i
 			t.Ops = append(t.Ops, Op{Kind: OpTryCommit})
 			t.Status = Committed
-			open[e.Proc] = nil
-			hasPending[e.Proc] = false
 		case RespAbort:
-			t := open[e.Proc]
-			t.Last = i
-			if hasPending[e.Proc] {
-				inv := pendingInv[e.Proc]
+			if answered {
 				op := Op{Aborted: true}
 				switch inv.Kind {
 				case InvRead:
@@ -274,20 +356,33 @@ func Transactions(h History) ([]*Transaction, error) {
 				t.Ops = append(t.Ops, op)
 			}
 			t.Status = Aborted
-			open[e.Proc] = nil
-			hasPending[e.Proc] = false
+		}
+		if t.Status != Live {
+			s.close()
 		}
 	}
-	for p, t := range open {
-		if t == nil {
+	for i := range p.procs {
+		s := &p.procs[i]
+		if s.open == nil {
 			continue
 		}
-		if hasPending[p] {
-			inv := pendingInv[p]
-			t.PendingInv = &inv
+		if s.pending != 0 {
+			inv := h[s.pending-1]
+			s.open.PendingInv = &inv
 		}
+		s.close()
 	}
 	return txns, nil
+}
+
+// close ends the process's open transaction: its operations are the
+// stretch of the process's run it filled, clipped so that a caller's
+// append cannot reach the next transaction's.
+func (s *procParse) close() {
+	t := s.open
+	s.ops += len(t.Ops)
+	t.Ops = t.Ops[:len(t.Ops):len(t.Ops)]
+	s.open = nil
 }
 
 // Complete returns com(H): the history extended with abort events for

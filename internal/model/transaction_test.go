@@ -358,3 +358,76 @@ func wellFormedHistory(raw []uint8) History {
 	}
 	return b.History()
 }
+
+// TestParserReusesStorage: one Parser over many histories yields what
+// Transactions does for each, and once it has seen the largest it
+// allocates only for a pending invocation.
+func TestParserReusesStorage(t *testing.T) {
+	var p Parser
+	histories := []History{fig1History(), nil, {Read(1, 0)}, fig1History().Append(Read(3, 1), ValueResp(3, 0), Abort(3))}
+	f := func(raw []uint8) bool {
+		histories = append(histories, wellFormedHistory(raw))
+		return true
+	}
+	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
+		t.Fatal(err)
+	}
+	for _, h := range histories {
+		want := mustTransactions(h)
+		got, err := p.Parse(h)
+		if err != nil || len(got) != len(want) {
+			t.Fatalf("Parse: %d transactions, err %v; Transactions: %d\n%s", len(got), err, len(want), h)
+		}
+		for i := range want {
+			if got[i].String() != want[i].String() || got[i].First != want[i].First || got[i].Last != want[i].Last ||
+				(got[i].PendingInv == nil) != (want[i].PendingInv == nil) {
+				t.Fatalf("transaction %d: Parse %s [%d,%d], Transactions %s [%d,%d]\n%s",
+					i, got[i], got[i].First, got[i].Last, want[i], want[i].First, want[i].Last, h)
+			}
+		}
+	}
+	h := fig1History()
+	if n := testing.AllocsPerRun(50, func() {
+		if _, err := p.Parse(h); err != nil {
+			t.Fatal(err)
+		}
+	}); n != 0 {
+		t.Errorf("a warm Parser allocates %v times per parse", n)
+	}
+	if _, err := p.Parse(History{OK(1)}); err == nil {
+		t.Error("a warm Parser must still reject a malformed history")
+	}
+}
+
+// TestTransactionsSizedOnce: the transactions and the operations of a
+// history are one allocation each, whatever its length, and appending
+// to one transaction's Ops cannot reach into its neighbour's.
+func TestTransactionsSizedOnce(t *testing.T) {
+	var short, long History
+	for i := 0; i < 400; i++ {
+		p := Proc(i%2 + 1)
+		round := History{Read(p, 0), ValueResp(p, Value(i)), Write(p, 0, Value(i+1)), OK(p), TryCommit(p), Commit(p)}
+		long = append(long, round...)
+		if i < 4 {
+			short = append(short, round...)
+		}
+	}
+	parse := func(h History) func() {
+		return func() {
+			if _, err := Transactions(h); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	few, many := testing.AllocsPerRun(20, parse(short)), testing.AllocsPerRun(20, parse(long))
+	if few != many || many > 6 {
+		t.Errorf("%v allocations for 4 transactions, %v for 400: want the same handful", few, many)
+	}
+	txns := mustTransactions(short)
+	first, second := txns[0], txns[2] // p1's first two: neighbours in the operation slab
+	before := second.String()
+	first.Ops = append(first.Ops, Op{Kind: OpWrite, Var: 9, Val: 9})
+	if second.String() != before {
+		t.Errorf("appending to %s changed its neighbour to %s", first.ID(), second)
+	}
+}

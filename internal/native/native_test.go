@@ -3,7 +3,9 @@ package native
 import (
 	"errors"
 	"fmt"
+	"runtime"
 	"sync"
+	"sync/atomic"
 	"testing"
 )
 
@@ -191,9 +193,12 @@ func TestConcurrentCounter(t *testing.T) {
 
 // TestConcurrentBankConservation: transfers between 8 accounts while
 // auditors sum them; every audit must see the conserved total (the
-// snapshot guarantee under real concurrency).
+// snapshot guarantee under real concurrency). The audits start only
+// after every transfer goroutine has committed once, and keep going
+// until at least as many transfers as audits have committed beside
+// them, so a schedule that runs the audits alone cannot pass.
 func TestConcurrentBankConservation(t *testing.T) {
-	const accounts, initial = 8, 1000
+	const accounts, initial, transferrers, audits = 8, 1000, 4, 200
 	for _, tm := range both(t, accounts) {
 		t.Run(tm.Name(), func(t *testing.T) {
 			err := tm.Atomically(func(tx Txn) error {
@@ -208,12 +213,19 @@ func TestConcurrentBankConservation(t *testing.T) {
 				t.Fatal(err)
 			}
 			stop := make(chan struct{})
-			var wg sync.WaitGroup
-			for g := 0; g < 4; g++ {
+			var wg, started sync.WaitGroup
+			var transfers atomic.Int64
+			defer func() {
+				close(stop)
+				wg.Wait()
+			}()
+			started.Add(transferrers)
+			for g := 0; g < transferrers; g++ {
 				wg.Add(1)
 				go func(seed uint64) {
 					defer wg.Done()
 					state := seed | 1
+					committed := false
 					for {
 						select {
 						case <-stop:
@@ -225,7 +237,12 @@ func TestConcurrentBankConservation(t *testing.T) {
 						state ^= state << 17
 						from := int(state % accounts)
 						to := int((state >> 8) % accounts)
-						_ = tm.Atomically(func(tx Txn) error {
+						if from == to {
+							// Both reads precede both writes, so the body
+							// below would turn a self-transfer into +1.
+							continue
+						}
+						err := tm.Atomically(func(tx Txn) error {
 							fv, err := tx.Read(from)
 							if err != nil {
 								return err
@@ -239,10 +256,24 @@ func TestConcurrentBankConservation(t *testing.T) {
 							}
 							return tx.Write(to, tv+1)
 						})
+						if err != nil {
+							continue
+						}
+						transfers.Add(1)
+						if !committed {
+							committed = true
+							started.Done()
+						}
+						// On one processor a transfer preempted inside its
+						// commit holds its locks for a whole time slice and
+						// the audits starve; yield between transfers instead.
+						runtime.Gosched()
 					}
 				}(uint64(g + 1))
 			}
-			for audit := 0; audit < 200; audit++ {
+			started.Wait()
+			before := transfers.Load()
+			for audit := 0; audit < audits || transfers.Load()-before < audits; audit++ {
 				var total int64
 				err := tm.Atomically(func(tx Txn) error {
 					total = 0
@@ -261,9 +292,8 @@ func TestConcurrentBankConservation(t *testing.T) {
 				if total != accounts*initial {
 					t.Fatalf("audit %d: total = %d, want %d", audit, total, accounts*initial)
 				}
+				runtime.Gosched() // on one processor, let the transfers in between audits
 			}
-			close(stop)
-			wg.Wait()
 		})
 	}
 }

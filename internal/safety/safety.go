@@ -6,19 +6,31 @@
 // and in which every transaction is legal. Strict serializability is
 // the same condition applied to the committed projection of H.
 //
-// The checkers search the linear extensions of the real-time partial
-// order with incremental legality pruning and memoization on
-// (placed-set, committed-state) pairs. The search is exponential in the
-// worst case — deciding opacity is NP-hard in general — so callers keep
-// the checked windows small (the experiments use ≤ ~16 transactions).
+// Two searches decide them. CheckOpacity, CheckStrictSerializability
+// and CheckOpacityNaive look for one witness: they walk the linear
+// extensions of the real-time partial order with incremental legality
+// pruning and memoization on (placed-set, committed-state) pairs, and
+// return the serialization they found or the deepest obstacle. The
+// segment checkers — CheckOpacitySegmented, StreamChecker and
+// ShardedChecker — need more than a witness, because different
+// witnesses of one segment may leave different committed snapshots to
+// the next: they all call one kernel (kernel.go) that returns every
+// feasible final snapshot. It compiles the segment to flat slabs and
+// bit masks, searches by apply/undo on one value slice with an
+// exact-keyed memo, reuses pooled scratch from segment to segment, and
+// places — rather than branches on — every transaction that commutes
+// with all the unplaced ones that could still precede it, so only
+// transactions that really conflict cost search. Both searches are
+// exponential in the worst case — deciding opacity is NP-hard in
+// general — so callers keep the checked windows small.
 //
-// Both checkers represent transaction sets as 64-bit masks, capping
-// any single search window at 64 transactions; exceeding the cap
-// (either directly in CheckOpacity/CheckStrictSerializability, or by
-// asking CheckOpacitySegmented for a segment budget above 64) is
-// reported as ErrTooManyTransactions, detectable with errors.Is.
-// Longer histories go through CheckOpacitySegmented, which splits at
-// quiescent cuts so each exponential search stays within the cap.
+// Both represent transaction sets as 64-bit masks, capping any single
+// search window at 64 transactions; exceeding the cap (either directly
+// in CheckOpacity/CheckStrictSerializability, or by asking
+// CheckOpacitySegmented for a segment budget above 64) is reported as
+// ErrTooManyTransactions, detectable with errors.Is. Longer histories
+// go through CheckOpacitySegmented, which splits at quiescent cuts so
+// each search stays within the cap.
 package safety
 
 import (
@@ -271,10 +283,12 @@ func (s *searcher) reason() string {
 
 // memoKey canonically encodes a search state. Only committed writes are
 // in the snapshot, so two prefixes with the same placed set and the
-// same resulting state are interchangeable. It sits on the innermost
-// loop of every serialization search (the live monitor pays it per
-// event), hence the hand-rolled formatting: insertion sort over the
-// handful of touched variables and strconv appends, no fmt machinery.
+// same resulting state are interchangeable. The witness search keys its
+// memo with it at every node and the sharded checker its projected
+// snapshot sets (the segment search in kernel.go has its own exact
+// table and never builds a string), hence the hand-rolled formatting:
+// insertion sort over the handful of touched variables and strconv
+// appends, no fmt machinery.
 func memoKey(placed uint64, state model.Snapshot) string {
 	vars := make([]model.TVar, 0, len(state))
 	for x := range state {

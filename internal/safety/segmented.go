@@ -16,7 +16,11 @@ import (
 // of the second — the parts only communicate through the committed
 // snapshot. CheckOpacitySegmented exploits this: it splits the history
 // at quiescent cuts into segments of bounded size and propagates the
-// set of feasible committed snapshots across segments.
+// set of feasible committed snapshots across segments. Each segment's
+// set comes from the exact search in kernel.go, which returns every
+// snapshot some legal serialization of the segment can end in — one
+// witness would not do, since the next segment may only be explainable
+// from another's final state.
 //
 // This is sound and complete: it accepts exactly the opaque histories
 // among those it can segment. Histories with no suitable cuts (a
@@ -129,86 +133,4 @@ func segment(txns []*model.Transaction, max int) ([][]*model.Transaction, error)
 		start = end
 	}
 	return out, nil
-}
-
-// feasibleFinals returns the deduplicated committed snapshots
-// reachable by legally serializing the segment from any of the given
-// start states.
-func feasibleFinals(seg []*model.Transaction, starts []model.Snapshot) ([]model.Snapshot, error) {
-	return feasibleFinalsRelaxed(seg, starts, 0)
-}
-
-// feasibleFinalsRelaxed is feasibleFinals with a bitmask of segment
-// transactions whose read legality is waived: transactions that
-// straddled a forced serialization frontier (the streaming checker's
-// bounded-overlap fallback) read values the flushed window would have
-// had to explain, and that window is gone — their reads are
-// unverifiable, not wrong. A relaxed transaction still occupies its
-// real-time slot and still applies its write set when (treated as)
-// committed, so the propagated states stay exact for everyone else.
-func feasibleFinalsRelaxed(seg []*model.Transaction, starts []model.Snapshot, relaxed uint64) (finals []model.Snapshot, err error) {
-	n := len(seg)
-	if n > 64 {
-		return nil, ErrTooManyTransactions
-	}
-	preds := make([]uint64, n)
-	for i, a := range seg {
-		for j, b := range seg {
-			if i != j && b.Precedes(a) {
-				preds[i] |= 1 << uint(j)
-			}
-		}
-	}
-	finalSet := make(map[string]model.Snapshot)
-	seen := make(map[string]bool)
-	for _, start := range starts {
-		collectFinals(seg, preds, relaxed, 0, start, finalSet, seen)
-	}
-	for _, s := range finalSet {
-		finals = append(finals, s)
-	}
-	return finals, nil
-}
-
-// collectFinals enumerates all legal linear extensions, recording the
-// final snapshot of each complete one. Unlike the decision search it
-// cannot stop at the first witness — different witnesses may end in
-// different snapshots — but segments are small by construction, and
-// (placed, state) pairs already explored are skipped: their reachable
-// finals were recorded on the first visit.
-func collectFinals(seg []*model.Transaction, preds []uint64, relaxed, placed uint64, state model.Snapshot, finals map[string]model.Snapshot, seen map[string]bool) {
-	key := memoKey(placed, state)
-	if seen[key] {
-		return
-	}
-	seen[key] = true
-	if placed == uint64(1)<<uint(len(seg))-1 {
-		finals[memoKey(0, state)] = state
-		return
-	}
-	for i := range seg {
-		bit := uint64(1) << uint(i)
-		if placed&bit != 0 || preds[i]&^placed != 0 {
-			continue
-		}
-		t := seg[i]
-		if relaxed&bit == 0 && model.LegalInState(t, state) != nil {
-			continue
-		}
-		commits := []bool{t.Status == model.Committed}
-		if commitPending(t) {
-			commits = []bool{false, true}
-		}
-		for _, asCommitted := range commits {
-			next := state
-			if asCommitted {
-				ws := t.WriteSet()
-				if len(ws) > 0 {
-					next = state.Clone()
-					next.Apply(ws)
-				}
-			}
-			collectFinals(seg, preds, relaxed, placed|bit, next, finals, seen)
-		}
-	}
 }

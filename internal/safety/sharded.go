@@ -13,8 +13,10 @@ import (
 // ShardedChecker is a StreamChecker fanned out over a partition of the
 // keyspace: one checking lane per shard, each with its own buffer,
 // feasible-snapshot set and worker goroutine, so disjoint traffic is
-// checked in parallel and each exponential search sees only one
-// shard's transactions.
+// checked in parallel and each search sees only one shard's
+// transactions. (The search itself — kernel.go — already places
+// transactions over disjoint variables without branching, so a lane
+// saves the single checker parsing and routing, not enumeration.)
 //
 // Events route by variable: an operation (and its response) goes to
 // the shard of the variable it touches; a commit or abort fans out to
@@ -136,6 +138,10 @@ type checkLane struct {
 	segments  int
 	forced    int
 	relaxed   int
+	// parser and hist are the worker's scratch: a segment's events
+	// stripped of their tags, and the transactions parsed from them.
+	parser model.Parser
+	hist   model.History
 
 	tel  LaneTelemetry
 	jobs chan func()
@@ -458,9 +464,9 @@ func (c *ShardedChecker) afterComplete(touched uint64, idx uint64) error {
 }
 
 // flushLocal hands the lane's buffered segment to its worker. The
-// buffer swap happens on the Feed goroutine; the exponential check
-// runs on the lane worker, in FIFO order with the lane's other
-// segments, so the snapshot chain stays sequential per lane.
+// buffer swap happens on the Feed goroutine; the search runs on the
+// lane worker, in FIFO order with the lane's other segments, so the
+// snapshot chain stays sequential per lane.
 func (c *ShardedChecker) flushLocal(l *checkLane, idx uint64) {
 	seg := l.buf
 	l.buf = nil
@@ -497,11 +503,11 @@ func (c *ShardedChecker) forceLocal(l *checkLane, idx uint64) {
 
 // runSegment checks one lane-local segment on the lane's worker.
 func (c *ShardedChecker) runSegment(l *checkLane, seg []taggedEvent, forced bool, newStraddlers map[model.Proc]bool) {
-	h := make(model.History, len(seg))
-	for i, te := range seg {
-		h[i] = te.ev
+	l.hist = l.hist[:0]
+	for _, te := range seg {
+		l.hist = append(l.hist, te.ev)
 	}
-	txns, err := model.Transactions(h)
+	txns, err := l.parser.Parse(l.hist)
 	if err != nil {
 		c.fail(fmt.Errorf("streaming opacity (shard %d): %w", l.id, err), "")
 		return

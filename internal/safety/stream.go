@@ -15,11 +15,17 @@ import (
 // Events buffer only while some transaction is open. At every
 // quiescent cut — a point where no transaction is open — the buffered
 // segment is checked against the feasible committed snapshots so far
-// and discarded, so memory and each exponential search are bounded by
-// one cut-free stretch. A stretch that accumulates more than
-// maxTxnsPerSegment completed transactions without quiescing is
-// refused with ErrNoQuiescentCut instead of buffering without bound,
-// mirroring the segmented checker's ErrTooManyTransactions regime.
+// and discarded, so memory and each search are bounded by one cut-free
+// stretch. The check is the exact search of kernel.go: it returns every
+// committed snapshot a legal serialization of the segment can end in,
+// branching only among transactions that conflict — the processes of a
+// cut-free stretch that work on different variables are placed in one
+// pass — and the checker parses and searches in storage it keeps, so a
+// steady stream costs one small allocation per segment. A stretch that
+// accumulates more than maxTxnsPerSegment completed transactions
+// without quiescing is refused with ErrNoQuiescentCut instead of
+// buffering without bound, mirroring the segmented checker's
+// ErrTooManyTransactions regime.
 //
 // Checking at every cut or only at the forced flushes of
 // CheckOpacitySegmented propagates the same snapshot sets — the states
@@ -56,6 +62,11 @@ type StreamChecker struct {
 	buf      model.History
 	states   []model.Snapshot
 	segments int
+	// parser and flushed are scratch the flushes reuse: the segment's
+	// transactions live in the parser until the next parse, and flushed
+	// holds the window a forced frontier splits off the buffer.
+	parser  model.Parser
+	flushed model.History
 
 	openTxn   map[model.Proc]bool
 	openCount int
@@ -184,7 +195,7 @@ func (c *StreamChecker) Feed(e model.Event) error {
 // subsequence is intact, so the buffer stays a well-formed history —
 // and every later verdict is approximate.
 func (c *StreamChecker) forceFlush() error {
-	txns, err := model.Transactions(c.buf)
+	txns, err := c.parser.Parse(c.buf)
 	if err != nil {
 		return fmt.Errorf("streaming opacity: %w", err)
 	}
@@ -196,8 +207,7 @@ func (c *StreamChecker) forceFlush() error {
 			keepFrom[t.Proc] = t.First
 		}
 	}
-	seg := make(model.History, 0, len(c.buf))
-	kept := make(model.History, 0, len(c.buf))
+	seg, kept := c.flushed[:0], c.buf[:0]
 	for i, e := range c.buf {
 		if from, ok := keepFrom[e.Proc]; ok && i >= from {
 			kept = append(kept, e)
@@ -205,9 +215,10 @@ func (c *StreamChecker) forceFlush() error {
 			seg = append(seg, e)
 		}
 	}
+	c.flushed, c.buf = seg, kept
 	c.forced++
 	c.tel.Forced.Inc()
-	txns, err = model.Transactions(seg)
+	txns, err = c.parser.Parse(seg)
 	if err != nil {
 		return fmt.Errorf("streaming opacity: %w", err)
 	}
@@ -238,7 +249,6 @@ func (c *StreamChecker) forceFlush() error {
 	for p := range keepFrom {
 		c.straddler[p] = true
 	}
-	c.buf = kept
 	c.txnsInBuf = 0
 	c.tel.Buffered.Set(int64(len(c.buf)))
 	return nil
@@ -295,7 +305,7 @@ func (c *StreamChecker) flush() error {
 // violation string means no legal serialization exists from any
 // feasible predecessor state.
 func (c *StreamChecker) checkSegment(seg model.History) ([]model.Snapshot, string, error) {
-	txns, err := model.Transactions(seg)
+	txns, err := c.parser.Parse(seg)
 	if err != nil {
 		return nil, "", fmt.Errorf("streaming opacity: %w", err)
 	}
