@@ -45,7 +45,12 @@
 // channel into the monitor while transactions execute, stops the
 // session mid-flight on a safety violation, and feeds the measured
 // per-process starvation back into the native retry loop's backoff
-// (starvation-aware contention management). Cut-starved streams
+// (starvation-aware contention management). The path a committed
+// transaction takes through a session — Exec's waiter, the lane, the
+// worker, the retry loop, the recorder, the stream, the monitor and its
+// checker — reuses its storage from one transaction to the next, with a
+// per-layer allocation budget in tier-1 holding each layer to it.
+// Cut-starved streams
 // degrade to an explicit approximate verdict at forced serialization
 // frontiers — final snapshots propagate across each frontier, and a
 // transaction carried open across one has its unverifiable reads

@@ -184,7 +184,7 @@ func RunNative(info native.Info, s Strategy, cfg Config) (NativeResult, error) {
 	}
 	go func() {
 		defer close(d.pumpDone)
-		pump.Run(d.rec.Stream())
+		pump.Run(d.rec)
 	}()
 	d.procs[0] = &nproc{msgs: make(chan nmsg, 4), act: make(chan int, 1)}
 	d.procs[1] = &nproc{msgs: make(chan nmsg, 4), act: make(chan int, 1)}

@@ -1,0 +1,61 @@
+package engine
+
+import (
+	"context"
+	"runtime"
+	"testing"
+
+	"livetm/internal/alloctest"
+)
+
+// TestAllocBudgetPerLiveCommit pins what one committed transaction
+// costs a session end to end — Exec's waiter, the lane, the worker's
+// body adapter, the retry loop, and on a live session the recorder, the
+// stream, the pump, the monitor and the checker behind it — once all of
+// them have their storage. The body is allocated once, so whatever is
+// counted is the session's. Mallocs are counted process-wide because
+// half of the path runs on the worker and pump goroutines.
+func TestAllocBudgetPerLiveCommit(t *testing.T) {
+	alloctest.NeedSteadyPools(t)
+	for _, tc := range []struct {
+		name string
+		cfg  SessionConfig
+	}{
+		{"plain", SessionConfig{Workers: 2, Vars: 8}},
+		{"live", SessionConfig{Workers: 2, Vars: 8, Live: true}},
+		// Recorded, not live: the per-attempt handle of a sharded session
+		// is the engine's; what a sharded checker's lanes allocate is not
+		// (ROADMAP item 3), and the retained history's chunks are one
+		// allocation per 4096 events.
+		{"recorded, two shards", SessionConfig{Workers: 2, Vars: 8, Record: true, Shards: 2}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := openTestSession(t, "native-tl2", tc.cfg)
+			ctx, body := context.Background(), counterSessionBody(0)
+			commit := func(n int) {
+				for i := 0; i < n; i++ {
+					if err := s.ExecOn(ctx, 0, body); err != nil {
+						t.Fatal(err)
+					}
+				}
+			}
+			commit(4000) // pools, lanes, stream batches, the monitor's window and reading
+			const n = 20000
+			var before, after runtime.MemStats
+			runtime.ReadMemStats(&before)
+			commit(n)
+			runtime.ReadMemStats(&after)
+			got := float64(after.Mallocs-before.Mallocs) / n
+			t.Logf("%.3f allocs per commit", got)
+			// Below 1, so that a single site allocating per commit again
+			// fails; above 0 for the stream's batches, which are allocated
+			// until as many exist as the pump has ever lagged by.
+			if got > 0.5 {
+				t.Errorf("%.3f allocs per commit, budget 0.5", got)
+			}
+			if rep, err := s.Close(); err != nil || (tc.cfg.Live && !(rep.Checked && rep.Opacity.Holds)) {
+				t.Fatalf("close: %v, report %+v", err, rep)
+			}
+		})
+	}
+}

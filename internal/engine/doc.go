@@ -70,6 +70,18 @@
 // the cooperative scheduler steps while a caller blocks in Exec, Drain
 // or Close, which is what keeps batch runs bit-for-bit deterministic.
 //
+// A transaction costs a native session no allocation of its own, so
+// that observing a run does not reshape it with collector pauses: Exec
+// waits on a pooled waiter (handed back only by the caller that
+// received its result — a wait abandoned by a done context leaves the
+// waiter with the worker that still owes it one), the lanes are rings
+// whose popped slots are cleared, each worker keeps one body adapter
+// and one transaction handle for every attempt it runs, and on a live
+// session the stream's batches come back from the pump to the
+// recorder. TestAllocBudgetPerLiveCommit holds the whole path to that,
+// and the packages underneath (native, record, monitor, safety) each
+// have a budget of their own, so a regression names its layer.
+//
 // # Live monitoring
 //
 // SessionConfig.Live (RunConfig.Live on the batch wrapper) keeps the

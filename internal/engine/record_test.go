@@ -18,7 +18,12 @@ import (
 // The workloads keep the checker's search windows small: QuiesceEvery
 // plants quiescent cuts, few processes bound the concurrent
 // transactions per window, and the disjoint variant keeps abort storms
-// (which add transactions between cuts) out of the hot loop.
+// (which add transactions between cuts) out of the hot loop. The
+// history is replayed through the configuration a live session runs —
+// 48-transaction segments with the approximate fallback — because on
+// the shared counter an abort storm can push a cut-free stretch past
+// any fixed budget, and which run that happens to is the scheduler's
+// choice; the verdict must be exact whenever no frontier was forced.
 func TestNativeRecordingConformance(t *testing.T) {
 	workloads := []struct {
 		name  string
@@ -64,7 +69,7 @@ func TestNativeRecordingConformance(t *testing.T) {
 				if err := model.CheckWellFormed(h); err != nil {
 					t.Fatalf("malformed recorded history: %v", err)
 				}
-				m, err := monitor.New(monitor.Config{SegmentTxns: 48})
+				m, err := monitor.New(monitor.Config{SegmentTxns: liveSegmentTxns, Approx: true})
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -77,6 +82,9 @@ func TestNativeRecordingConformance(t *testing.T) {
 				}
 				if !r.Opacity.Holds {
 					t.Fatalf("recorded native history not opaque: %s", r.Opacity.Reason)
+				}
+				if r.Opacity.Approx != (r.Opacity.ForcedCuts > 0) {
+					t.Errorf("approximate = %v with %d forced frontiers", r.Opacity.Approx, r.Opacity.ForcedCuts)
 				}
 				// Every process committed its full budget; the lasso
 				// reading of the run must make progress everywhere.

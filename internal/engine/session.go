@@ -366,21 +366,43 @@ func (s *Session) Name() string { return s.name }
 
 // Exec submits one transaction to any worker and blocks until it
 // commits (nil), is declined (ErrNoCommit), or fails. A done context
-// abandons the wait — not the transaction, whose result is discarded.
+// abandons the wait — not the transaction, which still runs (or is
+// still failed by Close) with nobody reading its result.
 func (s *Session) Exec(ctx context.Context, body Body) error {
 	return s.ExecOn(ctx, AnyWorker, body)
 }
+
+// execWaiter is what a blocked Exec waits on: the channel its result
+// arrives on and the callback that delivers it, bound to each other
+// once so a call costs neither.
+type execWaiter struct {
+	ch   chan error // buffered (1): the worker's send never blocks
+	done func(error)
+}
+
+// waiters recycles execWaiters across Exec calls, on one rule: a waiter
+// goes back only from the goroutine that received its result. Until
+// that receive the waiter belongs to the worker that will send on it,
+// so a wait abandoned by a done context leaves its waiter to the
+// collector — put back, it could deliver the abandoned transaction's
+// result to the next caller.
+var waiters = sync.Pool{New: func() any {
+	w := &execWaiter{ch: make(chan error, 1)}
+	w.done = func(err error) { w.ch <- err }
+	return w
+}}
 
 // ExecOn is Exec pinned to one worker (0-based), fixing the
 // transaction's process identity; AnyWorker restores Exec. Pinned
 // submissions to one worker execute in submission order.
 func (s *Session) ExecOn(ctx context.Context, worker int, body Body) error {
-	ch := make(chan error, 1)
-	if err := s.b.submit(ctx, worker, body, func(err error) { ch <- err }, true); err != nil {
+	w := waiters.Get().(*execWaiter)
+	if err := s.b.submit(ctx, worker, body, w.done, true); err != nil {
 		return err
 	}
 	select {
-	case err := <-ch:
+	case err := <-w.ch:
+		waiters.Put(w)
 		return err
 	case <-ctx.Done():
 		return ctx.Err()
@@ -452,23 +474,123 @@ func watchCtx(ctx context.Context, wake func()) (stop func()) {
 	return func() { close(ch) }
 }
 
-// takeAlternating pops the next job from the two lanes, alternating
-// which is preferred on successive ticks so neither lane can starve
-// behind sustained traffic on the other.
-func takeAlternating[J any](pinned, shared *[]J, tick int) (J, bool) {
-	lanes := [2]*[]J{pinned, shared}
-	if tick%2 == 1 {
-		lanes[0], lanes[1] = lanes[1], lanes[0]
+// sessionJob is one accepted submission. demand marks one a caller
+// blocks on (Exec), which the simulated substrate counts to decide
+// whether to step.
+type sessionJob struct {
+	body   Body
+	done   func(error)
+	demand bool
+}
+
+// jobRing is one submission lane: a FIFO of jobs in a circular buffer
+// that doubles when full and is otherwise reused in place, so a lane in
+// steady state allocates nothing. A popped slot is cleared: the lane
+// must not keep a finished job's closures reachable.
+type jobRing struct {
+	buf  []sessionJob // length zero or a power of two
+	head int          // slot of the oldest job
+	n    int
+}
+
+func (r *jobRing) len() int { return r.n }
+
+func (r *jobRing) push(j sessionJob) {
+	if r.n == len(r.buf) {
+		grown := make([]sessionJob, max(2*len(r.buf), 8))
+		for i := 0; i < r.n; i++ {
+			grown[i] = r.buf[(r.head+i)&(len(r.buf)-1)]
+		}
+		r.buf, r.head = grown, 0
 	}
-	for _, lane := range lanes {
-		if q := *lane; len(q) > 0 {
-			j := q[0]
-			*lane = q[1:]
+	r.buf[(r.head+r.n)&(len(r.buf)-1)] = j
+	r.n++
+}
+
+func (r *jobRing) pop() (sessionJob, bool) {
+	if r.n == 0 {
+		return sessionJob{}, false
+	}
+	j := r.buf[r.head]
+	r.buf[r.head] = sessionJob{}
+	r.head = (r.head + 1) & (len(r.buf) - 1)
+	r.n--
+	return j, true
+}
+
+// lanes is a session's submission queues on either substrate: one lane
+// any worker serves and one pinned lane per worker slot, with the
+// queue-depth gauges kept in step. The session's mutex guards it.
+type lanes struct {
+	shared jobRing
+	pinned []jobRing
+	met    *sessionMetrics
+}
+
+// depth is the number of jobs queued where a submission to worker
+// (AnyWorker: the shared lane) would go.
+func (l *lanes) depth(worker int) int {
+	if worker == AnyWorker {
+		return l.shared.len()
+	}
+	return l.pinned[worker].len()
+}
+
+func (l *lanes) push(worker int, j sessionJob) {
+	if worker == AnyWorker {
+		l.shared.push(j)
+		l.met.queueShared.Add(1)
+	} else {
+		l.pinned[worker].push(j)
+		l.met.queuePinned.Add(1)
+	}
+}
+
+// take pops worker p's next job, alternating which lane it prefers on
+// successive ticks: a worker whose pinned lane is kept permanently full
+// must still serve the shared lane every other transaction, so
+// AnyWorker submissions cannot starve behind pinned traffic (and vice
+// versa).
+func (l *lanes) take(p, tick int) (sessionJob, bool) {
+	if tick%2 == 0 {
+		if j, ok := l.takePinned(p); ok {
 			return j, true
 		}
+		return l.takeShared()
 	}
-	var zero J
-	return zero, false
+	if j, ok := l.takeShared(); ok {
+		return j, true
+	}
+	return l.takePinned(p)
+}
+
+func (l *lanes) takePinned(p int) (sessionJob, bool) {
+	j, ok := l.pinned[p].pop()
+	if ok {
+		l.met.queuePinned.Add(-1)
+	}
+	return j, ok
+}
+
+func (l *lanes) takeShared() (sessionJob, bool) {
+	j, ok := l.shared.pop()
+	if ok {
+		l.met.queueShared.Add(-1)
+	}
+	return j, ok
+}
+
+// drain empties every lane, appending the jobs to out.
+func (l *lanes) drain(out []sessionJob) []sessionJob {
+	for p := range l.pinned {
+		for j, ok := l.takePinned(p); ok; j, ok = l.takePinned(p) {
+			out = append(out, j)
+		}
+	}
+	for j, ok := l.takeShared(); ok; j, ok = l.takeShared() {
+		out = append(out, j)
+	}
+	return out
 }
 
 // Open starts a session on the engine named cfg.Engine (see Engines /

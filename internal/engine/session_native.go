@@ -75,19 +75,13 @@ func (s *nativeSession) runPump() {
 				starvation = starvation[:n]
 			}
 			s.bo.Rebias(starvation)
-			// The pump goroutine owns the monitor, so the non-terminal
-			// class read here is race-free; the gauges carry it to any
-			// concurrent scraper.
-			s.met.syncLive(ls.mon.LivenessClassNow(), starvation, s.bo.BiasSnapshot())
+			// The pump goroutine owns the monitor, so syncLive's
+			// non-terminal class read is race-free; the gauges carry it
+			// to any concurrent scraper.
+			s.met.syncLive(ls.mon, starvation, s.bo)
 		},
 	}
-	pump.Run(s.rec.Stream())
-}
-
-// sessionJob is one accepted submission.
-type sessionJob struct {
-	body Body
-	done func(error)
+	pump.Run(s.rec)
 }
 
 // nativeSession is the native-substrate session backend: a pool of
@@ -138,8 +132,7 @@ type nativeSession struct {
 	mu        sync.Mutex
 	workCond  *sync.Cond // work arrived, or the session closed
 	roomCond  *sync.Cond // a lane drained below QueueDepth, or closed
-	sharedQ   []*sessionJob
-	pinnedQ   [][]*sessionJob
+	q         lanes
 	closed    bool
 	closeDone chan struct{} // the winning Close finished finalizing
 
@@ -172,7 +165,6 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 		cfg:       cfg,
 		tm:        tm,
 		bo:        native.NewBackoff(cfg.MaxWorkers),
-		pinnedQ:   make([][]*sessionJob, cfg.MaxWorkers),
 		closeDone: make(chan struct{}),
 		shards:    cfg.Shards,
 		cutTick:   make([]atomic.Int64, cfg.Shards),
@@ -182,6 +174,7 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 	if observable {
 		s.obsTM = obsTM
 	}
+	s.q = lanes{pinned: make([]jobRing, cfg.MaxWorkers), met: s.met}
 	if cfg.Telemetry != nil && s.obsTM != nil {
 		s.met.tx = native.NewTxMetrics(cfg.Telemetry, info.Name)
 	}
@@ -267,7 +260,7 @@ func (s *nativeSession) submit(ctx context.Context, worker int, body Body, done 
 	}
 	s.mu.Lock()
 	defer s.mu.Unlock()
-	if demand && s.laneLenLocked(worker) >= s.cfg.QueueDepth {
+	if demand && s.q.depth(worker) >= s.cfg.QueueDepth {
 		// Only blocking submissions (Exec) feel QueueDepth: they come
 		// from client goroutines that may wait (bounded by ctx).
 		// Asynchronous ones must never block — a worker's result
@@ -279,7 +272,7 @@ func (s *nativeSession) submit(ctx context.Context, worker int, body Body, done 
 			s.mu.Unlock()
 		})
 		defer stop()
-		for !s.closed && s.laneLenLocked(worker) >= s.cfg.QueueDepth {
+		for !s.closed && s.q.depth(worker) >= s.cfg.QueueDepth {
 			if err := ctx.Err(); err != nil {
 				return err
 			}
@@ -289,75 +282,75 @@ func (s *nativeSession) submit(ctx context.Context, worker int, body Body, done 
 	if s.closed {
 		return ErrClosed
 	}
-	if !demand && s.cfg.MaxQueue > 0 && s.laneLenLocked(worker) >= s.cfg.MaxQueue {
+	if !demand && s.cfg.MaxQueue > 0 && s.q.depth(worker) >= s.cfg.MaxQueue {
 		// The admission cap: a Submit flood is refused, never queued
 		// without bound — and never blocked, so result callbacks that
 		// submit follow-up work stay deadlock-free.
 		return ErrOverloaded
 	}
 	s.met.submitted.Inc()
-	j := &sessionJob{body: body, done: done}
-	if worker == AnyWorker {
-		s.sharedQ = append(s.sharedQ, j)
-		s.met.queueShared.Add(1)
-	} else {
-		s.pinnedQ[worker] = append(s.pinnedQ[worker], j)
-		s.met.queuePinned.Add(1)
-	}
+	s.q.push(worker, sessionJob{body: body, done: done})
 	// A pinned job must wake its specific worker, so broadcast rather
 	// than signal; spuriously woken workers go straight back to sleep.
 	s.workCond.Broadcast()
 	return nil
 }
 
-func (s *nativeSession) laneLenLocked(worker int) int {
-	if worker == AnyWorker {
-		return len(s.sharedQ)
-	}
-	return len(s.pinnedQ[worker])
+// nativeWorker is what one pool goroutine keeps across the jobs it
+// runs, so that a job costs it nothing: the retry loop's options, the
+// function the loop calls (bound once to run), and the handle that
+// function gives the body, reused for every attempt.
+type nativeWorker struct {
+	s    *nativeSession
+	home int // shard group
+	opts native.RunOpts
+	fn   func(native.Txn) error
+	body Body // the job being executed
+	tx   nativeTx
+	span spanTx // the handle on a sharded session
 }
 
-// takeLocked pops worker p's next job, alternating which lane it
-// prefers on successive takes: a worker whose pinned lane is kept
-// permanently full must still serve the shared lane every other
-// transaction, so AnyWorker submissions cannot starve behind pinned
-// traffic (and vice versa). Caller holds mu.
-func (s *nativeSession) takeLocked(p int, tick int) *sessionJob {
-	pinned := len(s.pinnedQ[p])
-	j, ok := takeAlternating(&s.pinnedQ[p], &s.sharedQ, tick)
-	if !ok {
-		return nil
-	}
-	if len(s.pinnedQ[p]) < pinned {
-		s.met.queuePinned.Add(-1)
+// run is one attempt of the job being executed: the engine body on the
+// worker's handle, with an abort handed back to the native retry loop.
+func (w *nativeWorker) run(tx native.Txn) error {
+	var h Tx = &w.tx
+	if w.s.shards > 1 {
+		w.span = spanTx{tx: tx, s: w.s, home: w.home}
+		h = &w.span
 	} else {
-		s.met.queueShared.Add(-1)
+		w.tx.tx = tx
 	}
-	return j
+	if err := w.body(h); errors.Is(err, ErrAborted) {
+		return native.ErrAborted
+	} else {
+		return err
+	}
 }
 
 // worker is one pool goroutine: it serves its pinned lane and the
 // shared lane until Close seals and drains them.
 func (s *nativeSession) worker(p int) {
 	defer s.wg.Done()
-	var obs native.Observer
+	w := &nativeWorker{s: s, home: s.shardOfWorker(p)}
+	w.fn = w.run
+	w.opts = native.RunOpts{Backoff: s.bo, Proc: p, Metrics: s.met.tx}
 	if s.rec != nil {
-		obs = s.rec.Log(model.Proc(p + 1))
+		w.opts.Observer = s.rec.Log(model.Proc(p + 1))
 	}
-	var stop <-chan struct{}
 	if s.live != nil {
-		stop = s.live.stop
+		w.opts.Stop = s.live.stop
 	}
 	for tick := 0; ; tick++ {
 		s.mu.Lock()
-		var j *sessionJob
+		var j sessionJob
+		var ok bool
 		for {
-			if j = s.takeLocked(p, tick); j != nil || s.closed {
+			if j, ok = s.q.take(p, tick); ok || s.closed {
 				break
 			}
 			s.workCond.Wait()
 		}
-		if j == nil { // closed with both lanes drained
+		if !ok { // closed with both lanes drained
 			s.mu.Unlock()
 			return
 		}
@@ -367,10 +360,10 @@ func (s *nativeSession) worker(p int) {
 		var res error
 		if h := s.met.execLat; h != nil {
 			start := time.Now()
-			res = s.execute(p, j.body, obs, stop)
+			res = s.execute(w, j.body)
 			h.Observe(time.Since(start).Nanoseconds())
 		} else {
-			res = s.execute(p, j.body, obs, stop)
+			res = s.execute(w, j.body)
 		}
 		switch {
 		case res == nil:
@@ -387,7 +380,7 @@ func (s *nativeSession) worker(p int) {
 			// barrier's cadence, driven by a shared group counter since
 			// workers are not in lockstep, and group-local so admission
 			// into one shard does not stretch the others' intervals.
-			k := s.shardOfWorker(p)
+			k := w.home
 			interval := int64(s.quiesce) * int64(s.groupSize(k))
 			if interval > 0 && s.cutTick[k].Add(1)%interval == 0 {
 				s.forceCut(k)
@@ -405,42 +398,31 @@ func (s *nativeSession) worker(p int) {
 	}
 }
 
-// execute runs one submission as a transaction on worker p, retrying
+// execute runs one submission as a transaction on worker w, retrying
 // through the native retry loop until commit, decline, stop, or a
 // terminal body error.
-func (s *nativeSession) execute(p int, body Body, obs native.Observer, stop <-chan struct{}) error {
-	if stop != nil {
+func (s *nativeSession) execute(w *nativeWorker, body Body) error {
+	if stop := w.opts.Stop; stop != nil {
 		select {
 		case <-stop:
 			return native.ErrStopped
 		default:
 		}
 	}
-	home := s.shardOfWorker(p)
-	fn := func(tx native.Txn) error {
-		var h Tx = nativeTx{tx: tx}
-		if s.shards > 1 {
-			h = &spanTx{tx: tx, s: s, home: home}
-		}
-		if err := body(h); errors.Is(err, ErrAborted) {
-			// Hand the abort back to the native retry loop.
-			return native.ErrAborted
-		} else {
-			return err
-		}
-	}
 	if s.quiesce > 0 {
-		mu := &s.cutMu[home]
+		mu := &s.cutMu[w.home]
 		mu.RLock()
 		defer mu.RUnlock()
 	}
+	var res error
+	w.body = body
 	if s.obsTM != nil {
-		return s.obsTM.AtomicallyOpts(native.RunOpts{
-			Observer: obs, Stop: stop, Backoff: s.bo, Proc: p,
-			Metrics: s.met.tx,
-		}, fn)
+		res = s.obsTM.AtomicallyOpts(w.opts, w.fn)
+	} else {
+		res = s.tm.Atomically(w.fn)
 	}
-	return s.tm.Atomically(fn)
+	w.body = nil // an idle worker must not pin its last job
+	return res
 }
 
 // shardOfVar maps variable v to its shard: contiguous equal splits, so

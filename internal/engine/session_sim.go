@@ -12,13 +12,6 @@ import (
 	"livetm/internal/stm"
 )
 
-// simJob is one accepted submission on the simulated substrate.
-type simJob struct {
-	body   Body
-	done   func(error)
-	demand bool
-}
-
 // simSession is the simulated-substrate session backend. One driver
 // goroutine owns the cooperative scheduler; the worker pool is a set
 // of sim processes that poll the session's queues at yield points. The
@@ -41,13 +34,12 @@ type simSession struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// pinnedQ and sharedQ are the submission lanes; sim goroutines only
-	// touch them inside a scheduler step, the driver and clients under
-	// mu between steps.
-	pinnedQ  [][]*simJob
-	sharedQ  []*simJob
-	inflight []*simJob // per-worker job being executed
-	dead     []bool    // worker crashed on a terminal body error
+	// q holds the submission lanes; sim goroutines only touch them
+	// inside a scheduler step, the driver and clients under mu between
+	// steps.
+	q        lanes
+	inflight []sessionJob // per-worker job being executed (body nil: none)
+	dead     []bool       // worker crashed on a terminal body error
 
 	outstanding int // accepted but not completed jobs
 	demand      int // outstanding jobs a caller blocks on
@@ -74,13 +66,13 @@ func openSimSession(name string, factory stm.Factory, cfg SessionConfig) (*simSe
 	s := &simSession{
 		cfg:        cfg,
 		sched:      sim.New(sim.NewSeeded(cfg.Seed)),
-		pinnedQ:    make([][]*simJob, cfg.Workers),
-		inflight:   make([]*simJob, cfg.Workers),
+		inflight:   make([]sessionJob, cfg.Workers),
 		dead:       make([]bool, cfg.Workers),
 		met:        newSessionMetrics(cfg.Telemetry, name, cfg.Workers, 1, false),
 		driverDone: make(chan struct{}),
 		closeDone:  make(chan struct{}),
 	}
+	s.q = lanes{pinned: make([]jobRing, cfg.Workers), met: s.met}
 	s.met.workers.Set(int64(cfg.Workers))
 	s.cond = sync.NewCond(&s.mu)
 	s.tm = factory(cfg.Workers, cfg.Vars)
@@ -113,23 +105,10 @@ func (s *simSession) submit(_ context.Context, worker int, body Body, done func(
 	if s.fatal != nil {
 		return s.fatal
 	}
-	if !demand && s.cfg.MaxQueue > 0 {
-		lane := len(s.sharedQ)
-		if worker != AnyWorker {
-			lane = len(s.pinnedQ[worker])
-		}
-		if lane >= s.cfg.MaxQueue {
-			return ErrOverloaded
-		}
+	if !demand && s.cfg.MaxQueue > 0 && s.q.depth(worker) >= s.cfg.MaxQueue {
+		return ErrOverloaded
 	}
-	j := &simJob{body: body, done: done, demand: demand}
-	if worker == AnyWorker {
-		s.sharedQ = append(s.sharedQ, j)
-		s.met.queueShared.Add(1)
-	} else {
-		s.pinnedQ[worker] = append(s.pinnedQ[worker], j)
-		s.met.queuePinned.Add(1)
-	}
+	s.q.push(worker, sessionJob{body: body, done: done, demand: demand})
 	s.outstanding++
 	s.met.submitted.Inc()
 	if demand {
@@ -137,23 +116,6 @@ func (s *simSession) submit(_ context.Context, worker int, body Body, done func(
 	}
 	s.cond.Broadcast()
 	return nil
-}
-
-// takeLocked pops worker p's next job, alternating lane preference on
-// successive takes like the native pool, so neither lane can starve
-// behind sustained traffic on the other. Caller holds mu.
-func (s *simSession) takeLocked(p, tick int) *simJob {
-	pinned := len(s.pinnedQ[p])
-	j, ok := takeAlternating(&s.pinnedQ[p], &s.sharedQ, tick)
-	if !ok {
-		return nil
-	}
-	if len(s.pinnedQ[p]) < pinned {
-		s.met.queuePinned.Add(-1)
-	} else {
-		s.met.queueShared.Add(-1)
-	}
-	return j
 }
 
 // workerBody is worker p's sim-process loop: take a job, execute it
@@ -167,17 +129,17 @@ func (s *simSession) workerBody(p int) func(*sim.Env) {
 	return func(env *sim.Env) {
 		for tick := 0; ; tick++ {
 			s.mu.Lock()
-			j := s.takeLocked(p, tick)
+			j, ok := s.q.take(p, tick)
 			s.inflight[p] = j
 			done := s.closing && s.outstanding == 0
-			if j == nil && !done {
+			if !ok && !done {
 				// Atomically with the empty-queue observation, so a
 				// submission arriving now sees the parked flag and the
 				// driver unparks before its next step.
 				s.sched.Park(model.Proc(p + 1))
 			}
 			s.mu.Unlock()
-			if j == nil {
+			if !ok {
 				if done {
 					return
 				}
@@ -194,7 +156,7 @@ func (s *simSession) workerBody(p int) func(*sim.Env) {
 // runJob executes one submission as repeated transaction attempts
 // until it commits, is declined, or fails terminally. It reports
 // whether the worker survives.
-func (s *simSession) runJob(p int, env *sim.Env, j *simJob) bool {
+func (s *simSession) runJob(p int, env *sim.Env, j sessionJob) bool {
 	for {
 		tx := &simTx{tm: s.tm, env: env, vars: s.cfg.Vars}
 		err := j.body(tx)
@@ -227,7 +189,7 @@ func (s *simSession) runJob(p int, env *sim.Env, j *simJob) bool {
 // finish completes one job. The callback runs before the job is
 // accounted complete, so a callback that submits follow-up work never
 // lets the session drain between rounds.
-func (s *simSession) finish(p int, j *simJob, res error) {
+func (s *simSession) finish(p int, j sessionJob, res error) {
 	if res == nil {
 		s.met.commits[p].Inc()
 	} else if errors.Is(res, ErrNoCommit) {
@@ -237,13 +199,13 @@ func (s *simSession) finish(p int, j *simJob, res error) {
 		j.done(res)
 	}
 	s.mu.Lock()
-	s.inflight[p] = nil
+	s.inflight[p] = sessionJob{}
 	s.completeLocked(j)
 	s.mu.Unlock()
 }
 
 // completeLocked retires one accepted job. Caller holds mu.
-func (s *simSession) completeLocked(j *simJob) {
+func (s *simSession) completeLocked(j sessionJob) {
 	s.outstanding--
 	s.met.completed.Inc()
 	if j.demand {
@@ -254,7 +216,7 @@ func (s *simSession) completeLocked(j *simJob) {
 
 // fail marks the session fatally wedged on a terminal body error and
 // completes the failing job; the driver fails everything else.
-func (s *simSession) fail(p int, j *simJob, err error) {
+func (s *simSession) fail(p int, j sessionJob, err error) {
 	if j.done != nil {
 		j.done(err)
 	}
@@ -263,7 +225,7 @@ func (s *simSession) fail(p int, j *simJob, err error) {
 	if s.fatal == nil {
 		s.fatal = err
 	}
-	s.inflight[p] = nil
+	s.inflight[p] = sessionJob{}
 	s.completeLocked(j)
 	s.mu.Unlock()
 }
@@ -279,12 +241,12 @@ func (s *simSession) shouldStepLocked() bool {
 // driver owns the scheduler, so parking state only changes here and in
 // the workers' own (mu-guarded) park calls.
 func (s *simSession) unparkLocked() {
-	shared := len(s.sharedQ) > 0
+	shared := s.q.depth(AnyWorker) > 0
 	for p := 0; p < s.cfg.Workers; p++ {
 		if s.dead[p] {
 			continue
 		}
-		if shared || len(s.pinnedQ[p]) > 0 {
+		if shared || s.q.depth(p) > 0 {
 			s.sched.Unpark(model.Proc(p + 1))
 		}
 	}
@@ -323,22 +285,13 @@ func (s *simSession) drive() {
 	// Fail whatever is still queued or in flight; the callbacks run
 	// outside the lock (they may re-enter submit and get the fatal
 	// error back).
-	var orphans []*simJob
+	var orphans []sessionJob
 	if s.fatal != nil {
-		for _, q := range s.pinnedQ {
-			orphans = append(orphans, q...)
-		}
-		for p := range s.pinnedQ {
-			s.pinnedQ[p] = nil
-		}
-		orphans = append(orphans, s.sharedQ...)
-		s.sharedQ = nil
-		s.met.queuePinned.Set(0)
-		s.met.queueShared.Set(0)
+		orphans = s.q.drain(nil)
 		for p, j := range s.inflight {
-			if j != nil {
+			if j.body != nil {
 				orphans = append(orphans, j)
-				s.inflight[p] = nil
+				s.inflight[p] = sessionJob{}
 			}
 		}
 		for _, j := range orphans {

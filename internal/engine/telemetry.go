@@ -3,6 +3,7 @@ package engine
 import (
 	"strconv"
 
+	"livetm/internal/monitor"
 	"livetm/internal/native"
 	"livetm/internal/record"
 	"livetm/internal/safety"
@@ -173,20 +174,18 @@ func checkerLane(reg *telemetry.Registry, shard string) safety.LaneTelemetry {
 // syncLive pushes the live monitor's current view into the gauges.
 // Runs on the pump goroutine (the monitor's owner) at each rebias
 // tick, so the monitor reads are race-free.
-func (m *sessionMetrics) syncLive(class string, starvation []int, bias []int) {
+func (m *sessionMetrics) syncLive(mon *monitor.Monitor, starvation []int, bo *native.Backoff) {
 	if m.class == nil {
 		return
 	}
-	m.class.Set(livenessOrdinal(class))
+	m.class.Set(livenessOrdinal(mon.LivenessClassNow()))
 	for i, s := range starvation {
 		if i < len(m.starvation) {
 			m.starvation[i].Set(int64(s))
 		}
 	}
-	for i, b := range bias {
-		if i < len(m.bias) {
-			m.bias[i].Set(int64(b))
-		}
+	for i := range m.bias {
+		m.bias[i].Set(int64(bo.Bias(i)))
 	}
 }
 

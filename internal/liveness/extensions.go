@@ -23,12 +23,16 @@ func KProgress(k int) Property {
 	return Property{
 		Name: fmt.Sprintf("%d-progress", k),
 		Contains: func(l *Lasso) bool {
-			correct := len(l.CorrectProcs())
-			need := k
-			if correct < need {
-				need = correct
+			correct, progressing := 0, 0
+			for _, p := range l.Procs {
+				if l.Correct(p) {
+					correct++
+					if !l.Pending(p) {
+						progressing++
+					}
+				}
 			}
-			return len(l.ProgressingProcs()) >= need
+			return progressing >= min(k, correct)
 		},
 	}
 }

@@ -64,9 +64,11 @@ func NewLassoWithProcs(prefix, cycle model.History, procs []model.Proc) (*Lasso,
 		for _, p := range procs {
 			in[p] = true
 		}
-		for _, e := range append(prefix.Clone(), cycle...) {
-			if !in[e.Proc] {
-				return nil, fmt.Errorf("liveness: process %d appears in lasso but not in process set", e.Proc)
+		for _, part := range []model.History{prefix, cycle} {
+			for _, e := range part {
+				if !in[e.Proc] {
+					return nil, fmt.Errorf("liveness: process %d appears in lasso but not in process set", e.Proc)
+				}
 			}
 		}
 	}
@@ -182,9 +184,16 @@ func (l *Lasso) ProgressingProcs() []model.Proc {
 // RunsAlone returns the process that runs alone, if any: the unique
 // correct process of the history (all others are faulty).
 func (l *Lasso) RunsAlone() (model.Proc, bool) {
-	cs := l.CorrectProcs()
-	if len(cs) == 1 {
-		return cs[0], true
+	var alone model.Proc
+	correct := 0
+	for _, p := range l.Procs {
+		if l.Correct(p) {
+			alone = p
+			correct++
+		}
+	}
+	if correct == 1 {
+		return alone, true
 	}
 	return 0, false
 }

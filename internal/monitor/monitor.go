@@ -23,6 +23,7 @@ package monitor
 import (
 	"errors"
 	"fmt"
+	"slices"
 	"strings"
 
 	"livetm/internal/liveness"
@@ -138,10 +139,20 @@ type Monitor struct {
 	checker streamChecker
 	events  int
 	procs   map[model.Proc]*ProcProgress
+	order   []model.Proc  // the keys of procs, ascending
 	window  []model.Event // ring buffer of the last TailWindow events
-	wnext   int           // next ring slot
-	wfull   bool
-	safeErr error // terminal opacity/structure error from the checker
+	wnext   int           // next ring slot: the oldest event once the ring is full
+	safeErr error         // terminal opacity/structure error from the checker
+	// reading is the lasso every classification reads (see lasso): its
+	// prefix and cycle storage is reused from one reading to the next.
+	reading liveness.Lasso
+}
+
+// lattice is the liveness lattice a run is classified against,
+// strongest property first.
+var lattice = []liveness.Property{
+	liveness.LocalProgress, liveness.KProgress(2),
+	liveness.GlobalProgress, liveness.SoloProgress,
 }
 
 // New creates a monitor.
@@ -191,6 +202,8 @@ func (m *Monitor) progress(p model.Proc) *ProcProgress {
 	if pp == nil {
 		pp = &ProcProgress{Proc: p, LastCommitAt: -1}
 		m.procs[p] = pp
+		at, _ := slices.BinarySearch(m.order, p)
+		m.order = slices.Insert(m.order, at, p)
 	}
 	return pp
 }
@@ -228,7 +241,6 @@ func (m *Monitor) Observe(e model.Event) error {
 		m.window = append(m.window, e)
 	} else {
 		m.window[m.wnext] = e
-		m.wfull = true
 	}
 	m.wnext = (m.wnext + 1) % m.cfg.TailWindow
 	m.events++
@@ -261,21 +273,21 @@ func (m *Monitor) ObserveHistory(h model.History) error {
 // Events returns the number of events observed so far.
 func (m *Monitor) Events() int { return m.events }
 
-// StarvationNow returns each process's current commit gap — global
-// events since its last commit (or since the run began) — indexed by
-// process id minus one, for procs processes. Unlike MaxStarvation it
-// is the instantaneous figure, which makes it the feedback signal for
-// starvation-aware contention management: a hot process shows a small
-// gap, a starving one a growing gap. Non-terminal; call it while the
-// run is still being observed.
-func (m *Monitor) StarvationNow(procs int) []int {
-	out := make([]int, procs)
+// StarvationNow writes each process's current commit gap — global
+// events since its last commit (or since the run began) — into out,
+// indexed by process id minus one, for len(out) processes; an index no
+// process has gets 0. Unlike MaxStarvation it is the instantaneous
+// figure, which makes it the feedback signal for starvation-aware
+// contention management: a hot process shows a small gap, a starving
+// one a growing gap. Non-terminal; call it while the run is still
+// being observed.
+func (m *Monitor) StarvationNow(out []int) {
+	clear(out)
 	for p, pp := range m.procs {
-		if i := int(p) - 1; i >= 0 && i < procs {
+		if i := int(p) - 1; i >= 0 && i < len(out) {
 			out[i] = m.events - pp.activeFrom
 		}
 	}
-	return out
 }
 
 // LivenessClassNow classifies the run so far against the liveness
@@ -291,26 +303,12 @@ func (m *Monitor) LivenessClassNow() string {
 	if l == nil {
 		return "none"
 	}
-	for _, prop := range []liveness.Property{
-		liveness.LocalProgress, liveness.KProgress(2),
-		liveness.GlobalProgress, liveness.SoloProgress,
-	} {
+	for _, prop := range lattice {
 		if prop.Contains(l) {
 			return prop.Name
 		}
 	}
 	return "none"
-}
-
-// tail returns the window contents in arrival order.
-func (m *Monitor) tail() model.History {
-	if !m.wfull {
-		return append(model.History(nil), m.window...)
-	}
-	out := make(model.History, 0, len(m.window))
-	out = append(out, m.window[m.wnext:]...)
-	out = append(out, m.window[:m.wnext]...)
-	return out
 }
 
 // Verdict is one liveness property evaluated on the observed run.
@@ -448,17 +446,14 @@ func (m *Monitor) Report() Report {
 	}
 
 	lasso := m.lasso()
-	for _, p := range sortedProcs(m.procs) {
+	for _, p := range m.order {
 		pp := *m.procs[p]
 		pp.MaxStarvation = pp.starvation(m.events)
 		pp.OpenGap = m.events - pp.activeFrom
 		r.Procs = append(r.Procs, ProcReport{ProcProgress: pp, Class: m.class(lasso, p)})
 	}
 	if lasso != nil {
-		for _, prop := range []liveness.Property{
-			liveness.LocalProgress, liveness.KProgress(2),
-			liveness.GlobalProgress, liveness.SoloProgress,
-		} {
+		for _, prop := range lattice {
 			r.Verdicts = append(r.Verdicts, Verdict{Property: prop.Name, Holds: prop.Contains(lasso)})
 		}
 	}
@@ -470,22 +465,29 @@ func (m *Monitor) Report() Report {
 // its pre-window activity (the classifiers only test event existence
 // on the prefix, so one representative event per process suffices).
 // Returns nil while no events have been observed.
+//
+// The lasso is borrowed, not built: it is the monitor's one reading,
+// its cycle the copy of the window made here (in arrival order) and its
+// process set the monitor's own, so it is valid until the next Observe
+// or lasso call and must not be kept or modified. Every process it
+// mentions is in the set by construction, which is all
+// liveness.NewLassoWithProcs would check.
 func (m *Monitor) lasso() *liveness.Lasso {
-	cycle := m.tail()
-	if len(cycle) == 0 {
+	if len(m.window) == 0 {
 		return nil
 	}
-	var prefix model.History
-	for _, p := range sortedProcs(m.procs) {
-		pp := m.procs[p]
-		if pp.firstEvent != nil && m.events > len(cycle) {
-			prefix = append(prefix, *pp.firstEvent)
+	l := &m.reading
+	// Before the ring wraps wnext is len(window): all of it, in order.
+	l.Cycle = append(append(l.Cycle[:0], m.window[m.wnext:]...), m.window[:m.wnext]...)
+	l.Prefix = l.Prefix[:0]
+	if m.events > len(l.Cycle) {
+		for _, p := range m.order {
+			if first := m.procs[p].firstEvent; first != nil {
+				l.Prefix = append(l.Prefix, *first)
+			}
 		}
 	}
-	l, err := liveness.NewLassoWithProcs(prefix, cycle, sortedProcs(m.procs))
-	if err != nil {
-		return nil
-	}
+	l.Procs = m.order
 	return l
 }
 
@@ -505,17 +507,4 @@ func (m *Monitor) class(l *liveness.Lasso, p model.Proc) string {
 	default:
 		return "silent"
 	}
-}
-
-func sortedProcs(m map[model.Proc]*ProcProgress) []model.Proc {
-	out := make([]model.Proc, 0, len(m))
-	for p := range m {
-		out = append(out, p)
-	}
-	for i := 1; i < len(out); i++ {
-		for j := i; j > 0 && out[j] < out[j-1]; j-- {
-			out[j], out[j-1] = out[j-1], out[j]
-		}
-	}
-	return out
 }

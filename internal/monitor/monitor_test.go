@@ -260,7 +260,8 @@ func TestMonitorStarvationNow(t *testing.T) {
 	if err := m.ObserveHistory(b.History()); err != nil {
 		t.Fatal(err)
 	}
-	now := m.StarvationNow(2)
+	now, after := make([]int, 2), make([]int, 2)
+	m.StarvationNow(now)
 	if now[1] != m.Events() {
 		t.Errorf("silent p2 gap = %d, want %d", now[1], m.Events())
 	}
@@ -272,7 +273,7 @@ func TestMonitorStarvationNow(t *testing.T) {
 	if err := m.ObserveHistory(b2.History()); err != nil {
 		t.Fatal(err)
 	}
-	after := m.StarvationNow(2)
+	m.StarvationNow(after)
 	if after[1] >= now[1] {
 		t.Errorf("p2 gap did not reset on commit: %d -> %d", now[1], after[1])
 	}

@@ -7,7 +7,8 @@ import (
 
 // Pump drains a recorder's live stream into a Monitor while the run
 // executes: it restores the recorded total order from the stream's
-// per-process batches (record.Resequencer) and feeds each event to
+// per-process batches (record.Resequencer), hands each consumed batch
+// back to the recorder for reuse, and feeds each event to
 // Monitor.Observe on the pump's goroutine, so the monitor needs no
 // locking. It is the shared consumer half of live monitoring — the
 // engine's native adapter and the adversary's native driver both run
@@ -30,31 +31,37 @@ type Pump struct {
 	// starvation is fed back through Rebias (0 = no feedback).
 	RebiasEvery int
 	// Rebias receives Monitor.StarvationNow snapshots on the feedback
-	// cadence (nil = no feedback).
+	// cadence (nil = no feedback). The slice is the pump's own, rewritten
+	// at the next tick: a callback that keeps it must copy it.
 	Rebias func(starvation []int)
 }
 
-// Run consumes the stream until it closes. Call it on a dedicated
-// goroutine and close the recorder's stream (Recorder.CloseStream)
-// once the producers quiesced; Run returning is the signal that the
-// monitor absorbed every event and may be asked to Report.
-func (p *Pump) Run(stream <-chan []record.Streamed) {
+// Run consumes rec's stream until it closes. Call it on a dedicated
+// goroutine and close the stream (Recorder.CloseStream) once the
+// producers quiesced; Run returning is the signal that the monitor
+// absorbed every event and may be asked to Report.
+func (p *Pump) Run(rec *record.Recorder) {
 	rs := record.NewResequencer()
+	starvation := make([]int, p.Procs)
 	observed := 0
 	violated := false
-	for batch := range stream {
-		rs.Push(batch, func(ev model.Event) {
-			observed++
-			err := p.Mon.Observe(ev)
-			if err != nil && !violated {
-				violated = true
-				if p.OnViolation != nil {
-					p.OnViolation(err)
-				}
+	emit := func(ev model.Event) {
+		observed++
+		err := p.Mon.Observe(ev)
+		if err != nil && !violated {
+			violated = true
+			if p.OnViolation != nil {
+				p.OnViolation(err)
 			}
-			if !violated && p.RebiasEvery > 0 && p.Rebias != nil && observed%p.RebiasEvery == 0 {
-				p.Rebias(p.Mon.StarvationNow(p.Procs))
-			}
-		})
+		}
+		if !violated && p.RebiasEvery > 0 && p.Rebias != nil && observed%p.RebiasEvery == 0 {
+			p.Mon.StarvationNow(starvation)
+			p.Rebias(starvation)
+		}
+	}
+	for batch := range rec.Stream() {
+		rs.Push(batch, emit)
+		// Push copied the events into its ring: the batch is dead.
+		rec.Recycle(batch)
 	}
 }

@@ -31,7 +31,7 @@ func TestPumpFeedsMonitorInOrder(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		pump.Run(rec.Stream())
+		pump.Run(rec)
 	}()
 	logs := []*record.ProcLog{rec.Log(1), rec.Log(2)}
 	for round := 0; round < 8; round++ {
@@ -75,7 +75,7 @@ func TestPumpViolationFiresOnce(t *testing.T) {
 	done := make(chan struct{})
 	go func() {
 		defer close(done)
-		pump.Run(rec.Stream())
+		pump.Run(rec)
 	}()
 	l := rec.Log(1)
 	// A committed transaction that reads a value nobody ever wrote:

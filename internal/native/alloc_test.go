@@ -1,6 +1,10 @@
 package native
 
-import "testing"
+import (
+	"testing"
+
+	"livetm/internal/alloctest"
+)
 
 // TestAllocBudgetPerCommit pins the steady-state allocation cost of
 // one committed read-modify-write transaction per algorithm. The
@@ -9,13 +13,25 @@ import "testing"
 // per-write locator by design, and Mutex for its unpooled one-shot
 // handle. Budgets are ceilings with one alloc of slack for GC noise
 // (a drained sync.Pool refills once), not exact figures.
+//
+// An observed commit has the same budget: the handle that reports the
+// body's operations is part of the attempt's scratch, not an object of
+// its own.
 func TestAllocBudgetPerCommit(t *testing.T) {
+	alloctest.NeedSteadyPools(t)
 	budgets := map[string]float64{
 		"native-mutex":   3,
 		"native-tl2":     1,
 		"native-norec":   1,
 		"native-tinystm": 1,
 		"native-dstm":    4,
+	}
+	body := func(tx Txn) error {
+		v, err := tx.Read(3)
+		if err != nil {
+			return err
+		}
+		return tx.Write(3, v+1)
 	}
 	for _, info := range Algorithms() {
 		t.Run(info.Name, func(t *testing.T) {
@@ -27,27 +43,40 @@ func TestAllocBudgetPerCommit(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			body := func(tx Txn) error {
-				v, err := tx.Read(3)
-				if err != nil {
-					return err
+			measure := func(obs Observer) float64 {
+				commit := func() {
+					if err := AtomicallyObserved(tm, obs, body); err != nil {
+						t.Fatal(err)
+					}
 				}
-				return tx.Write(3, v+1)
+				// Warm the pools so the measurement sees the steady state.
+				for i := 0; i < 16; i++ {
+					commit()
+				}
+				return testing.AllocsPerRun(200, commit)
 			}
-			// Warm the pools so the measurement sees the steady state.
-			for i := 0; i < 16; i++ {
-				if err := tm.Atomically(body); err != nil {
-					t.Fatal(err)
-				}
+			plain := measure(nil)
+			if plain > budget {
+				t.Errorf("%.2f allocs per committed transaction, budget %.0f", plain, budget)
 			}
-			got := testing.AllocsPerRun(200, func() {
-				if err := tm.Atomically(body); err != nil {
-					t.Fatal(err)
-				}
-			})
-			if got > budget {
-				t.Errorf("%s: %.2f allocs per committed transaction, budget %.0f", info.Name, got, budget)
+			counter := &countingObserver{}
+			if observed := measure(counter); observed > plain {
+				t.Errorf("%.2f allocs per observed commit, %.2f unobserved", observed, plain)
+			}
+			if counter.calls != 6*(16+1+200) {
+				t.Errorf("observer saw %d callbacks, want 6 per commit", counter.calls)
 			}
 		})
 	}
 }
+
+// countingObserver is an observer that allocates nothing itself.
+type countingObserver struct{ calls int }
+
+func (o *countingObserver) ReadInv(int)                  { o.calls++ }
+func (o *countingObserver) ReadReturn(int, int64, bool)  { o.calls++ }
+func (o *countingObserver) WriteInv(int, int64)          { o.calls++ }
+func (o *countingObserver) WriteReturn(int, int64, bool) { o.calls++ }
+func (o *countingObserver) TryCommitInv()                { o.calls++ }
+func (o *countingObserver) TryCommitReturn(bool)         { o.calls++ }
+func (o *countingObserver) Abandon()                     { o.calls++ }

@@ -109,6 +109,7 @@ type dstmRead struct {
 }
 
 type dstmTxn struct {
+	observedSlot
 	tm    *DSTM
 	desc  *dstmDesc
 	reads []dstmRead

@@ -32,6 +32,7 @@ func (m *Mutex) Stats() Stats { return m.snapshot() }
 // mutexTxn buffers writes so a body that returns an error (or
 // declines to commit) leaves no effects, like every other algorithm.
 type mutexTxn struct {
+	observedSlot
 	m      *Mutex
 	writes map[int]int64
 }
@@ -62,7 +63,7 @@ func (m *Mutex) AtomicallyObserved(obs Observer, fn func(Txn) error) error {
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	tx := &mutexTxn{m: m}
-	if err := fn(observe(obs, tx)); err != nil {
+	if err := fn(tx.observed(obs, tx)); err != nil {
 		if obs != nil {
 			obs.Abandon()
 		}

@@ -59,7 +59,11 @@ type TM interface {
 	Stats() Stats
 }
 
-// Txn is the per-attempt handle.
+// Txn is the per-attempt handle. It is valid only inside the call of
+// the body it was passed to: the attempt behind it — and, on an
+// observed run, the wrapper that reports its operations — is scratch
+// the retry loop recycles as soon as the attempt ends, so a handle kept
+// past that call may already be serving another transaction.
 type Txn interface {
 	// Read returns the value of variable i, or ErrAborted.
 	Read(i int) (int64, error)
@@ -89,6 +93,8 @@ func (s Stats) AbortRate() float64 {
 // behind the shared retry loop.
 type attempt interface {
 	Txn
+	// observed returns the handle the body runs on (observedSlot).
+	observed(obs Observer, tx Txn) Txn
 	// commit tries to make the attempt's effects visible; false means
 	// the attempt lost a conflict and the transaction retries.
 	commit() bool
@@ -183,7 +189,7 @@ func runAtomically(c *counters, begin func() attempt, opts RunOpts, fn func(Txn)
 			}
 		}
 		tx := begin()
-		err := fn(observe(obs, tx))
+		err := fn(tx.observed(obs, tx))
 		if err == nil {
 			if obs != nil {
 				obs.TryCommitInv()

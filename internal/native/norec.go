@@ -80,6 +80,7 @@ type norecRead struct {
 }
 
 type norecTxn struct {
+	observedSlot
 	tm       *NOrec
 	snapshot uint64
 	reads    []norecRead

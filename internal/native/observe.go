@@ -12,7 +12,9 @@ import "fmt"
 //
 // All calls for one Observer are made on a single goroutine (the
 // process's), with no additional synchronization. Implementations must
-// be cheap — they sit on the transactional hot path.
+// be cheap — they sit on the transactional hot path. The handle an
+// observed body runs on is part of the attempt's recycled scratch (see
+// Txn): an observer, like a body, must not keep it past the call.
 type Observer interface {
 	// ReadInv fires before variable i is read.
 	ReadInv(i int)
@@ -66,24 +68,32 @@ type observedTxn struct {
 	obs Observer
 }
 
-func (o observedTxn) Read(i int) (int64, error) {
+func (o *observedTxn) Read(i int) (int64, error) {
 	o.obs.ReadInv(i)
 	v, err := o.tx.Read(i)
 	o.obs.ReadReturn(i, v, err != nil)
 	return v, err
 }
 
-func (o observedTxn) Write(i int, v int64) error {
+func (o *observedTxn) Write(i int, v int64) error {
 	o.obs.WriteInv(i, v)
 	err := o.tx.Write(i, v)
 	o.obs.WriteReturn(i, v, err != nil)
 	return err
 }
 
-// observe wraps tx for obs; a nil observer passes tx through.
-func observe(obs Observer, tx Txn) Txn {
+// observedSlot is embedded by every attempt: the handle an observed
+// body is given lives inside the attempt's own allocation — pooled with
+// it where the attempt is — so observing costs no object per attempt.
+type observedSlot struct{ o observedTxn }
+
+// observed returns the handle the body runs on: tx itself without an
+// observer, else the slot's wrapper around it. tx must be the attempt
+// embedding the slot; the handle dies with it (see Txn).
+func (s *observedSlot) observed(obs Observer, tx Txn) Txn {
 	if obs == nil {
 		return tx
 	}
-	return observedTxn{tx: tx, obs: obs}
+	s.o = observedTxn{tx: tx, obs: obs}
+	return &s.o
 }

@@ -63,6 +63,7 @@ type tinyRead struct {
 }
 
 type tinyTxn struct {
+	observedSlot
 	tm     *TinySTM
 	rv     uint64
 	reads  []tinyRead

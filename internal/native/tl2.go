@@ -56,6 +56,7 @@ func (t *TL2) begin() attempt {
 }
 
 type tl2Txn struct {
+	observedSlot
 	tm     *TL2
 	rv     uint64
 	reads  []int // stripes read

@@ -24,13 +24,28 @@
 // With Options.StreamCapacity a recorder also publishes every stamped
 // event into one bounded channel as it is appended, which is how the
 // live monitor (internal/engine's native adapter) observes a run while
-// it executes. Draining merges the per-process buffers by sequence
-// number into one model.History. A hard per-process cap bounds worst-
-// case retained memory, after which the process's log truncates
-// cleanly at an event boundary (the history stays well-formed, but
-// verdicts on a truncated history are advisory — see
-// Recorder.Truncated). Drop-mode logs retain nothing and are exempt
-// from the cap: they record and stream indefinitely.
+// it executes. The batches the channel carries are bounded the same
+// way: a consumer hands each batch back with Recycle once it has copied
+// the events out (monitor.Pump does, after Resequencer.Push returns),
+// and the next flush takes it from the recorder's free list instead of
+// allocating. The contract is one-sided — a batch that is never handed
+// back is simply left to the collector — and neither end can block on
+// the list: a flush that finds it empty allocates, a Recycle that finds
+// it full drops the batch, and a log muted by Stop drops its batch too
+// rather than hand back memory it could not deliver. The list has room
+// for every batch that can be in flight at once (the channel's
+// capacity, one per process being filled, one with the consumer), and a
+// batch is only ever allocated when the list is empty, so a run whose
+// consumer hands every batch back allocates at most that many, whatever
+// its length.
+//
+// Draining merges the per-process buffers by sequence number into one
+// model.History. A hard per-process cap bounds worst-case retained
+// memory, after which the process's log truncates cleanly at an event
+// boundary (the history stays well-formed, but verdicts on a truncated
+// history are advisory — see Recorder.Truncated). Drop-mode logs retain
+// nothing and are exempt from the cap: they record and stream
+// indefinitely.
 package record
 
 import (
@@ -138,7 +153,10 @@ type Recorder struct {
 	seq    atomic.Uint64
 	logs   []*ProcLog
 	stream chan []Streamed
-	stop   <-chan struct{}
+	// free holds consumed batches for the next flush (see Recycle); nil
+	// without a stream. Both ends use it without blocking.
+	free chan []Streamed
+	stop <-chan struct{}
 	// chunks and truncated aggregate the per-log figures atomically so
 	// Chunks and Truncated can be snapshotted mid-run (a live session's
 	// Stats) while the logs are still appending.
@@ -173,6 +191,8 @@ func NewWithOptions(procs int, o Options) *Recorder {
 			batches = 1
 		}
 		r.stream = make(chan []Streamed, batches)
+		// Every batch that can exist at once (see the package comment).
+		r.free = make(chan []Streamed, batches+procs+1)
 	}
 	for i := range r.logs {
 		l := &ProcLog{
@@ -197,6 +217,28 @@ func NewWithOptions(procs int, o Options) *Recorder {
 // processes can overtake each other between stamping and publishing,
 // by at most the process count plus the channel's buffered events.
 func (r *Recorder) Stream() <-chan []Streamed { return r.stream }
+
+// Recycle hands a batch received from Stream back for reuse. The caller
+// must be done with it — the next flush overwrites it — and must hand
+// each batch back at most once. It never blocks: a full free list (or a
+// recorder without a stream) lets the batch go to the collector.
+func (r *Recorder) Recycle(batch []Streamed) {
+	select {
+	case r.free <- batch[:0]:
+	default:
+	}
+}
+
+// newBatch returns an empty batch for a log to fill: a recycled one if
+// the free list has any, else a fresh allocation.
+func (r *Recorder) newBatch() []Streamed {
+	select {
+	case b := <-r.free:
+		return b
+	default:
+		return make([]Streamed, 0, streamBatch)
+	}
+}
 
 // CloseStream flushes every log's partial batch and closes the live
 // channel so the consumer's drain loop terminates. Call it only after
@@ -357,7 +399,7 @@ func (l *ProcLog) publish(s stamped) {
 		return
 	}
 	if l.batch == nil {
-		l.batch = make([]Streamed, 0, streamBatch)
+		l.batch = l.rec.newBatch()
 	}
 	l.batch = append(l.batch, Streamed{Seq: s.seq, Shard: l.shard, Ev: s.ev})
 	if len(l.batch) == cap(l.batch) || s.ev.Kind == model.RespCommit || s.ev.Kind == model.RespAbort {
@@ -367,14 +409,15 @@ func (l *ProcLog) publish(s stamped) {
 
 // flushStream sends the pending batch, blocking for backpressure; a
 // fired stop signal mutes the log instead of blocking forever on a
-// departed consumer.
+// departed consumer. A sent batch belongs to the consumer (who may
+// Recycle it); a muted log's batch is dropped, never recycled.
 func (l *ProcLog) flushStream() {
 	r := l.rec
 	if r.stream == nil || l.mute || len(l.batch) == 0 {
 		return
 	}
 	out := l.batch
-	l.batch = make([]Streamed, 0, streamBatch)
+	l.batch = nil // publish takes the next one when there is an event for it
 	if r.stop == nil {
 		r.stream <- out
 		return

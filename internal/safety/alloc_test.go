@@ -1,9 +1,9 @@
 package safety
 
 import (
-	"sync"
 	"testing"
 
+	"livetm/internal/alloctest"
 	"livetm/internal/model"
 )
 
@@ -55,22 +55,12 @@ func updateStream(procs, commits int, staggered bool) model.History {
 // per committed transaction once its scratch is warm, on the two
 // shapes the benchmark's checker-bound workloads have: two processes
 // with a quiescent cut after every round, and five that never quiesce,
-// so every 49th commit forces a frontier. What is left is per segment —
-// the slice the finals come back in, and at a forced frontier the
-// carried-process maps — so a search that allocates per transaction,
-// per node or per parse again fails here by an order of magnitude
-// without a run of bench/.
+// so every 49th commit forces a frontier. What is left is per forced
+// frontier — the carried-process maps — so a search that allocates per
+// segment, per transaction, per node or per parse again fails here by
+// an order of magnitude without a run of bench/.
 func TestAllocBudgetPerCheckedCommit(t *testing.T) {
-	// The race detector makes sync.Pool drop a quarter of what it is
-	// given, and the kernel's scratch with it: no steady state to pin.
-	probe := sync.Pool{New: func() any { return new(int) }}
-	if testing.AllocsPerRun(100, func() {
-		for i := 0; i < 16; i++ { // AllocsPerRun rounds down: a run must allocate at least once to show
-			probe.Put(probe.Get())
-		}
-	}) > 0 {
-		t.Skip("sync.Pool is not keeping what it is given (race detector)")
-	}
+	alloctest.NeedSteadyPools(t) // the kernel's scratch is pooled
 	const (
 		runs         = 40
 		commitsPer   = 98 // per measured call: an even number of rounds, two forced windows
@@ -82,7 +72,7 @@ func TestAllocBudgetPerCheckedCommit(t *testing.T) {
 		staggered bool
 		budget    float64
 	}{
-		{"two processes, a cut per round", 2, false, 1},
+		{"two processes, a cut per round", 2, false, 0.1},
 		{"five processes, cut-starved", 5, true, 0.25},
 	} {
 		t.Run(tc.name, func(t *testing.T) {

@@ -87,6 +87,9 @@ type finalsKernel struct {
 	// owner is, per start, the first start that agrees with it outside
 	// vars[:nw]; -1 once a final has taken the owner's map over.
 	owner []int
+	// starts is the kernel's copy of the caller's start slice, whose
+	// storage the finals are written over.
+	starts []model.Snapshot
 }
 
 var kernelPool = sync.Pool{New: func() any {
@@ -126,10 +129,13 @@ func feasibleFinals(seg []*model.Transaction, starts []model.Snapshot) ([]model.
 // InitialValue), and the finals come back in the order the search
 // first reaches them, start by start: a function of the arguments.
 //
-// The starts are consumed. The first final reached from a start takes
-// its map over rather than copying it — the usual segment has one
-// start and one final — so the caller replaces its states with the
-// result and reads the starts no more.
+// The starts are consumed, slice and maps. The finals are written over
+// the starts' own storage, and the first final reached from a start
+// takes its map over rather than copying it — the usual segment has one
+// start and one final, and allocates nothing — so the caller replaces
+// its states with the result and reads the starts no more. (The kernel
+// reads the starts from a copy of the slice, so a final never lands on
+// a start that has a later final still to derive.)
 func feasibleFinalsRelaxed(seg []*model.Transaction, starts []model.Snapshot, relaxed uint64) ([]model.Snapshot, error) {
 	if len(seg) > 64 {
 		return nil, ErrTooManyTransactions
@@ -141,6 +147,10 @@ func feasibleFinalsRelaxed(seg []*model.Transaction, starts []model.Snapshot, re
 	}
 	k.finals.reset(k.nw)
 	k.owner = k.owner[:0]
+	k.starts = append(k.starts[:0], starts...)
+	defer clear(k.starts) // the pool must not pin the caller's maps
+	finals := starts[:0]
+	starts = k.starts
 	for i, s := range starts {
 		k.owner = append(k.owner, k.ownerOf(starts, i))
 		k.class = uint64(k.owner[i])
@@ -150,8 +160,7 @@ func feasibleFinalsRelaxed(seg []*model.Transaction, starts []model.Snapshot, re
 		k.memo.reset(k.nw)
 		k.search(0)
 	}
-	finals := make([]model.Snapshot, k.finals.len())
-	for e := range finals {
+	for e := 0; e < k.finals.len(); e++ {
 		class, written := k.finals.key(e)
 		out := starts[class]
 		if k.owner[class] < 0 {
@@ -163,7 +172,7 @@ func feasibleFinalsRelaxed(seg []*model.Transaction, starts []model.Snapshot, re
 		for v, val := range written {
 			out[k.vars[v]] = val
 		}
-		finals[e] = out
+		finals = append(finals, out)
 	}
 	return finals, nil
 }

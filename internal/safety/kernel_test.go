@@ -3,6 +3,7 @@ package safety
 import (
 	"fmt"
 	"math/rand"
+	"reflect"
 	"slices"
 	"sort"
 	"strings"
@@ -406,6 +407,65 @@ func TestKernelCommutingPlacement(t *testing.T) {
 			}
 			if want := bruteFinals(seg, []model.Snapshot{c.start}, c.relaxed); !slices.Equal(finals, want) {
 				t.Errorf("the table disagrees with the reference: %q", want)
+			}
+		})
+	}
+}
+
+// TestKernelFinalsReuseTheStarts pins where the finals land: in the
+// slice the starts came in, without a final ever overwriting a start
+// that a later final is still to be derived from.
+func TestKernelFinalsReuseTheStarts(t *testing.T) {
+	const x, y, z = model.TVar(0), model.TVar(1), model.TVar(2)
+	// p1's write is commit-pending: every start has two finals.
+	pending := model.NewBuilder().Write(1, y, 7).Raw(model.TryCommit(1)).Read(2, x, 0).Commit(2).History()
+	// One committed increment of y from 0: one final per start.
+	committed := model.NewBuilder().Read(1, y, 0).Write(1, y, 1).Commit(1).History()
+	for _, tc := range []struct {
+		name   string
+		h      model.History
+		starts []model.Snapshot
+		want   []string
+	}{
+		{"one start, one final", committed, []model.Snapshot{{z: 3}}, []string{"x1=1 x2=3 "}},
+		{"one start, two finals", pending, []model.Snapshot{{z: 3}}, []string{"x1=7 x2=3 ", "x2=3 "}},
+		{"two starts, one final each", committed, []model.Snapshot{{z: 3}, {z: 4}}, []string{"x1=1 x2=3 ", "x1=1 x2=4 "}},
+		// The first start's second final lands on the second start's slot
+		// before the second start's finals are built.
+		{"two starts, two finals each", pending, []model.Snapshot{{z: 3}, {z: 4}},
+			[]string{"x1=7 x2=3 ", "x1=7 x2=4 ", "x2=3 ", "x2=4 "}},
+		// The third start shares the first's owner, so its final is
+		// derived from the first start's map after two finals were
+		// written.
+		{"a start that agrees with an earlier one outside the segment", pending, []model.Snapshot{{z: 3}, {z: 4}, {z: 3, y: 7}},
+			[]string{"x1=7 x2=3 ", "x1=7 x2=4 ", "x2=3 ", "x2=4 "}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			seg, err := model.Transactions(tc.h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if want := bruteFinals(seg, tc.starts, 0); !slices.Equal(tc.want, want) {
+				t.Fatalf("the table disagrees with the reference: %q", want)
+			}
+			// Room for every final, so none escapes to a fresh slice.
+			starts := append(make([]model.Snapshot, 0, 8), cloneStates(tc.starts)...)
+			got, err := feasibleFinals(seg, starts)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if canon := canonStates(got); !slices.Equal(canon, tc.want) {
+				t.Fatalf("finals %q, want %q", canon, tc.want)
+			}
+			if &got[0] != &starts[0] {
+				t.Error("the finals did not reuse the starts' storage")
+			}
+			maps := map[uintptr]int{}
+			for i, f := range got {
+				if j, dup := maps[reflect.ValueOf(f).Pointer()]; dup {
+					t.Errorf("finals %d and %d share one map", j, i)
+				}
+				maps[reflect.ValueOf(f).Pointer()] = i
 			}
 		})
 	}
