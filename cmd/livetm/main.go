@@ -168,7 +168,6 @@ package main
 
 import (
 	"context"
-	"encoding/json"
 	"errors"
 	"flag"
 	"fmt"
@@ -1742,11 +1741,13 @@ func cmdMonitor(args []string) error {
 	if err != nil {
 		return err
 	}
-	dec := json.NewDecoder(in)
+	// Event i is observed before event i+1 is asked for: the reader
+	// takes what a pipe has, never waiting for more than one event.
+	tr := model.NewTraceReader(in)
 	var firstErr error
 	for i := 0; ; i++ {
-		var e model.Event
-		if err := dec.Decode(&e); err == io.EOF {
+		e, err := tr.Next()
+		if err == io.EOF {
 			break
 		} else if err != nil {
 			return fmt.Errorf("monitor: decode event %d: %w", i, err)

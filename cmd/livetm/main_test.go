@@ -4,6 +4,7 @@ import (
 	"encoding/json"
 	"os"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"livetm/internal/adversary"
@@ -262,6 +263,14 @@ func TestCmdRecordAndMonitor(t *testing.T) {
 	}
 	if err := run([]string{"monitor", "-file", filepath.Join(t.TempDir(), "missing.jsonl")}); err == nil {
 		t.Error("monitor with a missing file must error")
+	}
+	bad := filepath.Join(t.TempDir(), "bad.jsonl")
+	lines := `{"proc":1,"kind":"tryC"}` + "\n" + `{"proc":1,"kind":"C"}` + "\n" + `{"proc":1,"kind":"?"}` + "\n"
+	if err := os.WriteFile(bad, []byte(lines), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if err := run([]string{"monitor", "-file", bad}); err == nil || !strings.Contains(err.Error(), `monitor: decode event 2: model: unknown event kind "?"`) {
+		t.Errorf("monitor over a trace whose third event is bad: %v", err)
 	}
 }
 

@@ -8,9 +8,9 @@ import (
 )
 
 // NeedSteadyPools skips the test when sync.Pool is not keeping what it
-// is given. Every steady-state allocation budget in this repository
-// rests on pooled scratch (the TMs' attempts, the checker's kernel, the
-// session's waiters), and the race detector makes sync.Pool drop a
+// is given. Most steady-state allocation budgets in this repository
+// rest on pooled scratch (the TMs' attempts, the session's waiters, the
+// wire codec's buffers), and the race detector makes sync.Pool drop a
 // quarter of its items at random: there is no steady state to pin
 // there, only noise.
 func NeedSteadyPools(t testing.TB) {

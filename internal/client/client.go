@@ -60,10 +60,16 @@ func (e *Error) Unwrap() error { return server.SentinelOf(e.Code) }
 
 // Client talks the wire API v1. Safe for concurrent use.
 type Client struct {
-	base  string
+	urls  map[string]string // endpoint path → URL, built once
 	name  string
 	codec server.Codec
 	hc    *http.Client
+}
+
+// endpoints are the wire API's paths.
+var endpoints = []string{
+	"/v1/exec", "/v1/submit", "/v1/wait", "/v1/tx/begin", "/v1/tx/op", "/v1/tx/finish",
+	"/v1/info", "/v1/stats", "/v1/drain",
 }
 
 // New builds a client for the server at cfg.Addr.
@@ -81,7 +87,11 @@ func New(cfg Config) *Client {
 	if hc == nil {
 		hc = &http.Client{}
 	}
-	return &Client{base: base, name: cfg.Name, codec: codec, hc: hc}
+	urls := make(map[string]string, len(endpoints))
+	for _, path := range endpoints {
+		urls[path] = base + path
+	}
+	return &Client{urls: urls, name: cfg.Name, codec: codec, hc: hc}
 }
 
 // WithName returns a client identical to c but presenting name as its
@@ -96,7 +106,9 @@ func (c *Client) WithName(name string) *Client {
 }
 
 // do posts one frame and decodes the reply; non-2xx replies decode
-// into *Error.
+// into *Error. in and out are pointers to frames. The request body is
+// allocated per call and never pooled: the transport may still be
+// writing it after Do has returned.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
 	var body io.Reader
 	if in != nil {
@@ -106,7 +118,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 		body = &buf
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.base+path, body)
+	req, err := http.NewRequestWithContext(ctx, method, c.urls[path], body)
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", path, err)
 	}
@@ -159,7 +171,7 @@ func (c *Client) Stats(ctx context.Context) (engine.SessionStats, error) {
 // (engine.AnyWorker for the shared lane) and returns its result.
 func (c *Client) Exec(ctx context.Context, worker int, ops []server.Op) (server.ExecResponse, error) {
 	var out server.ExecResponse
-	err := c.do(ctx, http.MethodPost, "/v1/exec", server.ExecRequest{Worker: worker, Ops: ops}, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/exec", &server.ExecRequest{Worker: worker, Ops: ops}, &out)
 	return out, err
 }
 
@@ -167,7 +179,7 @@ func (c *Client) Exec(ctx context.Context, worker int, ops []server.Op) (server.
 // through Wait.
 func (c *Client) Submit(ctx context.Context, worker int, ops []server.Op) (string, error) {
 	var out server.SubmitResponse
-	err := c.do(ctx, http.MethodPost, "/v1/submit", server.ExecRequest{Worker: worker, Ops: ops}, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/submit", &server.ExecRequest{Worker: worker, Ops: ops}, &out)
 	return out.ID, err
 }
 
@@ -175,7 +187,7 @@ func (c *Client) Submit(ctx context.Context, worker int, ops []server.Op) (strin
 // consumed (a second Wait on the same id is not-found).
 func (c *Client) Wait(ctx context.Context, id string) (server.ExecResponse, error) {
 	var out server.ExecResponse
-	err := c.do(ctx, http.MethodPost, "/v1/wait", server.WaitRequest{ID: id}, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/wait", &server.WaitRequest{ID: id}, &out)
 	return out, err
 }
 
@@ -183,7 +195,7 @@ func (c *Client) Wait(ctx context.Context, id string) (server.ExecResponse, erro
 // returning the final monitor report and closing stats.
 func (c *Client) Drain(ctx context.Context) (server.DrainResponse, error) {
 	var out server.DrainResponse
-	err := c.do(ctx, http.MethodPost, "/v1/drain", struct{}{}, &out)
+	err := c.do(ctx, http.MethodPost, "/v1/drain", &struct{}{}, &out)
 	return out, err
 }
 
@@ -193,7 +205,7 @@ func (c *Client) Drain(ctx context.Context) (server.DrainResponse, error) {
 // simply lands on the fresh attempt.
 func (c *Client) Begin(ctx context.Context, worker int) (*Tx, error) {
 	var out server.BeginResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/tx/begin", server.BeginRequest{Worker: worker}, &out); err != nil {
+	if err := c.do(ctx, http.MethodPost, "/v1/tx/begin", &server.BeginRequest{Worker: worker}, &out); err != nil {
 		return nil, err
 	}
 	return &Tx{c: c, id: out.Txn}, nil
@@ -213,7 +225,7 @@ func (t *Tx) ID() string { return t.id }
 func (t *Tx) Read(ctx context.Context, i int) (val int64, aborted bool, err error) {
 	var out server.TxOpResponse
 	err = t.c.do(ctx, http.MethodPost, "/v1/tx/op",
-		server.TxOpRequest{Txn: t.id, Op: server.Op{Kind: server.OpRead, Var: i}}, &out)
+		&server.TxOpRequest{Txn: t.id, Op: server.Op{Kind: server.OpRead, Var: i}}, &out)
 	return out.Val, out.Aborted, err
 }
 
@@ -221,7 +233,7 @@ func (t *Tx) Read(ctx context.Context, i int) (val int64, aborted bool, err erro
 func (t *Tx) Write(ctx context.Context, i int, v int64) (aborted bool, err error) {
 	var out server.TxOpResponse
 	err = t.c.do(ctx, http.MethodPost, "/v1/tx/op",
-		server.TxOpRequest{Txn: t.id, Op: server.Op{Kind: server.OpWrite, Var: i, Val: v}}, &out)
+		&server.TxOpRequest{Txn: t.id, Op: server.Op{Kind: server.OpWrite, Var: i, Val: v}}, &out)
 	return out.Aborted, err
 }
 
@@ -232,7 +244,7 @@ func (t *Tx) Write(ctx context.Context, i int, v int64) (aborted bool, err error
 func (t *Tx) Finish(ctx context.Context, mode string) (server.TxFinishResponse, error) {
 	var out server.TxFinishResponse
 	err := t.c.do(ctx, http.MethodPost, "/v1/tx/finish",
-		server.TxFinishRequest{Txn: t.id, Mode: mode}, &out)
+		&server.TxFinishRequest{Txn: t.id, Mode: mode}, &out)
 	return out, err
 }
 

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"net/http/httptest"
+	"slices"
 	"testing"
 	"time"
 
@@ -179,5 +180,33 @@ func TestEngineOverloadCrossesWire(t *testing.T) {
 	}
 	if err := tx.Abandon(ctx); err != nil {
 		t.Fatalf("abandon: %v", err)
+	}
+}
+
+// The Reads a caller is handed are its own: neither the server's
+// scratch nor the codec's buffers are behind them, so later replies —
+// here a few hundred over the same connection — leave them alone.
+func TestReadsBelongToTheCaller(t *testing.T) {
+	_, url := startServer(t, server.Config{})
+	c := New(Config{Addr: url, Name: "reads"})
+	ctx := context.Background()
+	program := func(v int64) []server.Op {
+		return []server.Op{{Kind: server.OpWrite, Var: 0, Val: v}, {Kind: server.OpRead, Var: 0}, {Kind: server.OpIncr, Var: 0, Val: 1}}
+	}
+	first, err := c.Exec(ctx, 0, program(1000))
+	if err != nil || !slices.Equal(first.Reads, []int64{1000, 1000}) {
+		t.Fatalf("first exec = %+v, %v", first, err)
+	}
+	for i := int64(0); i < 300; i++ {
+		res, err := c.Exec(ctx, 0, program(i))
+		if err != nil || !slices.Equal(res.Reads, []int64{i, i}) {
+			t.Fatalf("exec %d = %+v, %v", i, res, err)
+		}
+		if &res.Reads[0] == &first.Reads[0] {
+			t.Fatalf("exec %d was handed the first reply's storage", i)
+		}
+	}
+	if !slices.Equal(first.Reads, []int64{1000, 1000}) {
+		t.Fatalf("the first reply's reads changed under its caller: %v", first.Reads)
 	}
 }

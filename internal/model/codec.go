@@ -6,64 +6,128 @@ import (
 	"fmt"
 	"io"
 	"os"
+	"strconv"
+
+	"livetm/internal/jsonscan"
 )
 
-// eventJSON is the wire form of an Event. Kind uses the conventional
-// short names so trace files are self-describing and diff-friendly.
-type eventJSON struct {
-	Proc int    `json:"proc"`
-	Kind string `json:"kind"`
-	Var  *int   `json:"var,omitempty"`
-	Val  *int64 `json:"val,omitempty"`
-}
+// eventKeys are the members of an event object, in the order
+// AppendJSON writes them; hasVar and hasVal are the last two's bits in
+// the set Scanner.Object reports.
+var eventKeys = []string{"proc", "kind", "var", "val"}
 
-var kindNames = map[Kind]string{
-	InvRead:      "read",
-	InvWrite:     "write",
-	InvTryCommit: "tryC",
-	RespValue:    "val",
-	RespOK:       "ok",
-	RespCommit:   "C",
-	RespAbort:    "A",
-}
+const (
+	hasVar = 1 << 2
+	hasVal = 1 << 3
+)
 
-var kindsByName = func() map[string]Kind {
-	m := make(map[string]Kind, len(kindNames))
-	for k, n := range kindNames {
-		m[n] = k
+// kindNamed maps a conventional short name (Kind.String) back to its
+// kind; 0 when there is none.
+func kindNamed(name []byte) Kind {
+	for k := InvRead; k <= RespAbort; k++ {
+		if string(name) == k.String() {
+			return k
+		}
 	}
-	return m
-}()
+	return 0
+}
+
+// AppendJSON appends the event's trace line — its JSON object and a
+// newline, byte for byte what json.Encoder writes for an Event — to
+// dst. Kind picks the members: var for reads and writes, val for
+// writes and value responses.
+func (e Event) AppendJSON(dst []byte) ([]byte, error) {
+	if e.Kind < InvRead || e.Kind > RespAbort {
+		return dst, fmt.Errorf("model: cannot encode event with kind %d", int(e.Kind))
+	}
+	dst = append(dst, `{"proc":`...)
+	dst = strconv.AppendInt(dst, int64(e.Proc), 10)
+	dst = append(dst, `,"kind":"`...)
+	dst = append(dst, e.Kind.String()...)
+	dst = append(dst, '"')
+	if e.Kind == InvRead || e.Kind == InvWrite {
+		dst = append(dst, `,"var":`...)
+		dst = strconv.AppendInt(dst, int64(e.Var), 10)
+	}
+	if e.Kind == InvWrite || e.Kind == RespValue {
+		dst = append(dst, `,"val":`...)
+		dst = strconv.AppendInt(dst, int64(e.Val), 10)
+	}
+	return append(dst, "}\n"...), nil
+}
 
 // MarshalJSON implements json.Marshaler.
 func (e Event) MarshalJSON() ([]byte, error) {
-	name, ok := kindNames[e.Kind]
-	if !ok {
-		return nil, fmt.Errorf("model: cannot encode event with kind %d", int(e.Kind))
+	line, err := e.AppendJSON(nil)
+	if err != nil {
+		return nil, err
 	}
-	ej := eventJSON{Proc: int(e.Proc), Kind: name}
-	switch e.Kind {
-	case InvRead:
-		x := int(e.Var)
-		ej.Var = &x
-	case InvWrite:
-		x, v := int(e.Var), int64(e.Val)
-		ej.Var, ej.Val = &x, &v
-	case RespValue:
-		v := int64(e.Val)
-		ej.Val = &v
-	}
-	return json.Marshal(ej)
+	return line[:len(line)-1], nil
 }
 
-// UnmarshalJSON implements json.Unmarshaler.
+// scan is the fast half of decoding: it fills e from an event object
+// in the scanner's subset that UnmarshalJSON would accept, and reports
+// false for every other input, leaving it to UnmarshalJSON.
+func (e *Event) scan(s *jsonscan.Scanner) bool {
+	var (
+		proc, x int
+		v       int64
+		kind    Kind
+	)
+	seen, ok := s.Object(eventKeys, func(i int) bool {
+		switch i {
+		case 0:
+			return s.Int(&proc)
+		case 1:
+			name, ok := s.Str()
+			kind = kindNamed(name)
+			return ok
+		case 2:
+			return s.Int(&x)
+		default:
+			return s.Int64(&v)
+		}
+	})
+	if !ok || kind == 0 || proc <= 0 {
+		return false
+	}
+	ev := Event{Proc: Proc(proc), Kind: kind}
+	var need uint32
+	switch kind {
+	case InvRead:
+		need = hasVar
+		ev.Var = TVar(x)
+	case InvWrite:
+		need = hasVar | hasVal
+		ev.Var, ev.Val = TVar(x), Value(v)
+	case RespValue:
+		need = hasVal
+		ev.Val = Value(v)
+	}
+	if seen&need != need {
+		return false
+	}
+	*e = ev
+	return true
+}
+
+// UnmarshalJSON implements json.Unmarshaler. It is the definition of
+// which event objects decode and to what; TraceReader's scanner takes
+// the common ones off it and hands it the rest.
 func (e *Event) UnmarshalJSON(data []byte) error {
+	// The pointers tell an absent member from a zero one.
+	type eventJSON struct {
+		Proc int    `json:"proc"`
+		Kind string `json:"kind"`
+		Var  *int   `json:"var"`
+		Val  *int64 `json:"val"`
+	}
 	var ej eventJSON
 	if err := json.Unmarshal(data, &ej); err != nil {
 		return err
 	}
-	kind, ok := kindsByName[ej.Kind]
-	if !ok {
+	kind := kindNamed([]byte(ej.Kind))
+	if kind == 0 {
 		return fmt.Errorf("model: unknown event kind %q", ej.Kind)
 	}
 	if ej.Proc <= 0 {
@@ -91,13 +155,156 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	return nil
 }
 
+// traceBufSize is TraceReader's refill buffer: a few thousand events
+// per read, and longer than any value but a deliberately padded one.
+const traceBufSize = 64 << 10
+
+// TraceReader streams the events of a JSON Lines trace: a sequence of
+// event objects separated by any JSON whitespace. Events in the
+// canonical form (see the package comment) are scanned in place out of
+// one fixed buffer; any other value is decoded by encoding/json
+// through Event.UnmarshalJSON, exactly as json.Decoder would have.
+type TraceReader struct {
+	src      io.Reader
+	buf      []byte
+	pos, end int   // buf[pos:end] is read and not yet consumed
+	srcErr   error // what src last returned; no Read follows it
+	err      error // sticky: what Next returns from now on
+	sc       jsonscan.Scanner
+}
+
+// NewTraceReader returns a reader of the trace in r. It reads r no
+// further ahead than one Read into its buffer, so a trace arriving on
+// a pipe is handed out event by event as it arrives.
+func NewTraceReader(r io.Reader) *TraceReader {
+	return &TraceReader{src: r, buf: make([]byte, traceBufSize)}
+}
+
+// Next returns the next event, io.EOF after the last one, or the
+// error of the value that does not decode — encoding/json's own, or
+// Event.UnmarshalJSON's. After an error every call returns it again.
+func (r *TraceReader) Next() (Event, error) {
+	for r.err == nil {
+		for r.pos < r.end && jsonscan.IsSpace(r.buf[r.pos]) {
+			r.pos++
+		}
+		if r.pos == r.end {
+			if !r.fill() {
+				r.err = r.srcErr
+			}
+			continue
+		}
+		r.sc.Buf, r.sc.Pos = r.buf[:r.end], r.pos
+		var e Event
+		if e.scan(&r.sc) {
+			r.pos = r.sc.Pos
+			return e, nil
+		}
+		if r.sc.Short() && r.fill() {
+			continue // the value was cut off by the buffer's end: scan it again, whole
+		}
+		return r.decode()
+	}
+	return Event{}, r.err
+}
+
+// fill moves the unconsumed bytes to the front of the buffer and reads
+// more behind them. It reports false when nothing was added: the
+// source has ended or failed (srcErr), or the buffer is full of one
+// unfinished value.
+func (r *TraceReader) fill() bool {
+	if r.srcErr != nil {
+		return false
+	}
+	r.end = copy(r.buf, r.buf[r.pos:r.end])
+	r.pos = 0
+	if r.end == len(r.buf) {
+		return false
+	}
+	for empty := 0; empty < 100; empty++ {
+		n, err := r.src.Read(r.buf[r.end:])
+		r.end += n
+		r.srcErr = err
+		if n > 0 || err != nil {
+			return n > 0
+		}
+	}
+	r.srcErr = io.ErrNoProgress
+	return false
+}
+
+// decode hands the value at pos to a json.Decoder reading the buffer's
+// remainder and then the source, and takes back what the decoder read
+// beyond the value.
+func (r *TraceReader) decode() (Event, error) {
+	start, fromSrc := r.pos, 0
+	dec := json.NewDecoder(readerFunc(func(p []byte) (int, error) {
+		if r.pos < r.end {
+			n := copy(p, r.buf[r.pos:r.end])
+			r.pos += n
+			return n, nil
+		}
+		if r.srcErr != nil {
+			return 0, r.srcErr
+		}
+		n, err := r.src.Read(p)
+		fromSrc += n
+		r.srcErr = err
+		return n, err
+	}))
+	var e Event
+	if err := dec.Decode(&e); err != nil {
+		r.err = err
+		return Event{}, err
+	}
+	valueEnd := start + int(dec.InputOffset())
+	if fromSrc == 0 {
+		r.pos = valueEnd // the decoder saw nothing but the buffer
+		return e, nil
+	}
+	ahead := r.end + fromSrc - valueEnd
+	if ahead > len(r.buf) {
+		r.buf = make([]byte, ahead)
+	}
+	r.pos = 0
+	r.end, _ = io.ReadFull(dec.Buffered(), r.buf[:ahead])
+	return e, nil
+}
+
+type readerFunc func(p []byte) (int, error)
+
+func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
+
+// minEventLine is the shortest line WriteTrace writes; it turns an
+// input's length into an upper bound on its events.
+const minEventLine = len(`{"proc":1,"kind":"C"}` + "\n")
+
+// sizeHint returns the length of what r still holds, when r says: the
+// in-memory readers' Len, a regular file's size.
+func sizeHint(r io.Reader) int64 {
+	switch r := r.(type) {
+	case interface{ Len() int }:
+		return int64(r.Len())
+	case *os.File:
+		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
+			return fi.Size()
+		}
+	}
+	return 0
+}
+
 // WriteTrace writes the history as JSON Lines: one event object per
 // line, streamable and appendable.
 func WriteTrace(w io.Writer, h History) error {
 	bw := bufio.NewWriter(w)
-	enc := json.NewEncoder(bw)
+	var line []byte
 	for i, e := range h {
-		if err := enc.Encode(e); err != nil {
+		var err error
+		line, err = e.AppendJSON(line[:0])
+		if err == nil {
+			_, err = bw.Write(line)
+		}
+		if err != nil {
 			return fmt.Errorf("model: encode event %d: %w", i, err)
 		}
 	}
@@ -106,14 +313,17 @@ func WriteTrace(w io.Writer, h History) error {
 
 // ReadTrace reads a JSON Lines trace written by WriteTrace.
 func ReadTrace(r io.Reader) (History, error) {
-	dec := json.NewDecoder(r)
+	tr := NewTraceReader(r)
 	var h History
-	for i := 0; ; i++ {
-		var e Event
-		if err := dec.Decode(&e); err == io.EOF {
+	if n := sizeHint(r) / int64(minEventLine); n > 0 {
+		h = make(History, 0, n)
+	}
+	for {
+		e, err := tr.Next()
+		if err == io.EOF {
 			return h, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("model: decode event %d: %w", i, err)
+			return nil, fmt.Errorf("model: decode event %d: %w", len(h), err)
 		}
 		h = append(h, e)
 	}

@@ -3,11 +3,80 @@ package model
 import (
 	"bytes"
 	"encoding/json"
+	"fmt"
+	"io"
 	"path/filepath"
 	"strings"
 	"testing"
+	"testing/iotest"
 	"testing/quick"
 )
+
+// referenceReadTrace is ReadTrace as it was before TraceReader: one
+// json.Decoder over the whole input, every value through
+// Event.UnmarshalJSON. The edge-case table and FuzzReadTrace hold the
+// scanning reader to it.
+func referenceReadTrace(r io.Reader) (History, error) {
+	dec := json.NewDecoder(r)
+	var h History
+	for i := 0; ; i++ {
+		var e Event
+		if err := dec.Decode(&e); err == io.EOF {
+			return h, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("model: decode event %d: %w", i, err)
+		}
+		h = append(h, e)
+	}
+}
+
+// readTraceBuffered is ReadTrace over a TraceReader whose refill
+// buffer holds size bytes, so short inputs cross refills, outgrow the
+// buffer and leave read-ahead behind a fallback.
+func readTraceBuffered(r io.Reader, size int) (History, error) {
+	tr := &TraceReader{src: r, buf: make([]byte, size)}
+	var h History
+	for {
+		e, err := tr.Next()
+		if err == io.EOF {
+			return h, nil
+		} else if err != nil {
+			return nil, fmt.Errorf("model: decode event %d: %w", len(h), err)
+		}
+		h = append(h, e)
+	}
+}
+
+// checkAgainstReference decodes in with ReadTrace — whole, one byte
+// per Read, and through small refill buffers — and requires each to
+// agree with referenceReadTrace on the history and on the error text.
+func checkAgainstReference(t *testing.T, in []byte) (History, error) {
+	t.Helper()
+	want, wantErr := referenceReadTrace(bytes.NewReader(in))
+	check := func(how string, got History, err error) {
+		t.Helper()
+		if fmt.Sprint(err) != fmt.Sprint(wantErr) {
+			t.Fatalf("%s: error %v, reference %v (input %q)", how, err, wantErr, in)
+		}
+		if len(got) != len(want) {
+			t.Fatalf("%s: %d events, reference %d (input %q)", how, len(got), len(want), in)
+		}
+		for i := range want {
+			if got[i] != want[i] {
+				t.Fatalf("%s: event %d is %v, reference %v (input %q)", how, i, got[i], want[i], in)
+			}
+		}
+	}
+	got, err := ReadTrace(bytes.NewReader(in))
+	check("ReadTrace", got, err)
+	got, err = ReadTrace(iotest.OneByteReader(bytes.NewReader(in)))
+	check("one byte per Read", got, err)
+	for _, size := range []int{1, 7, 48, 600} {
+		got, err = readTraceBuffered(bytes.NewReader(in), size)
+		check(fmt.Sprintf("%d-byte buffer", size), got, err)
+	}
+	return want, wantErr
+}
 
 func TestEventJSONRoundTrip(t *testing.T) {
 	events := []Event{
@@ -52,6 +121,78 @@ func TestEventJSONEncoding(t *testing.T) {
 	}
 }
 
+// traceCases are the reader's edge cases: inputs the scanner takes
+// itself, inputs it must leave to encoding/json, and inputs nobody
+// accepts. want is nil where err (a substring of the error) is set.
+var traceCases = []struct {
+	name string
+	in   string
+	want History
+	err  string
+}{
+	{name: "two events across a refill", // the 48-byte buffer ends inside the second
+		in:   `{"proc":1,"kind":"read","var":0}` + "\n" + `{"proc":1,"kind":"val","val":7}` + "\n",
+		want: History{Read(1, 0), ValueResp(1, 7)}},
+	{name: "value longer than the buffer", // and than json.Decoder's first 512-byte read
+		in:   `{"proc":1,` + strings.Repeat(" ", 700) + `"kind":"C"}` + "\n" + `{"proc":2,"kind":"A"}` + "\n",
+		want: History{Commit(1), Abort(2)}},
+	{name: "CRLF and blank lines",
+		in:   "\r\n" + `{"proc":1,"kind":"tryC"}` + "\r\n\r\n\n" + `{"proc":1,"kind":"C"}` + "\r\n\r\n",
+		want: History{TryCommit(1), Commit(1)}},
+	{name: "several events on one line",
+		in:   `{"proc":1,"kind":"write","var":2,"val":-5} {"proc":1,"kind":"ok"}{"proc":1,"kind":"tryC"}` + "\t\n",
+		want: History{Write(1, 2, -5), OK(1), TryCommit(1)}},
+	{name: "pretty-printed event",
+		in:   "{\n  \"kind\" : \"write\",\n  \"val\" : 9,\n  \"var\" : 3,\n  \"proc\" : 4\n}\n",
+		want: History{Write(4, 3, 9)}},
+	{name: "no trailing newline",
+		in:   `{"proc":1,"kind":"C"}` + "\n" + `{"proc":2,"kind":"C"}`,
+		want: History{Commit(1), Commit(2)}},
+	{name: "empty input", in: ""},
+	{name: "whitespace only", in: " \n\t\r\n"},
+	{name: "minus zero",
+		in:   `{"proc":1,"kind":"val","val":-0}`,
+		want: History{ValueResp(1, 0)}},
+	{name: "int64 bounds",
+		in:   `{"proc":1,"kind":"val","val":9223372036854775807}{"proc":1,"kind":"val","val":-9223372036854775808}`,
+		want: History{ValueResp(1, 9223372036854775807), ValueResp(1, -9223372036854775808)}},
+	{name: "one past int64", in: `{"proc":1,"kind":"val","val":9223372036854775808}`, err: "decode event 0"},
+	{name: "eighteen digits",
+		in:   `{"proc":1,"kind":"val","val":-999999999999999999}`,
+		want: History{ValueResp(1, -999999999999999999)}},
+	{name: "escaped key",
+		in:   `{"pr\u006fc":1,"kind":"C"}`,
+		want: History{Commit(1)}},
+	{name: "escaped kind",
+		in:   `{"proc":1,"kind":"\u0043"}`,
+		want: History{Commit(1)}},
+	{name: "case-folded keys",
+		in:   `{"PROC":1,"Kind":"read","VAR":6}`,
+		want: History{Read(1, 6)}},
+	{name: "duplicate key", // encoding/json keeps the last
+		in:   `{"proc":1,"proc":2,"kind":"C"}`,
+		want: History{Commit(2)}},
+	{name: "unknown key",
+		in:   `{"proc":1,"ts":{"s":[1,2]},"kind":"C"}`,
+		want: History{Commit(1)}},
+	{name: "null member",
+		in:   `{"proc":1,"kind":"tryC","var":null}`,
+		want: History{TryCommit(1)}},
+	{name: "members the kind does not use",
+		in:   `{"proc":3,"kind":"A","var":8,"val":9}`,
+		want: History{Abort(3)}},
+	{name: "exponent", in: `{"proc":1e0,"kind":"C"}`, err: "decode event 0"},
+	{name: "fraction", in: `{"proc":1,"kind":"read","var":0.0}`, err: "decode event 0"},
+	{name: "leading zero", in: `{"proc":01,"kind":"C"}`, err: "decode event 0"},
+	{name: "kind in the wrong case", in: `{"proc":1,"kind":"c"}`, err: `unknown event kind "c"`},
+	{name: "truncated", in: `{"proc":1,"kind":"C"}` + "\n" + `{"proc":1,"ki`, err: "decode event 1: unexpected EOF"},
+	{name: "valid prefix then garbage", // the events before the bad one are not returned
+		in:  `{"proc":1,"kind":"tryC"}` + "\n" + `{"proc":1,"kind":"C"}` + "\n" + `not json` + "\n",
+		err: "decode event 2"},
+	{name: "comma between events", in: `{"proc":1,"kind":"C"},{"proc":1,"kind":"C"}`, err: "decode event 1"},
+	{name: "array of events", in: `[{"proc":1,"kind":"C"}]`, err: "decode event 0"},
+}
+
 func TestEventJSONRejectsBad(t *testing.T) {
 	bad := []string{
 		`{"proc":1,"kind":"nope"}`,
@@ -66,6 +207,49 @@ func TestEventJSONRejectsBad(t *testing.T) {
 		if err := json.Unmarshal([]byte(s), &e); err == nil {
 			t.Errorf("unmarshal %s should fail", s)
 		}
+		// The reader rejects it too, in UnmarshalJSON's words.
+		if _, err := checkAgainstReference(t, []byte(s)); err == nil {
+			t.Errorf("ReadTrace(%s) should fail", s)
+		}
+	}
+	for _, c := range traceCases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := checkAgainstReference(t, []byte(c.in))
+			if c.err != "" {
+				if err == nil || !strings.Contains(err.Error(), c.err) || got != nil {
+					t.Fatalf("got %v, %v; want nil and an error containing %q", got, err, c.err)
+				}
+				return
+			}
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(c.want) {
+				t.Fatalf("got %v, %v; want %v", got, err, c.want)
+			}
+		})
+	}
+}
+
+// A trace on a pipe is handed out as it arrives: event i comes back
+// before the bytes of event i+1 have been asked for.
+func TestTraceReaderDoesNotReadAhead(t *testing.T) {
+	pr, pw := io.Pipe()
+	tr := NewTraceReader(pr)
+	for i, line := range []string{
+		`{"proc":1,"kind":"tryC"}` + "\n",
+		`{"PROC":1,"kind":"C"}`, // the fallback's decoder must not wait either
+		` {"proc":2,"kind":"A"}`,
+	} {
+		go func() { _, _ = pw.Write([]byte(line)) }()
+		e, err := tr.Next()
+		if err != nil || e.Proc == 0 {
+			t.Fatalf("event %d: %v, %v", i, e, err)
+		}
+	}
+	pw.Close()
+	if _, err := tr.Next(); err != io.EOF {
+		t.Fatalf("after the last event: %v, want io.EOF", err)
+	}
+	if _, err := tr.Next(); err != io.EOF {
+		t.Fatalf("io.EOF must repeat, got %v", err)
 	}
 }
 
@@ -151,4 +335,54 @@ func TestTraceRoundTripProperty(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 200}); err != nil {
 		t.Error(err)
 	}
+}
+
+// The fixed costs of a trace — the reader's buffer, the History — are
+// paid once; an event in canonical form costs nothing more, read or
+// written.
+func TestAllocBudgetPerDecodedEvent(t *testing.T) {
+	const perRun, runs = 500, 50
+	events := []Event{Read(1, 3), ValueResp(1, -42), Write(12, 7, 1<<40), OK(12), TryCommit(1), Commit(1), Abort(12)}
+	h := make(History, 0, perRun*(runs+2))
+	for len(h) < cap(h) {
+		h = append(h, events[len(h)%len(events)])
+	}
+	var trace bytes.Buffer
+	if err := WriteTrace(&trace, h); err != nil {
+		t.Fatal(err)
+	}
+	tr := NewTraceReader(&trace)
+	next := 0
+	if n := testing.AllocsPerRun(runs, func() {
+		for i := 0; i < perRun; i++ {
+			e, err := tr.Next()
+			if err != nil || e != h[next] {
+				t.Fatalf("event %d: %v, %v; want %v", next, e, err, h[next])
+			}
+			next++
+		}
+	}); n != 0 {
+		t.Errorf("TraceReader.Next: %.3f allocations per %d events, want 0", n, perRun)
+	}
+	line := make([]byte, 0, 64)
+	if n := testing.AllocsPerRun(runs, func() {
+		for _, e := range events {
+			var err error
+			if line, err = e.AppendJSON(line[:0]); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}); n != 0 {
+		t.Errorf("AppendJSON into a reused buffer: %.3f allocations per %d events, want 0", n, len(events))
+	}
+}
+
+// FuzzReadTrace holds the scanning reader to the json.Decoder loop it
+// replaced, on arbitrary bytes: same success, same history, same
+// failing event and error text, whatever the refill buffer's size.
+// The seeds, one per corner of the grammar, are under testdata/fuzz.
+func FuzzReadTrace(f *testing.F) {
+	f.Fuzz(func(t *testing.T, data []byte) {
+		checkAgainstReference(t, data)
+	})
 }

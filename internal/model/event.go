@@ -7,6 +7,30 @@
 // The package is purely about finite histories; infinite histories are
 // modeled in package liveness as lassos (eventually-periodic histories)
 // whose segments are model.History values.
+//
+// # Trace files
+//
+// A history is stored as JSON Lines: one event object per line, with
+// the members "proc", "kind" (read, write, tryC, val, ok, C, A), "var"
+// for reads and writes and "val" for writes and value responses —
+// {"proc":1,"kind":"read","var":0}. Event.AppendJSON writes exactly
+// these bytes, and WriteTrace, SaveTrace and MarshalJSON go through
+// it. Reading accepts more than is written: any sequence of event
+// objects separated by JSON whitespace, each as encoding/json would
+// decode it through Event.UnmarshalJSON. TraceReader (behind ReadTrace
+// and LoadTrace) scans the canonical form itself, out of one fixed
+// buffer and without allocating per event: the four members in any
+// order and at most once each, exactly spelled, JSON whitespace
+// anywhere between tokens, integers as plain digit strings of at most
+// 18 digits, the kind as an unescaped string, and the members the kind
+// needs present with a positive proc. It only ever accepts. Any other
+// value — escaped, case-folded, repeated or unknown members, null,
+// exponents and fractions, 19-digit numbers, a value longer than the
+// buffer, a non-object, anything malformed or invalid — is handed, for
+// that one value, to a json.Decoder and through it to UnmarshalJSON,
+// so what is rejected, and in which words, is decided where it always
+// was. The differential tests and FuzzReadTrace hold the two to the
+// same histories and the same errors.
 package model
 
 import (

@@ -3,7 +3,6 @@ package safety
 import (
 	"testing"
 
-	"livetm/internal/alloctest"
 	"livetm/internal/model"
 )
 
@@ -60,7 +59,6 @@ func updateStream(procs, commits int, staggered bool) model.History {
 // segment, per transaction, per node or per parse again fails here by
 // an order of magnitude without a run of bench/.
 func TestAllocBudgetPerCheckedCommit(t *testing.T) {
-	alloctest.NeedSteadyPools(t) // the kernel's scratch is pooled
 	const (
 		runs         = 40
 		commitsPer   = 98 // per measured call: an even number of rounds, two forced windows
@@ -91,7 +89,7 @@ func TestAllocBudgetPerCheckedCommit(t *testing.T) {
 				}
 				at += commitsPer * eventsPerTxn
 			}
-			feed() // warm the buffers, the parser and the pooled kernel
+			feed() // warm the buffers, the parser and the kernel
 			got := testing.AllocsPerRun(runs, feed) / commitsPer
 			t.Logf("%.3f allocs per checked commit (%d segments, %d forced)", got, c.Segments(), c.ForcedCuts())
 			if got > tc.budget {

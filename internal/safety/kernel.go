@@ -3,7 +3,6 @@ package safety
 import (
 	"math/bits"
 	"slices"
-	"sync"
 
 	"livetm/internal/model"
 )
@@ -12,7 +11,8 @@ import (
 // snapshots can a segment's transactions leave behind, serialized
 // legally and in real-time order from one of the feasible start
 // snapshots? StreamChecker, every ShardedChecker lane and merge, and
-// CheckOpacitySegmented all ask it through feasibleFinalsRelaxed.
+// CheckOpacitySegmented each own a finalsKernel and ask it through its
+// feasibleFinals method.
 //
 // The segment is compiled once: its variables get dense segment-local
 // indices (those some transaction may commit a write to come first, so
@@ -22,8 +22,11 @@ import (
 // real-time predecessors, possible completions and conflicts become
 // 64-bit masks. The search then works on one flat value slice by
 // apply/undo, remembers the (placed, values) pairs it has branched
-// from in a table whose keys compare exactly, and keeps all of it in a
-// pooled scratch that is reset, not reallocated, per segment.
+// from in a table whose keys compare exactly, and keeps all of it in
+// scratch that is reset, not reallocated, per segment. The scratch
+// belongs to the checker, not to a process-wide pool, so what a check
+// allocates is a function of its input: it does not depend on which
+// processor the caller runs on or on when the collector last ran.
 //
 // It does not enumerate the linear extensions. An enabled transaction
 // T (all its real-time predecessors placed) commutes to the front of
@@ -92,36 +95,28 @@ type finalsKernel struct {
 	starts []model.Snapshot
 }
 
-var kernelPool = sync.Pool{New: func() any {
-	return &finalsKernel{index: make(map[model.TVar]int32)}
-}}
+// maxKeptMemo bounds, in keys plus values, the memo storage a kernel
+// keeps from one segment to the next: one segment of heavily
+// conflicting transactions must not pin the memory of its search for
+// the life of the checker.
+const maxKeptMemo = 1 << 20
 
-// maxPooledMemo bounds, in keys plus values, the memo storage a kernel
-// takes back to the pool: one segment of heavily conflicting
-// transactions must not pin the memory of its search for the life of
-// the process.
-const maxPooledMemo = 1 << 20
-
-func (k *finalsKernel) release() {
-	if cap(k.memo.heads)+cap(k.memo.vals) > maxPooledMemo {
+// trim ends a segment: the kernel lets go of the caller's maps and of
+// a memo that outgrew maxKeptMemo.
+func (k *finalsKernel) trim() {
+	clear(k.starts)
+	if cap(k.memo.heads)+cap(k.memo.vals) > maxKeptMemo {
 		k.memo = keyTable{}
 	}
-	kernelPool.Put(k)
 }
 
-// feasibleFinals returns the deduplicated committed snapshots
-// reachable by legally serializing the segment from any of the given
-// start states.
-func feasibleFinals(seg []*model.Transaction, starts []model.Snapshot) ([]model.Snapshot, error) {
-	return feasibleFinalsRelaxed(seg, starts, 0)
-}
-
-// feasibleFinalsRelaxed is feasibleFinals with a bitmask of segment
-// transactions whose read legality is waived: transactions that
-// straddled a forced serialization frontier (the streaming checker's
-// bounded-overlap fallback) read values the flushed window would have
-// had to explain, and that window is gone — their reads are
-// unverifiable, not wrong. A relaxed transaction still occupies its
+// feasibleFinals returns the deduplicated committed snapshots reachable
+// by legally serializing the segment from any of the given start
+// states. relaxed is a bitmask of segment transactions whose read
+// legality is waived: transactions that straddled a forced
+// serialization frontier (the streaming checker's bounded-overlap
+// fallback) read values the flushed window would have had to explain,
+// and that window is gone — their reads are unverifiable, not wrong. A relaxed transaction still occupies its
 // real-time slot and still applies its write set when (treated as)
 // committed, so the propagated states stay exact for everyone else.
 //
@@ -136,19 +131,20 @@ func feasibleFinals(seg []*model.Transaction, starts []model.Snapshot) ([]model.
 // its states with the result and reads the starts no more. (The kernel
 // reads the starts from a copy of the slice, so a final never lands on
 // a start that has a later final still to derive.)
-func feasibleFinalsRelaxed(seg []*model.Transaction, starts []model.Snapshot, relaxed uint64) ([]model.Snapshot, error) {
+func (k *finalsKernel) feasibleFinals(seg []*model.Transaction, starts []model.Snapshot, relaxed uint64) ([]model.Snapshot, error) {
 	if len(seg) > 64 {
 		return nil, ErrTooManyTransactions
 	}
-	k := kernelPool.Get().(*finalsKernel)
-	defer k.release()
+	if k.index == nil {
+		k.index = make(map[model.TVar]int32)
+	}
+	defer k.trim()
 	if !k.compile(seg, relaxed) {
 		return nil, nil
 	}
 	k.finals.reset(k.nw)
 	k.owner = k.owner[:0]
 	k.starts = append(k.starts[:0], starts...)
-	defer clear(k.starts) // the pool must not pin the caller's maps
 	finals := starts[:0]
 	starts = k.starts
 	for i, s := range starts {

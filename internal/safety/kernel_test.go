@@ -217,20 +217,24 @@ func genSegment(data []byte) genCase {
 	return c
 }
 
+// testKernel is reused by every case, as a checker reuses its own
+// from segment to segment.
+var testKernel finalsKernel
+
 // checkAgainstReference compares the kernel's finals with the
 // reference as sets of states, and requires them free of duplicates
 // and identically ordered on a second call.
 func checkAgainstReference(t *testing.T, c genCase) []model.Snapshot {
 	t.Helper()
 	want := bruteFinals(c.seg, c.starts, c.relaxed)
-	got, err := feasibleFinalsRelaxed(c.seg, cloneStates(c.starts), c.relaxed)
+	got, err := testKernel.feasibleFinals(c.seg, cloneStates(c.starts), c.relaxed)
 	if err != nil {
 		t.Fatalf("kernel: %v", err)
 	}
 	if canon := canonStates(got); !slices.Equal(canon, want) {
 		t.Fatalf("finals differ\nkernel:    %q\nreference: %q\nrelaxed %b starts %v\n%s", canon, want, c.relaxed, c.starts, c.h)
 	}
-	again, _ := feasibleFinalsRelaxed(c.seg, cloneStates(c.starts), c.relaxed)
+	again, _ := testKernel.feasibleFinals(c.seg, cloneStates(c.starts), c.relaxed)
 	if len(again) != len(got) {
 		t.Fatalf("second call returned %d finals, first %d", len(again), len(got))
 	}
@@ -281,7 +285,7 @@ func TestKernelFinalsEqualReference(t *testing.T) {
 		}
 
 		// Holds is the decision CheckOpacity makes on the same history.
-		finals, _ := feasibleFinals(c.seg, []model.Snapshot{{}})
+		finals, _ := testKernel.feasibleFinals(c.seg, []model.Snapshot{{}}, 0)
 		res, err := CheckOpacity(c.h)
 		if err != nil {
 			t.Fatal(err)
@@ -450,7 +454,7 @@ func TestKernelFinalsReuseTheStarts(t *testing.T) {
 			}
 			// Room for every final, so none escapes to a fresh slice.
 			starts := append(make([]model.Snapshot, 0, 8), cloneStates(tc.starts)...)
-			got, err := feasibleFinals(seg, starts)
+			got, err := testKernel.feasibleFinals(seg, starts, 0)
 			if err != nil {
 				t.Fatal(err)
 			}

@@ -17,7 +17,7 @@
 // the next: they all call one kernel (kernel.go) that returns every
 // feasible final snapshot. It compiles the segment to flat slabs and
 // bit masks, searches by apply/undo on one value slice with an
-// exact-keyed memo, reuses pooled scratch from segment to segment, and
+// exact-keyed memo, reuses the checker's scratch from segment to segment, and
 // places — rather than branches on — every transaction that commutes
 // with all the unplaced ones that could still precede it, so only
 // transactions that really conflict cost search. Both searches are

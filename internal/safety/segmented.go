@@ -80,8 +80,9 @@ func CheckOpacitySegmented(h model.History, maxTxnsPerSegment int) (SegmentedRes
 
 	// Propagate the feasible committed snapshots segment by segment.
 	states := []model.Snapshot{make(model.Snapshot)}
+	var kernel finalsKernel
 	for i, seg := range segments {
-		next, err := feasibleFinals(seg, states)
+		next, err := kernel.feasibleFinals(seg, states, 0)
 		if err != nil {
 			return SegmentedResult{}, err
 		}

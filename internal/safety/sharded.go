@@ -64,7 +64,9 @@ type ShardedChecker struct {
 	open      map[model.Proc]*openTxnState
 	openCount int
 
-	// Cross-shard merge accounting, owned by the Feed goroutine.
+	// Cross-shard merge accounting and the merged segments' search
+	// kernel, owned by the Feed goroutine.
+	kernel        finalsKernel
 	mergeSegments int
 	mergeForced   int
 	mergeRelaxed  int
@@ -138,9 +140,11 @@ type checkLane struct {
 	segments  int
 	forced    int
 	relaxed   int
-	// parser and hist are the worker's scratch: a segment's events
-	// stripped of their tags, and the transactions parsed from them.
+	// parser, kernel and hist are the worker's scratch: a segment's
+	// events stripped of their tags, the transactions parsed from them,
+	// and their compiled form and search.
 	parser model.Parser
+	kernel finalsKernel
 	hist   model.History
 
 	tel  LaneTelemetry
@@ -523,7 +527,7 @@ func (c *ShardedChecker) runSegment(l *checkLane, seg []taggedEvent, forced bool
 	l.segments++
 	l.tel.Segments.Inc()
 	mask := laneWaiveMask(l, txns)
-	finals, err := feasibleFinalsRelaxed(txns, l.states, mask)
+	finals, err := l.kernel.feasibleFinals(txns, l.states, mask)
 	if err != nil {
 		c.fail(fmt.Errorf("streaming opacity (shard %d): %w", l.id, err), "")
 		return
@@ -754,7 +758,7 @@ func (c *ShardedChecker) flushGroup(mask uint64, idx uint64, forced bool) error 
 // more forced frontier).
 func (c *ShardedChecker) mergedFinals(txns []*model.Transaction, states []model.Snapshot, waive uint64) ([]model.Snapshot, error) {
 	if len(txns) <= 64 {
-		return feasibleFinalsRelaxed(txns, states, waive)
+		return c.kernel.feasibleFinals(txns, states, waive)
 	}
 	if !c.cfg.Approx {
 		return nil, fmt.Errorf("%w: %d transactions in one cross-shard segment", ErrTooManyTransactions, len(txns))
@@ -771,7 +775,7 @@ func (c *ShardedChecker) mergedFinals(txns []*model.Transaction, states []model.
 				mask |= 1 << uint(i-start)
 			}
 		}
-		next, err := feasibleFinalsRelaxed(txns[start:end], states, mask)
+		next, err := c.kernel.feasibleFinals(txns[start:end], states, mask)
 		if err != nil {
 			return nil, err
 		}

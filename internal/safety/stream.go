@@ -62,10 +62,12 @@ type StreamChecker struct {
 	buf      model.History
 	states   []model.Snapshot
 	segments int
-	// parser and flushed are scratch the flushes reuse: the segment's
-	// transactions live in the parser until the next parse, and flushed
+	// parser, kernel and flushed are scratch the flushes reuse: the
+	// segment's transactions live in the parser until the next parse,
+	// the kernel holds the compiled segment and its search, and flushed
 	// holds the window a forced frontier splits off the buffer.
 	parser  model.Parser
+	kernel  finalsKernel
 	flushed model.History
 
 	openTxn   map[model.Proc]bool
@@ -231,7 +233,7 @@ func (c *StreamChecker) forceFlush() error {
 	// thing only an intermediate state could explain, are waived when
 	// they complete (see the type comment), here as in every later
 	// segment.
-	finals, err := feasibleFinalsRelaxed(txns, c.states, c.waiveMask(txns))
+	finals, err := c.kernel.feasibleFinals(txns, c.states, c.waiveMask(txns))
 	if err != nil {
 		return err
 	}
@@ -314,7 +316,7 @@ func (c *StreamChecker) checkSegment(seg model.History) ([]model.Snapshot, strin
 	}
 	c.segments++
 	c.tel.Segments.Inc()
-	next, err := feasibleFinalsRelaxed(txns, c.states, c.waiveMask(txns))
+	next, err := c.kernel.feasibleFinals(txns, c.states, c.waiveMask(txns))
 	if err != nil {
 		return nil, "", err
 	}

@@ -1,8 +1,10 @@
 package safety
 
 import (
+	"bytes"
 	"errors"
 	"fmt"
+	"os"
 	"path/filepath"
 	"testing"
 
@@ -203,6 +205,16 @@ func TestViolatingStreamFixtures(t *testing.T) {
 			want := ViolatingStream(f.cfg)
 			if fmt.Sprint(h) != fmt.Sprint(want) {
 				t.Fatalf("fixture drifted from the generator; regenerate with `go run internal/safety/gen_testdata.go`")
+			}
+			// The committed bytes are the trace format's golden: what
+			// was read writes back as the very file.
+			raw, err := os.ReadFile(filepath.Join("testdata", f.file))
+			if err != nil {
+				t.Fatal(err)
+			}
+			var again bytes.Buffer
+			if err := model.WriteTrace(&again, h); err != nil || !bytes.Equal(again.Bytes(), raw) {
+				t.Fatalf("WriteTrace no longer writes the fixture's bytes (%v)", err)
 			}
 			exact, err := CheckOpacitySegmented(h, 64)
 			if err != nil {

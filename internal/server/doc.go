@@ -14,6 +14,28 @@
 // (JSON today; the Codec boundary is where a compact binary framing
 // slots in later without touching handlers or clients).
 //
+// JSONCodec treats a frame by its type and by nothing else. The frames
+// a transaction crosses — ExecRequest and ExecResponse, ErrorResponse,
+// SubmitResponse and WaitRequest, the Begin, TxOp and TxFinish pairs —
+// have hand-written halves (frames.go): append-style encoders that
+// write encoding/json's bytes, and a scanning decoder (internal/jsonscan,
+// shared with the trace reader of internal/model) that accepts the
+// canonical spelling of a frame and hands any other input — escapes,
+// unknown, repeated or case-folded keys, null, anything malformed — to
+// encoding/json for that frame, which therefore still defines every
+// rejection and every odd acceptance. The once-per-session frames
+// (InfoResponse, engine.SessionStats, DrainResponse with its monitor
+// report) are encoding/json's outright. Request bodies are capped at
+// 1 MiB; a larger one is a bad request.
+//
+// A blocking /v1/exec decodes into pooled scratch that also owns the
+// values read, the reply and the transaction body. The scratch returns
+// to its pool only when ExecOn reported the submission finished (nil
+// or ErrNoCommit); after any other return — a done context above all —
+// the engine may still hold the body, and the scratch is left to the
+// collector. An async /v1/submit never borrows it: its body outlives
+// the handler.
+//
 // # Wire API (v1)
 //
 //	POST /v1/exec      one-shot transaction program, blocking: the

@@ -73,6 +73,7 @@ type Server struct {
 	backend Backend
 	adm     *admission
 	mux     *http.ServeMux
+	ctype   []string // the Content-Type header value, shared by every response
 
 	idSeq    atomic.Uint64
 	draining atomic.Bool
@@ -104,6 +105,7 @@ func New(backend Backend, cfg Config) *Server {
 		backend: backend,
 		adm:     newAdmission(cfg.MaxInflight, idle, cfg.Registry),
 		mux:     http.NewServeMux(),
+		ctype:   []string{cfg.Codec.ContentType()},
 		itxs:    make(map[string]*itx),
 		waits:   make(map[string]*pendingSub),
 		done:    make(chan struct{}),
@@ -197,18 +199,25 @@ func (s *Server) writeCode(w http.ResponseWriter, code, msg string) {
 		}
 		w.Header().Set("Retry-After", strconv.FormatInt(secs, 10))
 	}
-	w.Header().Set("Content-Type", s.cfg.Codec.ContentType())
+	w.Header()["Content-Type"] = s.ctype
 	w.WriteHeader(StatusOf(code))
-	_ = s.cfg.Codec.Encode(w, resp)
+	_ = s.cfg.Codec.Encode(w, &resp)
 }
 
 func (s *Server) writeOK(w http.ResponseWriter, v any) {
-	w.Header().Set("Content-Type", s.cfg.Codec.ContentType())
+	w.Header()["Content-Type"] = s.ctype
 	_ = s.cfg.Codec.Encode(w, v)
 }
 
+// maxFrameBytes caps a request body. A codec may read the whole body
+// before it decodes a byte of it, so an uncapped one is as much memory
+// as a client cares to send; a program of 10 000 ops is about 400 kB.
+const maxFrameBytes = 1 << 20
+
+// decode reads the request's frame into v, answering a body that is
+// too large, cut short, or not a frame with CodeBadRequest.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := s.cfg.Codec.Decode(r.Body, v); err != nil {
+	if err := s.cfg.Codec.Decode(http.MaxBytesReader(w, r.Body, maxFrameBytes), v); err != nil {
 		s.writeCode(w, CodeBadRequest, "decode: "+err.Error())
 		return false
 	}
@@ -242,33 +251,68 @@ func (s *Server) checkProgram(worker int, ops []Op) error {
 // reset at each attempt entry, so the values handed back always come
 // from the attempt that committed.
 func ProgramBody(ops []Op, reads *[]int64) engine.Body {
-	return func(tx engine.Tx) error {
-		*reads = (*reads)[:0]
-		for _, op := range ops {
-			switch op.Kind {
-			case OpRead:
-				v, err := tx.Read(op.Var)
-				if err != nil {
-					return err
-				}
-				*reads = append(*reads, v)
-			case OpWrite:
-				if err := tx.Write(op.Var, op.Val); err != nil {
-					return err
-				}
-			case OpIncr:
-				v, err := tx.Read(op.Var)
-				if err != nil {
-					return err
-				}
-				if err := tx.Write(op.Var, v+op.Val); err != nil {
-					return err
-				}
-				*reads = append(*reads, v)
+	return func(tx engine.Tx) error { return runProgram(tx, ops, reads) }
+}
+
+// runProgram is one attempt of a program.
+func runProgram(tx engine.Tx, ops []Op, reads *[]int64) error {
+	*reads = (*reads)[:0]
+	for _, op := range ops {
+		switch op.Kind {
+		case OpRead:
+			v, err := tx.Read(op.Var)
+			if err != nil {
+				return err
 			}
+			*reads = append(*reads, v)
+		case OpWrite:
+			if err := tx.Write(op.Var, op.Val); err != nil {
+				return err
+			}
+		case OpIncr:
+			v, err := tx.Read(op.Var)
+			if err != nil {
+				return err
+			}
+			if err := tx.Write(op.Var, v+op.Val); err != nil {
+				return err
+			}
+			*reads = append(*reads, v)
 		}
-		return nil
 	}
+	return nil
+}
+
+// execScratch is everything one blocking /v1/exec needs beyond the
+// request itself: the decoded program, the values it read, the reply
+// frame, and the transaction body over them, bound once. While a
+// submission is queued or running the engine owns the body and, through
+// it, all of this; see recycle.
+type execScratch struct {
+	req   ExecRequest
+	resp  ExecResponse
+	reads []int64
+	body  engine.Body
+}
+
+var execScratches = sync.Pool{New: func() any {
+	sc := new(execScratch)
+	sc.body = func(tx engine.Tx) error { return runProgram(tx, sc.req.Ops, &sc.reads) }
+	return sc
+}}
+
+// recycle hands the scratch to the next request. Only a submission the
+// engine has finished with may: ExecOn returned nil or ErrNoCommit, so
+// the body ran to its end. After any other return — a done context
+// above all — the body may still be queued, and a scratch refilled
+// under it would run, and answer with, a stranger's program; that
+// scratch is left to the collector. The ops are cleared because a
+// decoder that reuses a slice element keeps the members a frame omits.
+func (sc *execScratch) recycle() {
+	clear(sc.req.Ops)
+	sc.req = ExecRequest{Ops: sc.req.Ops[:0]}
+	sc.resp = ExecResponse{}
+	execScratches.Put(sc)
 }
 
 // execResult maps a submission's terminal error onto the wire shape.
@@ -288,11 +332,11 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		s.writeErr(w, engine.ErrClosed)
 		return
 	}
-	var req ExecRequest
-	if !s.decode(w, r, &req) {
+	sc := execScratches.Get().(*execScratch)
+	if !s.decode(w, r, &sc.req) {
 		return
 	}
-	if err := s.checkProgram(req.Worker, req.Ops); err != nil {
+	if err := s.checkProgram(sc.req.Worker, sc.req.Ops); err != nil {
 		s.writeCode(w, CodeBadRequest, err.Error())
 		return
 	}
@@ -302,14 +346,17 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 		return
 	}
 	defer s.adm.release(client)
-	var reads []int64
-	err := s.backend.ExecOn(r.Context(), req.Worker, ProgramBody(req.Ops, &reads))
-	resp, err := execResult(err, reads)
+	if cap(sc.reads) < len(sc.req.Ops) {
+		sc.reads = make([]int64, 0, len(sc.req.Ops))
+	}
+	err := s.backend.ExecOn(r.Context(), sc.req.Worker, sc.body)
+	sc.resp, err = execResult(err, sc.reads)
 	if err != nil {
 		s.writeErr(w, err)
-		return
+		return // the engine may still hold sc.body: sc is not recycled
 	}
-	s.writeOK(w, resp)
+	s.writeOK(w, &sc.resp)
+	sc.recycle() // ExecOn returned nil or ErrNoCommit: the body ran to its end
 }
 
 func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {

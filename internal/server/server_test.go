@@ -3,9 +3,16 @@ package server
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"errors"
+	"fmt"
+	"io"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
+	"slices"
+	"strings"
+	"sync"
 	"testing"
 	"time"
 
@@ -338,4 +345,226 @@ func TestWireCodeTables(t *testing.T) {
 			t.Errorf("sentinel round trip lost %v (got %v)", err, back)
 		}
 	}
+}
+
+// postRaw posts body as it is and returns the status and reply bytes.
+func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
+	t.Helper()
+	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	if err != nil {
+		t.Fatalf("post %s: %v", url, err)
+	}
+	defer resp.Body.Close()
+	reply, err := io.ReadAll(resp.Body)
+	if err != nil {
+		t.Fatalf("read reply: %v", err)
+	}
+	return resp.StatusCode, reply
+}
+
+// What the server does with bodies that are not a clean frame: too
+// large, cut short or empty ones are bad requests; whatever
+// json.Decoder accepted before the frames were hand-written — bytes
+// after the frame, unknown, repeated and case-folded keys — is
+// accepted still, and means what encoding/json says it means.
+func TestExecBadFrames(t *testing.T) {
+	_, hs := testServer(t, Config{})
+	for v := 0; v < 4; v++ {
+		var ok ExecResponse
+		post(t, hs.URL+"/v1/exec", ExecRequest{Worker: engine.AnyWorker, Ops: []Op{{Kind: OpWrite, Var: v, Val: int64(10 + v)}}}, &ok)
+	}
+	read0 := `{"kind":"read","var":0}`
+	for _, c := range []struct {
+		name   string
+		body   string
+		status int
+		reply  string // of a refusal: a substring of the error
+	}{
+		{"oversized", `{"worker":-1,"ops":[` + strings.Repeat(read0+",", maxFrameBytes/len(read0)) + read0 + `]}`,
+			http.StatusBadRequest, "request body too large"},
+		{"largest accepted", `{"worker":-1,"ops":[` + read0 + `]}` + strings.Repeat(" ", maxFrameBytes-64), http.StatusOK, ""},
+		{"truncated", `{"worker":-1,"ops":[{"kind":"re`, http.StatusBadRequest, "unexpected EOF"},
+		{"empty", ``, http.StatusBadRequest, "decode: EOF"},
+		{"not a frame", `[1,2]`, http.StatusBadRequest, "cannot unmarshal array"},
+		{"exponent", `{"worker":-1e0,"ops":[` + read0 + `]}`, http.StatusBadRequest, "cannot unmarshal number"},
+		{"trailing bytes", `{"worker":-1,"ops":[` + read0 + `]} {"worker":"x"} ]]garbage`, http.StatusOK, ""},
+		{"unknown key", `{"worker":-1,"trace":{"id":[1,"x"]},"ops":[{"kind":"read","var":1,"why":null}]}`, http.StatusOK, ""},
+		{"duplicate key", `{"worker":7,"worker":-1,"ops":[{"kind":"read","var":1,"var":2}]}`, http.StatusOK, ""},
+		{"case-folded and escaped keys", `{"WORKER":-1,"Ops":[{"KIND":"read","v\u0061r":3}]}`, http.StatusOK, ""},
+		{"escaped kind", `{"worker":-1,"ops":[{"kind":"re\u0061d","var":3}]}`, http.StatusOK, ""},
+		{"kind in the wrong case", `{"worker":-1,"ops":[{"kind":"Read","var":3}]}`, http.StatusBadRequest, `unknown kind \"Read\"`},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			status, reply := postRaw(t, hs.URL+"/v1/exec", []byte(c.body))
+			if status != c.status {
+				t.Fatalf("status %d, want %d (reply %s)", status, c.status, reply)
+			}
+			if status != http.StatusOK {
+				var er ErrorResponse
+				if err := json.Unmarshal(reply, &er); err != nil || er.Code != CodeBadRequest || !strings.Contains(string(reply), c.reply) {
+					t.Fatalf("reply %s (%v), want code %q and %q", reply, err, CodeBadRequest, c.reply)
+				}
+				return
+			}
+			// An accepted frame is the program encoding/json decodes it to.
+			var req ExecRequest
+			if err := json.NewDecoder(strings.NewReader(c.body)).Decode(&req); err != nil {
+				t.Fatalf("encoding/json refuses the frame: %v", err)
+			}
+			want := ExecResponse{Committed: true}
+			for _, op := range req.Ops {
+				want.Reads = append(want.Reads, int64(10+op.Var))
+			}
+			if frame, _ := json.Marshal(want); string(reply) != string(frame)+"\n" {
+				t.Fatalf("reply %q, want %q", reply, frame)
+			}
+		})
+	}
+}
+
+// recTx is a transaction that records which variables it was asked
+// to read; variable i holds 100+i.
+type recTx struct{ read []int }
+
+func (tx *recTx) Read(i int) (int64, error) {
+	tx.read = append(tx.read, i)
+	return int64(100 + i), nil
+}
+
+func (tx *recTx) Write(int, int64) error { return nil }
+
+// keepBackend runs a submission at once, or — as a session does with
+// one still queued when its caller stops waiting — keeps its body for
+// later and answers keepErr.
+type keepBackend struct {
+	Backend
+	keepErr error
+	kept    []engine.Body
+}
+
+func (b *keepBackend) ExecOn(_ context.Context, _ int, body engine.Body) error {
+	if b.keepErr != nil {
+		b.kept = append(b.kept, body)
+		return b.keepErr
+	}
+	return body(&recTx{})
+}
+
+func (b *keepBackend) SubmitOn(_ int, body engine.Body, _ func(error)) error {
+	b.kept = append(b.kept, body)
+	return nil
+}
+
+// A body the engine may still run owns its program: whatever ExecOn
+// returned short of completion, and always for an async submission,
+// later requests must not be decoded over it. Everything runs on this
+// goroutine, so a scratch put back would be the next one taken.
+func TestQueuedBodyKeepsItsProgram(t *testing.T) {
+	serve := func(srv *Server, path, frame string) (int, string) {
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(frame)))
+		return rec.Code, rec.Body.String()
+	}
+	for _, c := range []struct {
+		name, path string
+		keepErr    error
+	}{
+		{"exec, context cancelled mid-queue", "/v1/exec", context.Canceled},
+		{"exec, deadline mid-queue", "/v1/exec", context.DeadlineExceeded},
+		{"exec, session stopped", "/v1/exec", engine.ErrStopped},
+		{"exec, unknown failure", "/v1/exec", errors.New("surprise")},
+		{"async submit", "/v1/submit", nil},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			backend := &keepBackend{keepErr: c.keepErr}
+			srv := New(backend, Config{Info: InfoResponse{Workers: 1, Vars: 8}})
+			if status, reply := serve(srv, c.path, `{"worker":0,"ops":[{"kind":"read","var":1}]}`); (status == http.StatusOK) != (c.keepErr == nil) {
+				t.Fatalf("kept submission: status %d, reply %s", status, reply)
+			}
+			backend.keepErr = nil
+			for i := 0; i < 8; i++ {
+				status, reply := serve(srv, "/v1/exec", `{"worker":0,"ops":[{"kind":"read","var":2},{"kind":"incr","var":3,"val":1}]}`)
+				if want := `{"committed":true,"reads":[102,103]}` + "\n"; status != http.StatusOK || reply != want {
+					t.Fatalf("later request %d: status %d, reply %q, want %q", i, status, reply, want)
+				}
+			}
+			if len(backend.kept) != 1 {
+				t.Fatalf("%d bodies kept, want 1", len(backend.kept))
+			}
+			var tx recTx
+			if err := backend.kept[0](&tx); err != nil || len(tx.read) != 1 || tx.read[0] != 1 {
+				t.Fatalf("the kept body read %v (%v), want its own program's [1]", tx.read, err)
+			}
+		})
+	}
+}
+
+// The same hazard against a real one-worker session, for the race
+// detector: requests whose contexts end while they are queued behind a
+// parked worker, then other clients running their own programs while
+// those abandoned bodies are still queued. Every reply must carry its
+// own program's reads, and no program may have run twice.
+func TestCancelledExecNeverLendsItsScratch(t *testing.T) {
+	const victims, survivors, rounds = 6, 4, 8
+	sess := openBackend(t, engine.SessionConfig{Workers: 1, Vars: victims + survivors})
+	srv := New(sess, Config{Info: InfoResponse{Workers: 1, Vars: victims + survivors}})
+	defer func() {
+		if _, err := srv.Drain(context.Background()); err != nil {
+			t.Errorf("drain: %v", err)
+		}
+	}()
+	serve := func(ctx context.Context, v int) (int, ExecResponse) {
+		frame := fmt.Sprintf(`{"worker":0,"ops":[{"kind":"incr","var":%d,"val":1},{"kind":"read","var":%d}]}`, v, v)
+		rec := httptest.NewRecorder()
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/exec", strings.NewReader(frame)).WithContext(ctx))
+		var resp ExecResponse
+		if rec.Code == http.StatusOK {
+			if err := json.Unmarshal(rec.Body.Bytes(), &resp); err != nil {
+				t.Errorf("reply %q: %v", rec.Body.Bytes(), err)
+			}
+		}
+		return rec.Code, resp
+	}
+	queued := func(n uint64) {
+		for sess.Stats().Submitted < n {
+			runtime.Gosched()
+		}
+	}
+
+	gate := make(chan struct{})
+	if err := sess.SubmitOn(0, func(engine.Tx) error { <-gate; return nil }, nil); err != nil {
+		t.Fatal(err)
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	var wg sync.WaitGroup
+	for v := 0; v < victims; v++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			if status, _ := serve(ctx, v); status == http.StatusOK {
+				t.Errorf("victim %d completed behind a parked worker", v)
+			}
+		}()
+	}
+	queued(1 + victims)
+	cancel()
+	wg.Wait() // every victim's handler has returned; its body is still queued
+
+	for s := 0; s < survivors; s++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			v := victims + s
+			for k := 0; k < rounds; k++ {
+				status, resp := serve(context.Background(), v)
+				if want := []int64{int64(k), int64(k + 1)}; status != http.StatusOK || !resp.Committed || !slices.Equal(resp.Reads, want) {
+					t.Errorf("survivor %d round %d: status %d, reply %+v, want reads %v", s, k, status, resp, want)
+					return
+				}
+			}
+		}()
+	}
+	queued(1 + victims + survivors)
+	close(gate)
+	wg.Wait()
 }
