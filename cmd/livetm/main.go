@@ -299,25 +299,80 @@ func cmdCheck(args []string) error {
 		fmt.Print(trace.Render(h))
 		fmt.Print(trace.Summary(h))
 	}
-	op, err := safety.CheckOpacity(h)
+	op, err := checkVerdict(h, false)
 	if err != nil {
 		return err
 	}
-	ss, err := safety.CheckStrictSerializability(h)
+	ss, err := checkVerdict(h, true)
 	if err != nil {
 		return err
 	}
-	fmt.Printf("events=%d opaque=%v strictly-serializable=%v\n", len(h), op.Holds, ss.Holds)
-	if !op.Holds {
-		fmt.Println("opacity violation:", op.Reason)
+	fmt.Printf("events=%d opaque=%s strictly-serializable=%s\n", len(h), op.word, ss.word)
+	switch op.word {
+	case "false":
+		fmt.Println("opacity violation:", op.reason)
+	case "undecided":
+		fmt.Println("opacity undecided:", op.reason)
 	}
-	if op.Holds {
+	if ss.word == "undecided" {
+		fmt.Println("strict serializability undecided:", ss.reason)
+	}
+	if len(op.witness) > 0 {
 		fmt.Println("witness serialization:")
-		for _, t := range op.Witness {
+		for _, t := range op.witness {
 			fmt.Println("  ", t)
 		}
 	}
 	return nil
+}
+
+// checkSegmentTxns is check's segment budget for histories past the
+// whole-history search's 64-transaction cap: the live monitor's.
+const checkSegmentTxns = 48
+
+// verdict is check's answer for one property: "true", "false" or
+// "undecided", the reason for the latter two, and the witness when the
+// whole-history search found one.
+type verdict struct {
+	word, reason string
+	witness      []*model.Transaction
+}
+
+// checkVerdict decides opacity of h, or with strict its strict
+// serializability. Past the whole-history search's cap it checks
+// segment by segment at quiescent cuts: h itself for opacity, and its
+// committed projection — whose opacity is h's strict serializability —
+// for strict. A history with no quiescent cut within the budget is
+// undecided, never false.
+func checkVerdict(h model.History, strict bool) (verdict, error) {
+	whole := safety.CheckOpacity
+	if strict {
+		whole = safety.CheckStrictSerializability
+	}
+	res, err := whole(h)
+	switch {
+	case err == nil && res.Holds:
+		return verdict{word: "true", witness: res.Witness}, nil
+	case err == nil:
+		return verdict{word: "false", reason: res.Reason}, nil
+	case !errors.Is(err, safety.ErrTooManyTransactions):
+		return verdict{}, err
+	}
+	if strict {
+		if h, err = model.CommittedProjection(h); err != nil {
+			return verdict{}, err
+		}
+	}
+	seg, err := safety.CheckOpacitySegmented(h, checkSegmentTxns)
+	switch {
+	case errors.Is(err, safety.ErrNoQuiescentCut):
+		return verdict{word: "undecided", reason: err.Error()}, nil
+	case err != nil:
+		return verdict{}, err
+	case !seg.Holds:
+		return verdict{word: "false", reason: seg.Reason}, nil
+	}
+	return verdict{word: "true"}, nil
 }
 
 func cmdMatrix(args []string) error {

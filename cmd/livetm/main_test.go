@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"livetm/internal/adversary"
+	"livetm/internal/model"
 	"livetm/internal/workload"
 )
 
@@ -306,6 +307,54 @@ func TestCmdCheckStdin(t *testing.T) {
 			t.Error(err)
 		}
 	})
+}
+
+// withStdout temporarily redirects os.Stdout to a new file at path.
+func withStdout(t *testing.T, path string, fn func()) {
+	t.Helper()
+	f, err := os.Create(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	old := os.Stdout
+	os.Stdout = f
+	defer func() { os.Stdout = old }()
+	fn()
+}
+
+// TestCmdRecordDefaultsIntoCheck: `livetm record | livetm check -file -`
+// with record's defaults — more transactions than the whole-history
+// search takes — is decided segment by segment, not refused.
+func TestCmdRecordDefaultsIntoCheck(t *testing.T) {
+	dir := t.TempDir()
+	tracePath, outPath := filepath.Join(dir, "trace.jsonl"), filepath.Join(dir, "check.out")
+	withStdout(t, tracePath, func() {
+		if err := run([]string{"record"}); err != nil {
+			t.Fatal(err)
+		}
+	})
+	h, err := model.LoadTrace(tracePath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if txns, err := model.Transactions(h); err != nil || len(txns) <= 64 {
+		t.Fatalf("record's default trace has %d transactions (%v), want more than 64", len(txns), err)
+	}
+	withStdin(t, tracePath, func() {
+		withStdout(t, outPath, func() {
+			if err := run([]string{"check", "-file", "-", "-render=false"}); err != nil {
+				t.Fatal(err)
+			}
+		})
+	})
+	out, err := os.ReadFile(outPath)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(out), "opaque=true strictly-serializable=true") {
+		t.Errorf("check did not decide record's default trace:\n%s", out)
+	}
 }
 
 func TestCmdWorkloadsChecked(t *testing.T) {

@@ -146,9 +146,12 @@
 // distributions, backoff-bias trajectories) alongside
 // BENCH_native.json.
 //
-// The implementation lives under internal/; see README.md for the
-// architecture, cmd/figures and cmd/livetm for the experiment
-// drivers, and bench_test.go in this directory for the benchmark
-// harness that regenerates every figure of the paper and writes the
+// The implementation lives under internal/, each package documenting
+// its own layer (go doc livetm/internal/engine and so on); see
+// ROADMAP.md for the system's current state and open items,
+// bench/README.md for the benchmark and its per-layer ledger,
+// cmd/figures and cmd/livetm for the experiment drivers, and
+// bench_test.go in this directory for the benchmark harness that
+// regenerates every figure of the paper and writes the
 // BENCH_native.json performance-trajectory artifact.
 package livetm

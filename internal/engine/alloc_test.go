@@ -15,23 +15,36 @@ import (
 // them have their storage. The body is allocated once, so whatever is
 // counted is the session's. Mallocs are counted process-wide because
 // half of the path runs on the worker and pump goroutines.
+//
+// An uncancellable ExecOn to an idle worker runs on its caller; a
+// cancellable one queues for the worker. The queued rows hold the
+// hand-off path to the same budget.
 func TestAllocBudgetPerLiveCommit(t *testing.T) {
 	alloctest.NeedSteadyPools(t)
 	for _, tc := range []struct {
-		name string
-		cfg  SessionConfig
+		name   string
+		cfg    SessionConfig
+		queued bool
 	}{
-		{"plain", SessionConfig{Workers: 2, Vars: 8}},
-		{"live", SessionConfig{Workers: 2, Vars: 8, Live: true}},
+		{"plain", SessionConfig{Workers: 2, Vars: 8}, false},
+		{"plain, queued", SessionConfig{Workers: 2, Vars: 8}, true},
+		{"live", SessionConfig{Workers: 2, Vars: 8, Live: true}, false},
+		{"live, queued", SessionConfig{Workers: 2, Vars: 8, Live: true}, true},
 		// Recorded, not live: the per-attempt handle of a sharded session
 		// is the engine's; what a sharded checker's lanes allocate is not
 		// (ROADMAP item 3), and the retained history's chunks are one
 		// allocation per 4096 events.
-		{"recorded, two shards", SessionConfig{Workers: 2, Vars: 8, Record: true, Shards: 2}},
+		{"recorded, two shards", SessionConfig{Workers: 2, Vars: 8, Record: true, Shards: 2}, false},
+		{"recorded, two shards, queued", SessionConfig{Workers: 2, Vars: 8, Record: true, Shards: 2}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openTestSession(t, "native-tl2", tc.cfg)
 			ctx, body := context.Background(), counterSessionBody(0)
+			if tc.queued {
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithCancel(ctx)
+				defer cancel()
+			}
 			commit := func(n int) {
 				for i := 0; i < n; i++ {
 					if err := s.ExecOn(ctx, 0, body); err != nil {

@@ -63,18 +63,28 @@
 // ends of the connection.
 //
 // On the native substrate workers are real goroutines and submissions
-// execute as soon as a worker frees up; quiescent cuts for the
-// checkers are brief global pauses (no new transaction starts while
-// in-flight ones finish) since idle workers cannot rendezvous at a
-// barrier. On the simulated substrate the session is demand-driven:
-// the cooperative scheduler steps while a caller blocks in Exec, Drain
-// or Close, which is what keeps batch runs bit-for-bit deterministic.
+// execute as soon as a worker frees up. A blocking ExecOn pinned to an
+// idle worker with nothing queued ahead of it, whose context can never
+// be done, skips the hand-off: it runs on the caller's goroutine as
+// that worker — the paper's process issuing its own transaction — under
+// the same accounting, cut cadence and Close/Drain registration as a
+// worker run. A cancellable context keeps the queued path, since
+// cancelling abandons the wait but cannot abandon a transaction that
+// runs on the canceller itself. Jobs that do queue wake only the
+// worker they are for (a shared-lane job wakes every worker).
+// Quiescent cuts for the checkers are brief global pauses (no new
+// transaction starts while in-flight ones finish) since idle workers
+// cannot rendezvous at a barrier. On the simulated substrate the
+// session is demand-driven: the cooperative scheduler steps while a
+// caller blocks in Exec, Drain or Close, which is what keeps batch
+// runs bit-for-bit deterministic.
 //
-// A transaction costs a native session no allocation of its own, so
-// that observing a run does not reshape it with collector pauses: Exec
-// waits on a pooled waiter (handed back only by the caller that
-// received its result — a wait abandoned by a done context leaves the
-// waiter with the worker that still owes it one), the lanes are rings
+// A transaction costs a native session no allocation of its own, on
+// either path, so that observing a run does not reshape it with
+// collector pauses: Exec waits on a pooled waiter (handed back only by
+// the caller that received its result — a wait abandoned by a done
+// context leaves the waiter with the worker that still owes it one),
+// the lanes are rings
 // whose popped slots are cleared, each worker keeps one body adapter
 // and one transaction handle for every attempt it runs, and on a live
 // session the stream's batches come back from the pump to the

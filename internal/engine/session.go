@@ -395,6 +395,16 @@ var waiters = sync.Pool{New: func() any {
 // ExecOn is Exec pinned to one worker (0-based), fixing the
 // transaction's process identity; AnyWorker restores Exec. Pinned
 // submissions to one worker execute in submission order.
+//
+// Where the transaction runs: on a native session, a call whose ctx
+// can never be done (ctx.Done() == nil, as for context.Background)
+// and whose worker is idle, with nothing queued on its pinned lane or
+// the shared one, runs the body on the calling goroutine as that
+// worker — no hand-off, no wake-up. Every other call is queued for the
+// worker's goroutine. A cancellable ctx always queues, because a done
+// context abandons the wait, not the transaction: a transaction running
+// on its caller could not be abandoned, and under a starvation
+// adversary its retry loop may never end.
 func (s *Session) ExecOn(ctx context.Context, worker int, body Body) error {
 	w := waiters.Get().(*execWaiter)
 	if err := s.b.submit(ctx, worker, body, w.done, true); err != nil {

@@ -95,6 +95,14 @@ func (s *nativeSession) runPump() {
 // running callbacks can always return to draining. Only Exec blocks —
 // for backpressure against QueueDepth — and Exec is forbidden in
 // callbacks, so the pool as a whole always makes progress.
+//
+// A worker is a slot before it is a goroutine. A blocking ExecOn that
+// finds slot p idle with nothing queued for it claims the slot and runs
+// the transaction on the caller's goroutine, as process p, the way the
+// paper's processes issue their own transactions; everything else
+// queues for p's goroutine. The busy flag makes the two exclusive, so a
+// slot runs one transaction at a time and its recorder log, backoff
+// slot and transaction handle keep a single writer.
 type nativeSession struct {
 	cfg   SessionConfig
 	tm    native.TM
@@ -129,10 +137,17 @@ type nativeSession struct {
 	// observability extras; see sessionMetrics. Always non-nil.
 	met *sessionMetrics
 
-	mu        sync.Mutex
-	workCond  *sync.Cond // work arrived, or the session closed
-	roomCond  *sync.Cond // a lane drained below QueueDepth, or closed
-	q         lanes
+	mu sync.Mutex
+	// wake[p] is slot p's own condition: a job p may take arrived, an
+	// inline run handed the slot back with work queued, or the session
+	// closed. One per slot, so a pinned push wakes only its worker.
+	wake     []sync.Cond
+	roomCond *sync.Cond // a lane drained below QueueDepth, or closed
+	q        lanes
+	// busy[p] is set while slot p executes a job, on its goroutine or
+	// inline on an Exec caller's; the worker takes no job while it is.
+	busy      []bool
+	workers   []nativeWorker // per slot, set up by spawn
 	closed    bool
 	closeDone chan struct{} // the winning Close finished finalizing
 
@@ -178,7 +193,12 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 	if cfg.Telemetry != nil && s.obsTM != nil {
 		s.met.tx = native.NewTxMetrics(cfg.Telemetry, info.Name)
 	}
-	s.workCond = sync.NewCond(&s.mu)
+	s.wake = make([]sync.Cond, cfg.MaxWorkers)
+	for p := range s.wake {
+		s.wake[p].L = &s.mu
+	}
+	s.busy = make([]bool, cfg.MaxWorkers)
+	s.workers = make([]nativeWorker, cfg.MaxWorkers)
 	s.roomCond = sync.NewCond(&s.mu)
 	s.drainCond = sync.NewCond(&s.drainMu)
 	if cfg.Live {
@@ -242,13 +262,23 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 	return s, nil
 }
 
-// spawn starts n more workers; the caller holds admitMu or is Open.
+// spawn sets up n more worker slots and starts their goroutines; the
+// caller holds admitMu and mu, or is Open.
 func (s *nativeSession) spawn(n int) {
 	base := int(s.admitted.Load())
-	for i := 0; i < n; i++ {
-		p := base + i
+	for p := base; p < base+n; p++ {
+		w := &s.workers[p]
+		*w = nativeWorker{s: s, p: p, home: s.shardOfWorker(p)}
+		w.fn = w.run
+		w.opts = native.RunOpts{Backoff: s.bo, Proc: p, Metrics: s.met.tx}
+		if s.rec != nil {
+			w.opts.Observer = s.rec.Log(model.Proc(p + 1))
+		}
+		if s.live != nil {
+			w.opts.Stop = s.live.stop
+		}
 		s.wg.Add(1)
-		go s.worker(p)
+		go s.worker(w)
 	}
 	s.admitted.Store(int32(base + n))
 	s.met.workers.Set(int64(base + n))
@@ -259,6 +289,20 @@ func (s *nativeSession) submit(ctx context.Context, worker int, body Body, done 
 		return fmt.Errorf("engine: worker %d not admitted (have %d)", worker, s.admitted.Load())
 	}
 	s.mu.Lock()
+	// A blocking pinned submission whose slot is idle, with nothing
+	// queued that the slot's worker would run first, runs here. Only an
+	// uncancellable one does: a done context abandons the wait, not the
+	// transaction, and a transaction running on its caller cannot be
+	// left behind.
+	if demand && worker != AnyWorker && ctx.Done() == nil && !s.closed && !s.busy[worker] &&
+		s.q.depth(worker) == 0 && s.q.depth(AnyWorker) == 0 {
+		s.busy[worker] = true
+		s.wg.Add(1) // registered while not closed, so Close waits for it
+		s.met.submitted.Inc()
+		s.mu.Unlock()
+		s.runInline(worker, sessionJob{body: body, done: done})
+		return nil
+	}
 	defer s.mu.Unlock()
 	if demand && s.q.depth(worker) >= s.cfg.QueueDepth {
 		// Only blocking submissions (Exec) feel QueueDepth: they come
@@ -290,18 +334,44 @@ func (s *nativeSession) submit(ctx context.Context, worker int, body Body, done 
 	}
 	s.met.submitted.Inc()
 	s.q.push(worker, sessionJob{body: body, done: done})
-	// A pinned job must wake its specific worker, so broadcast rather
-	// than signal; spuriously woken workers go straight back to sleep.
-	s.workCond.Broadcast()
+	if worker == AnyWorker {
+		s.wakeAll()
+	} else {
+		s.wake[worker].Signal()
+	}
 	return nil
 }
 
-// nativeWorker is what one pool goroutine keeps across the jobs it
-// runs, so that a job costs it nothing: the retry loop's options, the
+// wakeAll wakes every admitted worker; the caller holds mu.
+func (s *nativeSession) wakeAll() {
+	for p := range int(s.admitted.Load()) {
+		s.wake[p].Signal()
+	}
+}
+
+// runInline runs a job whose caller claimed slot p, then hands the slot
+// back. Whatever queued for p meanwhile waited for the slot, not for a
+// wake-up, so p's worker is woken for it — and on a closed session, so
+// that it can exit.
+func (s *nativeSession) runInline(p int, j sessionJob) {
+	defer s.wg.Done()
+	s.runJob(&s.workers[p], j)
+	s.mu.Lock()
+	s.busy[p] = false
+	if s.closed || s.q.depth(p) > 0 || s.q.depth(AnyWorker) > 0 {
+		s.wake[p].Signal()
+	}
+	s.mu.Unlock()
+}
+
+// nativeWorker is what one worker slot keeps across the jobs it runs,
+// so that a job costs it nothing: the retry loop's options, the
 // function the loop calls (bound once to run), and the handle that
-// function gives the body, reused for every attempt.
+// function gives the body, reused for every attempt. Whichever
+// goroutine holds the slot's busy flag owns it.
 type nativeWorker struct {
 	s    *nativeSession
+	p    int
 	home int // shard group
 	opts native.RunOpts
 	fn   func(native.Txn) error
@@ -327,74 +397,79 @@ func (w *nativeWorker) run(tx native.Txn) error {
 	}
 }
 
-// worker is one pool goroutine: it serves its pinned lane and the
-// shared lane until Close seals and drains them.
-func (s *nativeSession) worker(p int) {
+// worker is slot w's goroutine: it serves its pinned lane and the
+// shared lane until Close seals and drains them, taking nothing while
+// an inline run holds the slot.
+func (s *nativeSession) worker(w *nativeWorker) {
 	defer s.wg.Done()
-	w := &nativeWorker{s: s, home: s.shardOfWorker(p)}
-	w.fn = w.run
-	w.opts = native.RunOpts{Backoff: s.bo, Proc: p, Metrics: s.met.tx}
-	if s.rec != nil {
-		w.opts.Observer = s.rec.Log(model.Proc(p + 1))
-	}
-	if s.live != nil {
-		w.opts.Stop = s.live.stop
-	}
+	p := w.p
+	s.mu.Lock()
 	for tick := 0; ; tick++ {
-		s.mu.Lock()
 		var j sessionJob
 		var ok bool
 		for {
-			if j, ok = s.q.take(p, tick); ok || s.closed {
-				break
+			if !s.busy[p] {
+				if j, ok = s.q.take(p, tick); ok || s.closed {
+					break
+				}
 			}
-			s.workCond.Wait()
+			s.wake[p].Wait()
 		}
 		if !ok { // closed with both lanes drained
 			s.mu.Unlock()
 			return
 		}
+		s.busy[p] = true
 		s.roomCond.Broadcast()
 		s.mu.Unlock()
+		s.runJob(w, j)
+		s.mu.Lock()
+		s.busy[p] = false
+	}
+}
 
-		var res error
-		if h := s.met.execLat; h != nil {
-			start := time.Now()
-			res = s.execute(w, j.body)
-			h.Observe(time.Since(start).Nanoseconds())
-		} else {
-			res = s.execute(w, j.body)
+// runJob executes one job as worker slot w and accounts for it — the
+// one path behind the slot's goroutine and an inline run alike: commit,
+// decline and stop counts, Exec latency, the cut cadence, the result,
+// and the drain wake-up.
+func (s *nativeSession) runJob(w *nativeWorker, j sessionJob) {
+	var res error
+	if h := s.met.execLat; h != nil {
+		start := time.Now()
+		res = s.execute(w, j.body)
+		h.Observe(time.Since(start).Nanoseconds())
+	} else {
+		res = s.execute(w, j.body)
+	}
+	switch {
+	case res == nil:
+		s.met.commits[w.p].Inc()
+	case errors.Is(res, ErrNoCommit):
+		s.met.noCommits.Inc()
+	case errors.Is(res, native.ErrStopped):
+		s.stopped.Store(true)
+		res = ErrStopped
+	}
+	if s.quiesce > 0 {
+		// One cut per QuiesceEvery completed transactions of every
+		// admitted worker in this worker's shard group — the batch
+		// barrier's cadence, driven by a shared group counter since
+		// workers are not in lockstep, and group-local so admission
+		// into one shard does not stretch the others' intervals.
+		k := w.home
+		interval := int64(s.quiesce) * int64(s.groupSize(k))
+		if interval > 0 && s.cutTick[k].Add(1)%interval == 0 {
+			s.forceCut(k)
 		}
-		switch {
-		case res == nil:
-			s.met.commits[p].Inc()
-		case errors.Is(res, ErrNoCommit):
-			s.met.noCommits.Inc()
-		case errors.Is(res, native.ErrStopped):
-			s.stopped.Store(true)
-			res = ErrStopped
-		}
-		if s.quiesce > 0 {
-			// One cut per QuiesceEvery completed transactions of every
-			// admitted worker in this worker's shard group — the batch
-			// barrier's cadence, driven by a shared group counter since
-			// workers are not in lockstep, and group-local so admission
-			// into one shard does not stretch the others' intervals.
-			k := w.home
-			interval := int64(s.quiesce) * int64(s.groupSize(k))
-			if interval > 0 && s.cutTick[k].Add(1)%interval == 0 {
-				s.forceCut(k)
-			}
-		}
-		if j.done != nil {
-			j.done(res)
-		}
-		s.met.completed.Inc()
-		if s.drainers.Load() > 0 {
-			s.drainMu.Lock()
-			s.drainCond.Broadcast()
-			s.drainMu.Unlock()
-		}
+	}
+	if j.done != nil {
+		j.done(res)
+	}
+	s.met.completed.Inc()
+	if s.drainers.Load() > 0 {
+		s.drainMu.Lock()
+		s.drainCond.Broadcast()
+		s.drainMu.Unlock()
 	}
 }
 
@@ -602,7 +677,7 @@ func (s *nativeSession) close() (*monitor.Report, error) {
 		return nil, ErrClosed
 	}
 	s.closed = true
-	s.workCond.Broadcast()
+	s.wakeAll()
 	s.roomCond.Broadcast()
 	s.mu.Unlock()
 	defer close(s.closeDone)

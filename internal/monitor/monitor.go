@@ -24,6 +24,7 @@ import (
 	"errors"
 	"fmt"
 	"slices"
+	"strconv"
 	"strings"
 
 	"livetm/internal/liveness"
@@ -383,10 +384,15 @@ func (r Report) StarvationIntervals() map[model.Proc][]int {
 	return out
 }
 
-// Format renders the report as an aligned text block.
+// Format renders the report as an aligned text block. An unchecked run
+// reads opaque=undecided: a check that did not decide is no violation.
 func (r Report) Format() string {
 	var b strings.Builder
-	fmt.Fprintf(&b, "events=%d segments=%d opaque=%v", r.Events, r.Opacity.Segments, r.Opacity.Holds && r.Checked)
+	opaque := "undecided"
+	if r.Checked {
+		opaque = strconv.FormatBool(r.Opacity.Holds)
+	}
+	fmt.Fprintf(&b, "events=%d segments=%d opaque=%s", r.Events, r.Opacity.Segments, opaque)
 	if r.Shards > 1 {
 		fmt.Fprintf(&b, " shards=%d", r.Shards)
 	}
@@ -397,7 +403,7 @@ func (r Report) Format() string {
 		}
 	}
 	if !r.Checked {
-		fmt.Fprintf(&b, " (not decided: %s)", r.Opacity.Reason)
+		fmt.Fprintf(&b, " (%s)", r.Opacity.Reason)
 	} else if !r.Opacity.Holds {
 		fmt.Fprintf(&b, "\nopacity violation: %s", r.Opacity.Reason)
 	}
