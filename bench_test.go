@@ -386,9 +386,7 @@ func TestWorkloadMatrixArtifact(t *testing.T) {
 // substrates. The native cells run under the in-process monitor, so
 // their ops/sec is checked-throughput (live verification overlapped
 // with the run) with a liveness class and recorder-overhead ratio per
-// cell, and each live cell that fits is additionally swept at four
-// keyspace shards (shard-local cuts, parallel checker lanes — the
-// "/s4" cells); the simulated cells measure commits per deterministic
+// cell; the simulated cells measure commits per deterministic
 // scheduler step. The run rewrites BENCH_native.json (schema v3) with
 // full budgets.
 func BenchmarkWorkloadMatrix(b *testing.B) {
@@ -399,7 +397,7 @@ func BenchmarkWorkloadMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		results, err = workload.RunMatrixOptions(engines, specs, budget,
-			workload.Options{Live: true, Overhead: true, QuiesceEvery: 4, Shards: []int{1, 4}})
+			workload.Options{Live: true, Overhead: true, QuiesceEvery: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
@@ -417,62 +415,6 @@ func BenchmarkWorkloadMatrix(b *testing.B) {
 		len(engines), len(specs), len(results)))
 	b.ReportMetric(float64(commits), "commits")
 	b.ReportMetric(float64(aborts), "aborts")
-}
-
-// BenchmarkShardedCheckedThroughput compares one live-monitored
-// workload at one shard (one streaming checker lane, global quiescent
-// cuts) and at four (one lane and one cut domain per shard). The p8
-// writeheavy cold disjoint cell is where the single lane used to hurt
-// most: eight processes interleave into shared cut-starved segments,
-// and a search that enumerated their interleavings sustained a few
-// hundred checked-ops/s against tens of thousands at four shards
-// (334 vs 47 073 on the 2-core box this was last measured on). The
-// segment search now places transactions over disjoint variables
-// without branching, so the single lane's cost on this cell is linear
-// in the segment and it is the faster configuration there (177 187 vs
-// 97 028: four lanes, four cut domains and the router on two cores buy
-// nothing the search still needs). The pair stays as the measurement
-// ROADMAP item 3 asks for — whether more than one shard still pays —
-// and the ratio is printed, not asserted.
-func BenchmarkShardedCheckedThroughput(b *testing.B) {
-	e, ok := engine.Lookup("native-tl2")
-	if !ok {
-		b.Fatal("native-tl2 not registered")
-	}
-	var spec workload.Spec
-	for _, s := range workload.Matrix([]int{8}) {
-		if s.Mix.Name == "writeheavy" && s.Contention.Name == "cold" && s.Sharing == workload.Disjoint {
-			spec = s
-			break
-		}
-	}
-	budget := workload.Budget{NativeOps: 1500}
-	rates := map[int]float64{}
-	for _, shards := range []int{1, 4} {
-		shards := shards
-		b.Run(fmt.Sprintf("s%d", shards), func(b *testing.B) {
-			var rate float64
-			for i := 0; i < b.N; i++ {
-				results, err := workload.RunMatrixOptions(
-					[]engine.Engine{e}, []workload.Spec{spec}, budget,
-					workload.Options{Live: true, Check: true, QuiesceEvery: 4, Shards: []int{shards}})
-				if err != nil {
-					b.Fatal(err)
-				}
-				if len(results) != 1 || !results[0].Checked {
-					b.Fatalf("cell not checked: %+v", results)
-				}
-				rate = results[0].OpsPerSec
-			}
-			rates[shards] = rate
-			b.ReportMetric(rate, "checked-ops/sec")
-		})
-	}
-	if rates[1] > 0 && rates[4] > 0 {
-		printHeader("shardtp", fmt.Sprintf(
-			"sharded checked-throughput (%s on native-tl2): s1 %.0f ops/sec, s4 %.0f ops/sec (%.2fx)\n",
-			spec.Name, rates[1], rates[4], rates[4]/rates[1]))
-	}
 }
 
 // --- Recorder overhead: recorded vs unrecorded native runs ---

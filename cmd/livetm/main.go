@@ -7,26 +7,22 @@
 //	    Run the liveness matrix (DESIGN.md E20): each TM × fault
 //	    model, compared against the paper's §3.2.3 claims.
 //
-//	livetm run -engine NAME [-procs N] [-ops N] [-mix M] [-contention C] [-sharing S] [-live] [-shards S] [-out FILE]
+//	livetm run -engine NAME [-procs N] [-ops N] [-mix M] [-contention C] [-sharing S] [-live] [-out FILE]
 //	    Run one workload cell on a native engine with the in-process
 //	    monitor attached (-live, the default): events stream into the
 //	    checker while the cell executes, an opacity violation stops
 //	    the run mid-flight, and the measured per-process starvation
 //	    rebiases the retry backoff (starved processes back off less).
-//	    -shards partitions the keyspace: quiescent cuts pause one
-//	    shard's workers instead of the whole session and the monitor
-//	    checks the shards in parallel lanes, printing per-shard cut
-//	    counts and pause percentiles. Prints the monitor report and
-//	    liveness class; -live=false degrades to a plain recorded run
-//	    (like `livetm record`).
+//	    Prints the monitor report and liveness class; -live=false
+//	    degrades to a plain recorded run (like `livetm record`).
 //
-//	livetm serve -engine NAME [-workers N] [-submitters N] [-mix M] [-contention C] [-sharing S] [-shards S] [-duration D] [-progress D] [-metrics ADDR] [-flight FILE [-flight-every D]] [-listen ADDR [-max-inflight N] [-retry-after D]]
+//	livetm serve -engine NAME [-workers N] [-submitters N] [-mix M] [-contention C] [-sharing S] [-duration D] [-progress D] [-metrics ADDR] [-flight FILE [-flight-every D]] [-listen ADDR [-max-inflight N] [-retry-after D]]
 //	    Run a native engine as a long-lived service: one session whose
 //	    worker pool serves transactions submitted by concurrent client
 //	    goroutines, with the in-process monitor resident for the
 //	    session's whole lifetime — the soak mode for native TMs.
 //	    Prints a progress line every -progress interval (throughput,
-//	    abort-cause breakdown, per-shard checker-lane lag, backoff
+//	    abort-cause breakdown, checker lag, backoff
 //	    bias) and drains cleanly on SIGINT/SIGTERM (or after
 //	    -duration), printing the final monitor report and liveness
 //	    class. A safety violation stops the service mid-flight with a
@@ -153,17 +149,14 @@
 //	    List every (algorithm, substrate) engine behind the unified
 //	    engine API with its capabilities.
 //
-//	livetm workloads [-procs LIST] [-simsteps N] [-ops N] [-out FILE] [-record] [-check] [-live] [-overhead] [-shards LIST]
+//	livetm workloads [-procs LIST] [-simsteps N] [-ops N] [-out FILE] [-record] [-check] [-live] [-overhead]
 //	    Run the declared workload matrix on every engine of both
 //	    substrates and print the result table (optionally writing the
 //	    BENCH_native.json schema-v3 artifact); -record captures each
 //	    cell's history, -check verifies it through the online monitor,
 //	    -live runs native cells under the in-process monitor (per-cell
-//	    liveness class, starvation-aware backoff), -overhead measures
-//	    each native cell's recording-cost ratio, and -shards sweeps
-//	    each native recorded/live cell over keyspace-shard counts
-//	    (per-shard cut latency and checker-lane segments land in the
-//	    artifact).
+//	    liveness class, starvation-aware backoff), and -overhead
+//	    measures each native cell's recording-cost ratio.
 package main
 
 import (
@@ -874,7 +867,6 @@ func cmdWorkloads(args []string) error {
 	live := fs.Bool("live", false, "run native cells under the in-process monitor (mid-flight stop, starvation-aware backoff, per-cell liveness class)")
 	overhead := fs.Bool("overhead", false, "measure each native cell's recording overhead ratio against an unrecorded rerun")
 	quiesce := fs.Int("quiesce", 4, "rendezvous interval (rounds) of recorded native cells (0 = never)")
-	shardsArg := fs.String("shards", "", "comma-separated shard counts to sweep native recorded/live cells over (counts that do not fit a cell are skipped; empty = unsharded)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -890,25 +882,12 @@ func cmdWorkloads(args []string) error {
 		}
 		procs = append(procs, n)
 	}
-	var shardCounts []int
-	if *shardsArg != "" {
-		for _, part := range strings.Split(*shardsArg, ",") {
-			n, err := strconv.Atoi(strings.TrimSpace(part))
-			if err != nil || n <= 0 {
-				return fmt.Errorf("workloads: bad shard count %q", part)
-			}
-			shardCounts = append(shardCounts, n)
-		}
-		if !*record && !*check && !*live {
-			return fmt.Errorf("workloads: -shards needs -record, -check or -live (shard-local cuts exist for the checker)")
-		}
-	}
 	engines := engine.Engines(*ablations)
 	specs := workload.Matrix(procs)
 	budget := workload.Budget{SimSteps: *simSteps, NativeOps: *ops}
 	fmt.Printf("running %d workloads × %d engines...\n", len(specs), len(engines))
 	results, err := workload.RunMatrixOptions(engines, specs, budget,
-		workload.Options{Record: *record, Check: *check, Live: *live, Overhead: *overhead, QuiesceEvery: quiesceOpt, Shards: shardCounts})
+		workload.Options{Record: *record, Check: *check, Live: *live, Overhead: *overhead, QuiesceEvery: quiesceOpt})
 	if err != nil {
 		return err
 	}
@@ -947,7 +926,7 @@ func matrixCell(procs int, mix, contention, sharing string) (workload.Spec, erro
 // runLiveCell executes one matrix cell on a native engine with the
 // in-process monitor attached and prints the run's stats and the
 // monitor's report. Shared by `livetm run` and `livetm monitor -live`.
-func runLiveCell(engineName string, procs, ops int, mix, contention, sharing string, quiesce, segment, window, shards int, out string) error {
+func runLiveCell(engineName string, procs, ops int, mix, contention, sharing string, quiesce, segment, window int, out string) error {
 	e, ok := engine.Lookup(engineName)
 	if !ok {
 		return fmt.Errorf("unknown engine %q", engineName)
@@ -965,7 +944,6 @@ func runLiveCell(engineName string, procs, ops int, mix, contention, sharing str
 		QuiesceEvery:    quiesce,
 		LiveSegmentTxns: segment,
 		LiveTailWindow:  window,
-		Shards:          shards,
 	}
 	st, runErr := e.Run(cfg, spec.Body())
 	fmt.Printf("live %s on %s: commits=%d aborts=%d no-commits=%d stopped=%v\n",
@@ -975,7 +953,6 @@ func runLiveCell(engineName string, procs, ops int, mix, contention, sharing str
 		fmt.Printf("  liveness class: %s\n", st.Live.LivenessClass())
 	}
 	fmt.Printf("  backoff cap=%d bias=%v recorder chunks=%d\n", st.BackoffCap, st.BackoffBias, st.RecorderChunks)
-	printCutStats(st.Shards, st.CutLatency, st.ShardCuts)
 	if out != "" && st.History != nil {
 		if err := model.SaveTrace(out, st.History); err != nil {
 			return err
@@ -1000,15 +977,11 @@ func cmdRun(args []string) error {
 	live := fs.Bool("live", true, "attach the in-process monitor (mid-flight violation stop + starvation-aware backoff)")
 	quiesce := fs.Int("quiesce", 0, "rendezvous interval in rounds (0 = the live default of 4, -1 = never)")
 	segment := fs.Int("segment", 0, "live checker segment budget in transactions (0 = default 48)")
-	shards := fs.Int("shards", 0, "keyspace shard count: shard-local quiescent cuts and one checker lane per shard (0 = unsharded; must be a power of two dividing -procs)")
 	out := fs.String("out", "", "also retain the history and write it as a JSON Lines trace file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
 	if !*live {
-		if *shards > 1 {
-			return fmt.Errorf("run: -shards needs the in-process monitor (drop -live=false)")
-		}
 		// Without the monitor this is a plain recorded run; reuse the
 		// record path so the two stay behaviourally identical.
 		rest := []string{"-engine", *name, "-procs", strconv.Itoa(*procsN), "-ops", strconv.Itoa(*ops),
@@ -1018,21 +991,7 @@ func cmdRun(args []string) error {
 		}
 		return cmdRecord(rest)
 	}
-	return runLiveCell(*name, *procsN, *ops, *mixName, *contentionName, *sharing, *quiesce, *segment, 0, *shards, *out)
-}
-
-// printCutStats prints the quiescent-cut pause summary of a sharded
-// run: totals first, then each shard's own count and percentiles.
-func printCutStats(shards int, total engine.CutStats, perShard []engine.CutStats) {
-	if shards <= 1 || total.Count == 0 {
-		return
-	}
-	fmt.Printf("  cuts over %d shards: %d total, pause p50=%v p99=%v\n",
-		shards, total.Count, time.Duration(total.P50ns), time.Duration(total.P99ns))
-	for k, cs := range perShard {
-		fmt.Printf("    shard %d: cuts=%d p50=%v p99=%v\n",
-			k, cs.Count, time.Duration(cs.P50ns), time.Duration(cs.P99ns))
-	}
+	return runLiveCell(*name, *procsN, *ops, *mixName, *contentionName, *sharing, *quiesce, *segment, 0, *out)
 }
 
 // cmdServe runs a native engine as a long-lived service: one session
@@ -1054,7 +1013,6 @@ func cmdServe(args []string) error {
 	progress := fs.Duration("progress", 2*time.Second, "progress line interval")
 	quiesce := fs.Int("quiesce", 0, "quiescent-cut interval in completed transactions per worker (0 = the live default of 4, -1 = never)")
 	segment := fs.Int("segment", 0, "live checker segment budget in transactions (0 = default 48)")
-	shards := fs.Int("shards", 0, "keyspace shard count: shard-local quiescent cuts and one checker lane per shard (0 = unsharded; must be a power of two dividing -workers)")
 	listen := fs.String("listen", "", "serve the wire API v1 on this address (livetm client / internal/client); telemetry rides the same listener at /metrics. Defaults -submitters to 0 and -quiesce to -1 (network clients park transactions across round trips, which would stall a cut) unless set explicitly")
 	maxInflight := fs.Int("max-inflight", 256, "wire admission cap: total submissions in flight across all clients, shared fairly (0 = unbounded; -listen only)")
 	retryAfter := fs.Duration("retry-after", 50*time.Millisecond, "backoff hint attached to wire overload refusals (-listen only)")
@@ -1108,7 +1066,7 @@ func cmdServe(args []string) error {
 		var conflict []string
 		fs.Visit(func(f *flag.Flag) {
 			switch f.Name {
-			case "quiesce", "segment", "shards":
+			case "quiesce", "segment":
 				conflict = append(conflict, "-"+f.Name)
 			}
 		})
@@ -1137,7 +1095,6 @@ func cmdServe(args []string) error {
 		Live:            *live,
 		QuiesceEvery:    *quiesce,
 		LiveSegmentTxns: *segment,
-		Shards:          *shards,
 		Telemetry:       reg,
 	})
 	if err != nil {
@@ -1150,8 +1107,7 @@ func cmdServe(args []string) error {
 			RetryAfter:  *retryAfter,
 			Registry:    reg,
 			Info: server.InfoResponse{
-				Engine: e.Name(), Workers: *workers, Vars: spec.Vars,
-				Shards: *shards, Live: *live,
+				Engine: e.Name(), Workers: *workers, Vars: spec.Vars, Live: *live,
 			},
 		})
 		ln, err := net.Listen("tcp", *listen)
@@ -1300,7 +1256,6 @@ serving:
 		fmt.Print(rep.Format())
 		fmt.Printf("  liveness class: %s\n", rep.LivenessClass())
 	}
-	printCutStats(st.Shards, st.CutLatency, st.ShardCuts)
 	if cerr != nil {
 		return fmt.Errorf("serve: %w", cerr)
 	}
@@ -1528,7 +1483,7 @@ func cmdLoadgen(args []string) error {
 		ses := sc.Session
 		sess, err := engine.Open(engine.SessionConfig{
 			Engine: ses.Engine, Workers: ses.Workers, MaxWorkers: ses.MaxWorkers,
-			Vars: ses.Vars, MaxQueue: ses.MaxQueue, Live: ses.Live, Shards: ses.Shards,
+			Vars: ses.Vars, MaxQueue: ses.MaxQueue, Live: ses.Live,
 			Record: ses.Live,
 		})
 		if err != nil {
@@ -1650,39 +1605,15 @@ func abortCauseSummary(snap telemetry.Snapshot) string {
 	return " causes=" + strings.Join(parts, ",")
 }
 
-// laneLagSummary renders the per-shard checker-lane backlog from a
-// registry snapshot (" lag=[a b ...]" in shard order, the merge lane
-// excluded); empty when no checker telemetry is registered.
+// laneLagSummary renders the streaming checker's backlog from a
+// registry snapshot (" lag=N"); empty when no checker telemetry is
+// registered.
 func laneLagSummary(snap telemetry.Snapshot) string {
-	f := snap.Family("livetm_checker_lane_lag")
-	if f == nil {
+	v, ok := snap.Value("livetm_checker_lane_lag")
+	if !ok {
 		return ""
 	}
-	lags := make(map[int]int64)
-	max := -1
-	for _, ser := range f.Series {
-		k, err := strconv.Atoi(ser.Label("shard"))
-		if err != nil {
-			continue // the merge lane
-		}
-		lags[k] = int64(ser.Value)
-		if k > max {
-			max = k
-		}
-	}
-	if max < 0 {
-		return ""
-	}
-	var b strings.Builder
-	b.WriteString(" lag=[")
-	for k := 0; k <= max; k++ {
-		if k > 0 {
-			b.WriteByte(' ')
-		}
-		fmt.Fprintf(&b, "%d", lags[k])
-	}
-	b.WriteByte(']')
-	return b.String()
+	return fmt.Sprintf(" lag=%.0f", v)
 }
 
 // cmdRecord runs one recording-capable engine over a workload-matrix
@@ -1778,7 +1709,7 @@ func cmdMonitor(args []string) error {
 		if len(conflict) > 0 {
 			return fmt.Errorf("monitor: %s cannot be combined with -live (the engine's in-process monitor streams internally and always uses the approximate fallback)", strings.Join(conflict, ", "))
 		}
-		return runLiveCell(*engineName, *procsN, *ops, *mixName, *contentionName, *sharing, 0, *segment, *window, 0, "")
+		return runLiveCell(*engineName, *procsN, *ops, *mixName, *contentionName, *sharing, 0, *segment, *window, "")
 	}
 	if *file == "" {
 		return fmt.Errorf("monitor: -file is required (or -live for an in-process run)")

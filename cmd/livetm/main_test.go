@@ -414,12 +414,12 @@ func TestCmdMonitorLive(t *testing.T) {
 	}
 }
 
-// TestCmdWorkloadsLive: the live/overhead/shard-sweep matrix flags
-// produce the schema-v3 artifact with liveness classes on native
-// cells and per-shard breakdowns on the swept ones.
+// TestCmdWorkloadsLive: the live/overhead matrix flags produce the
+// schema-v3 artifact with liveness classes and quiescent-cut counts on
+// native cells.
 func TestCmdWorkloadsLive(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "BENCH_native.json")
-	if err := run([]string{"workloads", "-procs", "2", "-simsteps", "200", "-ops", "12", "-live", "-check", "-overhead", "-shards", "1,2", "-out", path}); err != nil {
+	if err := run([]string{"workloads", "-procs", "2", "-simsteps", "200", "-ops", "12", "-live", "-check", "-overhead", "-out", path}); err != nil {
 		t.Fatal(err)
 	}
 	data, err := os.ReadFile(path)
@@ -433,25 +433,19 @@ func TestCmdWorkloadsLive(t *testing.T) {
 	if art.Schema != workload.ArtifactSchema {
 		t.Fatalf("schema = %q, want %q", art.Schema, workload.ArtifactSchema)
 	}
-	liveCells, shardedCells := 0, 0
+	liveCells := 0
 	for _, r := range art.Results {
 		if r.Live {
 			liveCells++
 			if r.LivenessClass == "" {
 				t.Errorf("%s/%s: live cell without class", r.Engine, r.Workload)
 			}
-		}
-		if r.Shards > 1 {
-			shardedCells++
-			if len(r.PerShard) != r.Shards {
-				t.Errorf("%s/%s: %d per-shard entries, want %d", r.Engine, r.Workload, len(r.PerShard), r.Shards)
+			if r.Cuts == 0 {
+				t.Errorf("%s/%s: live cell took no quiescent cuts", r.Engine, r.Workload)
 			}
 		}
 	}
 	if liveCells == 0 {
 		t.Fatal("no live cells in the artifact")
-	}
-	if shardedCells == 0 {
-		t.Fatal("no sharded cells in the artifact")
 	}
 }

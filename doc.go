@@ -50,35 +50,22 @@
 // worker, the retry loop, the recorder, the stream, the monitor and its
 // checker — reuses its storage from one transaction to the next, with a
 // per-layer allocation budget in tier-1 holding each layer to it.
-// Cut-starved streams
-// degrade to an explicit approximate verdict at forced serialization
-// frontiers — final snapshots propagate across each frontier, and a
-// transaction carried open across one has its unverifiable reads
-// waived — instead of refusing.
+// Cut-starved streams degrade to an explicit approximate verdict at
+// forced serialization frontiers — final snapshots propagate across
+// each frontier, and a transaction carried open across one has its
+// unverifiable reads waived — instead of refusing.
 //
-// Monitored sessions can shard the keyspace end to end
-// (SessionConfig.Shards): the variables split into contiguous shards,
-// each worker group serves its own shard, a quiescent cut pauses only
-// one shard's workers, and the monitor checks the shards in parallel
-// streaming lanes (safety.ShardedChecker), merging lanes only around
-// transactions that actually span shards. A disjoint workload
-// therefore checks its shards concurrently at shard-local cut cost;
-// a session whose transactions cross shards degrades the cuts to
-// global ones but keeps the same verdict — the sharded checker is
-// verdict-equivalent to the single-lane one by construction (property
-// tested). What sharding buys is cut locality and checker parallelism
-// on spare cores, no longer search cost: the segment search places
+// A monitored session has one streaming checker and one quiescent-cut
+// lock: a cut pauses every worker for an instant, and the checker
+// verifies the whole stream in one lane. The segment search places
 // transactions over disjoint variables without enumerating their
-// interleavings, so on the cell sharding was built for (eight
-// processes, write-heavy, cold, disjoint) one lane now checks about
-// 177k operations a second on two cores against 97k at four shards,
-// where it used to manage 334 against 47k. The workload matrix (internal/workload) is declared once
-// and executed against every (algorithm, substrate) pair, optionally
-// recording, checking, live-monitoring, or shard-sweeping each cell
-// (per-cell liveness class, recorder overhead, and per-shard cut
-// latency and checker-lane segments in the schema-v3 artifact); see
-// internal/engine's package documentation for when to use which
-// substrate.
+// interleavings, so one lane keeps up with eight write-heavy processes
+// on two cores. The workload matrix (internal/workload) is declared
+// once and executed against every (algorithm, substrate) pair,
+// optionally recording, checking, or live-monitoring each cell
+// (per-cell liveness class, recorder overhead, and cut latency in the
+// schema-v3 artifact); see internal/engine's package documentation
+// for when to use which substrate.
 //
 // Every layer above is observable through one low-overhead telemetry
 // registry (internal/telemetry): dependency-free atomic counters,
@@ -87,11 +74,11 @@
 // registry through the native retry loop (starts, commits, aborts by
 // cause, retries, retry-latency and backoff-wait histograms per
 // algorithm), the session worker pool (queue depths, Exec latency,
-// admissions), the quiescent cuts (per-shard pause histograms — the
-// same instruments Stats.CutLatency/ShardCuts fold, so Stats is a
-// view of the registry, not a second set of counters), the recorder
-// (events, chunks, recycled, stream drops), the checker lanes
-// (segments, lane lag, forced cuts, relaxed straddlers), and the
+// admissions), the quiescent cuts (the pause histogram — the same
+// instrument Stats.CutLatency folds, so Stats is a view of the
+// registry, not a second set of counters), the recorder (events,
+// chunks, recycled, stream drops), the checker (segments, lane lag,
+// forced cuts, relaxed straddlers), and the
 // monitor (live liveness class, per-process starvation, backoff
 // bias). `livetm serve -metrics ADDR` exposes the registry live as
 // Prometheus text, a JSON snapshot, and pprof; `-flight FILE`

@@ -30,12 +30,10 @@ func TestAllocBudgetPerLiveCommit(t *testing.T) {
 		{"plain, queued", SessionConfig{Workers: 2, Vars: 8}, true},
 		{"live", SessionConfig{Workers: 2, Vars: 8, Live: true}, false},
 		{"live, queued", SessionConfig{Workers: 2, Vars: 8, Live: true}, true},
-		// Recorded, not live: the per-attempt handle of a sharded session
-		// is the engine's; what a sharded checker's lanes allocate is not
-		// (ROADMAP item 3), and the retained history's chunks are one
+		// Recorded, not live: the retained history's chunks are one
 		// allocation per 4096 events.
-		{"recorded, two shards", SessionConfig{Workers: 2, Vars: 8, Record: true, Shards: 2}, false},
-		{"recorded, two shards, queued", SessionConfig{Workers: 2, Vars: 8, Record: true, Shards: 2}, true},
+		{"recorded", SessionConfig{Workers: 2, Vars: 8, Record: true}, false},
+		{"recorded, queued", SessionConfig{Workers: 2, Vars: 8, Record: true}, true},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openTestSession(t, "native-tl2", tc.cfg)

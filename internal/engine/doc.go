@@ -114,44 +114,6 @@
 // budget between quiescent cuts degrade to an explicit approximate
 // verdict (forced serialization frontiers) instead of failing.
 //
-// # Sharding
-//
-// SessionConfig.Shards partitions a monitored native session end to
-// end: shard-local cuts pause a fraction of the workers, and checker
-// lanes run in parallel where there are cores for them. It was built
-// when one checker lane could not keep up with eight workers — the
-// segment search enumerated the interleavings of processes that never
-// touch the same variable — and that reason is gone: the search now
-// places such transactions in one pass, and on a 2-core box the
-// 8-process write-heavy cold disjoint cell checks faster at one shard
-// than at four (BenchmarkShardedCheckedThroughput: 177k vs 97k
-// checked-ops/s; 334 vs 47k before). Measure before choosing Shards >
-// 1; ROADMAP item 3 keeps the question open. The keyspace splits into S contiguous shards
-// (variable v lands on shard v*S/Vars) and the worker pool into S
-// matching groups (worker p on shard p*S/MaxWorkers), so on a
-// disjoint workload each transaction stays inside its home shard.
-// Three things then become shard-local: the quiescent cut (a cut on
-// shard k pauses only shard k's workers, and the rendezvous interval
-// scales with the group size so each shard quiesces at the configured
-// per-worker cadence), the recorder's shard tag on every streamed
-// event, and the checker — the monitor routes events to one streaming
-// lane per shard (safety.ShardedChecker) and lanes verify their
-// segments concurrently. Per-shard cut counts and pause-latency
-// percentiles land in Stats.ShardCuts/CutLatency, per-lane segment
-// counts in the monitor report's ShardSegments.
-//
-// A transaction that touches a variable outside its home shard is
-// handled on both sides: the checker routes by variable and merges
-// the lanes around the spanning transaction (group closure), keeping
-// the verdict identical to the single-lane checker's; the session,
-// once it observes any cross-shard access, stickily degrades
-// subsequent cuts to global ones (all shard locks, in order) so every
-// future cut is still a true quiescent point. Shards must be a power
-// of two, at most Workers and Vars, dividing Workers and MaxWorkers,
-// and the session must be recorded or live — sharding exists for the
-// checker, and the simulated substrate (one runnable process, one
-// global order) rejects it.
-//
 // # Telemetry
 //
 // SessionConfig.Telemetry accepts a telemetry.Registry and turns the
@@ -163,20 +125,19 @@
 // and visible to Snapshot/the HTTP handler, and the clock-involving
 // extras (Exec-latency histogram, the native retry loop's per-algo
 // transaction metrics) switch on. Stats is therefore a fold of the
-// registry, never a parallel set of counters: CutLatency and
-// ShardCuts are quantiles of the per-shard livetm_cut_pause_ns
-// histograms, Commits sums the per-worker
-// livetm_session_commits_total series, and so on.
+// registry, never a parallel set of counters: CutLatency holds
+// quantiles of the livetm_cut_pause_ns histogram, Commits sums the
+// per-worker livetm_session_commits_total series, and so on.
 //
 // The family catalog spans every layer: livetm_tx_* from the native
 // retry loop (starts/commits/retries, aborts by cause, retry-latency
 // and backoff-wait histograms, labeled by algorithm); livetm_session_*
 // from the worker pool (submitted/completed, per-worker commits,
 // shared/pinned queue-depth gauges, worker count, AddWorkers
-// admissions, Exec latency); livetm_cut_pause_ns per shard;
+// admissions, Exec latency); livetm_cut_pause_ns;
 // livetm_recorder_* (events, chunk gauge, recycled, stream drops);
-// livetm_checker_* per lane plus a merge lane (segments, forced cuts,
-// relaxed straddlers, lane-lag gauges); and the monitor's live gauges
+// livetm_checker_* (segments, forced cuts, relaxed straddlers, the
+// lane-lag gauge); and the monitor's live gauges
 // (livetm_monitor_liveness_class as a lattice ordinal,
 // livetm_monitor_starvation and livetm_backoff_bias per process).
 // Gauges owned by single-writer goroutines (lane lag, monitor class)

@@ -118,11 +118,6 @@ type RunConfig struct {
 	// LiveTailWindow is the live monitor's liveness-classification
 	// window in events (0 defaults to 256).
 	LiveTailWindow int
-	// Shards partitions the keyspace and the worker pool into shard-
-	// local groups with per-shard quiescent cuts and per-shard
-	// streaming checkers (see SessionConfig.Shards; 0 or 1 =
-	// unsharded). Native substrate, recorded or live runs only.
-	Shards int
 	// Telemetry registers the run's instruments in the given registry
 	// (see SessionConfig.Telemetry); nil runs on bare instruments.
 	Telemetry *telemetry.Registry
@@ -181,13 +176,9 @@ type Stats struct {
 	// covers a per-process prefix of the run, so verdicts are advisory.
 	// Live-only runs retain nothing and never truncate.
 	Truncated bool
-	// Shards is the run's shard count (1 = unsharded).
-	Shards int
 	// CutLatency is the pause-latency summary over every quiescent cut
-	// the run forced, and ShardCuts the per-shard breakdown when the
-	// run was sharded (see SessionStats).
+	// the run forced (see SessionStats).
 	CutLatency CutStats
-	ShardCuts  []CutStats
 }
 
 // AbortRate is Aborts / (Commits + Aborts), or 0 with no attempts.

@@ -2,9 +2,11 @@ package engine
 
 import (
 	"errors"
+	"strings"
 	"sync/atomic"
 	"testing"
 
+	"livetm/internal/monitor"
 	"livetm/internal/native"
 )
 
@@ -208,5 +210,71 @@ func TestLiveRejectedOnSim(t *testing.T) {
 	_, err := e.Run(RunConfig{Procs: 2, Vars: 1, SimSteps: 100, Live: true}, counterBody(0))
 	if err == nil {
 		t.Fatal("simulated engine accepted Live")
+	}
+}
+
+// disjointBody gives each process its own counter, so no two
+// processes' transactions ever touch a common variable.
+func disjointBody() TxBody {
+	return func(proc, round int, tx Tx) error {
+		v, err := tx.Read(proc)
+		if err != nil {
+			return err
+		}
+		return tx.Write(proc, v+1)
+	}
+}
+
+// TestShardedLiveAgreesWithSingleChecker: a recorded live run, whether
+// its processes keep to disjoint variables or span all of them, takes
+// its quiescent cuts and decides, and its verdict matches a replay of
+// the same history through a fresh monitor configured as a live
+// session configures its own. The name predates the removal of
+// keyspace sharding, whose lanes this once compared with the single
+// checker. Run with -race.
+func TestShardedLiveAgreesWithSingleChecker(t *testing.T) {
+	for _, body := range []struct {
+		name string
+		fn   TxBody
+	}{
+		{"disjoint", disjointBody()},
+		{"spanning", mixedBody(4)},
+	} {
+		t.Run(body.name, func(t *testing.T) {
+			e, ok := Lookup("native-tl2")
+			if !ok {
+				t.Fatal("native-tl2 not registered")
+			}
+			const procs, ops = 4, 200
+			st, err := e.Run(RunConfig{
+				Procs: procs, Vars: 4, OpsPerProc: ops,
+				Record: true, Live: true, QuiesceEvery: 4,
+			}, body.fn)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.CutLatency.Count == 0 {
+				t.Fatal("QuiesceEvery was set but no cut was taken")
+			}
+			if st.Live == nil || !st.Live.Checked {
+				t.Fatalf("live run undecided: %+v", st.Live)
+			}
+			// 48-transaction segments, forced frontiers when cut-starved.
+			m, err := monitor.New(monitor.Config{SegmentTxns: 48, Approx: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if err := m.ObserveHistory(st.History); err != nil && !strings.Contains(err.Error(), "violation") {
+				t.Fatal(err)
+			}
+			rep := m.Report()
+			if !rep.Checked {
+				t.Fatal("replay undecided")
+			}
+			if rep.Opacity.Holds != st.Live.Opacity.Holds {
+				t.Fatalf("verdict flip: live says holds=%v, replay says holds=%v (%s)",
+					st.Live.Opacity.Holds, rep.Opacity.Holds, rep.Opacity.Reason)
+			}
+		})
 	}
 }

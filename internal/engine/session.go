@@ -156,25 +156,10 @@ type SessionConfig struct {
 	// LiveTailWindow is the live monitor's liveness-classification
 	// window in events (0 defaults to 256).
 	LiveTailWindow int
-	// Shards partitions the keyspace and the worker pool into that many
-	// shard-local groups on the native substrate (0 or 1 = unsharded).
-	// Variables are split contiguously (variable v lands on shard
-	// v*Shards/Vars) and so are workers (worker p belongs to group
-	// p*Shards/MaxWorkers), so a quiescent cut on shard k pauses only
-	// shard k's group instead of the whole pool, and a live monitor fans
-	// the stream out to one streaming checker per shard with a
-	// cross-shard merge pass for spanning transactions. Must be a power
-	// of two dividing both Workers and MaxWorkers; sharding only applies
-	// to recorded or live sessions (cuts and checkers are what shards
-	// localize). Once any transaction touches a variable outside its
-	// worker's shard, cuts degrade to global (all groups pause) for the
-	// rest of the session — the checker-side merge still keeps spanning
-	// verdicts sound either way.
-	Shards int
 	// Telemetry registers the session's instruments — submission and
-	// commit counters, lane queue depths, Exec latency, per-shard cut
-	// pauses, the native retry loop's per-algorithm transaction
-	// families, recorder and checker-lane telemetry, and (on live
+	// commit counters, lane queue depths, Exec latency, cut pauses, the
+	// native retry loop's per-algorithm transaction families, recorder
+	// and checker telemetry, and (on live
 	// sessions) the monitor's liveness-class, starvation and backoff-
 	// bias gauges — in the given registry, where a /metrics scrape or a
 	// flight recorder can read them mid-run without touching session
@@ -192,9 +177,6 @@ func (cfg SessionConfig) withDefaults() SessionConfig {
 	}
 	if cfg.QueueDepth <= 0 {
 		cfg.QueueDepth = 64
-	}
-	if cfg.Shards <= 0 {
-		cfg.Shards = 1
 	}
 	return cfg
 }
@@ -236,29 +218,6 @@ func (cfg SessionConfig) validate(sub Substrate) error {
 		if cfg.LiveTailWindow < 0 {
 			return fmt.Errorf("engine: LiveTailWindow must be non-negative, got %d", cfg.LiveTailWindow)
 		}
-		if cfg.Shards > 1 {
-			if cfg.Shards&(cfg.Shards-1) != 0 {
-				return fmt.Errorf("engine: Shards must be a power of two, got %d", cfg.Shards)
-			}
-			if !cfg.Record && !cfg.Live {
-				return fmt.Errorf("engine: Shards only applies to recorded or live sessions (shards localize cuts and checkers)")
-			}
-			if cfg.Shards > cfg.Workers {
-				return fmt.Errorf("engine: Shards %d exceeds Workers %d (every shard group needs a worker)", cfg.Shards, cfg.Workers)
-			}
-			if cfg.Workers%cfg.Shards != 0 {
-				return fmt.Errorf("engine: Workers %d must divide evenly into %d shard groups", cfg.Workers, cfg.Shards)
-			}
-			if cfg.MaxWorkers > 0 && cfg.MaxWorkers%cfg.Shards != 0 {
-				return fmt.Errorf("engine: MaxWorkers %d must divide evenly into %d shard groups", cfg.MaxWorkers, cfg.Shards)
-			}
-			if cfg.Shards > cfg.Vars {
-				return fmt.Errorf("engine: Shards %d exceeds Vars %d (every shard needs a variable)", cfg.Shards, cfg.Vars)
-			}
-		}
-	}
-	if sub == Simulated && cfg.Shards > 1 {
-		return fmt.Errorf("engine: sharding needs the native substrate (simulated sessions have one global scheduler)")
 	}
 	return nil
 }
@@ -308,14 +267,9 @@ type SessionStats struct {
 	// sessions.
 	RecorderChunks int
 	Truncated      bool
-	// Shards is the session's shard count (1 = unsharded).
-	Shards int
-	// CutLatency aggregates every quiescent cut the session forced,
-	// across all shards (Count 0 when the session takes no cuts).
+	// CutLatency summarizes every quiescent cut the session forced
+	// (Count 0 when the session takes no cuts).
 	CutLatency CutStats
-	// ShardCuts is the per-shard cut-latency breakdown, indexed by
-	// shard, when Shards > 1; nil otherwise.
-	ShardCuts []CutStats
 }
 
 // AbortRate is Aborts / (Commits + Aborts), or 0 with no attempts.
@@ -628,7 +582,6 @@ func (cfg RunConfig) session() SessionConfig {
 		Live:            cfg.Live,
 		LiveSegmentTxns: cfg.LiveSegmentTxns,
 		LiveTailWindow:  cfg.LiveTailWindow,
-		Shards:          cfg.Shards,
 		Telemetry:       cfg.Telemetry,
 	}
 }
@@ -711,9 +664,7 @@ func runOnSession(e Engine, cfg RunConfig, body TxBody) (Stats, error) {
 		BackoffBias:    sst.BackoffBias,
 		RecorderChunks: sst.RecorderChunks,
 		Truncated:      sst.Truncated,
-		Shards:         sst.Shards,
 		CutLatency:     sst.CutLatency,
-		ShardCuts:      sst.ShardCuts,
 	}
 	if cerr != nil && !errors.Is(cerr, ErrStepBudget) {
 		return st, cerr

@@ -12,7 +12,6 @@ import (
 	"livetm/internal/monitor"
 	"livetm/internal/native"
 	"livetm/internal/record"
-	"livetm/internal/telemetry"
 )
 
 // Live-monitoring plumbing constants.
@@ -111,27 +110,18 @@ type nativeSession struct {
 	rec   *record.Recorder
 	live  *liveState
 	// quiesce is the per-worker completed-transaction interval between
-	// forced quiescent cuts (0 = never). Each shard group drives its
-	// own cadence on its own counter — one cut per quiesce completed
-	// transactions of every admitted worker in the group — so admitting
-	// workers to one shard does not stretch the cut interval (and with
-	// it the live checker's memory bound) on the others.
+	// forced quiescent cuts (0 = never): one cut per quiesce completed
+	// transactions of every admitted worker, counted on cutTick.
 	quiesce int
-	shards  int
-	cutTick []atomic.Int64 // per shard group
+	cutTick atomic.Int64
 
-	// cutMu[k] is held shared around every transaction shard k's
-	// workers run; a quiescent cut on shard k takes it exclusively, so
-	// at the instant the cut holds the lock no shard-k transaction is
-	// in flight and the recorded stream has a shard-local cut at that
-	// stamp. Idle workers hold nothing, so — unlike the batch barrier —
-	// a cut never waits on a worker that has no work. Once spanning is
-	// set (some transaction touched a variable outside its worker's
-	// shard), cuts sweep every shard's lock in index order instead — a
-	// global pause; workers hold at most one read lock, so the ordered
-	// sweep cannot deadlock.
-	cutMu    []sync.RWMutex
-	spanning atomic.Bool
+	// cutMu is held shared around every transaction a worker runs; a
+	// quiescent cut takes it exclusively, so at the instant the cut
+	// holds the lock no transaction is in flight and the recorded
+	// stream has a quiescent cut at that stamp. Idle workers hold
+	// nothing, so — unlike the batch barrier — a cut never waits on a
+	// worker that has no work.
+	cutMu sync.RWMutex
 
 	// met holds every counter behind SessionStats plus the registered
 	// observability extras; see sessionMetrics. Always non-nil.
@@ -181,10 +171,7 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 		tm:        tm,
 		bo:        native.NewBackoff(cfg.MaxWorkers),
 		closeDone: make(chan struct{}),
-		shards:    cfg.Shards,
-		cutTick:   make([]atomic.Int64, cfg.Shards),
-		cutMu:     make([]sync.RWMutex, cfg.Shards),
-		met:       newSessionMetrics(cfg.Telemetry, info.Name, cfg.MaxWorkers, cfg.Shards, cfg.Live),
+		met:       newSessionMetrics(cfg.Telemetry, info.Name, cfg.MaxWorkers, cfg.Live),
 	}
 	if observable {
 		s.obsTM = obsTM
@@ -210,25 +197,15 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 		for i := range procs {
 			procs[i] = model.Proc(i + 1)
 		}
-		mcfg := monitor.Config{
+		mon, err := monitor.New(monitor.Config{
 			SegmentTxns: segTxns, TailWindow: cfg.LiveTailWindow, Procs: procs, Approx: true,
-			CheckerMetrics: s.met.checker,
-		}
-		if cfg.Shards > 1 {
-			// Mirror the session's contiguous shard assignment so the
-			// checker lanes line up with the cut groups (Proc is
-			// 1-based: worker p records as Proc p+1).
-			vars, shards, maxW := cfg.Vars, cfg.Shards, cfg.MaxWorkers
-			mcfg.Shards = shards
-			mcfg.VarShard = func(v model.TVar) int { return int(v) * shards / vars }
-			mcfg.ProcShard = func(p model.Proc) int { return (int(p) - 1) * shards / maxW }
-		}
-		mon, err := monitor.New(mcfg)
+			Telemetry: s.met.checker,
+		})
 		if err != nil {
 			return nil, err
 		}
 		s.live = &liveState{mon: mon, stop: make(chan struct{}), done: make(chan struct{})}
-		ropts := record.Options{
+		s.rec = record.NewWithOptions(cfg.MaxWorkers, record.Options{
 			CapacityHint:   recorderHint,
 			StreamCapacity: liveStreamCap,
 			Stop:           s.live.stop,
@@ -236,11 +213,7 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 			// per-process chunk rings recycle and allocation stays flat.
 			DropStreamed: !cfg.Record,
 			Metrics:      s.met.rec,
-		}
-		if cfg.Shards > 1 {
-			ropts.ShardOf = func(p model.Proc) int { return s.shardOfWorker(int(p) - 1) }
-		}
-		s.rec = record.NewWithOptions(cfg.MaxWorkers, ropts)
+		})
 		go s.runPump()
 	} else if cfg.Record {
 		s.rec = record.NewWithOptions(cfg.MaxWorkers, record.Options{
@@ -268,7 +241,7 @@ func (s *nativeSession) spawn(n int) {
 	base := int(s.admitted.Load())
 	for p := base; p < base+n; p++ {
 		w := &s.workers[p]
-		*w = nativeWorker{s: s, p: p, home: s.shardOfWorker(p)}
+		*w = nativeWorker{p: p}
 		w.fn = w.run
 		w.opts = native.RunOpts{Backoff: s.bo, Proc: p, Metrics: s.met.tx}
 		if s.rec != nil {
@@ -370,27 +343,18 @@ func (s *nativeSession) runInline(p int, j sessionJob) {
 // function gives the body, reused for every attempt. Whichever
 // goroutine holds the slot's busy flag owns it.
 type nativeWorker struct {
-	s    *nativeSession
 	p    int
-	home int // shard group
 	opts native.RunOpts
 	fn   func(native.Txn) error
 	body Body // the job being executed
 	tx   nativeTx
-	span spanTx // the handle on a sharded session
 }
 
 // run is one attempt of the job being executed: the engine body on the
 // worker's handle, with an abort handed back to the native retry loop.
 func (w *nativeWorker) run(tx native.Txn) error {
-	var h Tx = &w.tx
-	if w.s.shards > 1 {
-		w.span = spanTx{tx: tx, s: w.s, home: w.home}
-		h = &w.span
-	} else {
-		w.tx.tx = tx
-	}
-	if err := w.body(h); errors.Is(err, ErrAborted) {
+	w.tx.tx = tx
+	if err := w.body(&w.tx); errors.Is(err, ErrAborted) {
 		return native.ErrAborted
 	} else {
 		return err
@@ -452,14 +416,11 @@ func (s *nativeSession) runJob(w *nativeWorker, j sessionJob) {
 	}
 	if s.quiesce > 0 {
 		// One cut per QuiesceEvery completed transactions of every
-		// admitted worker in this worker's shard group — the batch
-		// barrier's cadence, driven by a shared group counter since
-		// workers are not in lockstep, and group-local so admission
-		// into one shard does not stretch the others' intervals.
-		k := w.home
-		interval := int64(s.quiesce) * int64(s.groupSize(k))
-		if interval > 0 && s.cutTick[k].Add(1)%interval == 0 {
-			s.forceCut(k)
+		// admitted worker — the batch barrier's cadence, driven by a
+		// shared counter since workers are not in lockstep.
+		interval := int64(s.quiesce) * int64(s.admitted.Load())
+		if s.cutTick.Add(1)%interval == 0 {
+			s.forceCut()
 		}
 	}
 	if j.done != nil {
@@ -485,9 +446,8 @@ func (s *nativeSession) execute(w *nativeWorker, body Body) error {
 		}
 	}
 	if s.quiesce > 0 {
-		mu := &s.cutMu[w.home]
-		mu.RLock()
-		defer mu.RUnlock()
+		s.cutMu.RLock()
+		defer s.cutMu.RUnlock()
 	}
 	var res error
 	w.body = body
@@ -500,92 +460,16 @@ func (s *nativeSession) execute(w *nativeWorker, body Body) error {
 	return res
 }
 
-// shardOfVar maps variable v to its shard: contiguous equal splits, so
-// a disjoint workload's per-process variable blocks align with whole
-// shards. Must agree with the VarShard the monitor was wired with.
-func (s *nativeSession) shardOfVar(v int) int { return v * s.shards / s.cfg.Vars }
-
-// shardOfWorker maps worker p to its shard group: contiguous blocks of
-// MaxWorkers/Shards workers, lining up with shardOfVar's split when
-// the worker and variable counts are proportional.
-func (s *nativeSession) shardOfWorker(p int) int { return p * s.shards / s.cfg.MaxWorkers }
-
-// groupSize is the number of admitted workers in shard group k. When
-// Workers < MaxWorkers the admitted prefix fills low groups first, so
-// trailing groups may be smaller (or empty, taking no cuts) until
-// AddWorkers grows into them.
-func (s *nativeSession) groupSize(k int) int {
-	g := s.cfg.MaxWorkers / s.shards
-	n := int(s.admitted.Load()) - k*g
-	if n > g {
-		n = g
-	}
-	if n < 0 {
-		n = 0
-	}
-	return n
-}
-
-// spanTx wraps a sharded session's per-attempt handle to notice the
-// first access outside the worker's home shard. From then on the
-// session's quiescent cuts go global: a shard-local pause can no
-// longer certify quiescence once transactions span shards. The checker
-// side stays sound either way (spanning transactions are merged across
-// lanes); the flag only decides how much the cuts pause.
-type spanTx struct {
-	tx   native.Txn
-	s    *nativeSession
-	home int
-	seen bool
-}
-
-func (t *spanTx) note(i int) {
-	if !t.seen && t.s.shardOfVar(i) != t.home {
-		t.seen = true
-		t.s.spanning.Store(true)
-	}
-}
-
-func (t *spanTx) Read(i int) (int64, error) {
-	t.note(i)
-	v, err := t.tx.Read(i)
-	if errors.Is(err, native.ErrAborted) {
-		return 0, ErrAborted
-	}
-	return v, err
-}
-
-func (t *spanTx) Write(i int, v int64) error {
-	t.note(i)
-	if err := t.tx.Write(i, v); errors.Is(err, native.ErrAborted) {
-		return ErrAborted
-	} else {
-		return err
-	}
-}
-
-// forceCut takes shard k's cut lock exclusively: new shard-k
-// transactions wait, in-flight ones finish, and the instant the lock
-// is held the recorded stream has a quiescent cut on that shard — the
-// streaming checker's flush point. After a spanning transaction the
-// cut degrades to a global pause: every shard's lock, swept in index
-// order, held together for one instant.
-func (s *nativeSession) forceCut(k int) {
+// forceCut takes the cut lock exclusively: new transactions wait,
+// in-flight ones finish, and the instant the lock is held the recorded
+// stream has a quiescent cut — the streaming checker's flush point.
+func (s *nativeSession) forceCut() {
 	start := time.Now()
-	if s.spanning.Load() {
-		for i := range s.cutMu {
-			s.cutMu[i].Lock()
-		}
-		for i := range s.cutMu {
-			s.cutMu[i].Unlock()
-		}
-	} else {
-		s.cutMu[k].Lock()
-		//lint:ignore SA2001 the empty critical section is the point:
-		// holding the lock exclusively for one instant is the cut.
-		s.cutMu[k].Unlock()
-	}
-	s.met.cutPause[k].Observe(time.Since(start).Nanoseconds())
+	s.cutMu.Lock()
+	//lint:ignore SA2001 the empty critical section is the point:
+	// holding the lock exclusively for one instant is the cut.
+	s.cutMu.Unlock()
+	s.met.cutPause.Observe(time.Since(start).Nanoseconds())
 }
 
 func (s *nativeSession) drain(ctx context.Context) error {
@@ -634,14 +518,7 @@ func (s *nativeSession) stats() SessionStats {
 		st.RecorderChunks = s.rec.Chunks()
 		st.Truncated = s.rec.Truncated()
 	}
-	st.Shards = s.shards
-	st.CutLatency = histCutStats(telemetry.Aggregate(s.met.cutPause...))
-	if s.shards > 1 {
-		st.ShardCuts = make([]CutStats, s.shards)
-		for k := range st.ShardCuts {
-			st.ShardCuts[k] = histCutStats(s.met.cutPause[k])
-		}
-	}
+	st.CutLatency = histCutStats(s.met.cutPause)
 	return st
 }
 

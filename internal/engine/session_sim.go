@@ -68,7 +68,7 @@ func openSimSession(name string, factory stm.Factory, cfg SessionConfig) (*simSe
 		sched:      sim.New(sim.NewSeeded(cfg.Seed)),
 		inflight:   make([]sessionJob, cfg.Workers),
 		dead:       make([]bool, cfg.Workers),
-		met:        newSessionMetrics(cfg.Telemetry, name, cfg.Workers, 1, false),
+		met:        newSessionMetrics(cfg.Telemetry, name, cfg.Workers, false),
 		driverDone: make(chan struct{}),
 		closeDone:  make(chan struct{}),
 	}

@@ -38,10 +38,10 @@ type sessionMetrics struct {
 	workers     *telemetry.Gauge
 	admissions  *telemetry.Counter
 
-	// cutPause is the per-shard quiescent-cut pause-latency histogram;
-	// it is the single sampling path behind SessionStats.CutLatency and
-	// ShardCuts (no separate reservoir).
-	cutPause []*telemetry.Histogram
+	// cutPause is the quiescent-cut pause-latency histogram; it is the
+	// single sampling path behind SessionStats.CutLatency (no separate
+	// reservoir).
+	cutPause *telemetry.Histogram
 
 	// execLat times whole submissions (queue exit to completion).
 	// Nil without a registry: skip the clock reads.
@@ -52,9 +52,10 @@ type sessionMetrics struct {
 	tx *native.TxMetrics
 
 	// rec and checker are handed to the recorder and the live checker
-	// at open time; nil leaves those layers on their bare defaults.
+	// at open time; nil (or unset instruments) leaves those layers on
+	// their bare defaults.
 	rec     *record.Metrics
-	checker *safety.CheckerMetrics
+	checker safety.LaneTelemetry
 
 	// Live-monitor gauges, synced from the pump's rebias tick. Nil
 	// without a registry.
@@ -66,19 +67,15 @@ type sessionMetrics struct {
 // newSessionMetrics resolves (or, with reg nil, fabricates bare
 // versions of) the session's instruments. algo is the engine name
 // labelling the transaction families; workers is the provisioned slot
-// count (MaxWorkers on the native substrate), shards the cut-group
-// count, live whether the monitor gauges and checker telemetry apply.
+// count (MaxWorkers on the native substrate), live whether the monitor gauges and checker telemetry apply.
 // The algo label is the engine registry's Info.Name — a finite,
 // compiled-in set of engine names, not client input; the telemetrylabel
 // classifier cannot prove that through the registry lookup, hence the
 // allowance.
 //
 //lint:allow(telemetrylabel) algo is engine.Info.Name from the fixed engine registry, a finite compiled-in set
-func newSessionMetrics(reg *telemetry.Registry, algo string, workers, shards int, live bool) *sessionMetrics {
-	m := &sessionMetrics{
-		commits:  make([]*telemetry.Counter, workers),
-		cutPause: make([]*telemetry.Histogram, shards),
-	}
+func newSessionMetrics(reg *telemetry.Registry, algo string, workers int, live bool) *sessionMetrics {
+	m := &sessionMetrics{commits: make([]*telemetry.Counter, workers)}
 	if reg == nil {
 		m.submitted = &telemetry.Counter{}
 		m.completed = &telemetry.Counter{}
@@ -92,9 +89,7 @@ func newSessionMetrics(reg *telemetry.Registry, algo string, workers, shards int
 		for i := range m.commits {
 			m.commits[i] = &telemetry.Counter{}
 		}
-		for k := range m.cutPause {
-			m.cutPause[k] = &telemetry.Histogram{}
-		}
+		m.cutPause = &telemetry.Histogram{}
 		return m
 	}
 	m.submitted = reg.Counter("livetm_session_submitted_total",
@@ -121,10 +116,8 @@ func newSessionMetrics(reg *telemetry.Registry, algo string, workers, shards int
 		m.commits[i] = reg.Counter("livetm_session_commits_total",
 			"Committed transactions per worker", "worker", strconv.Itoa(i))
 	}
-	for k := range m.cutPause {
-		m.cutPause[k] = reg.Histogram("livetm_cut_pause_ns",
-			"Quiescent-cut pause latency per shard, nanoseconds", "shard", strconv.Itoa(k))
-	}
+	m.cutPause = reg.Histogram("livetm_cut_pause_ns",
+		"Quiescent-cut pause latency, nanoseconds")
 	m.rec = &record.Metrics{
 		Events: reg.Counter("livetm_recorder_events_total",
 			"Events stamped into the per-process logs"),
@@ -136,12 +129,15 @@ func newSessionMetrics(reg *telemetry.Registry, algo string, workers, shards int
 			"Events the live stream lost after a stop muted a publisher"),
 	}
 	if live {
-		m.checker = &safety.CheckerMetrics{
-			Lanes: make([]safety.LaneTelemetry, shards),
-			Merge: checkerLane(reg, "merge"),
-		}
-		for k := range m.checker.Lanes {
-			m.checker.Lanes[k] = checkerLane(reg, strconv.Itoa(k))
+		m.checker = safety.LaneTelemetry{
+			Segments: reg.Counter("livetm_checker_segments_total",
+				"Segments the streaming checker verified"),
+			Forced: reg.Counter("livetm_checker_forced_total",
+				"Forced serialization frontiers"),
+			Relaxed: reg.Counter("livetm_checker_relaxed_total",
+				"Straddler reads waived"),
+			Buffered: reg.Gauge("livetm_checker_lane_lag",
+				"Buffered checker events (lag behind the producers)"),
 		}
 		m.class = reg.Gauge("livetm_monitor_liveness_class",
 			"Current liveness class of the run, strongest-first ordinal (0 none, 1 solo, 2 global, 3 2-progress, 4 local)")
@@ -156,19 +152,6 @@ func newSessionMetrics(reg *telemetry.Registry, algo string, workers, shards int
 		}
 	}
 	return m
-}
-
-func checkerLane(reg *telemetry.Registry, shard string) safety.LaneTelemetry {
-	return safety.LaneTelemetry{
-		Segments: reg.Counter("livetm_checker_segments_total",
-			"Segments the streaming checker verified per lane", "shard", shard),
-		Forced: reg.Counter("livetm_checker_forced_total",
-			"Forced serialization frontiers per lane", "shard", shard),
-		Relaxed: reg.Counter("livetm_checker_relaxed_total",
-			"Straddler reads waived per lane", "shard", shard),
-		Buffered: reg.Gauge("livetm_checker_lane_lag",
-			"Buffered events per lane (lag behind the producers)", "shard", shard),
-	}
 }
 
 // syncLive pushes the live monitor's current view into the gauges.

@@ -26,11 +26,11 @@
 //
 // lockorder — every sync.Mutex/RWMutex Lock (and RLock) must be
 // paired with an Unlock on all paths out of the function, either
-// deferred or on each return; and indexed lock slices (the engine's
-// per-shard cutMu pattern) must be acquired in ascending index order,
-// including inside loops — a descending sweep over a lock slice is an
-// ordering inversion against the ascending convention and deadlocks
-// under concurrent sweeps.
+// deferred or on each return; and indexed lock slices (a striped lock
+// table swept to take every stripe) must be acquired in ascending
+// index order, including inside loops — a descending sweep over a
+// lock slice is an ordering inversion against the ascending
+// convention and deadlocks under concurrent sweeps.
 //
 // wiresentinel — every exported Err* sentinel in internal/engine must
 // round-trip the wire: internal/server's CodeOf maps it to a stable

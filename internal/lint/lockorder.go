@@ -15,12 +15,12 @@ import (
 //     unlock on every path that leaves the function. A return
 //     reachable while a lock is held (and not deferred) is flagged,
 //     as is a function that locks a receiver it never unlocks.
-//  2. Ordering: elements of an indexed lock slice (the engine's
-//     per-shard cutMu) must be acquired in ascending index order —
-//     an ascending sweep is the repo-wide deadlock-avoidance
-//     protocol for the degraded all-shard cut. Locking constant
-//     indices out of order, or sweeping a lock slice with a
-//     descending loop, is flagged.
+//  2. Ordering: elements of an indexed lock slice (a striped lock
+//     table, say, swept to take every stripe) must be acquired in
+//     ascending index order — an ascending sweep is the repo-wide
+//     deadlock-avoidance protocol for taking several elements at
+//     once. Locking constant indices out of order, or sweeping a
+//     lock slice with a descending loop, is flagged.
 //
 // The analysis is function-local and syntactic on purpose: a helper
 // that intentionally returns with a lock held needs an explicit
@@ -36,8 +36,8 @@ func LockOrder() *Analyzer {
 
 // lockCall is one (R)Lock/(R)Unlock call on a sync mutex.
 type lockCall struct {
-	key     string // normalized receiver ("s.cutMu[#]", "mu")
-	base    string // slice base for indexed receivers ("s.cutMu"), "" otherwise
+	key     string // normalized receiver ("s.stripes[#]", "mu")
+	base    string // slice base for indexed receivers ("s.stripes"), "" otherwise
 	index   ast.Expr
 	read    bool // RLock/RUnlock
 	acquire bool // Lock/RLock

@@ -16,7 +16,7 @@ import (
 // accepted when it provably derives from a finite source:
 //
 //   - string literals and named constants;
-//   - strconv formatting of numeric/bool values (worker and shard
+//   - strconv formatting of numeric/bool values (worker and process
 //     indices are bounded by configuration);
 //   - fmt.Sprintf over a literal format whose string arguments are
 //     themselves finite;

@@ -76,7 +76,7 @@ func descendingSweep(s *shards) {
 	}
 }
 
-// ascendingSweep is the repo's degraded all-shard cut protocol.
+// ascendingSweep takes every element in index order: the convention.
 func ascendingSweep(s *shards) {
 	for i := range s.mu {
 		s.mu[i].Lock()

@@ -4,6 +4,9 @@ import (
 	"bytes"
 	"context"
 	"net/http/httptest"
+	"os"
+	"path/filepath"
+	"strings"
 	"testing"
 	"time"
 
@@ -169,6 +172,55 @@ func TestRunRampAddsWorkers(t *testing.T) {
 	}
 	if w := sess.Stats().Workers; w != 4 {
 		t.Fatalf("workers after ramp = %d, want 4", w)
+	}
+}
+
+// TestLoadStrict: Load refuses keys the schema does not have — a stale
+// "shards" session key or a misspelling would otherwise run a different
+// session than the file describes — and every committed scenario file
+// still loads.
+func TestLoadStrict(t *testing.T) {
+	const base = `"name": "strict", "arrival": {"process": "poisson", "rate": 10},
+		"mix": [{"cell": "update/hot/shared", "weight": 1}],
+		"phases": [{"name": "steady", "duration": "1s"}]`
+	type row struct {
+		name, path string
+		ok         bool
+	}
+	dir := t.TempDir()
+	var rows []row
+	for _, c := range []struct {
+		name, body string
+		ok         bool
+	}{
+		{"known keys", `{` + base + `, "session": {"engine": "native-tl2", "workers": 2, "vars": 4}}`, true},
+		{"shards key", `{` + base + `, "session": {"engine": "native-tl2", "workers": 2, "vars": 4, "shards": 4}}`, false},
+		{"misspelled key", `{` + base + `, "retires": 3}`, false},
+		{"trailing data", `{` + base + `} {}`, false},
+	} {
+		path := filepath.Join(dir, c.name+".json")
+		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
+			t.Fatal(err)
+		}
+		rows = append(rows, row{c.name, path, c.ok})
+	}
+	committed, err := filepath.Glob(filepath.Join("..", "..", "scenarios", "*.json"))
+	if err != nil || len(committed) == 0 {
+		t.Fatalf("no committed scenarios found (%v)", err)
+	}
+	for _, path := range committed {
+		rows = append(rows, row{filepath.Base(path), path, true})
+	}
+	for _, r := range rows {
+		t.Run(r.name, func(t *testing.T) {
+			_, _, err := Load(r.path)
+			if r.ok && err != nil {
+				t.Fatalf("rejected: %v", err)
+			}
+			if !r.ok && (err == nil || !strings.Contains(err.Error(), "parse")) {
+				t.Fatalf("err = %v, want a parse error", err)
+			}
+		})
 	}
 }
 

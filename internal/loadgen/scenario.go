@@ -1,10 +1,12 @@
 package loadgen
 
 import (
+	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
 	"fmt"
+	"io"
 	"os"
 	"strings"
 	"time"
@@ -149,11 +151,12 @@ type SessionSpec struct {
 	Vars       int    `json:"vars"`
 	MaxQueue   int    `json:"max_queue,omitempty"`
 	Live       bool   `json:"live,omitempty"`
-	Shards     int    `json:"shards,omitempty"`
 }
 
 // Load reads, hashes, parses and validates a scenario file. The hash
-// (sha256 of the raw bytes) stamps the artifact's provenance.
+// (sha256 of the raw bytes) stamps the artifact's provenance. Parsing
+// is strict: an unknown (misspelled, or no longer supported) key is an
+// error, not a silently different run from the one the file describes.
 func Load(path string) (*Scenario, string, error) {
 	raw, err := os.ReadFile(path)
 	if err != nil {
@@ -161,8 +164,13 @@ func Load(path string) (*Scenario, string, error) {
 	}
 	sum := sha256.Sum256(raw)
 	var sc Scenario
-	if err := json.Unmarshal(raw, &sc); err != nil {
+	dec := json.NewDecoder(bytes.NewReader(raw))
+	dec.DisallowUnknownFields()
+	if err := dec.Decode(&sc); err != nil {
 		return nil, "", fmt.Errorf("loadgen: parse %s: %w", path, err)
+	}
+	if _, err := dec.Token(); err != io.EOF {
+		return nil, "", fmt.Errorf("loadgen: parse %s: trailing data after the scenario object", path)
 	}
 	if err := sc.Validate(); err != nil {
 		return nil, "", fmt.Errorf("loadgen: %s: %w", path, err)

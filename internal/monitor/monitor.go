@@ -55,24 +55,12 @@ type Config struct {
 	// starvation-interval distribution can be reported. Off by default:
 	// a long run would retain one int per commit.
 	RecordGaps bool
-	// Shards fans the streaming opacity check out over a partition of
-	// the keyspace: one checker lane per shard, merged across shards
-	// only for spanning transactions (safety.ShardedChecker). 0 or 1
-	// keeps the single StreamChecker.
-	Shards int
-	// VarShard assigns each variable to a shard in [0, Shards).
-	// Required when Shards > 1.
-	VarShard func(model.TVar) int
-	// ProcShard assigns each process's home shard, used for
-	// transactions that complete without an operation. Nil means
-	// shard 0.
-	ProcShard func(model.Proc) int
-	// CheckerMetrics, when non-nil, wires live telemetry through the
-	// streaming checker: per-lane segment/forced/relaxed counters and
-	// backlog gauges that a scraper can read mid-run without touching
-	// checker-owned state. A single-checker monitor uses Lanes[0]. Nil
-	// leaves the checker on bare instruments (no registry, same cost).
-	CheckerMetrics *safety.CheckerMetrics
+	// Telemetry wires live instruments through the streaming checker:
+	// segment, forced-frontier and waived-read counters and a backlog
+	// gauge that a scraper can read mid-run without touching
+	// checker-owned state. Unset instruments stay bare (no registry,
+	// same cost).
+	Telemetry safety.LaneTelemetry
 }
 
 func (c Config) withDefaults() Config {
@@ -125,19 +113,11 @@ func (p *ProcProgress) starvation(now int) int {
 	return p.MaxStarvation
 }
 
-// streamChecker is the slice of the streaming checkers the monitor
-// drives: the single safety.StreamChecker or the fanned-out
-// safety.ShardedChecker.
-type streamChecker interface {
-	Feed(model.Event) error
-	Finish() (safety.SegmentedResult, error)
-}
-
 // Monitor consumes events incrementally. Not safe for concurrent use;
 // feed it from one goroutine (histories are totally ordered anyway).
 type Monitor struct {
 	cfg     Config
-	checker streamChecker
+	checker *safety.StreamChecker
 	events  int
 	procs   map[model.Proc]*ProcProgress
 	order   []model.Proc  // the keys of procs, ascending
@@ -159,33 +139,14 @@ var lattice = []liveness.Property{
 // New creates a monitor.
 func New(cfg Config) (*Monitor, error) {
 	cfg = cfg.withDefaults()
-	var checker streamChecker
-	if cfg.Shards > 1 {
-		sc, err := safety.NewShardedChecker(safety.ShardConfig{
-			Shards:      cfg.Shards,
-			SegmentTxns: cfg.SegmentTxns,
-			VarShard:    cfg.VarShard,
-			ProcShard:   cfg.ProcShard,
-			Approx:      cfg.Approx,
-			Metrics:     cfg.CheckerMetrics,
-		})
-		if err != nil {
-			return nil, err
-		}
-		checker = sc
-	} else {
-		sc, err := safety.NewStreamChecker(cfg.SegmentTxns)
-		if err != nil {
-			return nil, err
-		}
-		if cfg.Approx {
-			sc.WithApproxFallback()
-		}
-		if cm := cfg.CheckerMetrics; cm != nil && len(cm.Lanes) > 0 {
-			sc.WithTelemetry(cm.Lanes[0])
-		}
-		checker = sc
+	checker, err := safety.NewStreamChecker(cfg.SegmentTxns)
+	if err != nil {
+		return nil, err
 	}
+	if cfg.Approx {
+		checker.WithApproxFallback()
+	}
+	checker.WithTelemetry(cfg.Telemetry)
 	m := &Monitor{
 		cfg:     cfg,
 		checker: checker,
@@ -336,14 +297,6 @@ type Report struct {
 	// history was malformed, with the reason in Opacity.Reason.
 	Checked bool
 	Opacity safety.SegmentedResult
-	// Shards is the number of checker lanes the opacity verdict was
-	// computed with (1 = the single streaming checker).
-	Shards int
-	// ShardSegments is the number of segments each checker lane
-	// verified on its own when Shards > 1 (cross-shard merged segments
-	// are counted in Opacity.Segments but attributed to no lane); nil
-	// on a single-checker monitor.
-	ShardSegments []int
 	// Procs holds per-process accounting, sorted by process id.
 	Procs []ProcReport
 	// Verdicts evaluates the liveness lattice on the lasso reading of
@@ -393,9 +346,6 @@ func (r Report) Format() string {
 		opaque = strconv.FormatBool(r.Opacity.Holds)
 	}
 	fmt.Fprintf(&b, "events=%d segments=%d opaque=%s", r.Events, r.Opacity.Segments, opaque)
-	if r.Shards > 1 {
-		fmt.Fprintf(&b, " shards=%d", r.Shards)
-	}
 	if r.Opacity.Approx {
 		fmt.Fprintf(&b, " (approximate: %d forced frontiers)", r.Opacity.ForcedCuts)
 		if r.Opacity.RelaxedStraddlers > 0 {
@@ -422,20 +372,13 @@ func (r Report) Format() string {
 // against the liveness lattice. It is terminal for the safety half:
 // the monitor must not be fed afterwards.
 func (m *Monitor) Report() Report {
-	r := Report{Events: m.events, Shards: 1}
-	if m.cfg.Shards > 1 {
-		r.Shards = m.cfg.Shards
-	}
+	r := Report{Events: m.events}
 
 	switch {
 	case m.safeErr != nil && errors.Is(m.safeErr, safety.ErrStreamNotOpaque):
 		res, _ := m.checker.Finish()
 		r.Checked, r.Opacity = true, res
 	case m.safeErr != nil:
-		// Still finish the checker: sharded lanes run worker
-		// goroutines that must stop and drain before their counters
-		// are read. The terminal error stays the reason.
-		_, _ = m.checker.Finish()
 		r.Opacity.Reason = m.safeErr.Error()
 	default:
 		res, err := m.checker.Finish()
@@ -445,12 +388,6 @@ func (m *Monitor) Report() Report {
 			r.Checked, r.Opacity = true, res
 		}
 	}
-	if sc, ok := m.checker.(*safety.ShardedChecker); ok {
-		// Finish ran above (every branch), so the lane counters are
-		// final and safe to read.
-		r.ShardSegments = sc.PerShardSegments()
-	}
-
 	lasso := m.lasso()
 	for _, p := range m.order {
 		pp := *m.procs[p]

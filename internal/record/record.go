@@ -74,16 +74,10 @@ type stamped struct {
 // Streamed is one stamped event published on the live stream. Seq is
 // the event's position in the recorded total order (1-based,
 // contiguous across processes), which the consumer uses to restore
-// that order from the channel's slightly reordered arrivals. Shard is
-// the producing process's home shard (0 on an unsharded recorder) —
-// producer-side accounting a sharded consumer can use to pre-route
-// batches without parsing the event; the opacity checker itself
-// routes by variable, so the tag is advisory for events whose
-// transaction spans shards.
+// that order from the channel's slightly reordered arrivals.
 type Streamed struct {
-	Seq   uint64
-	Shard int
-	Ev    model.Event
+	Seq uint64
+	Ev  model.Event
 }
 
 // streamBatch is how many events one stream send carries at most.
@@ -113,10 +107,6 @@ type Options struct {
 	// History returns nil and steady-state allocation is capped at the
 	// chunk ring. Only meaningful with StreamCapacity set.
 	DropStreamed bool
-	// ShardOf, when set, tags every published Streamed event with the
-	// producing process's home shard (see Streamed.Shard). Nil leaves
-	// the tag 0.
-	ShardOf func(p model.Proc) int
 	// Metrics, when non-nil, receives the recorder's telemetry. All
 	// fields must be set; a nil Metrics records into bare (unregistered)
 	// instruments at identical cost, so the hot path has no nil checks.
@@ -200,9 +190,6 @@ func NewWithOptions(procs int, o Options) *Recorder {
 			proc: model.Proc(i + 1),
 			max:  MaxEventsPerProc,
 			drop: o.DropStreamed && r.stream != nil,
-		}
-		if o.ShardOf != nil {
-			l.shard = o.ShardOf(l.proc)
 		}
 		l.cur = l.newChunk(hint)
 		r.logs[i] = l
@@ -333,7 +320,6 @@ type ProcLog struct {
 	full  bool        // hit the cap; recording stopped
 	drop  bool        // recycle filled chunks instead of retaining them
 	mute  bool        // stop fired during a publish; no further sends
-	shard int         // home shard stamped on streamed events
 	batch []Streamed  // events stamped but not yet published
 }
 
@@ -401,7 +387,7 @@ func (l *ProcLog) publish(s stamped) {
 	if l.batch == nil {
 		l.batch = l.rec.newBatch()
 	}
-	l.batch = append(l.batch, Streamed{Seq: s.seq, Shard: l.shard, Ev: s.ev})
+	l.batch = append(l.batch, Streamed{Seq: s.seq, Ev: s.ev})
 	if len(l.batch) == cap(l.batch) || s.ev.Kind == model.RespCommit || s.ev.Kind == model.RespAbort {
 		l.flushStream()
 	}

@@ -10,9 +10,8 @@ import (
 // The exact search behind every segment check: which committed
 // snapshots can a segment's transactions leave behind, serialized
 // legally and in real-time order from one of the feasible start
-// snapshots? StreamChecker, every ShardedChecker lane and merge, and
-// CheckOpacitySegmented each own a finalsKernel and ask it through its
-// feasibleFinals method.
+// snapshots? StreamChecker and CheckOpacitySegmented each own a
+// finalsKernel and ask it through its feasibleFinals method.
 //
 // The segment is compiled once: its variables get dense segment-local
 // indices (those some transaction may commit a write to come first, so

@@ -37,26 +37,3 @@ func (t LaneTelemetry) orBare() LaneTelemetry {
 	}
 	return t
 }
-
-// CheckerMetrics bundles the lane telemetry of a sharded checker:
-// one LaneTelemetry per shard plus one for the cross-shard merge pass
-// (whose Buffered gauge is unused — merges run on borrowed lane
-// buffers). A single StreamChecker uses Lanes[0].
-type CheckerMetrics struct {
-	Lanes []LaneTelemetry
-	Merge LaneTelemetry
-}
-
-func (m *CheckerMetrics) lane(i int) LaneTelemetry {
-	if m != nil && i < len(m.Lanes) {
-		return m.Lanes[i].orBare()
-	}
-	return LaneTelemetry{}.orBare()
-}
-
-func (m *CheckerMetrics) merge() LaneTelemetry {
-	if m != nil {
-		return m.Merge.orBare()
-	}
-	return LaneTelemetry{}.orBare()
-}

@@ -11,10 +11,9 @@
 // extensions of the real-time partial order with incremental legality
 // pruning and memoization on (placed-set, committed-state) pairs, and
 // return the serialization they found or the deepest obstacle. The
-// segment checkers — CheckOpacitySegmented, StreamChecker and
-// ShardedChecker — need more than a witness, because different
-// witnesses of one segment may leave different committed snapshots to
-// the next: they all call one kernel (kernel.go) that returns every
+// segment checkers — CheckOpacitySegmented and StreamChecker — need
+// more than a witness, because different witnesses of one segment may
+// leave different committed snapshots to the next: they both call one kernel (kernel.go) that returns every
 // feasible final snapshot. It compiles the segment to flat slabs and
 // bit masks, searches by apply/undo on one value slice with an
 // exact-keyed memo, reuses the checker's scratch from segment to segment, and
@@ -284,11 +283,10 @@ func (s *searcher) reason() string {
 // memoKey canonically encodes a search state. Only committed writes are
 // in the snapshot, so two prefixes with the same placed set and the
 // same resulting state are interchangeable. The witness search keys its
-// memo with it at every node and the sharded checker its projected
-// snapshot sets (the segment search in kernel.go has its own exact
-// table and never builds a string), hence the hand-rolled formatting:
-// insertion sort over the handful of touched variables and strconv
-// appends, no fmt machinery.
+// memo with it at every node (the segment search in kernel.go has its
+// own exact table and never builds a string), hence the hand-rolled
+// formatting: insertion sort over the handful of touched variables and
+// strconv appends, no fmt machinery.
 func memoKey(placed uint64, state model.Snapshot) string {
 	vars := make([]model.TVar, 0, len(state))
 	for x := range state {

@@ -33,6 +33,9 @@ func TestStreamAgreesOnFigures(t *testing.T) {
 		{"fig3", fig3(), false},
 		{"fig4", fig4(), false},
 		{"fig8", figAlg1Termination(0), false},
+		// Each variable's value sequence is innocent; only the joint
+		// snapshot p2 read is unreachable.
+		{"crossvariable", ViolatingStream(StreamGenConfig{Increments: 6, StaleDepth: 2, CrossVariable: true}), false},
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
@@ -414,5 +417,229 @@ func TestStreamStraddlerFalseAlarm(t *testing.T) {
 	}
 	if res.RelaxedStraddlers == 0 {
 		t.Fatalf("the waiver must be reported: %+v", res)
+	}
+}
+
+// The TestSharded* cases below keep the obligations the keyspace-
+// sharded router in front of the checker was held to. The router is
+// gone; each case now holds the single streaming checker, with the
+// forced-frontier fallback on as a live session runs it, to the same
+// verdicts.
+
+// TestShardedAgreesOnFigures: with the fallback on, the checker still
+// reproduces the paper-figure verdicts; a violation may only be
+// reported approximately, never lost.
+func TestShardedAgreesOnFigures(t *testing.T) {
+	tests := []struct {
+		name string
+		h    model.History
+		want bool
+	}{
+		{"fig1", fig1(), true},
+		{"fig3", fig3(), false},
+		{"fig4", fig4(), false},
+		{"fig8", figAlg1Termination(0), false},
+	}
+	for _, tt := range tests {
+		t.Run(tt.name, func(t *testing.T) {
+			c, err := NewStreamChecker(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.WithApproxFallback()
+			var feedErr error
+			for _, e := range tt.h {
+				if feedErr = c.Feed(e); feedErr != nil {
+					break
+				}
+			}
+			if feedErr != nil && !errors.Is(feedErr, ErrStreamNotOpaque) {
+				t.Fatal(feedErr)
+			}
+			res, err := c.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if res.Holds != tt.want {
+				t.Errorf("approx stream = %v (%s), want %v", res.Holds, res.Reason, tt.want)
+			}
+		})
+	}
+}
+
+// Property: with the fallback on, at every segment budget, a reported
+// violation is always real and an exact "holds" is always right. An
+// approximate "holds" may hide a violation (that is what Approx
+// declares), never invent one.
+func TestShardedNeverFlipsVerdict(t *testing.T) {
+	for _, budget := range []int{2, 4, 8} {
+		f := func(raw []uint8) bool {
+			h := genHistory(raw)
+			mono, err := CheckOpacity(h)
+			if err != nil {
+				return true
+			}
+			c, err := NewStreamChecker(budget)
+			if err != nil {
+				return false
+			}
+			c.WithApproxFallback()
+			var streamErr error
+			for _, e := range h {
+				if streamErr = c.Feed(e); streamErr != nil {
+					break
+				}
+			}
+			res, ferr := c.Finish()
+			switch {
+			case errors.Is(streamErr, ErrStreamNotOpaque):
+				return !mono.Holds
+			case streamErr != nil, ferr != nil:
+				return false
+			case !res.Holds:
+				return !mono.Holds
+			default:
+				return res.Approx || mono.Holds
+			}
+		}
+		if err := quick.Check(f, &quick.Config{MaxCount: 300}); err != nil {
+			t.Errorf("budget %d: %v", budget, err)
+		}
+	}
+}
+
+// TestShardedDetectsLocalViolation: a violation on one variable
+// surfaces even while a straddler on another variable keeps the stream
+// from ever quiescing until its very end.
+func TestShardedDetectsLocalViolation(t *testing.T) {
+	b := model.NewBuilder()
+	b.Raw(model.Read(3, 1), model.ValueResp(3, 0)) // straddler on y
+	for i := 0; i < 6; i++ {
+		b.Read(1, 0, model.Value(i)).Write(1, 0, model.Value(i+1)).Commit(1)
+	}
+	b.Read(2, 0, 99).Commit(2) // unexplained value of x
+	b.Raw(model.TryCommit(3), model.Commit(3))
+	for _, budget := range []int{3, 8} {
+		c, err := NewStreamChecker(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.WithApproxFallback()
+		var feedErr error
+		for _, e := range b.History() {
+			if feedErr = c.Feed(e); feedErr != nil {
+				break
+			}
+		}
+		if feedErr != nil && !errors.Is(feedErr, ErrStreamNotOpaque) {
+			t.Fatalf("budget %d: %v", budget, feedErr)
+		}
+		res, err := c.Finish()
+		if err != nil {
+			t.Fatalf("budget %d: %v", budget, err)
+		}
+		if res.Holds {
+			t.Fatalf("budget %d: violation lost: %+v", budget, res)
+		}
+	}
+}
+
+// TestShardedViolatingStreamSweep: on every ViolatingStream variant
+// and budget, the fallback checker never accepts a violating stream
+// exactly — it rejects, or holds only under an explicit approximation
+// (the straddler-waiver miss window).
+func TestShardedViolatingStreamSweep(t *testing.T) {
+	cfgs := []StreamGenConfig{
+		{Increments: 6, StaleDepth: 1},
+		{Increments: 6, StaleDepth: 3, OpenReader: true},
+		{Increments: 6, StaleDepth: 1, StraddlerViolation: true},
+		{Increments: 6, StaleDepth: 2, CrossVariable: true},
+	}
+	for _, gen := range cfgs {
+		h := ViolatingStream(gen)
+		for _, budget := range []int{3, 8, 63} {
+			c, err := NewStreamChecker(budget)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.WithApproxFallback()
+			var streamErr error
+			for _, e := range h {
+				if streamErr = c.Feed(e); streamErr != nil {
+					break
+				}
+			}
+			if streamErr != nil && !errors.Is(streamErr, ErrStreamNotOpaque) {
+				t.Fatalf("%+v budget %d: %v", gen, budget, streamErr)
+			}
+			res, err := c.Finish()
+			if err != nil {
+				t.Fatalf("%+v budget %d: %v", gen, budget, err)
+			}
+			if res.Holds && !res.Approx {
+				t.Errorf("%+v budget %d: violating stream accepted exactly: %+v", gen, budget, res)
+			}
+		}
+	}
+}
+
+// TestShardedStraddlerFalseAlarm: the genuinely opaque two-straddler
+// history holds at every budget small enough to force frontiers, and
+// each such verdict reports its waivers.
+func TestShardedStraddlerFalseAlarm(t *testing.T) {
+	b := model.NewBuilder()
+	b.Raw(model.Read(3, 0), model.ValueResp(3, 0))
+	b.Read(1, 0, 0).Write(1, 0, 1).Commit(1)
+	b.Raw(model.Read(4, 0), model.ValueResp(4, 1))
+	for i := 1; i < 9; i++ {
+		b.Read(1, 0, model.Value(i)).Write(1, 0, model.Value(i+1)).Commit(1)
+	}
+	b.Raw(model.TryCommit(3), model.Commit(3))
+	b.Raw(model.TryCommit(4), model.Commit(4))
+	for _, budget := range []int{3, 4, 6} {
+		c, err := NewStreamChecker(budget)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c.WithApproxFallback()
+		for i, e := range b.History() {
+			if err := c.Feed(e); err != nil {
+				t.Fatalf("budget %d: false alarm at event %d: %v", budget, i, err)
+			}
+		}
+		res, err := c.Finish()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !res.Holds {
+			t.Fatalf("budget %d: opaque two-straddler stream judged violating: %s", budget, res.Reason)
+		}
+		if !res.Approx || res.ForcedCuts == 0 || res.RelaxedStraddlers == 0 {
+			t.Fatalf("budget %d: waivers must be reported: %+v", budget, res)
+		}
+	}
+}
+
+// TestShardedValidation covers the constructor's contract with the
+// fallback on: the budget bounds still apply, an empty stream holds
+// exactly, and a finished checker takes no more events.
+func TestShardedValidation(t *testing.T) {
+	if _, err := NewStreamChecker(-1); err == nil {
+		t.Error("negative budget must be rejected")
+	}
+	if _, err := NewStreamChecker(65); !errors.Is(err, ErrTooManyTransactions) {
+		t.Errorf("budget 65: err = %v, want ErrTooManyTransactions", err)
+	}
+	c, err := NewStreamChecker(4)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.WithApproxFallback()
+	res, err := c.Finish()
+	if err != nil || !res.Holds || res.Approx {
+		t.Errorf("empty stream must hold exactly: %+v, %v", res, err)
+	}
+	if err := c.Feed(model.Commit(1)); err == nil {
+		t.Error("Feed after Finish must error")
 	}
 }

@@ -33,18 +33,15 @@ type StreamGenConfig struct {
 	// frontier (see StreamChecker), trading exactly this detection for
 	// false-alarm freedom.
 	StraddlerViolation bool
-	// CrossShard plants the violation across a variable boundary:
-	// every increment writes x and y together, and p2's read set pairs
-	// a fresh x = Increments with a stale y = Increments−StaleDepth.
-	// No reachable snapshot has that combination, but each variable's
-	// own value sequence is innocent — under a sharded checker that
-	// puts x and y in different shards, no single shard's projection
-	// contains the evidence and only the cross-shard merge pass can
-	// reject (see ShardedChecker). The straddler reads z, a third
-	// variable, so its shard placement (not the spanning increments)
-	// decides which lanes stay cut-starved. OpenReader and
-	// StraddlerViolation are ignored with CrossShard.
-	CrossShard bool
+	// CrossVariable plants the violation across two variables: every
+	// increment writes x and y together, and p2's read set pairs a
+	// fresh x = Increments with a stale y = Increments−StaleDepth. No
+	// reachable snapshot has that combination, yet each variable's own
+	// value sequence is innocent, so only a check over the joint state
+	// rejects. The straddler reads z, a third variable, and keeps the
+	// stream cut-starved. OpenReader and StraddlerViolation are ignored
+	// with CrossVariable.
+	CrossVariable bool
 }
 
 // ViolatingStream builds a well-formed history that is not opaque and
@@ -88,7 +85,7 @@ func ViolatingStream(cfg StreamGenConfig) model.History {
 	if d > k {
 		d = k
 	}
-	if cfg.CrossShard {
+	if cfg.CrossVariable {
 		inc := func(h model.History, i int) model.History {
 			v := model.Value(i)
 			return h.Append(
@@ -106,8 +103,7 @@ func ViolatingStream(cfg StreamGenConfig) model.History {
 		}
 		// p2 opens with the then-current y, stays open across the last
 		// StaleDepth increments, and pairs it with a fresh x: each read
-		// is individually current at some overlapping moment — both
-		// shard projections serialize p2 legally on their own — but no
+		// is individually current at some overlapping moment, but no
 		// reachable snapshot has x = k and y = k−d together.
 		h = h.Append(model.Read(2, y), model.ValueResp(2, model.Value(k-d)))
 		for i := k - d; i < k; i++ {

@@ -38,6 +38,7 @@ var shapeVariants = []struct {
 	{"plain", func(*StreamGenConfig) {}},
 	{"openreader", func(c *StreamGenConfig) { c.OpenReader = true }},
 	{"straddler", func(c *StreamGenConfig) { c.StraddlerViolation = true }},
+	{"crossvariable", func(c *StreamGenConfig) { c.CrossVariable = true }},
 }
 
 // TestViolatingStreamShape: the generator's output is well-formed,

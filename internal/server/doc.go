@@ -74,7 +74,7 @@
 // # Interactive transactions and cuts
 //
 // An interactive transaction parks a worker inside its transaction
-// body between ops, holding its shard's quiescent-cut lock the whole
+// body between ops, holding the session's quiescent-cut lock the whole
 // time, so a live session serving interactive clients should disable
 // quiescent cuts (SessionConfig.QuiesceEvery = -1); the monitor's
 // liveness accounting and approximate opacity fallback carry the

@@ -131,7 +131,6 @@ type InfoResponse struct {
 	Engine  string `json:"engine"`
 	Workers int    `json:"workers"`
 	Vars    int    `json:"vars"`
-	Shards  int    `json:"shards,omitempty"`
 	Live    bool   `json:"live"`
 }
 

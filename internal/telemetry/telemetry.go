@@ -165,26 +165,6 @@ func (h *Histogram) Quantile(q float64) int64 {
 	return int64(bucketUpper(histBuckets - 1))
 }
 
-// Aggregate folds the given histograms bucket-by-bucket into a fresh
-// unregistered histogram, so a whole-system distribution can be read
-// off per-shard instruments without double-registering any series.
-// Nil inputs are skipped; buckets are loaded individually, so the
-// result is a consistent lower bound of any later snapshot.
-func Aggregate(hs ...*Histogram) *Histogram {
-	out := &Histogram{}
-	for _, h := range hs {
-		if h == nil {
-			continue
-		}
-		for i := range h.buckets {
-			if n := h.buckets[i].Load(); n > 0 {
-				out.buckets[i].Add(n)
-			}
-		}
-	}
-	return out
-}
-
 // sumApprox estimates the sum of observed samples from bucket
 // midpoints (exact for the unit buckets 0..7).
 func (h *Histogram) sumApprox() float64 {

@@ -9,8 +9,8 @@ import (
 
 // TestRunMatrixLive: native cells run under the in-process monitor —
 // verdicts come from the live checker, every cell carries a liveness
-// class, a backoff cap and an overhead ratio — while simulated cells
-// ride along unaffected.
+// class, a backoff cap, an overhead ratio and its quiescent-cut
+// summary — while simulated cells ride along unaffected.
 func TestRunMatrixLive(t *testing.T) {
 	var engines []engine.Engine
 	for _, name := range []string{"sim-tl2", "native-tl2", "native-dstm"} {
@@ -48,6 +48,9 @@ func TestRunMatrixLive(t *testing.T) {
 		}
 		if r.RecorderOverhead <= 0 {
 			t.Errorf("%s/%s: overhead ratio missing", r.Engine, r.Workload)
+		}
+		if r.Cuts == 0 || r.CutP50ns > r.CutP99ns {
+			t.Errorf("%s/%s: cut summary %d cuts, p50 %dns, p99 %dns", r.Engine, r.Workload, r.Cuts, r.CutP50ns, r.CutP99ns)
 		}
 	}
 	table := FormatResults(results)

@@ -200,33 +200,12 @@ type Result struct {
 	// BackoffCap is the native retry loop's spin-shift ceiling for the
 	// cell — the dynamic range starvation-aware backoff operated in.
 	BackoffCap int `json:"backoff_cap,omitempty"`
-	// Shards is the cell's keyspace-shard count (0 or 1 = unsharded):
-	// per-shard quiescent cuts in the session and one streaming-checker
-	// lane per shard in the live monitor.
-	Shards int `json:"shards,omitempty"`
 	// Cuts, CutP50ns and CutP99ns summarize the cell's quiescent-cut
-	// pauses across all shards: how many cuts were forced and the
-	// pause-latency percentiles in nanoseconds.
+	// pauses: how many cuts were forced and the pause-latency
+	// percentiles in nanoseconds.
 	Cuts     uint64 `json:"cuts,omitempty"`
 	CutP50ns int64  `json:"cut_p50_ns,omitempty"`
 	CutP99ns int64  `json:"cut_p99_ns,omitempty"`
-	// PerShard breaks cut latency and checked segments down by shard on
-	// a sharded cell.
-	PerShard []ShardResult `json:"per_shard,omitempty"`
-}
-
-// ShardResult is one shard's slice of a sharded cell.
-type ShardResult struct {
-	Shard int `json:"shard"`
-	// Cuts, CutP50ns and CutP99ns are the shard's quiescent-cut count
-	// and pause-latency percentiles.
-	Cuts     uint64 `json:"cuts"`
-	CutP50ns int64  `json:"cut_p50_ns"`
-	CutP99ns int64  `json:"cut_p99_ns"`
-	// Segments is how many stream segments the shard's checker lane
-	// verified on its own (live cells only; cross-shard merged segments
-	// are attributed to no lane).
-	Segments int `json:"segments,omitempty"`
 }
 
 // Options selects the optional record/check path of a matrix run.
@@ -259,13 +238,6 @@ type Options struct {
 	// rerun with recording and monitoring off and the elapsed-time
 	// ratio lands in Result.RecorderOverhead.
 	Overhead bool
-	// Shards sweeps each native recorded/live cell over these keyspace-
-	// shard counts (see engine.RunConfig.Shards). 1 is the unsharded
-	// baseline; counts that do not fit a cell (not dividing its process
-	// count, or exceeding its processes or variables) are skipped for
-	// that cell, so one sweep can cover a heterogeneous matrix. Empty
-	// means unsharded only.
-	Shards []int
 }
 
 func (o Options) withDefaults() Options {
@@ -326,30 +298,17 @@ func RunMatrixOptions(engines []engine.Engine, specs []Spec, budget Budget, opts
 					cfg.QuiesceEvery = opts.QuiesceEvery
 				}
 			}
-			shardCounts := opts.Shards
-			if len(shardCounts) == 0 {
-				shardCounts = []int{1}
+			r, err := runCell(e, caps, spec, cfg, opts, live, len(out))
+			if err != nil {
+				return out, err
 			}
-			for _, shards := range shardCounts {
-				if shards > 1 && (caps.Substrate != engine.Native ||
-					!(cfg.Record || cfg.Live) ||
-					shards&(shards-1) != 0 ||
-					spec.Procs%shards != 0 || shards > spec.Procs || shards > spec.Vars) {
-					continue // the count does not fit this cell
-				}
-				cfg.Shards = shards
-				r, err := runCell(e, caps, spec, cfg, opts, live, len(out))
-				if err != nil {
-					return out, err
-				}
-				out = append(out, r)
-			}
+			out = append(out, r)
 		}
 	}
 	return out, nil
 }
 
-// runCell executes one (engine, spec, shard-count) cell.
+// runCell executes one (engine, spec) cell.
 func runCell(e engine.Engine, caps engine.Capabilities, spec Spec, cfg engine.RunConfig, opts Options, live bool, cell int) (Result, error) {
 	cfg.Seed = uint64(cell + 1)
 	start := time.Now()
@@ -408,7 +367,6 @@ func runCell(e engine.Engine, caps engine.Capabilities, spec Spec, cfg engine.Ru
 	if opts.Overhead && caps.Substrate == engine.Native && (cfg.Record || cfg.Live) {
 		plain := cfg
 		plain.Record, plain.Live, plain.QuiesceEvery = false, false, 0
-		plain.Shards = 0 // shards exist for the checker the baseline drops
 		t0 := time.Now()
 		if _, err := e.Run(plain, spec.Body()); err != nil {
 			return Result{}, fmt.Errorf("workload %s on %s (overhead baseline): %w", spec.Name, e.Name(), err)
@@ -434,21 +392,9 @@ func runCell(e engine.Engine, caps engine.Capabilities, spec Spec, cfg engine.Ru
 			r.TelemetryOverhead = time.Since(t1).Seconds() / base
 		}
 	}
-	r.Shards = st.Shards
 	r.Cuts = st.CutLatency.Count
 	r.CutP50ns = st.CutLatency.P50ns
 	r.CutP99ns = st.CutLatency.P99ns
-	if cfg.Shards > 1 {
-		// Distinguish the sweep's cells from the unsharded run.
-		r.Workload += fmt.Sprintf("/s%d", cfg.Shards)
-		for k, cs := range st.ShardCuts {
-			sr := ShardResult{Shard: k, Cuts: cs.Count, CutP50ns: cs.P50ns, CutP99ns: cs.P99ns}
-			if st.Live != nil && k < len(st.Live.ShardSegments) {
-				sr.Segments = st.Live.ShardSegments[k]
-			}
-			r.PerShard = append(r.PerShard, sr)
-		}
-	}
 	return r, nil
 }
 
@@ -494,11 +440,11 @@ type Artifact struct {
 // live/checked flags, liveness class, approx-verdict marker, recorder
 // overhead ratio and backoff cap, so the BENCH trajectory can compare
 // checked-throughput — not just raw throughput — across PRs. v3 adds
-// the shard count, the cut-latency summary (count, p50/p99 pause in
-// nanoseconds) and the per-shard breakdown (cuts, latency, checker-lane
-// segments), so sharded and unsharded cells are comparable in place.
-// The per-cell telemetry_overhead ratio is a later additive field —
-// absent cells read as unmeasured, so v3 readers stay compatible.
+// the cut-latency summary (count, p50/p99 pause in nanoseconds). v3
+// files written while sessions could shard the keyspace also carry
+// shards and per_shard fields; readers ignore them. The per-cell
+// telemetry_overhead ratio is a later additive field — absent cells
+// read as unmeasured, so v3 readers stay compatible.
 const ArtifactSchema = "livetm/workload-matrix/v3"
 
 // WriteArtifact writes the result cells and the budget they were
