@@ -8,11 +8,12 @@ import (
 
 // TestAllocBudgetPerCommit pins the steady-state allocation cost of
 // one committed read-modify-write transaction per algorithm. The
-// pooled scratch (recyclable) is what keeps the lock-based algorithms
-// at (near) zero; DSTM pays for its per-attempt descriptor and
-// per-write locator by design, and Mutex for its unpooled one-shot
-// handle. Budgets are ceilings with one alloc of slack for GC noise
-// (a drained sync.Pool refills once), not exact figures.
+// pooled scratch (recyclable) keeps TL2, NOrec and TinySTM at zero, and
+// the Mutex's one reused handle keeps it there too; DSTM pays for its
+// per-attempt descriptor and per-write locator by design. Measured at
+// GOMAXPROCS 1, 2 and 4: 0 for mutex, tl2, norec and tinystm, 2 for
+// dstm. Budgets are those figures plus one alloc of slack for GC noise
+// (a drained sync.Pool refills once).
 //
 // An observed commit has the same budget: the handle that reports the
 // body's operations is part of the attempt's scratch, not an object of
@@ -20,11 +21,11 @@ import (
 func TestAllocBudgetPerCommit(t *testing.T) {
 	alloctest.NeedSteadyPools(t)
 	budgets := map[string]float64{
-		"native-mutex":   3,
+		"native-mutex":   1,
 		"native-tl2":     1,
 		"native-norec":   1,
 		"native-tinystm": 1,
-		"native-dstm":    4,
+		"native-dstm":    3,
 	}
 	body := func(tx Txn) error {
 		v, err := tx.Read(3)
@@ -56,6 +57,7 @@ func TestAllocBudgetPerCommit(t *testing.T) {
 				return testing.AllocsPerRun(200, commit)
 			}
 			plain := measure(nil)
+			t.Logf("%.2f allocs per committed transaction", plain)
 			if plain > budget {
 				t.Errorf("%.2f allocs per committed transaction, budget %.0f", plain, budget)
 			}

@@ -19,6 +19,10 @@ import (
 // exactly the property the single-word clock provides — a transaction
 // that ticks after a reader sampled rv gets a write version > rv —
 // while spreading commit traffic across clockShards cache lines.
+//
+// The TMs' commit and abort counters follow the same rule (counters in
+// native.go): one padded slot per shard, picked by shardOf, summed
+// only when Stats is read.
 
 // clockShards is a power of two.
 const clockShards = 8

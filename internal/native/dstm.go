@@ -113,7 +113,7 @@ type dstmTxn struct {
 	tm    *DSTM
 	desc  *dstmDesc
 	reads []dstmRead
-	owned map[int]*locator
+	owned writeLog[*locator] // variable -> this transaction's locator
 	dead  bool
 }
 
@@ -121,7 +121,7 @@ type dstmTxn struct {
 // (the descriptor and locators stay behind — see begin).
 func (tx *dstmTxn) recycle() {
 	tx.reads = tx.reads[:0]
-	clear(tx.owned)
+	tx.owned.reset()
 	tx.dead = false
 	tx.tm.pool.Put(tx)
 }
@@ -149,7 +149,10 @@ func (tx *dstmTxn) settle(i int) (*locator, int32) {
 func (tx *dstmTxn) validate() bool {
 	for _, r := range tx.reads {
 		cur := tx.tm.vars[r.i].Load()
-		if cur != r.loc && (tx.owned == nil || tx.owned[r.i] != cur) {
+		if cur == r.loc {
+			continue
+		}
+		if mine, ok := tx.owned.get(r.i); !ok || mine != cur {
 			return false
 		}
 	}
@@ -163,7 +166,7 @@ func (tx *dstmTxn) Read(i int) (int64, error) {
 	if i < 0 || i >= len(tx.tm.vars) {
 		return 0, rangeErr(i)
 	}
-	if loc, mine := tx.owned[i]; mine {
+	if loc, mine := tx.owned.get(i); mine {
 		return loc.newVal, nil
 	}
 	loc, st := tx.settle(i)
@@ -186,7 +189,7 @@ func (tx *dstmTxn) Write(i int, v int64) error {
 	if i < 0 || i >= len(tx.tm.vars) {
 		return rangeErr(i)
 	}
-	if loc, mine := tx.owned[i]; mine {
+	if loc, mine := tx.owned.get(i); mine {
 		loc.newVal = v
 		return nil
 	}
@@ -194,10 +197,7 @@ func (tx *dstmTxn) Write(i int, v int64) error {
 		cur, st := tx.settle(i)
 		nl := &locator{owner: tx.desc, oldVal: cur.current(st), newVal: v}
 		if tx.tm.vars[i].CompareAndSwap(cur, nl) {
-			if tx.owned == nil {
-				tx.owned = make(map[int]*locator)
-			}
-			tx.owned[i] = nl
+			tx.owned.put(i, nl)
 			// A prior read of i must have seen exactly the locator we
 			// displaced, or the read is stale.
 			for _, r := range tx.reads {

@@ -8,6 +8,7 @@ type Mutex struct {
 	counters
 	mu   sync.Mutex
 	vals []int64
+	tx   mutexTxn // the one handle, used only under mu
 }
 
 var _ TM = (*Mutex)(nil)
@@ -17,7 +18,9 @@ func NewMutex(n int) (*Mutex, error) {
 	if err := checkVars(n); err != nil {
 		return nil, err
 	}
-	return &Mutex{vals: make([]int64, n)}, nil
+	m := &Mutex{vals: make([]int64, n)}
+	m.tx.m = m
+	return m, nil
 }
 
 // Name implements TM.
@@ -31,51 +34,71 @@ func (m *Mutex) Stats() Stats { return m.snapshot() }
 
 // mutexTxn buffers writes so a body that returns an error (or
 // declines to commit) leaves no effects, like every other algorithm.
+// Transactions run one at a time, so the Mutex owns a single handle
+// and resets its log per transaction.
 type mutexTxn struct {
 	observedSlot
 	m      *Mutex
-	writes map[int]int64
+	writes writeLog[int64]
 }
 
 // Atomically implements TM.
 func (m *Mutex) Atomically(fn func(Txn) error) error {
-	return m.AtomicallyObserved(nil, fn)
+	return m.AtomicallyOpts(RunOpts{}, fn)
+}
+
+// AtomicallyObserved implements ObservableTM.
+func (m *Mutex) AtomicallyObserved(obs Observer, fn func(Txn) error) error {
+	return m.AtomicallyOpts(RunOpts{Observer: obs}, fn)
 }
 
 // AtomicallyOpts implements ObservableTM. Mutex never retries, so the
-// backoff policy is unused; the stop signal is honoured before the
-// lock is taken (a transaction already under the lock completes).
+// backoff policy is unused and a body error — ErrAborted included — is
+// terminal; the stop signal is honoured before the lock is taken (a
+// transaction already under the lock completes). Metrics count the
+// start, the commit, an abandoning body error and a stop, as the
+// shared retry loop does. The whole transaction — including the
+// observer's commit callbacks — runs under the mutex, so observed
+// events of different transactions never interleave.
 func (m *Mutex) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
+	met := opts.Metrics
+	if met != nil {
+		met.Starts.Inc()
+	}
 	if opts.Stop != nil {
 		select {
 		case <-opts.Stop:
+			if met != nil {
+				met.AbortStopped.Inc()
+			}
 			return ErrStopped
 		default:
 		}
 	}
-	return m.AtomicallyObserved(opts.Observer, fn)
-}
-
-// AtomicallyObserved implements ObservableTM. The whole transaction —
-// including the observer's commit callbacks — runs under the mutex, so
-// observed events of different transactions never interleave.
-func (m *Mutex) AtomicallyObserved(obs Observer, fn func(Txn) error) error {
+	obs := opts.Observer
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	tx := &mutexTxn{m: m}
+	tx := &m.tx
+	tx.writes.reset()
 	if err := fn(tx.observed(obs, tx)); err != nil {
 		if obs != nil {
 			obs.Abandon()
+		}
+		if met != nil {
+			met.AbortAbandoned.Inc()
 		}
 		return err
 	}
 	if obs != nil {
 		obs.TryCommitInv()
 	}
-	for i, v := range tx.writes {
-		m.vals[i] = v
+	for _, e := range tx.writes.entries {
+		m.vals[e.key] = e.val
 	}
-	m.commits.Add(1)
+	m.slots[0].commits.Add(1) // serialized by mu: one slot is enough
+	if met != nil {
+		met.Commits.Inc()
+	}
 	if obs != nil {
 		obs.TryCommitReturn(true)
 	}
@@ -83,7 +106,7 @@ func (m *Mutex) AtomicallyObserved(obs Observer, fn func(Txn) error) error {
 }
 
 func (tx *mutexTxn) Read(i int) (int64, error) {
-	if v, ok := tx.writes[i]; ok {
+	if v, ok := tx.writes.get(i); ok {
 		return v, nil
 	}
 	if i < 0 || i >= len(tx.m.vals) {
@@ -96,9 +119,6 @@ func (tx *mutexTxn) Write(i int, v int64) error {
 	if i < 0 || i >= len(tx.m.vals) {
 		return rangeErr(i)
 	}
-	if tx.writes == nil {
-		tx.writes = make(map[int]int64)
-	}
-	tx.writes[i] = v
+	tx.writes.put(i, v)
 	return nil
 }

@@ -18,7 +18,17 @@
 // versioned-lock table (power-of-two stripes, see stripes.go), a
 // sharded global version clock that removes the commit-counter hot
 // spot of a single fetch-add word (see clock.go), and a common
-// retry/backoff loop with commit/abort statistics (below).
+// retry/backoff loop with commit/abort statistics (below). The
+// statistics follow the clock's rule: commits and aborts land in
+// padded per-slot words picked like a clock shard, and Stats sums the
+// slots, so no commit adds to a word every core shares.
+//
+// No transaction runs on a Go map. Every algorithm keeps its write
+// set — buffered values, TinySTM's owned stripes, DSTM's own locators —
+// in one pooled writeLog (writelog.go): entries in first-write order,
+// found by a linear scan while the log is short and through an index
+// built on demand once it is not. TL2 sorts its distinct write stripes
+// into a slice for the commit-time lock order.
 //
 // The simulated STMs remain the vehicles for the liveness
 // experiments; this package is deliberately minimal — a fixed
@@ -107,11 +117,11 @@ type attempt interface {
 }
 
 // recyclable is implemented by attempts that keep reusable scratch —
-// read logs, write maps, lock-order buffers. The shared retry loop
+// read logs, write logs, lock-order buffers. The shared retry loop
 // hands every terminal attempt back through recycle, so a TM's pool
 // can serve the next begin() from the same allocation instead of
 // growing per-transaction garbage; the allocation budget asserted by
-// BenchmarkAllocsPerCommit rests on this.
+// TestAllocBudgetPerCommit rests on this.
 type recyclable interface{ recycle() }
 
 // recycle returns a terminal attempt's scratch to its TM's pool. The
@@ -123,17 +133,32 @@ func recycle(tx attempt) {
 	}
 }
 
-// counters is embedded by every TM. The two words live on separate
-// cache lines so commit and abort traffic do not false-share.
+// counters is embedded by every TM: commit and abort counts striped
+// over cache-line-sized slots. An attempt counts into the slot shardOf
+// picks for it — the way it picks a clock shard — so concurrent
+// committers add to different lines instead of one shared word.
 type counters struct {
-	commits atomic.Uint64
-	_       [7]uint64
-	aborts  atomic.Uint64
-	_       [7]uint64
+	slots [clockShards]counterSlot
 }
 
+type counterSlot struct {
+	commits atomic.Uint64
+	aborts  atomic.Uint64
+	_       [6]uint64
+}
+
+// slot returns the counters an attempt counts into.
+func (c *counters) slot(tx any) *counterSlot { return &c.slots[shardOf(tx)] }
+
+// snapshot sums the slots. Each sum is monotone and exact once the
+// counted transactions have returned; concurrent ones may be in or out.
 func (c *counters) snapshot() Stats {
-	return Stats{Commits: c.commits.Load(), Aborts: c.aborts.Load()}
+	var s Stats
+	for i := range c.slots {
+		s.Commits += c.slots[i].commits.Load()
+		s.Aborts += c.slots[i].aborts.Load()
+	}
+	return s
 }
 
 // RunOpts configures one execution of the shared retry loop beyond
@@ -199,7 +224,7 @@ func runAtomically(c *counters, begin func() attempt, opts RunOpts, fn func(Txn)
 				obs.TryCommitReturn(committed)
 			}
 			if committed {
-				c.commits.Add(1)
+				c.slot(tx).commits.Add(1)
 				if m != nil {
 					m.Commits.Inc()
 					if round > 0 {
@@ -241,8 +266,8 @@ func runAtomically(c *counters, begin func() attempt, opts RunOpts, fn func(Txn)
 				m.AbortOperation.Inc()
 			}
 		}
+		c.slot(tx).aborts.Add(1)
 		recycle(tx)
-		c.aborts.Add(1)
 		if m != nil {
 			m.Retries.Inc()
 			if round == 0 {
@@ -307,12 +332,4 @@ func New(name string, n int) (TM, error) {
 		}
 	}
 	return nil, fmt.Errorf("native: unknown algorithm %q", name)
-}
-
-func sortInts(a []int) {
-	for i := 1; i < len(a); i++ {
-		for j := i; j > 0 && a[j] < a[j-1]; j-- {
-			a[j], a[j-1] = a[j-1], a[j]
-		}
-	}
 }

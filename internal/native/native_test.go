@@ -91,43 +91,215 @@ func TestStatsCounters(t *testing.T) {
 	}
 }
 
+// TestSequentialSemantics holds every algorithm to the write-log
+// contract, one table row per case on a fresh instance: n distinct
+// writes around the log's index threshold (and far past it), each read
+// back inside the transaction and after commit; overwrites, where the
+// last value wins; two variables sharing a stripe; an abandoned big
+// transaction; and a small transaction on the pooled scratch a big one
+// just left.
 func TestSequentialSemantics(t *testing.T) {
-	for _, tm := range both(t, 4) {
-		t.Run(tm.Name(), func(t *testing.T) {
+	// Twice the stripe table, so i and i+maxStripes share a stripe.
+	const vars = 2 * maxStripes
+	sentinel := errors.New("decline")
+	keys := func(n int) []int {
+		ks := make([]int, n)
+		for k := range ks {
+			ks[k] = k
+		}
+		return ks
+	}
+	// write writes vals[k] to ks[k] in order, then reads every key back
+	// inside the transaction against the last value written to it, and
+	// returns end once they all match.
+	write := func(tm TM, ks []int, vals []int64, end error) error {
+		want := map[int]int64{}
+		for k, i := range ks {
+			want[i] = vals[k]
+		}
+		return tm.Atomically(func(tx Txn) error {
+			for k, i := range ks {
+				if err := tx.Write(i, vals[k]); err != nil {
+					return err
+				}
+			}
+			for i, w := range want {
+				v, err := tx.Read(i)
+				if err != nil {
+					return err
+				}
+				if v != w {
+					return fmt.Errorf("read own write of %d = %d, want %d", i, v, w)
+				}
+			}
+			return end
+		})
+	}
+	// check reads every variable after the fact: want's, or 0. It reads
+	// in chunks because DSTM revalidates its whole read set per read.
+	check := func(t *testing.T, tm TM, want map[int]int64) {
+		t.Helper()
+		const chunk = 256
+		for lo := 0; lo < vars; lo += chunk {
 			err := tm.Atomically(func(tx Txn) error {
-				v, err := tx.Read(0)
-				if err != nil {
-					return err
-				}
-				if v != 0 {
-					return fmt.Errorf("initial value = %d", v)
-				}
-				if err := tx.Write(0, 7); err != nil {
-					return err
-				}
-				v, err = tx.Read(0)
-				if err != nil {
-					return err
-				}
-				if v != 7 {
-					return fmt.Errorf("read own write = %d", v)
+				for i := lo; i < lo+chunk; i++ {
+					v, err := tx.Read(i)
+					if err != nil {
+						return err
+					}
+					if v != want[i] {
+						return fmt.Errorf("committed value of %d = %d, want %d", i, v, want[i])
+					}
 				}
 				return nil
 			})
 			if err != nil {
 				t.Fatal(err)
 			}
-			var got int64
-			err = tm.Atomically(func(tx Txn) error {
-				var err error
-				got, err = tx.Read(0)
-				return err
-			})
-			if err != nil || got != 7 {
-				t.Fatalf("committed value = %d, %v", got, err)
+		}
+	}
+	committed := func(ks []int, vals []int64) map[int]int64 {
+		m := map[int]int64{}
+		for k, i := range ks {
+			m[i] = vals[k]
+		}
+		return m
+	}
+	valsOf := func(ks []int, f func(k int) int64) []int64 {
+		vs := make([]int64, len(ks))
+		for k := range vs {
+			vs[k] = f(k)
+		}
+		return vs
+	}
+	type row struct {
+		name string
+		run  func(t *testing.T, tm TM)
+	}
+	var rows []row
+	for _, n := range []int{0, 1, logIndexAt - 1, logIndexAt, logIndexAt + 1, 4096} {
+		rows = append(rows, row{fmt.Sprintf("distinct-%d", n), func(t *testing.T, tm TM) {
+			ks := keys(n)
+			vals := valsOf(ks, func(k int) int64 { return int64(3*k + 1) })
+			if err := write(tm, ks, vals, nil); err != nil {
+				t.Fatal(err)
 			}
-			if tm.Vars() != 4 {
-				t.Errorf("Vars = %d", tm.Vars())
+			check(t, tm, committed(ks, vals))
+		}})
+	}
+	rows = append(rows,
+		row{"overwrite-one", func(t *testing.T, tm TM) {
+			ks := []int{5, 5, 5, 5, 5}
+			vals := []int64{1, 2, 3, 4, 9}
+			if err := write(tm, ks, vals, nil); err != nil {
+				t.Fatal(err)
+			}
+			check(t, tm, map[int]int64{5: 9})
+		}},
+		row{"overwrite-past-index", func(t *testing.T, tm TM) {
+			n := logIndexAt + 4
+			ks := append(keys(n), keys(n)...)
+			vals := valsOf(ks, func(k int) int64 { return int64(k + 1) })
+			if err := write(tm, ks, vals, nil); err != nil {
+				t.Fatal(err)
+			}
+			check(t, tm, committed(ks, vals))
+		}},
+		row{"shared-stripe", func(t *testing.T, tm TM) {
+			const a, b = 7, 7 + maxStripes
+			err := tm.Atomically(func(tx Txn) error {
+				if err := tx.Write(a, 11); err != nil {
+					return err
+				}
+				// b's stripe is a's: TinySTM owns it now, but b is not
+				// in the log and must read its committed value.
+				if v, err := tx.Read(b); err != nil || v != 0 {
+					return fmt.Errorf("read of unwritten %d in a written stripe = %d, %v", b, v, err)
+				}
+				if err := tx.Write(b, 22); err != nil {
+					return err
+				}
+				va, err := tx.Read(a)
+				if err != nil {
+					return err
+				}
+				vb, err := tx.Read(b)
+				if err != nil {
+					return err
+				}
+				if va != 11 || vb != 22 {
+					return fmt.Errorf("read own writes = %d, %d", va, vb)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, tm, map[int]int64{a: 11, b: 22})
+		}},
+		row{"abandoned-big", func(t *testing.T, tm TM) {
+			ks := keys(4096)
+			vals := valsOf(ks, func(int) int64 { return 99 })
+			if err := write(tm, ks, vals, sentinel); !errors.Is(err, sentinel) {
+				t.Fatalf("err = %v, want the body's", err)
+			}
+			if c := tm.Stats().Commits; c != 0 {
+				t.Fatalf("commits = %d after an abandoned transaction", c)
+			}
+			check(t, tm, nil)
+		}},
+		row{"small-after-big", func(t *testing.T, tm TM) {
+			big := keys(4096)
+			if err := write(tm, big, valsOf(big, func(int) int64 { return 99 }), sentinel); !errors.Is(err, sentinel) {
+				t.Fatalf("err = %v, want the body's", err)
+			}
+			// The same goroutine's next transaction gets the scratch the
+			// big one left: its log must hold nothing of it, whether the
+			// lookup scans or probes the index.
+			err := tm.Atomically(func(tx Txn) error {
+				for _, i := range []int{0, 1, logIndexAt, 4095} {
+					if v, err := tx.Read(i); err != nil || v != 0 {
+						return fmt.Errorf("stale read of %d = %d, %v", i, v, err)
+					}
+				}
+				if err := tx.Write(3, 5); err != nil {
+					return err
+				}
+				if v, err := tx.Read(3); err != nil || v != 5 {
+					return fmt.Errorf("read own write = %d, %v", v, err)
+				}
+				return nil
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			check(t, tm, map[int]int64{3: 5})
+			// A second big transaction, in the opposite key order, must
+			// not find the first one's positions in the kept index.
+			rev := make([]int, len(big))
+			for k := range rev {
+				rev[k] = len(big) - 1 - k
+			}
+			vals := valsOf(rev, func(k int) int64 { return int64(1000 + k) })
+			if err := write(tm, rev, vals, nil); err != nil {
+				t.Fatal(err)
+			}
+			check(t, tm, committed(rev, vals))
+		}},
+	)
+	for _, info := range Algorithms() {
+		t.Run(info.Name, func(t *testing.T) {
+			for _, r := range rows {
+				t.Run(r.name, func(t *testing.T) {
+					tm, err := info.New(vars)
+					if err != nil {
+						t.Fatal(err)
+					}
+					if tm.Vars() != vars {
+						t.Fatalf("Vars = %d", tm.Vars())
+					}
+					r.run(t, tm)
+				})
 			}
 		})
 	}
@@ -152,7 +324,8 @@ func TestOutOfRange(t *testing.T) {
 }
 
 // TestConcurrentCounter: G goroutines × K increments each; the final
-// count must be exact. Run with -race.
+// count, and the striped commit counter summed by Stats, must be
+// exact. Run with -race.
 func TestConcurrentCounter(t *testing.T) {
 	const goroutines, each = 8, 200
 	for _, tm := range both(t, 1) {
@@ -178,6 +351,9 @@ func TestConcurrentCounter(t *testing.T) {
 				}()
 			}
 			wg.Wait()
+			if c := tm.Stats().Commits; c != goroutines*each {
+				t.Errorf("Stats().Commits = %d, want %d", c, goroutines*each)
+			}
 			var got int64
 			_ = tm.Atomically(func(tx Txn) error {
 				var err error

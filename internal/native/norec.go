@@ -84,14 +84,14 @@ type norecTxn struct {
 	tm       *NOrec
 	snapshot uint64
 	reads    []norecRead
-	writes   map[int]int64
+	writes   writeLog[int64]
 	dead     bool
 }
 
 // recycle implements recyclable: clear the logs, keep the capacity.
 func (tx *norecTxn) recycle() {
 	tx.reads = tx.reads[:0]
-	clear(tx.writes)
+	tx.writes.reset()
 	tx.dead = false
 	tx.tm.pool.Put(tx)
 }
@@ -116,7 +116,7 @@ func (tx *norecTxn) Read(i int) (int64, error) {
 	if tx.dead {
 		return 0, ErrAborted
 	}
-	if v, ok := tx.writes[i]; ok {
+	if v, ok := tx.writes.get(i); ok {
 		return v, nil
 	}
 	if i < 0 || i >= len(tx.tm.vals) {
@@ -143,10 +143,7 @@ func (tx *norecTxn) Write(i int, v int64) error {
 	if i < 0 || i >= len(tx.tm.vals) {
 		return rangeErr(i)
 	}
-	if tx.writes == nil {
-		tx.writes = make(map[int]int64)
-	}
-	tx.writes[i] = v
+	tx.writes.put(i, v)
 	return nil
 }
 
@@ -156,7 +153,7 @@ func (tx *norecTxn) commit() bool {
 	if tx.dead {
 		return false
 	}
-	if len(tx.writes) == 0 {
+	if tx.writes.len() == 0 {
 		return true // read log validated on every snapshot move
 	}
 	for !tx.tm.seq.CompareAndSwap(tx.snapshot, tx.snapshot+1) {
@@ -166,8 +163,8 @@ func (tx *norecTxn) commit() bool {
 		}
 		tx.snapshot = s
 	}
-	for i, v := range tx.writes {
-		tx.tm.vals[i].v.Store(v)
+	for _, e := range tx.writes.entries {
+		tx.tm.vals[e.key].v.Store(e.val)
 	}
 	tx.tm.seq.Store(tx.snapshot + 2)
 	return true

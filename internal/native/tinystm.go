@@ -67,16 +67,16 @@ type tinyTxn struct {
 	tm     *TinySTM
 	rv     uint64
 	reads  []tinyRead
-	writes map[int]int64
-	owned  map[int]uint64 // stripe -> pre-lock word
+	writes writeLog[int64]
+	owned  writeLog[uint64] // stripe -> pre-lock word
 	dead   bool
 }
 
 // recycle implements recyclable: clear the logs, keep the capacity.
 func (tx *tinyTxn) recycle() {
 	tx.reads = tx.reads[:0]
-	clear(tx.writes)
-	clear(tx.owned)
+	tx.writes.reset()
+	tx.owned.reset()
 	tx.dead = false
 	tx.tm.pool.Put(tx)
 }
@@ -86,7 +86,7 @@ func (tx *tinyTxn) recycle() {
 // stale even if it fits under a fresher timestamp).
 func (tx *tinyTxn) validateReads() bool {
 	for _, r := range tx.reads {
-		if pre, mine := tx.owned[r.stripe]; mine {
+		if pre, mine := tx.owned.get(r.stripe); mine {
 			if version(pre) != r.ver {
 				return false
 			}
@@ -119,25 +119,27 @@ func (tx *tinyTxn) abort() error {
 }
 
 func (tx *tinyTxn) releaseOwned() {
-	for s, pre := range tx.owned {
-		tx.tm.table.locks[s].unlock(pre)
+	for _, e := range tx.owned.entries {
+		tx.tm.table.locks[e.key].unlock(e.val)
 	}
-	clear(tx.owned) // keep the map for the pooled scratch
+	tx.owned.reset()
 }
 
 func (tx *tinyTxn) Read(i int) (int64, error) {
 	if tx.dead {
 		return 0, ErrAborted
 	}
-	if v, ok := tx.writes[i]; ok {
-		return v, nil
-	}
 	tab := tx.tm.table
 	if i < 0 || i >= len(tab.vals) {
 		return 0, rangeErr(i)
 	}
 	s := tab.stripe(i)
-	if pre, mine := tx.owned[s]; mine {
+	if pre, mine := tx.owned.get(s); mine {
+		// Every write owns its stripe first, so only an owned stripe
+		// can hold a buffered value.
+		if v, ok := tx.writes.get(i); ok {
+			return v, nil
+		}
 		// The stripe is locked by this transaction: the cell holds
 		// the committed value (write-back) and cannot move.
 		v := tab.vals[i].v.Load()
@@ -173,12 +175,8 @@ func (tx *tinyTxn) Write(i int, v int64) error {
 		return rangeErr(i)
 	}
 	s := tab.stripe(i)
-	if tx.writes == nil {
-		tx.writes = make(map[int]int64)
-		tx.owned = make(map[int]uint64)
-	}
-	if _, mine := tx.owned[s]; mine {
-		tx.writes[i] = v
+	if _, mine := tx.owned.get(s); mine {
+		tx.writes.put(i, v)
 		return nil
 	}
 	for tries := 0; ; tries++ {
@@ -195,8 +193,8 @@ func (tx *tinyTxn) Write(i int, v int64) error {
 		if !tab.locks[s].tryLock(w) {
 			return tx.abort()
 		}
-		tx.owned[s] = w
-		tx.writes[i] = v
+		tx.owned.put(s, w)
+		tx.writes.put(i, v)
 		return nil
 	}
 }
@@ -211,7 +209,7 @@ func (tx *tinyTxn) commit() bool {
 	if tx.dead {
 		return false
 	}
-	if len(tx.writes) == 0 {
+	if tx.writes.len() == 0 {
 		return true // reads were validated incrementally
 	}
 	if !tx.validateReads() {
@@ -220,12 +218,12 @@ func (tx *tinyTxn) commit() bool {
 	}
 	tab := tx.tm.table
 	wv := tx.tm.clock.Tick(shardOf(tx))
-	for i, v := range tx.writes {
-		tab.vals[i].v.Store(v)
+	for _, e := range tx.writes.entries {
+		tab.vals[e.key].v.Store(e.val)
 	}
-	for s := range tx.owned {
-		tab.locks[s].unlock(versionWord(wv))
+	for _, e := range tx.owned.entries {
+		tab.locks[e.key].unlock(versionWord(wv))
 	}
-	clear(tx.owned)
+	tx.owned.reset()
 	return true
 }

@@ -1,6 +1,9 @@
 package native
 
-import "sync"
+import (
+	"slices"
+	"sync"
+)
 
 // TL2 is a TL2-style STM: sharded global version clock, invisible
 // reads validated against a read version, commit-time locking in
@@ -49,7 +52,7 @@ func (t *TL2) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
 func (t *TL2) begin() attempt {
 	tx, _ := t.pool.Get().(*tl2Txn)
 	if tx == nil {
-		tx = &tl2Txn{tm: t, writes: make(map[int]int64)}
+		tx = &tl2Txn{tm: t}
 	}
 	tx.rv = t.clock.Sample()
 	return tx
@@ -60,22 +63,21 @@ type tl2Txn struct {
 	tm     *TL2
 	rv     uint64
 	reads  []int // stripes read
-	writes map[int]int64
-	order  []int // variable indexes in first-write order
+	writes writeLog[int64]
 	dead   bool
-	// commit scratch, recycled with the rest: distinct write stripes in
-	// lock order and their pre-lock words.
+	// commit scratch, recycled with the rest: the distinct write
+	// stripes in lock order, and pre[k], the word stripes[k] held
+	// before this commit locked it.
 	stripes []int
-	seen    map[int]uint64
+	pre     []uint64
 }
 
 // recycle implements recyclable: clear the logs, keep the capacity.
 func (tx *tl2Txn) recycle() {
 	tx.reads = tx.reads[:0]
-	clear(tx.writes)
-	tx.order = tx.order[:0]
+	tx.writes.reset()
 	tx.stripes = tx.stripes[:0]
-	clear(tx.seen)
+	tx.pre = tx.pre[:0]
 	tx.dead = false
 	tx.tm.pool.Put(tx)
 }
@@ -84,7 +86,7 @@ func (tx *tl2Txn) Read(i int) (int64, error) {
 	if tx.dead {
 		return 0, ErrAborted
 	}
-	if v, ok := tx.writes[i]; ok {
+	if v, ok := tx.writes.get(i); ok {
 		return v, nil
 	}
 	tab := tx.tm.table
@@ -113,20 +115,24 @@ func (tx *tl2Txn) Write(i int, v int64) error {
 	if i < 0 || i >= len(tx.tm.table.vals) {
 		return rangeErr(i)
 	}
-	if _, ok := tx.writes[i]; !ok {
-		tx.order = append(tx.order, i)
-	}
-	tx.writes[i] = v
+	tx.writes.put(i, v)
 	return nil
 }
 
 func (tx *tl2Txn) abandon() {}
 
+// release restores the pre-lock word of every stripe locked so far.
+func (tx *tl2Txn) release() {
+	for k, w := range tx.pre {
+		tx.tm.table.locks[tx.stripes[k]].unlock(w)
+	}
+}
+
 func (tx *tl2Txn) commit() bool {
 	if tx.dead {
 		return false
 	}
-	if len(tx.writes) == 0 {
+	if tx.writes.len() == 0 {
 		return true // reads already validated against rv
 	}
 	tab := tx.tm.table
@@ -134,49 +140,34 @@ func (tx *tl2Txn) commit() bool {
 	// Distinct write stripes in ascending order (deadlock-free), built
 	// in the transaction's pooled scratch.
 	stripes := tx.stripes[:0]
-	seen := tx.seen
-	if seen == nil {
-		seen = make(map[int]uint64, len(tx.order))
-		tx.seen = seen
+	for _, e := range tx.writes.entries {
+		stripes = append(stripes, tab.stripe(e.key))
 	}
-	for _, i := range tx.order {
-		s := tab.stripe(i)
-		if _, dup := seen[s]; !dup {
-			seen[s] = 0
-			stripes = append(stripes, s)
-		}
-	}
+	slices.Sort(stripes)
+	stripes = slices.Compact(stripes)
 	tx.stripes = stripes
-	sortInts(stripes)
 
-	acquired := 0
-	release := func() {
-		for _, s := range stripes[:acquired] {
-			tab.locks[s].unlock(seen[s])
-		}
-	}
 	for _, s := range stripes {
 		w := tab.locks[s].load()
 		if locked(w) || version(w) > tx.rv || !tab.locks[s].tryLock(w) {
-			release()
+			tx.release()
 			return false
 		}
-		seen[s] = w // pre-lock word, restored on failure
-		acquired++
+		tx.pre = append(tx.pre, w)
 	}
 	for _, s := range tx.reads {
-		if _, mine := seen[s]; mine {
+		if _, mine := slices.BinarySearch(stripes, s); mine {
 			continue // validated at acquisition
 		}
 		w := tab.locks[s].load()
 		if locked(w) || version(w) > tx.rv {
-			release()
+			tx.release()
 			return false
 		}
 	}
 	wv := tx.tm.clock.Tick(shardOf(tx))
-	for i, v := range tx.writes {
-		tab.vals[i].v.Store(v)
+	for _, e := range tx.writes.entries {
+		tab.vals[e.key].v.Store(e.val)
 	}
 	for _, s := range stripes {
 		tab.locks[s].unlock(versionWord(wv))
