@@ -424,9 +424,11 @@ func BenchmarkWorkloadMatrix(b *testing.B) {
 // contention, shared variables) on native-tl2, unrecorded vs recorded
 // vs live-monitored. Each recorded event is one atomic fetch-add plus
 // a process-local chunk append, so the recorded slowdown must stay
-// well under the 2x budget; the live variant adds the stream send and
-// the monitor goroutine, and must keep its allocation capped at the
-// chunk ring (one reusable chunk per process — asserted here).
+// well under the 2x budget; the live variant writes each event into
+// its process's stream ring instead, publishes the ring's tail with
+// one atomic store per transaction, and adds the pump goroutine that
+// reads the rings in place and feeds the monitor. It must keep its
+// allocation capped at one ring per process — asserted here.
 func BenchmarkRecorderOverhead(b *testing.B) {
 	var spec workload.Spec
 	for _, s := range workload.Matrix([]int{4}) {
@@ -464,10 +466,10 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 				if !st.Live.Checked {
 					b.Fatalf("live run undecided: %s", st.Live.Opacity.Reason)
 				}
-				// The allocation cap the ring of reusable chunks buys:
-				// one chunk per process, however long the run.
+				// The allocation cap the drop-mode rings buy: one ring
+				// per process, however long the run.
 				if st.RecorderChunks > spec.Procs {
-					b.Fatalf("live run allocated %d chunks, cap is %d (one ring chunk per process)",
+					b.Fatalf("live run allocated %d chunks, cap is %d (one ring per process)",
 						st.RecorderChunks, spec.Procs)
 				}
 			}

@@ -1,11 +1,11 @@
 // Live: in-process monitoring with mid-flight violation stop. Where
 // the monitor example checks a native run after it finished, this one
 // closes the loop while the run is still going: events stream from the
-// per-process recorder buffers through a bounded channel into the
-// online monitor as the goroutines execute, measured starvation feeds
-// back into the retry loop's backoff (starved processes back off less,
-// hot ones more), and a safety violation cancels the run mid-flight
-// instead of being discovered post-mortem.
+// per-process recorder rings into the online monitor as the goroutines
+// execute, measured starvation feeds back into the retry loop's backoff
+// (starved processes back off less, hot ones more), and a safety
+// violation cancels the run mid-flight instead of being discovered
+// post-mortem.
 //
 // Both halves run here: a healthy TL2 instance completes its budget
 // under live monitoring with a holding verdict, then a deliberately

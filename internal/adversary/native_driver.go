@@ -18,8 +18,9 @@ import (
 // surfaces the error instead of retrying.
 var errDriverStop = errors.New("adversary: native driver stopped the process")
 
-// advStreamCap bounds the recorder's live channel. Adversary runs are
-// driver-gated and nearly sequential, so a small buffer suffices.
+// advStreamCap bounds the events in flight on the recorder's live
+// stream, split into one ring per process. Adversary runs are
+// driver-gated and nearly sequential, so small rings suffice.
 const advStreamCap = 1024
 
 // advRebiasEvery is how often (in observed events) the pump feeds the

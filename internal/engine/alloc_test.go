@@ -50,7 +50,7 @@ func TestAllocBudgetPerLiveCommit(t *testing.T) {
 					}
 				}
 			}
-			commit(4000) // pools, lanes, stream batches, the monitor's window and reading
+			commit(4000) // pools, lanes, the monitor's window and reading
 			const n = 20000
 			var before, after runtime.MemStats
 			runtime.ReadMemStats(&before)
@@ -59,8 +59,7 @@ func TestAllocBudgetPerLiveCommit(t *testing.T) {
 			got := float64(after.Mallocs-before.Mallocs) / n
 			t.Logf("%.3f allocs per commit", got)
 			// Below 1, so that a single site allocating per commit again
-			// fails; above 0 for the stream's batches, which are allocated
-			// until as many exist as the pump has ever lagged by.
+			// fails; above 0 for the recorded rows' retained chunks.
 			if got > 0.5 {
 				t.Errorf("%.3f allocs per commit, budget 0.5", got)
 			}

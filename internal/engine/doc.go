@@ -87,29 +87,33 @@
 // the lanes are rings
 // whose popped slots are cleared, each worker keeps one body adapter
 // and one transaction handle for every attempt it runs, and on a live
-// session the stream's batches come back from the pump to the
-// recorder. TestAllocBudgetPerLiveCommit holds the whole path to that,
+// session the pump reads each worker's stream ring in place.
+// TestAllocBudgetPerLiveCommit holds the whole path to that,
 // and the packages underneath (native, record, monitor, safety) each
 // have a budget of their own, so a regression names its layer.
 //
 // # Live monitoring
 //
 // SessionConfig.Live (RunConfig.Live on the batch wrapper) keeps the
-// online monitor resident for the session's lifetime: the recorder
-// publishes every stamped event into a bounded channel, a pump
-// goroutine restores the total order by sequence number and feeds
-// internal/monitor while transactions execute. A safety violation
-// stops the session mid-flight — the stop signal threads through the
-// native retry loop, so even a transaction wedged in retries stops;
-// outstanding submissions fail with ErrStopped and Close (or Run)
-// returns ErrLiveViolation with the verdict in the report. The same
+// online monitor resident for the session's lifetime: each worker's
+// recorder log writes every stamped event into its own bounded ring and
+// publishes it with one atomic store per transaction, and a pump
+// goroutine reads the rings in place, restores the total order by
+// sequence number and feeds internal/monitor while transactions
+// execute. Neither side polls: the pump sleeps while no ring has news,
+// and a worker whose ring is full waits for the pump (see
+// internal/record). A safety violation stops the session mid-flight —
+// the stop signal threads through the native retry loop, so even a
+// transaction wedged in retries stops; outstanding submissions fail
+// with ErrStopped and Close (or Run) returns ErrLiveViolation with the
+// verdict in the report. The same
 // feedback path drives starvation-aware backoff: the monitor's
 // per-process starvation intervals periodically rebias the shared
 // backoff policy (native.Backoff) so starved processes back off less
 // and hot ones more, within the capped dynamic range reported by
-// Stats.BackoffCap. Live without Record retains nothing: each process
-// recycles a ring chunk after its events are streamed, capping
-// recorder allocation for arbitrarily long monitored sessions
+// Stats.BackoffCap. Live without Record retains nothing: each worker's
+// stream ring is its whole log, capping recorder allocation at one ring
+// per worker slot for arbitrarily long monitored sessions
 // (Stats.RecorderChunks). Streams whose schedule outruns the segment
 // budget between quiescent cuts degrade to an explicit approximate
 // verdict (forced serialization frontiers) instead of failing.

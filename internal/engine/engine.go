@@ -97,19 +97,19 @@ type RunConfig struct {
 	// all (the approximate fallback then carries the whole stream).
 	QuiesceEvery int
 	// Live attaches the online monitor to a native run: recorded
-	// events stream through a bounded channel into monitor.Observe
-	// while the workload executes. A safety violation cancels the
-	// remaining rounds mid-flight (Run returns ErrLiveViolation), and
-	// the measured per-process starvation continuously rebiases the
-	// native retry loop's backoff so starved processes back off less
-	// and hot ones more. Live runs rendezvous every QuiesceEvery
-	// rounds (defaulting to 4 when left 0) to plant the quiescent cuts
-	// that keep the live checker exact; the bounded-overlap fallback
-	// absorbs windows that outrun the segment budget between cuts,
-	// degrading those to an approximate verdict. Live alone does not
-	// retain the history — the stream is consumed as it is produced,
-	// capping recorder allocation at a ring of chunks — set Record too
-	// to also get Stats.History. The simulated substrate rejects Live:
+	// events stream through bounded per-process rings into
+	// monitor.Observe while the workload executes. A safety violation
+	// cancels the remaining rounds mid-flight (Run returns
+	// ErrLiveViolation), and the measured per-process starvation
+	// continuously rebiases the native retry loop's backoff so starved
+	// processes back off less and hot ones more. Live runs rendezvous
+	// every QuiesceEvery rounds (defaulting to 4 when left 0) to plant
+	// the quiescent cuts that keep the live checker exact; the
+	// bounded-overlap fallback absorbs windows that outrun the segment
+	// budget between cuts, degrading those to an approximate verdict.
+	// Live alone does not retain the history — the stream is consumed as
+	// it is produced, capping recorder allocation at one ring per
+	// process — set Record too to also get Stats.History. The simulated substrate rejects Live:
 	// its deterministic histories are checked after the fact.
 	Live bool
 	// LiveSegmentTxns is the live monitor's per-segment transaction

@@ -394,7 +394,11 @@ func (s *Session) Drain(ctx context.Context) error {
 	return s.b.drain(ctx)
 }
 
-// Stats snapshots the session's counters mid-flight.
+// Stats snapshots the session's counters mid-flight. A result is
+// counted before it is delivered: once an Exec has returned, or a
+// Submit's done callback has started, Stats counts that submission in
+// Completed — and in Commits or NoCommits, or as Stopped, as its
+// result says.
 func (s *Session) Stats() SessionStats { return s.b.stats() }
 
 // AddWorkers admits n more workers mid-session, up to

@@ -16,11 +16,12 @@ import (
 
 // Live-monitoring plumbing constants.
 const (
-	// liveStreamCap bounds the event channel between the recording
-	// workers and the monitor pump: backpressure, not loss. Sized so
-	// short checker pauses (a segment search) do not stall producers —
-	// the cap is the live path's memory/latency trade: smaller means
-	// earlier backpressure and faster stops, larger means less stall.
+	// liveStreamCap bounds the events in flight between the recording
+	// workers and the monitor pump, split into one ring per worker slot
+	// (MaxWorkers of them): backpressure, not loss. Sized so short
+	// checker pauses (a segment search) do not stall producers — the cap
+	// is the live path's memory/latency trade: smaller means earlier
+	// backpressure and faster stops, larger means less stall.
 	liveStreamCap = 16384
 	// liveRebiasEvery is how often (in observed events) the pump feeds
 	// measured starvation back into the backoff policy.
@@ -150,6 +151,11 @@ type nativeSession struct {
 	drainMu   sync.Mutex
 	drainCond *sync.Cond
 	drainers  atomic.Int32
+	// settled counts jobs whose result callback has returned. Completed
+	// is counted before the callback runs, so Stats never lags a
+	// delivered result; drain waits on settled instead, so it never
+	// returns while a callback may still submit follow-up work.
+	settled atomic.Uint64
 
 	hist model.History
 }
@@ -209,8 +215,9 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 			CapacityHint:   recorderHint,
 			StreamCapacity: liveStreamCap,
 			Stop:           s.live.stop,
-			// Without Record the stream is the only consumer, so the
-			// per-process chunk rings recycle and allocation stays flat.
+			// Without Record the stream is the only record, so each
+			// slot's stream ring is its whole log and allocation stays
+			// flat.
 			DropStreamed: !cfg.Record,
 			Metrics:      s.met.rec,
 		})
@@ -394,8 +401,9 @@ func (s *nativeSession) worker(w *nativeWorker) {
 
 // runJob executes one job as worker slot w and accounts for it — the
 // one path behind the slot's goroutine and an inline run alike: commit,
-// decline and stop counts, Exec latency, the cut cadence, the result,
-// and the drain wake-up.
+// decline, stop and completion counts, Exec latency, the cut cadence,
+// the result, and the drain wake-up. Every count lands before the
+// result is delivered (see Session.Stats).
 func (s *nativeSession) runJob(w *nativeWorker, j sessionJob) {
 	var res error
 	if h := s.met.execLat; h != nil {
@@ -423,10 +431,11 @@ func (s *nativeSession) runJob(w *nativeWorker, j sessionJob) {
 			s.forceCut()
 		}
 	}
+	s.met.completed.Inc()
 	if j.done != nil {
 		j.done(res)
 	}
-	s.met.completed.Inc()
+	s.settled.Add(1)
 	if s.drainers.Load() > 0 {
 		s.drainMu.Lock()
 		s.drainCond.Broadcast()
@@ -483,7 +492,7 @@ func (s *nativeSession) drain(ctx context.Context) error {
 	defer stop()
 	s.drainMu.Lock()
 	defer s.drainMu.Unlock()
-	for s.met.completed.Load() != s.met.submitted.Load() {
+	for s.settled.Load() != s.met.submitted.Load() {
 		if err := ctx.Err(); err != nil {
 			return err
 		}

@@ -186,15 +186,17 @@ func (s *simSession) runJob(p int, env *sim.Env, j sessionJob) bool {
 	}
 }
 
-// finish completes one job. The callback runs before the job is
-// accounted complete, so a callback that submits follow-up work never
-// lets the session drain between rounds.
+// finish completes one job. It is counted before the callback runs, so
+// Stats never lags a delivered result, but retired after it, so a
+// callback that submits follow-up work never lets the session drain
+// between rounds.
 func (s *simSession) finish(p int, j sessionJob, res error) {
 	if res == nil {
 		s.met.commits[p].Inc()
 	} else if errors.Is(res, ErrNoCommit) {
 		s.met.noCommits.Inc()
 	}
+	s.met.completed.Inc()
 	if j.done != nil {
 		j.done(res)
 	}
@@ -204,10 +206,10 @@ func (s *simSession) finish(p int, j sessionJob, res error) {
 	s.mu.Unlock()
 }
 
-// completeLocked retires one accepted job. Caller holds mu.
+// completeLocked retires one accepted job, which the caller has
+// already counted in met.completed. Caller holds mu.
 func (s *simSession) completeLocked(j sessionJob) {
 	s.outstanding--
-	s.met.completed.Inc()
 	if j.demand {
 		s.demand--
 	}
@@ -217,6 +219,7 @@ func (s *simSession) completeLocked(j sessionJob) {
 // fail marks the session fatally wedged on a terminal body error and
 // completes the failing job; the driver fails everything else.
 func (s *simSession) fail(p int, j sessionJob, err error) {
+	s.met.completed.Inc()
 	if j.done != nil {
 		j.done(err)
 	}
@@ -295,6 +298,7 @@ func (s *simSession) drive() {
 			}
 		}
 		for _, j := range orphans {
+			s.met.completed.Inc()
 			s.completeLocked(j)
 		}
 	}

@@ -1,0 +1,135 @@
+package engine
+
+import (
+	"context"
+	"errors"
+	"testing"
+)
+
+// TestStatsCountDeliveredResults holds Session.Stats to its contract:
+// by the time a result is delivered — an Exec returns, or a Submit's
+// done callback starts — Stats already counts it, on both substrates,
+// whichever way the transaction ran and however it ended. The simulated
+// substrate has no inline path, so there its inline row queues like the
+// queued one; its stop is the step budget running out, the one way the
+// simulated substrate fails an accepted submission for the session
+// rather than the body. Run with -race.
+func TestStatsCountDeliveredResults(t *testing.T) {
+	bg := context.Background()
+	substrates := []struct {
+		name string
+		open func(t *testing.T, stop bool) *Session
+	}{
+		{"native", func(t *testing.T, stop bool) *Session {
+			if !stop {
+				return openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 2})
+			}
+			// Reads of values nobody wrote: the live monitor stops the
+			// session at its first cut.
+			s, err := bogusEngine().Open(SessionConfig{Workers: 1, Vars: 2, Live: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			return s
+		}},
+		{"sim", func(t *testing.T, stop bool) *Session {
+			steps := 100000
+			if stop {
+				steps = 60
+			}
+			return openTestSession(t, "sim-tl2", SessionConfig{Workers: 1, Vars: 2, SimSteps: steps})
+		}},
+	}
+	// A path delivers one submission's result to check and returns once
+	// check has run.
+	paths := []struct {
+		name    string
+		deliver func(s *Session, body Body, check func(error))
+	}{
+		{"inline", func(s *Session, body Body, check func(error)) {
+			check(s.ExecOn(bg, 0, body))
+		}},
+		{"queued", func(s *Session, body Body, check func(error)) {
+			ctx, cancel := context.WithCancel(bg)
+			defer cancel()
+			check(s.ExecOn(ctx, 0, body))
+		}},
+		{"async", func(s *Session, body Body, check func(error)) {
+			done := make(chan struct{})
+			if err := s.SubmitOn(0, body, func(err error) {
+				defer close(done)
+				check(err)
+			}); err != nil {
+				check(err)
+				return
+			}
+			// Drain drives the simulated scheduler; its error, if any,
+			// is the result already checked.
+			_ = s.Drain(bg)
+			<-done
+		}},
+	}
+	outcomes := []struct {
+		name string
+		stop bool
+		body Body
+	}{
+		{"commit", false, counterSessionBody(0)},
+		{"no-commit", false, func(tx Tx) error {
+			if _, err := tx.Read(1); err != nil {
+				return err
+			}
+			return ErrNoCommit
+		}},
+		{"stop", true, func(tx Tx) error {
+			v, err := tx.Read(0)
+			if err != nil {
+				return err
+			}
+			return tx.Write(1, v)
+		}},
+	}
+	for _, sub := range substrates {
+		for _, path := range paths {
+			for _, out := range outcomes {
+				t.Run(sub.name+"/"+path.name+"/"+out.name, func(t *testing.T) {
+					s := sub.open(t, out.stop)
+					var delivered, commits, noCommits uint64
+					stopped := false
+					check := func(err error) {
+						delivered++
+						switch {
+						case err == nil:
+							commits++
+						case errors.Is(err, ErrNoCommit):
+							noCommits++
+						case errors.Is(err, ErrStopped), errors.Is(err, ErrStepBudget):
+							stopped = true
+						default:
+							t.Errorf("result %d: %v", delivered, err)
+						}
+						st := s.Stats()
+						if st.Submitted != delivered || st.Completed != delivered ||
+							st.Commits != commits || st.NoCommits != noCommits ||
+							(sub.name == "native" && st.Stopped != stopped) {
+							t.Errorf("after result %d (%v): submitted %d completed %d commits %d no-commits %d stopped %v, want %d/%d/%d/%d/%v",
+								delivered, err, st.Submitted, st.Completed, st.Commits, st.NoCommits, st.Stopped,
+								delivered, delivered, commits, noCommits, stopped)
+						}
+					}
+					limit := 20
+					if out.stop {
+						limit = 200000
+					}
+					for i := 0; i < limit && !stopped && !t.Failed(); i++ {
+						path.deliver(s, out.body, check)
+					}
+					if out.stop && !stopped {
+						t.Errorf("no submission was stopped in %d tries", limit)
+					}
+					s.Close()
+				})
+			}
+		}
+	}
+}

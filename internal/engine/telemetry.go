@@ -123,8 +123,8 @@ func newSessionMetrics(reg *telemetry.Registry, algo string, workers int, live b
 			"Events stamped into the per-process logs"),
 		Chunks: reg.Gauge("livetm_recorder_chunks",
 			"Event-buffer chunks currently allocated"),
-		Recycled: reg.Counter("livetm_recorder_recycled_total",
-			"Drop-mode ring-chunk reuses"),
+		Laps: reg.Counter("livetm_recorder_recycled_total",
+			"Drop-mode stream-ring laps (slots reused)"),
 		Dropped: reg.Counter("livetm_recorder_dropped_total",
 			"Events the live stream lost after a stop muted a publisher"),
 	}

@@ -6,16 +6,15 @@ import (
 )
 
 // Pump drains a recorder's live stream into a Monitor while the run
-// executes: it restores the recorded total order from the stream's
-// per-process batches (record.Resequencer), hands each consumed batch
-// back to the recorder for reuse, and feeds each event to
-// Monitor.Observe on the pump's goroutine, so the monitor needs no
-// locking. It is the shared consumer half of live monitoring — the
-// engine's native adapter and the adversary's native driver both run
-// one.
+// executes: it reads each process's stream ring in place
+// (Recorder.Receive), restores the recorded total order
+// (record.Resequencer), and feeds each event to Monitor.Observe on the
+// pump's goroutine, so the monitor needs no locking. It is the shared
+// consumer half of live monitoring — the engine's native adapter and
+// the adversary's native driver both run one.
 //
 // A terminal safety error fires OnViolation exactly once; the pump
-// then keeps draining (so no producer stays blocked on a full channel)
+// then keeps draining (so no producer stays blocked on a full ring)
 // and keeps the progress accounting current, but stops the rebias
 // feedback — a violated run is being torn down, not tuned.
 type Pump struct {
@@ -37,9 +36,11 @@ type Pump struct {
 }
 
 // Run consumes rec's stream until it closes. Call it on a dedicated
-// goroutine and close the stream (Recorder.CloseStream) once the
-// producers quiesced; Run returning is the signal that the monitor
-// absorbed every event and may be asked to Report.
+// goroutine — it is the stream's one consumer, and sleeps while no
+// producer has published — and close the stream
+// (Recorder.CloseStream) once the producers quiesced; Run returning is
+// the signal that the monitor absorbed every event and may be asked to
+// Report.
 func (p *Pump) Run(rec *record.Recorder) {
 	rs := record.NewResequencer()
 	starvation := make([]int, p.Procs)
@@ -59,9 +60,9 @@ func (p *Pump) Run(rec *record.Recorder) {
 			p.Rebias(starvation)
 		}
 	}
-	for batch := range rec.Stream() {
-		rs.Push(batch, emit)
-		// Push copied the events into its ring: the batch is dead.
-		rec.Recycle(batch)
+	// Push copies the events into its own window before the ring slots
+	// are released.
+	push := func(events []record.Streamed) { rs.Push(events, emit) }
+	for rec.Receive(push) {
 	}
 }

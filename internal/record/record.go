@@ -4,40 +4,58 @@
 // model.History that the safety and liveness checkers can consume.
 //
 // The design keeps the hot path process-local. Each process appends
-// events to its own chunked buffer — no lock, no cross-process cache
-// traffic beyond one shared atomic sequence counter that stamps every
-// event with a global order. Invocations are stamped immediately
-// before the operation runs and responses immediately after it
-// returns, so a stamp-order precedence between two transactions
-// implies genuine real-time precedence: the drained history's
-// real-time partial order is a subrelation of the true one, which
-// keeps the opacity checker sound (it may only see fewer ordering
-// constraints, never invented ones).
+// events to its own log — no lock, no cross-process cache traffic
+// beyond one shared atomic sequence counter that stamps every event
+// with a global order. Invocations are stamped immediately before the
+// operation runs and responses immediately after it returns, so a
+// stamp-order precedence between two transactions implies genuine
+// real-time precedence: the drained history's real-time partial order
+// is a subrelation of the true one, which keeps the opacity checker
+// sound (it may only see fewer ordering constraints, never invented
+// ones).
 //
-// Storage is a list of fixed-size chunks rather than one slice grown
-// by append: a filling chunk is never reallocated or copied, and in
-// streaming mode with DropStreamed set the filled chunk is recycled in
-// place — a ring of reusable chunks — so a live-monitored run of any
-// length allocates a bounded number of chunks per process (Chunks
-// reports the total, asserted by the recorder-overhead benchmark).
+// Retained storage is a list of fixed-size chunks rather than one slice
+// grown by append: a filling chunk is never reallocated or copied
+// (Chunks reports the total).
 //
-// With Options.StreamCapacity a recorder also publishes every stamped
-// event into one bounded channel as it is appended, which is how the
-// live monitor (internal/engine's native adapter) observes a run while
-// it executes. The batches the channel carries are bounded the same
-// way: a consumer hands each batch back with Recycle once it has copied
-// the events out (monitor.Pump does, after Resequencer.Push returns),
-// and the next flush takes it from the recorder's free list instead of
-// allocating. The contract is one-sided — a batch that is never handed
-// back is simply left to the collector — and neither end can block on
-// the list: a flush that finds it empty allocates, a Recycle that finds
-// it full drops the batch, and a log muted by Stop drops its batch too
-// rather than hand back memory it could not deliver. The list has room
-// for every batch that can be in flight at once (the channel's
-// capacity, one per process being filled, one with the consumer), and a
-// batch is only ever allocated when the list is empty, so a run whose
-// consumer hands every batch back allocates at most that many, whatever
-// its length.
+// # The live stream
+//
+// With Options.StreamCapacity a recorder also streams every stamped
+// event to one consumer while the run executes, which is how the live
+// monitor (monitor.Pump, run by internal/engine's native adapter and
+// the adversary's native driver) observes it. Each process owns a
+// single-producer/single-consumer ring of Streamed entries, a power of
+// two in size; the capacity is split across the processes, so at most
+// StreamCapacity events are in flight between the recorder and the
+// consumer. The producer writes each entry in place and publishes its
+// tail with one atomic store when a transaction completes, or every
+// streamBatch events. The consumer (Receive) reads each log's published
+// entries in place, hands them to its callback, and then releases the
+// slots by storing the log's head. With DropStreamed the ring is the
+// log: each event is written once, nothing is retained, and allocation
+// is one ring per process however long the run.
+//
+// Neither side polls. Each sleeps on a one-slot doorbell channel, only
+// after it has raised a flag the other side reads and then checked
+// once more:
+//   - the consumer raises Recorder.parked, rescans every log's tail, and
+//     sleeps only if none moved; a producer rings the consumer's bell
+//     after a publish only when it sees the flag, so a publish otherwise
+//     costs one extra atomic load;
+//   - a producer facing a full ring publishes, raises its log's waiting
+//     flag, re-reads the head, and sleeps only if the ring is still
+//     full; the consumer rings that log's bell after releasing slots
+//     only when it sees the flag. A full ring is backpressure, not loss:
+//     the producer waits for the consumer. Options.Stop is the escape
+//     for a consumer that left — it mutes a waiting producer, and every
+//     event the log records from then on is counted in Metrics.Dropped
+//     instead of streamed.
+//
+// Without the re-check either side could sleep on a flag the other
+// read a moment too early, and neither would wake. The flags and
+// cursors are sequentially consistent atomics, so of two crossing
+// "raise flag, read cursor" / "store cursor, read flag" sequences at
+// least one side sees the other's write.
 //
 // Draining merges the per-process buffers by sequence number into one
 // model.History. A hard per-process cap bounds worst-case retained
@@ -49,6 +67,7 @@
 package record
 
 import (
+	"math/bits"
 	"sync/atomic"
 
 	"livetm/internal/model"
@@ -61,30 +80,23 @@ import (
 const MaxEventsPerProc = 1 << 22
 
 // chunkEvents is the capacity of one buffer chunk. Chunks are filled
-// in place and never copied; retained mode links full chunks into a
-// list, drop mode recycles them.
+// in place, never copied, and linked into a list.
 const chunkEvents = 4096
 
-// stamped is one event with its global order.
-type stamped struct {
-	seq uint64
-	ev  model.Event
-}
-
-// Streamed is one stamped event published on the live stream. Seq is
-// the event's position in the recorded total order (1-based,
-// contiguous across processes), which the consumer uses to restore
-// that order from the channel's slightly reordered arrivals.
+// Streamed is one stamped event. Seq is the event's position in the
+// recorded total order (1-based, contiguous across processes), which
+// the stream's consumer uses to restore that order from the per-process
+// rings (see Resequencer).
 type Streamed struct {
 	Seq uint64
 	Ev  model.Event
 }
 
-// streamBatch is how many events one stream send carries at most.
-// Batching amortizes the channel's per-send cost off the hot path;
-// a batch always flushes when its process's transaction completes, so
-// the monitor never waits on a partial transaction it already has the
-// completion event for.
+// streamBatch is how many events a log stamps at most between two
+// publishes. Publishing amortizes the shared writes (the ring's tail,
+// Metrics.Events) off the per-event path; a log always publishes when
+// its process's transaction completes, so the monitor never waits on a
+// partial transaction it already has the completion event for.
 const streamBatch = 16
 
 // Options configures a recorder beyond New's defaults.
@@ -92,20 +104,21 @@ type Options struct {
 	// CapacityHint pre-sizes each process's first chunk in events (a
 	// non-positive hint picks a small default; capped at chunkEvents).
 	CapacityHint int
-	// StreamCapacity, when positive, publishes every appended event
-	// into the bounded channel returned by Stream. Appends block when
-	// the channel is full — backpressure, not loss — so the consumer
-	// bounds the recorder's memory footprint, not its event rate.
+	// StreamCapacity, when positive, streams every appended event to the
+	// consumer that calls Receive, through one ring per process that
+	// together hold at most this many events. An append waits while its
+	// ring is full — backpressure, not loss — so the consumer bounds the
+	// recorder's memory footprint, not its event rate.
 	StreamCapacity int
-	// Stop unblocks publishers when the stream consumer stops
-	// consuming (the live monitor cancelling a run): once Stop is
-	// closed, a blocked publish aborts and the log stops publishing
+	// Stop unblocks producers when the stream consumer stops consuming
+	// (the live monitor cancelling a run): once Stop is closed, an
+	// append waiting on a full ring gives up and the log stops streaming
 	// (local recording continues).
 	Stop <-chan struct{}
-	// DropStreamed recycles each process's chunk once filled instead
-	// of retaining it: the streamed copy is the only full record, so
-	// History returns nil and steady-state allocation is capped at the
-	// chunk ring. Only meaningful with StreamCapacity set.
+	// DropStreamed makes each process's stream ring its only log: the
+	// streamed copy is the only full record, so History returns nil and
+	// allocation is one ring per process. Only meaningful with
+	// StreamCapacity set.
 	DropStreamed bool
 	// Metrics, when non-nil, receives the recorder's telemetry. All
 	// fields must be set; a nil Metrics records into bare (unregistered)
@@ -115,14 +128,18 @@ type Options struct {
 
 // Metrics is the recorder's pre-resolved telemetry handle bundle.
 type Metrics struct {
-	// Events counts events stamped into the per-process logs.
+	// Events counts events stamped into the per-process logs. Each log
+	// adds its events when it publishes, so between publishes it lags by
+	// less than streamBatch events per process, and it is exact once
+	// every process's last transaction completed.
 	Events *telemetry.Counter
 	// Chunks tracks buffer chunks currently allocated (mirrors Chunks).
 	Chunks *telemetry.Gauge
-	// Recycled counts drop-mode ring-chunk reuses.
-	Recycled *telemetry.Counter
+	// Laps counts drop-mode ring laps: each time a drop-mode log starts
+	// overwriting its ring.
+	Laps *telemetry.Counter
 	// Dropped counts events the live stream lost after Stop fired and
-	// muted a blocked publisher.
+	// muted a waiting producer.
 	Dropped *telemetry.Counter
 }
 
@@ -130,22 +147,28 @@ type Metrics struct {
 // nobody reads.
 func bareMetrics() *Metrics {
 	return &Metrics{
-		Events:   &telemetry.Counter{},
-		Chunks:   &telemetry.Gauge{},
-		Recycled: &telemetry.Counter{},
-		Dropped:  &telemetry.Counter{},
+		Events:  &telemetry.Counter{},
+		Chunks:  &telemetry.Gauge{},
+		Laps:    &telemetry.Counter{},
+		Dropped: &telemetry.Counter{},
 	}
 }
 
 // Recorder owns the shared sequence counter and the per-process logs
 // of one run.
 type Recorder struct {
-	seq    atomic.Uint64
-	logs   []*ProcLog
-	stream chan []Streamed
-	// free holds consumed batches for the next flush (see Recycle); nil
-	// without a stream. Both ends use it without blocking.
-	free chan []Streamed
+	seq atomic.Uint64
+	// The pad keeps the consumer's flag off the line every stamp writes:
+	// each publish reads the flag.
+	_ [64]byte
+	// parked is raised while the consumer is about to sleep on bell.
+	parked atomic.Bool
+	// closed is set by CloseStream once every tail is published.
+	closed atomic.Bool
+	// bell wakes the consumer (one slot, so ringing it never blocks);
+	// nil without a stream.
+	bell chan struct{}
+	logs []*ProcLog
 	stop <-chan struct{}
 	// chunks and truncated aggregate the per-log figures atomically so
 	// Chunks and Truncated can be snapshotted mid-run (a live session's
@@ -175,69 +198,134 @@ func NewWithOptions(procs int, o Options) *Recorder {
 	if r.met == nil {
 		r.met = bareMetrics()
 	}
+	size := 0
 	if o.StreamCapacity > 0 {
-		batches := o.StreamCapacity / streamBatch
-		if batches < 1 {
-			batches = 1
-		}
-		r.stream = make(chan []Streamed, batches)
-		// Every batch that can exist at once (see the package comment).
-		r.free = make(chan []Streamed, batches+procs+1)
+		r.bell = make(chan struct{}, 1)
+		// The largest power of two that keeps the rings' total within
+		// the capacity (at least one slot each).
+		size = 1 << (bits.Len(uint(max(o.StreamCapacity/max(procs, 1), 1))) - 1)
 	}
 	for i := range r.logs {
 		l := &ProcLog{
 			rec:  r,
 			proc: model.Proc(i + 1),
 			max:  MaxEventsPerProc,
-			drop: o.DropStreamed && r.stream != nil,
+			drop: o.DropStreamed && size > 0,
 		}
-		l.cur = l.newChunk(hint)
+		if size > 0 {
+			l.ring = make([]Streamed, size)
+			l.mask = uint64(size - 1)
+			l.room = make(chan struct{}, 1)
+		}
+		if l.drop {
+			// The ring is the drop-mode log's one chunk.
+			r.chunks.Add(1)
+			r.met.Chunks.Add(1)
+		} else {
+			l.cur = l.newChunk(hint)
+		}
 		r.logs[i] = l
 	}
 	return r
 }
 
-// Stream returns the live event channel (nil unless the recorder was
-// created with Options.StreamCapacity). Each receive is one batch of
-// up to streamBatch events from a single process. The consumer must
-// restore the total order by Streamed.Seq: batches from different
-// processes can overtake each other between stamping and publishing,
-// by at most the process count plus the channel's buffered events.
-func (r *Recorder) Stream() <-chan []Streamed { return r.stream }
+// Receive is the stream's consumer: it waits until some log has
+// published events it has not handed out, then calls fn on each such
+// log's events, in place and in publish order — one or two contiguous
+// slices per log, two when the events wrap around the ring's end. The
+// slots are released once fn returns, so fn must copy what it keeps
+// (Resequencer.Push does). Receive reports false, without calling fn,
+// once CloseStream has run and every event has been handed out.
+//
+// Only one goroutine may call Receive. Slices from different processes
+// can carry sequence numbers out of order, by at most the stream's
+// capacity plus streamBatch per process; Resequencer restores the
+// total order. On a recorder without a stream, Receive returns false.
+func (r *Recorder) Receive(fn func([]Streamed)) bool {
+	if r.bell == nil {
+		return false
+	}
+	for !r.take(fn) {
+		if r.closed.Load() {
+			// CloseStream published every tail before it set closed, so
+			// this pass sees everything that is left.
+			return r.take(fn)
+		}
+		r.sleep()
+	}
+	return true
+}
 
-// Recycle hands a batch received from Stream back for reuse. The caller
-// must be done with it — the next flush overwrites it — and must hand
-// each batch back at most once. It never blocks: a full free list (or a
-// recorder without a stream) lets the batch go to the collector.
-func (r *Recorder) Recycle(batch []Streamed) {
+// sleep parks the consumer until a producer publishes or CloseStream
+// rings (or a stale bell token wakes it early).
+func (r *Recorder) sleep() {
+	r.parked.Store(true)
+	// The re-check after raising the flag: a producer that published
+	// before it could see the flag rang no bell.
+	if !r.pending() {
+		<-r.bell
+	}
+	r.parked.Store(false)
+}
+
+// take hands fn every event published since the last take, log by log,
+// releases their slots, and wakes a producer waiting for room. It
+// reports whether there were any events.
+func (r *Recorder) take(fn func([]Streamed)) bool {
+	got := false
+	for _, l := range r.logs {
+		head, tail := l.head.Load(), l.pub.Load()
+		if head == tail {
+			continue
+		}
+		got = true
+		size := uint64(len(l.ring))
+		from, n := head&l.mask, tail-head
+		if from+n <= size {
+			fn(l.ring[from : from+n])
+		} else {
+			fn(l.ring[from:])
+			fn(l.ring[:from+n-size])
+		}
+		l.head.Store(tail)
+		if l.waiting.Load() {
+			ring(l.room)
+		}
+	}
+	return got
+}
+
+// pending reports whether any log has published events not yet taken.
+func (r *Recorder) pending() bool {
+	for _, l := range r.logs {
+		if l.pub.Load() != l.head.Load() {
+			return true
+		}
+	}
+	return false
+}
+
+// ring wakes whoever sleeps on a one-slot doorbell, or leaves the
+// token for its next sleep; it never blocks.
+func ring(bell chan struct{}) {
 	select {
-	case r.free <- batch[:0]:
+	case bell <- struct{}{}:
 	default:
 	}
 }
 
-// newBatch returns an empty batch for a log to fill: a recycled one if
-// the free list has any, else a fresh allocation.
-func (r *Recorder) newBatch() []Streamed {
-	select {
-	case b := <-r.free:
-		return b
-	default:
-		return make([]Streamed, 0, streamBatch)
-	}
-}
-
-// CloseStream flushes every log's partial batch and closes the live
-// channel so the consumer's drain loop terminates. Call it only after
-// every producing goroutine has quiesced.
+// CloseStream publishes every log's unpublished tail and ends the
+// stream: Receive hands out what is left and then reports false. Call
+// it only after every producing goroutine has quiesced.
 func (r *Recorder) CloseStream() {
-	if r.stream == nil {
+	if r.bell == nil {
 		return
 	}
 	for _, l := range r.logs {
-		l.flushStream()
+		l.publish()
 	}
-	close(r.stream)
+	r.closed.Store(true)
+	ring(r.bell)
 }
 
 // Log returns the log of process p (1-based). Each log must only be
@@ -256,7 +344,8 @@ func (r *Recorder) Truncated() bool {
 }
 
 // Events returns the total number of recorded events (including
-// events already recycled in drop mode).
+// events a drop-mode ring has since overwritten). Call it only after
+// the run quiesced.
 func (r *Recorder) Events() int {
 	n := 0
 	for _, l := range r.logs {
@@ -267,8 +356,8 @@ func (r *Recorder) Events() int {
 
 // Chunks returns the total number of buffer chunks allocated across
 // all processes — the recorder's allocation figure. In drop mode it
-// stays at one ring chunk per process no matter how long the run is.
-// Safe to call while the run is still recording.
+// stays at one ring per process no matter how long the run is. Safe to
+// call while the run is still recording.
 func (r *Recorder) Chunks() int {
 	return int(r.chunks.Load())
 }
@@ -278,7 +367,7 @@ func (r *Recorder) Chunks() int {
 // quiesced (no goroutine is still appending). A recorder in drop mode
 // retains nothing and returns nil — the stream was the record.
 func (r *Recorder) History() model.History {
-	bufs := make([][]stamped, len(r.logs))
+	bufs := make([][]Streamed, len(r.logs))
 	total := 0
 	for i, l := range r.logs {
 		if l.drop {
@@ -296,11 +385,11 @@ func (r *Recorder) History() model.History {
 			if heads[i] >= len(buf) {
 				continue
 			}
-			if s := buf[heads[i]].seq; best < 0 || s < bestSeq {
+			if s := buf[heads[i]].Seq; best < 0 || s < bestSeq {
 				best, bestSeq = i, s
 			}
 		}
-		out = append(out, bufs[best][heads[best]].ev)
+		out = append(out, bufs[best][heads[best]].Ev)
 		heads[best]++
 	}
 	return out
@@ -310,109 +399,148 @@ func (r *Recorder) History() model.History {
 // native.Observer: the engine hands it to the native retry loop, which
 // calls it at every linearization point on the process's goroutine.
 type ProcLog struct {
-	rec   *Recorder
-	proc  model.Proc
-	done  [][]stamped // filled chunks, in order (retained mode)
-	cur   []stamped   // chunk being filled
-	count int         // events recorded over the log's lifetime
-	max   int         // per-process cap (MaxEventsPerProc; lowered in tests)
-	open  bool        // a transaction of this process is open in the log
-	full  bool        // hit the cap; recording stopped
-	drop  bool        // recycle filled chunks instead of retaining them
-	mute  bool        // stop fired during a publish; no further sends
-	batch []Streamed  // events stamped but not yet published
+	rec     *Recorder
+	proc    model.Proc
+	done    [][]Streamed // filled chunks, in order (retained mode)
+	cur     []Streamed   // chunk being filled (retained mode)
+	count   int          // events recorded over the log's lifetime
+	counted int          // events already added to Metrics.Events
+	max     int          // per-process cap (MaxEventsPerProc; lowered in tests)
+	open    bool         // a transaction of this process is open in the log
+	full    bool         // hit the cap; recording stopped
+	drop    bool         // the ring is the only log
+	mute    bool         // stop fired while waiting for room; no further streaming
+
+	// The producer's side of the stream ring (ring is nil without a
+	// stream). tail, sent and seen are producer-local copies: the next
+	// slot to write, the tail last published, the head last read.
+	ring             []Streamed
+	mask             uint64
+	tail, sent, seen uint64
+	room             chan struct{} // wakes the producer waiting for room
+
+	// The shared cursors, each on its own cache line, away from the
+	// producer's fields: pub is stored by the producer and read by the
+	// consumer, head and waiting the other way round.
+	_       [64]byte
+	pub     atomic.Uint64
+	_       [56]byte
+	head    atomic.Uint64
+	waiting atomic.Bool
+	_       [48]byte
 }
 
-func (l *ProcLog) newChunk(capacity int) []stamped {
+func (l *ProcLog) newChunk(capacity int) []Streamed {
 	l.rec.chunks.Add(1)
 	l.rec.met.Chunks.Add(1)
-	return make([]stamped, 0, capacity)
+	return make([]Streamed, 0, capacity)
 }
 
 // all returns the log's retained events in order as one slice.
-func (l *ProcLog) all() []stamped {
-	out := make([]stamped, 0, l.count)
+func (l *ProcLog) all() []Streamed {
+	out := make([]Streamed, 0, l.count)
 	for _, c := range l.done {
 		out = append(out, c...)
 	}
 	return append(out, l.cur...)
 }
 
-// append stamps, stores and publishes one event. Once the cap is hit
-// the log stops recording entirely (after flushing what was already
+// append stamps, stores and streams one event. Once the cap is hit the
+// log stops recording entirely (after publishing what was already
 // stamped): dropping a tail keeps the per-process history a clean
 // prefix, while dropping interior events would break well-formedness.
 func (l *ProcLog) append(e model.Event) {
 	if l.full {
 		return
 	}
-	// The cap protects retained memory; a drop-mode log recycles its
-	// ring chunk and retains nothing, so it records (and streams)
-	// forever — live monitoring must not silently go blind at 2^22
-	// events per process.
+	// The cap protects retained memory; a drop-mode log retains nothing,
+	// so it records (and streams) forever — live monitoring must not
+	// silently go blind at 2^22 events per process.
 	if !l.drop && l.count >= l.max {
 		l.full = true
 		l.rec.truncated.Store(true)
-		l.flushStream()
+		l.publish()
 		return
 	}
-	if len(l.cur) == cap(l.cur) {
-		if l.drop {
-			l.cur = l.cur[:0] // the streamed copy is the record; reuse
-			l.rec.met.Recycled.Inc()
-		} else {
-			l.done = append(l.done, l.cur)
-			l.cur = l.newChunk(chunkEvents)
+	if !l.drop && len(l.cur) == cap(l.cur) {
+		l.done = append(l.done, l.cur)
+		l.cur = l.newChunk(chunkEvents)
+	}
+	// Room first, stamp second: waiting for the consumer must not stretch
+	// the gap between an invocation's stamp and its operation.
+	streamed := l.ring != nil && !l.mute && l.reserve()
+	s := Streamed{Seq: l.rec.seq.Add(1), Ev: e}
+	l.count++
+	if !l.drop {
+		l.cur = append(l.cur, s)
+	}
+	switch {
+	case streamed:
+		if l.drop && l.tail&l.mask == 0 && l.tail > 0 {
+			l.rec.met.Laps.Inc()
+		}
+		l.ring[l.tail&l.mask] = s
+		l.tail++
+	case l.ring != nil:
+		l.rec.met.Dropped.Inc()
+	}
+	if e.Kind == model.RespCommit || e.Kind == model.RespAbort || l.count-l.counted >= streamBatch {
+		l.publish()
+	}
+}
+
+// reserve makes sure the ring has a free slot, waiting for one if it
+// is full. A full ring is published first, since the consumer can only
+// free what it can see. It reports false if the log was muted while it
+// waited.
+func (l *ProcLog) reserve() bool {
+	size := uint64(len(l.ring))
+	if l.tail-l.seen < size {
+		return true
+	}
+	if l.seen = l.head.Load(); l.tail-l.seen < size {
+		return true
+	}
+	l.publish()
+	return l.wait()
+}
+
+// wait parks the producer until the consumer frees a slot. It reports
+// false, muting the log, if Stop fires first.
+func (l *ProcLog) wait() bool {
+	for {
+		l.waiting.Store(true)
+		// The re-check after raising the flag: the consumer may have
+		// freed the ring before it could see the flag.
+		if l.seen = l.head.Load(); l.tail-l.seen < uint64(len(l.ring)) {
+			l.waiting.Store(false)
+			return true
+		}
+		select {
+		case <-l.room:
+		case <-l.rec.stop: // nil without Options.Stop: never ready
+			l.waiting.Store(false)
+			l.mute = true
+			return false
 		}
 	}
-	s := stamped{seq: l.rec.seq.Add(1), ev: e}
-	l.cur = append(l.cur, s)
-	l.count++
-	l.rec.met.Events.Inc()
-	l.publish(s)
 }
 
-// publish batches the stamped event for the live stream. The batch
-// flushes when full or when the event completes a transaction, so the
-// monitor always sees whole transactions promptly while the channel
-// pays one send per batch, not per event.
-func (l *ProcLog) publish(s stamped) {
-	if l.rec.stream == nil {
+// publish makes the events appended since the last publish visible:
+// it adds them to Metrics.Events and, on a stream, stores the ring's
+// tail for the consumer, ringing its bell if it is parked.
+func (l *ProcLog) publish() {
+	if n := l.count - l.counted; n > 0 {
+		l.counted = l.count
+		l.rec.met.Events.Add(uint64(n))
+	}
+	if l.tail == l.sent {
 		return
 	}
-	if l.mute {
-		l.rec.met.Dropped.Inc()
-		return
-	}
-	if l.batch == nil {
-		l.batch = l.rec.newBatch()
-	}
-	l.batch = append(l.batch, Streamed{Seq: s.seq, Ev: s.ev})
-	if len(l.batch) == cap(l.batch) || s.ev.Kind == model.RespCommit || s.ev.Kind == model.RespAbort {
-		l.flushStream()
-	}
-}
-
-// flushStream sends the pending batch, blocking for backpressure; a
-// fired stop signal mutes the log instead of blocking forever on a
-// departed consumer. A sent batch belongs to the consumer (who may
-// Recycle it); a muted log's batch is dropped, never recycled.
-func (l *ProcLog) flushStream() {
-	r := l.rec
-	if r.stream == nil || l.mute || len(l.batch) == 0 {
-		return
-	}
-	out := l.batch
-	l.batch = nil // publish takes the next one when there is an event for it
-	if r.stop == nil {
-		r.stream <- out
-		return
-	}
-	select {
-	case r.stream <- out:
-	case <-r.stop:
-		l.mute = true
-		r.met.Dropped.Add(uint64(len(out)))
+	l.sent = l.tail
+	l.pub.Store(l.tail)
+	if r := l.rec; r.parked.Load() {
+		ring(r.bell)
 	}
 }
 

@@ -97,8 +97,8 @@ func TestMergePreservesGlobalOrder(t *testing.T) {
 		}
 		// Per-process order must be exactly the logged order.
 		for i, s := range r.Log(model.Proc(p)).all() {
-			if proj[i] != s.ev {
-				t.Fatalf("proc %d event %d reordered: %s vs %s", p, i, proj[i], s.ev)
+			if proj[i] != s.Ev {
+				t.Fatalf("proc %d event %d reordered: %s vs %s", p, i, proj[i], s.Ev)
 			}
 		}
 	}
@@ -124,27 +124,20 @@ func TestTruncation(t *testing.T) {
 	}
 }
 
-// drain restores the recorded total order from the stream's slightly
-// reordered arrivals by sequence number.
-func drain(stream <-chan []Streamed) model.History {
-	pending := make(map[uint64]model.Event)
-	var h model.History
-	next := uint64(1)
-	for batch := range stream {
-		for _, s := range batch {
-			pending[s.Seq] = s.Ev
+// consume is the stream's consumer on a goroutine of its own: a
+// Receive loop that restores the recorded total order through a
+// Resequencer until the stream closes, then yields the history.
+func consume(r *Recorder) <-chan model.History {
+	got := make(chan model.History, 1)
+	go func() {
+		rs := NewResequencer()
+		var h model.History
+		emit := func(e model.Event) { h = append(h, e) }
+		for r.Receive(func(events []Streamed) { rs.Push(events, emit) }) {
 		}
-		for {
-			ev, ok := pending[next]
-			if !ok {
-				break
-			}
-			delete(pending, next)
-			next++
-			h = append(h, ev)
-		}
-	}
-	return h
+		got <- h
+	}()
+	return got
 }
 
 // TestStreamMatchesHistory: the streamed events, reordered by
@@ -152,9 +145,7 @@ func drain(stream <-chan []Streamed) model.History {
 func TestStreamMatchesHistory(t *testing.T) {
 	const procs, rounds = 4, 300
 	r := NewWithOptions(procs, Options{CapacityHint: 16, StreamCapacity: 64})
-	var streamed model.History
-	got := make(chan model.History, 1)
-	go func() { got <- drain(r.Stream()) }()
+	got := consume(r)
 	var wg sync.WaitGroup
 	for p := 1; p <= procs; p++ {
 		l := r.Log(model.Proc(p))
@@ -168,33 +159,25 @@ func TestStreamMatchesHistory(t *testing.T) {
 	}
 	wg.Wait()
 	r.CloseStream()
-	streamed = <-got
-	h := r.History()
-	if len(streamed) != len(h) {
-		t.Fatalf("streamed %d events, drained %d", len(streamed), len(h))
-	}
-	for i := range h {
-		if streamed[i] != h[i] {
-			t.Fatalf("event %d differs: streamed %s, drained %s", i, streamed[i], h[i])
-		}
-	}
+	streamed := <-got
+	sameHistory(t, streamed, r.History())
 	if err := model.CheckWellFormed(streamed); err != nil {
 		t.Fatalf("streamed history malformed: %v", err)
 	}
 }
 
-// TestDropStreamedCapsChunks: in drop mode each process recycles one
-// ring chunk, so allocation stays capped no matter how many events
-// the run records, and History returns nil (the stream was the
-// record).
+// TestDropStreamedCapsChunks: in drop mode each process's stream ring
+// is its only log, so allocation stays capped at one ring per process
+// no matter how many events the run records, the rings lap, and
+// History returns nil (the stream was the record).
 func TestDropStreamedCapsChunks(t *testing.T) {
 	const procs = 2
-	r := NewWithOptions(procs, Options{CapacityHint: 8, StreamCapacity: 32, DropStreamed: true})
+	met := bareMetrics()
+	r := NewWithOptions(procs, Options{CapacityHint: 8, StreamCapacity: 32, DropStreamed: true, Metrics: met})
 	done := make(chan int, 1)
 	go func() {
 		n := 0
-		for batch := range r.Stream() {
-			n += len(batch)
+		for r.Receive(func(events []Streamed) { n += len(events) }) {
 		}
 		done <- n
 	}()
@@ -216,7 +199,10 @@ func TestDropStreamedCapsChunks(t *testing.T) {
 		t.Fatalf("streamed %d events, want %d", n, procs*rounds*6)
 	}
 	if got := r.Chunks(); got > procs {
-		t.Fatalf("drop mode allocated %d chunks, want <= %d (one ring chunk per process)", got, procs)
+		t.Fatalf("drop mode allocated %d chunks, want <= %d (one ring per process)", got, procs)
+	}
+	if met.Laps.Load() == 0 {
+		t.Fatal("no ring lapped: the test never reused a slot")
 	}
 	if r.Events() != procs*rounds*6 {
 		t.Fatalf("events = %d, want %d", r.Events(), procs*rounds*6)
@@ -249,7 +235,7 @@ func TestRetainedChunksLinear(t *testing.T) {
 	}
 }
 
-// TestStreamStopUnblocks: a publisher blocked on a full stream whose
+// TestStreamStopUnblocks: a producer blocked on a full ring whose
 // consumer departed is released by the stop signal and keeps
 // recording locally.
 func TestStreamStopUnblocks(t *testing.T) {
@@ -258,22 +244,22 @@ func TestStreamStopUnblocks(t *testing.T) {
 	l := r.Log(1)
 	blocked := make(chan struct{})
 	go func() {
-		// The first transaction's batch fills the 1-slot channel, the
-		// second's flush blocks — nobody consumes.
+		// The first event fills the one-slot ring and the second waits
+		// for room — nobody consumes.
 		script(l, 0, 0)
 		script(l, 0, 1)
 		close(blocked)
 	}()
 	select {
 	case <-blocked:
-		t.Fatal("publisher was not blocked by the full stream")
+		t.Fatal("producer was not blocked by the full ring")
 	case <-time.After(50 * time.Millisecond):
 	}
 	close(stop)
 	select {
 	case <-blocked:
 	case <-time.After(10 * time.Second):
-		t.Fatal("stop did not unblock the publisher")
+		t.Fatal("stop did not unblock the producer")
 	}
 	// Local recording continued past the muted stream.
 	if got := r.Events(); got != 12 {

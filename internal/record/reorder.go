@@ -3,18 +3,18 @@ package record
 import "livetm/internal/model"
 
 // resequencerWindow is the reorder window of a Resequencer: a power of
-// two larger than any process count plus stream capacity this package's
-// consumers use, so the per-event path stays on the ring and the
-// overflow map only absorbs the pathological case of a process
+// two larger than any stream capacity plus streamBatch per process this
+// package's consumers use, so the per-event path stays on the ring and
+// the overflow map only absorbs the pathological case of a process
 // descheduled mid-publish for longer than the whole in-flight window.
 const resequencerWindow = 1 << 16
 
 // Resequencer restores the recorder's total order from the live
-// stream's per-process batches. Batches from different processes can
-// overtake each other between stamping and publishing by at most the
-// in-flight window (process count plus the channel's buffered events),
-// so a ring indexed by sequence number reorders them without a map on
-// the per-event path.
+// stream's per-process slices (Recorder.Receive). Events of different
+// processes can overtake each other between stamping and publishing by
+// at most the in-flight window (the rings' capacity plus streamBatch
+// per process), so a ring indexed by sequence number reorders them
+// without a map on the per-event path.
 //
 // A Resequencer is not safe for concurrent use; feed it from the one
 // goroutine that drains the stream.
@@ -36,8 +36,9 @@ func NewResequencer() *Resequencer {
 	}
 }
 
-// Push absorbs one stream batch and emits every event that is now
-// contiguous with the restored order, in sequence order.
+// Push absorbs one slice of stamped events and emits every event that
+// is now contiguous with the restored order, in sequence order. It
+// keeps no reference to the slice.
 func (r *Resequencer) Push(batch []Streamed, emit func(model.Event)) {
 	for _, s := range batch {
 		if s.Seq >= r.next+resequencerWindow {

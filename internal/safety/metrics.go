@@ -18,7 +18,8 @@ type LaneTelemetry struct {
 	Forced *telemetry.Counter
 	// Relaxed counts straddler reads the lane waived.
 	Relaxed *telemetry.Counter
-	// Buffered is the lane's current buffered-event backlog.
+	// Buffered is the lane's buffered-event backlog: exact after each
+	// flush and forced flush, refreshed every 64 events in between.
 	Buffered *telemetry.Gauge
 }
 

@@ -145,6 +145,12 @@ func (c *StreamChecker) ForcedCuts() int { return c.forced }
 // Buffered returns the number of events currently buffered.
 func (c *StreamChecker) Buffered() int { return len(c.buf) }
 
+// bufferedEvery is how often, in buffered events, Feed refreshes the
+// Buffered gauge between flushes: often enough that a cut-starved
+// backlog shows, rarely enough that the gauge's shared write stays off
+// the per-event path. Every flush and forced flush sets it exactly.
+const bufferedEvery = 64
+
 // Feed consumes one event. A non-nil error is terminal: either the
 // stream revealed an opacity violation (errors.Is ErrStreamNotOpaque),
 // exceeded the segment budget with no quiescent cut (errors.Is
@@ -157,7 +163,9 @@ func (c *StreamChecker) Feed(e model.Event) error {
 		return fmt.Errorf("safety: Feed after Finish")
 	}
 	c.buf = append(c.buf, e)
-	c.tel.Buffered.Set(int64(len(c.buf)))
+	if len(c.buf)%bufferedEvery == 0 {
+		c.tel.Buffered.Set(int64(len(c.buf)))
+	}
 	p := e.Proc
 	switch {
 	case e.Kind.IsInvocation():

@@ -6,6 +6,7 @@ import (
 	"testing/quick"
 
 	"livetm/internal/model"
+	"livetm/internal/telemetry"
 )
 
 // feedAll streams a whole history through a fresh checker.
@@ -641,5 +642,42 @@ func TestShardedValidation(t *testing.T) {
 	}
 	if err := c.Feed(model.Commit(1)); err == nil {
 		t.Error("Feed after Finish must error")
+	}
+}
+
+// TestStreamBufferedGaugeShowsCutStarvedBacklog: Feed refreshes the
+// Buffered gauge only every bufferedEvery events between flushes, yet a
+// backlog that no quiescent cut drains still shows, and the flush that
+// finally comes zeroes it.
+func TestStreamBufferedGaugeShowsCutStarvedBacklog(t *testing.T) {
+	buffered := &telemetry.Gauge{}
+	c, err := NewStreamChecker(48)
+	if err != nil {
+		t.Fatal(err)
+	}
+	c.WithTelemetry(LaneTelemetry{Buffered: buffered})
+	// Process 1's open read keeps every cut away while process 2 commits
+	// 20 increments underneath: within the budget, but never flushed.
+	feed := func(h ...model.Event) {
+		t.Helper()
+		for _, e := range h {
+			if err := c.Feed(e); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	feed(model.Read(1, 1), model.ValueResp(1, 0))
+	for i := model.Value(0); i < 20; i++ {
+		feed(model.Read(2, 0), model.ValueResp(2, i), model.Write(2, 0, i+1), model.OK(2), model.TryCommit(2), model.Commit(2))
+	}
+	if c.Buffered() != 122 {
+		t.Fatalf("checker buffers %d events, want 122", c.Buffered())
+	}
+	if got := buffered.Load(); got < bufferedEvery {
+		t.Fatalf("Buffered gauge = %d on a cut-starved backlog of %d events, want at least %d", got, c.Buffered(), bufferedEvery)
+	}
+	feed(model.TryCommit(1), model.Commit(1))
+	if got := buffered.Load(); got != 0 {
+		t.Fatalf("Buffered gauge = %d after the cut flushed the backlog, want 0", got)
 	}
 }
