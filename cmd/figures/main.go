@@ -7,6 +7,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 	"os"
 
 	"livetm/internal/adversary"
@@ -20,50 +21,50 @@ import (
 )
 
 func main() {
-	if err := run(); err != nil {
+	if err := run(os.Stdout); err != nil {
 		fmt.Fprintln(os.Stderr, "figures:", err)
 		os.Exit(1)
 	}
 }
 
-func run() error {
-	if err := history("Figure 1 (opaque, strictly serializable; repeated forever it starves T1)", core.Fig1()); err != nil {
+func run(w io.Writer) error {
+	if err := history(w, "Figure 1 (opaque, strictly serializable; repeated forever it starves T1)", core.Fig1()); err != nil {
 		return err
 	}
-	fmt.Println("Figure 2: process-class lattice — verified as properties over lassos;")
-	fmt.Println("  see internal/liveness TestClassLatticeProperty.")
-	fmt.Println()
-	if err := history("Figure 3 (lost update: not opaque, not strictly serializable)", core.Fig3()); err != nil {
+	fmt.Fprintln(w, "Figure 2: process-class lattice — verified as properties over lassos;")
+	fmt.Fprintln(w, "  see internal/liveness TestClassLatticeProperty.")
+	fmt.Fprintln(w)
+	if err := history(w, "Figure 3 (lost update: not opaque, not strictly serializable)", core.Fig3()); err != nil {
 		return err
 	}
-	if err := history("Figure 4 (strictly serializable but not opaque)", core.Fig4()); err != nil {
-		return err
-	}
-
-	lasso("Figure 5 (local progress)", core.Fig5())
-	lasso("Figure 6 (global but not local progress)", core.Fig6())
-	lasso("Figure 7 (solo progress: p1 crashes, p2 parasitic, p3 alone)", core.Fig7())
-
-	if err := history("Figures 8/11 (Algorithm 1/2's would-be terminating suffix, v=0)", core.Fig8(0)); err != nil {
+	if err := history(w, "Figure 4 (strictly serializable but not opaque)", core.Fig4()); err != nil {
 		return err
 	}
 
-	if err := adversaryFigures(); err != nil {
+	lasso(w, "Figure 5 (local progress)", core.Fig5())
+	lasso(w, "Figure 6 (global but not local progress)", core.Fig6())
+	lasso(w, "Figure 7 (solo progress: p1 crashes, p2 parasitic, p3 alone)", core.Fig7())
+
+	if err := history(w, "Figures 8/11 (Algorithm 1/2's would-be terminating suffix, v=0)", core.Fig8(0)); err != nil {
 		return err
 	}
 
-	lasso("Figure 14 (solo runner starves: violates every nonblocking property)", core.Fig14())
-
-	if err := fig15(); err != nil {
+	if err := adversaryFigures(w); err != nil {
 		return err
 	}
-	return fig16()
+
+	lasso(w, "Figure 14 (solo runner starves: violates every nonblocking property)", core.Fig14())
+
+	if err := fig15(w); err != nil {
+		return err
+	}
+	return fig16(w)
 }
 
 // adversaryFigures regenerates Figures 9, 10, 12, and 13 by running
 // the Theorem 1 environment strategies against the obstruction-free
 // TM and rendering each suffix.
-func adversaryFigures() error {
+func adversaryFigures(w io.Writer) error {
 	nf, ok := core.Lookup("dstm")
 	if !ok {
 		return fmt.Errorf("dstm not registered")
@@ -92,21 +93,21 @@ func adversaryFigures() error {
 		if res.P1Committed {
 			return fmt.Errorf("%s: p1 committed", c.title)
 		}
-		fmt.Println("==", c.title, "— live run vs", nf.Name)
+		fmt.Fprintln(w, "==", c.title, "— live run vs", nf.Name)
 		h := res.History
 		if len(h) > 36 {
 			h = h[len(h)-36:]
 		}
-		fmt.Print(trace.Render(h))
-		fmt.Printf("   p1 commits=%d p2 commits=%d (p1 starves; local progress fails)\n\n",
+		fmt.Fprint(w, trace.Render(h))
+		fmt.Fprintf(w, "   p1 commits=%d p2 commits=%d (p1 starves; local progress fails)\n\n",
 			res.Stats.Commits[1], res.Stats.Commits[2])
 	}
 	return nil
 }
 
-func history(title string, h model.History) error {
-	fmt.Println("==", title)
-	fmt.Print(trace.Render(h))
+func history(w io.Writer, title string, h model.History) error {
+	fmt.Fprintln(w, "==", title)
+	fmt.Fprint(w, trace.Render(h))
 	op, err := safety.CheckOpacity(h)
 	if err != nil {
 		return err
@@ -115,17 +116,17 @@ func history(title string, h model.History) error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("   opaque=%v  strictly-serializable=%v\n\n", op.Holds, ss.Holds)
+	fmt.Fprintf(w, "   opaque=%v  strictly-serializable=%v\n\n", op.Holds, ss.Holds)
 	return nil
 }
 
-func lasso(title string, l *liveness.Lasso) {
-	fmt.Println("==", title)
-	fmt.Println("prefix:")
-	fmt.Print(trace.Render(l.Prefix))
-	fmt.Println("cycle (repeated forever):")
-	fmt.Print(trace.Render(l.Cycle))
-	fmt.Printf("   local=%v global=%v solo=%v  violates{nonblocking=%v biprogressing=%v}\n\n",
+func lasso(w io.Writer, title string, l *liveness.Lasso) {
+	fmt.Fprintln(w, "==", title)
+	fmt.Fprintln(w, "prefix:")
+	fmt.Fprint(w, trace.Render(l.Prefix))
+	fmt.Fprintln(w, "cycle (repeated forever):")
+	fmt.Fprint(w, trace.Render(l.Cycle))
+	fmt.Fprintf(w, "   local=%v global=%v solo=%v  violates{nonblocking=%v biprogressing=%v}\n\n",
 		liveness.LocalProgress.Contains(l),
 		liveness.GlobalProgress.Contains(l),
 		liveness.SoloProgress.Contains(l),
@@ -133,8 +134,8 @@ func lasso(title string, l *liveness.Lasso) {
 		liveness.ViolatesBiprogressing(l))
 }
 
-func fig15() error {
-	fmt.Println("== Figure 15 (Fgp for one process, one binary t-variable)")
+func fig15(w io.Writer) error {
+	fmt.Fprintln(w, "== Figure 15 (Fgp for one process, one binary t-variable)")
 	a, err := fgp.New(1, 1, fgp.Faithful)
 	if err != nil {
 		return err
@@ -143,18 +144,18 @@ func fig15() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("reachable states: %d (paper lists 10)\n", len(states))
+	fmt.Fprintf(w, "reachable states: %d (paper lists 10)\n", len(states))
 	for i, s := range states {
-		fmt.Printf("  s%-2d = %s\n", i+1, s.(*fgp.State))
+		fmt.Fprintf(w, "  s%-2d = %s\n", i+1, s.(*fgp.State))
 	}
-	fmt.Println()
+	fmt.Fprintln(w)
 	return nil
 }
 
-func fig16() error {
-	fmt.Println("== Figure 16 (history Hex of Fgp: 3 processes, 2 binary t-variables)")
+func fig16(w io.Writer) error {
+	fmt.Fprintln(w, "== Figure 16 (history Hex of Fgp: 3 processes, 2 binary t-variables)")
 	hex := core.Fig16Hex()
-	fmt.Print(trace.Render(hex))
+	fmt.Fprint(w, trace.Render(hex))
 	a, err := fgp.New(3, 2, fgp.Corrected)
 	if err != nil {
 		return err
@@ -166,6 +167,6 @@ func fig16() error {
 	if err != nil {
 		return err
 	}
-	fmt.Printf("   accepted by Fgp=%v  opaque=%v\n", true, op.Holds)
+	fmt.Fprintf(w, "   accepted by Fgp=%v  opaque=%v\n", true, op.Holds)
 	return nil
 }
