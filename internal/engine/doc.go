@@ -5,7 +5,7 @@
 // # The two substrates
 //
 // The simulated substrate (internal/stm/... under internal/sim) runs
-// each process as a goroutine of a deterministic cooperative
+// each process as a coroutine of a deterministic cooperative
 // scheduler: exactly one process advances at a time, preemption and
 // crashes happen at explicit yield points, and runs are bit-for-bit
 // reproducible. It is the vehicle for the paper's formal experiments

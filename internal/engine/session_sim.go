@@ -34,7 +34,7 @@ type simSession struct {
 
 	mu   sync.Mutex
 	cond *sync.Cond
-	// q holds the submission lanes; sim goroutines only touch them
+	// q holds the submission lanes; sim processes only touch them
 	// inside a scheduler step, the driver and clients under mu between
 	// steps.
 	q        lanes

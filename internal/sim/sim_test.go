@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"slices"
 	"testing"
 
 	"livetm/internal/model"
@@ -83,24 +84,42 @@ func TestSeededDeterministic(t *testing.T) {
 	}
 }
 
+// TestFixedSchedule pins Fixed's contract: a scheduled process that
+// is not runnable is skipped (its entry consumed, the next one tried),
+// and only an exhausted schedule falls back to the first runnable
+// process. stmtest.ParasiticUnder and Recording.Replay rely on both.
 func TestFixedSchedule(t *testing.T) {
-	s := New(&Fixed{Schedule: []model.Proc{2, 2, 1, 2}})
-	defer s.Close()
-	var trace []int
-	body := func(env *Env) {
-		for i := 0; i < 3; i++ {
-			trace = append(trace, int(env.Proc()))
-			env.Yield()
-		}
-	}
-	_ = s.Spawn(1, body)
-	_ = s.Spawn(2, body)
-	s.Run(4)
-	want := []int{2, 2, 1, 2}
-	for i, w := range want {
-		if trace[i] != w {
-			t.Fatalf("trace = %v, want prefix %v", trace, want)
-		}
+	for _, tc := range []struct {
+		name     string
+		schedule []model.Proc
+		crash    model.Proc // crashed before the first step (0: none)
+		steps    int
+		want     []int
+	}{
+		{"replays in order", []model.Proc{2, 2, 1, 2}, 0, 4, []int{2, 2, 1, 2}},
+		{"skips a non-runnable entry, then falls back", []model.Proc{2, 3, 2, 3}, 2, 4, []int{3, 3, 1, 1}},
+		{"unknown processes are skipped too", []model.Proc{9, 3}, 0, 3, []int{3, 1, 1}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s := New(&Fixed{Schedule: tc.schedule})
+			defer s.Close()
+			var trace []int
+			for p := model.Proc(1); p <= 3; p++ {
+				_ = s.Spawn(p, func(env *Env) {
+					for {
+						trace = append(trace, int(env.Proc()))
+						env.Yield()
+					}
+				})
+			}
+			if tc.crash != 0 {
+				s.Crash(tc.crash)
+			}
+			s.Run(tc.steps)
+			if !slices.Equal(trace, tc.want) {
+				t.Fatalf("trace = %v, want %v", trace, tc.want)
+			}
+		})
 	}
 }
 
