@@ -552,44 +552,6 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 
 // --- Ablations (DESIGN.md §5) ---
 
-func BenchmarkAblationOpacityChecker(b *testing.B) {
-	// Six pairwise-concurrent transactions that all read 0 and write
-	// distinct values: only one can be serialized first, so legality
-	// pruning cuts every branch at depth ~2 while the naive search
-	// enumerates entire orders.
-	var h model.History
-	for p := model.Proc(1); p <= 6; p++ {
-		h = append(h, model.Read(p, 0), model.ValueResp(p, 0))
-	}
-	for p := model.Proc(1); p <= 6; p++ {
-		h = append(h,
-			model.Write(p, 0, model.Value(p)), model.OK(p),
-			model.TryCommit(p), model.Commit(p))
-	}
-	b.Run("pruned", func(b *testing.B) {
-		var explored int
-		for i := 0; i < b.N; i++ {
-			res, err := safety.CheckOpacity(h)
-			if err != nil {
-				b.Fatal(err)
-			}
-			explored = res.Explored
-		}
-		b.ReportMetric(float64(explored), "prefixes")
-	})
-	b.Run("naive", func(b *testing.B) {
-		var explored int
-		for i := 0; i < b.N; i++ {
-			res, err := safety.CheckOpacityNaive(h)
-			if err != nil {
-				b.Fatal(err)
-			}
-			explored = res.Explored
-		}
-		b.ReportMetric(float64(explored), "prefixes")
-	})
-}
-
 func BenchmarkAblationCM(b *testing.B) {
 	b.Run("abort-other", func(b *testing.B) {
 		var worst int

@@ -95,7 +95,11 @@
 //
 //	livetm check -file FILE
 //	    Load a JSON Lines trace ("-" reads stdin) and decide opacity
-//	    and strict serializability, printing a witness serialization.
+//	    and strict serializability. A trace of at most 64 transactions
+//	    is decided in one search, and an opaque one prints its witness
+//	    serialization. A longer trace is decided segment by segment at
+//	    quiescent cuts, without a witness, and is undecided when a
+//	    stretch of more than 64 transactions has no cut.
 //
 //	livetm record -engine NAME [-procs N] [-ops N] [-mix M] [-contention C] [-sharing S] [-out FILE]
 //	    Run a recording-capable engine (native algorithms included)
@@ -319,53 +323,32 @@ func cmdCheck(args []string) error {
 	return nil
 }
 
-// checkSegmentTxns is check's segment budget for histories past the
-// whole-history search's 64-transaction cap: the live monitor's.
-const checkSegmentTxns = 48
-
 // verdict is check's answer for one property: "true", "false" or
 // "undecided", the reason for the latter two, and the witness when the
-// whole-history search found one.
+// search found one.
 type verdict struct {
 	word, reason string
 	witness      []*model.Transaction
 }
 
 // checkVerdict decides opacity of h, or with strict its strict
-// serializability. Past the whole-history search's cap it checks
-// segment by segment at quiescent cuts: h itself for opacity, and its
-// committed projection — whose opacity is h's strict serializability —
-// for strict. A history with no quiescent cut within the budget is
-// undecided, never false.
+// serializability. A history with no quiescent cut where the search
+// needs one is undecided, never false.
 func checkVerdict(h model.History, strict bool) (verdict, error) {
-	whole := safety.CheckOpacity
+	decide := safety.CheckOpacity
 	if strict {
-		whole = safety.CheckStrictSerializability
+		decide = safety.CheckStrictSerializability
 	}
-	res, err := whole(h)
-	switch {
-	case err == nil && res.Holds:
-		return verdict{word: "true", witness: res.Witness}, nil
-	case err == nil:
-		return verdict{word: "false", reason: res.Reason}, nil
-	case !errors.Is(err, safety.ErrTooManyTransactions):
-		return verdict{}, err
-	}
-	if strict {
-		if h, err = model.CommittedProjection(h); err != nil {
-			return verdict{}, err
-		}
-	}
-	seg, err := safety.CheckOpacitySegmented(h, checkSegmentTxns)
+	res, err := decide(h)
 	switch {
 	case errors.Is(err, safety.ErrNoQuiescentCut):
 		return verdict{word: "undecided", reason: err.Error()}, nil
 	case err != nil:
 		return verdict{}, err
-	case !seg.Holds:
-		return verdict{word: "false", reason: seg.Reason}, nil
+	case !res.Holds:
+		return verdict{word: "false", reason: res.Reason}, nil
 	}
-	return verdict{word: "true"}, nil
+	return verdict{word: "true", witness: res.Witness}, nil
 }
 
 func cmdMatrix(args []string) error {

@@ -165,8 +165,8 @@ func TestFig12ParasiticVariantGlock(t *testing.T) {
 
 // TestAdversaryHistoriesOpaque: the adversary must not trick the TMs
 // into safety violations. The full recorded history (hundreds of
-// events, beyond the monolithic checker's reach) is verified with the
-// segmented checker; the adversary's round structure provides the
+// events, past the single search's 64-transaction cap) is verified
+// segment by segment; the adversary's round structure provides the
 // quiescent cuts.
 func TestAdversaryHistoriesOpaque(t *testing.T) {
 	for name, factory := range abortingTMs() {
@@ -179,7 +179,7 @@ func TestAdversaryHistoriesOpaque(t *testing.T) {
 				} else {
 					res = Algorithm2(factory, cfg)
 				}
-				seg, err := safety.CheckOpacitySegmented(res.History, 16)
+				seg, err := safety.CheckOpacity(res.History)
 				if err != nil {
 					t.Fatalf("alg%d: %v (history has %d events)", alg, err, len(res.History))
 				}

@@ -83,7 +83,7 @@ func TestNativeDriverDichotomy(t *testing.T) {
 }
 
 // TestNativeHistoriesOpaque replays each unblocked cell's recorded
-// history through the segmented checker: the adversary must not trick
+// history through the offline checker: the adversary must not trick
 // the native TMs into safety violations, and the recorded history must
 // be independently checkable (not just by the in-flight monitor).
 func TestNativeHistoriesOpaque(t *testing.T) {
@@ -97,7 +97,7 @@ func TestNativeHistoriesOpaque(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			seg, err := safety.CheckOpacitySegmented(res.History, 32)
+			seg, err := safety.CheckOpacity(res.History)
 			if err != nil {
 				t.Fatalf("%s/%s: %v (history has %d events)", info.Name, s.Name(), err, len(res.History))
 			}

@@ -152,7 +152,7 @@ func TestAdversaryCommittedP1NotOpaque(t *testing.T) {
 				if err := model.CheckWellFormed(flipped); err != nil {
 					t.Fatalf("flipped history malformed: %v", err)
 				}
-				seg, err := safety.CheckOpacitySegmented(flipped, 32)
+				seg, err := safety.CheckOpacity(flipped)
 				if err != nil {
 					t.Fatalf("checking flipped history: %v", err)
 				}

@@ -26,9 +26,9 @@
 // per-process chunked buffers, globally ordered by one atomic sequence
 // counter), and Stats.History carries a well-formed model.History of
 // what the hardware actually did. RunConfig.QuiesceEvery plants
-// quiescent cuts in recorded runs so the segmented and streaming
-// opacity checkers (safety.CheckOpacitySegmented, internal/monitor)
-// can verify arbitrarily long native executions in bounded memory.
+// quiescent cuts in recorded runs so the opacity checkers
+// (safety.CheckOpacity past 64 transactions, internal/monitor) can
+// verify arbitrarily long native executions segment by segment.
 //
 // # Sessions
 //

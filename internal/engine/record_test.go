@@ -158,7 +158,7 @@ func TestNativeRecordingParasitic(t *testing.T) {
 			t.Fatal("the parasite's projection contains a commit event")
 		}
 	}
-	res, err := safety.CheckOpacitySegmented(st.History, 48)
+	res, err := safety.CheckOpacity(st.History)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -228,7 +228,7 @@ func TestNativeRecordingBodyAbort(t *testing.T) {
 	if err := model.CheckWellFormed(h); err != nil {
 		t.Fatalf("malformed: %v", err)
 	}
-	res, err := safety.CheckOpacitySegmented(h, 48)
+	res, err := safety.CheckOpacity(h)
 	if err != nil {
 		t.Fatal(err)
 	}

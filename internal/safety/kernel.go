@@ -7,11 +7,14 @@ import (
 	"livetm/internal/model"
 )
 
-// The exact search behind every segment check: which committed
+// The one exact search behind every opacity verdict: which committed
 // snapshots can a segment's transactions leave behind, serialized
 // legally and in real-time order from one of the feasible start
-// snapshots? StreamChecker and CheckOpacitySegmented each own a
-// finalsKernel and ask it through its feasibleFinals method.
+// snapshots? StreamChecker owns a finalsKernel and asks it through
+// feasibleFinals at every quiescent cut. CheckOpacity and
+// CheckStrictSerializability ask a fresh one once, from the initial
+// state, in witness mode (serialization below) for any history within
+// the 64-transaction cap: the whole history is then one segment.
 //
 // The segment is compiled once: its variables get dense segment-local
 // indices (those some transaction may commit a write to come first, so
@@ -92,6 +95,29 @@ type finalsKernel struct {
 	// starts is the kernel's copy of the caller's start slice, whose
 	// storage the finals are written over.
 	starts []model.Snapshot
+
+	// Witness mode (see serialization) also keeps the prefix in
+	// progress as placements, path[d] being the d-th; order, the first
+	// complete serialization; and the deepest read found illegal.
+	witness  bool
+	path     []step
+	order    []step
+	obstacle obstacle
+}
+
+// step is one placement of a witness-mode search: the transaction and
+// the undo log's length when it was placed. A commit-pending
+// transaction was completed as committed exactly when the log grew
+// before the next placement, since only its own write-back runs in
+// between.
+type step struct{ txn, undoAt int32 }
+
+// obstacle is an illegal read met at depth placements: transaction
+// txn read val from segment variable v, which held held.
+type obstacle struct {
+	depth, txn int
+	v          int32
+	val, held  model.Value
 }
 
 // maxKeptMemo bounds, in keys plus values, the memo storage a kernel
@@ -234,11 +260,19 @@ func (k *finalsKernel) compile(seg []*model.Transaction, relaxed uint64) bool {
 				u := &k.uses[v]
 				switch {
 				case u.writers&bit != 0:
-					if k.wslab[u.wrAt].val != op.Val {
+					if held := k.wslab[u.wrAt].val; held != op.Val {
+						if k.witness {
+							k.blame(0, i, varVal{v, op.Val}, held)
+						}
 						return false
 					}
 				case u.readers&bit != 0:
-					if k.rslab[u.rdAt].val != op.Val {
+					if first := k.rslab[u.rdAt].val; first != op.Val {
+						// Wherever this read is legal, the first is
+						// not.
+						if k.witness {
+							k.blame(0, i, varVal{v, first}, op.Val)
+						}
 						return false
 					}
 				default:
@@ -318,8 +352,11 @@ func (k *finalsKernel) extend(placed uint64) {
 		if i < 0 {
 			break
 		}
-		if !k.legal(i) {
+		if !k.legal(i, placed) {
 			return
+		}
+		if k.witness {
+			k.place(i, placed)
 		}
 		bit := uint64(1) << uint(i)
 		placed |= bit
@@ -332,6 +369,9 @@ func (k *finalsKernel) extend(placed uint64) {
 		k.apply(i)
 	}
 	if placed == k.full {
+		if k.witness {
+			k.keep()
+		}
 		k.finals.insert(k.class, k.vals[:k.nw])
 		return
 	}
@@ -340,8 +380,11 @@ func (k *finalsKernel) extend(placed uint64) {
 	}
 	for rest := k.full &^ placed; rest != 0; rest &= rest - 1 {
 		i := bits.TrailingZeros64(rest)
-		if k.preds[i]&^placed != 0 || !k.legal(i) {
+		if k.preds[i]&^placed != 0 || !k.legal(i, placed) {
 			continue
+		}
+		if k.witness {
+			k.place(i, placed)
 		}
 		bit := uint64(1) << uint(i)
 		if k.mayAbort&bit != 0 {
@@ -368,9 +411,14 @@ func (k *finalsKernel) commuting(placed uint64) int {
 	return -1
 }
 
-func (k *finalsKernel) legal(i int) bool {
+// legal reports whether transaction i's external reads hold in the
+// current values, placed being the prefix it would extend.
+func (k *finalsKernel) legal(i int, placed uint64) bool {
 	for _, r := range k.rslab[k.reads[i].lo:k.reads[i].hi] {
 		if k.vals[r.v] != r.val {
+			if k.witness {
+				k.blame(bits.OnesCount64(placed), i, r, k.vals[r.v])
+			}
 			return false
 		}
 	}
@@ -389,6 +437,61 @@ func (k *finalsKernel) rollback(mark int) {
 		k.vals[k.undo[j].v] = k.undo[j].val
 	}
 	k.undo = k.undo[:mark]
+}
+
+// serialization is the front door's search: one feasibleFinals call
+// from the initial state, in witness mode. It returns the first legal
+// real-time-preserving serialization of txns it finds, each
+// commit-pending transaction completed the way that serialization
+// needs, or nil and the deepest illegal read the search met. txns must
+// be within the 64-transaction cap.
+func (k *finalsKernel) serialization(txns []*model.Transaction) ([]*model.Transaction, *model.IllegalReadError) {
+	k.witness = true
+	k.path = resized(k.path, len(txns))
+	k.obstacle = obstacle{depth: -1}
+	if finals, _ := k.feasibleFinals(txns, []model.Snapshot{{}}, 0); len(finals) == 0 {
+		if k.obstacle.depth < 0 {
+			return nil, nil
+		}
+		o := k.obstacle
+		return nil, &model.IllegalReadError{Txn: txns[o.txn].ID(), Var: k.vars[o.v], Got: o.val, Expected: o.held}
+	}
+	witness := make([]*model.Transaction, len(txns))
+	for d, s := range k.order[:len(txns)] {
+		t := txns[s.txn]
+		if t.Status == model.Live {
+			st := model.Aborted
+			if k.order[d+1].undoAt > s.undoAt {
+				st = model.Committed
+			}
+			t = completedAs(t, st)
+		}
+		witness[d] = t
+	}
+	return witness, nil
+}
+
+// place records that transaction i extends the placed prefix.
+func (k *finalsKernel) place(i int, placed uint64) {
+	k.path[bits.OnesCount64(placed)] = step{int32(i), int32(len(k.undo))}
+}
+
+// keep records the complete serialization on the path, closed by the
+// undo log's length so the last placement's completion reads like the
+// others', and ends the search: with full zero no prefix is complete
+// and no transaction is left to place, so every frame still open
+// returns after at most one look at each of its remaining candidates.
+func (k *finalsKernel) keep() {
+	k.order = append(append(k.order[:0], k.path...), step{-1, int32(len(k.undo))})
+	k.full = 0
+}
+
+// blame notes an illegal read at the given depth; the deepest one met,
+// the latest among equals, is the search's explanation of a violation.
+func (k *finalsKernel) blame(depth, txn int, r varVal, held model.Value) {
+	if depth >= k.obstacle.depth {
+		k.obstacle = obstacle{depth: depth, txn: txn, v: r.v, val: r.val, held: held}
+	}
 }
 
 // ownerOf returns the first start that agrees with starts[i] on every

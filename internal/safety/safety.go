@@ -6,43 +6,39 @@
 // and in which every transaction is legal. Strict serializability is
 // the same condition applied to the committed projection of H.
 //
-// Two searches decide them. CheckOpacity, CheckStrictSerializability
-// and CheckOpacityNaive look for one witness: they walk the linear
-// extensions of the real-time partial order with incremental legality
-// pruning and memoization on (placed-set, committed-state) pairs, and
-// return the serialization they found or the deepest obstacle. The
-// segment checkers — CheckOpacitySegmented and StreamChecker — need
-// more than a witness, because different witnesses of one segment may
-// leave different committed snapshots to the next: they both call one kernel (kernel.go) that returns every
-// feasible final snapshot. It compiles the segment to flat slabs and
-// bit masks, searches by apply/undo on one value slice with an
-// exact-keyed memo, reuses the checker's scratch from segment to segment, and
-// places — rather than branches on — every transaction that commutes
-// with all the unplaced ones that could still precede it, so only
-// transactions that really conflict cost search. Both searches are
-// exponential in the worst case — deciding opacity is NP-hard in
-// general — so callers keep the checked windows small.
+// One search decides them (kernel.go). It returns every committed
+// snapshot a legal real-time-preserving serialization of a segment can
+// end in, from a set of feasible start snapshots. It compiles the
+// segment to flat slabs and bit masks, searches by apply/undo on one
+// value slice with an exact-keyed memo, and places — rather than
+// branches on — every transaction that commutes with all the unplaced
+// ones that could still precede it, so only transactions that really
+// conflict cost search. It is exponential in the worst case — deciding
+// opacity is NP-hard in general — and holds a segment's transaction
+// sets in 64-bit masks, so no segment exceeds 64 transactions.
 //
-// Both represent transaction sets as 64-bit masks, capping any single
-// search window at 64 transactions; exceeding the cap (either directly
-// in CheckOpacity/CheckStrictSerializability, or by asking
-// CheckOpacitySegmented for a segment budget above 64) is reported as
-// ErrTooManyTransactions, detectable with errors.Is. Longer histories
-// go through CheckOpacitySegmented, which splits at quiescent cuts so
-// each search stays within the cap.
+// CheckOpacity and CheckStrictSerializability are the front door.
+// A history of at most 64 transactions is one segment, searched once
+// from the initial state; the search stops at the first serialization,
+// which the Result returns as its witness. A longer history goes
+// through a StreamChecker, which cuts it at quiescent points — where
+// no transaction is live — and propagates the feasible snapshots from
+// segment to segment. Such a verdict carries no witness, and a
+// cut-free stretch of more than 64 transactions is refused with
+// ErrNoQuiescentCut, detectable with errors.Is. Live monitors feed a
+// StreamChecker directly.
 package safety
 
 import (
 	"errors"
 	"fmt"
-	"strconv"
 	"strings"
 
 	"livetm/internal/model"
 )
 
-// ErrTooManyTransactions is returned when a history has more
-// transactions than the checker's search representation supports.
+// ErrTooManyTransactions is returned when a segment has more
+// transactions than the search's 64-bit masks can hold.
 var ErrTooManyTransactions = errors.New("safety: history exceeds 64 transactions")
 
 // Result is the outcome of a safety check.
@@ -51,13 +47,11 @@ type Result struct {
 	Holds bool
 	// Witness is a serialization order proving the property when Holds
 	// is true: the transactions of the (completed or committed-
-	// projected) history in a legal real-time-preserving order.
+	// projected) history in a legal real-time-preserving order. A
+	// history of more than 64 transactions is decided without one.
 	Witness []*model.Transaction
 	// Reason explains a violation when Holds is false.
 	Reason string
-	// Explored counts the serialization prefixes visited by the
-	// search; it is reported for the checker-ablation benchmark.
-	Explored int
 }
 
 // WitnessHistory renders the witness as a complete sequential history,
@@ -85,7 +79,7 @@ func CheckOpacity(h model.History) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("opacity: %w", err)
 	}
-	return serialize(txns, true)
+	return check(h, txns)
 }
 
 // CheckStrictSerializability decides whether the finite history is
@@ -99,7 +93,52 @@ func CheckStrictSerializability(h model.History) (Result, error) {
 	if err != nil {
 		return Result{}, fmt.Errorf("strict serializability: %w", err)
 	}
-	return serialize(txns, true)
+	return check(hcom, txns)
+}
+
+// check decides the opacity of h, whose transactions are txns: in one
+// search with a witness within the 64-transaction cap, and segment by
+// segment at quiescent cuts past it.
+func check(h model.History, txns []*model.Transaction) (Result, error) {
+	if len(txns) > 64 {
+		return checkStream(h)
+	}
+	var k finalsKernel
+	witness, obstacle := k.serialization(txns)
+	if witness != nil {
+		return Result{Holds: true, Witness: witness}, nil
+	}
+	ids := make([]string, len(txns))
+	for i, t := range txns {
+		ids[i] = t.ID()
+	}
+	reason := fmt.Sprintf("no legal real-time-preserving serialization of {%s} exists", strings.Join(ids, ", "))
+	if obstacle != nil {
+		reason += "; deepest obstacle: " + obstacle.Error()
+	}
+	return Result{Reason: reason}, nil
+}
+
+// checkStream decides the opacity of a history past the search's cap
+// on a StreamChecker with the full 64-transaction budget.
+func checkStream(h model.History) (Result, error) {
+	c, err := NewStreamChecker(64)
+	if err != nil {
+		return Result{}, err
+	}
+	for _, e := range h {
+		if err := c.Feed(e); err != nil {
+			if !errors.Is(err, ErrStreamNotOpaque) {
+				return Result{}, err
+			}
+			break
+		}
+	}
+	res, err := c.Finish()
+	if err != nil {
+		return Result{}, err
+	}
+	return Result{Holds: res.Holds, Reason: res.Reason}, nil
 }
 
 // commitPending reports whether the transaction is live with a
@@ -119,204 +158,4 @@ func completedAs(t *model.Transaction, st model.TxnStatus) *model.Transaction {
 		c.PendingInv = nil
 	}
 	return &c
-}
-
-// serialize searches for a legal linear extension of the real-time
-// order over txns. With prune set, it discards prefixes as soon as a
-// placed transaction is illegal; without, it only checks legality of
-// complete orders (the naive variant kept for the ablation benchmark).
-// Commit-pending transactions branch over both completions.
-func serialize(txns []*model.Transaction, prune bool) (Result, error) {
-	n := len(txns)
-	if n > 64 {
-		return Result{}, ErrTooManyTransactions
-	}
-	if n == 0 {
-		return Result{Holds: true}, nil
-	}
-
-	// preds[i] is the bitmask of transactions that must precede i.
-	preds := make([]uint64, n)
-	for i, a := range txns {
-		for j, b := range txns {
-			if i != j && b.Precedes(a) {
-				preds[i] |= 1 << uint(j)
-			}
-		}
-	}
-
-	s := &searcher{txns: txns, preds: preds, prune: prune, failed: make(map[string]bool)}
-	order := make([]placement, 0, n)
-	found := s.dfs(0, make(model.Snapshot), order)
-	res := Result{Holds: found, Explored: s.explored}
-	if found {
-		res.Witness = make([]*model.Transaction, n)
-		for i, pl := range s.witness {
-			t := txns[pl.idx]
-			switch {
-			case t.Status != model.Live:
-				res.Witness[i] = t
-			case pl.committed:
-				res.Witness[i] = completedAs(t, model.Committed)
-			default:
-				res.Witness[i] = completedAs(t, model.Aborted)
-			}
-		}
-		return res, nil
-	}
-	res.Reason = s.reason()
-	return res, nil
-}
-
-// placement records one serialized transaction and, for commit-pending
-// ones, the chosen completion.
-type placement struct {
-	idx       int
-	committed bool
-}
-
-type searcher struct {
-	txns     []*model.Transaction
-	preds    []uint64
-	prune    bool
-	failed   map[string]bool // memo of (placed, state) prefixes known not to extend
-	witness  []placement
-	explored int
-	lastErr  error // deepest legality violation seen, for diagnostics
-	lastLen  int
-}
-
-func (s *searcher) dfs(placed uint64, state model.Snapshot, order []placement) bool {
-	n := len(s.txns)
-	if len(order) == n {
-		if !s.prune {
-			// The naive variant validates the complete order here.
-			ordered := make([]*model.Transaction, n)
-			for i, pl := range order {
-				t := s.txns[pl.idx]
-				if t.Status == model.Live {
-					st := model.Aborted
-					if pl.committed {
-						st = model.Committed
-					}
-					t = completedAs(t, st)
-				}
-				ordered[i] = t
-			}
-			if err := model.LegalSequence(ordered); err != nil {
-				s.note(err, n)
-				return false
-			}
-		}
-		s.witness = append([]placement(nil), order...)
-		return true
-	}
-	// Memoization is sound only when pruning: with pruning, every
-	// prefix reaching (placed, state) is already known legal, so
-	// extendability depends only on (placed, state). The naive variant
-	// validates whole orders at the leaves, where the prefix matters.
-	var key string
-	if s.prune {
-		key = memoKey(placed, state)
-		if s.failed[key] {
-			return false
-		}
-	}
-	for i := 0; i < n; i++ {
-		bit := uint64(1) << uint(i)
-		if placed&bit != 0 || s.preds[i]&^placed != 0 {
-			continue
-		}
-		t := s.txns[i]
-		commits := []bool{t.Status == model.Committed}
-		if commitPending(t) {
-			// Branch: complete the pending tryC as aborted, then as
-			// committed.
-			commits = []bool{false, true}
-		}
-		for _, asCommitted := range commits {
-			s.explored++
-			if s.prune {
-				if err := model.LegalInState(t, state); err != nil {
-					s.note(err, len(order))
-					break // legality does not depend on the completion
-				}
-			}
-			next := state
-			if asCommitted {
-				ws := t.WriteSet()
-				if len(ws) > 0 {
-					next = state.Clone()
-					next.Apply(ws)
-				}
-			}
-			if s.dfs(placed|bit, next, append(order, placement{idx: i, committed: asCommitted})) {
-				return true
-			}
-		}
-	}
-	if s.prune {
-		s.failed[key] = true
-	}
-	return false
-}
-
-func (s *searcher) note(err error, depth int) {
-	if depth >= s.lastLen {
-		s.lastLen = depth
-		s.lastErr = err
-	}
-}
-
-func (s *searcher) reason() string {
-	ids := make([]string, len(s.txns))
-	for i, t := range s.txns {
-		ids[i] = t.ID()
-	}
-	msg := fmt.Sprintf("no legal real-time-preserving serialization of {%s} exists", strings.Join(ids, ", "))
-	if s.lastErr != nil {
-		msg += "; deepest obstacle: " + s.lastErr.Error()
-	}
-	return msg
-}
-
-// memoKey canonically encodes a search state. Only committed writes are
-// in the snapshot, so two prefixes with the same placed set and the
-// same resulting state are interchangeable. The witness search keys its
-// memo with it at every node (the segment search in kernel.go has its
-// own exact table and never builds a string), hence the hand-rolled
-// formatting: insertion sort over the handful of touched variables and
-// strconv appends, no fmt machinery.
-func memoKey(placed uint64, state model.Snapshot) string {
-	vars := make([]model.TVar, 0, len(state))
-	for x := range state {
-		vars = append(vars, x)
-	}
-	for i := 1; i < len(vars); i++ {
-		for j := i; j > 0 && vars[j] < vars[j-1]; j-- {
-			vars[j], vars[j-1] = vars[j-1], vars[j]
-		}
-	}
-	buf := make([]byte, 0, 16+12*len(vars))
-	buf = strconv.AppendUint(buf, placed, 16)
-	buf = append(buf, '|')
-	for _, x := range vars {
-		buf = strconv.AppendInt(buf, int64(x), 10)
-		buf = append(buf, '=')
-		buf = strconv.AppendInt(buf, int64(state[x]), 10)
-		buf = append(buf, ',')
-	}
-	return string(buf)
-}
-
-// CheckOpacityNaive is CheckOpacity without incremental pruning:
-// complete orders are generated first and validated afterwards. It
-// exists to quantify the value of pruning (DESIGN.md §5) and must
-// agree with CheckOpacity on every history.
-func CheckOpacityNaive(h model.History) (Result, error) {
-	txns, err := model.Transactions(h)
-	if err != nil {
-		return Result{}, fmt.Errorf("opacity (naive): %w", err)
-	}
-	return serialize(txns, false)
 }

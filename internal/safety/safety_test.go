@@ -237,6 +237,8 @@ func TestOpacityImpliesStrictSerializabilityProperty(t *testing.T) {
 	}
 }
 
+// TestNaiveCheckerAgreesProperty: the front door, the pruned reference
+// and the naive reference agree on every small random history.
 func TestNaiveCheckerAgreesProperty(t *testing.T) {
 	f := func(raw []uint8) bool {
 		h := genHistory(raw)
@@ -245,24 +247,27 @@ func TestNaiveCheckerAgreesProperty(t *testing.T) {
 			return true // keep the naive search tractable
 		}
 		fast, err1 := CheckOpacity(h)
-		slow, err2 := CheckOpacityNaive(h)
-		if err1 != nil || err2 != nil {
-			return err1 != nil && err2 != nil
+		pruned, err2 := referenceOpacity(h)
+		slow, err3 := referenceNaive(h)
+		if err1 != nil || err2 != nil || err3 != nil {
+			return err1 != nil && err2 != nil && err3 != nil
 		}
-		return fast.Holds == slow.Holds
+		return fast.Holds == slow.Holds && pruned.Holds == slow.Holds
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 120}); err != nil {
 		t.Error(err)
 	}
 }
 
+// TestPruningExploresLess: legality pruning never makes the reference
+// search visit more prefixes.
 func TestPruningExploresLess(t *testing.T) {
 	h := figAlg1Termination(0)
-	fast, err := CheckOpacity(h)
+	fast, err := referenceOpacity(h)
 	if err != nil {
 		t.Fatal(err)
 	}
-	slow, err := CheckOpacityNaive(h)
+	slow, err := referenceNaive(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -296,12 +301,15 @@ func TestCommitPendingMayCommit(t *testing.T) {
 	if res.Witness[0].ID() != "T1.0" || res.Witness[0].Status != model.Committed {
 		t.Errorf("witness[0] = %s, want committed T1.0", res.Witness[0])
 	}
-	seg, err := CheckOpacitySegmented(h, 8)
+	if err := model.LegalSequence(res.Witness); err != nil {
+		t.Errorf("witness order must be legal: %v", err)
+	}
+	c, err := NewStreamChecker(8)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !seg.Holds {
-		t.Errorf("segmented checker must agree: %s", seg.Reason)
+	if seg := streamVerdict(t, c, h); !seg.Holds {
+		t.Errorf("streaming checker must agree: %s", seg.Reason)
 	}
 }
 
@@ -364,18 +372,31 @@ func TestNonCommitPendingLiveStaysAborted(t *testing.T) {
 	}
 }
 
+// TestTooManyTransactions: past the search's 64-transaction cap the
+// front door decides segment by segment, without a witness, and
+// refuses a cut-free stretch past the cap as undecidable, never as a
+// violation. A streaming checker asked for a budget beyond the cap is
+// refused with ErrTooManyTransactions.
 func TestTooManyTransactions(t *testing.T) {
 	b := model.NewBuilder()
 	for i := 0; i < 70; i++ {
 		b.Read(1, 0, 0).Commit(1)
 	}
-	if _, err := CheckOpacity(b.History()); !errors.Is(err, ErrTooManyTransactions) {
-		t.Errorf("expected ErrTooManyTransactions for 70 transactions, got %v", err)
+	res, err := CheckOpacity(b.History())
+	if err != nil || !res.Holds || res.Witness != nil {
+		t.Errorf("70 sequential readers: holds=%v witness=%d err=%v, want opaque without a witness", res.Holds, len(res.Witness), err)
 	}
-	// The segmented checker reports the same sentinel when asked for
-	// a budget beyond the search cap.
-	if _, err := CheckOpacitySegmented(b.History(), 70); !errors.Is(err, ErrTooManyTransactions) {
-		t.Errorf("segmented checker: expected ErrTooManyTransactions, got %v", err)
+	// p2 stays live across all 70: no quiescent cut anywhere.
+	b = model.NewBuilder()
+	b.Raw(model.Read(2, 0), model.ValueResp(2, 0))
+	for i := 0; i < 70; i++ {
+		b.Read(1, 0, 0).Commit(1)
+	}
+	if _, err := CheckOpacity(b.History()); !errors.Is(err, ErrNoQuiescentCut) {
+		t.Errorf("a cut-free stretch of 71 transactions: got %v, want ErrNoQuiescentCut", err)
+	}
+	if _, err := NewStreamChecker(70); !errors.Is(err, ErrTooManyTransactions) {
+		t.Errorf("stream checker: expected ErrTooManyTransactions, got %v", err)
 	}
 }
 
@@ -387,8 +408,8 @@ func TestMalformedHistoryErrors(t *testing.T) {
 	if _, err := CheckStrictSerializability(bad); err == nil {
 		t.Error("CheckStrictSerializability must reject malformed histories")
 	}
-	if _, err := CheckOpacityNaive(bad); err == nil {
-		t.Error("CheckOpacityNaive must reject malformed histories")
+	if _, err := referenceNaive(bad); err == nil {
+		t.Error("the naive reference must reject malformed histories")
 	}
 }
 

@@ -8,6 +8,21 @@ import (
 	"livetm/internal/model"
 )
 
+// padded returns h behind 64 committed read-only transactions of a
+// process and a variable h does not use. They precede all of h in real
+// time and commute with it, so the padded history has h's verdict, but
+// at more than 64 transactions the front door decides it segment by
+// segment at quiescent cuts instead of in one search.
+func padded(h model.History) model.History {
+	b := model.NewBuilder()
+	for i := 0; i < 64; i++ {
+		b.Read(100, 100, 0).Commit(100)
+	}
+	return append(b.History(), h...)
+}
+
+// TestSegmentedAgreesOnFigures: the figures keep their verdicts when
+// the front door decides them segment by segment.
 func TestSegmentedAgreesOnFigures(t *testing.T) {
 	tests := []struct {
 		name string
@@ -21,7 +36,7 @@ func TestSegmentedAgreesOnFigures(t *testing.T) {
 	}
 	for _, tt := range tests {
 		t.Run(tt.name, func(t *testing.T) {
-			res, err := CheckOpacitySegmented(tt.h, 8)
+			res, err := CheckOpacity(padded(tt.h))
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -32,19 +47,16 @@ func TestSegmentedAgreesOnFigures(t *testing.T) {
 	}
 }
 
-// Property: the segmented checker agrees with the monolithic one on
-// every small random history it can segment.
+// Property: the front door's segment path agrees with the reference on
+// every small random history.
 func TestSegmentedAgreesProperty(t *testing.T) {
 	f := func(raw []uint8) bool {
 		h := genHistory(raw)
-		mono, err := CheckOpacity(h)
+		mono, err := referenceOpacity(h)
 		if err != nil {
 			return true
 		}
-		seg, err := CheckOpacitySegmented(h, 8)
-		if errors.Is(err, ErrNoQuiescentCut) {
-			return true // not segmentable within budget: out of scope
-		}
+		seg, err := CheckOpacity(padded(h))
 		if err != nil {
 			return false
 		}
@@ -56,31 +68,27 @@ func TestSegmentedAgreesProperty(t *testing.T) {
 }
 
 // TestSegmentedLongHistory verifies a history far beyond the 64-txn
-// monolithic limit: 200 sequential counter transactions.
+// search cap: 200 sequential counter transactions.
 func TestSegmentedLongHistory(t *testing.T) {
 	b := model.NewBuilder()
 	for i := 0; i < 200; i++ {
 		p := model.Proc(i%3 + 1)
 		b.Read(p, 0, model.Value(i)).Write(p, 0, model.Value(i+1)).Commit(p)
 	}
-	h := b.History()
-	if _, err := CheckOpacity(h); err == nil {
-		t.Fatal("monolithic checker should refuse 200 transactions")
-	}
-	res, err := CheckOpacitySegmented(h, 8)
+	res, err := CheckOpacity(b.History())
 	if err != nil {
 		t.Fatal(err)
 	}
 	if !res.Holds {
 		t.Fatalf("sequential counter chain must be opaque: %s", res.Reason)
 	}
-	if res.Segments < 200/8 {
-		t.Errorf("segments = %d, expected at least %d", res.Segments, 200/8)
+	if res.Witness != nil {
+		t.Errorf("a history past the cap is decided without a witness, got %d transactions", len(res.Witness))
 	}
 }
 
 // TestSegmentedLongViolation plants a stale read deep inside a long
-// history and checks the segmented checker localizes the failure.
+// history and checks the front door localizes the failure.
 func TestSegmentedLongViolation(t *testing.T) {
 	b := model.NewBuilder()
 	for i := 0; i < 80; i++ {
@@ -89,7 +97,7 @@ func TestSegmentedLongViolation(t *testing.T) {
 	}
 	// The stale read: value 0 was overwritten 80 commits ago.
 	b.Read(1, 0, 0).Commit(1)
-	res, err := CheckOpacitySegmented(b.History(), 8)
+	res, err := CheckOpacity(b.History())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -104,7 +112,7 @@ func TestSegmentedLongViolation(t *testing.T) {
 // TestSegmentedSnapshotAmbiguity: two concurrent committed writers
 // with no reads can serialize either way, leaving two feasible
 // snapshots; the next segment is opaque under only one of them. The
-// segmented checker must keep both and accept.
+// segment path must keep both and accept.
 func TestSegmentedSnapshotAmbiguity(t *testing.T) {
 	h := model.History{
 		// Segment 1: w1 and w2 concurrent, both commit blind writes.
@@ -116,7 +124,7 @@ func TestSegmentedSnapshotAmbiguity(t *testing.T) {
 		model.Read(3, 0), model.ValueResp(3, 1),
 		model.TryCommit(3), model.Commit(3),
 	}
-	res, err := CheckOpacitySegmented(h, 2)
+	res, err := CheckOpacity(padded(h))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -126,7 +134,7 @@ func TestSegmentedSnapshotAmbiguity(t *testing.T) {
 	// Control: reading 3 is infeasible under either order.
 	bad := h.Clone()
 	bad[9] = model.ValueResp(3, 3)
-	res, err = CheckOpacitySegmented(bad, 2)
+	res, err = CheckOpacity(padded(bad))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -135,22 +143,28 @@ func TestSegmentedSnapshotAmbiguity(t *testing.T) {
 	}
 }
 
-func TestSegmentedNoCut(t *testing.T) {
-	// Five pairwise-concurrent transactions and a budget of 2: no cut.
+// concurrentReaders returns n pairwise-concurrent transactions that
+// read the initial value and commit.
+func concurrentReaders(n int) model.History {
 	var h model.History
-	for p := model.Proc(1); p <= 5; p++ {
+	for p := model.Proc(1); p <= model.Proc(n); p++ {
 		h = append(h, model.Read(p, 0), model.ValueResp(p, 0))
 	}
-	for p := model.Proc(1); p <= 5; p++ {
+	for p := model.Proc(1); p <= model.Proc(n); p++ {
 		h = append(h, model.TryCommit(p), model.Commit(p))
 	}
-	_, err := CheckOpacitySegmented(h, 2)
+	return h
+}
+
+func TestSegmentedNoCut(t *testing.T) {
+	// 65 pairwise-concurrent transactions: no cut, and one past the cap.
+	_, err := CheckOpacity(concurrentReaders(65))
 	if !errors.Is(err, ErrNoQuiescentCut) {
 		t.Errorf("err = %v, want ErrNoQuiescentCut", err)
 	}
-	// With a budget of 5 it segments (one segment) and holds: all
-	// transactions read the initial value and write nothing.
-	res, err := CheckOpacitySegmented(h, 5)
+	// 64 fit one search and hold: all transactions read the initial
+	// value and write nothing.
+	res, err := CheckOpacity(concurrentReaders(64))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -160,16 +174,16 @@ func TestSegmentedNoCut(t *testing.T) {
 }
 
 func TestSegmentedValidation(t *testing.T) {
-	if _, err := CheckOpacitySegmented(fig1(), 0); err == nil {
+	if _, err := NewStreamChecker(0); err == nil {
 		t.Error("budget 0 must be rejected")
 	}
-	if _, err := CheckOpacitySegmented(fig1(), 65); err == nil {
+	if _, err := NewStreamChecker(65); err == nil {
 		t.Error("budget > 64 must be rejected")
 	}
-	if _, err := CheckOpacitySegmented(model.History{model.OK(1)}, 4); err == nil {
+	if _, err := CheckOpacity(padded(model.History{model.OK(1)})); err == nil {
 		t.Error("malformed history must be rejected")
 	}
-	res, err := CheckOpacitySegmented(nil, 4)
+	res, err := CheckOpacity(nil)
 	if err != nil || !res.Holds {
 		t.Error("empty history is opaque")
 	}
@@ -177,14 +191,14 @@ func TestSegmentedValidation(t *testing.T) {
 
 // TestSegmentedLiveTransactionBlocksCut: a transaction left live spans
 // to the end of the history, so cuts after its start are not
-// quiescent.
+// quiescent, and the final stretch holds 65 transactions.
 func TestSegmentedLiveTransactionBlocksCut(t *testing.T) {
 	b := model.NewBuilder()
 	b.Raw(model.Read(3, 1)) // p3 starts and never finishes
-	for i := 0; i < 10; i++ {
+	for i := 0; i < 64; i++ {
 		b.Read(1, 0, model.Value(i)).Write(1, 0, model.Value(i+1)).Commit(1)
 	}
-	_, err := CheckOpacitySegmented(b.History(), 4)
+	_, err := CheckOpacity(b.History())
 	if !errors.Is(err, ErrNoQuiescentCut) {
 		t.Errorf("err = %v, want ErrNoQuiescentCut (live transaction spans everything)", err)
 	}

@@ -1,40 +1,71 @@
 package safety
 
 import (
+	"errors"
 	"fmt"
 	"math/bits"
 
 	"livetm/internal/model"
 )
 
+// ErrNoQuiescentCut is returned when a stretch of a history without a
+// quiescent cut holds more transactions than the segment budget.
+var ErrNoQuiescentCut = errors.New("safety: no quiescent cut within the segment budget")
+
+// SegmentedResult reports the outcome of a streamed opacity check.
+type SegmentedResult struct {
+	Holds    bool
+	Segments int
+	// Reason explains the violation (the failing segment) when Holds
+	// is false.
+	Reason string
+	// Approx reports that the verdict was reached through forced
+	// serialization frontiers (the streaming checker's bounded-overlap
+	// fallback, see StreamChecker.WithApproxFallback): ordering
+	// constraints across a forced frontier were not searched, so the
+	// verdict is an explicit approximation, not a decision.
+	Approx bool
+	// ForcedCuts counts the forced frontiers the verdict rests on.
+	ForcedCuts int
+	// RelaxedStraddlers counts transactions carried across a forced
+	// frontier whose reads had to be waived to serialize a later
+	// segment: their reads pinned mid-window states whose explaining
+	// writers were already flushed, so they are unverifiable rather
+	// than wrong (see StreamChecker).
+	RelaxedStraddlers int
+}
+
 // StreamChecker decides opacity of a history fed one event at a time,
-// in bounded memory: the incremental counterpart of
-// CheckOpacitySegmented, built on the same quiescent-cut argument and
-// the same feasible-snapshot propagation.
+// in bounded memory.
 //
-// Events buffer only while some transaction is open. At every
-// quiescent cut — a point where no transaction is open — the buffered
+// Long histories usually have quiescent cuts: points where no
+// transaction is open. Transactions entirely before a cut precede, in
+// real time, all transactions entirely after it, so every
+// real-time-preserving serialization is one of the part before
+// followed by one of the part after: the parts communicate only
+// through the committed snapshot. Events therefore buffer only while
+// some transaction is open. At every quiescent cut the buffered
 // segment is checked against the feasible committed snapshots so far
 // and discarded, so memory and each search are bounded by one cut-free
-// stretch. The check is the exact search of kernel.go: it returns every
+// stretch. One witness per segment would not do, since the next
+// segment may only be explainable from another serialization's final
+// state, so the check is the exact search of kernel.go: it returns every
 // committed snapshot a legal serialization of the segment can end in,
 // branching only among transactions that conflict — the processes of a
 // cut-free stretch that work on different variables are placed in one
 // pass — and the checker parses and searches in storage it keeps, so a
-// steady stream costs one small allocation per segment. A stretch that
-// accumulates more than maxTxnsPerSegment completed transactions
-// without quiescing is refused with ErrNoQuiescentCut instead of
-// buffering without bound, mirroring the segmented checker's
-// ErrTooManyTransactions regime.
-//
-// Checking at every cut or only at the forced flushes of
-// CheckOpacitySegmented propagates the same snapshot sets — the states
-// feasible at a cut are a function of the cut, not of the flush
-// schedule — so the two checkers agree wherever both decide; the
-// streaming one simply reports violations at the earliest cut.
+// steady stream costs one small allocation per segment. This is sound
+// and complete: it accepts exactly the opaque histories among those it
+// can cut, and reports a violation at the earliest cut after it. A
+// stretch that accumulates more than maxTxnsPerSegment completed
+// transactions without quiescing is refused with ErrNoQuiescentCut
+// instead of buffering without bound, and so is a final stretch — its
+// live transactions included — past the search's 64-transaction cap.
 //
 // A violation is terminal: Feed reports it once, wrapped around
 // ErrStreamNotOpaque, and Finish keeps returning the failing verdict.
+// Any other error is terminal too, and Feed and Finish keep returning
+// it.
 //
 // A checker with WithApproxFallback set does not refuse cut-starved
 // streams: when the budget overflows with transactions still open, it
@@ -83,7 +114,8 @@ type StreamChecker struct {
 	straddler map[model.Proc]bool
 	relaxed   int
 
-	done   bool // violation or Finish reached
+	done   bool  // violation, error or Finish reached
+	err    error // the terminal error, if any
 	holds  bool
 	reason string
 
@@ -95,7 +127,7 @@ type StreamChecker struct {
 var ErrStreamNotOpaque = fmt.Errorf("safety: streamed history is not opaque")
 
 // NewStreamChecker creates a checker with the given per-segment
-// transaction budget (1 to 64, like CheckOpacitySegmented).
+// transaction budget, 1 to 64.
 func NewStreamChecker(maxTxnsPerSegment int) (*StreamChecker, error) {
 	if maxTxnsPerSegment <= 0 {
 		return nil, fmt.Errorf("safety: segment budget %d must be positive", maxTxnsPerSegment)
@@ -157,7 +189,10 @@ const bufferedEvery = 64
 // ErrNoQuiescentCut), or was malformed.
 func (c *StreamChecker) Feed(e model.Event) error {
 	if c.done {
-		if !c.holds {
+		switch {
+		case c.err != nil:
+			return c.err
+		case !c.holds:
 			return fmt.Errorf("%w: %s", ErrStreamNotOpaque, c.reason)
 		}
 		return fmt.Errorf("safety: Feed after Finish")
@@ -182,13 +217,13 @@ func (c *StreamChecker) Feed(e model.Event) error {
 	}
 	// The budget check comes first: a cut-free stretch of max+1
 	// completed transactions is refused even if its last event happens
-	// to quiesce the buffer, matching CheckOpacitySegmented's "at most
-	// max per segment" and keeping every feasibleFinals call within
-	// the 64-transaction search cap. With the fallback enabled the
-	// stretch is flushed at a forced frontier instead.
+	// to quiesce the buffer, so no segment exceeds the budget and every
+	// feasibleFinals call stays within the 64-transaction search cap.
+	// With the fallback enabled the stretch is flushed at a forced
+	// frontier instead.
 	if c.txnsInBuf > c.max {
 		if !c.approx {
-			return fmt.Errorf("%w: %d concurrent transactions without a quiescent point", ErrNoQuiescentCut, c.txnsInBuf)
+			return c.fail(fmt.Errorf("%w: %d concurrent transactions without a quiescent point", ErrNoQuiescentCut, c.txnsInBuf))
 		}
 		return c.forceFlush()
 	}
@@ -207,7 +242,7 @@ func (c *StreamChecker) Feed(e model.Event) error {
 func (c *StreamChecker) forceFlush() error {
 	txns, err := c.parser.Parse(c.buf)
 	if err != nil {
-		return fmt.Errorf("streaming opacity: %w", err)
+		return c.fail(fmt.Errorf("streaming opacity: %w", err))
 	}
 	keepFrom := make(map[model.Proc]int, c.openCount)
 	for _, t := range txns {
@@ -230,7 +265,7 @@ func (c *StreamChecker) forceFlush() error {
 	c.tel.Forced.Inc()
 	txns, err = c.parser.Parse(seg)
 	if err != nil {
-		return fmt.Errorf("streaming opacity: %w", err)
+		return c.fail(fmt.Errorf("streaming opacity: %w", err))
 	}
 	c.segments++
 	c.tel.Segments.Inc()
@@ -243,7 +278,7 @@ func (c *StreamChecker) forceFlush() error {
 	// segment.
 	finals, err := c.kernel.feasibleFinals(txns, c.states, c.waiveMask(txns))
 	if err != nil {
-		return err
+		return c.fail(err)
 	}
 	if len(finals) == 0 {
 		c.done, c.holds = true, false
@@ -294,7 +329,7 @@ func (c *StreamChecker) waiveMask(txns []*model.Transaction) uint64 {
 func (c *StreamChecker) flush() error {
 	next, violation, err := c.checkSegment(c.buf)
 	if err != nil {
-		return err
+		return c.fail(err)
 	}
 	if violation != "" {
 		c.done, c.holds, c.reason = true, false, violation
@@ -322,6 +357,11 @@ func (c *StreamChecker) checkSegment(seg model.History) ([]model.Snapshot, strin
 	if len(txns) == 0 {
 		return c.states, "", nil
 	}
+	if len(txns) > 64 {
+		// Only the final segment can get here: it is the one that may
+		// hold live transactions on top of the budget.
+		return nil, "", fmt.Errorf("%w: %d transactions after the last quiescent point", ErrNoQuiescentCut, len(txns))
+	}
 	c.segments++
 	c.tel.Segments.Inc()
 	next, err := c.kernel.feasibleFinals(txns, c.states, c.waiveMask(txns))
@@ -338,15 +378,19 @@ func (c *StreamChecker) checkSegment(seg model.History) ([]model.Snapshot, strin
 // Finish checks whatever remains buffered — including live and
 // commit-pending transactions, which only the final segment may
 // contain — and returns the verdict for the whole streamed history.
-// Finish is terminal; the checker cannot be fed afterwards.
+// Finish is terminal; the checker cannot be fed afterwards, and every
+// later Finish returns what the first did.
 func (c *StreamChecker) Finish() (SegmentedResult, error) {
+	if c.err != nil {
+		return SegmentedResult{}, c.err
+	}
 	if c.done {
 		return c.result(), nil
 	}
 	c.done = true
 	next, violation, err := c.checkSegment(c.buf)
 	if err != nil {
-		return SegmentedResult{}, err
+		return SegmentedResult{}, c.fail(err)
 	}
 	c.buf = nil
 	if violation != "" {
@@ -359,6 +403,12 @@ func (c *StreamChecker) Finish() (SegmentedResult, error) {
 		c.states = next
 	}
 	return c.result(), nil
+}
+
+// fail makes err the checker's terminal answer and returns it.
+func (c *StreamChecker) fail(err error) error {
+	c.done, c.err = true, err
+	return err
 }
 
 // result snapshots the terminal verdict, marking it approximate when

@@ -54,16 +54,13 @@ func TestStreamAgreesOnFigures(t *testing.T) {
 	}
 }
 
-// Property: on every small random history the monolithic checker can
-// decide, the streaming checker either agrees or refuses for lack of
-// quiescent cuts — it never returns a wrong verdict. (It may detect a
-// violation in an early segment of a history the greedy segmenter
-// refuses to split, so the comparison runs against CheckOpacity, not
-// CheckOpacitySegmented.)
+// Property: on every small random history, the streaming checker
+// either agrees with the whole-history reference search or refuses for
+// lack of quiescent cuts — it never returns a wrong verdict.
 func TestStreamAgreesWithMonolithic(t *testing.T) {
 	f := func(raw []uint8) bool {
 		h := genHistory(raw)
-		mono, err := CheckOpacity(h)
+		mono, err := referenceOpacity(h)
 		if err != nil {
 			return true
 		}
@@ -215,7 +212,7 @@ func TestStreamValidation(t *testing.T) {
 }
 
 // TestStreamNoCut: more concurrent transactions than the budget with
-// no quiescent point is refused, like the segmented checker.
+// no quiescent point is refused.
 func TestStreamNoCut(t *testing.T) {
 	var h model.History
 	for p := model.Proc(1); p <= 5; p++ {
@@ -388,7 +385,7 @@ func TestStreamStraddlerFalseAlarm(t *testing.T) {
 	h := b.History()
 
 	// The history really is opaque: one exact segment covers it.
-	exact, err := CheckOpacitySegmented(h, 64)
+	exact, err := CheckOpacity(h)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -679,5 +676,51 @@ func TestStreamBufferedGaugeShowsCutStarvedBacklog(t *testing.T) {
 	feed(model.TryCommit(1), model.Commit(1))
 	if got := buffered.Load(); got != 0 {
 		t.Fatalf("Buffered gauge = %d after the cut flushed the backlog, want 0", got)
+	}
+}
+
+// TestFinishIsTerminal: a Finish that cannot decide returns the same
+// error on every call — it never turns into a verdict — and a final
+// window past the search cap is refused as cut-starved.
+func TestFinishIsTerminal(t *testing.T) {
+	overCap := model.NewBuilder()
+	overCap.Raw(model.Read(1, 0), model.ValueResp(1, 0)) // p1 stays live
+	for i := 0; i < 64; i++ {
+		overCap.Read(2, 0, 0).Commit(2)
+	}
+	malformed := model.History{
+		model.Read(1, 0), model.ValueResp(1, 0),
+		model.OK(1), // answers no invocation
+	}
+	for _, tc := range []struct {
+		name string
+		h    model.History
+		want error // nil: any error
+	}{
+		{"over-cap final window", overCap.History(), ErrNoQuiescentCut},
+		{"malformed tail", malformed, nil},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			c, err := NewStreamChecker(64)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range tc.h {
+				if err := c.Feed(e); err != nil {
+					t.Fatalf("feed %d: %v", i, err)
+				}
+			}
+			_, first := c.Finish()
+			if first == nil || tc.want != nil && !errors.Is(first, tc.want) {
+				t.Fatalf("first Finish: %v, want %v", first, tc.want)
+			}
+			res, second := c.Finish()
+			if second != first {
+				t.Fatalf("second Finish: %+v, %v; want the first's error %v", res, second, first)
+			}
+			if err := c.Feed(model.Read(3, 0)); err != first {
+				t.Fatalf("Feed after Finish: %v, want %v", err, first)
+			}
+		})
 	}
 }

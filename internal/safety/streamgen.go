@@ -60,7 +60,7 @@ type StreamGenConfig struct {
 //   - with StraddlerViolation, p3 instead re-reads x = Increments
 //     before committing, making its own read set inconsistent.
 //
-// The exact segmented checker (one segment, budget ≥ all transactions)
+// The exact checker (CheckOpacity, one search over all transactions)
 // always rejects every variant. The streaming checker's forced-
 // frontier fallback propagates final snapshots across frontiers and
 // re-checks the post-frontier window against them, so it also rejects

@@ -42,7 +42,7 @@ var shapeVariants = []struct {
 }
 
 // TestViolatingStreamShape: the generator's output is well-formed,
-// cut-starved, and rejected by the exact segmented checker for every
+// cut-starved, and rejected by the exact checker for every
 // parameter combination the sweep uses, in every variant.
 func TestViolatingStreamShape(t *testing.T) {
 	for _, v := range shapeVariants {
@@ -57,7 +57,7 @@ func TestViolatingStreamShape(t *testing.T) {
 				if err := model.CheckWellFormed(h); err != nil {
 					t.Fatalf("%s k=%d d=%d: malformed: %v", v.name, k, d, err)
 				}
-				res, err := CheckOpacitySegmented(h, 64)
+				res, err := CheckOpacity(h)
 				if err != nil {
 					t.Fatalf("%s k=%d d=%d: exact checker errored: %v", v.name, k, d, err)
 				}
@@ -217,7 +217,7 @@ func TestViolatingStreamFixtures(t *testing.T) {
 			if err := model.WriteTrace(&again, h); err != nil || !bytes.Equal(again.Bytes(), raw) {
 				t.Fatalf("WriteTrace no longer writes the fixture's bytes (%v)", err)
 			}
-			exact, err := CheckOpacitySegmented(h, 64)
+			exact, err := CheckOpacity(h)
 			if err != nil {
 				t.Fatal(err)
 			}
