@@ -63,7 +63,9 @@ func run(w io.Writer) error {
 
 // adversaryFigures regenerates Figures 9, 10, 12, and 13 by running
 // the Theorem 1 environment strategies against the obstruction-free
-// TM and rendering each suffix.
+// TM, rendering each suffix, and classifying the run read as an
+// infinite history. Local progress holds on Figures 9 and 12: p1 has
+// crashed or is parasitic there, and a faulty process is owed nothing.
 func adversaryFigures(w io.Writer) error {
 	nf, ok := core.Lookup("dstm")
 	if !ok {
@@ -99,8 +101,12 @@ func adversaryFigures(w io.Writer) error {
 			h = h[len(h)-36:]
 		}
 		fmt.Fprint(w, trace.Render(h))
-		fmt.Fprintf(w, "   p1 commits=%d p2 commits=%d (p1 starves; local progress fails)\n\n",
-			res.Stats.Commits[1], res.Stats.Commits[2])
+		v, err := core.FormalVerdicts(res)
+		if err != nil {
+			return fmt.Errorf("%s: %w", c.title, err)
+		}
+		fmt.Fprintf(w, "   p1 commits=%d p2 commits=%d local=%t global=%t 2-progress=%t\n\n",
+			res.Stats.Commits[1], res.Stats.Commits[2], v["local"], v["global"], v["2-progress"])
 	}
 	return nil
 }

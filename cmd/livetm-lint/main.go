@@ -1,10 +1,11 @@
 // Command livetm-lint runs livetm's domain-specific static-analysis
-// suite: five analyzers that prove the repository's concurrency and
-// determinism invariants at compile time (see internal/lint's package
-// documentation for the rule catalog and the allow-directive
-// grammar). It is stdlib-only — the package graph comes from `go
-// list`, type checking from go/parser + go/types — so the module's
-// zero-dependency property survives its own linter.
+// suite: six analyzers that prove the repository's concurrency and
+// determinism invariants, and that it carries no dead code, at compile
+// time (see internal/lint's package documentation for the rule
+// catalog and the allow-directive grammar). It is stdlib-only — the
+// package graph comes from `go list`, type checking from go/parser +
+// go/types — so the module's zero-dependency property survives its
+// own linter.
 //
 // Usage:
 //

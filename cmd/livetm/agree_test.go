@@ -41,7 +41,7 @@ func TestCheckAgreesWithMonitor(t *testing.T) {
 		trace{"fig3", core.Fig3(), "false"},
 		trace{"fig4", core.Fig4(), "false"},
 		trace{"fig8", core.Fig8(0), "false"},
-		trace{"fig11", core.Fig11(7), "false"},
+		trace{"fig11", core.Fig8(7), "false"}, // Figure 11 has Figure 8's shape
 		trace{"fig16", core.Fig16Hex(), "true"},
 	)
 	dir := t.TempDir()

@@ -1069,8 +1069,8 @@ func cmdServe(args []string) error {
 		return fmt.Errorf("serve: %w", err)
 	}
 	// The soak service always registers its instruments: the progress
-	// lines read the registry, and the enforced overhead budget
-	// (telemetry.OverheadBudgetRatio) keeps it cheap either way.
+	// lines read the registry, and the overhead budget the root
+	// BenchmarkTelemetryOverhead enforces keeps it cheap either way.
 	reg := telemetry.NewRegistry()
 	s, err := e.Open(engine.SessionConfig{
 		Workers:         *workers,

@@ -100,8 +100,12 @@ func TestCmdAdversaryMatrixArtifact(t *testing.T) {
 	if err := run([]string{"adversary", "-matrix", "-rounds", "2", "-artifact", path}); err != nil {
 		t.Fatal(err)
 	}
-	art, err := adversary.LoadStarvationArtifact(path)
+	data, err := os.ReadFile(path)
 	if err != nil {
+		t.Fatal(err)
+	}
+	var art adversary.StarvationArtifact
+	if err := json.Unmarshal(data, &art); err != nil {
 		t.Fatal(err)
 	}
 	if len(art.Cells) == 0 || art.Rounds != 2 {

@@ -151,6 +151,8 @@ func Algorithm2(factory stm.Factory, cfg Config) Result {
 // transaction. At most one process (p_n) makes progress. It stays on
 // the simulated substrate — the point is the counting argument, not
 // the schedule.
+//
+//lint:allow(unused) the paper's Lemma 1, exercised by TestLemma1NProcesses and the root BenchmarkLemma1NProcesses
 func Lemma1(factory stm.Factory, n int, cfg Config) Result {
 	cfg = cfg.withDefaults()
 	rec := stm.NewRecorder(factory(n, 1))

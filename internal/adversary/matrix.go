@@ -272,22 +272,6 @@ func WriteStarvationArtifact(path string, rounds int, cells []Cell) error {
 	return os.WriteFile(path, append(data, '\n'), 0o644)
 }
 
-// LoadStarvationArtifact reads an artifact back, verifying the schema.
-func LoadStarvationArtifact(path string) (StarvationArtifact, error) {
-	data, err := os.ReadFile(path)
-	if err != nil {
-		return StarvationArtifact{}, err
-	}
-	var art StarvationArtifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		return StarvationArtifact{}, fmt.Errorf("adversary: malformed starvation artifact %s: %w", path, err)
-	}
-	if art.Schema != StarvationArtifactSchema {
-		return StarvationArtifact{}, fmt.Errorf("adversary: artifact %s has schema %q, want %q", path, art.Schema, StarvationArtifactSchema)
-	}
-	return art, nil
-}
-
 // FormatCells renders the matrix cells as an aligned text table.
 func FormatCells(cells []Cell) string {
 	var b strings.Builder

@@ -1,6 +1,9 @@
 package adversary
 
 import (
+	"encoding/json"
+	"fmt"
+	"os"
 	"testing"
 	"time"
 
@@ -207,4 +210,20 @@ func TestStarvationArtifactRoundTrip(t *testing.T) {
 	if len(art.Cells) != 1 || art.Cells[0].Engine != cell.Engine || art.Cells[0].Rounds != cell.Rounds {
 		t.Errorf("artifact cells did not round-trip: %+v", art.Cells)
 	}
+}
+
+// LoadStarvationArtifact reads an artifact back, verifying the schema.
+func LoadStarvationArtifact(path string) (StarvationArtifact, error) {
+	data, err := os.ReadFile(path)
+	if err != nil {
+		return StarvationArtifact{}, err
+	}
+	var art StarvationArtifact
+	if err := json.Unmarshal(data, &art); err != nil {
+		return StarvationArtifact{}, fmt.Errorf("adversary: malformed starvation artifact %s: %w", path, err)
+	}
+	if art.Schema != StarvationArtifactSchema {
+		return StarvationArtifact{}, fmt.Errorf("adversary: artifact %s has schema %q, want %q", path, art.Schema, StarvationArtifactSchema)
+	}
+	return art, nil
 }

@@ -1,5 +1,7 @@
 // Package alloctest holds what the per-layer allocation-budget tests
 // share. Only tests import it.
+//
+//lint:allow(unused) test support shared by the allocation-budget tests of several packages
 package alloctest
 
 import (

@@ -60,13 +60,6 @@ func (a *Automaton) Replay(h model.History) (State, error) {
 	return s, nil
 }
 
-// IsHistory reports whether h is a history of the automaton, i.e.
-// every event is enabled in sequence from the initial state.
-func (a *Automaton) IsHistory(h model.History) bool {
-	_, err := a.Replay(h)
-	return err == nil
-}
-
 // ErrExploreLimit is returned by Explore when the reachable state set
 // exceeds the given limit (the automaton may be infinite-state).
 var ErrExploreLimit = errors.New("automaton: reachable state set exceeds limit")

@@ -130,3 +130,10 @@ func TestEdges(t *testing.T) {
 		t.Errorf("self-abort edges = %d, want 1", selfAborts)
 	}
 }
+
+// IsHistory reports whether h is a history of the automaton, i.e.
+// every event is enabled in sequence from the initial state.
+func (a *Automaton) IsHistory(h model.History) bool {
+	_, err := a.Replay(h)
+	return err == nil
+}

@@ -217,9 +217,6 @@ type Tx struct {
 	id string
 }
 
-// ID returns the transaction's wire id.
-func (t *Tx) ID() string { return t.id }
-
 // Read reads variable i. aborted reports that this attempt aborted on
 // the read — the transaction is still open, retrying.
 func (t *Tx) Read(ctx context.Context, i int) (val int64, aborted bool, err error) {
@@ -246,11 +243,6 @@ func (t *Tx) Finish(ctx context.Context, mode string) (server.TxFinishResponse, 
 	err := t.c.do(ctx, http.MethodPost, "/v1/tx/finish",
 		&server.TxFinishRequest{Txn: t.id, Mode: mode}, &out)
 	return out, err
-}
-
-// Commit is Finish(FinishCommit).
-func (t *Tx) Commit(ctx context.Context) (server.TxFinishResponse, error) {
-	return t.Finish(ctx, server.FinishCommit)
 }
 
 // Abandon is Finish(FinishAbandon); it never leaves the transaction

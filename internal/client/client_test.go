@@ -210,3 +210,8 @@ func TestReadsBelongToTheCaller(t *testing.T) {
 		t.Fatalf("the first reply's reads changed under its caller: %v", first.Reads)
 	}
 }
+
+// Commit is Finish(FinishCommit).
+func (t *Tx) Commit(ctx context.Context) (server.TxFinishResponse, error) {
+	return t.Finish(ctx, server.FinishCommit)
+}

@@ -194,6 +194,22 @@ func TestFormalVerdicts(t *testing.T) {
 			t.Errorf("%s: run must satisfy global progress (p2 keeps committing)", name)
 		}
 	}
+
+	// Figures 9 and 12 (cmd/figures' runs): p1 crashes or is parasitic,
+	// so it is faulty and owed no progress, and local progress holds.
+	nf, _ := Lookup("dstm")
+	for name, res := range map[string]adversary.Result{
+		"crash":     adversary.Algorithm1(nf.Factory, adversary.Config{Rounds: 3, Seed: 5, CrashP1AfterRead: true}),
+		"parasitic": adversary.Algorithm2(nf.Factory, adversary.Config{Rounds: 3, Seed: 5, ParasiticP1: true}),
+	} {
+		v, err := FormalVerdicts(res)
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if !v["local"] || !v["global"] {
+			t.Errorf("%s: local=%t global=%t, want both true with p1 faulty", name, v["local"], v["global"])
+		}
+	}
 }
 
 // TestTheorem2Evidence is E18.
@@ -223,3 +239,6 @@ func TestTheorem3Evidence(t *testing.T) {
 		t.Error("Fgp must commit during the runs")
 	}
 }
+
+// Fig11 is Figure 11, identical in shape to Figure 8.
+func Fig11(v model.Value) model.History { return Fig8(v) }

@@ -104,9 +104,6 @@ func Fig8(v model.Value) model.History {
 	}
 }
 
-// Fig11 is Figure 11, identical in shape to Figure 8.
-func Fig11(v model.Value) model.History { return Fig8(v) }
-
 // Fig14 is Figure 14 (violates every nonblocking property): like
 // Figure 7, but the solo runner p3 aborts forever.
 func Fig14() *liveness.Lasso {

@@ -150,8 +150,7 @@
 //
 // The instrumented-vs-bare cost is an enforced budget, not a hope:
 // BenchmarkTelemetryOverhead compares sessions with and without a
-// registry and CI fails the build when the ratio exceeds
-// telemetry.OverheadBudgetRatio.
+// registry and CI fails the build when the ratio exceeds its budget.
 //
 // Use the simulated substrate to ask "is it correct / live under this
 // exact adversarial schedule", the native substrate to ask "how fast

@@ -102,7 +102,7 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 		scrape()
 		snap := reg.Snapshot()
 		for _, name := range monotone {
-			now := snap.Total(name)
+			now := familyTotal(snap, name)
 			if now < last[name] {
 				t.Fatalf("%s regressed: %v -> %v", name, last[name], now)
 			}
@@ -122,22 +122,22 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 		t.Fatalf("close: %v", err)
 	}
 	snap := reg.Snapshot()
-	if got, want := snap.Total("livetm_session_commits_total"), float64(2*rounds); got != want {
+	if got, want := familyTotal(snap, "livetm_session_commits_total"), float64(2*rounds); got != want {
 		t.Errorf("commits_total = %v, want %v", got, want)
 	}
-	if got := snap.Total("livetm_session_submitted_total"); got != float64(2*rounds) {
+	if got := familyTotal(snap, "livetm_session_submitted_total"); got != float64(2*rounds) {
 		t.Errorf("submitted_total = %v, want %d", got, 2*rounds)
 	}
-	if snap.Total("livetm_session_workers") != 4 {
-		t.Errorf("workers gauge = %v, want 4 after AddWorkers", snap.Total("livetm_session_workers"))
+	if familyTotal(snap, "livetm_session_workers") != 4 {
+		t.Errorf("workers gauge = %v, want 4 after AddWorkers", familyTotal(snap, "livetm_session_workers"))
 	}
-	if snap.Total("livetm_cut_pause_ns") == 0 {
+	if familyTotal(snap, "livetm_cut_pause_ns") == 0 {
 		t.Errorf("no quiescent cuts recorded")
 	}
-	if snap.Total("livetm_recorder_events_total") == 0 {
+	if familyTotal(snap, "livetm_recorder_events_total") == 0 {
 		t.Errorf("no recorder events counted")
 	}
-	if snap.Total("livetm_checker_segments_total") == 0 {
+	if familyTotal(snap, "livetm_checker_segments_total") == 0 {
 		t.Errorf("no checker segments counted")
 	}
 }
@@ -163,10 +163,10 @@ func TestSessionStatsMatchRegistry(t *testing.T) {
 	}
 	st := s.Stats()
 	snap := reg.Snapshot()
-	if got := snap.Total("livetm_session_commits_total"); got != float64(st.Commits) {
+	if got := familyTotal(snap, "livetm_session_commits_total"); got != float64(st.Commits) {
 		t.Errorf("registry commits %v != stats %d", got, st.Commits)
 	}
-	if got := snap.Total("livetm_session_submitted_total"); got != float64(st.Submitted) {
+	if got := familyTotal(snap, "livetm_session_submitted_total"); got != float64(st.Submitted) {
 		t.Errorf("registry submitted %v != stats %d", got, st.Submitted)
 	}
 	if _, err := s.Close(); err != nil {
@@ -194,13 +194,24 @@ func TestSimSessionTelemetry(t *testing.T) {
 	}
 	st := s.Stats()
 	snap := reg.Snapshot()
-	if got := snap.Total("livetm_session_commits_total"); got != float64(st.Commits) || got != 20 {
+	if got := familyTotal(snap, "livetm_session_commits_total"); got != float64(st.Commits) || got != 20 {
 		t.Errorf("registry commits %v, stats %d, want 20", got, st.Commits)
 	}
-	if aborts := snap.Total("livetm_tx_aborts_total"); aborts != float64(st.Aborts) {
+	if aborts := familyTotal(snap, "livetm_tx_aborts_total"); aborts != float64(st.Aborts) {
 		t.Errorf("registry aborts %v != stats %d", aborts, st.Aborts)
 	}
 	if _, err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
 	}
+}
+
+// familyTotal sums every series of family name (0 if absent).
+func familyTotal(s telemetry.Snapshot, name string) float64 {
+	var t float64
+	if f := s.Family(name); f != nil {
+		for _, ser := range f.Series {
+			t += ser.Value
+		}
+	}
+	return t
 }

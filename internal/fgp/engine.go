@@ -26,9 +26,6 @@ func NewEngine(nProcs, nVars int, variant Variant) (*Engine, error) {
 	return &Engine{a: a, s: a.Initial()}, nil
 }
 
-// State returns the current automaton state.
-func (e *Engine) State() *State { return e.s }
-
 // History returns the history recorded so far (a copy).
 func (e *Engine) History() model.History { return e.h.Clone() }
 

@@ -123,21 +123,6 @@ func (s *State) clone() *State {
 	return c
 }
 
-// Status returns process p's status, 'c' or 'a'.
-func (s *State) Status(p model.Proc) byte { return s.status[p-1] }
-
-// InCP reports whether p is in the concurrent set.
-func (s *State) InCP(p model.Proc) bool { return s.cp[p-1] }
-
-// Val returns process p's current view of t-variable x.
-func (s *State) Val(p model.Proc, x model.TVar) model.Value { return s.val[p-1][x] }
-
-// Pending returns p's pending invocation, or false if f(p) = ⊥.
-func (s *State) Pending(p model.Proc) (model.Event, bool) {
-	e := s.pending[p-1]
-	return e, e.Kind != 0
-}
-
 // Key canonically encodes the state; states are equal iff keys are.
 func (s *State) Key() string {
 	var b strings.Builder

@@ -10,6 +10,9 @@
 // The search mirrors the opacity checker: a DFS over order prefixes
 // with incremental legality pruning and memoization on
 // (placed-set, state) pairs (Wing & Gong style).
+//
+// No production code imports the checker, so it lives in test files:
+// the package is test-only.
 package linear
 
 import (

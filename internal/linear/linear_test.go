@@ -10,7 +10,7 @@ import (
 	"livetm/internal/stm/dstm"
 	"livetm/internal/stm/ostm"
 	"livetm/internal/stm/tl2"
-	"livetm/internal/tstruct"
+	"livetm/internal/workload"
 )
 
 func TestRegisterSpecBasics(t *testing.T) {
@@ -138,9 +138,43 @@ func TestCheckValidation(t *testing.T) {
 	}
 }
 
+// txQueue is a bounded FIFO queue over t-variables 0 (head index),
+// 1 (tail index) and 2..2+cap (slots), each operation one transaction.
+type txQueue struct {
+	tm  stm.TM
+	cap int
+}
+
+// enqueue appends v; false when the queue is full at commit time.
+func (q *txQueue) enqueue(env *sim.Env, v model.Value) bool {
+	var full bool
+	workload.Atomically(q.tm, env, func(tx *workload.Tx) {
+		head, tail := tx.Read(0), tx.Read(1)
+		if full = int(tail-head) >= q.cap; !full {
+			tx.Write(2+model.TVar(int(tail)%q.cap), v)
+			tx.Write(1, tail+1)
+		}
+	})
+	return !full
+}
+
+// dequeue removes the oldest element; false when the queue is empty.
+func (q *txQueue) dequeue(env *sim.Env) (model.Value, bool) {
+	var v model.Value
+	var empty bool
+	workload.Atomically(q.tm, env, func(tx *workload.Tx) {
+		head, tail := tx.Read(0), tx.Read(1)
+		if empty = head == tail; !empty {
+			v = tx.Read(2 + model.TVar(int(head)%q.cap))
+			tx.Write(0, head+1)
+		}
+	})
+	return v, !empty
+}
+
 // TestTransactionalQueueLinearizable runs concurrent producers and a
-// consumer on tstruct.Queue over several TMs and seeds, collects the
-// operation log, and checks it against the FIFO spec.
+// consumer on a transactional queue over several TMs and seeds,
+// collects the operation log, and checks it against the FIFO spec.
 func TestTransactionalQueueLinearizable(t *testing.T) {
 	factories := map[string]stm.Factory{
 		"tl2":  func(n, v int) stm.TM { return tl2.New() },
@@ -152,19 +186,16 @@ func TestTransactionalQueueLinearizable(t *testing.T) {
 		t.Run(name, func(t *testing.T) {
 			for seed := uint64(1); seed <= 5; seed++ {
 				log := &Log{}
-				q, err := tstruct.NewQueue(f(3, 10), 0, 4)
-				if err != nil {
-					t.Fatal(err)
-				}
+				q := &txQueue{tm: f(3, 10), cap: 4}
 				s := sim.New(sim.NewSeeded(seed))
 				producer := func(base int64, count int) func(*sim.Env) {
 					return func(env *sim.Env) {
 						for k := 0; k < count; {
 							v := base + int64(k)
 							start := log.Begin()
-							err := q.Enqueue(env, model.Value(v))
-							log.End(start, Op{Proc: int(env.Proc()), Name: "enqueue", Arg: v, OK: err == nil})
-							if err == nil {
+							ok := q.enqueue(env, model.Value(v))
+							log.End(start, Op{Proc: int(env.Proc()), Name: "enqueue", Arg: v, OK: ok})
+							if ok {
 								k++ // retry the same item when the queue was full
 							}
 						}
@@ -175,9 +206,9 @@ func TestTransactionalQueueLinearizable(t *testing.T) {
 				_ = s.Spawn(3, func(env *sim.Env) {
 					for got := 0; got < 6; {
 						start := log.Begin()
-						v, err := q.Dequeue(env)
-						log.End(start, Op{Proc: 3, Name: "dequeue", Ret: int64(v), OK: err == nil})
-						if err == nil {
+						v, ok := q.dequeue(env)
+						log.End(start, Op{Proc: 3, Name: "dequeue", Ret: int64(v), OK: ok})
+						if ok {
 							got++
 						}
 					}

@@ -1,7 +1,8 @@
 // Package lint is livetm's domain-specific static-analysis suite: a
 // zero-dependency driver (go list + go/parser + go/types, no
 // golang.org/x/tools) running analyzers that prove the repository's
-// concurrency and determinism invariants at compile time.
+// concurrency and determinism invariants, and that every declaration
+// is reachable from a main package, at compile time.
 //
 // The driver (Load) shells out to `go list -deps -export -json` for
 // the package graph and the build cache's export data, parses the
@@ -26,11 +27,7 @@
 //
 // lockorder — every sync.Mutex/RWMutex Lock (and RLock) must be
 // paired with an Unlock on all paths out of the function, either
-// deferred or on each return; and indexed lock slices (a striped lock
-// table swept to take every stripe) must be acquired in ascending
-// index order, including inside loops — a descending sweep over a
-// lock slice is an ordering inversion against the ascending
-// convention and deadlocks under concurrent sweeps.
+// deferred or on each return.
 //
 // wiresentinel — every exported Err* sentinel in internal/engine must
 // round-trip the wire: internal/server's CodeOf maps it to a stable
@@ -56,6 +53,27 @@
 // admission-state leak class PR 9 fixed. Values are traced through
 // single-assignment locals and parameters across call sites up to a
 // small depth; anything unresolvable is flagged.
+//
+// unused — every package and package-level declaration must be
+// reachable from some main package; the loader reads non-test sources
+// only, so what only tests use belongs in their _test.go files.
+// Reachability is a fixed point over identifier uses, so dead cycles
+// and callees orphaned by a dead caller are caught. The roots are func
+// main of every main package and the init funcs and blank `var _ = …`
+// declarations of every package a main package imports. A method of a
+// live type is also kept when its name is a method of error, of any
+// interface declared at package scope in the import graph (the
+// standard library included) or written anywhere in the module, or is
+// Unwrap, Is or As, which the errors package asserts dynamically. The
+// rule is conservative, since a dynamic call cannot be resolved
+// statically. A package no main package imports is reported once, at
+// its package clause; one with no declarations is not. Main packages
+// are roots, not subjects: their own unreached declarations are not
+// reported (bench's inputDigest is one).
+// Files a build constraint excludes, such as //go:build ignore
+// generators, are not loaded, so what only a generator uses carries an
+// allow directive naming it. An allowed declaration, or the whole of
+// an allowed package, counts as a root.
 //
 // # Suppression
 //

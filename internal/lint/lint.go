@@ -37,6 +37,7 @@ func Analyzers() []*Analyzer {
 		WireSentinel(),
 		Determinism(),
 		TelemetryLabel(),
+		Unused(),
 	}
 }
 

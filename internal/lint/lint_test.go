@@ -107,6 +107,11 @@ func TestDeterminismScopeLoss(t *testing.T) { runFixture(t, "determinism-missing
 
 func TestTelemetryLabelFixture(t *testing.T) { runFixture(t, "telemetrylabel", "telemetrylabel") }
 
+// TestUnusedFixture covers the reachability rule: dead cycles, callees
+// orphaned by a dead caller, the interface method rule, a package only
+// a test imports, and a suppressing directive.
+func TestUnusedFixture(t *testing.T) { runFixture(t, "unused", "unused") }
+
 // TestAllowDirectives proves each directive scope suppresses exactly
 // its documented span, a wrong-rule directive suppresses nothing, and
 // a reasonless directive is an unsuppressible finding of its own.
@@ -131,7 +136,7 @@ func TestSelfRunClean(t *testing.T) {
 // TestAnalyzerCatalog pins the suite's rule names: doc.go, the CLI,
 // and the allow directives all refer to them.
 func TestAnalyzerCatalog(t *testing.T) {
-	want := []string{"atomicmix", "lockorder", "wiresentinel", "determinism", "telemetrylabel"}
+	want := []string{"atomicmix", "lockorder", "wiresentinel", "determinism", "telemetrylabel", "unused"}
 	got := Analyzers()
 	if len(got) != len(want) {
 		t.Fatalf("suite has %d analyzers, want %d", len(got), len(want))

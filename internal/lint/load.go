@@ -38,10 +38,6 @@ type Pkg struct {
 	Info  *types.Info
 }
 
-// Lookup finds a module package by import path, nil when it is not
-// part of the analyzed set.
-func (p *Program) Lookup(path string) *Pkg { return p.ByPath[path] }
-
 // Position resolves a token.Pos against the shared FileSet.
 func (p *Program) Position(pos token.Pos) token.Position { return p.Fset.Position(pos) }
 

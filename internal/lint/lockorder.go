@@ -3,24 +3,15 @@ package lint
 import (
 	"fmt"
 	"go/ast"
-	"go/constant"
 	"go/token"
 )
 
-// LockOrder proves two locking disciplines about sync.Mutex /
-// sync.RWMutex usage, per function body:
-//
-//  1. Pairing: every Lock()/RLock() must be matched — by a deferred
-//     Unlock()/RUnlock() on the same receiver, or by an explicit
-//     unlock on every path that leaves the function. A return
-//     reachable while a lock is held (and not deferred) is flagged,
-//     as is a function that locks a receiver it never unlocks.
-//  2. Ordering: elements of an indexed lock slice (a striped lock
-//     table, say, swept to take every stripe) must be acquired in
-//     ascending index order — an ascending sweep is the repo-wide
-//     deadlock-avoidance protocol for taking several elements at
-//     once. Locking constant indices out of order, or sweeping a
-//     lock slice with a descending loop, is flagged.
+// LockOrder proves a pairing discipline about sync.Mutex /
+// sync.RWMutex usage, per function body: every Lock()/RLock() must be
+// matched — by a deferred Unlock()/RUnlock() on the same receiver, or
+// by an explicit unlock on every path that leaves the function. A
+// return reachable while a lock is held (and not deferred) is flagged,
+// as is a function that locks a receiver it never unlocks.
 //
 // The analysis is function-local and syntactic on purpose: a helper
 // that intentionally returns with a lock held needs an explicit
@@ -29,7 +20,7 @@ import (
 func LockOrder() *Analyzer {
 	return &Analyzer{
 		Name: "lockorder",
-		Doc:  "lock slices acquired in ascending order; every Lock paired with an Unlock on all paths",
+		Doc:  "every Lock paired with an Unlock on all paths",
 		Run:  runLockOrder,
 	}
 }
@@ -37,10 +28,8 @@ func LockOrder() *Analyzer {
 // lockCall is one (R)Lock/(R)Unlock call on a sync mutex.
 type lockCall struct {
 	key     string // normalized receiver ("s.stripes[#]", "mu")
-	base    string // slice base for indexed receivers ("s.stripes"), "" otherwise
-	index   ast.Expr
-	read    bool // RLock/RUnlock
-	acquire bool // Lock/RLock
+	read    bool   // RLock/RUnlock
+	acquire bool   // Lock/RLock
 	defered bool
 	pos     token.Pos
 }
@@ -90,14 +79,10 @@ func (p *Pkg) mutexCall(call *ast.CallExpr, defered bool) (lockCall, bool) {
 	lc.key = exprKey(sel.X)
 	lc.defered = defered
 	lc.pos = call.Pos()
-	if ix, ok := ast.Unparen(sel.X).(*ast.IndexExpr); ok {
-		lc.base = exprKey(ix.X)
-		lc.index = ix.Index
-	}
 	return lc, true
 }
 
-// lockCheckFunc runs both disciplines over one function body.
+// lockCheckFunc checks pairing over one function body.
 func (p *Pkg) lockCheckFunc(fd *ast.FuncDecl) []Finding {
 	var out []Finding
 	var calls []lockCall
@@ -248,82 +233,6 @@ func (p *Pkg) lockCheckFunc(fd *ast.FuncDecl) []Finding {
 	}
 	scan(fd.Body.List)
 
-	// Ordering: constant-index acquisitions of one base must ascend
-	// unless the earlier lock was released in between, and sweeps of a
-	// lock slice must not run descending.
-	heldIdx := map[string][]struct {
-		idx int64
-		pos token.Pos
-	}{}
-	for _, lc := range calls {
-		if lc.base == "" {
-			continue
-		}
-		v, ok := constIndex(p, lc.index)
-		if !ok {
-			continue
-		}
-		if !lc.acquire {
-			hs := heldIdx[lc.base]
-			for i := range hs {
-				if hs[i].idx == v {
-					heldIdx[lc.base] = append(hs[:i], hs[i+1:]...)
-					break
-				}
-			}
-			continue
-		}
-		for _, h := range heldIdx[lc.base] {
-			if v < h.idx {
-				out = append(out, Finding{
-					Pos:  p.prog.Position(lc.pos),
-					Rule: "lockorder",
-					Message: fmt.Sprintf("%s[%d] locked while %s[%d] (at %s) is held: indexed locks must be acquired in ascending order",
-						lc.base, v, lc.base, h.idx, trimPos(p.prog.Position(h.pos))),
-				})
-			}
-		}
-		heldIdx[lc.base] = append(heldIdx[lc.base], struct {
-			idx int64
-			pos token.Pos
-		}{v, lc.pos})
-	}
-
-	// Descending sweeps: for i := hi; ...; i-- { base[i].Lock() }.
-	ast.Inspect(fd.Body, func(n ast.Node) bool {
-		fs, ok := n.(*ast.ForStmt)
-		if !ok || fs.Post == nil {
-			return true
-		}
-		dec, ok := fs.Post.(*ast.IncDecStmt)
-		if !ok || dec.Tok != token.DEC {
-			return true
-		}
-		loopVar, ok := dec.X.(*ast.Ident)
-		if !ok {
-			return true
-		}
-		ast.Inspect(fs.Body, func(m ast.Node) bool {
-			call, ok := m.(*ast.CallExpr)
-			if !ok {
-				return true
-			}
-			lc, ok := p.mutexCall(call, false)
-			if !ok || !lc.acquire || lc.base == "" {
-				return true
-			}
-			if ix, ok := ast.Unparen(lc.index).(*ast.Ident); ok && ix.Name == loopVar.Name {
-				out = append(out, Finding{
-					Pos:  p.prog.Position(call.Pos()),
-					Rule: "lockorder",
-					Message: fmt.Sprintf("%s[%s] locked inside a descending loop: sweep lock slices in ascending index order",
-						lc.base, loopVar.Name),
-				})
-			}
-			return true
-		})
-		return true
-	})
 	return out
 }
 
@@ -339,16 +248,4 @@ func copyHeld(m map[pair]token.Pos) map[pair]token.Pos {
 		out[k] = v
 	}
 	return out
-}
-
-// constIndex evaluates a constant integer index expression.
-func constIndex(p *Pkg, e ast.Expr) (int64, bool) {
-	if e == nil {
-		return 0, false
-	}
-	tv, ok := p.Info.Types[e]
-	if !ok || tv.Value == nil || tv.Value.Kind() != constant.Int {
-		return 0, false
-	}
-	return constant.Int64Val(tv.Value)
 }

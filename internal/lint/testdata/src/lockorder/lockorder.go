@@ -1,5 +1,5 @@
 // Package fixture exercises the lockorder rule: lock/unlock pairing
-// on all paths and ascending acquisition order over lock slices.
+// on all paths.
 package fixture
 
 import "sync"
@@ -49,35 +49,17 @@ func branchGood() int {
 	return 0
 }
 
-// outOfOrder acquires constant indices descending.
-func outOfOrder(s *shards) {
-	s.mu[1].Lock()
-	s.mu[0].Lock() // want: ascending order
-	s.mu[0].Unlock()
-	s.mu[1].Unlock()
-}
-
-// releaseBetween reacquires a lower index only after releasing the
-// higher one: legal.
-func releaseBetween(s *shards) {
+// indexedPairs pairs each indexed lock before taking the next.
+func indexedPairs(s *shards) {
 	s.mu[1].Lock()
 	s.mu[1].Unlock()
 	s.mu[0].Lock()
 	s.mu[0].Unlock()
 }
 
-// descendingSweep locks a slice in a descending loop.
-func descendingSweep(s *shards) {
-	for i := len(s.mu) - 1; i >= 0; i-- {
-		s.mu[i].Lock() // want: descending loop
-	}
-	for i := range s.mu {
-		s.mu[i].Unlock()
-	}
-}
-
-// ascendingSweep takes every element in index order: the convention.
-func ascendingSweep(s *shards) {
+// sweep locks every element in one loop and unlocks them in
+// another: indexed receivers pair by slice.
+func sweep(s *shards) {
 	for i := range s.mu {
 		s.mu[i].Lock()
 	}

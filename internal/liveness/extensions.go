@@ -70,31 +70,6 @@ func PriorityProgress(prio map[model.Proc]int) Property {
 	}
 }
 
-// IsNonblockingOn reports whether the property's membership predicate
-// is consistent with being nonblocking on the given sample histories:
-// no member history has a starving solo runner. It cannot prove a
-// property nonblocking (that quantifies over all histories) but
-// refutes it with a witness.
-func IsNonblockingOn(p Property, sample []*Lasso) (witness *Lasso, ok bool) {
-	for _, l := range sample {
-		if p.Contains(l) && ViolatesNonblocking(l) {
-			return l, false
-		}
-	}
-	return nil, true
-}
-
-// IsBiprogressingOn is the sampled analogue for the biprogressing
-// class.
-func IsBiprogressingOn(p Property, sample []*Lasso) (witness *Lasso, ok bool) {
-	for _, l := range sample {
-		if p.Contains(l) && ViolatesBiprogressing(l) {
-			return l, false
-		}
-	}
-	return nil, true
-}
-
 // ClassifyRun builds a lasso from a finite run so the formal
 // predicates can be applied to empirical histories: the first split
 // events form the prefix and the remainder the cycle, read as "the

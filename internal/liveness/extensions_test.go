@@ -190,3 +190,28 @@ func TestClassifyRun(t *testing.T) {
 		t.Error("negative split must fail")
 	}
 }
+
+// IsNonblockingOn reports whether the property's membership predicate
+// is consistent with being nonblocking on the given sample histories:
+// no member history has a starving solo runner. It cannot prove a
+// property nonblocking (that quantifies over all histories) but
+// refutes it with a witness.
+func IsNonblockingOn(p Property, sample []*Lasso) (witness *Lasso, ok bool) {
+	for _, l := range sample {
+		if p.Contains(l) && ViolatesNonblocking(l) {
+			return l, false
+		}
+	}
+	return nil, true
+}
+
+// IsBiprogressingOn is the sampled analogue for the biprogressing
+// class.
+func IsBiprogressingOn(p Property, sample []*Lasso) (witness *Lasso, ok bool) {
+	for _, l := range sample {
+		if p.Contains(l) && ViolatesBiprogressing(l) {
+			return l, false
+		}
+	}
+	return nil, true
+}

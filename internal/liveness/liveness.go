@@ -35,11 +35,6 @@ type Lasso struct {
 	Procs  []model.Proc
 }
 
-// NewLasso builds a lasso over the processes appearing in it.
-func NewLasso(prefix, cycle model.History) (*Lasso, error) {
-	return NewLassoWithProcs(prefix, cycle, nil)
-}
-
 // NewLassoWithProcs builds a lasso with an explicit process set; every
 // process appearing in the lasso must be in the set.
 func NewLassoWithProcs(prefix, cycle model.History, procs []model.Proc) (*Lasso, error) {
@@ -73,17 +68,6 @@ func NewLassoWithProcs(prefix, cycle model.History, procs []model.Proc) (*Lasso,
 		}
 	}
 	return l, nil
-}
-
-// Unroll returns the finite prefix of the infinite history consisting
-// of the lasso prefix followed by n copies of the cycle. Useful for
-// checking safety of ever longer prefixes of an infinite history.
-func (l *Lasso) Unroll(n int) model.History {
-	out := l.Prefix.Clone()
-	for i := 0; i < n; i++ {
-		out = append(out, l.Cycle...)
-	}
-	return out
 }
 
 // String renders the lasso as "prefix . (cycle)^ω".
@@ -143,9 +127,6 @@ func (l *Lasso) Pending(p model.Proc) bool {
 func (l *Lasso) Correct(p model.Proc) bool {
 	return !l.Crashes(p) && !l.Parasitic(p)
 }
-
-// Faulty reports whether p is faulty: crashed or parasitic.
-func (l *Lasso) Faulty(p model.Proc) bool { return !l.Correct(p) }
 
 // Starving reports whether p is starving: correct yet pending.
 func (l *Lasso) Starving(p model.Proc) bool {

@@ -300,7 +300,7 @@ func TestClassLatticeProperty(t *testing.T) {
 		for _, p := range l.Procs {
 			crashed, parasitic := l.Crashes(p), l.Parasitic(p)
 			pending, correct := l.Pending(p), l.Correct(p)
-			starving, faulty := l.Starving(p), l.Faulty(p)
+			starving, faulty := l.Starving(p), !l.Correct(p)
 
 			// Figure 2 arrows (c1 → c2 means c1 ⊆ c2).
 			if crashed && !faulty {
@@ -419,3 +419,24 @@ func genLasso(raw []uint8) *Lasso {
 	}
 	return l
 }
+
+// NewLasso builds a lasso over the processes appearing in it.
+func NewLasso(prefix, cycle model.History) (*Lasso, error) {
+	return NewLassoWithProcs(prefix, cycle, nil)
+}
+
+// Unroll returns the finite prefix of the infinite history consisting
+// of the lasso prefix followed by n copies of the cycle. Useful for
+// checking safety of ever longer prefixes of an infinite history.
+func (l *Lasso) Unroll(n int) model.History {
+	out := l.Prefix.Clone()
+	for i := 0; i < n; i++ {
+		out = append(out, l.Cycle...)
+	}
+	return out
+}
+
+// Properties lists the three named properties from weakest to
+// strongest (solo ⊇ global? no — see the containment tests; the order
+// here is presentational: solo, global, local).
+var Properties = []Property{SoloProgress, GlobalProgress, LocalProgress}

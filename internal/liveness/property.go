@@ -63,11 +63,6 @@ var SoloProgress = Property{
 	},
 }
 
-// Properties lists the three named properties from weakest to
-// strongest (solo ⊇ global? no — see the containment tests; the order
-// here is presentational: solo, global, local).
-var Properties = []Property{SoloProgress, GlobalProgress, LocalProgress}
-
 // ViolatesNonblocking reports whether the lasso witnesses that any
 // property containing it is blocking (Definition 4): some process runs
 // alone yet does not make progress. A TM-liveness property L is

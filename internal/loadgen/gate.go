@@ -208,17 +208,3 @@ func benchCellOps(path, cellName string) (float64, error) {
 	}
 	return 0, fmt.Errorf("bench cell %q not in %s", cellName, path)
 }
-
-// Passed reports whether every evaluated gate passed (and that at
-// least one was evaluated — an empty gate set cannot greenlight).
-func Passed(results []GateResult) bool {
-	if len(results) == 0 {
-		return false
-	}
-	for _, r := range results {
-		if !r.Pass {
-			return false
-		}
-	}
-	return true
-}

@@ -429,3 +429,17 @@ func TestGateEvaluate(t *testing.T) {
 		t.Fatalf("an empty gate set must not pass")
 	}
 }
+
+// Passed reports whether every evaluated gate passed (and that at
+// least one was evaluated — an empty gate set cannot greenlight).
+func Passed(results []GateResult) bool {
+	if len(results) == 0 {
+		return false
+	}
+	for _, r := range results {
+		if !r.Pass {
+			return false
+		}
+	}
+	return true
+}

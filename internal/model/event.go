@@ -276,31 +276,6 @@ func (h History) String() string {
 	return strings.Join(parts, " ")
 }
 
-// Equivalent reports whether h and other are equivalent in the paper's
-// sense: for every process p, h|p == other|p. Only processes appearing
-// in either history are considered.
-func (h History) Equivalent(other History) bool {
-	procs := make(map[Proc]bool)
-	for _, e := range h {
-		procs[e.Proc] = true
-	}
-	for _, e := range other {
-		procs[e.Proc] = true
-	}
-	for p := range procs {
-		a, b := h.Projection(p), other.Projection(p)
-		if len(a) != len(b) {
-			return false
-		}
-		for i := range a {
-			if a[i] != b[i] {
-				return false
-			}
-		}
-	}
-	return true
-}
-
 func sortProcs(ps []Proc) {
 	for i := 1; i < len(ps); i++ {
 		for j := i; j > 0 && ps[j] < ps[j-1]; j-- {

@@ -49,55 +49,3 @@ func (e *IllegalReadError) Error() string {
 	return fmt.Sprintf("transaction %s: read of x%d returned %d but the t-variable held %d",
 		e.Txn, e.Var, e.Got, e.Expected)
 }
-
-// LegalInState checks the transaction's reads against the committed
-// snapshot it starts from, honoring reads of the transaction's own
-// earlier writes. It returns nil when every completed read respects the
-// semantics of its t-variable.
-//
-// This is the per-transaction core of the paper's legality definition:
-// for every response v_k in the transaction, v is the value of the
-// previous write to x within the transaction, or the value of x when
-// the transaction starts.
-func LegalInState(t *Transaction, start Snapshot) error {
-	local := make(map[TVar]Value)
-	for _, op := range t.Ops {
-		if op.Aborted {
-			// An op answered with an abort returns no value; there is
-			// nothing to validate, and no later op exists.
-			break
-		}
-		switch op.Kind {
-		case OpRead:
-			expected, wroteLocally := local[op.Var]
-			if !wroteLocally {
-				expected = start.Get(op.Var)
-			}
-			if op.Val != expected {
-				return &IllegalReadError{Txn: t.ID(), Var: op.Var, Got: op.Val, Expected: expected}
-			}
-		case OpWrite:
-			local[op.Var] = op.Val
-		}
-	}
-	return nil
-}
-
-// LegalSequence checks that every transaction in the given order is
-// legal when the transactions are executed sequentially in that order
-// from the initial state: each transaction sees the writes of the
-// committed transactions placed before it (its visible(T) in the
-// paper's terms, with aborted transactions' writes discarded), plus its
-// own earlier writes. It returns nil when the whole order is legal.
-func LegalSequence(order []*Transaction) error {
-	state := make(Snapshot)
-	for _, t := range order {
-		if err := LegalInState(t, state); err != nil {
-			return err
-		}
-		if t.Status == Committed {
-			state.Apply(t.WriteSet())
-		}
-	}
-	return nil
-}

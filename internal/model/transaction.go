@@ -111,18 +111,6 @@ func (t *Transaction) String() string {
 	return fmt.Sprintf("%s[%s]:%s", t.ID(), strings.Join(parts, " "), t.Status)
 }
 
-// Reads returns the completed reads of the transaction in program
-// order (reads that received a value response, not an abort).
-func (t *Transaction) Reads() []Op {
-	var out []Op
-	for _, op := range t.Ops {
-		if op.Kind == OpRead && !op.Aborted {
-			out = append(out, op)
-		}
-	}
-	return out
-}
-
 // WriteSet returns the last acknowledged write per t-variable; only
 // these take effect if the transaction commits.
 func (t *Transaction) WriteSet() map[TVar]Value {
@@ -385,33 +373,6 @@ func (s *procParse) close() {
 	s.open = nil
 }
 
-// Complete returns com(H): the history extended with abort events for
-// every transaction that is neither committed nor aborted, as in §2.4.
-// A pending invocation is answered with an abort; a transaction whose
-// last operation completed receives a standalone abort event.
-//
-// This is the paper's literal completion. The opacity checker in
-// package safety deliberately does NOT use it: following the paper's
-// opacity reference [18], it completes *commit-pending* transactions
-// (live with a pending tryC) as either committed or aborted, which
-// matters for helping TMs (see safety.CheckOpacity).
-func Complete(h History) History {
-	txns, err := Transactions(h)
-	if err != nil {
-		// A malformed history cannot be completed meaningfully;
-		// returning it unchanged lets the caller's own well-formedness
-		// check surface the error.
-		return h.Clone()
-	}
-	out := h.Clone()
-	for _, t := range txns {
-		if t.Status == Live {
-			out = append(out, Abort(t.Proc))
-		}
-	}
-	return out
-}
-
 // CommittedProjection returns the longest subsequence of the history
 // containing only events of committed transactions (the H_com of the
 // strict-serializability definition).
@@ -438,63 +399,4 @@ func CommittedProjection(h History) (History, error) {
 		}
 	}
 	return out, nil
-}
-
-// SequentialHistory flattens an ordered list of transactions into a
-// complete sequential history: each transaction's events appear
-// contiguously, with Live transactions terminated by an abort (so the
-// result is complete in the paper's sense).
-func SequentialHistory(order []*Transaction) History {
-	var out History
-	for _, t := range order {
-		for _, op := range t.Ops {
-			switch op.Kind {
-			case OpRead:
-				out = append(out, Read(t.Proc, op.Var))
-				if op.Aborted {
-					out = append(out, Abort(t.Proc))
-				} else {
-					out = append(out, ValueResp(t.Proc, op.Val))
-				}
-			case OpWrite:
-				out = append(out, Write(t.Proc, op.Var, op.Val))
-				if op.Aborted {
-					out = append(out, Abort(t.Proc))
-				} else {
-					out = append(out, OK(t.Proc))
-				}
-			case OpTryCommit:
-				out = append(out, TryCommit(t.Proc))
-				if op.Aborted {
-					out = append(out, Abort(t.Proc))
-				} else {
-					out = append(out, Commit(t.Proc))
-				}
-			}
-		}
-		if t.Status == Live {
-			if t.PendingInv != nil {
-				out = append(out, *t.PendingInv)
-			}
-			out = append(out, Abort(t.Proc))
-		}
-	}
-	return out
-}
-
-// IsSequential reports whether no two transactions of the history are
-// concurrent to each other.
-func IsSequential(h History) (bool, error) {
-	txns, err := Transactions(h)
-	if err != nil {
-		return false, err
-	}
-	for i, t := range txns {
-		for _, u := range txns[i+1:] {
-			if !t.Precedes(u) && !u.Precedes(t) {
-				return false, nil
-			}
-		}
-	}
-	return true, nil
 }

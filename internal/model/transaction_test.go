@@ -431,3 +431,15 @@ func TestTransactionsSizedOnce(t *testing.T) {
 		t.Errorf("appending to %s changed its neighbour to %s", first.ID(), second)
 	}
 }
+
+// Reads returns the completed reads of the transaction in program
+// order (reads that received a value response, not an abort).
+func (t *Transaction) Reads() []Op {
+	var out []Op
+	for _, op := range t.Ops {
+		if op.Kind == OpRead && !op.Aborted {
+			out = append(out, op)
+		}
+	}
+	return out
+}

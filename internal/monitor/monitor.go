@@ -232,9 +232,6 @@ func (m *Monitor) ObserveHistory(h model.History) error {
 	return first
 }
 
-// Events returns the number of events observed so far.
-func (m *Monitor) Events() int { return m.events }
-
 // StarvationNow writes each process's current commit gap — global
 // events since its last commit (or since the run began) — into out,
 // indexed by process id minus one, for len(out) processes; an index no

@@ -294,3 +294,6 @@ func TestReportLivenessClass(t *testing.T) {
 		t.Errorf("empty class = %q, want none", got)
 	}
 }
+
+// Events returns the number of events observed so far.
+func (m *Monitor) Events() int { return m.events }

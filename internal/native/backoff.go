@@ -13,12 +13,6 @@ import (
 // report the range their contention management operated in.
 const DefaultBackoffCap = 10
 
-// MaxBias bounds the per-process shift adjustment: a bias of ±MaxBias
-// scales a process's spin bound by at most 2^MaxBias in either
-// direction, which keeps even a maximally favoured process backing off
-// and a maximally penalized one below the cap.
-const MaxBias = 3
-
 // starveBias is the adjustment Rebias applies to processes whose
 // measured starvation stands out from the mean.
 const starveBias = 2
@@ -66,21 +60,6 @@ func (b *Backoff) Bias(proc int) int {
 		return 0
 	}
 	return int(b.bias[proc].Load())
-}
-
-// SetBias sets process proc's shift adjustment, clamped to
-// [-MaxBias, MaxBias]. Negative bias makes the process back off less.
-func (b *Backoff) SetBias(proc, bias int) {
-	if proc < 0 || proc >= len(b.bias) {
-		return
-	}
-	if bias > MaxBias {
-		bias = MaxBias
-	}
-	if bias < -MaxBias {
-		bias = -MaxBias
-	}
-	b.bias[proc].Store(int32(bias))
 }
 
 // BiasSnapshot returns a copy of every process's current bias.

@@ -150,3 +150,24 @@ func TestAtomicallyOptsCommits(t *testing.T) {
 		}
 	}
 }
+
+// SetBias sets process proc's shift adjustment, clamped to
+// [-MaxBias, MaxBias]. Negative bias makes the process back off less.
+func (b *Backoff) SetBias(proc, bias int) {
+	if proc < 0 || proc >= len(b.bias) {
+		return
+	}
+	if bias > MaxBias {
+		bias = MaxBias
+	}
+	if bias < -MaxBias {
+		bias = -MaxBias
+	}
+	b.bias[proc].Store(int32(bias))
+}
+
+// MaxBias bounds the per-process shift adjustment: a bias of ±MaxBias
+// scales a process's spin bound by at most 2^MaxBias in either
+// direction, which keeps even a maximally favoured process backing off
+// and a maximally penalized one below the cap.
+const MaxBias = 3

@@ -64,15 +64,3 @@ func (r *Resequencer) Push(batch []Streamed, emit func(model.Event)) {
 		emit(ev)
 	}
 }
-
-// Pending reports how many events are buffered out of order, waiting
-// for an earlier sequence number to arrive.
-func (r *Resequencer) Pending() int {
-	n := len(r.overflow)
-	for _, p := range r.present {
-		if p {
-			n++
-		}
-	}
-	return n
-}

@@ -66,3 +66,15 @@ func TestResequencerOverflow(t *testing.T) {
 		t.Fatalf("emitted %d events, want %d (overflow included)", n, far)
 	}
 }
+
+// Pending reports how many events are buffered out of order, waiting
+// for an earlier sequence number to arrive.
+func (r *Resequencer) Pending() int {
+	n := len(r.overflow)
+	for _, p := range r.present {
+		if p {
+			n++
+		}
+	}
+	return n
+}

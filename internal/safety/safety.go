@@ -54,15 +54,6 @@ type Result struct {
 	Reason string
 }
 
-// WitnessHistory renders the witness as a complete sequential history,
-// or nil when the property does not hold.
-func (r Result) WitnessHistory() model.History {
-	if !r.Holds {
-		return nil
-	}
-	return model.SequentialHistory(r.Witness)
-}
-
 // CheckOpacity decides whether the finite history is opaque.
 //
 // Completion follows the paper's reference [18] (Guerraoui & Kapałka,

@@ -440,3 +440,12 @@ func genHistory(raw []uint8) model.History {
 	}
 	return b.History()
 }
+
+// WitnessHistory renders the witness as a complete sequential history,
+// or nil when the property does not hold.
+func (r Result) WitnessHistory() model.History {
+	if !r.Holds {
+		return nil
+	}
+	return model.SequentialHistory(r.Witness)
+}

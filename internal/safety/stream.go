@@ -167,16 +167,6 @@ func (c *StreamChecker) WithApproxFallback() *StreamChecker {
 	return c
 }
 
-// Segments returns the number of segments checked so far.
-func (c *StreamChecker) Segments() int { return c.segments }
-
-// ForcedCuts returns the number of forced serialization frontiers
-// taken so far (always 0 without WithApproxFallback).
-func (c *StreamChecker) ForcedCuts() int { return c.forced }
-
-// Buffered returns the number of events currently buffered.
-func (c *StreamChecker) Buffered() int { return len(c.buf) }
-
 // bufferedEvery is how often, in buffered events, Feed refreshes the
 // Buffered gauge between flushes: often enough that a cut-starved
 // backlog shows, rarely enough that the gauge's shared write stays off

@@ -724,3 +724,13 @@ func TestFinishIsTerminal(t *testing.T) {
 		})
 	}
 }
+
+// Segments returns the number of segments checked so far.
+func (c *StreamChecker) Segments() int { return c.segments }
+
+// ForcedCuts returns the number of forced serialization frontiers
+// taken so far (always 0 without WithApproxFallback).
+func (c *StreamChecker) ForcedCuts() int { return c.forced }
+
+// Buffered returns the number of events currently buffered.
+func (c *StreamChecker) Buffered() int { return len(c.buf) }

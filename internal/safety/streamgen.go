@@ -1,3 +1,4 @@
+//lint:allow(unused) the violating-stream generator feeds the //go:build ignore program gen_testdata.go, which writes testdata/violating_b4_*.jsonl, and this package's tests
 package safety
 
 import "livetm/internal/model"

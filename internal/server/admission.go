@@ -201,19 +201,3 @@ func (a *admission) sweep() {
 		a.cEvicted.Inc()
 	}
 }
-
-// inflightTotal reports the slots currently held (drain watches this
-// reach zero through the backend's own Drain, so this is diagnostic).
-func (a *admission) inflightTotal() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.total
-}
-
-// clientCount reports the tracked admission accounts (diagnostic; the
-// eviction tests assert it stays bounded under ephemeral names).
-func (a *admission) clientCount() int {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return len(a.clients)
-}

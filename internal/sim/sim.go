@@ -205,12 +205,6 @@ func (s *Scheduler) Crash(p model.Proc) {
 	}
 }
 
-// Crashed reports whether p has been crashed.
-func (s *Scheduler) Crashed(p model.Proc) bool {
-	ps := s.lookup(p)
-	return ps != nil && ps.crashed
-}
-
 // Suspend models a transient stall (§1.2: preemption, page fault,
 // I/O): p is not scheduled for the next `steps` global steps and then
 // becomes runnable again. Unlike a crash, whatever p holds it will
@@ -220,12 +214,6 @@ func (s *Scheduler) Suspend(p model.Proc, steps int) {
 	if ps := s.lookup(p); ps != nil && steps > 0 {
 		ps.suspendedTo = s.steps + steps
 	}
-}
-
-// Suspended reports whether p is currently suspended.
-func (s *Scheduler) Suspended(p model.Proc) bool {
-	ps := s.lookup(p)
-	return ps != nil && s.steps < ps.suspendedTo
 }
 
 // runnableNow fills the scheduler's scratch slice with the processes

@@ -87,7 +87,7 @@ func TestSeededDeterministic(t *testing.T) {
 // TestFixedSchedule pins Fixed's contract: a scheduled process that
 // is not runnable is skipped (its entry consumed, the next one tried),
 // and only an exhausted schedule falls back to the first runnable
-// process. stmtest.ParasiticUnder and Recording.Replay rely on both.
+// process. stmtest.ParasiticUnder relies on both.
 func TestFixedSchedule(t *testing.T) {
 	for _, tc := range []struct {
 		name     string
@@ -269,4 +269,10 @@ func TestStepsCounter(t *testing.T) {
 	if s.Steps() != 3 {
 		t.Errorf("Steps() = %d, want 3", s.Steps())
 	}
+}
+
+// Crashed reports whether p has been crashed.
+func (s *Scheduler) Crashed(p model.Proc) bool {
+	ps := s.lookup(p)
+	return ps != nil && ps.crashed
 }

@@ -71,3 +71,9 @@ func TestSuspendUnknownOrZeroIsNoop(t *testing.T) {
 		t.Error("zero-length suspension is a no-op")
 	}
 }
+
+// Suspended reports whether p is currently suspended.
+func (s *Scheduler) Suspended(p model.Proc) bool {
+	ps := s.lookup(p)
+	return ps != nil && s.steps < ps.suspendedTo
+}

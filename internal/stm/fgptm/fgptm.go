@@ -42,9 +42,6 @@ func (t *TM) Name() string { return "fgp" }
 // A non-nil value indicates a bug in the harness, not a TM abort.
 func (t *TM) Err() error { return t.err }
 
-// History returns the automaton-level history recorded by the engine.
-func (t *TM) History() model.History { return t.eng.History() }
-
 // Read implements stm.TM.
 func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 	env.Yield()

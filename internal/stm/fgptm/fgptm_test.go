@@ -3,6 +3,7 @@ package fgptm
 import (
 	"testing"
 
+	"livetm/internal/model"
 	"livetm/internal/sim"
 	"livetm/internal/stm"
 	"livetm/internal/stm/stmtest"
@@ -78,3 +79,6 @@ func TestNoHarnessErrors(t *testing.T) {
 		t.Error("engine history must be recorded")
 	}
 }
+
+// History returns the automaton-level history recorded by the engine.
+func (t *TM) History() model.History { return t.eng.History() }

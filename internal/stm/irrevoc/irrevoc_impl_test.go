@@ -25,7 +25,8 @@
 // Under faults the wrapper therefore behaves like the global lock,
 // which is why it is not in the liveness-matrix registry: its verdict
 // is the claim "local progress iff the TM controls the application",
-// not a schedule-measurable row.
+// not a schedule-measurable row. Nothing imports the wrapper either,
+// so it lives in test files: the package is test-only.
 package irrevoc
 
 import (

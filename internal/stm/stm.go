@@ -162,15 +162,6 @@ func Summarize(h model.History) Stats {
 	return s
 }
 
-// TotalCommits sums commits across processes.
-func (s Stats) TotalCommits() int {
-	n := 0
-	for _, c := range s.Commits {
-		n += c
-	}
-	return n
-}
-
 // Factory creates a fresh TM instance for a system of the given size.
 // Implementations that do not need the sizes may ignore them.
 type Factory func(nProcs, nVars int) TM

@@ -136,3 +136,12 @@ func TestSummarize(t *testing.T) {
 		t.Errorf("p1 operations = %d, want 4", s.Operations[1])
 	}
 }
+
+// TotalCommits sums commits across processes.
+func (s Stats) TotalCommits() int {
+	n := 0
+	for _, c := range s.Commits {
+		n += c
+	}
+	return n
+}

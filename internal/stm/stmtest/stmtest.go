@@ -3,6 +3,8 @@
 // randomized opacity conformance, sequential-semantics checks, and the
 // fault-injection scenarios (crash-point sweeps, parasitic processes)
 // that the liveness matrix (DESIGN.md E20) is built on.
+//
+//lint:allow(unused) test support: the liveness matrix uses the scenario bodies, and every TM package's tests run the conformance harness
 package stmtest
 
 import (

@@ -124,16 +124,3 @@ outer:
 	}
 	return 0, false
 }
-
-// Total sums Value across all series of family name (0 if absent).
-func (s Snapshot) Total(name string) float64 {
-	f := s.Family(name)
-	if f == nil {
-		return 0
-	}
-	var t float64
-	for _, ser := range f.Series {
-		t += ser.Value
-	}
-	return t
-}

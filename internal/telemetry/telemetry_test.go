@@ -340,3 +340,16 @@ func BenchmarkHistogramObserve(b *testing.B) {
 		}
 	})
 }
+
+// Total sums Value across all series of family name (0 if absent).
+func (s Snapshot) Total(name string) float64 {
+	f := s.Family(name)
+	if f == nil {
+		return 0
+	}
+	var t float64
+	for _, ser := range f.Series {
+		t += ser.Value
+	}
+	return t
+}

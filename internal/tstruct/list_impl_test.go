@@ -50,10 +50,12 @@ func (l *List) nextVar(node model.Value) model.TVar {
 // locate walks the sorted list inside tx and returns the link variable
 // that points at the first node with key >= k (the head link if the
 // list is empty or k is smallest), plus that node id (0 if none).
+// Once tx aborts every Read returns 0, which ends the walk; the body
+// then makes no effective write and the attempt is retried.
 func (l *List) locate(tx *workload.Tx, k model.Value) (link model.TVar, node model.Value) {
 	link = l.headVar()
 	node = tx.Read(link)
-	for node != 0 && !tx.Aborted() {
+	for node != 0 {
 		if tx.Read(l.keyVar(node)) >= k {
 			return link, node
 		}
@@ -73,9 +75,6 @@ func (l *List) Insert(env *sim.Env, k model.Value) (bool, error) {
 	workload.Atomically(l.tm, env, func(tx *workload.Tx) {
 		added, full = false, false
 		link, node := l.locate(tx, k)
-		if tx.Aborted() {
-			return
-		}
 		if node != 0 && tx.Read(l.keyVar(node)) == k {
 			return // already present
 		}
@@ -104,7 +103,7 @@ func (l *List) Remove(env *sim.Env, k model.Value) bool {
 	workload.Atomically(l.tm, env, func(tx *workload.Tx) {
 		removed = false
 		link, node := l.locate(tx, k)
-		if tx.Aborted() || node == 0 {
+		if node == 0 {
 			return
 		}
 		if tx.Read(l.keyVar(node)) != k {
@@ -122,7 +121,7 @@ func (l *List) Contains(env *sim.Env, k model.Value) bool {
 	workload.Atomically(l.tm, env, func(tx *workload.Tx) {
 		found = false
 		_, node := l.locate(tx, k)
-		if tx.Aborted() || node == 0 {
+		if node == 0 {
 			return
 		}
 		found = tx.Read(l.keyVar(node)) == k
@@ -136,7 +135,7 @@ func (l *List) Snapshot(env *sim.Env) []model.Value {
 	workload.Atomically(l.tm, env, func(tx *workload.Tx) {
 		out = out[:0]
 		node := tx.Read(l.headVar())
-		for node != 0 && !tx.Aborted() {
+		for node != 0 {
 			out = append(out, tx.Read(l.keyVar(node)))
 			node = tx.Read(l.nextVar(node))
 		}

@@ -7,6 +7,9 @@
 // The structures map their state onto dense t-variable ranges so they
 // can coexist in one TM instance: each structure is given a base
 // offset and a capacity at construction.
+//
+// No production code imports the structures, so they live in test files:
+// the package is test-only.
 package tstruct
 
 import (

@@ -55,3 +55,38 @@ func TestBankAccessors(t *testing.T) {
 		t.Errorf("Accounts = %d", bank.Accounts())
 	}
 }
+
+// Aborted reports whether the current attempt has aborted.
+func (t *Tx) Aborted() bool { return t.aborted }
+
+// AtomicallyBounded is Atomically with an attempt budget; ok is false
+// when the budget is exhausted without a commit.
+func AtomicallyBounded(tm stm.TM, env *sim.Env, maxAttempts int, body func(*Tx)) (attempts int, ok bool) {
+	for attempts = 1; attempts <= maxAttempts; attempts++ {
+		tx := &Tx{tm: tm, env: env}
+		body(tx)
+		if tx.aborted {
+			continue
+		}
+		if tm.TryCommit(env) == stm.OK {
+			return attempts, true
+		}
+	}
+	return maxAttempts, false
+}
+
+// Accounts returns the number of accounts.
+func (b *Bank) Accounts() int { return b.accounts }
+
+// TotalBounded is Total with an attempt budget, for auditing a bank
+// whose other users may be wedged holding locks: ok is false when no
+// audit transaction could commit within the budget.
+func (b *Bank) TotalBounded(env *sim.Env, maxAttempts int) (total model.Value, ok bool) {
+	_, ok = AtomicallyBounded(b.tm, env, maxAttempts, func(tx *Tx) {
+		total = 0
+		for i := 0; i < b.accounts; i++ {
+			total += tx.Read(model.TVar(i))
+		}
+	})
+	return total, ok
+}

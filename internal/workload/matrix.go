@@ -195,7 +195,7 @@ type Result struct {
 	// ratio: the plain (unrecorded, unmonitored) cell rerun with a
 	// telemetry registry attached, over the bare baseline. Measured
 	// alongside RecorderOverhead when Options.Overhead is set; the
-	// enforced budget is telemetry.OverheadBudgetRatio.
+	// enforced budget is the root BenchmarkTelemetryOverhead's.
 	TelemetryOverhead float64 `json:"telemetry_overhead,omitempty"`
 	// BackoffCap is the native retry loop's spin-shift ceiling for the
 	// cell — the dynamic range starvation-aware backoff operated in.

@@ -43,9 +43,6 @@ func (t *Tx) Write(x model.TVar, v model.Value) {
 	}
 }
 
-// Aborted reports whether the current attempt has aborted.
-func (t *Tx) Aborted() bool { return t.aborted }
-
 // Atomically runs body as a transaction, retrying until it commits,
 // and returns the number of attempts (≥ 1). The body must be
 // idempotent across retries (it re-reads everything through the
@@ -61,22 +58,6 @@ func Atomically(tm stm.TM, env *sim.Env, body func(*Tx)) int {
 			return attempts
 		}
 	}
-}
-
-// AtomicallyBounded is Atomically with an attempt budget; ok is false
-// when the budget is exhausted without a commit.
-func AtomicallyBounded(tm stm.TM, env *sim.Env, maxAttempts int, body func(*Tx)) (attempts int, ok bool) {
-	for attempts = 1; attempts <= maxAttempts; attempts++ {
-		tx := &Tx{tm: tm, env: env}
-		body(tx)
-		if tx.aborted {
-			continue
-		}
-		if tm.TryCommit(env) == stm.OK {
-			return attempts, true
-		}
-	}
-	return maxAttempts, false
 }
 
 // Increment atomically increments x and returns the attempts used.
@@ -104,9 +85,6 @@ func NewBank(tm stm.TM, env *sim.Env, n int, initial model.Value) *Bank {
 	return b
 }
 
-// Accounts returns the number of accounts.
-func (b *Bank) Accounts() int { return b.accounts }
-
 // Transfer moves amount from one account to another (overdrafts are
 // permitted: the workload exercises the TM, not banking rules).
 // It returns the attempts used.
@@ -128,17 +106,4 @@ func (b *Bank) Total(env *sim.Env) model.Value {
 		}
 	})
 	return total
-}
-
-// TotalBounded is Total with an attempt budget, for auditing a bank
-// whose other users may be wedged holding locks: ok is false when no
-// audit transaction could commit within the budget.
-func (b *Bank) TotalBounded(env *sim.Env, maxAttempts int) (total model.Value, ok bool) {
-	_, ok = AtomicallyBounded(b.tm, env, maxAttempts, func(tx *Tx) {
-		total = 0
-		for i := 0; i < b.accounts; i++ {
-			total += tx.Read(model.TVar(i))
-		}
-	})
-	return total, ok
 }
