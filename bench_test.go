@@ -8,7 +8,6 @@ package livetm_test
 
 import (
 	"fmt"
-	"os"
 	"sync"
 	"testing"
 	"time"
@@ -148,17 +147,12 @@ func BenchmarkFig14Blocking(b *testing.B) {
 
 // --- Figures 9, 10, 12, 13: adversary suffixes ---
 
-func benchAdversary(b *testing.B, alg int, cfg adversary.Config, label string) {
+func benchAdversary(b *testing.B, s adversary.Strategy, label string) {
 	b.Helper()
 	factory := func(n, v int) stmpkg.TM { return dstm.New() }
 	var rounds, p1aborts int
 	for i := 0; i < b.N; i++ {
-		var res adversary.Result
-		if alg == 1 {
-			res = adversary.Algorithm1(factory, cfg)
-		} else {
-			res = adversary.Algorithm2(factory, cfg)
-		}
+		res := adversary.NewSimDriver(factory, adversary.Config{Rounds: 6, Seed: 5}).Run(s)
 		if res.P1Committed {
 			b.Fatal("p1 committed")
 		}
@@ -170,19 +164,19 @@ func benchAdversary(b *testing.B, alg int, cfg adversary.Config, label string) {
 }
 
 func BenchmarkFig09Alg1Crash(b *testing.B) {
-	benchAdversary(b, 1, adversary.Config{Rounds: 6, Seed: 5, CrashP1AfterRead: true}, "fig09 (alg1, p1 crashes)")
+	benchAdversary(b, adversary.Strategy{Algorithm: 1, Crash: true}, "fig09 (alg1, p1 crashes)")
 }
 
 func BenchmarkFig10Alg1NoCrash(b *testing.B) {
-	benchAdversary(b, 1, adversary.Config{Rounds: 6, Seed: 5}, "fig10 (alg1, p1 correct, starves)")
+	benchAdversary(b, adversary.Strategy{Algorithm: 1}, "fig10 (alg1, p1 correct, starves)")
 }
 
 func BenchmarkFig12Alg2Parasitic(b *testing.B) {
-	benchAdversary(b, 2, adversary.Config{Rounds: 6, Seed: 5, ParasiticP1: true}, "fig12 (alg2, p1 parasitic)")
+	benchAdversary(b, adversary.Strategy{Algorithm: 2, Parasitic: true}, "fig12 (alg2, p1 parasitic)")
 }
 
 func BenchmarkFig13Alg2NoParasite(b *testing.B) {
-	benchAdversary(b, 2, adversary.Config{Rounds: 6, Seed: 5}, "fig13 (alg2, p1 correct, starves)")
+	benchAdversary(b, adversary.Strategy{Algorithm: 2}, "fig13 (alg2, p1 correct, starves)")
 }
 
 // --- Figure 15: Fgp state space ---
@@ -349,15 +343,14 @@ func BenchmarkScalability(b *testing.B) {
 
 // TestWorkloadMatrixArtifact executes the declared workload matrix
 // (internal/workload) across every (algorithm, substrate) pair
-// through the engine API with small budgets, and writes the
-// machine-readable BENCH_native.json trajectory artifact that future
-// PRs compare against. BenchmarkWorkloadMatrix is the full-budget
-// version of the same run.
+// through the engine API with small budgets: one cell per pair, and
+// the matrix as a whole commits. It writes nothing.
+// BenchmarkWorkloadMatrix is the full-budget, live-monitored version
+// of the same run.
 func TestWorkloadMatrixArtifact(t *testing.T) {
 	engines := engine.Engines(false)
 	specs := workload.Matrix([]int{1, 2})
-	budget := workload.Budget{SimSteps: 600, NativeOps: 50}
-	results, err := workload.RunMatrix(engines, specs, budget)
+	results, err := workload.RunMatrix(engines, specs, workload.Budget{SimSteps: 600, NativeOps: 50}, workload.Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -371,14 +364,6 @@ func TestWorkloadMatrixArtifact(t *testing.T) {
 	if commits == 0 {
 		t.Fatal("the matrix committed nothing")
 	}
-	// Only materialize the artifact when it is missing: the tracked
-	// baseline comes from BenchmarkWorkloadMatrix's full budgets and
-	// must not be clobbered with this test's smoke-sized numbers.
-	if _, err := os.Stat("BENCH_native.json"); os.IsNotExist(err) {
-		if err := workload.WriteArtifact("BENCH_native.json", budget, results); err != nil {
-			t.Fatal(err)
-		}
-	}
 }
 
 // BenchmarkWorkloadMatrix is the wall-clock half of E21 (footnote 1)
@@ -386,10 +371,8 @@ func TestWorkloadMatrixArtifact(t *testing.T) {
 // read/write mix × contention × sharing) on every algorithm of both
 // substrates. The native cells run under the in-process monitor, so
 // their ops/sec is checked-throughput (live verification overlapped
-// with the run) with a liveness class and recorder-overhead ratio per
-// cell; the simulated cells measure commits per deterministic
-// scheduler step. The run rewrites BENCH_native.json (schema v3) with
-// full budgets.
+// with the run) with a liveness class per cell; the simulated cells
+// measure commits per deterministic scheduler step.
 func BenchmarkWorkloadMatrix(b *testing.B) {
 	engines := engine.Engines(false)
 	specs := workload.Matrix([]int{1, 2, 4, 8})
@@ -397,22 +380,25 @@ func BenchmarkWorkloadMatrix(b *testing.B) {
 	var results []workload.Result
 	for i := 0; i < b.N; i++ {
 		var err error
-		results, err = workload.RunMatrixOptions(engines, specs, budget,
-			workload.Options{Live: true, Overhead: true, QuiesceEvery: 4})
+		results, err = workload.RunMatrix(engines, specs, budget,
+			workload.Options{Live: true, QuiesceEvery: 4})
 		if err != nil {
 			b.Fatal(err)
 		}
 	}
-	if err := workload.WriteArtifact("BENCH_native.json", budget, results); err != nil {
-		b.Fatal(err)
+	if want := len(engines) * len(specs); len(results) != want {
+		b.Fatalf("matrix produced %d cells, want %d", len(results), want)
 	}
 	var commits, aborts uint64
 	for _, r := range results {
 		commits += r.Commits
 		aborts += r.Aborts
 	}
+	if commits == 0 {
+		b.Fatal("the matrix committed nothing")
+	}
 	printHeader("wmatrix", fmt.Sprintf(
-		"workload matrix: %d engines × %d workloads = %d cells -> BENCH_native.json\n",
+		"workload matrix: %d engines × %d workloads = %d cells\n",
 		len(engines), len(specs), len(results)))
 	b.ReportMetric(float64(commits), "commits")
 	b.ReportMetric(float64(aborts), "aborts")

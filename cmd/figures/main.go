@@ -72,26 +72,20 @@ func adversaryFigures(w io.Writer) error {
 		return fmt.Errorf("dstm not registered")
 	}
 	cases := []struct {
-		title string
-		alg   int
-		cfg   adversary.Config
+		title    string
+		strategy adversary.Strategy
 	}{
-		{"Figure 9 (Algorithm 1, p1 crashes after its read: p2 commits forever)", 1,
-			adversary.Config{Rounds: 3, Seed: 5, CrashP1AfterRead: true}},
-		{"Figure 10 (Algorithm 1, p1 correct: aborted forever)", 1,
-			adversary.Config{Rounds: 3, Seed: 5}},
-		{"Figure 12 (Algorithm 2, p1 parasitic: reads forever, p2 commits forever)", 2,
-			adversary.Config{Rounds: 3, Seed: 5, ParasiticP1: true}},
-		{"Figure 13 (Algorithm 2, p1 correct: aborted forever)", 2,
-			adversary.Config{Rounds: 3, Seed: 5}},
+		{"Figure 9 (Algorithm 1, p1 crashes after its read: p2 commits forever)",
+			adversary.Strategy{Algorithm: 1, Crash: true}},
+		{"Figure 10 (Algorithm 1, p1 correct: aborted forever)",
+			adversary.Strategy{Algorithm: 1}},
+		{"Figure 12 (Algorithm 2, p1 parasitic: reads forever, p2 commits forever)",
+			adversary.Strategy{Algorithm: 2, Parasitic: true}},
+		{"Figure 13 (Algorithm 2, p1 correct: aborted forever)",
+			adversary.Strategy{Algorithm: 2}},
 	}
 	for _, c := range cases {
-		var res adversary.Result
-		if c.alg == 1 {
-			res = adversary.Algorithm1(nf.Factory, c.cfg)
-		} else {
-			res = adversary.Algorithm2(nf.Factory, c.cfg)
-		}
+		res := adversary.NewSimDriver(nf.Factory, adversary.Config{Rounds: 3, Seed: 5}).Run(c.strategy)
 		if res.P1Committed {
 			return fmt.Errorf("%s: p1 committed", c.title)
 		}

@@ -55,7 +55,7 @@
 //	    the server to drain and prints the session's final monitor
 //	    report, liveness class, and per-process starvation intervals.
 //
-//	livetm loadgen -scenario FILE [-addr ADDR] [-plan] [-out FILE] [-drain] [-gate [-bench FILE]]
+//	livetm loadgen -scenario FILE [-addr ADDR] [-plan] [-out FILE] [-drain] [-gate]
 //	    Drive a declarative open-loop scenario (internal/loadgen):
 //	    Poisson or bursty arrivals at fixed seed, weighted
 //	    workload-matrix cell mixes, warmup/inject/recovery phases with
@@ -71,15 +71,14 @@
 //	    fault outcomes; -drain folds in the final monitor report's
 //	    liveness class and checked-throughput); -out writes it, and
 //	    -gate evaluates the scenario's release gates immediately
-//	    (non-zero exit on failure; -bench adds the BENCH-trajectory
-//	    comparison).
+//	    (non-zero exit on failure).
 //
-//	livetm loadgen gate -artifact FILE [-bench FILE]
-//	    Re-judge a saved loadgen artifact against its embedded gates:
-//	    p99 latency, abort rate, overload-refusal rate, throughput
-//	    floor, minimum liveness class, and -bench fraction-of-
-//	    trajectory. Prints one verdict line per gate; exits non-zero
-//	    if any gate fails — the CI regression gate.
+//	livetm loadgen gate -artifact FILE
+//	    Re-judge a saved loadgen artifact (schema livetm/loadgen/v2)
+//	    against its embedded gates: p99 latency, abort rate,
+//	    overload-refusal rate, throughput floor and minimum liveness
+//	    class. Prints one verdict line per gate; exits non-zero if any
+//	    gate fails — the CI regression gate.
 //
 //	livetm adversary [-tm NAME | -engine NAME | -matrix] [-alg 1|2] [-crash] [-parasitic] [-rounds N] [-out FILE] [-artifact FILE]
 //	    Run the Theorem 1 environment strategy against a TM and print
@@ -90,8 +89,8 @@
 //	    run through the online monitor); -matrix runs every strategy
 //	    variant against every native algorithm and its simulated
 //	    counterpart, printing the cross-substrate starvation comparison
-//	    and optionally writing it as the -artifact JSON (the adversary
-//	    analogue of BENCH_native.json).
+//	    and optionally writing it as the -artifact JSON (schema
+//	    livetm/adversary-starvation/v1).
 //
 //	livetm check -file FILE
 //	    Load a JSON Lines trace ("-" reads stdin) and decide opacity
@@ -153,14 +152,14 @@
 //	    List every (algorithm, substrate) engine behind the unified
 //	    engine API with its capabilities.
 //
-//	livetm workloads [-procs LIST] [-simsteps N] [-ops N] [-out FILE] [-record] [-check] [-live] [-overhead]
+//	livetm workloads [-procs LIST] [-simsteps N] [-ops N] [-ablations] [-record] [-check] [-live] [-quiesce N]
 //	    Run the declared workload matrix on every engine of both
-//	    substrates and print the result table (optionally writing the
-//	    BENCH_native.json schema-v3 artifact); -record captures each
-//	    cell's history, -check verifies it through the online monitor,
-//	    -live runs native cells under the in-process monitor (per-cell
-//	    liveness class, starvation-aware backoff), and -overhead
-//	    measures each native cell's recording-cost ratio.
+//	    substrates and print the result table; it writes no file.
+//	    -record captures each cell's history, -check verifies it
+//	    through the online monitor and prints how many cells it
+//	    decided, and -live runs native cells under the in-process
+//	    monitor (per-cell liveness class and quiescent-cut summary,
+//	    starvation-aware backoff).
 package main
 
 import (
@@ -426,7 +425,8 @@ func cmdAdversary(args []string) error {
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	cfg := adversary.Config{Rounds: *rounds, CrashP1AfterRead: *crash, ParasiticP1: *parasitic, Seed: 3}
+	cfg := adversary.Config{Rounds: *rounds, Seed: 3}
+	strategy := adversary.Strategy{Algorithm: *alg, Crash: *crash, Parasitic: *parasitic}
 	if *matrix {
 		// Flags the matrix runs all combinations of (or cannot honour)
 		// are rejected, not silently dropped.
@@ -461,8 +461,11 @@ func cmdAdversary(args []string) error {
 	if *artifact != "" {
 		return fmt.Errorf("adversary: -artifact needs -matrix")
 	}
+	if *alg != 1 && *alg != 2 {
+		return fmt.Errorf("alg must be 1 or 2")
+	}
 	if *engineName != "" && strings.HasPrefix(*engineName, "native-") {
-		return adversaryNative(*engineName, *alg, cfg, *tail, *out)
+		return adversaryNative(*engineName, strategy, cfg, *tail, *out)
 	}
 	if *engineName != "" {
 		name, ok := strings.CutPrefix(*engineName, "sim-")
@@ -475,15 +478,7 @@ func cmdAdversary(args []string) error {
 	if !ok {
 		return fmt.Errorf("unknown TM %q", *tmName)
 	}
-	var res adversary.Result
-	switch *alg {
-	case 1:
-		res = adversary.Algorithm1(nf.Factory, cfg)
-	case 2:
-		res = adversary.Algorithm2(nf.Factory, cfg)
-	default:
-		return fmt.Errorf("alg must be 1 or 2")
-	}
+	res := adversary.NewSimDriver(nf.Factory, cfg).Run(strategy)
 	fmt.Printf("adversary algorithm %d vs %s: rounds=%d p1Committed=%v steps=%d\n",
 		*alg, nf.Name, res.Rounds, res.P1Committed, res.Steps)
 	fmt.Printf("commits: p1=%d p2=%d   aborts: p1=%d p2=%d\n",
@@ -510,7 +505,7 @@ func cmdAdversary(args []string) error {
 // adversaryNative drives one strategy against a native engine through
 // the real-concurrency driver and prints the monitor's starvation
 // harvest alongside the history suffix.
-func adversaryNative(engineName string, alg int, cfg adversary.Config, tail int, out string) error {
+func adversaryNative(engineName string, s adversary.Strategy, cfg adversary.Config, tail int, out string) error {
 	var info native.Info
 	found := false
 	for _, i := range native.Algorithms() {
@@ -522,10 +517,6 @@ func adversaryNative(engineName string, alg int, cfg adversary.Config, tail int,
 	if !found {
 		return fmt.Errorf("unknown native engine %q (see `livetm engines`)", engineName)
 	}
-	if alg != 1 && alg != 2 {
-		return fmt.Errorf("alg must be 1 or 2")
-	}
-	s := adversary.Strategy{Algorithm: alg, Crash: cfg.CrashP1AfterRead, Parasitic: cfg.ParasiticP1}
 	res, err := adversary.RunNative(info, s, cfg)
 	if err != nil {
 		return err
@@ -843,12 +834,10 @@ func cmdWorkloads(args []string) error {
 	procsArg := fs.String("procs", "1,2,4", "comma-separated process counts")
 	simSteps := fs.Int("simsteps", 2000, "scheduler steps per simulated cell")
 	ops := fs.Int("ops", 500, "committed transactions per process per native cell")
-	out := fs.String("out", "", "also write the BENCH_native.json artifact here")
 	ablations := fs.Bool("ablations", false, "include the simulated ablation variants")
 	record := fs.Bool("record", false, "record each cell's history")
 	check := fs.Bool("check", false, "verify each recorded history through the online monitor (implies -record)")
 	live := fs.Bool("live", false, "run native cells under the in-process monitor (mid-flight stop, starvation-aware backoff, per-cell liveness class)")
-	overhead := fs.Bool("overhead", false, "measure each native cell's recording overhead ratio against an unrecorded rerun")
 	quiesce := fs.Int("quiesce", 4, "rendezvous interval (rounds) of recorded native cells (0 = never)")
 	if err := fs.Parse(args); err != nil {
 		return err
@@ -867,10 +856,10 @@ func cmdWorkloads(args []string) error {
 	}
 	engines := engine.Engines(*ablations)
 	specs := workload.Matrix(procs)
-	budget := workload.Budget{SimSteps: *simSteps, NativeOps: *ops}
 	fmt.Printf("running %d workloads × %d engines...\n", len(specs), len(engines))
-	results, err := workload.RunMatrixOptions(engines, specs, budget,
-		workload.Options{Record: *record, Check: *check, Live: *live, Overhead: *overhead, QuiesceEvery: quiesceOpt})
+	results, err := workload.RunMatrix(engines, specs,
+		workload.Budget{SimSteps: *simSteps, NativeOps: *ops},
+		workload.Options{Record: *record, Check: *check, Live: *live, QuiesceEvery: quiesceOpt})
 	if err != nil {
 		return err
 	}
@@ -884,12 +873,6 @@ func cmdWorkloads(args []string) error {
 		}
 		fmt.Printf("checked %d of %d cells well-formed and opaque (the rest undecided within the cut budget)\n",
 			checked, len(results))
-	}
-	if *out != "" {
-		if err := workload.WriteArtifact(*out, budget, results); err != nil {
-			return err
-		}
-		fmt.Printf("artifact written to %s (%d cells)\n", *out, len(results))
 	}
 	return nil
 }
@@ -1411,7 +1394,6 @@ func cmdLoadgen(args []string) error {
 	drainFlag := fs.Bool("drain", false, "drain the wire target after the run so the artifact carries the final monitor report (in-process runs always close and fold it)")
 	ident := fs.String("name", "loadgen", "client identity prefix; arrivals rotate through <name>-0..<clients-1>")
 	gateFlag := fs.Bool("gate", false, "evaluate the scenario's gates against the artifact; non-zero exit on failure")
-	benchFile := fs.String("bench", "", "BENCH artifact (BENCH_native.json) for the trajectory gate")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -1496,12 +1478,6 @@ func cmdLoadgen(args []string) error {
 			line += fmt.Sprintf(" fault=%s runs=%d rounds=%d violations=%d",
 				fr.Strategy, fr.Runs, fr.Rounds, fr.Violations)
 		}
-		if len(p.FaultResults) == 0 && p.FaultOutcome != nil {
-			// Artifacts written before layered faults carry only the
-			// singular summary.
-			line += fmt.Sprintf(" fault=%s runs=%d rounds=%d violations=%d",
-				p.FaultOutcome.Strategy, p.FaultOutcome.Runs, p.FaultOutcome.Rounds, p.FaultOutcome.Violations)
-		}
 		fmt.Println(line)
 	}
 	if art.LivenessClass != "" {
@@ -1518,7 +1494,7 @@ func cmdLoadgen(args []string) error {
 		if art.Gates == nil {
 			return fmt.Errorf("loadgen: -gate set but scenario %s declares no gates", sc.Name)
 		}
-		return printGateVerdicts(loadgen.Evaluate(art, *art.Gates, *benchFile))
+		return printGateVerdicts(loadgen.Evaluate(art, *art.Gates))
 	}
 	return nil
 }
@@ -1528,7 +1504,6 @@ func cmdLoadgen(args []string) error {
 func cmdLoadgenGate(args []string) error {
 	fs := flag.NewFlagSet("loadgen gate", flag.ContinueOnError)
 	artifactFile := fs.String("artifact", "", "loadgen artifact JSON (required)")
-	benchFile := fs.String("bench", "", "BENCH artifact (BENCH_native.json) for the trajectory gate")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -1544,7 +1519,7 @@ func cmdLoadgenGate(args []string) error {
 	}
 	fmt.Printf("loadgen gate: %s (scenario %s, seed %d, %s)\n",
 		*artifactFile, art.Scenario, art.Seed, art.GitDescribe)
-	return printGateVerdicts(loadgen.Evaluate(art, *art.Gates, *benchFile))
+	return printGateVerdicts(loadgen.Evaluate(art, *art.Gates))
 }
 
 // printGateVerdicts prints one line per gate and errors if any

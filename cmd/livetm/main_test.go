@@ -8,6 +8,7 @@ import (
 	"testing"
 
 	"livetm/internal/adversary"
+	"livetm/internal/engine"
 	"livetm/internal/model"
 	"livetm/internal/workload"
 )
@@ -216,17 +217,55 @@ func TestCmdEngines(t *testing.T) {
 	}
 }
 
+// TestCmdWorkloads: the plain matrix prints one table row per
+// (engine, spec) cell and writes nothing; -out is refused, since the
+// matrix writes no artifact.
 func TestCmdWorkloads(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_native.json")
-	if err := run([]string{"workloads", "-procs", "2", "-simsteps", "300", "-ops", "20", "-out", path}); err != nil {
-		t.Fatal(err)
+	table := workloadsTable(t, "-procs", "2", "-simsteps", "300", "-ops", "20")
+	cells := len(engine.Engines(false)) * len(workload.Matrix([]int{2}))
+	if len(table) != 1+cells {
+		t.Fatalf("table has %d lines, want a header and %d rows:\n%s", len(table), cells, strings.Join(table, "\n"))
 	}
-	if _, err := os.Stat(path); err != nil {
-		t.Fatalf("artifact not written: %v", err)
+	if strings.Contains(table[0], "liveness") {
+		t.Errorf("plain matrix header %q has a liveness column", table[0])
+	}
+	for _, row := range table[1:] {
+		if f := strings.Fields(row); len(f) < 7 || !strings.HasPrefix(f[1], "p2/") {
+			t.Errorf("malformed row %q", row)
+		}
 	}
 	if err := run([]string{"workloads", "-procs", "zero"}); err == nil {
 		t.Error("bad process list must error")
 	}
+	if err := run([]string{"workloads", "-out", filepath.Join(t.TempDir(), "m.json")}); err == nil {
+		t.Error("-out must be refused: the matrix writes no artifact")
+	}
+}
+
+// workloadsTable runs `livetm workloads` with args and returns the
+// result table it prints: the header line and one row per cell.
+func workloadsTable(t *testing.T, args ...string) []string {
+	t.Helper()
+	path := filepath.Join(t.TempDir(), "workloads.out")
+	withStdout(t, path, func() {
+		if err := run(append([]string{"workloads"}, args...)); err != nil {
+			t.Fatal(err)
+		}
+	})
+	out, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var table []string
+	for _, line := range strings.Split(string(out), "\n") {
+		if strings.HasPrefix(line, "engine ") || strings.HasPrefix(line, "sim-") || strings.HasPrefix(line, "native-") {
+			table = append(table, line)
+		}
+	}
+	if len(table) == 0 || !strings.HasPrefix(table[0], "engine ") {
+		t.Fatalf("no result table in the output:\n%s", out)
+	}
+	return table
 }
 
 // withStdin temporarily redirects os.Stdin to the given file.
@@ -418,38 +457,36 @@ func TestCmdMonitorLive(t *testing.T) {
 	}
 }
 
-// TestCmdWorkloadsLive: the live/overhead matrix flags produce the
-// schema-v3 artifact with liveness classes and quiescent-cut counts on
-// native cells.
+// TestCmdWorkloadsLive: with -live the table gains the liveness and
+// quiescent-cut columns, and every native row prints a liveness class
+// and a non-zero cut count; -overhead is refused, since the matrix
+// measures no overhead ratio.
 func TestCmdWorkloadsLive(t *testing.T) {
-	path := filepath.Join(t.TempDir(), "BENCH_native.json")
-	if err := run([]string{"workloads", "-procs", "2", "-simsteps", "200", "-ops", "12", "-live", "-check", "-overhead", "-out", path}); err != nil {
-		t.Fatal(err)
-	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art workload.Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.Schema != workload.ArtifactSchema {
-		t.Fatalf("schema = %q, want %q", art.Schema, workload.ArtifactSchema)
+	table := workloadsTable(t, "-procs", "2", "-simsteps", "200", "-ops", "12", "-live", "-check")
+	header := strings.Fields(table[0])
+	if len(header) != 10 || header[7] != "liveness" || header[8] != "cuts" {
+		t.Fatalf("live matrix header %q, want liveness and cut columns", table[0])
 	}
 	liveCells := 0
-	for _, r := range art.Results {
-		if r.Live {
-			liveCells++
-			if r.LivenessClass == "" {
-				t.Errorf("%s/%s: live cell without class", r.Engine, r.Workload)
-			}
-			if r.Cuts == 0 {
-				t.Errorf("%s/%s: live cell took no quiescent cuts", r.Engine, r.Workload)
-			}
+	for _, row := range table[1:] {
+		if !strings.HasPrefix(row, "native-") {
+			continue
+		}
+		liveCells++
+		// The class may contain spaces ("local progress"), so the cut
+		// columns are read from the end of the row.
+		f := strings.Fields(row)
+		if class := strings.Join(f[7:len(f)-2], " "); class == "" || class == "-" {
+			t.Errorf("live row without a liveness class: %q", row)
+		}
+		if f[len(f)-2] == "0" {
+			t.Errorf("live row took no quiescent cuts: %q", row)
 		}
 	}
 	if liveCells == 0 {
-		t.Fatal("no live cells in the artifact")
+		t.Fatal("no native rows in the table")
+	}
+	if err := run([]string{"workloads", "-overhead"}); err == nil {
+		t.Error("-overhead must be refused: the matrix measures no overhead ratio")
 	}
 }

@@ -7,9 +7,10 @@
 // This directory holds no library code. Its bench_test.go is the
 // benchmark harness: one benchmark per figure and theorem of the
 // paper, the liveness matrix, and TestWorkloadMatrixArtifact, which
-// writes the BENCH_native.json performance-trajectory artifact. The
+// runs the workload matrix on every engine and writes nothing. The
 // implementation lives under internal/, each package documenting its
 // own layer (go doc livetm/internal/engine and so on); cmd/figures
 // and cmd/livetm are the experiment drivers, and bench/ is the
-// end-to-end benchmark that BENCHMARK.json declares.
+// end-to-end benchmark that BENCHMARK.json declares and the one
+// performance ledger.
 package livetm

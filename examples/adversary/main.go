@@ -33,12 +33,7 @@ func run() error {
 	for _, nf := range core.Registry(false) {
 		for _, alg := range []int{1, 2} {
 			cfg := adversary.Config{Rounds: 10, MaxSteps: 40000, Seed: 3}
-			var res adversary.Result
-			if alg == 1 {
-				res = adversary.Algorithm1(nf.Factory, cfg)
-			} else {
-				res = adversary.Algorithm2(nf.Factory, cfg)
-			}
+			res := adversary.NewSimDriver(nf.Factory, cfg).Run(adversary.Strategy{Algorithm: alg})
 			outcome := "p1 starved"
 			if res.Rounds == 0 {
 				outcome = "blocked"
@@ -70,7 +65,7 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("dstm not registered")
 	}
-	res := adversary.Algorithm1(nf.Factory, adversary.Config{Rounds: 4, Seed: 3})
+	res := adversary.NewSimDriver(nf.Factory, adversary.Config{Rounds: 4, Seed: 3}).Run(adversary.Strategy{Algorithm: 1})
 	h := res.History
 	if len(h) > 40 {
 		h = h[len(h)-40:]

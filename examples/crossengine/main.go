@@ -79,7 +79,7 @@ func run() error {
 	// 3. The same spec across every engine of both substrates — the
 	// cross-engine workload matrix in miniature.
 	results, err := workload.RunMatrix(engine.Engines(false), []workload.Spec{spec},
-		workload.Budget{SimSteps: 1500, NativeOps: 200})
+		workload.Budget{SimSteps: 1500, NativeOps: 200}, workload.Options{})
 	if err != nil {
 		return err
 	}

@@ -60,13 +60,6 @@ type Config struct {
 	// timeout only has to outlast scheduler stalls on loaded machines);
 	// the simulated driver uses MaxSteps instead.
 	BlockTimeout time.Duration
-	// CrashP1AfterRead crashes p1 right after its first successful
-	// Step-1 read (the Figure 9 variant of Algorithm 1).
-	CrashP1AfterRead bool
-	// ParasiticP1 makes p1 keep reading forever, never attempting to
-	// commit and ignoring its scheduled write/commit turns (the
-	// Figure 12 variant of Algorithm 2).
-	ParasiticP1 bool
 }
 
 // WithDefaults returns the config with the documented defaults
@@ -93,12 +86,6 @@ func (c Config) withDefaults() Config {
 	return c
 }
 
-// strategy derives the Strategy the legacy Config flags select for the
-// given algorithm.
-func (c Config) strategy(alg int) Strategy {
-	return Strategy{Algorithm: alg, Crash: c.CrashP1AfterRead, Parasitic: c.ParasiticP1}
-}
-
 // Result reports what the adversary achieved on the simulated
 // substrate.
 type Result struct {
@@ -111,38 +98,6 @@ type Result struct {
 	Stats stm.Stats
 	// Steps is the number of scheduler steps consumed.
 	Steps int
-}
-
-// Algorithm1 runs the parasitic-free-case strategy (§4, Algorithm 1)
-// against a fresh TM from the factory:
-//
-//	Step 1: p1 reads x (response v1 or A1).
-//	Step 2: p2 reads x, writes v+1, tries to commit — repeated until
-//	        the commit succeeds.
-//	Step 3: if p1's read succeeded, p1 writes v+1 and tries to
-//	        commit; on any abort the algorithm returns to Step 1.
-//
-// With CrashP1AfterRead, p1 crashes after its first successful read
-// and only Step 2 repeats forever (Figure 9); otherwise p1 is
-// aborted infinitely often (Figure 10).
-func Algorithm1(factory stm.Factory, cfg Config) Result {
-	cfg = cfg.withDefaults()
-	return NewSimDriver(factory, cfg).Run(cfg.strategy(1))
-}
-
-// Algorithm2 runs the crash-free-case strategy (§4, Algorithm 2):
-//
-//	Step 1: p1 reads x; then p2 reads x, writes v+1, and tries to
-//	        commit. Step 1 repeats until p2's commit succeeds.
-//	Step 2: if p1's last response was a value, p1 writes v+1 and
-//	        tries to commit; any abort goes back to Step 1.
-//
-// With ParasiticP1, p1 never takes Step 2: it keeps reading forever
-// without attempting to commit (Figure 12); otherwise p1 is aborted
-// infinitely often (Figure 13).
-func Algorithm2(factory stm.Factory, cfg Config) Result {
-	cfg = cfg.withDefaults()
-	return NewSimDriver(factory, cfg).Run(cfg.strategy(2))
 }
 
 // Lemma1 runs the n-process generalization: processes 1..n-1 each

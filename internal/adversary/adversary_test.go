@@ -40,7 +40,7 @@ func glockFactory(n, v int) stm.TM { return glock.New() }
 func TestTheorem1Algorithm1(t *testing.T) {
 	for name, factory := range abortingTMs() {
 		t.Run(name, func(t *testing.T) {
-			res := Algorithm1(factory, Config{Rounds: 8, Seed: 3})
+			res := NewSimDriver(factory, Config{Rounds: 8, Seed: 3}).Run(Strategy{Algorithm: 1})
 			if res.P1Committed {
 				t.Fatalf("p1 committed against %s: opacity or the strategy is broken\n%s", name, res.History)
 			}
@@ -70,7 +70,7 @@ func TestTheorem1Algorithm1(t *testing.T) {
 // lock and p2 blocks forever. Local progress fails by blocking rather
 // than by aborting.
 func TestTheorem1Algorithm1Blocking(t *testing.T) {
-	res := Algorithm1(glockFactory, Config{Rounds: 3, MaxSteps: 3000, Seed: 3})
+	res := NewSimDriver(glockFactory, Config{Rounds: 3, MaxSteps: 3000, Seed: 3}).Run(Strategy{Algorithm: 1})
 	if res.P1Committed {
 		t.Fatal("p1 cannot commit: it is parked waiting for p2's commit that never comes")
 	}
@@ -88,7 +88,7 @@ func TestTheorem1Algorithm1Blocking(t *testing.T) {
 func TestFig9CrashVariant(t *testing.T) {
 	for name, factory := range abortingTMs() {
 		t.Run(name, func(t *testing.T) {
-			res := Algorithm1(factory, Config{Rounds: 6, Seed: 5, CrashP1AfterRead: true})
+			res := NewSimDriver(factory, Config{Rounds: 6, Seed: 5}).Run(Strategy{Algorithm: 1, Crash: true})
 			if res.P1Committed {
 				t.Fatal("crashed p1 cannot commit")
 			}
@@ -105,7 +105,7 @@ func TestFig9CrashVariant(t *testing.T) {
 // TestFig9CrashVariantGlock: the crashed p1 holds the global lock, so
 // p2 blocks — the blocking TM fails the crash case differently.
 func TestFig9CrashVariantGlock(t *testing.T) {
-	res := Algorithm1(glockFactory, Config{Rounds: 3, MaxSteps: 3000, Seed: 5, CrashP1AfterRead: true})
+	res := NewSimDriver(glockFactory, Config{Rounds: 3, MaxSteps: 3000, Seed: 5}).Run(Strategy{Algorithm: 1, Crash: true})
 	if res.Rounds != 0 {
 		t.Fatalf("p2 completed %d rounds; the crashed lock holder should block it", res.Rounds)
 	}
@@ -115,7 +115,7 @@ func TestFig9CrashVariantGlock(t *testing.T) {
 func TestTheorem1Algorithm2(t *testing.T) {
 	for name, factory := range abortingTMs() {
 		t.Run(name, func(t *testing.T) {
-			res := Algorithm2(factory, Config{Rounds: 8, Seed: 7})
+			res := NewSimDriver(factory, Config{Rounds: 8, Seed: 7}).Run(Strategy{Algorithm: 2})
 			if res.P1Committed {
 				t.Fatalf("p1 committed against %s\n%s", name, res.History)
 			}
@@ -135,7 +135,7 @@ func TestTheorem1Algorithm2(t *testing.T) {
 func TestFig12ParasiticVariant(t *testing.T) {
 	for name, factory := range abortingTMs() {
 		t.Run(name, func(t *testing.T) {
-			res := Algorithm2(factory, Config{Rounds: 6, Seed: 9, ParasiticP1: true})
+			res := NewSimDriver(factory, Config{Rounds: 6, Seed: 9}).Run(Strategy{Algorithm: 2, Parasitic: true})
 			if res.P1Committed {
 				t.Fatal("parasitic p1 never even tries to commit")
 			}
@@ -157,7 +157,7 @@ func TestFig12ParasiticVariant(t *testing.T) {
 // TestFig12ParasiticVariantGlock: the parasitic p1 holds the global
 // lock forever.
 func TestFig12ParasiticVariantGlock(t *testing.T) {
-	res := Algorithm2(glockFactory, Config{Rounds: 3, MaxSteps: 3000, Seed: 9, ParasiticP1: true})
+	res := NewSimDriver(glockFactory, Config{Rounds: 3, MaxSteps: 3000, Seed: 9}).Run(Strategy{Algorithm: 2, Parasitic: true})
 	if res.Rounds != 0 {
 		t.Fatalf("p2 completed %d rounds; the parasitic lock holder should block it", res.Rounds)
 	}
@@ -172,13 +172,7 @@ func TestAdversaryHistoriesOpaque(t *testing.T) {
 	for name, factory := range abortingTMs() {
 		t.Run(name, func(t *testing.T) {
 			for _, alg := range []int{1, 2} {
-				cfg := Config{Rounds: 6, Seed: 11}
-				var res Result
-				if alg == 1 {
-					res = Algorithm1(factory, cfg)
-				} else {
-					res = Algorithm2(factory, cfg)
-				}
+				res := NewSimDriver(factory, Config{Rounds: 6, Seed: 11}).Run(Strategy{Algorithm: alg})
 				seg, err := safety.CheckOpacity(res.History)
 				if err != nil {
 					t.Fatalf("alg%d: %v (history has %d events)", alg, err, len(res.History))
@@ -218,7 +212,7 @@ func TestLemma1NProcesses(t *testing.T) {
 
 // TestConfigDefaults exercises the zero-value configuration.
 func TestConfigDefaults(t *testing.T) {
-	res := Algorithm1(func(n, v int) stm.TM { return dstm.New() }, Config{})
+	res := NewSimDriver(func(n, v int) stm.TM { return dstm.New() }, Config{}).Run(Strategy{Algorithm: 1})
 	if res.Rounds == 0 {
 		t.Error("default config must complete rounds")
 	}

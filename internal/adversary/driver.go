@@ -10,11 +10,28 @@ import (
 // fault variant. The zero value is invalid; use Variants or set
 // Algorithm explicitly.
 type Strategy struct {
-	// Algorithm is 1 (§4, the strategy used in parasitic-free systems)
-	// or 2 (§5, the strategy used in crash-free systems).
+	// Algorithm is 1 or 2.
+	//
+	// Algorithm 1 (§4) is the strategy used in parasitic-free systems:
+	//
+	//	Step 1: p1 reads x (response v1 or A1).
+	//	Step 2: p2 reads x, writes v+1, tries to commit — repeated until
+	//	        the commit succeeds.
+	//	Step 3: if p1's read succeeded, p1 writes v+1 and tries to
+	//	        commit; on any abort the algorithm returns to Step 1.
+	//
+	// Algorithm 2 (§5) is the strategy used in crash-free systems:
+	//
+	//	Step 1: p1 reads x; then p2 reads x, writes v+1, and tries to
+	//	        commit. Step 1 repeats until p2's commit succeeds.
+	//	Step 2: if p1's last response was a value, p1 writes v+1 and
+	//	        tries to commit; any abort goes back to Step 1.
+	//
+	// Without a fault variant p1 is aborted infinitely often (Figures
+	// 10 and 13).
 	Algorithm int
-	// Crash crashes p1 right after its first successful read — the
-	// Figure 9 variant of Algorithm 1.
+	// Crash crashes p1 right after its first successful read, so only
+	// Step 2 repeats forever — the Figure 9 variant of Algorithm 1.
 	Crash bool
 	// Parasitic makes p1 keep reading forever, never attempting to
 	// commit — the Figure 12 variant of Algorithm 2.

@@ -247,7 +247,7 @@ func RunMatrix(cfg Config) ([]Cell, error) {
 }
 
 // StarvationArtifactSchema versions the starvation-comparison artifact
-// written alongside BENCH_native.json.
+// that `livetm adversary -matrix -artifact` writes.
 const StarvationArtifactSchema = "livetm/adversary-starvation/v1"
 
 // StarvationArtifact is the machine-readable cross-substrate

@@ -179,7 +179,7 @@ func TestFormalVerdicts(t *testing.T) {
 		if !ok {
 			t.Fatalf("%s not registered", name)
 		}
-		res := adversary.Algorithm1(nf.Factory, adversary.Config{Rounds: 8, Seed: 3})
+		res := adversary.NewSimDriver(nf.Factory, adversary.Config{Rounds: 8, Seed: 3}).Run(adversary.Strategy{Algorithm: 1})
 		v, err := FormalVerdicts(res)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
@@ -199,8 +199,8 @@ func TestFormalVerdicts(t *testing.T) {
 	// so it is faulty and owed no progress, and local progress holds.
 	nf, _ := Lookup("dstm")
 	for name, res := range map[string]adversary.Result{
-		"crash":     adversary.Algorithm1(nf.Factory, adversary.Config{Rounds: 3, Seed: 5, CrashP1AfterRead: true}),
-		"parasitic": adversary.Algorithm2(nf.Factory, adversary.Config{Rounds: 3, Seed: 5, ParasiticP1: true}),
+		"crash":     adversary.NewSimDriver(nf.Factory, adversary.Config{Rounds: 3, Seed: 5}).Run(adversary.Strategy{Algorithm: 1, Crash: true}),
+		"parasitic": adversary.NewSimDriver(nf.Factory, adversary.Config{Rounds: 3, Seed: 5}).Run(adversary.Strategy{Algorithm: 2, Parasitic: true}),
 	} {
 		v, err := FormalVerdicts(res)
 		if err != nil {

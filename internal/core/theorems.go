@@ -32,18 +32,13 @@ type Theorem1Outcome struct {
 func Theorem1Evidence(rounds int, ablations bool) []Theorem1Outcome {
 	var out []Theorem1Outcome
 	for _, nf := range Registry(ablations) {
-		for _, strat := range []string{"algorithm1", "algorithm2"} {
+		for alg := 1; alg <= 2; alg++ {
 			cfg := adversary.Config{Rounds: rounds, MaxSteps: 4000 * rounds, Seed: 3}
-			var res adversary.Result
-			if strat == "algorithm1" {
-				res = adversary.Algorithm1(nf.Factory, cfg)
-			} else {
-				res = adversary.Algorithm2(nf.Factory, cfg)
-			}
+			res := adversary.NewSimDriver(nf.Factory, cfg).Run(adversary.Strategy{Algorithm: alg})
 			blocked := res.Rounds == 0 && anyPending(res)
 			out = append(out, Theorem1Outcome{
 				TM:       nf.Name,
-				Strategy: strat,
+				Strategy: fmt.Sprintf("algorithm%d", alg),
 				Result:   res,
 				Starved:  !res.P1Committed,
 				Blocked:  blocked,

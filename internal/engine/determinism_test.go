@@ -124,7 +124,7 @@ func TestAlgorithm1CrashDigest(t *testing.T) {
 	if !ok {
 		t.Fatal("sim-tl2 is not registered")
 	}
-	res := adversary.Algorithm1(e.(*Sim).factory, adversary.Config{Rounds: 3, Seed: 5, CrashP1AfterRead: true})
+	res := adversary.NewSimDriver(e.(*Sim).factory, adversary.Config{Rounds: 3, Seed: 5}).Run(adversary.Strategy{Algorithm: 1, Crash: true})
 	if res.P1Committed || res.Rounds < 3 {
 		t.Fatalf("p1 committed=%v after %d rounds", res.P1Committed, res.Rounds)
 	}

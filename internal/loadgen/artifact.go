@@ -11,8 +11,10 @@ import (
 )
 
 // ArtifactSchema versions the loadgen artifact. Bump on breaking
-// field changes; CI validates it.
-const ArtifactSchema = "livetm/loadgen/v1"
+// field changes; CI validates it. v2 dropped v1's singular "fault" and
+// "fault_result" phase keys, which duplicated the first entry of
+// "faults" and "fault_results".
+const ArtifactSchema = "livetm/loadgen/v2"
 
 // Artifact is one run's provenance-stamped result: enough to gate a
 // release on it (Evaluate) and to reproduce it (scenario hash + seed
@@ -40,7 +42,7 @@ type Artifact struct {
 	Checked       bool   `json:"checked,omitempty"`
 	// CheckedThroughput is committed transactions per second across
 	// the whole run, counted only when the monitor verified the run
-	// (Checked) — the BENCH trajectory's ops_per_sec counterpart.
+	// (Checked): throughput that comes with a verdict.
 	CheckedThroughput float64 `json:"checked_throughput,omitempty"`
 
 	// Gates embeds the scenario's thresholds so `livetm loadgen gate`
@@ -51,9 +53,7 @@ type Artifact struct {
 // PhaseResult is one phase's measured outcome.
 type PhaseResult struct {
 	Name string `json:"name"`
-	// Fault is the phase's first injected fault (kept for older
-	// consumers); Faults is the full layered list in injection order.
-	Fault      string   `json:"fault,omitempty"`
+	// Faults is the phase's layered fault list in injection order.
 	Faults     []string `json:"faults,omitempty"`
 	DurationMS int64    `json:"duration_ms"`
 	// Planned is deterministic (from the plan); the rest is measured.
@@ -85,9 +85,7 @@ type PhaseResult struct {
 	// admission layer turned away.
 	RefusalRate float64 `json:"refusal_rate"`
 
-	// FaultOutcome is the first layered fault's summary (older
-	// consumers); FaultResults has one entry per fault, Faults order.
-	FaultOutcome *FaultResult   `json:"fault_result,omitempty"`
+	// FaultResults has one entry per fault, in Faults order.
 	FaultResults []*FaultResult `json:"fault_results,omitempty"`
 	FirstError   string         `json:"first_error,omitempty"`
 }

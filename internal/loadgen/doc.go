@@ -3,8 +3,7 @@
 // (SessionTarget) or served over the wire (WireTarget) — from a
 // declarative scenario file, measures per-phase latency, abort and
 // overload behaviour, and emits a provenance-stamped artifact that
-// release gates (Evaluate) judge against thresholds and the BENCH
-// performance trajectory.
+// release gates (Evaluate) judge against the scenario's thresholds.
 //
 // Open-loop means arrivals fire on the scenario's clock, not on
 // completions: the driver keeps submitting at the planned instants
@@ -31,7 +30,7 @@
 //	  ],
 //	  "phases": [
 //	    {"name": "warmup", "duration": "500ms"},
-//	    {"name": "inject", "duration": "1s", "rate_scale": 1.5, "fault": "alg2-parasitic"},
+//	    {"name": "inject", "duration": "1s", "rate_scale": 1.5, "faults": ["alg2-parasitic"]},
 //	    {"name": "recovery", "duration": "500ms"}
 //	  ],
 //	  "ramp": [{"at": "750ms", "add_workers": 2}],
@@ -47,13 +46,13 @@
 // compile them to declarative programs (the wire's server.Op
 // vocabulary), so the same scenario runs in-process and over the
 // wire. Phases run back to back, each scaling the base rate; a
-// phase's "fault" names a Theorem 1 adversary strategy run repeatedly
-// as network clients for the phase's duration (wire targets only —
-// the canonical shape is warmup/inject/recovery). "ramp" steps call
-// Session.AddWorkers under load (in-process targets only). "clients"
-// rotates arrivals through that many distinct client identities,
-// exercising the server's per-client fair admission and its
-// idle-eviction path.
+// phase's "faults" name Theorem 1 adversary strategies, each run
+// repeatedly as network clients for the phase's duration (wire
+// targets only — the canonical shape is warmup/inject/recovery).
+// "ramp" steps call Session.AddWorkers under load (in-process targets
+// only). "clients" rotates arrivals through that many distinct client
+// identities, exercising the server's per-client fair admission and
+// its idle-eviction path.
 //
 // # Determinism
 //
@@ -67,14 +66,13 @@
 //
 // # Artifacts and gates
 //
-// Run returns a schema "livetm/loadgen/v1" artifact: scenario hash,
+// Run returns a schema "livetm/loadgen/v2" artifact: scenario hash,
 // seed, plan digest, git describe, per-phase
-// p50/p95/p99/throughput/abort-rate/refusal-rate, fault outcomes, and
-// — after AttachReport folds in a drain or close report — the
-// liveness class and checked-throughput. Evaluate judges it against
-// the scenario's embedded Gates: p99 latency, abort rate, overload
-// refusal rate, throughput floor, minimum liveness class, and a
-// fraction of a BENCH_native.json trajectory cell. `livetm loadgen`
-// runs scenarios; `livetm loadgen gate` re-judges saved artifacts, CI
-// wiring both.
+// p50/p95/p99/throughput/abort-rate/refusal-rate, the phase's faults
+// with one outcome each, and — after AttachReport folds in a drain or
+// close report — the liveness class and checked-throughput. Evaluate
+// judges it against the scenario's embedded Gates, each optional: p99
+// latency, abort rate, overload refusal rate, throughput floor and
+// minimum liveness class. `livetm loadgen` runs scenarios; `livetm
+// loadgen gate` re-judges saved artifacts, CI wiring both.
 package loadgen

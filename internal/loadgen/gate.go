@@ -1,16 +1,12 @@
 package loadgen
 
-import (
-	"encoding/json"
-	"fmt"
-	"os"
-)
+import "fmt"
 
 // Gates are a scenario's release thresholds: the four-gate
 // methodology (latency, abort rate, overload refusals, throughput)
-// plus the liveness lattice and the BENCH trajectory. A zero/empty
-// field leaves that gate unevaluated, so development scenarios can
-// start with a loose subset and tighten toward GA.
+// plus the liveness lattice. A zero/empty field leaves that gate
+// unevaluated, so development scenarios can start with a loose subset
+// and tighten toward GA.
 type Gates struct {
 	// MaxP99MS bounds the worst phase p99 completion latency
 	// (warmup excluded, as in all phase gates below).
@@ -26,13 +22,6 @@ type Gates struct {
 	// (none < solo progress < global progress < 2-progress < local
 	// progress). Requires a drained/closed run with a monitor report.
 	MinLiveness string `json:"min_liveness,omitempty"`
-	// BenchCell names a BENCH_native.json trajectory cell
-	// ("<engine> <workload>", e.g. "native-tl2 p4/update/hot/shared");
-	// the run's throughput must reach BenchFraction of its
-	// ops_per_sec. Wire and open-loop runs pay per-arrival round
-	// trips the closed-loop bench does not, so fractions are small.
-	BenchCell     string  `json:"bench_cell,omitempty"`
-	BenchFraction float64 `json:"bench_fraction,omitempty"`
 }
 
 // GateResult is one gate's verdict.
@@ -74,10 +63,9 @@ func steadyPhases(a *Artifact) []PhaseResult {
 	return out
 }
 
-// Evaluate judges the artifact against the gates (and, when BenchCell
-// is set and a BENCH artifact is supplied, the trajectory). Every
-// evaluated gate reports; the run passes when all do.
-func Evaluate(a *Artifact, g Gates, benchPath string) []GateResult {
+// Evaluate judges the artifact against the gates. Every evaluated gate
+// reports; the run passes when all do.
+func Evaluate(a *Artifact, g Gates) []GateResult {
 	var out []GateResult
 	phases := steadyPhases(a)
 
@@ -117,11 +105,11 @@ func Evaluate(a *Artifact, g Gates, benchPath string) []GateResult {
 			Detail: fmt.Sprintf("worst refusal rate %.3f (phase %s), max %.3f", worst, at, g.MaxRefusalRate),
 		})
 	}
-	throughput := steadyThroughput(phases)
 	if g.MinThroughput > 0 {
+		throughput := steadyThroughput(phases)
 		out = append(out, GateResult{
 			Gate: "throughput", Pass: throughput >= g.MinThroughput,
-			Detail: fmt.Sprintf("%.1f committed/sec, min %.1f", throughput, g.MinThroughput),
+			Detail: fmt.Sprintf("%.1f committed/sec, min %g", throughput, g.MinThroughput),
 		})
 	}
 	if g.MinLiveness != "" {
@@ -132,9 +120,6 @@ func Evaluate(a *Artifact, g Gates, benchPath string) []GateResult {
 			detail = fmt.Sprintf("no monitor report in artifact (run with -drain), min %q", g.MinLiveness)
 		}
 		out = append(out, GateResult{Gate: "liveness", Pass: pass, Detail: detail})
-	}
-	if g.BenchCell != "" {
-		out = append(out, benchGate(a, g, benchPath, throughput))
 	}
 	return out
 }
@@ -151,60 +136,4 @@ func steadyThroughput(phases []PhaseResult) float64 {
 		return 0
 	}
 	return float64(committed) / (float64(ms) / 1000)
-}
-
-// benchGate compares the run's throughput against the committed
-// BENCH trajectory cell.
-func benchGate(a *Artifact, g Gates, benchPath string, throughput float64) GateResult {
-	frac := g.BenchFraction
-	if frac <= 0 {
-		frac = 0.01
-	}
-	if benchPath == "" {
-		return GateResult{Gate: "bench_trajectory", Pass: false,
-			Detail: fmt.Sprintf("gate names cell %q but no BENCH artifact supplied (-bench)", g.BenchCell)}
-	}
-	ops, err := benchCellOps(benchPath, g.BenchCell)
-	if err != nil {
-		return GateResult{Gate: "bench_trajectory", Pass: false, Detail: err.Error()}
-	}
-	floor := ops * frac
-	return GateResult{
-		Gate: "bench_trajectory", Pass: throughput >= floor,
-		Detail: fmt.Sprintf("%.1f committed/sec vs %.1f (%.2f%% of %s at %.0f ops/sec)",
-			throughput, floor, frac*100, g.BenchCell, ops),
-	}
-}
-
-// benchCellOps pulls one cell's ops_per_sec out of a BENCH artifact.
-// Decoding is structural (engine + workload + ops_per_sec), so the
-// gate tolerates BENCH schema growth.
-func benchCellOps(path, cellName string) (float64, error) {
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		return 0, fmt.Errorf("bench artifact: %v", err)
-	}
-	var bench struct {
-		Results []struct {
-			Engine    string  `json:"engine"`
-			Workload  string  `json:"workload"`
-			OpsPerSec float64 `json:"ops_per_sec"`
-		} `json:"results"`
-	}
-	if err := json.Unmarshal(raw, &bench); err != nil {
-		return 0, fmt.Errorf("bench artifact %s: %v", path, err)
-	}
-	var engine, workload string
-	if _, err := fmt.Sscanf(cellName, "%s %s", &engine, &workload); err != nil {
-		return 0, fmt.Errorf("bench cell %q (want \"<engine> <workload>\")", cellName)
-	}
-	for _, r := range bench.Results {
-		if r.Engine == engine && r.Workload == workload {
-			if r.OpsPerSec <= 0 {
-				return 0, fmt.Errorf("bench cell %q has no ops_per_sec", cellName)
-			}
-			return r.OpsPerSec, nil
-		}
-	}
-	return 0, fmt.Errorf("bench cell %q not in %s", cellName, path)
 }

@@ -3,6 +3,7 @@ package loadgen
 import (
 	"bytes"
 	"context"
+	"encoding/json"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -148,7 +149,7 @@ func TestRunInProcessDeterministicArtifact(t *testing.T) {
 		t.Fatalf("steady phase unmeasured: %+v", steady)
 	}
 	// Gates embedded from the scenario evaluate against the artifact.
-	results := Evaluate(a, *a.Gates, "")
+	results := Evaluate(a, *a.Gates)
 	if !Passed(results) {
 		t.Fatalf("loose development gates failed: %+v", results)
 	}
@@ -195,6 +196,10 @@ func TestLoadStrict(t *testing.T) {
 	}{
 		{"known keys", `{` + base + `, "session": {"engine": "native-tl2", "workers": 2, "vars": 4}}`, true},
 		{"shards key", `{` + base + `, "session": {"engine": "native-tl2", "workers": 2, "vars": 4, "shards": 4}}`, false},
+		{"bench gate", `{` + base + `, "gates": {"min_throughput": 10, "bench_cell": "native-tl2 p4/update/hot/shared", "bench_fraction": 0.0002}}`, false},
+		{"singular fault", `{"name": "strict", "arrival": {"process": "poisson", "rate": 10},
+			"mix": [{"cell": "update/hot/shared", "weight": 1}],
+			"phases": [{"name": "inject", "duration": "1s", "fault": "alg2-parasitic"}]}`, false},
 		{"misspelled key", `{` + base + `, "retires": 3}`, false},
 		{"trailing data", `{` + base + `} {}`, false},
 	} {
@@ -234,52 +239,38 @@ func TestRunCapabilityValidation(t *testing.T) {
 	}
 	defer sess.Close()
 	sc := testScenario()
-	sc.Phases[1].Fault = "alg1"
+	sc.Phases[1].Faults = []string{"alg1"}
 	if _, err := Run(context.Background(), &SessionTarget{S: sess, NVars: 4}, sc, "", Options{}); err == nil {
 		t.Fatalf("fault scenario ran against a session target")
 	}
-	// The layered spelling hits the same capability check.
-	sc.Phases[1].Fault = ""
-	sc.Phases[1].Faults = []string{"alg1"}
-	if _, err := Run(context.Background(), &SessionTarget{S: sess, NVars: 4}, sc, "", Options{}); err == nil {
-		t.Fatalf("layered fault scenario ran against a session target")
-	}
 }
 
-// TestLayeredFaultValidation pins the layered-fault schema: Fault and
-// Faults combine in order, duplicates and unknown names are rejected.
+// TestLayeredFaultValidation pins the layered-fault schema: distinct
+// known names layer, duplicates and unknown names are rejected.
 func TestLayeredFaultValidation(t *testing.T) {
 	sc := testScenario()
-	sc.Phases[1].Fault = "alg1-crash"
-	sc.Phases[1].Faults = []string{"alg2-parasitic"}
+	sc.Phases[1].Faults = []string{"alg1-crash", "alg2-parasitic"}
 	if err := sc.Validate(); err != nil {
 		t.Fatalf("layered faults rejected: %v", err)
 	}
-	if got := sc.Phases[1].FaultNames(); len(got) != 2 || got[0] != "alg1-crash" || got[1] != "alg2-parasitic" {
-		t.Fatalf("FaultNames = %v, want [alg1-crash alg2-parasitic]", got)
-	}
-	sc.Phases[1].Faults = []string{"alg1-crash"}
-	if err := sc.Validate(); err == nil {
-		t.Fatalf("duplicate fault across Fault and Faults accepted")
-	}
-	sc.Phases[1].Faults = []string{"no-such-fault"}
-	if err := sc.Validate(); err == nil {
-		t.Fatalf("unknown layered fault accepted")
-	}
-	sc.Phases[1].Fault = ""
 	sc.Phases[1].Faults = []string{"alg2-parasitic"}
 	if err := sc.Validate(); err != nil {
-		t.Fatalf("faults-only phase rejected: %v", err)
+		t.Fatalf("single fault rejected: %v", err)
 	}
-	if got := sc.Phases[1].FaultNames(); len(got) != 1 || got[0] != "alg2-parasitic" {
-		t.Fatalf("FaultNames = %v, want [alg2-parasitic]", got)
+	sc.Phases[1].Faults = []string{"alg1-crash", "alg1-crash"}
+	if err := sc.Validate(); err == nil {
+		t.Fatalf("duplicate fault within Faults accepted")
+	}
+	sc.Phases[1].Faults = []string{"alg2-parasitic", "no-such-fault"}
+	if err := sc.Validate(); err == nil {
+		t.Fatalf("unknown layered fault accepted")
 	}
 }
 
 // TestRunLayeredFaultsOverWire layers a crash-variant fault with a
 // parasitic one in a single inject phase and checks each strategy ran
-// its own episode loop, with the legacy singular fields still carrying
-// the first entry.
+// its own episode loop, and that the v2 artifact carries the layered
+// keys only, not v1's singular "fault" / "fault_result".
 func TestRunLayeredFaultsOverWire(t *testing.T) {
 	sess, err := engine.Open(engine.SessionConfig{
 		Engine: "native-tl2", Workers: 2, Vars: 8, MaxQueue: 256,
@@ -333,12 +324,32 @@ func TestRunLayeredFaultsOverWire(t *testing.T) {
 			t.Fatalf("fault %s never completed an episode: %+v", fr.Strategy, fr)
 		}
 	}
-	// Legacy singular fields mirror the first layered entry.
-	if inj.Fault != "alg1-crash" || inj.FaultOutcome != inj.FaultResults[0] {
-		t.Fatalf("legacy fault fields diverged: fault=%q outcome=%+v", inj.Fault, inj.FaultOutcome)
+	raw, err := json.Marshal(art)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var generic struct {
+		Schema string                       `json:"schema"`
+		Phases []map[string]json.RawMessage `json:"phases"`
+	}
+	if err := json.Unmarshal(raw, &generic); err != nil {
+		t.Fatal(err)
+	}
+	if generic.Schema != "livetm/loadgen/v2" {
+		t.Fatalf("schema = %q, want livetm/loadgen/v2", generic.Schema)
+	}
+	for _, ph := range generic.Phases {
+		for _, key := range []string{"fault", "fault_result"} {
+			if _, ok := ph[key]; ok {
+				t.Fatalf("phase %s carries the v1 key %q", ph["name"], key)
+			}
+		}
+	}
+	if _, ok := generic.Phases[1]["fault_results"]; !ok {
+		t.Fatalf("inject phase lacks fault_results: %s", raw)
 	}
 	for _, pi := range []int{0, 2} {
-		if art.Phases[pi].Fault != "" || len(art.Phases[pi].FaultResults) != 0 {
+		if len(art.Phases[pi].Faults) != 0 || len(art.Phases[pi].FaultResults) != 0 {
 			t.Fatalf("phase %s unexpectedly carries faults: %+v", art.Phases[pi].Name, art.Phases[pi])
 		}
 	}
@@ -391,9 +402,8 @@ func TestRunOverWire(t *testing.T) {
 }
 
 // TestGateEvaluate pins the gate semantics: warmup excluded, each
-// threshold judged on the worst steady phase, degradation flips the
-// verdict, and the bench trajectory gate reads the committed BENCH
-// schema.
+// threshold judged on the worst steady phase, and degradation flips
+// the verdict.
 func TestGateEvaluate(t *testing.T) {
 	art := &Artifact{
 		Schema: ArtifactSchema, Scenario: "g", LivenessClass: "global progress",
@@ -404,7 +414,7 @@ func TestGateEvaluate(t *testing.T) {
 		},
 	}
 	g := Gates{MaxP99MS: 50, MaxAbortRate: 0.5, MaxRefusalRate: 0.1, MinThroughput: 100, MinLiveness: "solo progress"}
-	if res := Evaluate(art, g, ""); !Passed(res) {
+	if res := Evaluate(art, g); !Passed(res) {
 		t.Fatalf("healthy artifact failed: %+v", res)
 	}
 	// Warmup's terrible numbers were excluded; degrade a steady phase
@@ -412,17 +422,17 @@ func TestGateEvaluate(t *testing.T) {
 	bad := *art
 	bad.Phases = append([]PhaseResult(nil), art.Phases...)
 	bad.Phases[2].P99MS = 80
-	if res := Evaluate(&bad, g, ""); Passed(res) {
+	if res := Evaluate(&bad, g); Passed(res) {
 		t.Fatalf("degraded p99 passed: %+v", res)
 	}
 	bad.Phases[2] = art.Phases[2]
 	bad.Phases[1].AbortRate = 0.8
-	if res := Evaluate(&bad, g, ""); Passed(res) {
+	if res := Evaluate(&bad, g); Passed(res) {
 		t.Fatalf("degraded abort rate passed: %+v", res)
 	}
 	bad.Phases[1] = art.Phases[1]
 	bad.LivenessClass = "none"
-	if res := Evaluate(&bad, g, ""); Passed(res) {
+	if res := Evaluate(&bad, g); Passed(res) {
 		t.Fatalf("liveness collapse passed: %+v", res)
 	}
 	if Passed(nil) {

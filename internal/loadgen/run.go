@@ -103,7 +103,7 @@ func Run(ctx context.Context, tgt Target, sc *Scenario, scenarioHash string, opt
 	}
 	var faulter FaultDriver
 	for _, ph := range sc.Phases {
-		if len(ph.FaultNames()) == 0 {
+		if len(ph.Faults) == 0 {
 			continue
 		}
 		var ok bool
@@ -201,7 +201,7 @@ func Run(ctx context.Context, tgt Target, sc *Scenario, scenarioHash string, opt
 	var faultWG sync.WaitGroup
 	startFaults := func(pi int) {
 		faultStop = make(chan struct{})
-		for _, name := range sc.Phases[pi].FaultNames() {
+		for _, name := range sc.Phases[pi].Faults {
 			strat, _ := FaultStrategy(name) // validated
 			fr := &FaultResult{Strategy: strat.Name()}
 			aggs[pi].faults = append(aggs[pi].faults, fr)
@@ -283,7 +283,7 @@ func Run(ctx context.Context, tgt Target, sc *Scenario, scenarioHash string, opt
 			aggs[pi].statsIn = st
 		}
 		cur = pi
-		if pi >= 0 && len(sc.Phases[pi].FaultNames()) > 0 {
+		if pi >= 0 && len(sc.Phases[pi].Faults) > 0 {
 			startFaults(pi)
 		}
 		return nil
@@ -341,22 +341,23 @@ func Run(ctx context.Context, tgt Target, sc *Scenario, scenarioHash string, opt
 	for i, ph := range sc.Phases {
 		agg := aggs[i]
 		durMS := time.Duration(ph.Duration).Milliseconds()
-		names := ph.FaultNames()
 		pr := PhaseResult{
-			Name:       ph.Name,
-			DurationMS: durMS,
-			Planned:    plan.PlannedByPhase[i],
-			Dispatched: agg.dispatched.Load(),
-			Committed:  agg.committed.Load(),
-			NoCommits:  agg.nocommits.Load(),
-			Refusals:   agg.refusals.Load(),
-			Retries:    agg.retries.Load(),
-			Dropped:    agg.dropped.Load(),
-			Shed:       agg.shed.Load(),
-			Errors:     agg.errs.Load(),
-			P50MS:      float64(agg.latency.Quantile(0.50)) / 1e6,
-			P95MS:      float64(agg.latency.Quantile(0.95)) / 1e6,
-			P99MS:      float64(agg.latency.Quantile(0.99)) / 1e6,
+			Name:         ph.Name,
+			Faults:       ph.Faults,
+			DurationMS:   durMS,
+			Planned:      plan.PlannedByPhase[i],
+			Dispatched:   agg.dispatched.Load(),
+			Committed:    agg.committed.Load(),
+			NoCommits:    agg.nocommits.Load(),
+			Refusals:     agg.refusals.Load(),
+			Retries:      agg.retries.Load(),
+			Dropped:      agg.dropped.Load(),
+			Shed:         agg.shed.Load(),
+			Errors:       agg.errs.Load(),
+			P50MS:        float64(agg.latency.Quantile(0.50)) / 1e6,
+			P95MS:        float64(agg.latency.Quantile(0.95)) / 1e6,
+			P99MS:        float64(agg.latency.Quantile(0.99)) / 1e6,
+			FaultResults: agg.faults,
 		}
 		if durMS > 0 {
 			pr.ThroughputPerSec = float64(pr.Committed) / (float64(durMS) / 1000)
@@ -370,17 +371,6 @@ func Run(ctx context.Context, tgt Target, sc *Scenario, scenarioHash string, opt
 		// each attempt either completes, errors, or is refused.
 		if attempts := pr.Dispatched + pr.Retries; attempts > 0 {
 			pr.RefusalRate = float64(pr.Refusals) / float64(attempts)
-		}
-		// Faults carries the full layered list; the singular Fault and
-		// FaultOutcome stay populated with the first entry so older
-		// artifact consumers keep working.
-		if len(names) > 0 {
-			pr.Fault = names[0]
-			pr.Faults = names
-		}
-		pr.FaultResults = agg.faults
-		if len(agg.faults) > 0 {
-			pr.FaultOutcome = agg.faults[0]
 		}
 		if fe, ok := agg.firstErr.Load().(string); ok {
 			pr.FirstError = fe

@@ -114,27 +114,13 @@ type Phase struct {
 	// RateScale multiplies the base arrival rate (and burst size) for
 	// this phase. 0 means 1.
 	RateScale float64 `json:"rate_scale,omitempty"`
-	// Fault names an adversary strategy ("alg1", "alg1-crash", "alg2",
-	// "alg2-parasitic") run repeatedly as a fault injector for the
-	// phase's duration (wire targets only).
-	Fault string `json:"fault,omitempty"`
-	// Faults layers several strategies in one phase, each driven by
-	// its own concurrent episode loop — e.g. a crash variant riding
-	// alongside a parasitic one, the compound failure mode a single
-	// injector cannot produce. Combines with Fault (which runs first
-	// in artifact order); duplicate names are rejected.
+	// Faults names adversary strategies ("alg1", "alg1-crash", "alg2",
+	// "alg2-parasitic"), each run repeatedly as a fault injector in its
+	// own concurrent episode loop for the phase's duration (wire
+	// targets only). Several layer in one phase — e.g. a crash variant
+	// riding alongside a parasitic one, the compound failure mode a
+	// single injector cannot produce; duplicate names are rejected.
 	Faults []string `json:"faults,omitempty"`
-}
-
-// FaultNames is the phase's combined fault list: the legacy singular
-// Fault first, then Faults, order preserved. Empty when the phase
-// injects nothing.
-func (p *Phase) FaultNames() []string {
-	var names []string
-	if p.Fault != "" {
-		names = append(names, p.Fault)
-	}
-	return append(names, p.Faults...)
 }
 
 // RampStep adds workers at an offset from run start.
@@ -223,7 +209,7 @@ func (s *Scenario) Validate() error {
 			return fmt.Errorf("phase %q needs duration > 0", p.Name)
 		}
 		seen := map[string]bool{}
-		for _, name := range p.FaultNames() {
+		for _, name := range p.Faults {
 			if seen[name] {
 				return fmt.Errorf("phase %q lists fault %q more than once", p.Name, name)
 			}

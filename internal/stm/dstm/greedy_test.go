@@ -106,7 +106,7 @@ func TestGreedyLosesCrashResilience(t *testing.T) {
 // write conflict is eventually won cannot give local progress with
 // opacity (Theorem 1).
 func TestGreedyTheorem1StillApplies(t *testing.T) {
-	res := adversary.Algorithm1(greedyFactory, adversary.Config{Rounds: 8, Seed: 3})
+	res := adversary.NewSimDriver(greedyFactory, adversary.Config{Rounds: 8, Seed: 3}).Run(adversary.Strategy{Algorithm: 1})
 	if res.P1Committed {
 		t.Fatal("p1 committed against greedy DSTM")
 	}
@@ -116,7 +116,7 @@ func TestGreedyTheorem1StillApplies(t *testing.T) {
 	if res.Stats.Commits[1] != 0 {
 		t.Error("p1 must starve despite retaining the oldest timestamp")
 	}
-	res2 := adversary.Algorithm2(greedyFactory, adversary.Config{Rounds: 8, Seed: 7})
+	res2 := adversary.NewSimDriver(greedyFactory, adversary.Config{Rounds: 8, Seed: 7}).Run(adversary.Strategy{Algorithm: 2})
 	if res2.P1Committed || res2.Rounds < 8 {
 		t.Errorf("algorithm 2: p1Committed=%v rounds=%d", res2.P1Committed, res2.Rounds)
 	}

@@ -143,7 +143,7 @@ func TestCrashedTokenHolderBlocksAll(t *testing.T) {
 // TestAdversaryStillWins: the Theorem 1 adversary controls the
 // application and starves p1 even against the wrapper.
 func TestAdversaryStillWins(t *testing.T) {
-	res := adversary.Algorithm1(factory, adversary.Config{Rounds: 8, MaxSteps: 60000, Seed: 3})
+	res := adversary.NewSimDriver(factory, adversary.Config{Rounds: 8, MaxSteps: 60000, Seed: 3}).Run(adversary.Strategy{Algorithm: 1})
 	if res.P1Committed {
 		t.Fatal("p1 committed: the wrapper must not breach Theorem 1")
 	}

@@ -1,6 +1,7 @@
 package workload
 
 import (
+	"strings"
 	"testing"
 
 	"livetm/internal/engine"
@@ -9,8 +10,9 @@ import (
 
 // TestRunMatrixLive: native cells run under the in-process monitor —
 // verdicts come from the live checker, every cell carries a liveness
-// class, a backoff cap, an overhead ratio and its quiescent-cut
-// summary — while simulated cells ride along unaffected.
+// class, a backoff cap and its quiescent-cut summary, and the table
+// prints each live cell's class — while simulated cells ride along
+// unaffected.
 func TestRunMatrixLive(t *testing.T) {
 	var engines []engine.Engine
 	for _, name := range []string{"sim-tl2", "native-tl2", "native-dstm"} {
@@ -21,9 +23,9 @@ func TestRunMatrixLive(t *testing.T) {
 		engines = append(engines, e)
 	}
 	specs := Matrix([]int{2})
-	results, err := RunMatrixOptions(engines, specs,
+	results, err := RunMatrix(engines, specs,
 		Budget{SimSteps: 300, NativeOps: 24},
-		Options{Live: true, Check: true, Overhead: true, QuiesceEvery: 2})
+		Options{Live: true, Check: true, QuiesceEvery: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -46,16 +48,25 @@ func TestRunMatrixLive(t *testing.T) {
 		if r.BackoffCap == 0 {
 			t.Errorf("%s/%s: live cell without backoff cap", r.Engine, r.Workload)
 		}
-		if r.RecorderOverhead <= 0 {
-			t.Errorf("%s/%s: overhead ratio missing", r.Engine, r.Workload)
-		}
 		if r.Cuts == 0 || r.CutP50ns > r.CutP99ns {
 			t.Errorf("%s/%s: cut summary %d cuts, p50 %dns, p99 %dns", r.Engine, r.Workload, r.Cuts, r.CutP50ns, r.CutP99ns)
 		}
 	}
-	table := FormatResults(results)
-	if table == "" {
-		t.Fatal("empty table")
+	lines := strings.Split(strings.TrimSuffix(FormatResults(results), "\n"), "\n")
+	if len(lines) != 1+len(results) {
+		t.Fatalf("table has %d lines, want a header and %d rows", len(lines), len(results))
+	}
+	if h := strings.Fields(lines[0]); len(h) < 8 || h[7] != "liveness" {
+		t.Fatalf("live matrix header %q lacks the liveness column", lines[0])
+	}
+	for i, r := range results {
+		row := lines[1+i]
+		if !strings.HasPrefix(row, r.Engine) {
+			t.Errorf("row %d %q, want engine %s", i, row, r.Engine)
+		}
+		if r.Live && !strings.Contains(row, " "+r.LivenessClass) {
+			t.Errorf("row %d %q lacks liveness class %q", i, row, r.LivenessClass)
+		}
 	}
 }
 

@@ -1,17 +1,14 @@
 package workload
 
 import (
-	"encoding/json"
 	"errors"
 	"fmt"
-	"os"
 	"time"
 
 	"livetm/internal/engine"
 	"livetm/internal/model"
 	"livetm/internal/monitor"
 	"livetm/internal/safety"
-	"livetm/internal/telemetry"
 )
 
 // The workload matrix is declared once — process count × read/write
@@ -140,72 +137,60 @@ func (s Spec) Body() engine.TxBody {
 	}
 }
 
-// Budget sizes one matrix cell per substrate. It is embedded in the
-// artifact so trajectory comparisons only pit runs with equal
-// budgets against each other.
+// Budget sizes one matrix cell per substrate.
 type Budget struct {
 	// SimSteps is the cooperative-scheduler step budget for simulated
 	// engines.
-	SimSteps int `json:"sim_steps"`
+	SimSteps int
 	// NativeOps is the committed-transaction budget per process for
 	// native engines.
-	NativeOps int `json:"native_ops"`
+	NativeOps int
 }
 
 // Result is one (engine, workload) cell of an executed matrix.
 type Result struct {
-	Engine    string  `json:"engine"`
-	Algorithm string  `json:"algorithm"`
-	Substrate string  `json:"substrate"`
-	Workload  string  `json:"workload"`
-	Procs     int     `json:"procs"`
-	Vars      int     `json:"vars"`
-	Commits   uint64  `json:"commits"`
-	Aborts    uint64  `json:"aborts"`
-	AbortRate float64 `json:"abort_rate"`
+	Engine    string
+	Algorithm string
+	Substrate string
+	Workload  string
+	Procs     int
+	Vars      int
+	Commits   uint64
+	Aborts    uint64
+	AbortRate float64
 	// OpsPerSec is wall-clock committed transactions per second —
 	// meaningful on the native substrate only.
-	OpsPerSec float64 `json:"ops_per_sec,omitempty"`
+	OpsPerSec float64
 	// CommitsPerStep normalizes simulated throughput by scheduler
 	// steps — the substrate's deterministic time unit.
-	CommitsPerStep float64 `json:"commits_per_step,omitempty"`
+	CommitsPerStep float64
 	// Recorded and Checked report the Options.Record/Check path: the
 	// cell ran with history recording, and the recorded history passed
 	// the monitor's well-formedness and opacity checks. A check
 	// failure aborts the matrix instead of landing here as false.
-	Recorded bool `json:"recorded,omitempty"`
-	Checked  bool `json:"checked,omitempty"`
+	Recorded bool
+	Checked  bool
 	// Live reports the cell ran under the in-process monitor
 	// (Options.Live): events streamed into the checker mid-run, with
 	// starvation-aware backoff feedback active.
-	Live bool `json:"live,omitempty"`
+	Live bool
 	// LivenessClass is the strongest liveness-lattice property the
 	// live monitor's lasso reading of the cell satisfied ("local
 	// progress" … "none"); empty for non-live cells.
-	LivenessClass string `json:"liveness_class,omitempty"`
+	LivenessClass string
 	// ApproxVerdict marks a Checked verdict that rests on forced
 	// serialization frontiers (the cut-starved fallback) rather than
 	// exact quiescent cuts.
-	ApproxVerdict bool `json:"approx_verdict,omitempty"`
-	// RecorderOverhead is the cell's recorded-vs-plain slowdown ratio
-	// (recorded elapsed / unrecorded elapsed for the same budget),
-	// measured when Options.Overhead is set; 0 otherwise.
-	RecorderOverhead float64 `json:"recorder_overhead,omitempty"`
-	// TelemetryOverhead is the cell's instrumented-vs-bare slowdown
-	// ratio: the plain (unrecorded, unmonitored) cell rerun with a
-	// telemetry registry attached, over the bare baseline. Measured
-	// alongside RecorderOverhead when Options.Overhead is set; the
-	// enforced budget is the root BenchmarkTelemetryOverhead's.
-	TelemetryOverhead float64 `json:"telemetry_overhead,omitempty"`
+	ApproxVerdict bool
 	// BackoffCap is the native retry loop's spin-shift ceiling for the
 	// cell — the dynamic range starvation-aware backoff operated in.
-	BackoffCap int `json:"backoff_cap,omitempty"`
+	BackoffCap int
 	// Cuts, CutP50ns and CutP99ns summarize the cell's quiescent-cut
 	// pauses: how many cuts were forced and the pause-latency
 	// percentiles in nanoseconds.
-	Cuts     uint64 `json:"cuts,omitempty"`
-	CutP50ns int64  `json:"cut_p50_ns,omitempty"`
-	CutP99ns int64  `json:"cut_p99_ns,omitempty"`
+	Cuts     uint64
+	CutP50ns int64
+	CutP99ns int64
 }
 
 // Options selects the optional record/check path of a matrix run.
@@ -234,10 +219,6 @@ type Options struct {
 	// live monitor itself rather than a post-hoc replay. Simulated
 	// cells are unaffected (their substrate rejects Live).
 	Live bool
-	// Overhead measures each native cell's recording cost: the cell is
-	// rerun with recording and monitoring off and the elapsed-time
-	// ratio lands in Result.RecorderOverhead.
-	Overhead bool
 }
 
 func (o Options) withDefaults() Options {
@@ -256,16 +237,11 @@ func (o Options) withDefaults() Options {
 }
 
 // RunMatrix executes every spec on every engine and returns the
-// result cells in declaration order.
-func RunMatrix(engines []engine.Engine, specs []Spec, budget Budget) ([]Result, error) {
-	return RunMatrixOptions(engines, specs, budget, Options{})
-}
-
-// RunMatrixOptions is RunMatrix with the record/check path: cells on
-// recording-capable engines capture their history, and with
-// opts.Check each history must satisfy well-formedness and the
-// streaming opacity check.
-func RunMatrixOptions(engines []engine.Engine, specs []Spec, budget Budget, opts Options) ([]Result, error) {
+// result cells in declaration order. The zero Options runs plain
+// cells; with opts.Record, cells on recording-capable engines capture
+// their history, and with opts.Check each history must satisfy
+// well-formedness and the streaming opacity check.
+func RunMatrix(engines []engine.Engine, specs []Spec, budget Budget, opts Options) ([]Result, error) {
 	opts = opts.withDefaults()
 	var out []Result
 	for _, e := range engines {
@@ -298,7 +274,7 @@ func RunMatrixOptions(engines []engine.Engine, specs []Spec, budget Budget, opts
 					cfg.QuiesceEvery = opts.QuiesceEvery
 				}
 			}
-			r, err := runCell(e, caps, spec, cfg, opts, live, len(out))
+			r, err := runCell(e, caps, spec, cfg, opts, live)
 			if err != nil {
 				return out, err
 			}
@@ -309,15 +285,13 @@ func RunMatrixOptions(engines []engine.Engine, specs []Spec, budget Budget, opts
 }
 
 // runCell executes one (engine, spec) cell.
-func runCell(e engine.Engine, caps engine.Capabilities, spec Spec, cfg engine.RunConfig, opts Options, live bool, cell int) (Result, error) {
-	cfg.Seed = uint64(cell + 1)
+func runCell(e engine.Engine, caps engine.Capabilities, spec Spec, cfg engine.RunConfig, opts Options, live bool) (Result, error) {
 	start := time.Now()
 	st, err := e.Run(cfg, spec.Body())
 	if err != nil {
 		return Result{}, fmt.Errorf("workload %s on %s: %w", spec.Name, e.Name(), err)
 	}
 	elapsed := time.Since(start).Seconds()
-	runElapsed := elapsed // before any post-hoc check time
 	r := Result{
 		Engine:     e.Name(),
 		Algorithm:  e.Algorithm(),
@@ -364,34 +338,6 @@ func runCell(e engine.Engine, caps engine.Capabilities, spec Spec, cfg engine.Ru
 		// post-hoc), raw throughput otherwise.
 		r.OpsPerSec = float64(st.Commits) / elapsed
 	}
-	if opts.Overhead && caps.Substrate == engine.Native && (cfg.Record || cfg.Live) {
-		plain := cfg
-		plain.Record, plain.Live, plain.QuiesceEvery = false, false, 0
-		t0 := time.Now()
-		if _, err := e.Run(plain, spec.Body()); err != nil {
-			return Result{}, fmt.Errorf("workload %s on %s (overhead baseline): %w", spec.Name, e.Name(), err)
-		}
-		// The numerator is the cell's run time only — a live
-		// run's overlapped monitoring is inherently inside it, a
-		// post-hoc check deliberately is not (that cost lands in
-		// the checked-throughput OpsPerSec instead).
-		base := time.Since(t0).Seconds()
-		if base > 0 {
-			r.RecorderOverhead = runElapsed / base
-		}
-		// Telemetry overhead rides on the same bare baseline: the
-		// plain cell rerun with a registry attached, so the artifact
-		// tracks the instrumentation cost per cell over PRs.
-		inst := plain
-		inst.Telemetry = telemetry.NewRegistry()
-		t1 := time.Now()
-		if _, err := e.Run(inst, spec.Body()); err != nil {
-			return Result{}, fmt.Errorf("workload %s on %s (telemetry overhead): %w", spec.Name, e.Name(), err)
-		}
-		if base > 0 {
-			r.TelemetryOverhead = time.Since(t1).Seconds() / base
-		}
-	}
 	r.Cuts = st.CutLatency.Count
 	r.CutP50ns = st.CutLatency.P50ns
 	r.CutP99ns = st.CutLatency.P99ns
@@ -428,43 +374,14 @@ func checkCell(h model.History, opts Options) (bool, error) {
 	return true, nil
 }
 
-// Artifact is the machine-readable benchmark trajectory written to
-// BENCH_native.json so successive PRs can compare performance.
-type Artifact struct {
-	Schema  string   `json:"schema"`
-	Budget  Budget   `json:"budget"`
-	Results []Result `json:"results"`
-}
-
-// ArtifactSchema versions the artifact layout. v2 added the per-cell
-// live/checked flags, liveness class, approx-verdict marker, recorder
-// overhead ratio and backoff cap, so the BENCH trajectory can compare
-// checked-throughput — not just raw throughput — across PRs. v3 adds
-// the cut-latency summary (count, p50/p99 pause in nanoseconds). v3
-// files written while sessions could shard the keyspace also carry
-// shards and per_shard fields; readers ignore them. The per-cell
-// telemetry_overhead ratio is a later additive field — absent cells
-// read as unmeasured, so v3 readers stay compatible.
-const ArtifactSchema = "livetm/workload-matrix/v3"
-
-// WriteArtifact writes the result cells and the budget they were
-// measured under as a JSON artifact.
-func WriteArtifact(path string, budget Budget, results []Result) error {
-	data, err := json.MarshalIndent(Artifact{Schema: ArtifactSchema, Budget: budget, Results: results}, "", "  ")
-	if err != nil {
-		return err
-	}
-	return os.WriteFile(path, append(data, '\n'), 0o644)
-}
-
-// FormatResults renders the cells as an aligned text table. The class
-// column appears once any cell carries a liveness classification or an
-// overhead figure (live/overhead matrix runs); the cut columns appear
-// once any cell took quiescent cuts.
+// FormatResults renders the cells as an aligned text table. The
+// liveness column appears once any cell carries a liveness
+// classification (live matrix runs); the cut columns appear once any
+// cell took quiescent cuts.
 func FormatResults(results []Result) string {
 	classes, cuts := false, false
 	for _, r := range results {
-		if r.LivenessClass != "" || r.RecorderOverhead > 0 {
+		if r.LivenessClass != "" {
 			classes = true
 		}
 		if r.Cuts > 0 {
@@ -474,7 +391,7 @@ func FormatResults(results []Result) string {
 	out := fmt.Sprintf("%-16s %-24s %10s %10s %7s %12s %14s",
 		"engine", "workload", "commits", "aborts", "abrt%", "ops/sec", "commits/step")
 	if classes {
-		out += fmt.Sprintf(" %-18s %8s", "liveness", "rec-ovh")
+		out += fmt.Sprintf(" %-18s", "liveness")
 	}
 	if cuts {
 		out += fmt.Sprintf(" %8s %12s", "cuts", "cut-p99")
@@ -502,11 +419,7 @@ func FormatResults(results []Result) string {
 			} else if r.ApproxVerdict {
 				class += "~"
 			}
-			ovh := "-"
-			if r.RecorderOverhead > 0 {
-				ovh = fmt.Sprintf("%.2fx", r.RecorderOverhead)
-			}
-			out += fmt.Sprintf(" %-18s %8s", class, ovh)
+			out += fmt.Sprintf(" %-18s", class)
 		}
 		if cuts {
 			lat := "-"

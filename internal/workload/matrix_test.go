@@ -1,9 +1,7 @@
 package workload
 
 import (
-	"encoding/json"
-	"os"
-	"path/filepath"
+	"strings"
 	"testing"
 
 	"livetm/internal/engine"
@@ -95,7 +93,8 @@ func TestUndersizedDisjointSpec(t *testing.T) {
 }
 
 // TestRunMatrixCrossEngine runs a small matrix on one engine per
-// substrate and round-trips the artifact.
+// substrate: one cell per (engine, spec) in declaration order, each
+// with its substrate's throughput figure, and one table row per cell.
 func TestRunMatrixCrossEngine(t *testing.T) {
 	var engines []engine.Engine
 	for _, name := range []string{"sim-tl2", "native-tl2"} {
@@ -106,14 +105,17 @@ func TestRunMatrixCrossEngine(t *testing.T) {
 		engines = append(engines, e)
 	}
 	specs := Matrix([]int{2})
-	results, err := RunMatrix(engines, specs, Budget{SimSteps: 400, NativeOps: 30})
+	results, err := RunMatrix(engines, specs, Budget{SimSteps: 400, NativeOps: 30}, Options{})
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(results) != len(engines)*len(specs) {
 		t.Fatalf("got %d cells, want %d", len(results), len(engines)*len(specs))
 	}
-	for _, r := range results {
+	for i, r := range results {
+		if want := engines[i/len(specs)].Name() + "/" + specs[i%len(specs)].Name; r.Engine+"/"+r.Workload != want {
+			t.Errorf("cell %d is %s/%s, want %s", i, r.Engine, r.Workload, want)
+		}
 		if r.Commits == 0 {
 			t.Errorf("%s/%s: no commits", r.Engine, r.Workload)
 		}
@@ -124,27 +126,17 @@ func TestRunMatrixCrossEngine(t *testing.T) {
 			t.Errorf("%s/%s: sim cell without commits/step", r.Engine, r.Workload)
 		}
 	}
-	if FormatResults(results) == "" {
-		t.Error("empty table")
+	lines := strings.Split(strings.TrimSuffix(FormatResults(results), "\n"), "\n")
+	if len(lines) != 1+len(results) {
+		t.Fatalf("table has %d lines, want a header and %d rows", len(lines), len(results))
 	}
-
-	path := filepath.Join(t.TempDir(), "BENCH_native.json")
-	if err := WriteArtifact(path, Budget{SimSteps: 400, NativeOps: 30}, results); err != nil {
-		t.Fatal(err)
+	if !strings.HasPrefix(lines[0], "engine") || strings.Contains(lines[0], "liveness") {
+		t.Errorf("plain matrix header %q", lines[0])
 	}
-	data, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var art Artifact
-	if err := json.Unmarshal(data, &art); err != nil {
-		t.Fatal(err)
-	}
-	if art.Schema != ArtifactSchema {
-		t.Errorf("schema = %q", art.Schema)
-	}
-	if len(art.Results) != len(results) {
-		t.Errorf("artifact has %d cells, want %d", len(art.Results), len(results))
+	for i, r := range results {
+		if f := strings.Fields(lines[1+i]); len(f) < 2 || f[0] != r.Engine || f[1] != r.Workload {
+			t.Errorf("row %d %q, want %s %s", i, lines[1+i], r.Engine, r.Workload)
+		}
 	}
 }
 
@@ -160,7 +152,7 @@ func TestRunMatrixShardSweep(t *testing.T) {
 		t.Fatal("native-tl2 not registered")
 	}
 	specs := Matrix([]int{4})
-	results, err := RunMatrixOptions([]engine.Engine{e}, specs,
+	results, err := RunMatrix([]engine.Engine{e}, specs,
 		Budget{NativeOps: 24},
 		Options{Check: true, Live: true, QuiesceEvery: 2})
 	if err != nil {
@@ -195,7 +187,7 @@ func TestRunMatrixRecordChecked(t *testing.T) {
 		engines = append(engines, e)
 	}
 	specs := Matrix([]int{2})
-	results, err := RunMatrixOptions(engines, specs,
+	results, err := RunMatrix(engines, specs,
 		Budget{SimSteps: 400, NativeOps: 16},
 		Options{Check: true, QuiesceEvery: 2})
 	if err != nil {
