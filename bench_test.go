@@ -410,12 +410,14 @@ func BenchmarkWorkloadMatrix(b *testing.B) {
 // the native hot path: the default workload (4 procs, update mix, hot
 // contention, shared variables) on native-tl2, unrecorded vs recorded
 // vs live-monitored. Each recorded event is one atomic fetch-add plus
-// a process-local chunk append, so the recorded slowdown must stay
-// well under the 2x budget; the live variant writes each event into
-// its process's stream ring instead, publishes the ring's tail with
-// one atomic store per transaction, and adds the pump goroutine that
-// reads the rings in place and feeds the monitor. It must keep its
-// allocation capped at one ring per process — asserted here.
+// a process-local chunk append. The live variant writes each event
+// into its process's stream ring instead, publishes the ring's tail
+// with one atomic store per transaction, and adds the pump goroutine
+// that reads the rings in place and feeds the monitor. It must keep
+// its allocation capped at one ring per process — asserted here. The
+// recorded and live slowdowns are reported, not gated; the gated
+// ceiling is overheadBudgetRatio, which BenchmarkTelemetryOverhead
+// enforces.
 func BenchmarkRecorderOverhead(b *testing.B) {
 	var spec workload.Spec
 	for _, s := range workload.Matrix([]int{4}) {
@@ -472,7 +474,7 @@ func BenchmarkRecorderOverhead(b *testing.B) {
 	b.Run("instrumented", func(b *testing.B) { instrumented = measure(b, false, false, true) })
 	if raw > 0 && recorded > 0 && live > 0 && instrumented > 0 {
 		printHeader("recorder", fmt.Sprintf(
-			"recorder overhead (%s on native-tl2): unrecorded %.0f commits/sec, recorded %.0f commits/sec (%.2fx, budget 2x), live-monitored %.0f commits/sec (%.2fx), telemetry-instrumented %.0f commits/sec (%.2fx, budget %.1fx)\n",
+			"recorder overhead (%s on native-tl2): unrecorded %.0f commits/sec, recorded %.0f commits/sec (%.2fx), live-monitored %.0f commits/sec (%.2fx), telemetry-instrumented %.0f commits/sec (%.2fx, budget %.1fx)\n",
 			spec.Name, raw, recorded, raw/recorded, live, raw/live,
 			instrumented, raw/instrumented, overheadBudgetRatio))
 	}

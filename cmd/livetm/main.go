@@ -838,7 +838,7 @@ func cmdWorkloads(args []string) error {
 	record := fs.Bool("record", false, "record each cell's history")
 	check := fs.Bool("check", false, "verify each recorded history through the online monitor (implies -record)")
 	live := fs.Bool("live", false, "run native cells under the in-process monitor (mid-flight stop, starvation-aware backoff, per-cell liveness class)")
-	quiesce := fs.Int("quiesce", 4, "rendezvous interval (rounds) of recorded native cells (0 = never)")
+	quiesce := fs.Int("quiesce", 4, "quiescent-cut interval of recorded native cells: a session pause after every N × workers completed transactions (0 = never)")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
@@ -941,7 +941,7 @@ func cmdRun(args []string) error {
 	contentionName := fs.String("contention", "hot", "contention level: hot or cold")
 	sharing := fs.String("sharing", "shared", "variable sharing: shared or disjoint")
 	live := fs.Bool("live", true, "attach the in-process monitor (mid-flight violation stop + starvation-aware backoff)")
-	quiesce := fs.Int("quiesce", 0, "rendezvous interval in rounds (0 = the live default of 4, -1 = never)")
+	quiesce := fs.Int("quiesce", 0, "quiescent-cut interval: a session pause after every N × workers completed transactions (0 = the live default of 4, -1 = never)")
 	segment := fs.Int("segment", 0, "live checker segment budget in transactions (0 = default 48)")
 	out := fs.String("out", "", "also retain the history and write it as a JSON Lines trace file")
 	if err := fs.Parse(args); err != nil {
@@ -977,7 +977,7 @@ func cmdServe(args []string) error {
 	live := fs.Bool("live", true, "keep the in-process monitor resident (mid-flight violation stop + starvation-aware backoff)")
 	duration := fs.Duration("duration", 0, "stop after this long (0 = serve until SIGINT/SIGTERM)")
 	progress := fs.Duration("progress", 2*time.Second, "progress line interval")
-	quiesce := fs.Int("quiesce", 0, "quiescent-cut interval in completed transactions per worker (0 = the live default of 4, -1 = never)")
+	quiesce := fs.Int("quiesce", 0, "quiescent-cut interval: a session pause after every N × workers completed transactions (0 = the live default of 4, -1 = never)")
 	segment := fs.Int("segment", 0, "live checker segment budget in transactions (0 = default 48)")
 	listen := fs.String("listen", "", "serve the wire API v1 on this address (livetm client / internal/client); telemetry rides the same listener at /metrics. Defaults -submitters to 0 and -quiesce to -1 (network clients park transactions across round trips, which would stall a cut) unless set explicitly")
 	maxInflight := fs.Int("max-inflight", 256, "wire admission cap: total submissions in flight across all clients, shared fairly (0 = unbounded; -listen only)")
@@ -1585,7 +1585,7 @@ func cmdRecord(args []string) error {
 	mixName := fs.String("mix", "update", "read/write mix: update, readheavy or writeheavy")
 	contentionName := fs.String("contention", "hot", "contention level: hot or cold")
 	sharing := fs.String("sharing", "shared", "variable sharing: shared or disjoint")
-	quiesce := fs.Int("quiesce", 4, "rendezvous interval (rounds) on native engines; plants the quiescent cuts the checkers need (0 = never)")
+	quiesce := fs.Int("quiesce", 4, "quiescent-cut interval on native engines: a session pause after every N × workers completed transactions plants the cuts the checkers need (0 = never)")
 	seed := fs.Uint64("seed", 1, "scheduler seed (simulated engines)")
 	out := fs.String("out", "-", "trace file, or - for stdout")
 	if err := fs.Parse(args); err != nil {

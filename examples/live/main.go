@@ -93,10 +93,6 @@ func (b *brokenTM) Atomically(fn func(native.Txn) error) error {
 	return b.AtomicallyOpts(native.RunOpts{}, fn)
 }
 
-func (b *brokenTM) AtomicallyObserved(obs native.Observer, fn func(native.Txn) error) error {
-	return b.AtomicallyOpts(native.RunOpts{Observer: obs}, fn)
-}
-
 func (b *brokenTM) AtomicallyOpts(opts native.RunOpts, fn func(native.Txn) error) error {
 	if opts.Stop != nil {
 		select {

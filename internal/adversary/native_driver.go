@@ -2,7 +2,6 @@ package adversary
 
 import (
 	"errors"
-	"fmt"
 	"sync"
 	"time"
 
@@ -85,7 +84,7 @@ type nproc struct {
 type NativeDriver struct {
 	cfg  Config
 	info native.Info
-	tm   native.ObservableTM
+	tm   native.TM
 	rec  *record.Recorder
 	mon  *monitor.Monitor
 	bo   *native.Backoff
@@ -132,9 +131,8 @@ type NativeResult struct {
 }
 
 // RunNative runs strategy s against a fresh instance of the native
-// algorithm. It errors only on misconfiguration (unknown variant, a TM
-// without linearization-point hooks); the adversary's outcomes —
-// starvation, blocking — land in the result.
+// algorithm. It errors only on misconfiguration (an unknown variant);
+// the adversary's outcomes — starvation, blocking — land in the result.
 func RunNative(info native.Info, s Strategy, cfg Config) (NativeResult, error) {
 	cfg = cfg.withDefaults()
 	if err := s.validate(); err != nil {
@@ -144,14 +142,10 @@ func RunNative(info native.Info, s Strategy, cfg Config) (NativeResult, error) {
 	if err != nil {
 		return NativeResult{}, err
 	}
-	otm, ok := tm.(native.ObservableTM)
-	if !ok {
-		return NativeResult{}, fmt.Errorf("adversary: %s does not expose linearization-point hooks", info.Name)
-	}
 	d := &NativeDriver{
 		cfg:      cfg,
 		info:     info,
-		tm:       otm,
+		tm:       tm,
 		bo:       native.NewBackoff(2),
 		stop:     make(chan struct{}),
 		pumpDone: make(chan struct{}),

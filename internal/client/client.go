@@ -30,9 +30,6 @@ type Config struct {
 	// Empty falls back to the connection's remote address, which
 	// lumps every client behind one NAT together — set it.
 	Name string
-	// Codec frames the wire bodies; nil defaults to server.JSONCodec.
-	// Must match the server's codec.
-	Codec server.Codec
 	// HTTPClient overrides the transport; nil uses a dedicated
 	// client with its own connection pool.
 	HTTPClient *http.Client
@@ -60,10 +57,9 @@ func (e *Error) Unwrap() error { return server.SentinelOf(e.Code) }
 
 // Client talks the wire API v1. Safe for concurrent use.
 type Client struct {
-	urls  map[string]string // endpoint path → URL, built once
-	name  string
-	codec server.Codec
-	hc    *http.Client
+	urls map[string]string // endpoint path → URL, built once
+	name string
+	hc   *http.Client
 }
 
 // endpoints are the wire API's paths.
@@ -79,10 +75,6 @@ func New(cfg Config) *Client {
 		base = "http://" + base
 	}
 	base = strings.TrimRight(base, "/")
-	codec := cfg.Codec
-	if codec == nil {
-		codec = server.JSONCodec{}
-	}
 	hc := cfg.HTTPClient
 	if hc == nil {
 		hc = &http.Client{}
@@ -91,7 +83,7 @@ func New(cfg Config) *Client {
 	for _, path := range endpoints {
 		urls[path] = base + path
 	}
-	return &Client{urls: urls, name: cfg.Name, codec: codec, hc: hc}
+	return &Client{urls: urls, name: cfg.Name, hc: hc}
 }
 
 // WithName returns a client identical to c but presenting name as its
@@ -113,7 +105,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	var body io.Reader
 	if in != nil {
 		var buf bytes.Buffer
-		if err := c.codec.Encode(&buf, in); err != nil {
+		if err := (server.JSONCodec{}).Encode(&buf, in); err != nil {
 			return fmt.Errorf("client: encode %s: %w", path, err)
 		}
 		body = &buf
@@ -123,7 +115,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		return fmt.Errorf("client: %s: %w", path, err)
 	}
 	if in != nil {
-		req.Header.Set("Content-Type", c.codec.ContentType())
+		req.Header.Set("Content-Type", server.JSONCodec{}.ContentType())
 	}
 	if c.name != "" {
 		req.Header.Set(server.ClientHeader, c.name)
@@ -135,7 +127,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	defer resp.Body.Close()
 	if resp.StatusCode/100 != 2 {
 		var er server.ErrorResponse
-		if derr := c.codec.Decode(resp.Body, &er); derr != nil || er.Code == "" {
+		if derr := (server.JSONCodec{}).Decode(resp.Body, &er); derr != nil || er.Code == "" {
 			return &Error{Code: server.CodeInternal,
 				Message: fmt.Sprintf("%s: http %d", path, resp.StatusCode)}
 		}
@@ -146,7 +138,7 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		}
 	}
 	if out != nil {
-		if err := c.codec.Decode(resp.Body, out); err != nil {
+		if err := (server.JSONCodec{}).Decode(resp.Body, out); err != nil {
 			return fmt.Errorf("client: decode %s: %w", path, err)
 		}
 	}

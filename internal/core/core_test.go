@@ -1,6 +1,8 @@
 package core
 
 import (
+	"bytes"
+	"os"
 	"strings"
 	"testing"
 
@@ -148,6 +150,29 @@ func TestLivenessMatrix(t *testing.T) {
 	if strings.Contains(table, "MISMATCH") {
 		t.Errorf("matrix reports mismatches:\n%s", table)
 	}
+	checkGolden(t, "matrix.golden", table)
+}
+
+// checkGolden compares got with testdata/name byte for byte. The
+// goldens pin the rendered tables, so a change to the simulator, a TM
+// or the adversary that moves any count fails here.
+func checkGolden(t *testing.T, name, got string) {
+	t.Helper()
+	want, err := os.ReadFile("testdata/" + name)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if bytes.Equal([]byte(got), want) {
+		return
+	}
+	gl := strings.Split(got, "\n")
+	wl := strings.Split(string(want), "\n")
+	for i := 0; i < len(gl) && i < len(wl); i++ {
+		if gl[i] != wl[i] {
+			t.Fatalf("output differs from testdata/%s at line %d:\n got: %s\nwant: %s", name, i+1, gl[i], wl[i])
+		}
+	}
+	t.Fatalf("output has %d lines, testdata/%s %d", len(gl), name, len(wl))
 }
 
 // TestTheorem1Evidence is E17: local progress fails against every TM.
@@ -168,6 +193,7 @@ func TestTheorem1Evidence(t *testing.T) {
 	if strings.Contains(table, "P1-COMMITTED") {
 		t.Errorf("table reports a breach:\n%s", table)
 	}
+	checkGolden(t, "theorem1.golden", table)
 }
 
 // TestFormalVerdicts closes the loop: the Theorem 1 runs, read as
@@ -237,6 +263,10 @@ func TestTheorem3Evidence(t *testing.T) {
 	}
 	if out.Commits == 0 {
 		t.Error("Fgp must commit during the runs")
+	}
+	// The seeded schedules are deterministic, so the counts are pinned.
+	if want := (Theorem3Outcome{SchedulesChecked: 10, PrefixesOpaque: 10, Commits: 196}); out != want {
+		t.Errorf("Theorem 3 evidence = %+v, want %+v", out, want)
 	}
 }
 

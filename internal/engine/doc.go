@@ -58,7 +58,7 @@
 // refuses immediately with ErrOverloaded rather than blocking, the
 // sentinel the server translates to HTTP 429 plus a Retry-After
 // hint. Every sentinel in this package (ErrOverloaded, ErrClosed,
-// ErrStopped, ErrStepBudget, ErrBusy, ErrNoCommit, ErrLiveViolation)
+// ErrStopped, ErrStepBudget, ErrNoCommit, ErrLiveViolation)
 // round-trips the wire as a stable code, so errors.Is holds on both
 // ends of the connection.
 //
@@ -170,9 +170,9 @@
 // returns aggregate commit/abort statistics, plus the recorded
 // history when the substrate supports it. Capabilities reports what
 // the substrate can do so callers can select engines by feature
-// rather than by name. Engines are safe for sequential reuse; a
-// concurrent second Run on one engine value returns ErrBusy, and any
-// number of Sessions may be open concurrently.
+// rather than by name. Each Run opens a fresh TM instance, so engines
+// are safe for concurrent Runs, and any number of Sessions may be open
+// concurrently.
 //
 // Engines returns the full cross-product registry: the nine simulated
 // TMs of core.Registry and the five native algorithms of

@@ -87,14 +87,16 @@ type RunConfig struct {
 	// internal/record hangs off the algorithms' linearization-point
 	// hooks.
 	Record bool
-	// QuiesceEvery makes a recorded native run rendezvous all
-	// processes every that-many rounds (0 = never). Each rendezvous is
-	// a quiescent cut in the recorded history, which the segmented and
-	// streaming opacity checkers need to keep their search windows
+	// QuiesceEvery plants quiescent cuts in a recorded native run
+	// (0 = never): after every QuiesceEvery × (admitted workers)
+	// completed transactions the session pauses — no new transaction
+	// starts while the in-flight ones finish — and the paused instant
+	// is a quiescent cut in the recorded history, which the segmented
+	// and streaming opacity checkers need to keep their search windows
 	// bounded; unrecorded runs and throughput measurements leave it 0.
-	// Live runs treat 0 as "default" (every 4 rounds) because the live
-	// checker wants cuts; pass -1 to run live with no rendezvous at
-	// all (the approximate fallback then carries the whole stream).
+	// Live runs treat 0 as the live default (4) because the live
+	// checker wants cuts; pass -1 to run live with no cuts at all (the
+	// approximate fallback then carries the whole stream).
 	QuiesceEvery int
 	// Live attaches the online monitor to a native run: recorded
 	// events stream through bounded per-process rings into
@@ -102,9 +104,9 @@ type RunConfig struct {
 	// cancels the remaining rounds mid-flight (Run returns
 	// ErrLiveViolation), and the measured per-process starvation
 	// continuously rebiases the native retry loop's backoff so starved
-	// processes back off less and hot ones more. Live runs rendezvous
-	// every QuiesceEvery rounds (defaulting to 4 when left 0) to plant
-	// the quiescent cuts that keep the live checker exact; the
+	// processes back off less and hot ones more. Live runs pause on
+	// QuiesceEvery's cadence (4 when left 0) to plant the quiescent
+	// cuts that keep the live checker exact; the
 	// bounded-overlap fallback absorbs windows that outrun the segment
 	// budget between cuts, degrading those to an approximate verdict.
 	// Live alone does not retain the history — the stream is consumed as
@@ -226,8 +228,7 @@ type Engine interface {
 	// Run executes body as repeated transactions on cfg.Procs
 	// processes and returns the aggregate statistics — the batch
 	// convenience wrapper over Open: one session, OpsPerProc pinned
-	// rounds per worker. Each call uses a fresh TM instance; engines
-	// may be reused sequentially, and a concurrent second Run on the
-	// same engine value returns ErrBusy.
+	// rounds per worker. Each call uses a fresh TM instance, so one
+	// engine value may serve any number of Runs, concurrent or not.
 	Run(cfg RunConfig, body TxBody) (Stats, error)
 }

@@ -13,7 +13,7 @@ import (
 // bogusTM is a deliberately broken "TM" for violation injection: every
 // read returns a fresh value nobody ever wrote, which no legal
 // serialization can explain, and every commit succeeds. It implements
-// the full ObservableTM surface so the live monitor can watch it fail.
+// the full native.TM surface so the live monitor can watch it fail.
 type bogusTM struct {
 	vars    int
 	ctr     atomic.Int64
@@ -31,10 +31,6 @@ func (b *bogusTM) Stats() native.Stats { return native.Stats{Commits: b.commits.
 
 func (b *bogusTM) Atomically(fn func(native.Txn) error) error {
 	return b.AtomicallyOpts(native.RunOpts{}, fn)
-}
-
-func (b *bogusTM) AtomicallyObserved(obs native.Observer, fn func(native.Txn) error) error {
-	return b.AtomicallyOpts(native.RunOpts{Observer: obs}, fn)
 }
 
 func (b *bogusTM) AtomicallyOpts(opts native.RunOpts, fn func(native.Txn) error) error {

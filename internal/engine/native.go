@@ -2,7 +2,6 @@ package engine
 
 import (
 	"errors"
-	"sync/atomic"
 
 	"livetm/internal/native"
 )
@@ -17,7 +16,6 @@ import (
 // checkable like a simulated one.
 type NativeEngine struct {
 	info native.Info
-	busy atomic.Bool
 }
 
 var _ Engine = (*NativeEngine)(nil)
@@ -89,15 +87,10 @@ func (e *NativeEngine) Open(cfg SessionConfig) (*Session, error) {
 }
 
 // Run implements Engine as a batch wrapper over Open: one session,
-// cfg.Procs workers, OpsPerProc pinned rounds per worker. A second
-// concurrent Run on the same engine value returns ErrBusy.
+// cfg.Procs workers, OpsPerProc pinned rounds per worker.
 func (e *NativeEngine) Run(cfg RunConfig, body TxBody) (Stats, error) {
 	if err := cfg.validate(Native); err != nil {
 		return Stats{}, err
 	}
-	if !e.busy.CompareAndSwap(false, true) {
-		return Stats{}, ErrBusy
-	}
-	defer e.busy.Store(false)
 	return runOnSession(e, cfg, body)
 }

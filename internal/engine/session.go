@@ -30,12 +30,6 @@ const AnyWorker = -1
 // is draining or gone, and the submission was not accepted.
 var ErrClosed = errors.New("engine: session is closed")
 
-// ErrBusy is returned by Run when the engine value is already running:
-// engines are safe for sequential reuse but a concurrent second Run
-// would race on the same instance. Open a Session (or a second engine
-// value) for concurrent work.
-var ErrBusy = errors.New("engine: engine is already running")
-
 // ErrStopped is the result of a submission the session could not
 // execute because the live monitor stopped it mid-flight: the
 // violation itself is returned by Close (wrapped around
@@ -135,11 +129,10 @@ type SessionConfig struct {
 	// Record retains the session's history (see RunConfig.Record);
 	// Session.History returns it after Close.
 	Record bool
-	// QuiesceEvery plants a quiescent cut in the recorded stream every
-	// that-many completed transactions per worker (see
-	// RunConfig.QuiesceEvery). In a session the cut is a brief global
-	// pause — no new transaction starts while in-flight ones finish —
-	// because idle workers cannot rendezvous at a barrier. Live
+	// QuiesceEvery plants a quiescent cut in the recorded stream after
+	// every QuiesceEvery × (admitted workers) completed transactions
+	// (see RunConfig.QuiesceEvery): a brief session pause in which no
+	// new transaction starts while the in-flight ones finish. Live
 	// sessions treat 0 as the live default (4); pass -1 for no cuts.
 	QuiesceEvery int
 	// Live attaches the online monitor for the session's whole

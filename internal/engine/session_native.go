@@ -104,12 +104,11 @@ func (s *nativeSession) runPump() {
 // slot runs one transaction at a time and its recorder log, backoff
 // slot and transaction handle keep a single writer.
 type nativeSession struct {
-	cfg   SessionConfig
-	tm    native.TM
-	obsTM native.ObservableTM
-	bo    *native.Backoff
-	rec   *record.Recorder
-	live  *liveState
+	cfg  SessionConfig
+	tm   native.TM
+	bo   *native.Backoff
+	rec  *record.Recorder
+	live *liveState
 	// quiesce is the per-worker completed-transaction interval between
 	// forced quiescent cuts (0 = never): one cut per quiesce completed
 	// transactions of every admitted worker, counted on cutTick.
@@ -167,11 +166,7 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 	if err != nil {
 		return nil, err
 	}
-	obsTM, observable := tm.(native.ObservableTM)
 	recording := cfg.Record || cfg.Live
-	if recording && !observable {
-		return nil, errors.New("engine: " + info.Name + " does not expose linearization-point hooks")
-	}
 	s := &nativeSession{
 		cfg:       cfg,
 		tm:        tm,
@@ -179,11 +174,8 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 		closeDone: make(chan struct{}),
 		met:       newSessionMetrics(cfg.Telemetry, info.Name, cfg.MaxWorkers, cfg.Live),
 	}
-	if observable {
-		s.obsTM = obsTM
-	}
 	s.q = lanes{pinned: make([]jobRing, cfg.MaxWorkers), met: s.met}
-	if cfg.Telemetry != nil && s.obsTM != nil {
+	if cfg.Telemetry != nil {
 		s.met.tx = native.NewTxMetrics(cfg.Telemetry, info.Name)
 	}
 	s.wake = make([]sync.Cond, cfg.MaxWorkers)
@@ -424,8 +416,8 @@ func (s *nativeSession) runJob(w *nativeWorker, j sessionJob) {
 	}
 	if s.quiesce > 0 {
 		// One cut per QuiesceEvery completed transactions of every
-		// admitted worker — the batch barrier's cadence, driven by a
-		// shared counter since workers are not in lockstep.
+		// admitted worker, counted on a shared counter since workers
+		// are not in lockstep.
 		interval := int64(s.quiesce) * int64(s.admitted.Load())
 		if s.cutTick.Add(1)%interval == 0 {
 			s.forceCut()
@@ -458,13 +450,8 @@ func (s *nativeSession) execute(w *nativeWorker, body Body) error {
 		s.cutMu.RLock()
 		defer s.cutMu.RUnlock()
 	}
-	var res error
 	w.body = body
-	if s.obsTM != nil {
-		res = s.obsTM.AtomicallyOpts(w.opts, w.fn)
-	} else {
-		res = s.tm.Atomically(w.fn)
-	}
+	res := s.tm.AtomicallyOpts(w.opts, w.fn)
 	w.body = nil // an idle worker must not pin its last job
 	return res
 }

@@ -181,52 +181,51 @@ func TestSessionMisuse(t *testing.T) {
 	}
 }
 
-// TestConcurrentRunReturnsErrBusy: a second Run on an engine value
-// that is already running must fail with ErrBusy instead of racing on
-// the instance. Run with -race.
-func TestConcurrentRunReturnsErrBusy(t *testing.T) {
-	t.Run("native", func(t *testing.T) {
-		e, _ := Lookup("native-tl2")
-		started := make(chan struct{})
-		release := make(chan struct{})
-		done := make(chan struct{})
-		var once sync.Once
-		go func() {
-			defer close(done)
-			_, err := e.Run(RunConfig{Procs: 1, Vars: 1, OpsPerProc: 1},
-				func(proc, round int, tx Tx) error {
-					once.Do(func() { close(started) })
-					<-release
-					return tx.Write(0, 1)
-				})
-			if err != nil {
-				t.Errorf("blocked run: %v", err)
+// TestConcurrentRunsAreIndependent: each Run opens its own TM
+// instance, so two overlapping Runs on one engine value must each
+// finish their full budget. Each run's first body waits until the
+// other run has entered a body (or returned), which makes the overlap
+// certain. Run with -race.
+func TestConcurrentRunsAreIndependent(t *testing.T) {
+	const procs, ops = 2, 20
+	for sub, name := range map[string]string{"native": "native-tl2", "sim": "sim-tl2"} {
+		t.Run(sub, func(t *testing.T) {
+			e, _ := Lookup(name)
+			in := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+			done := [2]chan struct{}{make(chan struct{}), make(chan struct{})}
+			var once [2]sync.Once
+			var stats [2]Stats
+			var errs [2]error
+			var wg sync.WaitGroup
+			for r := range 2 {
+				wg.Add(1)
+				go func() {
+					defer wg.Done()
+					defer close(done[r])
+					stats[r], errs[r] = e.Run(RunConfig{Procs: procs, Vars: 1, OpsPerProc: ops, SimSteps: 1 << 20},
+						func(proc, round int, tx Tx) error {
+							once[r].Do(func() {
+								close(in[r])
+								select {
+								case <-in[1-r]:
+								case <-done[1-r]:
+								}
+							})
+							return counterBody(0)(proc, round, tx)
+						})
+				}()
 			}
-		}()
-		<-started
-		if _, err := e.Run(RunConfig{Procs: 1, Vars: 1, OpsPerProc: 1}, counterBody(0)); !errors.Is(err, ErrBusy) {
-			t.Errorf("concurrent Run: err = %v, want ErrBusy", err)
-		}
-		close(release)
-		<-done
-	})
-	t.Run("sim", func(t *testing.T) {
-		e, _ := Lookup("sim-tl2")
-		var nested error
-		_, err := e.Run(RunConfig{Procs: 1, Vars: 1, SimSteps: 1000, OpsPerProc: 1},
-			func(proc, round int, tx Tx) error {
-				// Re-entering Run from a body is the deterministic way to
-				// observe the guard on the synchronous substrate.
-				_, nested = e.Run(RunConfig{Procs: 1, Vars: 1, SimSteps: 10, OpsPerProc: 1}, counterBody(0))
-				return tx.Write(0, 1)
-			})
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !errors.Is(nested, ErrBusy) {
-			t.Errorf("nested Run: err = %v, want ErrBusy", nested)
-		}
-	})
+			wg.Wait()
+			for r := range 2 {
+				if errs[r] != nil {
+					t.Errorf("run %d: %v", r, errs[r])
+				}
+				if stats[r].Commits != procs*ops {
+					t.Errorf("run %d: %d commits, want %d", r, stats[r].Commits, procs*ops)
+				}
+			}
+		})
+	}
 }
 
 // TestSessionLiveViolationStops: a live session around the violating

@@ -2,7 +2,6 @@ package engine
 
 import (
 	"fmt"
-	"sync/atomic"
 
 	"livetm/internal/model"
 	"livetm/internal/sim"
@@ -17,7 +16,6 @@ type Sim struct {
 	algorithm   string
 	factory     stm.Factory
 	nonblocking bool
-	busy        atomic.Bool
 }
 
 var _ Engine = (*Sim)(nil)
@@ -100,15 +98,10 @@ func (e *Sim) Open(cfg SessionConfig) (*Session, error) {
 
 // Run implements Engine as a batch wrapper over Open: one session,
 // cfg.Procs workers, OpsPerProc pinned rounds per worker (0 keeps
-// every worker loaded until the step budget runs out). A second
-// concurrent Run on the same engine value returns ErrBusy.
+// every worker loaded until the step budget runs out).
 func (e *Sim) Run(cfg RunConfig, body TxBody) (Stats, error) {
 	if err := cfg.validate(Simulated); err != nil {
 		return Stats{}, err
 	}
-	if !e.busy.CompareAndSwap(false, true) {
-		return Stats{}, ErrBusy
-	}
-	defer e.busy.Store(false)
 	return runOnSession(e, cfg, body)
 }

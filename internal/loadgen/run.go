@@ -24,11 +24,14 @@ type Options struct {
 	// (livetm_loadgen_* counters and latency histograms) so a /metrics
 	// scrape can watch the run.
 	Registry *telemetry.Registry
-	// FaultConfig tunes the inject phases' adversary episodes. Zero
-	// values default to short episodes (4 rounds, 200ms block budget)
-	// so one episode never outlives its phase by much.
-	FaultConfig adversary.Config
 }
+
+// The inject phases run short adversary episodes, so that one episode
+// never outlives its phase by much.
+const (
+	faultRounds       = 4
+	faultBlockTimeout = 200 * time.Millisecond
+)
 
 // phaseAgg accumulates one phase's counters while arrivals complete
 // concurrently. Bare telemetry instruments double as plain atomics
@@ -117,13 +120,7 @@ func Run(ctx context.Context, tgt Target, sc *Scenario, scenarioHash string, opt
 	if prefix == "" {
 		prefix = "loadgen"
 	}
-	fcfg := opts.FaultConfig
-	if fcfg.Rounds == 0 {
-		fcfg.Rounds = 4
-	}
-	if fcfg.BlockTimeout == 0 {
-		fcfg.BlockTimeout = 200 * time.Millisecond
-	}
+	fcfg := adversary.Config{Rounds: faultRounds, BlockTimeout: faultBlockTimeout}
 
 	cells := make([]cell, len(sc.Mix))
 	for i, m := range sc.Mix {

@@ -71,12 +71,11 @@ func TestAtomicallyOptsStopped(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			otm := tm.(ObservableTM)
 			stop := make(chan struct{})
 			done := make(chan error, 1)
 			var once sync.Once
 			go func() {
-				done <- otm.AtomicallyOpts(RunOpts{Stop: stop, Backoff: NewBackoff(1)},
+				done <- tm.AtomicallyOpts(RunOpts{Stop: stop, Backoff: NewBackoff(1)},
 					func(tx Txn) error {
 						once.Do(func() { close(stop) })
 						return ErrAborted // retry forever until stopped
@@ -104,7 +103,7 @@ func TestAtomicallyOptsStoppedBeforeStart(t *testing.T) {
 		}
 		stop := make(chan struct{})
 		close(stop)
-		err = tm.(ObservableTM).AtomicallyOpts(RunOpts{Stop: stop}, func(tx Txn) error {
+		err = tm.AtomicallyOpts(RunOpts{Stop: stop}, func(tx Txn) error {
 			t.Fatalf("%s: body ran after stop", info.Name)
 			return nil
 		})
@@ -122,11 +121,10 @@ func TestAtomicallyOptsCommits(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		otm := tm.(ObservableTM)
 		stop := make(chan struct{})
 		bo := NewBackoff(1)
 		for i := 0; i < 10; i++ {
-			err := otm.AtomicallyOpts(RunOpts{Stop: stop, Backoff: bo}, func(tx Txn) error {
+			err := tm.AtomicallyOpts(RunOpts{Stop: stop, Backoff: bo}, func(tx Txn) error {
 				v, err := tx.Read(0)
 				if err != nil {
 					return err

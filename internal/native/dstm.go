@@ -82,12 +82,7 @@ func (t *DSTM) Atomically(fn func(Txn) error) error {
 	return runAtomically(&t.counters, t.begin, RunOpts{}, fn)
 }
 
-// AtomicallyObserved implements ObservableTM.
-func (t *DSTM) AtomicallyObserved(obs Observer, fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, RunOpts{Observer: obs}, fn)
-}
-
-// AtomicallyOpts implements ObservableTM.
+// AtomicallyOpts implements TM.
 func (t *DSTM) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
 	return runAtomically(&t.counters, t.begin, opts, fn)
 }

@@ -28,15 +28,14 @@ func TestRunOptsMetrics(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			otm := tm.(ObservableTM)
 			m := NewTxMetrics(telemetry.NewRegistry(), info.Name)
 			opts := RunOpts{Metrics: m}
 			for i := 0; i < commits; i++ {
-				if err := otm.AtomicallyOpts(opts, incr); err != nil {
+				if err := tm.AtomicallyOpts(opts, incr); err != nil {
 					t.Fatal(err)
 				}
 			}
-			err = otm.AtomicallyOpts(opts, func(tx Txn) error {
+			err = tm.AtomicallyOpts(opts, func(tx Txn) error {
 				if err := incr(tx); err != nil {
 					return err
 				}
@@ -49,7 +48,7 @@ func TestRunOptsMetrics(t *testing.T) {
 			close(stop)
 			stopped := opts
 			stopped.Stop = stop
-			if err := otm.AtomicallyOpts(stopped, incr); !errors.Is(err, ErrStopped) {
+			if err := tm.AtomicallyOpts(stopped, incr); !errors.Is(err, ErrStopped) {
 				t.Fatalf("stopped run: got %v, want ErrStopped", err)
 			}
 			for _, c := range []struct {

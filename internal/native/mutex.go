@@ -47,12 +47,7 @@ func (m *Mutex) Atomically(fn func(Txn) error) error {
 	return m.AtomicallyOpts(RunOpts{}, fn)
 }
 
-// AtomicallyObserved implements ObservableTM.
-func (m *Mutex) AtomicallyObserved(obs Observer, fn func(Txn) error) error {
-	return m.AtomicallyOpts(RunOpts{Observer: obs}, fn)
-}
-
-// AtomicallyOpts implements ObservableTM. Mutex never retries, so the
+// AtomicallyOpts implements TM. Mutex never retries, so the
 // backoff policy is unused and a body error — ErrAborted included — is
 // terminal; the stop signal is honoured before the lock is taken (a
 // transaction already under the lock completes). Metrics count the

@@ -15,13 +15,12 @@
 //   - Mutex: the coarse-grained blocking baseline.
 //
 // The lock-based algorithms share one infrastructure: a striped
-// versioned-lock table (power-of-two stripes, see stripes.go), a
-// sharded global version clock that removes the commit-counter hot
-// spot of a single fetch-add word (see clock.go), and a common
-// retry/backoff loop with commit/abort statistics (below). The
-// statistics follow the clock's rule: commits and aborts land in
-// padded per-slot words picked like a clock shard, and Stats sums the
-// slots, so no commit adds to a word every core shares.
+// versioned-lock table (power-of-two stripes, see stripes.go), TL2's
+// single-word global version clock (see clock.go), and a common
+// retry/backoff loop with commit/abort statistics (below). Commits and
+// aborts land in padded per-slot words picked by the attempt's
+// address, and Stats sums the slots, so counting a commit adds to no
+// word every core shares.
 //
 // No transaction runs on a Go map. Every algorithm keeps its write
 // set — buffered values, TinySTM's owned stripes, DSTM's own locators —
@@ -39,6 +38,7 @@ package native
 import (
 	"errors"
 	"fmt"
+	"reflect"
 	"sync/atomic"
 	"time"
 )
@@ -67,6 +67,11 @@ type TM interface {
 	Vars() int
 	// Stats returns the cumulative commit/abort counters.
 	Stats() Stats
+	// AtomicallyOpts is Atomically under the given RunOpts: observed
+	// at its linearization points, cancellable between attempts
+	// (RunOpts.Stop, returning ErrStopped), and backing off under the
+	// supplied policy. A zero RunOpts is plain Atomically.
+	AtomicallyOpts(opts RunOpts, fn func(Txn) error) error
 }
 
 // Txn is the per-attempt handle. It is valid only inside the call of
@@ -135,11 +140,14 @@ func recycle(tx attempt) {
 
 // counters is embedded by every TM: commit and abort counts striped
 // over cache-line-sized slots. An attempt counts into the slot shardOf
-// picks for it — the way it picks a clock shard — so concurrent
-// committers add to different lines instead of one shared word.
+// picks for it, so concurrent committers add to different lines
+// instead of one shared word.
 type counters struct {
-	slots [clockShards]counterSlot
+	slots [counterSlots]counterSlot
 }
+
+// counterSlots is a power of two.
+const counterSlots = 8
 
 type counterSlot struct {
 	commits atomic.Uint64
@@ -149,6 +157,14 @@ type counterSlot struct {
 
 // slot returns the counters an attempt counts into.
 func (c *counters) slot(tx any) *counterSlot { return &c.slots[shardOf(tx)] }
+
+// shardOf derives a counter slot from an attempt's heap address, a
+// zero-contention stand-in for a CPU id: concurrent committers live at
+// different addresses and so spread across slots, without a shared
+// round-robin counter reintroducing the hot spot.
+func shardOf(tx any) int {
+	return int(reflect.ValueOf(tx).Pointer()>>5) & (counterSlots - 1)
+}
 
 // snapshot sums the slots. Each sum is monotone and exact once the
 // counted transactions have returned; concurrent ones may be in or out.
@@ -187,7 +203,7 @@ type RunOpts struct {
 // begin an attempt, run the body, commit or back off and retry. With a
 // non-nil observer, every operation return and attempt outcome is
 // reported at its linearization point — these are the instrumentation
-// hooks behind ObservableTM.
+// hooks behind TM.AtomicallyOpts.
 func runAtomically(c *counters, begin func() attempt, opts RunOpts, fn func(Txn) error) error {
 	obs := opts.Observer
 	m := opts.Metrics

@@ -44,12 +44,7 @@ func (t *NOrec) Atomically(fn func(Txn) error) error {
 	return runAtomically(&t.counters, t.begin, RunOpts{}, fn)
 }
 
-// AtomicallyObserved implements ObservableTM.
-func (t *NOrec) AtomicallyObserved(obs Observer, fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, RunOpts{Observer: obs}, fn)
-}
-
-// AtomicallyOpts implements ObservableTM.
+// AtomicallyOpts implements TM.
 func (t *NOrec) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
 	return runAtomically(&t.counters, t.begin, opts, fn)
 }

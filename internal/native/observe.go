@@ -1,7 +1,5 @@
 package native
 
-import "fmt"
-
 // Observer receives the linearization-point callbacks of one process's
 // transactions. Invocation callbacks fire immediately before the
 // operation runs and return callbacks immediately after it returns, so
@@ -36,29 +34,10 @@ type Observer interface {
 	Abandon()
 }
 
-// ObservableTM is implemented by the TMs of this package: Atomically
-// with linearization-point callbacks and run control. A nil observer
-// (or a zero RunOpts) degrades to plain Atomically.
-type ObservableTM interface {
-	TM
-	// AtomicallyObserved is Atomically, reporting every operation and
-	// every attempt outcome to obs.
-	AtomicallyObserved(obs Observer, fn func(Txn) error) error
-	// AtomicallyOpts is Atomically under the given RunOpts: observed,
-	// cancellable between attempts (RunOpts.Stop, returning
-	// ErrStopped), and backing off under the supplied policy.
-	AtomicallyOpts(opts RunOpts, fn func(Txn) error) error
-}
-
 // AtomicallyObserved runs fn on tm like TM.Atomically while reporting
-// linearization-point events to obs. It errors when tm does not
-// support observation.
+// linearization-point events to obs.
 func AtomicallyObserved(tm TM, obs Observer, fn func(Txn) error) error {
-	otm, ok := tm.(ObservableTM)
-	if !ok {
-		return fmt.Errorf("native: %s does not support observation", tm.Name())
-	}
-	return otm.AtomicallyObserved(obs, fn)
+	return tm.AtomicallyOpts(RunOpts{Observer: obs}, fn)
 }
 
 // observedTxn reports every operation of the wrapped handle to the

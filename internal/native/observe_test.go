@@ -40,8 +40,8 @@ func (o *scriptObserver) TryCommitReturn(committed bool) {
 }
 func (o *scriptObserver) Abandon() { o.events = append(o.events, "abandon") }
 
-// TestEveryAlgorithmObservable: each registered TM implements
-// ObservableTM and reports the canonical increment sequence.
+// TestEveryAlgorithmObservable: each registered TM reports the
+// canonical increment sequence to its observer.
 func TestEveryAlgorithmObservable(t *testing.T) {
 	for _, info := range Algorithms() {
 		t.Run(info.Name, func(t *testing.T) {

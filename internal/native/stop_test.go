@@ -76,17 +76,13 @@ func TestStopCancellationWithoutSignal(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			otm, ok := tm.(ObservableTM)
-			if !ok {
-				t.Fatalf("%s does not implement ObservableTM", info.Name)
-			}
 			stop := make(chan struct{})
 			if info.Name == "native-mutex" {
 				// The mutex never retries; its stop check runs once,
 				// before the lock. A stop that landed before the call
 				// must refuse the transaction outright.
 				close(stop)
-				err := otm.AtomicallyOpts(RunOpts{Stop: stop}, func(Txn) error { return nil })
+				err := tm.AtomicallyOpts(RunOpts{Stop: stop}, func(Txn) error { return nil })
 				if !errors.Is(err, ErrStopped) {
 					t.Fatalf("want ErrStopped, got %v", err)
 				}
@@ -95,7 +91,7 @@ func TestStopCancellationWithoutSignal(t *testing.T) {
 			var attempts atomic.Int64
 			done := make(chan error, 1)
 			go func() {
-				done <- otm.AtomicallyOpts(RunOpts{Stop: stop}, func(tx Txn) error {
+				done <- tm.AtomicallyOpts(RunOpts{Stop: stop}, func(tx Txn) error {
 					attempts.Add(1)
 					// Keep the transaction aborting so the retry loop
 					// spins until the stop lands.

@@ -9,7 +9,7 @@ import "sync"
 // read set and slides the timestamp forward instead of aborting.
 type TinySTM struct {
 	counters
-	clock *shardedClock
+	clock *versionClock
 	table *stripeTable
 	pool  sync.Pool // recycled *tinyTxn scratch
 }
@@ -21,7 +21,7 @@ func NewTinySTM(n int) (*TinySTM, error) {
 	if err := checkVars(n); err != nil {
 		return nil, err
 	}
-	return &TinySTM{clock: newShardedClock(), table: newStripeTable(n)}, nil
+	return &TinySTM{clock: &versionClock{}, table: newStripeTable(n)}, nil
 }
 
 // Name implements TM.
@@ -38,12 +38,7 @@ func (t *TinySTM) Atomically(fn func(Txn) error) error {
 	return runAtomically(&t.counters, t.begin, RunOpts{}, fn)
 }
 
-// AtomicallyObserved implements ObservableTM.
-func (t *TinySTM) AtomicallyObserved(obs Observer, fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, RunOpts{Observer: obs}, fn)
-}
-
-// AtomicallyOpts implements ObservableTM.
+// AtomicallyOpts implements TM.
 func (t *TinySTM) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
 	return runAtomically(&t.counters, t.begin, opts, fn)
 }
@@ -217,7 +212,7 @@ func (tx *tinyTxn) commit() bool {
 		return false
 	}
 	tab := tx.tm.table
-	wv := tx.tm.clock.Tick(shardOf(tx))
+	wv := tx.tm.clock.Tick()
 	for _, e := range tx.writes.entries {
 		tab.vals[e.key].v.Store(e.val)
 	}

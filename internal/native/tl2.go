@@ -5,12 +5,12 @@ import (
 	"sync"
 )
 
-// TL2 is a TL2-style STM: sharded global version clock, invisible
+// TL2 is a TL2-style STM: global version clock, invisible
 // reads validated against a read version, commit-time locking in
 // stripe order over the shared striped lock table.
 type TL2 struct {
 	counters
-	clock *shardedClock
+	clock *versionClock
 	table *stripeTable
 	pool  sync.Pool // recycled *tl2Txn scratch
 }
@@ -22,7 +22,7 @@ func NewTL2(n int) (*TL2, error) {
 	if err := checkVars(n); err != nil {
 		return nil, err
 	}
-	return &TL2{clock: newShardedClock(), table: newStripeTable(n)}, nil
+	return &TL2{clock: &versionClock{}, table: newStripeTable(n)}, nil
 }
 
 // Name implements TM.
@@ -39,12 +39,7 @@ func (t *TL2) Atomically(fn func(Txn) error) error {
 	return runAtomically(&t.counters, t.begin, RunOpts{}, fn)
 }
 
-// AtomicallyObserved implements ObservableTM.
-func (t *TL2) AtomicallyObserved(obs Observer, fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, RunOpts{Observer: obs}, fn)
-}
-
-// AtomicallyOpts implements ObservableTM.
+// AtomicallyOpts implements TM.
 func (t *TL2) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
 	return runAtomically(&t.counters, t.begin, opts, fn)
 }
@@ -165,7 +160,7 @@ func (tx *tl2Txn) commit() bool {
 			return false
 		}
 	}
-	wv := tx.tm.clock.Tick(shardOf(tx))
+	wv := tx.tm.clock.Tick()
 	for _, e := range tx.writes.entries {
 		tab.vals[e.key].v.Store(e.val)
 	}

@@ -9,42 +9,20 @@ import (
 	"livetm/internal/jsonscan"
 )
 
-// Codec frames wire bodies. The server negotiates nothing: one codec
-// is configured on each side, and the HTTP Content-Type carries its
-// name. Keeping the frame encoding behind this boundary is what lets
-// a compact binary framing replace JSON later without touching the
-// handlers, the client, or the wire vocabulary in wire.go.
-//
-// A codec chooses how to treat a frame by the frame's type and by
-// nothing else: there is no option that switches an implementation.
-type Codec interface {
-	// Name is the codec's short name ("json").
-	Name() string
-	// ContentType is the HTTP content type of encoded frames.
-	ContentType() string
-	// Encode writes v's frame to w.
-	Encode(w io.Writer, v any) error
-	// Decode reads one frame from r into v: like encoding/json it sets
-	// the fields the frame names and leaves the others as they were,
-	// and reuses the capacity of a slice it refills.
-	Decode(r io.Reader, v any) error
-}
-
-// JSONCodec is the default codec: one JSON document per frame, a
-// newline behind it. The frames a transaction crosses — ExecRequest,
-// ExecResponse, ErrorResponse, SubmitResponse, WaitRequest, and the
-// Begin, TxOp and TxFinish pairs — are written by append and read by
-// the jsonscan scanner (frames.go), through pooled buffers; a frame of
-// theirs outside the scanner's subset, and every other type — the
+// JSONCodec frames the wire bodies of both the server and
+// internal/client: one JSON document per frame, a newline behind it.
+// It treats a frame by the frame's type and by nothing else. The
+// frames a transaction crosses — ExecRequest, ExecResponse,
+// ErrorResponse, SubmitResponse, WaitRequest, and the Begin, TxOp and
+// TxFinish pairs — are written by append and read by the jsonscan
+// scanner (frames.go), through pooled buffers; a frame of theirs
+// outside the scanner's subset, and every other type — the
 // once-per-session InfoResponse, engine.SessionStats, DrainResponse —
 // goes through encoding/json. The bytes are encoding/json's either
 // way, and so is every rejection.
 type JSONCodec struct{}
 
-// Name implements Codec.
-func (JSONCodec) Name() string { return "json" }
-
-// ContentType implements Codec.
+// ContentType is the HTTP content type of encoded frames.
 func (JSONCodec) ContentType() string { return "application/json" }
 
 // appender and parser are the hand-written halves of a frame; Encode
@@ -67,7 +45,7 @@ type frameBuf struct {
 
 var frameBufs = sync.Pool{New: func() any { return new(frameBuf) }}
 
-// Encode implements Codec.
+// Encode writes v's frame to w.
 func (JSONCodec) Encode(w io.Writer, v any) error {
 	f, ok := v.(appender)
 	if !ok {
@@ -81,7 +59,9 @@ func (JSONCodec) Encode(w io.Writer, v any) error {
 	return err
 }
 
-// Decode implements Codec. Like json.Decoder it decodes the first
+// Decode reads one frame from r into v: like encoding/json it sets the
+// fields the frame names and leaves the others as they were, and
+// reuses the capacity of a slice it refills. Like json.Decoder it decodes the first
 // value in r and does not look at what follows it.
 func (JSONCodec) Decode(r io.Reader, v any) error {
 	f, ok := v.(parser)

@@ -10,9 +10,8 @@
 // interface plus the session lifecycle (Backend), so anything that
 // executes transactions — a *engine.Session directly, or a router
 // fanning out over several — can sit behind the same wire API. The
-// wire itself is HTTP with a pluggable Codec for the frame bodies
-// (JSON today; the Codec boundary is where a compact binary framing
-// slots in later without touching handlers or clients).
+// wire itself is HTTP, with JSONCodec framing the bodies on both
+// sides.
 //
 // JSONCodec treats a frame by its type and by nothing else. The frames
 // a transaction crosses — ExecRequest and ExecResponse, ErrorResponse,

@@ -46,8 +46,6 @@ type Config struct {
 	// evicted, bounding server state under ephemeral client names. 0
 	// defaults to 30s; negative disables eviction.
 	ClientIdleAfter time.Duration
-	// Codec frames the wire bodies; nil defaults to JSONCodec.
-	Codec Codec
 	// Registry, when set, receives the per-client admission
 	// instruments and gets its /metrics, /snapshot and /debug/pprof/
 	// endpoints mounted on the server's own handler.
@@ -90,9 +88,6 @@ type Server struct {
 
 // New builds a Server over backend.
 func New(backend Backend, cfg Config) *Server {
-	if cfg.Codec == nil {
-		cfg.Codec = JSONCodec{}
-	}
 	if cfg.RetryAfter <= 0 {
 		cfg.RetryAfter = 50 * time.Millisecond
 	}
@@ -105,7 +100,7 @@ func New(backend Backend, cfg Config) *Server {
 		backend: backend,
 		adm:     newAdmission(cfg.MaxInflight, idle, cfg.Registry),
 		mux:     http.NewServeMux(),
-		ctype:   []string{cfg.Codec.ContentType()},
+		ctype:   []string{JSONCodec{}.ContentType()},
 		itxs:    make(map[string]*itx),
 		waits:   make(map[string]*pendingSub),
 		done:    make(chan struct{}),
@@ -201,15 +196,15 @@ func (s *Server) writeCode(w http.ResponseWriter, code, msg string) {
 	}
 	w.Header()["Content-Type"] = s.ctype
 	w.WriteHeader(StatusOf(code))
-	_ = s.cfg.Codec.Encode(w, &resp)
+	_ = JSONCodec{}.Encode(w, &resp)
 }
 
 func (s *Server) writeOK(w http.ResponseWriter, v any) {
 	w.Header()["Content-Type"] = s.ctype
-	_ = s.cfg.Codec.Encode(w, v)
+	_ = JSONCodec{}.Encode(w, v)
 }
 
-// maxFrameBytes caps a request body. A codec may read the whole body
+// maxFrameBytes caps a request body. The codec may read the whole body
 // before it decodes a byte of it, so an uncapped one is as much memory
 // as a client cares to send; a program of 10 000 ops is about 400 kB.
 const maxFrameBytes = 1 << 20
@@ -217,7 +212,7 @@ const maxFrameBytes = 1 << 20
 // decode reads the request's frame into v, answering a body that is
 // too large, cut short, or not a frame with CodeBadRequest.
 func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := s.cfg.Codec.Decode(http.MaxBytesReader(w, r.Body, maxFrameBytes), v); err != nil {
+	if err := (JSONCodec{}).Decode(http.MaxBytesReader(w, r.Body, maxFrameBytes), v); err != nil {
 		s.writeCode(w, CodeBadRequest, "decode: "+err.Error())
 		return false
 	}

@@ -321,7 +321,6 @@ func TestWireCodeTables(t *testing.T) {
 		{engine.ErrClosed, CodeClosed, http.StatusServiceUnavailable},
 		{engine.ErrStopped, CodeStopped, http.StatusServiceUnavailable},
 		{engine.ErrStepBudget, CodeStepBudget, http.StatusServiceUnavailable},
-		{engine.ErrBusy, CodeBusy, http.StatusConflict},
 		{engine.ErrNoCommit, CodeNoCommit, http.StatusInternalServerError},
 		{engine.ErrLiveViolation, CodeViolation, http.StatusServiceUnavailable},
 		{errAbandoned, CodeAbandoned, http.StatusInternalServerError},
@@ -338,7 +337,7 @@ func TestWireCodeTables(t *testing.T) {
 	// Sentinels survive the round trip for every engine sentinel.
 	for _, err := range []error{
 		engine.ErrOverloaded, engine.ErrClosed, engine.ErrStopped,
-		engine.ErrStepBudget, engine.ErrBusy, engine.ErrNoCommit,
+		engine.ErrStepBudget, engine.ErrNoCommit,
 		engine.ErrLiveViolation,
 	} {
 		if back := SentinelOf(CodeOf(err)); !errors.Is(back, err) {

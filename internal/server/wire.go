@@ -10,7 +10,7 @@ import (
 
 // The wire vocabulary: every frame that crosses the protocol
 // boundary, shared verbatim by internal/client. Field names are the
-// JSON wire format; the Codec decides only how frames are encoded,
+// JSON wire format; JSONCodec decides only how frames are encoded,
 // never what they say.
 
 // ClientHeader names the request header carrying the client identity
@@ -164,7 +164,6 @@ const (
 	CodeClosed     = "closed"
 	CodeStopped    = "stopped"
 	CodeStepBudget = "step-budget"
-	CodeBusy       = "busy"
 	CodeNoCommit   = "nocommit"
 	CodeAbandoned  = "abandoned"
 	CodeViolation  = "live-violation"
@@ -188,8 +187,6 @@ func CodeOf(err error) string {
 		return CodeStopped
 	case errors.Is(err, engine.ErrStepBudget):
 		return CodeStepBudget
-	case errors.Is(err, engine.ErrBusy):
-		return CodeBusy
 	case errors.Is(err, engine.ErrLiveViolation):
 		return CodeViolation
 	case errors.Is(err, engine.ErrNoCommit):
@@ -203,15 +200,13 @@ func CodeOf(err error) string {
 
 // StatusOf maps a wire code to its HTTP status. Overload is 429 (back
 // off and retry), lifecycle refusals are 503 (the service is
-// draining, stopped, or out of budget), ErrBusy is a 409 conflict.
+// draining, stopped, or out of budget).
 func StatusOf(code string) int {
 	switch code {
 	case CodeOverloaded:
 		return http.StatusTooManyRequests
 	case CodeClosed, CodeStopped, CodeStepBudget, CodeViolation:
 		return http.StatusServiceUnavailable
-	case CodeBusy:
-		return http.StatusConflict
 	case CodeBadRequest:
 		return http.StatusBadRequest
 	case CodeNotFound:
@@ -237,8 +232,6 @@ func SentinelOf(code string) error {
 		return engine.ErrStopped
 	case CodeStepBudget:
 		return engine.ErrStepBudget
-	case CodeBusy:
-		return engine.ErrBusy
 	case CodeViolation:
 		return engine.ErrLiveViolation
 	case CodeNoCommit:

@@ -206,10 +206,11 @@ type Options struct {
 	// SegmentTxns is the monitor's per-segment transaction budget
 	// (default 48, max 64).
 	SegmentTxns int
-	// QuiesceEvery is the recorded native runs' rendezvous interval in
-	// rounds, planting the quiescent cuts the checker needs. Zero
-	// defaults to 4; a negative value disables the rendezvous (cells
-	// then usually come back undecided under Check).
+	// QuiesceEvery is the recorded native cells' cut interval: the
+	// session pauses for a quiescent cut after every QuiesceEvery ×
+	// (admitted workers) completed transactions, planting the cuts the
+	// checker needs. Zero defaults to 4; a negative value disables the
+	// cuts (cells then usually come back undecided under Check).
 	QuiesceEvery int
 	// Live runs native cells under the in-process monitor: events
 	// stream into the checker while the cell executes, a violation
@@ -267,7 +268,7 @@ func RunMatrix(engines []engine.Engine, specs []Spec, budget Budget, opts Option
 			if live {
 				cfg.Live = true
 				if opts.QuiesceEvery == 0 {
-					// The user disabled the rendezvous; tell the engine
+					// The user disabled the cuts; tell the engine
 					// explicitly or it would substitute its live default.
 					cfg.QuiesceEvery = -1
 				} else {
