@@ -161,12 +161,10 @@ type procParse struct {
 	open *Transaction
 }
 
-// Parser parses histories into transactions like Transactions, but
-// into storage it keeps: what Parse returns is valid only until the
-// next call. It serves callers that parse one bounded window after
-// another, as the streaming checkers do at every cut. The zero value
-// is ready to use.
-type Parser struct {
+// parser parses histories into transactions for Transactions and
+// checks them for CheckWellFormed, in storage that one parse leaves to
+// the next. The zero value is ready to use.
+type parser struct {
 	index map[Proc]int32 // process -> position in procs: the one map a parse needs
 	procs []procParse
 	slab  []Transaction
@@ -174,7 +172,7 @@ type Parser struct {
 	ops   []Op
 }
 
-func (p *Parser) reset() {
+func (p *parser) reset() {
 	if p.index == nil {
 		p.index = make(map[Proc]int32, 8)
 		p.procs = make([]procParse, 0, 8)
@@ -184,7 +182,7 @@ func (p *Parser) reset() {
 }
 
 // of returns the process's state, valid until the next call.
-func (p *Parser) of(proc Proc) *procParse {
+func (p *parser) of(proc Proc) *procParse {
 	i, ok := p.index[proc]
 	if !ok {
 		i = int32(len(p.procs))
@@ -238,7 +236,7 @@ func (s *procParse) step(h History, i int) error {
 // last operation already returned; the paper defines completion at
 // transaction granularity, above the event alphabet.
 func CheckWellFormed(h History) error {
-	var p Parser
+	var p parser
 	p.reset()
 	for i, e := range h {
 		if err := p.of(e.Proc).step(h, i); err != nil {
@@ -255,18 +253,18 @@ func CheckWellFormed(h History) error {
 // The returned slice is ordered by the index of each transaction's
 // first event, which makes iteration deterministic.
 func Transactions(h History) ([]*Transaction, error) {
-	var p Parser
-	return p.Parse(h)
+	var p parser
+	return p.parse(h)
 }
 
-// Parse is Transactions into the parser's storage.
+// parse is Transactions.
 //
 // A first pass checks well-formedness and counts, so the transactions
 // and their operations are each sized once for the whole history: a
 // process's operations occupy one run of the operation slab, in
 // program order, and each transaction's Ops is its stretch of that
 // run.
-func (p *Parser) Parse(h History) ([]*Transaction, error) {
+func (p *parser) parse(h History) ([]*Transaction, error) {
 	p.reset()
 	txnCount, opCount := 0, 0
 	for i, e := range h {
@@ -316,36 +314,12 @@ func (p *Parser) Parse(h History) ([]*Transaction, error) {
 			s.pending = i + 1
 			continue
 		}
-		answered := s.pending != 0
-		var inv Event
-		if answered {
-			inv = h[s.pending-1]
+		if s.pending != 0 {
+			// Unanswered, only a completion abort: it adds no operation.
+			t.Ops = append(t.Ops, OpOf(h[s.pending-1], e))
 			s.pending = 0
 		}
-		switch e.Kind {
-		case RespValue:
-			t.Ops = append(t.Ops, Op{Kind: OpRead, Var: inv.Var, Val: e.Val})
-		case RespOK:
-			t.Ops = append(t.Ops, Op{Kind: OpWrite, Var: inv.Var, Val: inv.Val})
-		case RespCommit:
-			t.Ops = append(t.Ops, Op{Kind: OpTryCommit})
-			t.Status = Committed
-		case RespAbort:
-			if answered {
-				op := Op{Aborted: true}
-				switch inv.Kind {
-				case InvRead:
-					op.Kind, op.Var = OpRead, inv.Var
-				case InvWrite:
-					op.Kind, op.Var, op.Val = OpWrite, inv.Var, inv.Val
-				case InvTryCommit:
-					op.Kind = OpTryCommit
-				}
-				t.Ops = append(t.Ops, op)
-			}
-			t.Status = Aborted
-		}
-		if t.Status != Live {
+		if t.Status = StatusAfter(e); t.Status != Live {
 			s.close()
 		}
 	}
@@ -361,6 +335,43 @@ func (p *Parser) Parse(h History) ([]*Transaction, error) {
 		s.close()
 	}
 	return txns, nil
+}
+
+// OpOf returns the operation that an invocation and its matching
+// response make up.
+func OpOf(inv, resp Event) Op {
+	switch resp.Kind {
+	case RespValue:
+		return Op{Kind: OpRead, Var: inv.Var, Val: resp.Val}
+	case RespOK:
+		return Op{Kind: OpWrite, Var: inv.Var, Val: inv.Val}
+	case RespCommit:
+		return Op{Kind: OpTryCommit}
+	}
+	// An abort answers whichever invocation was pending.
+	op := Op{Aborted: true}
+	switch inv.Kind {
+	case InvRead:
+		op.Kind, op.Var = OpRead, inv.Var
+	case InvWrite:
+		op.Kind, op.Var, op.Val = OpWrite, inv.Var, inv.Val
+	case InvTryCommit:
+		op.Kind = OpTryCommit
+	}
+	return op
+}
+
+// StatusAfter returns the status a transaction has after event e of its
+// process: Committed after a commit, Aborted after an abort, Live
+// otherwise.
+func StatusAfter(e Event) TxnStatus {
+	switch e.Kind {
+	case RespCommit:
+		return Committed
+	case RespAbort:
+		return Aborted
+	}
+	return Live
 }
 
 // close ends the process's open transaction: its operations are the

@@ -359,11 +359,11 @@ func wellFormedHistory(raw []uint8) History {
 	return b.History()
 }
 
-// TestParserReusesStorage: one Parser over many histories yields what
+// TestParserReusesStorage: one parser over many histories yields what
 // Transactions does for each, and once it has seen the largest it
 // allocates only for a pending invocation.
 func TestParserReusesStorage(t *testing.T) {
-	var p Parser
+	var p parser
 	histories := []History{fig1History(), nil, {Read(1, 0)}, fig1History().Append(Read(3, 1), ValueResp(3, 0), Abort(3))}
 	f := func(raw []uint8) bool {
 		histories = append(histories, wellFormedHistory(raw))
@@ -374,7 +374,7 @@ func TestParserReusesStorage(t *testing.T) {
 	}
 	for _, h := range histories {
 		want := mustTransactions(h)
-		got, err := p.Parse(h)
+		got, err := p.parse(h)
 		if err != nil || len(got) != len(want) {
 			t.Fatalf("Parse: %d transactions, err %v; Transactions: %d\n%s", len(got), err, len(want), h)
 		}
@@ -388,14 +388,14 @@ func TestParserReusesStorage(t *testing.T) {
 	}
 	h := fig1History()
 	if n := testing.AllocsPerRun(50, func() {
-		if _, err := p.Parse(h); err != nil {
+		if _, err := p.parse(h); err != nil {
 			t.Fatal(err)
 		}
 	}); n != 0 {
-		t.Errorf("a warm Parser allocates %v times per parse", n)
+		t.Errorf("a warm parser allocates %v times per parse", n)
 	}
-	if _, err := p.Parse(History{OK(1)}); err == nil {
-		t.Error("a warm Parser must still reject a malformed history")
+	if _, err := p.parse(History{OK(1)}); err == nil {
+		t.Error("a warm parser must still reject a malformed history")
 	}
 }
 

@@ -21,7 +21,8 @@
 // A history of at most 64 transactions is one segment, searched once
 // from the initial state; the search stops at the first serialization,
 // which the Result returns as its witness. A longer history goes
-// through a StreamChecker, which cuts it at quiescent points — where
+// through a StreamChecker, which assembles each process's transactions
+// as their events arrive, cuts the stream at quiescent points — where
 // no transaction is live — and propagates the feasible snapshots from
 // segment to segment. Such a verdict carries no witness, and a
 // cut-free stretch of more than 64 transactions is refused with

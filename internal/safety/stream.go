@@ -43,24 +43,34 @@ type SegmentedResult struct {
 // real time, all transactions entirely after it, so every
 // real-time-preserving serialization is one of the part before
 // followed by one of the part after: the parts communicate only
-// through the committed snapshot. Events therefore buffer only while
-// some transaction is open. At every quiescent cut the buffered
-// segment is checked against the feasible committed snapshots so far
-// and discarded, so memory and each search are bounded by one cut-free
-// stretch. One witness per segment would not do, since the next
-// segment may only be explainable from another serialization's final
-// state, so the check is the exact search of kernel.go: it returns every
-// committed snapshot a legal serialization of the segment can end in,
-// branching only among transactions that conflict — the processes of a
-// cut-free stretch that work on different variables are placed in one
-// pass — and the checker parses and searches in storage it keeps, so a
-// steady stream costs one small allocation per segment. This is sound
-// and complete: it accepts exactly the opaque histories among those it
-// can cut, and reports a violation at the earliest cut after it. A
-// stretch that accumulates more than maxTxnsPerSegment completed
-// transactions without quiescing is refused with ErrNoQuiescentCut
-// instead of buffering without bound, and so is a final stretch — its
-// live transactions included — past the search's 64-transaction cap.
+// through the committed snapshot. Feed therefore keeps one window: the
+// transactions since the last cut, in first-event order, each
+// assembled in place as its events arrive. Each process has a slot
+// that holds its pending invocation and points at its open
+// transaction, and an operation joins its transaction when the
+// response arrives, so no event is kept once it is answered. At every
+// quiescent cut the window is checked against the feasible committed
+// snapshots so far and discarded, so memory and each search are
+// bounded by one cut-free stretch. One witness per segment would not
+// do, since the next segment may only be explainable from another
+// serialization's final state, so the check is the exact search of
+// kernel.go: it returns every committed snapshot a legal serialization
+// of the segment can end in, branching only among transactions that
+// conflict — the processes of a cut-free stretch that work on
+// different variables are placed in one pass. The window and the
+// search reuse the storage they keep, so a warm checker allocates only
+// for the snapshots a segment adds to the feasible set. This is sound and complete: it accepts exactly the opaque
+// histories among those it can cut, and reports a violation at the
+// earliest cut after it. A stretch that accumulates more than
+// maxTxnsPerSegment completed transactions without quiescing is
+// refused with ErrNoQuiescentCut instead of growing the window without
+// bound, and so is a final stretch — its live transactions included —
+// past the search's 64-transaction cap.
+//
+// A transaction's First and Last are positions in the whole stream and
+// its Seq counts its process's transactions from the start of the
+// stream, so a violation's reason names transactions as the stream
+// does: T1.100 is process 1's 101st.
 //
 // A violation is terminal: Feed reports it once, wrapped around
 // ErrStreamNotOpaque, and Finish keeps returning the failing verdict.
@@ -70,7 +80,7 @@ type SegmentedResult struct {
 // A checker with WithApproxFallback set does not refuse cut-starved
 // streams: when the budget overflows with transactions still open, it
 // forces a serialization frontier — the completed transactions in the
-// buffer are checked and flushed as a segment even though open
+// window are checked and flushed as a segment even though open
 // transactions overlap the cut, and the final snapshots of that
 // check are propagated — and the verdict degrades to an explicit
 // approximation (SegmentedResult.Approx). A transaction carried open
@@ -90,29 +100,30 @@ type SegmentedResult struct {
 // transaction, is still searched exactly.
 type StreamChecker struct {
 	max      int
-	buf      model.History
 	states   []model.Snapshot
 	segments int
-	// parser, kernel and flushed are scratch the flushes reuse: the
-	// segment's transactions live in the parser until the next parse,
-	// the kernel holds the compiled segment and its search, and flushed
-	// holds the window a forced frontier splits off the buffer.
-	parser  model.Parser
-	kernel  finalsKernel
-	flushed model.History
+	kernel   finalsKernel
 
-	openTxn   map[model.Proc]bool
-	openCount int
-	txnsInBuf int // completed transactions in the buffer
+	// index maps each process seen to its slot. win is the window: the
+	// transactions since the last cut in first-event order, a live one
+	// as a placeholder its slot fills when it completes. ops holds the
+	// operations of the window's completed transactions, and seg is the
+	// window as the kernel takes it.
+	index map[model.Proc]int32
+	slots []procSlot
+	win   []winTxn
+	ops   []model.Op
+	seg   []*model.Transaction
 
-	approx bool // bounded-overlap fallback enabled
-	forced int  // forced frontiers taken
-	// straddler marks processes whose open transaction was carried
-	// across the last forced frontier; see the type comment for why
-	// such a transaction's reads are waived. relaxed counts the
-	// waivers.
-	straddler map[model.Proc]bool
-	relaxed   int
+	pos       int   // stream position of the next event
+	held      int   // events held in the window's transactions
+	openCount int   // live transactions in the window
+	completed int   // completed transactions in the window
+	bad       error // a malformed event Feed has yet to report
+
+	approx  bool // bounded-overlap fallback enabled
+	forced  int  // forced frontiers taken
+	relaxed int  // straddler reads waived; see the type comment
 
 	done   bool  // violation, error or Finish reached
 	err    error // the terminal error, if any
@@ -120,6 +131,28 @@ type StreamChecker struct {
 	reason string
 
 	tel LaneTelemetry // push-style telemetry (bare by default)
+}
+
+// procSlot is one process's state in the stream.
+type procSlot struct {
+	// txn is the process's open transaction, assembled in place; its
+	// Ops storage is kept from one transaction to the next.
+	txn     model.Transaction
+	at      int32       // txn's window position, -1 when none is open
+	pending bool        // inv awaits its response
+	inv     model.Event // the last invocation
+	seq     int         // transactions the process has opened in the stream
+	// straddler marks an open transaction carried across the last
+	// forced frontier; the check that first includes it waives its
+	// reads and clears the mark.
+	straddler bool
+}
+
+// winTxn is a window entry: a transaction, Live while its slot still
+// assembles it, and its process's slot.
+type winTxn struct {
+	t    model.Transaction
+	slot int32
 }
 
 // ErrStreamNotOpaque wraps the verdict a StreamChecker returns from
@@ -136,16 +169,15 @@ func NewStreamChecker(maxTxnsPerSegment int) (*StreamChecker, error) {
 		return nil, fmt.Errorf("%w: segment budget %d exceeds the 64-transaction search cap", ErrTooManyTransactions, maxTxnsPerSegment)
 	}
 	return &StreamChecker{
-		max:       maxTxnsPerSegment,
-		states:    []model.Snapshot{make(model.Snapshot)},
-		openTxn:   make(map[model.Proc]bool),
-		straddler: make(map[model.Proc]bool),
-		tel:       LaneTelemetry{}.orBare(),
+		max:    maxTxnsPerSegment,
+		states: []model.Snapshot{make(model.Snapshot)},
+		index:  make(map[model.Proc]int32),
+		tel:    LaneTelemetry{}.orBare(),
 	}, nil
 }
 
 // WithTelemetry routes the checker's counters (segments, forced
-// frontiers, waived reads) and its buffered-event backlog into the
+// frontiers, waived reads) and its backlog of held events into the
 // given instruments, so a concurrent scraper can watch the lane
 // without racing the checking goroutine. Returns c.
 func (c *StreamChecker) WithTelemetry(t LaneTelemetry) *StreamChecker {
@@ -167,7 +199,7 @@ func (c *StreamChecker) WithApproxFallback() *StreamChecker {
 	return c
 }
 
-// bufferedEvery is how often, in buffered events, Feed refreshes the
+// bufferedEvery is how often, in held events, Feed refreshes the
 // Buffered gauge between flushes: often enough that a cut-starved
 // backlog shows, rarely enough that the gauge's shared write stays off
 // the per-event path. Every flush and forced flush sets it exactly.
@@ -176,7 +208,9 @@ const bufferedEvery = 64
 // Feed consumes one event. A non-nil error is terminal: either the
 // stream revealed an opacity violation (errors.Is ErrStreamNotOpaque),
 // exceeded the segment budget with no quiescent cut (errors.Is
-// ErrNoQuiescentCut), or was malformed.
+// ErrNoQuiescentCut), or was malformed. A malformed event that ends a
+// transaction is reported at once; any other is reported by the next
+// Feed or Finish, since it cannot complete a window.
 func (c *StreamChecker) Feed(e model.Event) error {
 	if c.done {
 		switch {
@@ -187,76 +221,152 @@ func (c *StreamChecker) Feed(e model.Event) error {
 		}
 		return fmt.Errorf("safety: Feed after Finish")
 	}
-	c.buf = append(c.buf, e)
-	if len(c.buf)%bufferedEvery == 0 {
-		c.tel.Buffered.Set(int64(len(c.buf)))
+	if c.bad != nil {
+		return c.fail(c.bad)
 	}
-	p := e.Proc
-	switch {
-	case e.Kind.IsInvocation():
-		if !c.openTxn[p] {
-			c.openTxn[p] = true
-			c.openCount++
+	if err := c.step(e); err != nil {
+		if model.StatusAfter(e) == model.Live {
+			c.bad = err
+			return nil
 		}
-	case e.Kind == model.RespCommit || e.Kind == model.RespAbort:
-		if c.openTxn[p] {
-			c.openTxn[p] = false
-			c.openCount--
-		}
-		c.txnsInBuf++
+		return c.fail(err)
+	}
+	c.held++
+	if c.held%bufferedEvery == 0 {
+		c.tel.Buffered.Set(int64(c.held))
 	}
 	// The budget check comes first: a cut-free stretch of max+1
 	// completed transactions is refused even if its last event happens
-	// to quiesce the buffer, so no segment exceeds the budget and every
+	// to quiesce the window, so no segment exceeds the budget and every
 	// feasibleFinals call stays within the 64-transaction search cap.
 	// With the fallback enabled the stretch is flushed at a forced
 	// frontier instead.
-	if c.txnsInBuf > c.max {
+	if c.completed > c.max {
 		if !c.approx {
-			return c.fail(fmt.Errorf("%w: %d concurrent transactions without a quiescent point", ErrNoQuiescentCut, c.txnsInBuf))
+			return c.fail(fmt.Errorf("%w: %d concurrent transactions without a quiescent point", ErrNoQuiescentCut, c.completed))
 		}
 		return c.forceFlush()
 	}
-	if c.openCount == 0 && c.txnsInBuf > 0 {
+	if c.openCount == 0 && c.completed > 0 {
 		return c.flush()
 	}
 	return nil
 }
 
+// step checks the event against its process's alphabet Σ_k, with
+// CheckWellFormed's one relaxation (a completion abort), and adds it
+// to the process's open transaction: an invocation opens one when
+// there is none and is held until its response arrives, which
+// completes the operation.
+func (c *StreamChecker) step(e model.Event) error {
+	pos := c.pos
+	c.pos++
+	i, ok := c.index[e.Proc]
+	if !ok {
+		i = int32(len(c.slots))
+		c.index[e.Proc] = i
+		c.slots = append(c.slots, procSlot{at: -1})
+	}
+	s := &c.slots[i]
+	switch {
+	case e.Kind.IsInvocation():
+		if s.pending {
+			return malformed(pos, e, "invocation while a previous invocation is pending")
+		}
+		if s.at < 0 {
+			c.open(s, i, e.Proc, pos)
+		}
+		s.inv, s.pending = e, true
+		s.txn.Last = pos
+		return nil
+	case !e.Kind.IsResponse():
+		return malformed(pos, e, "unknown event kind")
+	case s.pending:
+		if !model.Matches(s.inv, e) {
+			return malformed(pos, e, fmt.Sprintf("response does not match invocation %s", s.inv))
+		}
+		s.pending = false
+		s.txn.Ops = append(s.txn.Ops, model.OpOf(s.inv, e))
+	case e.Kind != model.RespAbort || s.at < 0:
+		return malformed(pos, e, "response without a pending invocation")
+	}
+	// A response, or a completion abort, which adds no operation.
+	s.txn.Last = pos
+	if s.txn.Status = model.StatusAfter(e); s.txn.Status != model.Live {
+		c.complete(s)
+	}
+	return nil
+}
+
+func malformed(pos int, e model.Event, msg string) error {
+	return fmt.Errorf("streaming opacity: event %d (%s): %s", pos, e, msg)
+}
+
+// open starts the slot's transaction at pos and reserves its window
+// position, so the window stays in first-event order.
+func (c *StreamChecker) open(s *procSlot, slot int32, p model.Proc, pos int) {
+	c.win = append(c.win, winTxn{t: model.Transaction{Status: model.Live}, slot: slot})
+	s.at = int32(len(c.win) - 1)
+	s.txn = model.Transaction{Proc: p, Seq: s.seq, Status: model.Live, First: pos, Last: pos, Ops: s.txn.Ops[:0]}
+	s.seq++
+	c.openCount++
+}
+
+// complete moves the slot's finished transaction into its window
+// position, its operations into the window's slab.
+func (c *StreamChecker) complete(s *procSlot) {
+	w := &c.win[s.at]
+	w.t = s.txn
+	lo := len(c.ops)
+	c.ops = append(c.ops, s.txn.Ops...)
+	w.t.Ops = c.ops[lo:len(c.ops):len(c.ops)]
+	s.at = -1
+	c.openCount--
+	c.completed++
+}
+
+// gather lays out the window's transactions for the kernel — without
+// the live ones unless withLive — and returns them with the mask of
+// the straddlers among them, whose reads are waived. A straddler is
+// gathered, and its reads waived, once: its mark clears here.
+func (c *StreamChecker) gather(withLive bool) ([]*model.Transaction, uint64) {
+	c.seg = c.seg[:0]
+	var mask uint64
+	for i := range c.win {
+		w := &c.win[i]
+		s := &c.slots[w.slot]
+		if w.t.Status == model.Live {
+			if !withLive {
+				continue
+			}
+			// Completion answers a pending invocation, which the slot
+			// still holds.
+			w.t = s.txn
+			if s.pending {
+				w.t.PendingInv = &s.inv
+			}
+		}
+		if s.straddler {
+			s.straddler = false
+			mask |= 1 << uint(len(c.seg))
+		}
+		c.seg = append(c.seg, &w.t)
+	}
+	if n := bits.OnesCount64(mask); n > 0 {
+		c.relaxed += n
+		c.tel.Relaxed.Add(uint64(n))
+	}
+	return c.seg, mask
+}
+
 // forceFlush is the bounded-overlap fallback: the completed
-// transactions in the buffer are checked and discarded as one segment
-// at a frontier that open transactions still straddle. The events of
-// open transactions stay buffered — each process's remaining
-// subsequence is intact, so the buffer stays a well-formed history —
-// and every later verdict is approximate.
+// transactions in the window are checked and discarded as one segment
+// at a frontier that open transactions still straddle. The open
+// transactions are carried, in order, into the next window as
+// straddlers, and every later verdict is approximate.
 func (c *StreamChecker) forceFlush() error {
-	txns, err := c.parser.Parse(c.buf)
-	if err != nil {
-		return c.fail(fmt.Errorf("streaming opacity: %w", err))
-	}
-	keepFrom := make(map[model.Proc]int, c.openCount)
-	for _, t := range txns {
-		if t.Status == model.Live {
-			// A process's live transaction is its last; everything of
-			// that process from its first event on stays buffered.
-			keepFrom[t.Proc] = t.First
-		}
-	}
-	seg, kept := c.flushed[:0], c.buf[:0]
-	for i, e := range c.buf {
-		if from, ok := keepFrom[e.Proc]; ok && i >= from {
-			kept = append(kept, e)
-		} else {
-			seg = append(seg, e)
-		}
-	}
-	c.flushed, c.buf = seg, kept
 	c.forced++
 	c.tel.Forced.Inc()
-	txns, err = c.parser.Parse(seg)
-	if err != nil {
-		return c.fail(fmt.Errorf("streaming opacity: %w", err))
-	}
 	c.segments++
 	c.tel.Segments.Inc()
 	// The frontier propagates the final snapshots of serializing the
@@ -266,7 +376,8 @@ func (c *StreamChecker) forceFlush() error {
 	// thing only an intermediate state could explain, are waived when
 	// they complete (see the type comment), here as in every later
 	// segment.
-	finals, err := c.kernel.feasibleFinals(txns, c.states, c.waiveMask(txns))
+	txns, mask := c.gather(false)
+	finals, err := c.kernel.feasibleFinals(txns, c.states, mask)
 	if err != nil {
 		return c.fail(err)
 	}
@@ -278,46 +389,32 @@ func (c *StreamChecker) forceFlush() error {
 	}
 	c.states = finals
 	// Every transaction carried across this frontier is a straddler for
-	// the windows ahead; everything else (including previous
-	// straddlers, now flushed) is not.
-	c.straddler = make(map[model.Proc]bool, len(keepFrom))
-	for p := range keepFrom {
-		c.straddler[p] = true
+	// the windows ahead.
+	carried, held := 0, 0
+	for _, w := range c.win {
+		if w.t.Status != model.Live {
+			continue
+		}
+		s := &c.slots[w.slot]
+		s.at, s.straddler = int32(carried), true
+		held += 2 * len(s.txn.Ops)
+		if s.pending {
+			held++
+		}
+		c.win[carried] = w
+		carried++
 	}
-	c.txnsInBuf = 0
-	c.tel.Buffered.Set(int64(len(c.buf)))
+	c.win, c.ops = c.win[:carried], c.ops[:0]
+	c.held, c.completed = held, 0
+	c.tel.Buffered.Set(int64(held))
 	return nil
 }
 
-// waiveMask returns the bitmask over txns selecting each straddler
-// process's first transaction — the one whose opening half predates
-// the last forced frontier — and counts the waivers.
-func (c *StreamChecker) waiveMask(txns []*model.Transaction) uint64 {
-	if len(c.straddler) == 0 {
-		return 0
-	}
-	var mask uint64
-	seen := make(map[model.Proc]bool, len(c.straddler))
-	for i, t := range txns {
-		if !seen[t.Proc] {
-			seen[t.Proc] = true
-			if c.straddler[t.Proc] {
-				mask |= 1 << uint(i)
-			}
-		}
-	}
-	if n := bits.OnesCount64(mask); n > 0 {
-		c.relaxed += n
-		c.tel.Relaxed.Add(uint64(n))
-	}
-	return mask
-}
-
-// flush checks the buffered segment — the history since the previous
-// quiescent cut — against the feasible snapshots and discards it. The
+// flush checks the window — the history since the previous quiescent
+// cut — against the feasible snapshots and discards it. The
 // straddlers of the last forced frontier are flushed with it.
 func (c *StreamChecker) flush() error {
-	next, violation, err := c.checkSegment(c.buf)
+	next, violation, err := c.checkWindow(false)
 	if err != nil {
 		return c.fail(err)
 	}
@@ -326,35 +423,34 @@ func (c *StreamChecker) flush() error {
 		return fmt.Errorf("%w: %s", ErrStreamNotOpaque, violation)
 	}
 	c.states = next
-	c.buf = c.buf[:0]
-	c.txnsInBuf = 0
+	c.win, c.ops = c.win[:0], c.ops[:0]
+	c.held, c.completed = 0, 0
 	c.tel.Buffered.Set(0)
-	if len(c.straddler) > 0 {
-		c.straddler = make(map[model.Proc]bool)
-	}
 	return nil
 }
 
-// checkSegment propagates the feasible committed snapshots through one
-// segment, with the reads of frontier straddlers waived. A non-empty
-// violation string means no legal serialization exists from any
-// feasible predecessor state.
-func (c *StreamChecker) checkSegment(seg model.History) ([]model.Snapshot, string, error) {
-	txns, err := c.parser.Parse(seg)
-	if err != nil {
-		return nil, "", fmt.Errorf("streaming opacity: %w", err)
+// checkWindow propagates the feasible committed snapshots through the
+// window as one segment, its live transactions included when withLive,
+// with the reads of frontier straddlers waived. A non-empty violation
+// string means no legal serialization exists from any feasible
+// predecessor state.
+func (c *StreamChecker) checkWindow(withLive bool) ([]model.Snapshot, string, error) {
+	n := c.completed
+	if withLive {
+		n = len(c.win)
 	}
-	if len(txns) == 0 {
+	if n == 0 {
 		return c.states, "", nil
 	}
-	if len(txns) > 64 {
+	if n > 64 {
 		// Only the final segment can get here: it is the one that may
 		// hold live transactions on top of the budget.
-		return nil, "", fmt.Errorf("%w: %d transactions after the last quiescent point", ErrNoQuiescentCut, len(txns))
+		return nil, "", fmt.Errorf("%w: %d transactions after the last quiescent point", ErrNoQuiescentCut, n)
 	}
 	c.segments++
 	c.tel.Segments.Inc()
-	next, err := c.kernel.feasibleFinals(txns, c.states, c.waiveMask(txns))
+	txns, mask := c.gather(withLive)
+	next, err := c.kernel.feasibleFinals(txns, c.states, mask)
 	if err != nil {
 		return nil, "", err
 	}
@@ -365,12 +461,15 @@ func (c *StreamChecker) checkSegment(seg model.History) ([]model.Snapshot, strin
 	return next, "", nil
 }
 
-// Finish checks whatever remains buffered — including live and
+// Finish checks whatever the window holds — including live and
 // commit-pending transactions, which only the final segment may
 // contain — and returns the verdict for the whole streamed history.
 // Finish is terminal; the checker cannot be fed afterwards, and every
 // later Finish returns what the first did.
 func (c *StreamChecker) Finish() (SegmentedResult, error) {
+	if c.bad != nil && !c.done {
+		c.fail(c.bad)
+	}
 	if c.err != nil {
 		return SegmentedResult{}, c.err
 	}
@@ -378,11 +477,10 @@ func (c *StreamChecker) Finish() (SegmentedResult, error) {
 		return c.result(), nil
 	}
 	c.done = true
-	next, violation, err := c.checkSegment(c.buf)
+	next, violation, err := c.checkWindow(true)
 	if err != nil {
 		return SegmentedResult{}, c.fail(err)
 	}
-	c.buf = nil
 	if violation != "" {
 		c.holds, c.reason = false, violation
 		if c.forced > 0 {

@@ -2,6 +2,7 @@ package safety
 
 import (
 	"errors"
+	"strings"
 	"testing"
 	"testing/quick"
 
@@ -173,6 +174,70 @@ func TestStreamViolationIsTerminal(t *testing.T) {
 	if res.Holds || res.Reason == "" {
 		t.Errorf("Finish after violation = %+v", res)
 	}
+}
+
+// TestStreamViolationNamesStreamWideTransaction: a transaction's ID
+// counts its process's transactions from the start of the stream, not
+// of the window, so a violation after p1's 100 commits names T1.100,
+// p1's 101st transaction.
+func TestStreamViolationNamesStreamWideTransaction(t *testing.T) {
+	b := model.NewBuilder()
+	for i := 0; i < 100; i++ {
+		b.Read(1, 0, model.Value(i)).Write(1, 0, model.Value(i+1)).Commit(1)
+	}
+	b.Read(1, 0, 7).Commit(1) // x holds 100
+	_, err := feedAll(t, b.History(), 4)
+	if !errors.Is(err, ErrStreamNotOpaque) {
+		t.Fatalf("err = %v, want ErrStreamNotOpaque", err)
+	}
+	if want := "segment 101 (transactions T1.100..T1.100)"; !strings.Contains(err.Error(), want) {
+		t.Errorf("violation %q does not name %q", err, want)
+	}
+}
+
+// FuzzStreamAgainstReference holds the streaming checker to the
+// reference search on genHistory's histories, at a budget of 1 to 8
+// transactions. Exact, it agrees with the reference unless it refuses
+// with ErrNoQuiescentCut; with the fallback, a run that took no forced
+// frontier agrees too. The committed corpus under testdata/fuzz holds
+// seeds that cut, refuse, force frontiers and waive straddlers.
+func FuzzStreamAgainstReference(f *testing.F) {
+	f.Add([]byte{0, 7, 2, 3, 9, 4, 1, 12, 5, 3}, byte(1))
+	f.Fuzz(func(t *testing.T, data []byte, budget byte) {
+		h := genHistory(data)
+		want, err := referenceOpacity(h)
+		if err != nil {
+			t.Fatalf("reference: %v\n%s", err, h)
+		}
+		k := int(budget%8) + 1
+		for _, approx := range []bool{false, true} {
+			c, err := NewStreamChecker(k)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if approx {
+				c.WithApproxFallback()
+			}
+			for _, e := range h {
+				if err = c.Feed(e); err != nil {
+					break
+				}
+			}
+			if err != nil && !errors.Is(err, ErrStreamNotOpaque) {
+				if !approx && errors.Is(err, ErrNoQuiescentCut) {
+					continue // refused, not decided
+				}
+				t.Fatalf("budget %d, fallback %t: %v\n%s", k, approx, err, h)
+			}
+			res, err := c.Finish()
+			if err != nil {
+				t.Fatalf("budget %d, fallback %t: Finish: %v\n%s", k, approx, err, h)
+			}
+			if res.ForcedCuts == 0 && res.Holds != want.Holds {
+				t.Fatalf("budget %d, fallback %t: streamed verdict %t (%s), reference %t\n%s", k, approx, res.Holds, res.Reason, want.Holds, h)
+			}
+		}
+	})
 }
 
 // TestStreamFinalSegmentLive: live and commit-pending transactions are
@@ -732,5 +797,6 @@ func (c *StreamChecker) Segments() int { return c.segments }
 // taken so far (always 0 without WithApproxFallback).
 func (c *StreamChecker) ForcedCuts() int { return c.forced }
 
-// Buffered returns the number of events currently buffered.
-func (c *StreamChecker) Buffered() int { return len(c.buf) }
+// Buffered returns the number of events held in the window's
+// transactions.
+func (c *StreamChecker) Buffered() int { return c.held }
