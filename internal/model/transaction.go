@@ -1,6 +1,7 @@
 package model
 
 import (
+	"errors"
 	"fmt"
 	"strings"
 )
@@ -146,12 +147,48 @@ func (e *wfError) Error() string {
 	return fmt.Sprintf("event %d (%s): %s", e.Index, e.Event, e.Msg)
 }
 
+// Cursor is one process's place in its alphabet Σ_k: whether it has
+// an open transaction, and the invocation, if any, that awaits its
+// response. The zero value is a process before its first event.
+type Cursor struct {
+	Inv     Event // the pending invocation, while Pending
+	Pending bool
+	InTxn   bool
+}
+
+// Step checks e, the process's next event, against Σ_k, with
+// CheckWellFormed's one relaxation (a completion abort), and advances
+// the cursor over it. When e answers the pending invocation, Step
+// returns the operation the two make up and true.
+func (c *Cursor) Step(e Event) (Op, bool, error) {
+	switch {
+	case e.Kind.IsInvocation():
+		if c.Pending {
+			return Op{}, false, errors.New("invocation while a previous invocation is pending")
+		}
+		c.Inv, c.Pending, c.InTxn = e, true, true
+		return Op{}, false, nil
+	case !e.Kind.IsResponse():
+		return Op{}, false, errors.New("unknown event kind")
+	case !c.Pending:
+		if e.Kind == RespAbort && c.InTxn {
+			c.InTxn = false
+			return Op{}, false, nil
+		}
+		return Op{}, false, errors.New("response without a pending invocation")
+	case !Matches(c.Inv, e):
+		return Op{}, false, fmt.Errorf("response does not match invocation %s", c.Inv)
+	}
+	c.Pending = false
+	if StatusAfter(e) != Live {
+		c.InTxn = false
+	}
+	return opOf(c.Inv, e), true, nil
+}
+
 // procParse is one process's state while a history is parsed.
 type procParse struct {
-	// pending is 1 + the index of the process's unanswered invocation,
-	// 0 when it has none.
-	pending int
-	inTxn   bool // the process has an open transaction
+	cur Cursor
 
 	// Transactions only: the process's completed operations (counted by
 	// the first pass, then the next free slot of its run in the
@@ -192,38 +229,6 @@ func (p *parser) of(proc Proc) *procParse {
 	return &p.procs[i]
 }
 
-// step checks event i against the process's alphabet and advances the
-// state over it.
-func (s *procParse) step(h History, i int) error {
-	e := h[i]
-	switch {
-	case e.Kind.IsInvocation():
-		if s.pending != 0 {
-			return &wfError{i, e, "invocation while a previous invocation is pending"}
-		}
-		s.pending = i + 1
-		s.inTxn = true
-	case e.Kind.IsResponse():
-		if s.pending == 0 {
-			if e.Kind == RespAbort && s.inTxn {
-				s.inTxn = false // completion abort
-				return nil
-			}
-			return &wfError{i, e, "response without a pending invocation"}
-		}
-		if inv := h[s.pending-1]; !Matches(inv, e) {
-			return &wfError{i, e, fmt.Sprintf("response does not match invocation %s", inv)}
-		}
-		s.pending = 0
-		if e.Kind == RespCommit || e.Kind == RespAbort {
-			s.inTxn = false
-		}
-	default:
-		return &wfError{i, e, "unknown event kind"}
-	}
-	return nil
-}
-
 // CheckWellFormed verifies that the history is a valid sequence over
 // the per-process alphabets Σ_k: for every process, events strictly
 // alternate invocation–response with matching pairs, starting with an
@@ -239,8 +244,8 @@ func CheckWellFormed(h History) error {
 	var p parser
 	p.reset()
 	for i, e := range h {
-		if err := p.of(e.Proc).step(h, i); err != nil {
-			return err
+		if _, _, err := p.of(e.Proc).cur.Step(e); err != nil {
+			return &wfError{i, e, err.Error()}
 		}
 	}
 	return nil
@@ -269,15 +274,16 @@ func (p *parser) parse(h History) ([]*Transaction, error) {
 	txnCount, opCount := 0, 0
 	for i, e := range h {
 		s := p.of(e.Proc)
-		if e.Kind.IsInvocation() && !s.inTxn {
+		if e.Kind.IsInvocation() && !s.cur.InTxn {
 			txnCount++
 		}
-		if s.pending != 0 {
-			s.ops++ // every answer to an invocation completes an operation
-			opCount++
+		_, answered, err := s.cur.Step(e)
+		if err != nil {
+			return nil, &wfError{i, e, err.Error()}
 		}
-		if err := s.step(h, i); err != nil {
-			return nil, err
+		if answered {
+			s.ops++
+			opCount++
 		}
 	}
 	if txnCount == 0 {
@@ -295,7 +301,7 @@ func (p *parser) parse(h History) ([]*Transaction, error) {
 	for i := range p.procs {
 		s := &p.procs[i]
 		next, s.ops = next+s.ops, next
-		s.pending = 0
+		s.cur = Cursor{}
 	}
 
 	for i, e := range h {
@@ -310,14 +316,9 @@ func (p *parser) parse(h History) ([]*Transaction, error) {
 			txns = append(txns, t)
 		}
 		t.Last = i
-		if e.Kind.IsInvocation() {
-			s.pending = i + 1
-			continue
-		}
-		if s.pending != 0 {
-			// Unanswered, only a completion abort: it adds no operation.
-			t.Ops = append(t.Ops, OpOf(h[s.pending-1], e))
-			s.pending = 0
+		// The first pass found the history well-formed.
+		if op, answered, _ := s.cur.Step(e); answered {
+			t.Ops = append(t.Ops, op)
 		}
 		if t.Status = StatusAfter(e); t.Status != Live {
 			s.close()
@@ -328,8 +329,8 @@ func (p *parser) parse(h History) ([]*Transaction, error) {
 		if s.open == nil {
 			continue
 		}
-		if s.pending != 0 {
-			inv := h[s.pending-1]
+		if s.cur.Pending {
+			inv := s.cur.Inv
 			s.open.PendingInv = &inv
 		}
 		s.close()
@@ -337,9 +338,9 @@ func (p *parser) parse(h History) ([]*Transaction, error) {
 	return txns, nil
 }
 
-// OpOf returns the operation that an invocation and its matching
+// opOf returns the operation that an invocation and its matching
 // response make up.
-func OpOf(inv, resp Event) Op {
+func opOf(inv, resp Event) Op {
 	switch resp.Kind {
 	case RespValue:
 		return Op{Kind: OpRead, Var: inv.Var, Val: resp.Val}

@@ -41,31 +41,32 @@ type SegmentedResult struct {
 // Long histories usually have quiescent cuts: points where no
 // transaction is open. Transactions entirely before a cut precede, in
 // real time, all transactions entirely after it, so every
-// real-time-preserving serialization is one of the part before
-// followed by one of the part after: the parts communicate only
-// through the committed snapshot. Feed therefore keeps one window: the
-// transactions since the last cut, in first-event order, each
-// assembled in place as its events arrive. Each process has a slot
-// that holds its pending invocation and points at its open
-// transaction, and an operation joins its transaction when the
-// response arrives, so no event is kept once it is answered. At every
-// quiescent cut the window is checked against the feasible committed
-// snapshots so far and discarded, so memory and each search are
-// bounded by one cut-free stretch. One witness per segment would not
-// do, since the next segment may only be explainable from another
-// serialization's final state, so the check is the exact search of
-// kernel.go: it returns every committed snapshot a legal serialization
-// of the segment can end in, branching only among transactions that
-// conflict — the processes of a cut-free stretch that work on
-// different variables are placed in one pass. The window and the
-// search reuse the storage they keep, so a warm checker allocates only
-// for the snapshots a segment adds to the feasible set. This is sound and complete: it accepts exactly the opaque
-// histories among those it can cut, and reports a violation at the
-// earliest cut after it. A stretch that accumulates more than
-// maxTxnsPerSegment completed transactions without quiescing is
-// refused with ErrNoQuiescentCut instead of growing the window without
-// bound, and so is a final stretch — its live transactions included —
-// past the search's 64-transaction cap.
+// real-time-preserving serialization is one of the part before followed
+// by one of the part after: the parts communicate only through the
+// committed snapshot. Feed therefore keeps one window: the transactions
+// since the last cut, in first-event order, each assembled in place as
+// its events arrive. Each process has a slot that holds its open
+// transaction and its pending invocation; an operation joins the
+// transaction when the response arrives, so no event is kept once it is
+// answered, and the transaction moves into the window position it took
+// at its first event when it completes. At every quiescent cut the
+// window is checked against the feasible committed snapshots so far and
+// discarded, so memory and each search are bounded by one cut-free
+// stretch. One witness per segment would not do, since the next segment
+// may only be explainable from another serialization's final state, so
+// the check is the exact search of kernel.go: it returns every
+// committed snapshot a legal serialization of the segment can end in,
+// branching only among transactions that conflict — the processes of a
+// cut-free stretch that work on different variables are placed in one
+// pass. The window and the search reuse the storage they keep, so a
+// warm checker allocates only for the snapshots a segment adds to the
+// feasible set. This is sound and complete: it accepts exactly the
+// opaque histories among those it can cut, and reports a violation at
+// the earliest cut after it. A stretch that accumulates more than
+// maxTxnsPerSegment completed transactions without quiescing is refused
+// with ErrNoQuiescentCut instead of growing the window without bound,
+// and so is a final stretch — its live transactions included — past the
+// search's 64-transaction cap.
 //
 // A transaction's First and Last are positions in the whole stream and
 // its Seq counts its process's transactions from the start of the
@@ -137,11 +138,10 @@ type StreamChecker struct {
 type procSlot struct {
 	// txn is the process's open transaction, assembled in place; its
 	// Ops storage is kept from one transaction to the next.
-	txn     model.Transaction
-	at      int32       // txn's window position, -1 when none is open
-	pending bool        // inv awaits its response
-	inv     model.Event // the last invocation
-	seq     int         // transactions the process has opened in the stream
+	txn model.Transaction
+	at  int32        // txn's window position, -1 when none is open
+	cur model.Cursor // the process's place in its alphabet
+	seq int          // transactions the process has opened in the stream
 	// straddler marks an open transaction carried across the last
 	// forced frontier; the check that first includes it waives its
 	// reads and clears the mark.
@@ -245,19 +245,17 @@ func (c *StreamChecker) Feed(e model.Event) error {
 		if !c.approx {
 			return c.fail(fmt.Errorf("%w: %d concurrent transactions without a quiescent point", ErrNoQuiescentCut, c.completed))
 		}
-		return c.forceFlush()
+		return c.flush(true)
 	}
 	if c.openCount == 0 && c.completed > 0 {
-		return c.flush()
+		return c.flush(false)
 	}
 	return nil
 }
 
-// step checks the event against its process's alphabet Σ_k, with
-// CheckWellFormed's one relaxation (a completion abort), and adds it
-// to the process's open transaction: an invocation opens one when
-// there is none and is held until its response arrives, which
-// completes the operation.
+// step checks the event against its process's alphabet and adds it to
+// the process's open transaction: an invocation opens one when there
+// is none, and a response completes the pending operation.
 func (c *StreamChecker) step(e model.Event) error {
 	pos := c.pos
 	c.pos++
@@ -268,38 +266,21 @@ func (c *StreamChecker) step(e model.Event) error {
 		c.slots = append(c.slots, procSlot{at: -1})
 	}
 	s := &c.slots[i]
-	switch {
-	case e.Kind.IsInvocation():
-		if s.pending {
-			return malformed(pos, e, "invocation while a previous invocation is pending")
-		}
-		if s.at < 0 {
-			c.open(s, i, e.Proc, pos)
-		}
-		s.inv, s.pending = e, true
-		s.txn.Last = pos
-		return nil
-	case !e.Kind.IsResponse():
-		return malformed(pos, e, "unknown event kind")
-	case s.pending:
-		if !model.Matches(s.inv, e) {
-			return malformed(pos, e, fmt.Sprintf("response does not match invocation %s", s.inv))
-		}
-		s.pending = false
-		s.txn.Ops = append(s.txn.Ops, model.OpOf(s.inv, e))
-	case e.Kind != model.RespAbort || s.at < 0:
-		return malformed(pos, e, "response without a pending invocation")
+	if e.Kind.IsInvocation() && !s.cur.InTxn {
+		c.open(s, i, e.Proc, pos)
 	}
-	// A response, or a completion abort, which adds no operation.
+	op, answered, err := s.cur.Step(e)
+	if err != nil {
+		return fmt.Errorf("streaming opacity: event %d (%s): %w", pos, e, err)
+	}
+	if answered {
+		s.txn.Ops = append(s.txn.Ops, op)
+	}
 	s.txn.Last = pos
 	if s.txn.Status = model.StatusAfter(e); s.txn.Status != model.Live {
 		c.complete(s)
 	}
 	return nil
-}
-
-func malformed(pos int, e model.Event, msg string) error {
-	return fmt.Errorf("streaming opacity: event %d (%s): %s", pos, e, msg)
 }
 
 // open starts the slot's transaction at pos and reserves its window
@@ -342,8 +323,8 @@ func (c *StreamChecker) gather(withLive bool) ([]*model.Transaction, uint64) {
 			// Completion answers a pending invocation, which the slot
 			// still holds.
 			w.t = s.txn
-			if s.pending {
-				w.t.PendingInv = &s.inv
+			if s.cur.Pending {
+				w.t.PendingInv = &s.cur.Inv
 			}
 		}
 		if s.straddler {
@@ -359,37 +340,37 @@ func (c *StreamChecker) gather(withLive bool) ([]*model.Transaction, uint64) {
 	return c.seg, mask
 }
 
-// forceFlush is the bounded-overlap fallback: the completed
-// transactions in the window are checked and discarded as one segment
-// at a frontier that open transactions still straddle. The open
-// transactions are carried, in order, into the next window as
-// straddlers, and every later verdict is approximate.
-func (c *StreamChecker) forceFlush() error {
-	c.forced++
-	c.tel.Forced.Inc()
-	c.segments++
-	c.tel.Segments.Inc()
-	// The frontier propagates the final snapshots of serializing the
+// flush checks the completed transactions of the window — the history
+// since the previous cut — against the feasible snapshots as one
+// segment and discards them; the straddlers of the last forced
+// frontier are flushed with them once complete. At a quiescent cut
+// that is the whole window. A forced frontier is the bounded-overlap
+// fallback: it flushes while open transactions still straddle the
+// cut, carries them, in order, into the next window as straddlers,
+// and makes every later verdict approximate.
+func (c *StreamChecker) flush(forced bool) error {
+	if forced {
+		c.forced++
+		c.tel.Forced.Inc()
+	}
+	// A frontier propagates the final snapshots of serializing the
 	// flushed window — not the visited intermediates — so post-frontier
 	// transactions are re-checked against exactly the states a real cut
 	// would have left. The straddlers' pre-frontier reads, the one
 	// thing only an intermediate state could explain, are waived when
-	// they complete (see the type comment), here as in every later
-	// segment.
-	txns, mask := c.gather(false)
-	finals, err := c.kernel.feasibleFinals(txns, c.states, mask)
+	// they complete (see the type comment).
+	next, violation, err := c.checkWindow(false)
 	if err != nil {
 		return c.fail(err)
 	}
-	if len(finals) == 0 {
-		c.done, c.holds = true, false
-		c.reason = fmt.Sprintf("forced segment %d (transactions %s..%s) admits no legal serialization from any feasible predecessor state (approximate: at forced frontier %d)",
-			c.segments, txns[0].ID(), txns[len(txns)-1].ID(), c.forced)
-		return fmt.Errorf("%w: %s", ErrStreamNotOpaque, c.reason)
+	if violation != "" {
+		if forced {
+			violation = fmt.Sprintf("forced %s (approximate: at forced frontier %d)", violation, c.forced)
+		}
+		c.done, c.holds, c.reason = true, false, violation
+		return fmt.Errorf("%w: %s", ErrStreamNotOpaque, violation)
 	}
-	c.states = finals
-	// Every transaction carried across this frontier is a straddler for
-	// the windows ahead.
+	c.states = next
 	carried, held := 0, 0
 	for _, w := range c.win {
 		if w.t.Status != model.Live {
@@ -398,7 +379,7 @@ func (c *StreamChecker) forceFlush() error {
 		s := &c.slots[w.slot]
 		s.at, s.straddler = int32(carried), true
 		held += 2 * len(s.txn.Ops)
-		if s.pending {
+		if s.cur.Pending {
 			held++
 		}
 		c.win[carried] = w
@@ -407,25 +388,6 @@ func (c *StreamChecker) forceFlush() error {
 	c.win, c.ops = c.win[:carried], c.ops[:0]
 	c.held, c.completed = held, 0
 	c.tel.Buffered.Set(int64(held))
-	return nil
-}
-
-// flush checks the window — the history since the previous quiescent
-// cut — against the feasible snapshots and discards it. The
-// straddlers of the last forced frontier are flushed with it.
-func (c *StreamChecker) flush() error {
-	next, violation, err := c.checkWindow(false)
-	if err != nil {
-		return c.fail(err)
-	}
-	if violation != "" {
-		c.done, c.holds, c.reason = true, false, violation
-		return fmt.Errorf("%w: %s", ErrStreamNotOpaque, violation)
-	}
-	c.states = next
-	c.win, c.ops = c.win[:0], c.ops[:0]
-	c.held, c.completed = 0, 0
-	c.tel.Buffered.Set(0)
 	return nil
 }
 
