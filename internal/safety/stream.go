@@ -118,8 +118,7 @@ type StreamChecker struct {
 
 	pos       int   // stream position of the next event
 	held      int   // events held in the window's transactions
-	openCount int   // live transactions in the window
-	completed int   // completed transactions in the window
+	completed int   // completed transactions in the window; the rest are live
 	bad       error // a malformed event Feed has yet to report
 
 	approx  bool // bounded-overlap fallback enabled
@@ -247,7 +246,7 @@ func (c *StreamChecker) Feed(e model.Event) error {
 		}
 		return c.flush(true)
 	}
-	if c.openCount == 0 && c.completed > 0 {
+	if c.completed == len(c.win) && c.completed > 0 {
 		return c.flush(false)
 	}
 	return nil
@@ -290,7 +289,6 @@ func (c *StreamChecker) open(s *procSlot, slot int32, p model.Proc, pos int) {
 	s.at = int32(len(c.win) - 1)
 	s.txn = model.Transaction{Proc: p, Seq: s.seq, Status: model.Live, First: pos, Last: pos, Ops: s.txn.Ops[:0]}
 	s.seq++
-	c.openCount++
 }
 
 // complete moves the slot's finished transaction into its window
@@ -302,7 +300,6 @@ func (c *StreamChecker) complete(s *procSlot) {
 	c.ops = append(c.ops, s.txn.Ops...)
 	w.t.Ops = c.ops[lo:len(c.ops):len(c.ops)]
 	s.at = -1
-	c.openCount--
 	c.completed++
 }
 
