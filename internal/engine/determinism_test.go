@@ -4,6 +4,8 @@ import (
 	"bytes"
 	"crypto/sha256"
 	"encoding/hex"
+	"errors"
+	"fmt"
 	"testing"
 
 	"livetm/internal/adversary"
@@ -130,5 +132,83 @@ func TestAlgorithm1CrashDigest(t *testing.T) {
 	}
 	if got := historyDigest(t, res.History); got != alg1CrashDigest {
 		t.Errorf("Algorithm 1 crash history digest %s, pinned %s", got, alg1CrashDigest)
+	}
+}
+
+// simRunGolden pins the whole outcome of four simulated Run shapes
+// that TestSimTraceDigests does not reach: every Stats counter, the
+// step count, the returned error and the trace digest.
+var simRunGolden = map[string]string{
+	"bounded":     "commits=15 aborts=5 nocommits=0 per-proc=[5 5 5] steps=79 err=<nil> digest=8d0d85990f6752e8f0a47a118f9a147d8508c229fe17fed0d93179da62db88ef",
+	"declines":    "commits=530 aborts=140 nocommits=530 per-proc=[165 193 172] steps=3000 err=<nil> digest=ba66174f6220f8d1c5608ba58528a5ce7c4b17ea4424999610afd47aea97f515",
+	"terminal":    "commits=11 aborts=0 nocommits=0 per-proc=[4 3 4] steps=126 err=terminal body error digest=cd31db8364627b6ff5d0e3020b2905f7189e2705a01d96d57529bce1e6a60f70",
+	"partitioned": "commits=92 aborts=0 nocommits=0 per-proc=[19 19 18 18 18] steps=1500 err=<nil> digest=82f5a24e56c3beb092d0370891a638390480c1c811cb15b564bbd9a717d200a7",
+}
+
+// simRunShapes are the runs simRunGolden pins.
+var simRunShapes = []struct {
+	name   string
+	engine string
+	cfg    RunConfig
+	body   TxBody
+}{
+	// OpsPerProc rounds per process, done long before the budget.
+	{"bounded", "sim-norec", RunConfig{Procs: 3, Vars: 4, Seed: 3, OpsPerProc: 5, SimSteps: 100000, Record: true}, goldenBody(4)},
+	// Every other round reads and declines to commit.
+	{"declines", "sim-dstm", RunConfig{Procs: 3, Vars: 4, Seed: 5, SimSteps: 3000, Record: true},
+		func(proc, round int, tx Tx) error {
+			if round%2 == 0 {
+				return goldenBody(4)(proc, round, tx)
+			}
+			if _, err := tx.Read((proc + round) % 4); err != nil {
+				return err
+			}
+			return ErrNoCommit
+		}},
+	// Process 1 fails terminally in its fourth round, holding the lock.
+	{"terminal", "sim-glock", RunConfig{Procs: 3, Vars: 4, Seed: 9, SimSteps: 5000, Record: true},
+		func(proc, round int, tx Tx) error {
+			if proc == 1 && round == 3 {
+				if err := tx.Write(2, 7); err != nil {
+					return err
+				}
+				return errors.New("terminal body error")
+			}
+			return goldenBody(4)(proc, round, tx)
+		}},
+	// Five processes on disjoint 16-variable partitions of 80, each
+	// round reading one variable and incrementing four.
+	{"partitioned", "sim-tl2", RunConfig{Procs: 5, Vars: 80, Seed: 1, SimSteps: 1500, Record: true},
+		func(proc, round int, tx Tx) error {
+			base := 16 * proc
+			if _, err := tx.Read(base + round%16); err != nil {
+				return err
+			}
+			for k := 1; k <= 4; k++ {
+				x := base + (round*5+k*3)%16
+				v, err := tx.Read(x)
+				if err != nil {
+					return err
+				}
+				if err := tx.Write(x, v+1); err != nil {
+					return err
+				}
+			}
+			return nil
+		}},
+}
+
+func TestSimRunGolden(t *testing.T) {
+	for _, sh := range simRunShapes {
+		e, ok := Lookup(sh.engine)
+		if !ok {
+			t.Fatalf("%s is not registered", sh.engine)
+		}
+		st, err := e.Run(sh.cfg, sh.body)
+		got := fmt.Sprintf("commits=%d aborts=%d nocommits=%d per-proc=%v steps=%d err=%v digest=%s",
+			st.Commits, st.Aborts, st.NoCommits, st.PerProcCommits, st.Steps, err, historyDigest(t, st.History))
+		if want := simRunGolden[sh.name]; got != want {
+			t.Errorf("%s on %s:\n got  %s\n want %s", sh.name, sh.engine, got, want)
+		}
 	}
 }
