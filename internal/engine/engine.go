@@ -135,6 +135,28 @@ func (cfg RunConfig) validate(sub Substrate) error {
 	return cfg.session().validate(sub)
 }
 
+// validateSim checks a simulated run. The scheduler runs the rounds
+// itself, so the native-only knobs are refused rather than ignored.
+func (cfg RunConfig) validateSim() error {
+	switch {
+	case cfg.Procs <= 0:
+		return fmt.Errorf("engine: need a positive process count, got %d", cfg.Procs)
+	case cfg.Vars <= 0:
+		return fmt.Errorf("engine: need a positive variable count, got %d", cfg.Vars)
+	case cfg.SimSteps <= 0:
+		return fmt.Errorf("engine: simulated runs need a positive SimSteps budget")
+	case cfg.OpsPerProc < 0:
+		return fmt.Errorf("engine: OpsPerProc must be non-negative, got %d", cfg.OpsPerProc)
+	case cfg.Live:
+		return fmt.Errorf("engine: live monitoring needs the native substrate (simulated histories are checked after the run)")
+	case cfg.QuiesceEvery != 0:
+		return fmt.Errorf("engine: QuiesceEvery needs the native substrate (a simulated run has no concurrent transactions to pause)")
+	case cfg.Telemetry != nil:
+		return fmt.Errorf("engine: Telemetry needs the native substrate")
+	}
+	return nil
+}
+
 // Stats aggregates one run.
 type Stats struct {
 	// Commits and Aborts count committed transactions and aborted

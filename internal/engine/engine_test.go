@@ -7,6 +7,7 @@ import (
 
 	"livetm/internal/model"
 	"livetm/internal/safety"
+	"livetm/internal/telemetry"
 )
 
 // mixedBody returns a deterministic pseudo-random read/write body
@@ -109,7 +110,11 @@ func TestRunConfigValidation(t *testing.T) {
 	}{
 		{s, RunConfig{Procs: 0, Vars: 1, SimSteps: 10}},
 		{s, RunConfig{Procs: 1, Vars: 0, SimSteps: 10}},
-		{s, RunConfig{Procs: 1, Vars: 1}},                                 // no step budget
+		{s, RunConfig{Procs: 1, Vars: 1}}, // no step budget
+		{s, RunConfig{Procs: 1, Vars: 1, SimSteps: 10, OpsPerProc: -1}},
+		{s, RunConfig{Procs: 1, Vars: 1, SimSteps: 10, Live: true}},
+		{s, RunConfig{Procs: 1, Vars: 1, SimSteps: 10, Record: true, QuiesceEvery: 2}},
+		{s, RunConfig{Procs: 1, Vars: 1, SimSteps: 10, Telemetry: telemetry.NewRegistry()}},
 		{n, RunConfig{Procs: 1, Vars: 1}},                                 // no ops budget
 		{n, RunConfig{Procs: 1, Vars: 1, OpsPerProc: 1, QuiesceEvery: 2}}, // quiesce without recording
 		{n, RunConfig{Procs: 1, Vars: 1, OpsPerProc: 1, Record: true, QuiesceEvery: -1}},

@@ -1,6 +1,7 @@
 package engine
 
 import (
+	"errors"
 	"fmt"
 
 	"livetm/internal/model"
@@ -96,12 +97,69 @@ func (e *Sim) Open(cfg SessionConfig) (*Session, error) {
 	return &Session{name: e.Name(), b: b}, nil
 }
 
-// Run implements Engine as a batch wrapper over Open: one session,
-// cfg.Procs workers, OpsPerProc pinned rounds per worker (0 keeps
-// every worker loaded until the step budget runs out).
+// Run implements Engine as one deterministic loop: it spawns
+// cfg.Procs simulated processes, each running its rounds (all of them
+// when OpsPerProc is 0) through the retry logic, and steps the seeded
+// scheduler until SimSteps is spent, a body fails terminally, or
+// nothing is runnable.
+//
+// A terminal body error has no abort request to issue for the
+// implicit transaction, so the process ends like a crash, holding
+// whatever it holds, and the run stops at that step. A declined round
+// (ErrNoCommit) leaves the implicit transaction live, the parasitic
+// behaviour of §3.1, and yields so a body that issued no operation
+// cannot monopolize the scheduler.
 func (e *Sim) Run(cfg RunConfig, body TxBody) (Stats, error) {
-	if err := cfg.validate(Simulated); err != nil {
+	if err := cfg.validateSim(); err != nil {
 		return Stats{}, err
 	}
-	return runOnSession(e, cfg, body)
+	tm := e.factory(cfg.Procs, cfg.Vars)
+	var rec *stm.Recorder
+	if cfg.Record {
+		rec = stm.NewRecorder(tm)
+		tm = rec
+	}
+	sched := sim.New(sim.NewSeeded(cfg.Seed))
+	st := Stats{PerProcCommits: make([]uint64, cfg.Procs)}
+	var fatal error
+	for p := range cfg.Procs {
+		err := sched.Spawn(model.Proc(p+1), func(env *sim.Env) {
+			for round := 0; cfg.OpsPerProc == 0 || round < cfg.OpsPerProc; round++ {
+				for {
+					tx := &simTx{tm: tm, env: env, vars: cfg.Vars}
+					err := body(p, round, tx)
+					if errors.Is(err, ErrNoCommit) {
+						st.NoCommits++
+						env.Yield()
+						break
+					}
+					if err == nil && !tx.aborted {
+						if tm.TryCommit(env) == stm.OK {
+							st.PerProcCommits[p]++
+							break
+						}
+					} else if err != nil && !errors.Is(err, ErrAborted) {
+						fatal = err
+						return
+					}
+					st.Aborts++
+				}
+			}
+		})
+		if err != nil {
+			sched.Close()
+			return Stats{}, err
+		}
+	}
+	for st.Steps < cfg.SimSteps && fatal == nil && sched.Step() {
+		st.Steps++
+	}
+	sched.Close()
+	for _, c := range st.PerProcCommits {
+		st.Commits += c
+	}
+	if rec != nil {
+		st.History = rec.History()
+	}
+	return st, fatal
 }
