@@ -1040,13 +1040,6 @@ func cmdServe(args []string) error {
 			return fmt.Errorf("serve: %s cannot be combined with -live=false (quiescent cuts and the segment budget belong to the resident monitor)", strings.Join(conflict, ", "))
 		}
 	}
-	e, ok := engine.Lookup(*name)
-	if !ok {
-		return fmt.Errorf("serve: unknown engine %q", *name)
-	}
-	if e.Capabilities().Substrate != engine.Native {
-		return fmt.Errorf("serve: %s is not a native engine (the soak service needs real concurrency)", *name)
-	}
 	spec, err := matrixCell(*workers, *mixName, *contentionName, *sharing)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -1055,7 +1048,8 @@ func cmdServe(args []string) error {
 	// lines read the registry, and the overhead budget the root
 	// BenchmarkTelemetryOverhead enforces keeps it cheap either way.
 	reg := telemetry.NewRegistry()
-	s, err := e.Open(engine.SessionConfig{
+	s, err := engine.Open(engine.SessionConfig{
+		Engine:          *name,
 		Workers:         *workers,
 		Vars:            spec.Vars,
 		Live:            *live,
@@ -1064,7 +1058,7 @@ func cmdServe(args []string) error {
 		Telemetry:       reg,
 	})
 	if err != nil {
-		return err
+		return fmt.Errorf("serve: %w", err)
 	}
 	var wsrv *server.Server
 	if *listen != "" {
@@ -1073,7 +1067,7 @@ func cmdServe(args []string) error {
 			RetryAfter:  *retryAfter,
 			Registry:    reg,
 			Info: server.InfoResponse{
-				Engine: e.Name(), Workers: *workers, Vars: spec.Vars, Live: *live,
+				Engine: s.Name(), Workers: *workers, Vars: spec.Vars, Live: *live,
 			},
 		})
 		ln, err := net.Listen("tcp", *listen)
@@ -1109,7 +1103,7 @@ func cmdServe(args []string) error {
 		fmt.Printf("serve: flight recorder appending to %s every %v\n", *flight, *flightEvery)
 	}
 	fmt.Printf("serve: %s serving %s with %d workers, %d submitters (live=%v)\n",
-		e.Name(), spec.Name, *workers, *submitters, *live)
+		s.Name(), spec.Name, *workers, *submitters, *live)
 
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()

@@ -125,14 +125,14 @@ type RunConfig struct {
 	Telemetry *telemetry.Registry
 }
 
-// validate defers to the session validation of the run's mapped shape
-// (RunConfig.session), adding only the batch-specific budget rule, so
-// the two entry points share one rule set.
-func (cfg RunConfig) validate(sub Substrate) error {
-	if sub == Native && cfg.OpsPerProc <= 0 {
+// validate checks a native run: the session validation of the run's
+// mapped shape (RunConfig.session) plus the batch budget rule, so the
+// two native entry points share one rule set.
+func (cfg RunConfig) validate() error {
+	if cfg.OpsPerProc <= 0 {
 		return fmt.Errorf("engine: native runs need a positive OpsPerProc budget")
 	}
-	return cfg.session().validate(sub)
+	return cfg.session().validate()
 }
 
 // validateSim checks a simulated run. The scheduler runs the rounds
@@ -242,15 +242,12 @@ type Engine interface {
 	Algorithm() string
 	// Capabilities reports what the substrate supports.
 	Capabilities() Capabilities
-	// Open starts a long-lived Session: a fresh TM instance with a
-	// worker pool serving client-submitted transactions until Close.
-	// Any number of sessions may be open concurrently; cfg.Engine is
-	// ignored (the receiver is the engine).
-	Open(cfg SessionConfig) (*Session, error)
 	// Run executes body as repeated transactions on cfg.Procs
-	// processes and returns the aggregate statistics — the batch
-	// convenience wrapper over Open: one session, OpsPerProc pinned
-	// rounds per worker. Each call uses a fresh TM instance, so one
-	// engine value may serve any number of Runs, concurrent or not.
+	// processes and returns the aggregate statistics. A native Run is
+	// the batch wrapper over NativeEngine.Open (one session,
+	// OpsPerProc pinned rounds per worker); a simulated one is the
+	// deterministic scheduler loop. Each call uses a fresh TM instance,
+	// so one engine value may serve any number of Runs, concurrent or
+	// not.
 	Run(cfg RunConfig, body TxBody) (Stats, error)
 }

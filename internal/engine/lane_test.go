@@ -40,7 +40,6 @@ func TestLanePoppedJobIsCollectable(t *testing.T) {
 		cfg    SessionConfig
 	}{
 		{"native-tl2", SessionConfig{Workers: 2, Vars: 1}},
-		{"sim-tl2", SessionConfig{Workers: 2, Vars: 1, SimSteps: 50000}},
 	} {
 		for lane, worker := range map[string]int{"pinned": 1, "shared": AnyWorker} {
 			t.Run(tc.engine+"/"+lane, func(t *testing.T) {

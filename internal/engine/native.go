@@ -72,11 +72,13 @@ func (t nativeTx) Write(i int, v int64) error {
 	}
 }
 
-// Open implements Engine: it starts a session with a worker pool of
-// real goroutines on a fresh TM instance.
+// Open starts a long-lived Session: a fresh TM instance with a worker
+// pool of real goroutines serving client-submitted transactions until
+// Close. Any number of sessions may be open concurrently; cfg.Engine
+// is ignored (the receiver is the engine).
 func (e *NativeEngine) Open(cfg SessionConfig) (*Session, error) {
 	cfg = cfg.withDefaults()
-	if err := cfg.validate(Native); err != nil {
+	if err := cfg.validate(); err != nil {
 		return nil, err
 	}
 	b, err := openNativeSession(e.info, cfg)
@@ -89,7 +91,7 @@ func (e *NativeEngine) Open(cfg SessionConfig) (*Session, error) {
 // Run implements Engine as a batch wrapper over Open: one session,
 // cfg.Procs workers, OpsPerProc pinned rounds per worker.
 func (e *NativeEngine) Run(cfg RunConfig, body TxBody) (Stats, error) {
-	if err := cfg.validate(Native); err != nil {
+	if err := cfg.validate(); err != nil {
 		return Stats{}, err
 	}
 	return runOnSession(e, cfg, body)

@@ -12,18 +12,18 @@ import (
 )
 
 // The session API is the open-world counterpart of the closed batch
-// Run: a Session is a long-lived TM instance with a worker pool, and
-// clients submit individual transactions while the instance serves —
-// the shape of the paper's liveness statements, which are about
-// processes that keep issuing transactions forever, not about a fixed
-// Procs × OpsPerProc budget. Run is a thin wrapper over a Session
-// (open → submit the budget → close), so both substrates have exactly
-// one execution core.
+// Run: a Session is a long-lived native TM instance with a worker
+// pool, and clients submit individual transactions while the instance
+// serves — the shape of the paper's liveness statements, which are
+// about processes that keep issuing transactions forever, not about a
+// fixed Procs × OpsPerProc budget. A native Run is a thin wrapper over
+// a Session (open → submit the budget → close), so the native
+// substrate has exactly one execution core. Simulated engines run
+// batches only: Sim.Run is its own deterministic loop.
 
 // AnyWorker submits a transaction to whichever worker frees up first.
 // Pinning to a specific worker instead fixes the transaction's process
-// identity in the recorded history (and, on the simulated substrate,
-// its scheduling identity).
+// identity in the recorded history.
 const AnyWorker = -1
 
 // ErrClosed is returned by session operations after Close: the session
@@ -35,14 +35,6 @@ var ErrClosed = errors.New("engine: session is closed")
 // violation itself is returned by Close (wrapped around
 // ErrLiveViolation).
 var ErrStopped = errors.New("engine: session stopped by the live monitor")
-
-// ErrStepBudget is the result of a submission (and of Close) on a
-// simulated session whose SimSteps budget ran out: the cooperative
-// scheduler will not be stepped again, so outstanding transactions
-// cannot complete. The batch Run wrapper treats it as a normal end of
-// the run, mirroring the old "until the step budget runs out"
-// semantics.
-var ErrStepBudget = errors.New("engine: session step budget exhausted")
 
 // ErrOverloaded is returned by an asynchronous Submit when the target
 // lane already holds SessionConfig.MaxQueue pending submissions: the
@@ -86,32 +78,23 @@ type Submitter interface {
 // SessionConfig sizes a long-lived session.
 type SessionConfig struct {
 	// Engine is the registry name (e.g. "native-tl2") the package-level
-	// Open resolves; the Engine.Open method ignores it.
+	// Open resolves; NativeEngine.Open ignores it.
 	Engine string
 	// Workers is the size of the worker pool (>= 1): the session's
 	// process count. Each worker executes submitted transactions one at
 	// a time, so Workers bounds the transaction concurrency.
 	Workers int
-	// MaxWorkers provisions capacity for dynamic admission on the
-	// native substrate: AddWorkers may grow the pool up to this many
-	// workers mid-session (recorder logs, backoff slots and queue lanes
-	// are provisioned up front so the record/monitor stream stays
-	// correct when the process count is not fixed at Open). 0 means
-	// Workers — a fixed pool. The simulated substrate requires a fixed
-	// pool.
+	// MaxWorkers provisions capacity for dynamic admission:
+	// AddWorkers may grow the pool up to this many workers mid-session
+	// (recorder logs, backoff slots and queue lanes are provisioned up
+	// front so the record/monitor stream stays correct when the process
+	// count is not fixed at Open). 0 means Workers — a fixed pool.
 	MaxWorkers int
 	// Vars is the number of t-variables (>= 1).
 	Vars int
-	// Seed makes simulated sessions reproducible (ignored by native
-	// ones).
-	Seed uint64
-	// SimSteps is the session's total cooperative-scheduler step budget
-	// (simulated substrate only, required there). Once exhausted,
-	// outstanding and future submissions fail with ErrStepBudget.
-	SimSteps int
 	// QueueDepth is the backpressure threshold of each submission lane
-	// (the shared queue and each worker's pinned queue) on the native
-	// substrate: Exec blocks while its lane holds that many pending
+	// (the shared queue and each worker's pinned queue): Exec blocks
+	// while its lane holds that many pending
 	// transactions. Asynchronous Submit is exempt — it must never block
 	// because a worker's result callback may be the submitter — so an
 	// unchecked Submit flood grows the queue instead (bound it with
@@ -124,7 +107,7 @@ type SessionConfig struct {
 	// blocks — refusal is immediate, which is what lets a worker's
 	// result callback keep submitting safely and a service layer turn
 	// the sentinel into HTTP 429. 0 means unbounded (the historical
-	// behaviour). Applies on both substrates.
+	// behaviour).
 	MaxQueue int
 	// Record retains the session's history (see RunConfig.Record);
 	// Session.History returns it after Close.
@@ -140,8 +123,7 @@ type SessionConfig struct {
 	// execute, a safety violation stops the session mid-flight
 	// (outstanding submissions fail with ErrStopped and Close returns
 	// ErrLiveViolation), and measured per-process starvation
-	// continuously rebiases the native retry-loop backoff. Native
-	// substrate only.
+	// continuously rebiases the retry-loop backoff.
 	Live bool
 	// LiveSegmentTxns is the live checker's per-segment transaction
 	// budget (0 defaults to 48; max 64).
@@ -174,7 +156,7 @@ func (cfg SessionConfig) withDefaults() SessionConfig {
 	return cfg
 }
 
-func (cfg SessionConfig) validate(sub Substrate) error {
+func (cfg SessionConfig) validate() error {
 	if cfg.Workers <= 0 {
 		return fmt.Errorf("engine: need a positive worker count, got %d", cfg.Workers)
 	}
@@ -184,33 +166,20 @@ func (cfg SessionConfig) validate(sub Substrate) error {
 	if cfg.MaxQueue < 0 {
 		return fmt.Errorf("engine: MaxQueue must be non-negative, got %d", cfg.MaxQueue)
 	}
-	switch sub {
-	case Simulated:
-		if cfg.SimSteps <= 0 {
-			return fmt.Errorf("engine: simulated sessions need a positive SimSteps budget")
-		}
-		if cfg.Live {
-			return fmt.Errorf("engine: live monitoring needs the native substrate (simulated histories are checked after the run)")
-		}
-		if cfg.MaxWorkers > cfg.Workers {
-			return fmt.Errorf("engine: the simulated substrate has a fixed worker set (MaxWorkers %d > Workers %d)", cfg.MaxWorkers, cfg.Workers)
-		}
-	case Native:
-		if cfg.QuiesceEvery < 0 && !(cfg.Live && cfg.QuiesceEvery == -1) {
-			return fmt.Errorf("engine: QuiesceEvery must be non-negative (or -1 on a live session), got %d", cfg.QuiesceEvery)
-		}
-		if cfg.QuiesceEvery > 0 && !cfg.Record && !cfg.Live {
-			return fmt.Errorf("engine: QuiesceEvery only applies to recorded or live sessions")
-		}
-		if (cfg.LiveSegmentTxns != 0 || cfg.LiveTailWindow != 0) && !cfg.Live {
-			return fmt.Errorf("engine: LiveSegmentTxns and LiveTailWindow only apply to live sessions")
-		}
-		if cfg.LiveSegmentTxns < 0 || cfg.LiveSegmentTxns > 64 {
-			return fmt.Errorf("engine: LiveSegmentTxns %d out of range [0, 64]", cfg.LiveSegmentTxns)
-		}
-		if cfg.LiveTailWindow < 0 {
-			return fmt.Errorf("engine: LiveTailWindow must be non-negative, got %d", cfg.LiveTailWindow)
-		}
+	if cfg.QuiesceEvery < 0 && !(cfg.Live && cfg.QuiesceEvery == -1) {
+		return fmt.Errorf("engine: QuiesceEvery must be non-negative (or -1 on a live session), got %d", cfg.QuiesceEvery)
+	}
+	if cfg.QuiesceEvery > 0 && !cfg.Record && !cfg.Live {
+		return fmt.Errorf("engine: QuiesceEvery only applies to recorded or live sessions")
+	}
+	if (cfg.LiveSegmentTxns != 0 || cfg.LiveTailWindow != 0) && !cfg.Live {
+		return fmt.Errorf("engine: LiveSegmentTxns and LiveTailWindow only apply to live sessions")
+	}
+	if cfg.LiveSegmentTxns < 0 || cfg.LiveSegmentTxns > 64 {
+		return fmt.Errorf("engine: LiveSegmentTxns %d out of range [0, 64]", cfg.LiveSegmentTxns)
+	}
+	if cfg.LiveTailWindow < 0 {
+		return fmt.Errorf("engine: LiveTailWindow must be non-negative, got %d", cfg.LiveTailWindow)
 	}
 	return nil
 }
@@ -248,12 +217,10 @@ type SessionStats struct {
 	NoCommits uint64
 	// PerWorkerCommits holds each admitted worker's commit count.
 	PerWorkerCommits []uint64
-	// Steps is the scheduler steps consumed so far (simulated only).
-	Steps int
 	// Stopped reports that the live monitor stopped the session.
 	Stopped bool
-	// BackoffCap and BackoffBias mirror Stats (native substrate;
-	// BackoffBias only on live sessions, where the feedback runs).
+	// BackoffCap and BackoffBias mirror Stats (BackoffBias only on
+	// live sessions, where the feedback runs).
 	BackoffCap  int
 	BackoffBias []int
 	// RecorderChunks and Truncated mirror Stats on recording or live
@@ -273,36 +240,14 @@ func (s SessionStats) AbortRate() float64 {
 	return float64(s.Aborts) / float64(s.Commits+s.Aborts)
 }
 
-// sessionBackend is the substrate half of a Session.
-type sessionBackend interface {
-	// submit enqueues one transaction; done (may be nil) is invoked
-	// exactly once with the commit result. demand marks a submission a
-	// caller blocks on: it feels QueueDepth backpressure on the native
-	// substrate (ctx bounds that wait), and it is what makes the
-	// simulated substrate step the cooperative scheduler.
-	submit(ctx context.Context, worker int, body Body, done func(error), demand bool) error
-	// drain blocks until every accepted submission has completed (or
-	// ctx is done). On the simulated substrate draining is also what
-	// drives execution.
-	drain(ctx context.Context) error
-	stats() SessionStats
-	addWorkers(n int) error
-	close() (*monitor.Report, error)
-	history() model.History
-}
-
-// Session is a long-lived TM instance serving client-submitted
-// transactions from a worker pool. Open one with Open (by registry
-// name) or Engine.Open; all methods are safe for concurrent use.
-//
-// On the native substrate the workers are real goroutines and
-// submissions execute as soon as a worker frees up. On the simulated
-// substrate the cooperative scheduler is demand-driven: submissions
-// execute while some caller blocks in Exec or Drain (or during Close's
-// final drain), which is what keeps batch runs deterministic.
+// Session is a long-lived native TM instance serving client-submitted
+// transactions from a worker pool of real goroutines; submissions
+// execute as soon as a worker frees up. Open one with Open (by
+// registry name) or NativeEngine.Open; all methods are safe for
+// concurrent use.
 type Session struct {
 	name string
-	b    sessionBackend
+	b    *nativeSession
 }
 
 // A Session is the canonical Submitter.
@@ -343,7 +288,7 @@ var waiters = sync.Pool{New: func() any {
 // transaction's process identity; AnyWorker restores Exec. Pinned
 // submissions to one worker execute in submission order.
 //
-// Where the transaction runs: on a native session, a call whose ctx
+// Where the transaction runs: a call whose ctx
 // can never be done (ctx.Done() == nil, as for context.Background)
 // and whose worker is idle, with nothing queued on its pinned lane or
 // the shared one, runs the body on the calling goroutine as that
@@ -381,8 +326,7 @@ func (s *Session) SubmitOn(worker int, body Body, done func(error)) error {
 }
 
 // Drain blocks until every submission accepted so far has completed,
-// or ctx is done. On the simulated substrate Drain also drives the
-// cooperative scheduler (see Session).
+// or ctx is done.
 func (s *Session) Drain(ctx context.Context) error {
 	return s.b.drain(ctx)
 }
@@ -395,7 +339,7 @@ func (s *Session) Drain(ctx context.Context) error {
 func (s *Session) Stats() SessionStats { return s.b.stats() }
 
 // AddWorkers admits n more workers mid-session, up to
-// SessionConfig.MaxWorkers (native substrate only). The recorder and
+// SessionConfig.MaxWorkers. The recorder and
 // backoff slots are provisioned for MaxWorkers up front; the live
 // monitor's process set grows lazily — an admitted worker joins the
 // monitored set with its first event, so a worker that never runs a
@@ -406,10 +350,8 @@ func (s *Session) AddWorkers(n int) error { return s.b.addWorkers(n) }
 // transactions, shuts the worker pool down, and returns the live
 // monitor's final report (nil when the session was not live). The
 // error is the session's terminal condition: nil for a clean
-// shutdown, ErrLiveViolation (wrapped) when the live monitor stopped
-// the session, ErrStepBudget when a simulated session exhausted its
-// budget, or the fatal body error that crashed a simulated worker.
-// Closing twice returns ErrClosed.
+// shutdown, or ErrLiveViolation (wrapped) when the live monitor
+// stopped the session. Closing twice returns ErrClosed.
 func (s *Session) Close() (*monitor.Report, error) { return s.b.close() }
 
 // History returns the recorded history of a SessionConfig.Record
@@ -435,13 +377,10 @@ func watchCtx(ctx context.Context, wake func()) (stop func()) {
 	return func() { close(ch) }
 }
 
-// sessionJob is one accepted submission. demand marks one a caller
-// blocks on (Exec), which the simulated substrate counts to decide
-// whether to step.
+// sessionJob is one accepted submission.
 type sessionJob struct {
-	body   Body
-	done   func(error)
-	demand bool
+	body Body
+	done func(error)
 }
 
 // jobRing is one submission lane: a FIFO of jobs in a circular buffer
@@ -479,7 +418,7 @@ func (r *jobRing) pop() (sessionJob, bool) {
 	return j, true
 }
 
-// lanes is a session's submission queues on either substrate: one lane
+// lanes is a session's submission queues: one lane
 // any worker serves and one pinned lane per worker slot, with the
 // queue-depth gauges kept in step. The session's mutex guards it.
 type lanes struct {
@@ -541,28 +480,20 @@ func (l *lanes) takeShared() (sessionJob, bool) {
 	return j, ok
 }
 
-// drain empties every lane, appending the jobs to out.
-func (l *lanes) drain(out []sessionJob) []sessionJob {
-	for p := range l.pinned {
-		for j, ok := l.takePinned(p); ok; j, ok = l.takePinned(p) {
-			out = append(out, j)
-		}
-	}
-	for j, ok := l.takeShared(); ok; j, ok = l.takeShared() {
-		out = append(out, j)
-	}
-	return out
-}
-
-// Open starts a session on the engine named cfg.Engine (see Engines /
-// Lookup). Each session owns a fresh TM instance; any number of
-// sessions may be open concurrently.
+// Open starts a session on the native engine named cfg.Engine (see
+// Engines / Lookup). Each session owns a fresh TM instance; any number
+// of sessions may be open concurrently. A simulated engine is refused:
+// simulated engines run batches (Engine.Run), not sessions.
 func Open(cfg SessionConfig) (*Session, error) {
 	e, ok := Lookup(cfg.Engine)
 	if !ok {
 		return nil, fmt.Errorf("engine: unknown engine %q", cfg.Engine)
 	}
-	return e.Open(cfg)
+	n, ok := e.(*NativeEngine)
+	if !ok {
+		return nil, fmt.Errorf("engine: %s is simulated, and simulated engines run batches (Engine.Run), not sessions", cfg.Engine)
+	}
+	return n.Open(cfg)
 }
 
 // session maps the batch run's shape onto a session configuration —
@@ -572,8 +503,6 @@ func (cfg RunConfig) session() SessionConfig {
 	return SessionConfig{
 		Workers:         cfg.Procs,
 		Vars:            cfg.Vars,
-		Seed:            cfg.Seed,
-		SimSteps:        cfg.SimSteps,
 		Record:          cfg.Record,
 		QuiesceEvery:    cfg.QuiesceEvery,
 		Live:            cfg.Live,
@@ -583,12 +512,12 @@ func (cfg RunConfig) session() SessionConfig {
 	}
 }
 
-// runOnSession is the batch Run semantics expressed on a Session: open
+// runOnSession is the native batch Run expressed on a Session: open
 // with the run's shape, keep each worker's lane topped up with one
 // round at a time (so a terminal body error stops that worker's
-// remaining rounds, exactly like the old per-process loops), drain,
-// close, and refold the session's counters into Stats.
-func runOnSession(e Engine, cfg RunConfig, body TxBody) (Stats, error) {
+// remaining rounds), close, and refold the session's counters into
+// Stats.
+func runOnSession(e *NativeEngine, cfg RunConfig, body TxBody) (Stats, error) {
 	s, err := e.Open(cfg.session())
 	if err != nil {
 		return Stats{}, err
@@ -606,15 +535,15 @@ func runOnSession(e Engine, cfg RunConfig, body TxBody) (Stats, error) {
 		mu.Unlock()
 	}
 	// expected classifies a pump result that ends a worker's rounds
-	// without being a body error: the session stopped or ran out of
-	// budget (the violation or budget condition surfaces elsewhere).
+	// without being a body error: the session stopped (the violation
+	// surfaces from Close).
 	expected := func(err error) bool {
-		return errors.Is(err, ErrStopped) || errors.Is(err, ErrStepBudget) || errors.Is(err, ErrClosed)
+		return errors.Is(err, ErrStopped) || errors.Is(err, ErrClosed)
 	}
 	wg.Add(cfg.Procs)
 	var pump func(p, round int)
 	pump = func(p, round int) {
-		if cfg.OpsPerProc > 0 && round >= cfg.OpsPerProc {
+		if round >= cfg.OpsPerProc {
 			wg.Done()
 			return
 		}
@@ -639,11 +568,6 @@ func runOnSession(e Engine, cfg RunConfig, body TxBody) (Stats, error) {
 	for p := 0; p < cfg.Procs; p++ {
 		pump(p, 0)
 	}
-	// Drain drives the simulated scheduler; the pump callbacks running
-	// inside it keep every worker's next round enqueued before the
-	// previous one is accounted complete, so the drain cannot return
-	// between rounds.
-	_ = s.Drain(context.Background())
 	wg.Wait()
 
 	rep, cerr := s.Close()
@@ -653,7 +577,6 @@ func runOnSession(e Engine, cfg RunConfig, body TxBody) (Stats, error) {
 		Aborts:         sst.Aborts,
 		NoCommits:      sst.NoCommits,
 		PerProcCommits: sst.PerWorkerCommits,
-		Steps:          sst.Steps,
 		History:        s.History(),
 		Live:           rep,
 		Stopped:        sst.Stopped,
@@ -663,7 +586,7 @@ func runOnSession(e Engine, cfg RunConfig, body TxBody) (Stats, error) {
 		Truncated:      sst.Truncated,
 		CutLatency:     sst.CutLatency,
 	}
-	if cerr != nil && !errors.Is(cerr, ErrStepBudget) {
+	if cerr != nil {
 		return st, cerr
 	}
 	if firstErr != nil {

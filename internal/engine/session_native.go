@@ -172,7 +172,7 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 		tm:        tm,
 		bo:        native.NewBackoff(cfg.MaxWorkers),
 		closeDone: make(chan struct{}),
-		met:       newSessionMetrics(cfg.Telemetry, info.Name, cfg.MaxWorkers, cfg.Live),
+		met:       newSessionMetrics(cfg.Telemetry, cfg.MaxWorkers, cfg.Live),
 	}
 	s.q = lanes{pinned: make([]jobRing, cfg.MaxWorkers), met: s.met}
 	if cfg.Telemetry != nil {

@@ -4,6 +4,7 @@ import (
 	"context"
 	"errors"
 	"runtime"
+	"strings"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -35,15 +36,15 @@ func counterSessionBody(x int) Body {
 }
 
 // TestSessionExecBothSubstrates: the basic session loop — open, Exec a
-// few transactions, Stats, Close — commits on both substrates, and the
-// committed increments are all there.
+// few transactions, Stats, Close — commits, and the committed
+// increments are all there. Sessions are native only, so the one row
+// left is native; the name is the one CI's scheduling step runs.
 func TestSessionExecBothSubstrates(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  SessionConfig
 	}{
 		{"native-tl2", SessionConfig{Workers: 2, Vars: 1}},
-		{"sim-tl2", SessionConfig{Workers: 2, Vars: 1, SimSteps: 50000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openTestSession(t, tc.name, tc.cfg)
@@ -151,34 +152,39 @@ func TestSessionCloseDrainsInFlight(t *testing.T) {
 }
 
 // TestSessionMisuse: Exec/Submit after Close and double Close return
-// ErrClosed on both substrates; out-of-range workers are rejected.
+// ErrClosed; out-of-range workers are rejected. On a simulated engine
+// the misuse is opening a session at all: simulated engines run
+// batches, and Open says so.
 func TestSessionMisuse(t *testing.T) {
-	for _, tc := range []struct {
-		name string
-		cfg  SessionConfig
-	}{
-		{"native-tl2", SessionConfig{Workers: 1, Vars: 1}},
-		{"sim-dstm", SessionConfig{Workers: 1, Vars: 1, SimSteps: 1000}},
-	} {
-		t.Run(tc.name, func(t *testing.T) {
-			s := openTestSession(t, tc.name, tc.cfg)
-			if err := s.ExecOn(context.Background(), 7, counterSessionBody(0)); err == nil {
-				t.Error("ExecOn an unadmitted worker must error")
+	t.Run("native-tl2", func(t *testing.T) {
+		s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1})
+		if err := s.ExecOn(context.Background(), 7, counterSessionBody(0)); err == nil {
+			t.Error("ExecOn an unadmitted worker must error")
+		}
+		if _, err := s.Close(); err != nil {
+			t.Fatal(err)
+		}
+		if err := s.Exec(context.Background(), counterSessionBody(0)); !errors.Is(err, ErrClosed) {
+			t.Errorf("Exec after Close: err = %v, want ErrClosed", err)
+		}
+		if err := s.Submit(counterSessionBody(0), nil); !errors.Is(err, ErrClosed) {
+			t.Errorf("Submit after Close: err = %v, want ErrClosed", err)
+		}
+		if _, err := s.Close(); !errors.Is(err, ErrClosed) {
+			t.Errorf("second Close: err = %v, want ErrClosed", err)
+		}
+	})
+	t.Run("sim-dstm", func(t *testing.T) {
+		for _, e := range Engines(true) {
+			if e.Capabilities().Substrate != Simulated {
+				continue
 			}
-			if _, err := s.Close(); err != nil {
-				t.Fatal(err)
+			s, err := Open(SessionConfig{Engine: e.Name(), Workers: 1, Vars: 1})
+			if s != nil || err == nil || !strings.Contains(err.Error(), "simulated engines run batches") {
+				t.Errorf("Open(%s) = %v, %v; want the batch-only error", e.Name(), s, err)
 			}
-			if err := s.Exec(context.Background(), counterSessionBody(0)); !errors.Is(err, ErrClosed) {
-				t.Errorf("Exec after Close: err = %v, want ErrClosed", err)
-			}
-			if err := s.Submit(counterSessionBody(0), nil); !errors.Is(err, ErrClosed) {
-				t.Errorf("Submit after Close: err = %v, want ErrClosed", err)
-			}
-			if _, err := s.Close(); !errors.Is(err, ErrClosed) {
-				t.Errorf("second Close: err = %v, want ErrClosed", err)
-			}
-		})
-	}
+		}
+	})
 }
 
 // TestConcurrentRunsAreIndependent: each Run opens its own TM
@@ -355,82 +361,6 @@ func TestSessionAddWorkers(t *testing.T) {
 			t.Errorf("late worker %d commits = %d, want 8", w+1, c)
 		}
 	}
-
-	sim := openTestSession(t, "sim-tl2", SessionConfig{Workers: 1, Vars: 1, SimSteps: 100})
-	defer sim.Close()
-	if err := sim.AddWorkers(1); err == nil {
-		t.Error("the simulated substrate must refuse dynamic admission")
-	}
-}
-
-// TestSessionSimFatalBodyError: on the cooperative substrate a
-// terminal body error crashes the worker with its implicit transaction
-// live, wedging the session: the failing Exec returns the error, later
-// submissions fail with it, and Close reports it.
-func TestSessionSimFatalBodyError(t *testing.T) {
-	sentinel := errors.New("sentinel")
-	s := openTestSession(t, "sim-glock", SessionConfig{Workers: 2, Vars: 1, SimSteps: 100000})
-	if err := s.Exec(context.Background(), func(tx Tx) error {
-		if err := tx.Write(0, 1); err != nil {
-			return err
-		}
-		return sentinel // exits holding the global lock
-	}); !errors.Is(err, sentinel) {
-		t.Fatalf("exec: err = %v, want sentinel", err)
-	}
-	if err := s.Exec(context.Background(), counterSessionBody(0)); !errors.Is(err, sentinel) {
-		t.Errorf("post-crash Exec: err = %v, want the wedging error", err)
-	}
-	if _, err := s.Close(); !errors.Is(err, sentinel) {
-		t.Errorf("close: err = %v, want the wedging error", err)
-	}
-}
-
-// TestRunSessionEquivalence: the batch Run and an equivalent explicit
-// session submission (every round pinned to its worker, drained, then
-// closed) produce identical commit totals, per-worker splits, aborts
-// and step counts on the deterministic substrate.
-func TestRunSessionEquivalence(t *testing.T) {
-	const procs, ops, vars = 3, 8, 2
-	cfg := RunConfig{Procs: procs, Vars: vars, Seed: 17, OpsPerProc: ops, SimSteps: 100000}
-	e, _ := Lookup("sim-tl2")
-	batch, err := e.Run(cfg, mixedBody(vars))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if batch.Commits == 0 {
-		t.Fatal("batch run committed nothing")
-	}
-
-	s, err := e.Open(SessionConfig{Workers: procs, Vars: vars, Seed: 17, SimSteps: 100000})
-	if err != nil {
-		t.Fatal(err)
-	}
-	body := mixedBody(vars)
-	for p := 0; p < procs; p++ {
-		for r := 0; r < ops; r++ {
-			p, r := p, r
-			if err := s.SubmitOn(p, func(tx Tx) error { return body(p, r, tx) }, nil); err != nil {
-				t.Fatal(err)
-			}
-		}
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	st := s.Stats()
-	if st.Commits != batch.Commits || st.Aborts != batch.Aborts || st.Steps != batch.Steps {
-		t.Fatalf("session run diverged: commits %d/%d aborts %d/%d steps %d/%d",
-			st.Commits, batch.Commits, st.Aborts, batch.Aborts, st.Steps, batch.Steps)
-	}
-	for p := range st.PerWorkerCommits {
-		if st.PerWorkerCommits[p] != batch.PerProcCommits[p] {
-			t.Fatalf("worker %d diverged: %v vs %v", p, st.PerWorkerCommits, batch.PerProcCommits)
-		}
-	}
 }
 
 // TestSessionCallbackResubmitSaturated: result callbacks that submit
@@ -507,9 +437,8 @@ func TestSessionExecBackpressureHonorsContext(t *testing.T) {
 }
 
 // TestSessionMaxQueueOverloaded: the hard admission cap — an async
-// Submit whose lane is full is refused with ErrOverloaded on both
-// substrates, refusal is immediate (never blocks), and freeing the
-// lane readmits.
+// Submit whose lane is full is refused with ErrOverloaded, refusal is
+// immediate (never blocks), and freeing the lane readmits.
 func TestSessionMaxQueueOverloaded(t *testing.T) {
 	t.Run("native-tl2", func(t *testing.T) {
 		s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1, MaxQueue: 1})
@@ -548,39 +477,17 @@ func TestSessionMaxQueueOverloaded(t *testing.T) {
 			t.Fatal(err)
 		}
 	})
-	t.Run("sim-tl2", func(t *testing.T) {
-		// The simulated scheduler only runs under Exec/Drain, so queued
-		// submissions stay in the lane: the second async Submit trips
-		// the cap deterministically.
-		s := openTestSession(t, "sim-tl2", SessionConfig{Workers: 1, Vars: 1, SimSteps: 50000, MaxQueue: 1})
-		if err := s.Submit(counterSessionBody(0), nil); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Submit(counterSessionBody(0), nil); !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("over-cap sim submit err = %v, want ErrOverloaded", err)
-		}
-		if err := s.Drain(context.Background()); err != nil {
-			t.Fatal(err)
-		}
-		if err := s.Submit(counterSessionBody(0), nil); err != nil {
-			t.Fatalf("submit after drain: %v", err)
-		}
-		if _, err := s.Close(); err != nil {
-			t.Fatal(err)
-		}
-	})
 }
 
 // TestSessionSubmitWorkerOutOfRange: pinned submissions past the
 // admitted pool (or negative, other than AnyWorker) are refused
-// outright on both substrates — async and blocking alike.
+// outright — async and blocking alike.
 func TestSessionSubmitWorkerOutOfRange(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  SessionConfig
 	}{
 		{"native-tl2", SessionConfig{Workers: 2, Vars: 1}},
-		{"sim-tl2", SessionConfig{Workers: 2, Vars: 1, SimSteps: 50000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openTestSession(t, tc.name, tc.cfg)
@@ -614,7 +521,6 @@ func TestSessionSubmitCallbacksRaceClose(t *testing.T) {
 		cfg  SessionConfig
 	}{
 		{"native-tl2", SessionConfig{Workers: 2, Vars: 1}},
-		{"sim-tl2", SessionConfig{Workers: 2, Vars: 1, SimSteps: 200000}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openTestSession(t, tc.name, tc.cfg)
@@ -649,7 +555,7 @@ func TestSessionSubmitCallbacksRaceClose(t *testing.T) {
 			_, cerr := s.Close()
 			close(stop)
 			wg.Wait()
-			if cerr != nil && !errors.Is(cerr, ErrStepBudget) {
+			if cerr != nil {
 				t.Fatalf("close: %v", cerr)
 			}
 			// Close drained the workers, so no callback is still in

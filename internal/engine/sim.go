@@ -10,9 +10,9 @@ import (
 )
 
 // Sim adapts a simulated TM (an stm.Factory driven by the
-// cooperative scheduler) to the Engine interface. Open starts a
-// long-lived demand-driven Session (see Session); Run is the batch
-// convenience wrapper over one.
+// cooperative scheduler) to the Engine interface. Simulated engines
+// run batches only: Run is one deterministic loop, and there is no
+// Session on this substrate.
 type Sim struct {
 	algorithm   string
 	factory     stm.Factory
@@ -81,20 +81,6 @@ func (tx *simTx) Write(i int, v int64) error {
 		return ErrAborted
 	}
 	return nil
-}
-
-// Open implements Engine: it starts a demand-driven session under the
-// deterministic cooperative scheduler on a fresh TM instance.
-func (e *Sim) Open(cfg SessionConfig) (*Session, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(Simulated); err != nil {
-		return nil, err
-	}
-	b, err := openSimSession(e.Name(), e.factory, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{name: e.Name(), b: b}, nil
 }
 
 // Run implements Engine as one deterministic loop: it spawns

@@ -8,12 +8,9 @@ import (
 
 // TestStatsCountDeliveredResults holds Session.Stats to its contract:
 // by the time a result is delivered — an Exec returns, or a Submit's
-// done callback starts — Stats already counts it, on both substrates,
-// whichever way the transaction ran and however it ended. The simulated
-// substrate has no inline path, so there its inline row queues like the
-// queued one; its stop is the step budget running out, the one way the
-// simulated substrate fails an accepted submission for the session
-// rather than the body. Run with -race.
+// done callback starts — Stats already counts it, whichever way the
+// transaction ran and however it ended. Sessions are native only, so
+// the native rows are the ones left. Run with -race.
 func TestStatsCountDeliveredResults(t *testing.T) {
 	bg := context.Background()
 	substrates := []struct {
@@ -31,13 +28,6 @@ func TestStatsCountDeliveredResults(t *testing.T) {
 				t.Fatal(err)
 			}
 			return s
-		}},
-		{"sim", func(t *testing.T, stop bool) *Session {
-			steps := 100000
-			if stop {
-				steps = 60
-			}
-			return openTestSession(t, "sim-tl2", SessionConfig{Workers: 1, Vars: 2, SimSteps: steps})
 		}},
 	}
 	// A path delivers one submission's result to check and returns once
@@ -63,8 +53,6 @@ func TestStatsCountDeliveredResults(t *testing.T) {
 				check(err)
 				return
 			}
-			// Drain drives the simulated scheduler; its error, if any,
-			// is the result already checked.
 			_ = s.Drain(bg)
 			<-done
 		}},
@@ -103,7 +91,7 @@ func TestStatsCountDeliveredResults(t *testing.T) {
 							commits++
 						case errors.Is(err, ErrNoCommit):
 							noCommits++
-						case errors.Is(err, ErrStopped), errors.Is(err, ErrStepBudget):
+						case errors.Is(err, ErrStopped):
 							stopped = true
 						default:
 							t.Errorf("result %d: %v", delivered, err)
@@ -111,7 +99,7 @@ func TestStatsCountDeliveredResults(t *testing.T) {
 						st := s.Stats()
 						if st.Submitted != delivered || st.Completed != delivered ||
 							st.Commits != commits || st.NoCommits != noCommits ||
-							(sub.name == "native" && st.Stopped != stopped) {
+							st.Stopped != stopped {
 							t.Errorf("after result %d (%v): submitted %d completed %d commits %d no-commits %d stopped %v, want %d/%d/%d/%d/%v",
 								delivered, err, st.Submitted, st.Completed, st.Commits, st.NoCommits, st.Stopped,
 								delivered, delivered, commits, noCommits, stopped)

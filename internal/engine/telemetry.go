@@ -12,7 +12,7 @@ import (
 
 // sessionMetrics is a session's pre-resolved telemetry handle bundle.
 // The Stats-backing handles (submitted, completed, commits, noCommits,
-// aborts*, cutPause, queue gauges) are always non-nil: with no registry
+// cutPause, queue gauges) are always non-nil: with no registry
 // they are bare (unregistered) instruments, which cost exactly what the
 // ad-hoc atomics they replaced cost, so the hot paths carry no nil
 // checks and SessionStats has one source of truth either way. The
@@ -25,13 +25,6 @@ type sessionMetrics struct {
 	completed *telemetry.Counter
 	noCommits *telemetry.Counter
 	commits   []*telemetry.Counter // per worker slot
-
-	// abortsConflict/abortsOperation back the simulated substrate's
-	// abort accounting (the native substrate reads its TM's own
-	// counters); they land in the same livetm_tx_aborts_total family
-	// the native retry loop uses.
-	abortsConflict  *telemetry.Counter
-	abortsOperation *telemetry.Counter
 
 	queueShared *telemetry.Gauge
 	queuePinned *telemetry.Gauge
@@ -65,23 +58,15 @@ type sessionMetrics struct {
 }
 
 // newSessionMetrics resolves (or, with reg nil, fabricates bare
-// versions of) the session's instruments. algo is the engine name
-// labelling the transaction families; workers is the provisioned slot
-// count (MaxWorkers on the native substrate), live whether the monitor gauges and checker telemetry apply.
-// The algo label is the engine registry's Info.Name — a finite,
-// compiled-in set of engine names, not client input; the telemetrylabel
-// classifier cannot prove that through the registry lookup, hence the
-// allowance.
-//
-//lint:allow(telemetrylabel) algo is engine.Info.Name from the fixed engine registry, a finite compiled-in set
-func newSessionMetrics(reg *telemetry.Registry, algo string, workers int, live bool) *sessionMetrics {
+// versions of) the session's instruments. workers is the provisioned
+// slot count (MaxWorkers), live whether the monitor gauges and checker
+// telemetry apply.
+func newSessionMetrics(reg *telemetry.Registry, workers int, live bool) *sessionMetrics {
 	m := &sessionMetrics{commits: make([]*telemetry.Counter, workers)}
 	if reg == nil {
 		m.submitted = &telemetry.Counter{}
 		m.completed = &telemetry.Counter{}
 		m.noCommits = &telemetry.Counter{}
-		m.abortsConflict = &telemetry.Counter{}
-		m.abortsOperation = &telemetry.Counter{}
 		m.queueShared = &telemetry.Gauge{}
 		m.queuePinned = &telemetry.Gauge{}
 		m.workers = &telemetry.Gauge{}
@@ -98,10 +83,6 @@ func newSessionMetrics(reg *telemetry.Registry, algo string, workers int, live b
 		"Transactions completed (committed, declined, or failed)")
 	m.noCommits = reg.Counter("livetm_session_nocommits_total",
 		"Transactions declined without a commit attempt (ErrNoCommit)")
-	m.abortsConflict = reg.Counter("livetm_tx_aborts_total",
-		"Aborted attempts by cause", "algo", algo, "cause", "conflict")
-	m.abortsOperation = reg.Counter("livetm_tx_aborts_total",
-		"Aborted attempts by cause", "algo", algo, "cause", "operation")
 	m.queueShared = reg.Gauge("livetm_session_queue_depth",
 		"Pending submissions per lane", "lane", "shared")
 	m.queuePinned = reg.Gauge("livetm_session_queue_depth",

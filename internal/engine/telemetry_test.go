@@ -174,37 +174,6 @@ func TestSessionStatsMatchRegistry(t *testing.T) {
 	}
 }
 
-// TestSimSessionTelemetry checks the simulated substrate lands its
-// counters in the same families.
-func TestSimSessionTelemetry(t *testing.T) {
-	reg := telemetry.NewRegistry()
-	s := openTestSession(t, "sim-tl2", SessionConfig{
-		Workers: 2, Vars: 4, SimSteps: 100000, Telemetry: reg,
-	})
-	for i := 0; i < 20; i++ {
-		if err := s.Exec(context.Background(), func(tx Tx) error {
-			v, err := tx.Read(i % 4)
-			if err != nil {
-				return err
-			}
-			return tx.Write(i%4, v+1)
-		}); err != nil {
-			t.Fatalf("exec: %v", err)
-		}
-	}
-	st := s.Stats()
-	snap := reg.Snapshot()
-	if got := familyTotal(snap, "livetm_session_commits_total"); got != float64(st.Commits) || got != 20 {
-		t.Errorf("registry commits %v, stats %d, want 20", got, st.Commits)
-	}
-	if aborts := familyTotal(snap, "livetm_tx_aborts_total"); aborts != float64(st.Aborts) {
-		t.Errorf("registry aborts %v != stats %d", aborts, st.Aborts)
-	}
-	if _, err := s.Close(); err != nil {
-		t.Fatalf("close: %v", err)
-	}
-}
-
 // familyTotal sums every series of family name (0 if absent).
 func familyTotal(s telemetry.Snapshot, name string) float64 {
 	var t float64

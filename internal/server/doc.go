@@ -1,4 +1,4 @@
-// Package server puts a TM session on the wire: a transport-agnostic
+// Package server puts a native TM session on the wire: a transport-agnostic
 // submission service over an engine.Submitter, serving multiple
 // network clients with admission control, per-client fairness, and a
 // graceful drain that finishes every accepted transaction and returns
@@ -9,9 +9,10 @@
 // The server accepts submissions through the engine.Submitter
 // interface plus the session lifecycle (Backend), so anything that
 // executes transactions — a *engine.Session directly, or a router
-// fanning out over several — can sit behind the same wire API. The
-// wire itself is HTTP, with JSONCodec framing the bodies on both
-// sides.
+// fanning out over several — can sit behind the same wire API.
+// Sessions are native: a simulated engine runs batches only, so there
+// is no simulated session to serve. The wire itself is HTTP, with
+// JSONCodec framing the bodies on both sides.
 //
 // JSONCodec treats a frame by its type and by nothing else. The frames
 // a transaction crosses — ExecRequest and ExecResponse, ErrorResponse,

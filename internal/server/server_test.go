@@ -320,7 +320,6 @@ func TestWireCodeTables(t *testing.T) {
 		{engine.ErrOverloaded, CodeOverloaded, http.StatusTooManyRequests},
 		{engine.ErrClosed, CodeClosed, http.StatusServiceUnavailable},
 		{engine.ErrStopped, CodeStopped, http.StatusServiceUnavailable},
-		{engine.ErrStepBudget, CodeStepBudget, http.StatusServiceUnavailable},
 		{engine.ErrNoCommit, CodeNoCommit, http.StatusInternalServerError},
 		{engine.ErrLiveViolation, CodeViolation, http.StatusServiceUnavailable},
 		{errAbandoned, CodeAbandoned, http.StatusInternalServerError},
@@ -337,8 +336,7 @@ func TestWireCodeTables(t *testing.T) {
 	// Sentinels survive the round trip for every engine sentinel.
 	for _, err := range []error{
 		engine.ErrOverloaded, engine.ErrClosed, engine.ErrStopped,
-		engine.ErrStepBudget, engine.ErrNoCommit,
-		engine.ErrLiveViolation,
+		engine.ErrNoCommit, engine.ErrLiveViolation,
 	} {
 		if back := SentinelOf(CodeOf(err)); !errors.Is(back, err) {
 			t.Errorf("sentinel round trip lost %v (got %v)", err, back)

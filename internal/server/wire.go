@@ -163,7 +163,6 @@ const (
 	CodeOverloaded = "overloaded"
 	CodeClosed     = "closed"
 	CodeStopped    = "stopped"
-	CodeStepBudget = "step-budget"
 	CodeNoCommit   = "nocommit"
 	CodeAbandoned  = "abandoned"
 	CodeViolation  = "live-violation"
@@ -185,8 +184,6 @@ func CodeOf(err error) string {
 		return CodeClosed
 	case errors.Is(err, engine.ErrStopped):
 		return CodeStopped
-	case errors.Is(err, engine.ErrStepBudget):
-		return CodeStepBudget
 	case errors.Is(err, engine.ErrLiveViolation):
 		return CodeViolation
 	case errors.Is(err, engine.ErrNoCommit):
@@ -200,12 +197,12 @@ func CodeOf(err error) string {
 
 // StatusOf maps a wire code to its HTTP status. Overload is 429 (back
 // off and retry), lifecycle refusals are 503 (the service is
-// draining, stopped, or out of budget).
+// draining or stopped).
 func StatusOf(code string) int {
 	switch code {
 	case CodeOverloaded:
 		return http.StatusTooManyRequests
-	case CodeClosed, CodeStopped, CodeStepBudget, CodeViolation:
+	case CodeClosed, CodeStopped, CodeViolation:
 		return http.StatusServiceUnavailable
 	case CodeBadRequest:
 		return http.StatusBadRequest
@@ -230,8 +227,6 @@ func SentinelOf(code string) error {
 		return engine.ErrClosed
 	case CodeStopped:
 		return engine.ErrStopped
-	case CodeStepBudget:
-		return engine.ErrStepBudget
 	case CodeViolation:
 		return engine.ErrLiveViolation
 	case CodeNoCommit:

@@ -50,14 +50,6 @@ func TestSchedulerContract(t *testing.T) {
 	}{
 		{"close/never started", nil, func(s *Scheduler) { s.Crash(1); s.Run(4) }},
 		{"close/at a yield", nil, func(s *Scheduler) { s.Run(4) }},
-		{"close/parked", func(s *Scheduler) func(*Env) {
-			return func(env *Env) {
-				s.Park(env.Proc())
-				for {
-					env.Yield()
-				}
-			}
-		}, func(s *Scheduler) { s.Run(4) }},
 		{"close/crashed", nil, func(s *Scheduler) { s.Run(4); s.Crash(1) }},
 		{"close/suspended", nil, func(s *Scheduler) { s.Run(4); s.Suspend(1, 1000) }},
 		{"close/finished", func(*Scheduler) func(*Env) {

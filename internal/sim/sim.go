@@ -131,8 +131,7 @@ type procState struct {
 	stop        func()                  // unwinds the body from its current Yield
 	done        bool
 	crashed     bool
-	parked      bool // voluntarily descheduled until Unpark
-	suspendedTo int  // not scheduled until the global step counter reaches this
+	suspendedTo int // not scheduled until the global step counter reaches this
 }
 
 // Scheduler coordinates the process coroutines. It is not safe for
@@ -221,30 +220,11 @@ func (s *Scheduler) Suspend(p model.Proc, steps int) {
 func (s *Scheduler) runnableNow() []model.Proc {
 	s.runnable = s.runnable[:0]
 	for _, ps := range s.procs {
-		if !ps.done && !ps.crashed && !ps.parked && s.steps >= ps.suspendedTo {
+		if !ps.done && !ps.crashed && s.steps >= ps.suspendedTo {
 			s.runnable = append(s.runnable, ps.p)
 		}
 	}
 	return s.runnable
-}
-
-// Park voluntarily deschedules p until Unpark: unlike Suspend it is
-// event-driven, not timed, so an idle process (a session worker with
-// an empty queue) consumes no steps at all while it waits for work —
-// matching a process that simply is not there. Parking an unknown or
-// finished process is a no-op. A process parks itself by calling Park
-// and then yielding; the driver unparks it when there is work.
-func (s *Scheduler) Park(p model.Proc) {
-	if ps := s.lookup(p); ps != nil {
-		ps.parked = true
-	}
-}
-
-// Unpark makes a parked process schedulable again (no-op otherwise).
-func (s *Scheduler) Unpark(p model.Proc) {
-	if ps := s.lookup(p); ps != nil {
-		ps.parked = false
-	}
 }
 
 // Runnable returns the processes currently eligible for scheduling
@@ -295,7 +275,7 @@ func (s *Scheduler) Run(maxSteps int) int {
 }
 
 // Close unwinds every process still suspended at a yield point
-// (including crashed, parked and suspended ones; deferred calls in
+// (including crashed and suspended ones; deferred calls in
 // their bodies run) so that no coroutine leaks. A process that never
 // started never runs its body. The scheduler cannot be used
 // afterwards.

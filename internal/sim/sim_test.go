@@ -189,6 +189,9 @@ func TestSpawnValidation(t *testing.T) {
 	}
 }
 
+// TestCloseKillsParkedProcesses: a process parked at a yield point is
+// unwound by Close, its deferred cleanup runs, and the scheduler steps
+// no more.
 func TestCloseKillsParkedProcesses(t *testing.T) {
 	s := New(nil)
 	cleanedUp := false
