@@ -101,7 +101,7 @@
 //	    stretch of more than 64 transactions has no cut.
 //
 //	livetm record -engine NAME [-procs N] [-ops N] [-mix M] [-contention C] [-sharing S] [-out FILE]
-//	    Run a recording-capable engine (native algorithms included)
+//	    Run any engine (native algorithms included)
 //	    with history recording and write the history as a JSON Lines
 //	    trace ("-" writes stdout, so it pipes into check/monitor).
 //
@@ -822,9 +822,8 @@ func cmdEngines(args []string) error {
 		if ablation[e.Name()] {
 			note = "  (ablation variant; excluded unless `workloads -ablations`)"
 		}
-		fmt.Printf("%-20s substrate=%-6s real-concurrency=%-5v deterministic=%-5v recording=%-5v nonblocking=%-5v%s\n",
-			e.Name(), caps.Substrate, caps.RealConcurrency,
-			caps.DeterministicReplay, caps.HistoryRecording, caps.Nonblocking, note)
+		fmt.Printf("%-20s substrate=%-6s nonblocking=%-5v%s\n",
+			e.Name(), caps.Substrate, caps.Nonblocking, note)
 	}
 	return nil
 }
@@ -1568,7 +1567,7 @@ func laneLagSummary(snap telemetry.Snapshot) string {
 	return fmt.Sprintf(" lag=%.0f", v)
 }
 
-// cmdRecord runs one recording-capable engine over a workload-matrix
+// cmdRecord runs one engine over a workload-matrix
 // style body and writes the recorded history as a JSON Lines trace.
 func cmdRecord(args []string) error {
 	fs := flag.NewFlagSet("record", flag.ContinueOnError)
@@ -1590,9 +1589,6 @@ func cmdRecord(args []string) error {
 		return fmt.Errorf("record: unknown engine %q", *name)
 	}
 	caps := e.Capabilities()
-	if !caps.HistoryRecording {
-		return fmt.Errorf("record: engine %s cannot record histories", e.Name())
-	}
 	// Select the cell from the declared matrix rather than rebuilding
 	// it, so recorded traces always match the matrix cell of the same
 	// name.

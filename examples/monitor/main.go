@@ -31,9 +31,6 @@ func run() error {
 	if !ok {
 		return fmt.Errorf("native-tl2 not registered")
 	}
-	if !e.Capabilities().HistoryRecording {
-		return fmt.Errorf("%s cannot record histories", e.Name())
-	}
 
 	// 1. Record a native run: 3 real goroutines increment a shared
 	// counter. QuiesceEvery plants the quiescent cuts the streaming

@@ -81,7 +81,7 @@ type RunConfig struct {
 	// forever, e.g. behind a wedged lock holder.
 	SimSteps int
 	// Record captures the run's history in the paper's event
-	// vocabulary (see Capabilities.HistoryRecording). On the simulated
+	// vocabulary, on every engine. On the simulated
 	// substrate the recorder wraps the TM inside the deterministic
 	// scheduler; on the native substrate the per-process recorder of
 	// internal/record hangs off the algorithms' linearization-point
@@ -170,8 +170,8 @@ type Stats struct {
 	// Steps is the number of scheduler steps consumed (simulated
 	// substrate only).
 	Steps int
-	// History is the recorded history when RunConfig.Record was set
-	// on a recording-capable engine, else nil.
+	// History is the recorded history when RunConfig.Record was set,
+	// else nil.
 	History model.History
 	// Live is the online monitor's final report when RunConfig.Live
 	// was set: the streaming opacity verdict over the events observed
@@ -213,20 +213,15 @@ func (s Stats) AbortRate() float64 {
 	return float64(s.Aborts) / float64(s.Commits+s.Aborts)
 }
 
-// Capabilities describes what an engine's substrate supports, so
-// callers select engines by feature rather than by name.
+// Capabilities describes what varies between engines, so callers
+// select engines by feature rather than by name. Every engine records
+// histories.
 type Capabilities struct {
-	// Substrate the engine runs on.
+	// Substrate the engine runs on. Native engines run transactions
+	// truly in parallel, so wall-clock throughput is meaningful there;
+	// simulated ones reproduce the same run bit for bit from the same
+	// RunConfig.
 	Substrate Substrate
-	// RealConcurrency: transactions run truly in parallel, so wall-
-	// clock throughput is meaningful.
-	RealConcurrency bool
-	// DeterministicReplay: the same RunConfig reproduces the same run
-	// bit for bit.
-	DeterministicReplay bool
-	// HistoryRecording: Run can return the history in the paper's
-	// event vocabulary for the safety checkers.
-	HistoryRecording bool
 	// Nonblocking: the algorithm is expected to keep correct
 	// processes progressing past crashed or stalled peers (the
 	// paper's resilience motivation).

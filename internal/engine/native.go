@@ -40,13 +40,7 @@ func (e *NativeEngine) Algorithm() string {
 
 // Capabilities implements Engine.
 func (e *NativeEngine) Capabilities() Capabilities {
-	return Capabilities{
-		Substrate:           Native,
-		RealConcurrency:     true,
-		DeterministicReplay: false,
-		HistoryRecording:    true,
-		Nonblocking:         e.info.Nonblocking,
-	}
+	return Capabilities{Substrate: Native, Nonblocking: e.info.Nonblocking}
 }
 
 // nativeTx translates the native handle's sentinel error into the

@@ -36,13 +36,7 @@ func (e *Sim) Algorithm() string { return e.algorithm }
 
 // Capabilities implements Engine.
 func (e *Sim) Capabilities() Capabilities {
-	return Capabilities{
-		Substrate:           Simulated,
-		RealConcurrency:     false,
-		DeterministicReplay: true,
-		HistoryRecording:    true,
-		Nonblocking:         e.nonblocking,
-	}
+	return Capabilities{Substrate: Simulated, Nonblocking: e.nonblocking}
 }
 
 // simTx adapts the request/response operational interface to the

@@ -239,8 +239,7 @@ func (o Options) withDefaults() Options {
 
 // RunMatrix executes every spec on every engine and returns the
 // result cells in declaration order. The zero Options runs plain
-// cells; with opts.Record, cells on recording-capable engines capture
-// their history, and with opts.Check each history must satisfy
+// cells; with opts.Record, every cell captures its history, and with opts.Check each history must satisfy
 // well-formedness and the streaming opacity check.
 func RunMatrix(engines []engine.Engine, specs []Spec, budget Budget, opts Options) ([]Result, error) {
 	opts = opts.withDefaults()
@@ -258,13 +257,13 @@ func RunMatrix(engines []engine.Engine, specs []Spec, budget Budget, opts Option
 			} else {
 				cfg.OpsPerProc = budget.NativeOps
 			}
-			if opts.Record && caps.HistoryRecording {
+			if opts.Record {
 				cfg.Record = true
 				if caps.Substrate == engine.Native {
 					cfg.QuiesceEvery = opts.QuiesceEvery
 				}
 			}
-			live := opts.Live && caps.Substrate == engine.Native && caps.HistoryRecording
+			live := opts.Live && caps.Substrate == engine.Native
 			if live {
 				cfg.Live = true
 				if opts.QuiesceEvery == 0 {

@@ -175,7 +175,7 @@ func TestRunMatrixShardSweep(t *testing.T) {
 }
 
 // TestRunMatrixRecordChecked runs the record/check path on both
-// substrates: every recording-capable cell must capture a history and
+// substrates: every cell must capture a history and
 // pass the online monitor's well-formedness and opacity checks.
 func TestRunMatrixRecordChecked(t *testing.T) {
 	var engines []engine.Engine
