@@ -7,14 +7,14 @@
 //	    Run the liveness matrix (DESIGN.md E20): each TM × fault
 //	    model, compared against the paper's §3.2.3 claims.
 //
-//	livetm run -engine NAME [-procs N] [-ops N] [-mix M] [-contention C] [-sharing S] [-live] [-out FILE]
+//	livetm run -engine NAME [-procs N] [-ops N] [-mix M] [-contention C] [-sharing S] [-quiesce N] [-out FILE]
 //	    Run one workload cell on a native engine with the in-process
-//	    monitor attached (-live, the default): events stream into the
-//	    checker while the cell executes, an opacity violation stops
-//	    the run mid-flight, and the measured per-process starvation
-//	    rebiases the retry backoff (starved processes back off less).
-//	    Prints the monitor report and liveness class; -live=false
-//	    degrades to a plain recorded run (like `livetm record`).
+//	    monitor attached: events stream into the checker while the
+//	    cell executes, an opacity violation stops the run mid-flight,
+//	    and the measured per-process starvation rebiases the retry
+//	    backoff (starved processes back off less). Prints the monitor
+//	    report and liveness class. A plain recorded run is
+//	    `livetm record`.
 //
 //	livetm serve -engine NAME [-workers N] [-submitters N] [-mix M] [-contention C] [-sharing S] [-duration D] [-progress D] [-metrics ADDR] [-flight FILE [-flight-every D]] [-listen ADDR [-max-inflight N] [-retry-after D]]
 //	    Run a native engine as a long-lived service: one session whose
@@ -105,14 +105,14 @@
 //	    with history recording and write the history as a JSON Lines
 //	    trace ("-" writes stdout, so it pipes into check/monitor).
 //
-//	livetm monitor -file FILE [-segment N] [-window N] [-every N] [-approx] | -live [-engine NAME] ...
+//	livetm monitor -file FILE [-segment N] [-window N] [-every N] [-approx]
 //	    Stream a trace ("-" reads stdin, live from a pipe) through the
 //	    online monitor: incremental opacity checking plus per-process
 //	    progress accounting classified against the liveness lattice.
 //	    -approx degrades cut-starved streams to an explicit
 //	    approximate verdict (forced serialization frontiers) instead
-//	    of refusing them; -live monitors an in-process native run
-//	    (same flags as `livetm run`).
+//	    of refusing them. An in-process native run under the monitor
+//	    is `livetm run`.
 //
 //	livetm classify -file FILE [-split N]
 //	    Read a trace as an infinite history (observed tail repeated
@@ -888,49 +888,11 @@ func matrixCell(procs int, mix, contention, sharing string) (workload.Spec, erro
 	return workload.Spec{}, fmt.Errorf("no matrix cell with mix %q, contention %q, sharing %q", mix, contention, sharing)
 }
 
-// runLiveCell executes one matrix cell on a native engine with the
-// in-process monitor attached and prints the run's stats and the
-// monitor's report. Shared by `livetm run` and `livetm monitor -live`.
-func runLiveCell(engineName string, procs, ops int, mix, contention, sharing string, quiesce, segment, window int, out string) error {
-	e, ok := engine.Lookup(engineName)
-	if !ok {
-		return fmt.Errorf("unknown engine %q", engineName)
-	}
-	spec, err := matrixCell(procs, mix, contention, sharing)
-	if err != nil {
-		return err
-	}
-	cfg := engine.RunConfig{
-		Procs:           spec.Procs,
-		Vars:            spec.Vars,
-		OpsPerProc:      ops,
-		Live:            true,
-		Record:          out != "",
-		QuiesceEvery:    quiesce,
-		LiveSegmentTxns: segment,
-		LiveTailWindow:  window,
-	}
-	st, runErr := e.Run(cfg, spec.Body())
-	fmt.Printf("live %s on %s: commits=%d aborts=%d no-commits=%d stopped=%v\n",
-		spec.Name, e.Name(), st.Commits, st.Aborts, st.NoCommits, st.Stopped)
-	if st.Live != nil {
-		fmt.Print(st.Live.Format())
-		fmt.Printf("  liveness class: %s\n", st.Live.LivenessClass())
-	}
-	fmt.Printf("  backoff cap=%d bias=%v recorder chunks=%d\n", st.BackoffCap, st.BackoffBias, st.RecorderChunks)
-	if out != "" && st.History != nil {
-		if err := model.SaveTrace(out, st.History); err != nil {
-			return err
-		}
-		fmt.Printf("trace written to %s (%d events)\n", out, len(st.History))
-	}
-	return runErr
-}
-
 // cmdRun runs one workload cell under the in-process monitor: events
 // stream into the checker while the cell executes, a safety violation
 // stops the run mid-flight, and measured starvation rebiases the
-// native backoff loop.
+// native backoff loop. It prints the run's stats and the monitor's
+// report.
 func cmdRun(args []string) error {
 	fs := flag.NewFlagSet("run", flag.ContinueOnError)
 	name := fs.String("engine", "native-tl2", "native engine to run (see `livetm engines`)")
@@ -939,24 +901,41 @@ func cmdRun(args []string) error {
 	mixName := fs.String("mix", "update", "read/write mix: update, readheavy or writeheavy")
 	contentionName := fs.String("contention", "hot", "contention level: hot or cold")
 	sharing := fs.String("sharing", "shared", "variable sharing: shared or disjoint")
-	live := fs.Bool("live", true, "attach the in-process monitor (mid-flight violation stop + starvation-aware backoff)")
 	quiesce := fs.Int("quiesce", 0, "quiescent-cut interval: a session pause after every N × workers completed transactions (0 = the live default of 4, -1 = never)")
-	segment := fs.Int("segment", 0, "live checker segment budget in transactions (0 = default 48)")
 	out := fs.String("out", "", "also retain the history and write it as a JSON Lines trace file")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if !*live {
-		// Without the monitor this is a plain recorded run; reuse the
-		// record path so the two stay behaviourally identical.
-		rest := []string{"-engine", *name, "-procs", strconv.Itoa(*procsN), "-ops", strconv.Itoa(*ops),
-			"-mix", *mixName, "-contention", *contentionName, "-sharing", *sharing}
-		if *out != "" {
-			rest = append(rest, "-out", *out)
-		}
-		return cmdRecord(rest)
+	e, ok := engine.Lookup(*name)
+	if !ok {
+		return fmt.Errorf("run: unknown engine %q", *name)
 	}
-	return runLiveCell(*name, *procsN, *ops, *mixName, *contentionName, *sharing, *quiesce, *segment, 0, *out)
+	spec, err := matrixCell(*procsN, *mixName, *contentionName, *sharing)
+	if err != nil {
+		return fmt.Errorf("run: %w", err)
+	}
+	st, runErr := e.Run(engine.RunConfig{
+		Procs:        spec.Procs,
+		Vars:         spec.Vars,
+		OpsPerProc:   *ops,
+		Live:         true,
+		Record:       *out != "",
+		QuiesceEvery: *quiesce,
+	}, spec.Body())
+	fmt.Printf("live %s on %s: commits=%d aborts=%d no-commits=%d stopped=%v\n",
+		spec.Name, e.Name(), st.Commits, st.Aborts, st.NoCommits, st.Stopped)
+	if st.Live != nil {
+		fmt.Print(st.Live.Format())
+		fmt.Printf("  liveness class: %s\n", st.Live.LivenessClass())
+	}
+	fmt.Printf("  backoff cap=%d bias=%v recorder chunks=%d\n", st.BackoffCap, st.BackoffBias, st.RecorderChunks)
+	if *out != "" && st.History != nil {
+		if err := model.SaveTrace(*out, st.History); err != nil {
+			return err
+		}
+		fmt.Printf("trace written to %s (%d events)\n", *out, len(st.History))
+	}
+	return runErr
 }
 
 // cmdServe runs a native engine as a long-lived service: one session
@@ -977,7 +956,6 @@ func cmdServe(args []string) error {
 	duration := fs.Duration("duration", 0, "stop after this long (0 = serve until SIGINT/SIGTERM)")
 	progress := fs.Duration("progress", 2*time.Second, "progress line interval")
 	quiesce := fs.Int("quiesce", 0, "quiescent-cut interval: a session pause after every N × workers completed transactions (0 = the live default of 4, -1 = never)")
-	segment := fs.Int("segment", 0, "live checker segment budget in transactions (0 = default 48)")
 	listen := fs.String("listen", "", "serve the wire API v1 on this address (livetm client / internal/client); telemetry rides the same listener at /metrics. Defaults -submitters to 0 and -quiesce to -1 (network clients park transactions across round trips, which would stall a cut) unless set explicitly")
 	maxInflight := fs.Int("max-inflight", 256, "wire admission cap: total submissions in flight across all clients, shared fairly (0 = unbounded; -listen only)")
 	retryAfter := fs.Duration("retry-after", 50*time.Millisecond, "backoff hint attached to wire overload refusals (-listen only)")
@@ -1025,20 +1003,8 @@ func cmdServe(args []string) error {
 			*quiesce = -1
 		}
 	}
-	if !*live {
-		// Flags only the resident monitor honours are rejected, not
-		// silently dropped.
-		var conflict []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "quiesce", "segment":
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			return fmt.Errorf("serve: %s cannot be combined with -live=false (quiescent cuts and the segment budget belong to the resident monitor)", strings.Join(conflict, ", "))
-		}
-	}
+	// A -quiesce that only the resident monitor honours reaches
+	// engine.Open, which rejects it on a session with -live=false.
 	spec, err := matrixCell(*workers, *mixName, *contentionName, *sharing)
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -1048,13 +1014,12 @@ func cmdServe(args []string) error {
 	// BenchmarkTelemetryOverhead enforces keeps it cheap either way.
 	reg := telemetry.NewRegistry()
 	s, err := engine.Open(engine.SessionConfig{
-		Engine:          *name,
-		Workers:         *workers,
-		Vars:            spec.Vars,
-		Live:            *live,
-		QuiesceEvery:    *quiesce,
-		LiveSegmentTxns: *segment,
-		Telemetry:       reg,
+		Engine:       *name,
+		Workers:      *workers,
+		Vars:         spec.Vars,
+		Live:         *live,
+		QuiesceEvery: *quiesce,
+		Telemetry:    reg,
 	})
 	if err != nil {
 		return fmt.Errorf("serve: %w", err)
@@ -1624,9 +1589,8 @@ func cmdRecord(args []string) error {
 	return nil
 }
 
-// cmdMonitor streams a trace — live from a pipe, replayed from a
-// file, or (with -live) produced by an in-process native run — through
-// the online monitor.
+// cmdMonitor streams a trace — live from a pipe or replayed from a
+// file — through the online monitor.
 func cmdMonitor(args []string) error {
 	fs := flag.NewFlagSet("monitor", flag.ContinueOnError)
 	file := fs.String("file", "", "JSON Lines trace file, or - for stdin")
@@ -1634,33 +1598,11 @@ func cmdMonitor(args []string) error {
 	window := fs.Int("window", 256, "tail window (events) for liveness classification")
 	every := fs.Int("every", 0, "print a progress line every N events (0 = only the final report)")
 	approx := fs.Bool("approx", false, "degrade cut-starved streams to approximate verdicts instead of refusing")
-	live := fs.Bool("live", false, "monitor an in-process native run instead of a trace (mid-flight stop + starvation-aware backoff)")
-	engineName := fs.String("engine", "native-tl2", "native engine for -live (see `livetm engines`)")
-	procsN := fs.Int("procs", 4, "process count for -live")
-	ops := fs.Int("ops", 200, "rounds per process for -live")
-	mixName := fs.String("mix", "update", "read/write mix for -live")
-	contentionName := fs.String("contention", "hot", "contention level for -live")
-	sharing := fs.String("sharing", "shared", "variable sharing for -live")
 	if err := fs.Parse(args); err != nil {
 		return err
 	}
-	if *live {
-		// Flags the in-process path cannot honour are rejected, not
-		// silently dropped.
-		var conflict []string
-		fs.Visit(func(f *flag.Flag) {
-			switch f.Name {
-			case "file", "every", "approx":
-				conflict = append(conflict, "-"+f.Name)
-			}
-		})
-		if len(conflict) > 0 {
-			return fmt.Errorf("monitor: %s cannot be combined with -live (the engine's in-process monitor streams internally and always uses the approximate fallback)", strings.Join(conflict, ", "))
-		}
-		return runLiveCell(*engineName, *procsN, *ops, *mixName, *contentionName, *sharing, 0, *segment, *window, "")
-	}
 	if *file == "" {
-		return fmt.Errorf("monitor: -file is required (or -live for an in-process run)")
+		return fmt.Errorf("monitor: -file is required (an in-process run under the monitor is livetm run)")
 	}
 	in := os.Stdin
 	if *file != "-" {

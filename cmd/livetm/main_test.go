@@ -421,8 +421,7 @@ func TestSubcommandTable(t *testing.T) {
 }
 
 // TestCmdRunLive: `livetm run` drives a native cell under the
-// in-process monitor, optionally retaining the trace, and degrades to
-// a plain recorded run with -live=false.
+// in-process monitor, optionally retaining the trace.
 func TestCmdRunLive(t *testing.T) {
 	if err := run([]string{"run", "-engine", "native-tl2", "-procs", "2", "-ops", "20"}); err != nil {
 		t.Fatal(err)
@@ -437,23 +436,11 @@ func TestCmdRunLive(t *testing.T) {
 	if err := run([]string{"check", "-file", path, "-render=false"}); err != nil {
 		t.Fatal(err)
 	}
-	if err := run([]string{"run", "-live=false", "-engine", "native-tl2", "-procs", "2", "-ops", "10",
-		"-out", filepath.Join(t.TempDir(), "plain.jsonl")}); err != nil {
-		t.Fatal(err)
-	}
 	if err := run([]string{"run", "-engine", "no-such"}); err == nil {
 		t.Error("unknown engine must error")
 	}
 	if err := run([]string{"run", "-engine", "sim-tl2"}); err == nil {
 		t.Error("live run on a simulated engine must error")
-	}
-}
-
-// TestCmdMonitorLive: `livetm monitor -live` monitors an in-process
-// native run instead of reading a trace.
-func TestCmdMonitorLive(t *testing.T) {
-	if err := run([]string{"monitor", "-live", "-engine", "native-norec", "-procs", "2", "-ops", "15"}); err != nil {
-		t.Fatal(err)
 	}
 }
 

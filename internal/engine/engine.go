@@ -114,12 +114,6 @@ type RunConfig struct {
 	// process — set Record too to also get Stats.History. The simulated substrate rejects Live:
 	// its deterministic histories are checked after the fact.
 	Live bool
-	// LiveSegmentTxns is the live monitor's per-segment transaction
-	// budget (0 defaults to 48; max 64).
-	LiveSegmentTxns int
-	// LiveTailWindow is the live monitor's liveness-classification
-	// window in events (0 defaults to 256).
-	LiveTailWindow int
 	// Telemetry registers the run's instruments in the given registry
 	// (see SessionConfig.Telemetry); nil runs on bare instruments.
 	Telemetry *telemetry.Registry

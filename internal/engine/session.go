@@ -125,12 +125,6 @@ type SessionConfig struct {
 	// ErrLiveViolation), and measured per-process starvation
 	// continuously rebiases the retry-loop backoff.
 	Live bool
-	// LiveSegmentTxns is the live checker's per-segment transaction
-	// budget (0 defaults to 48; max 64).
-	LiveSegmentTxns int
-	// LiveTailWindow is the live monitor's liveness-classification
-	// window in events (0 defaults to 256).
-	LiveTailWindow int
 	// Telemetry registers the session's instruments — submission and
 	// commit counters, lane queue depths, Exec latency, cut pauses, the
 	// native retry loop's per-algorithm transaction families, recorder
@@ -171,15 +165,6 @@ func (cfg SessionConfig) validate() error {
 	}
 	if cfg.QuiesceEvery > 0 && !cfg.Record && !cfg.Live {
 		return fmt.Errorf("engine: QuiesceEvery only applies to recorded or live sessions")
-	}
-	if (cfg.LiveSegmentTxns != 0 || cfg.LiveTailWindow != 0) && !cfg.Live {
-		return fmt.Errorf("engine: LiveSegmentTxns and LiveTailWindow only apply to live sessions")
-	}
-	if cfg.LiveSegmentTxns < 0 || cfg.LiveSegmentTxns > 64 {
-		return fmt.Errorf("engine: LiveSegmentTxns %d out of range [0, 64]", cfg.LiveSegmentTxns)
-	}
-	if cfg.LiveTailWindow < 0 {
-		return fmt.Errorf("engine: LiveTailWindow must be non-negative, got %d", cfg.LiveTailWindow)
 	}
 	return nil
 }
@@ -501,14 +486,12 @@ func Open(cfg SessionConfig) (*Session, error) {
 // so the two entry points cannot drift.
 func (cfg RunConfig) session() SessionConfig {
 	return SessionConfig{
-		Workers:         cfg.Procs,
-		Vars:            cfg.Vars,
-		Record:          cfg.Record,
-		QuiesceEvery:    cfg.QuiesceEvery,
-		Live:            cfg.Live,
-		LiveSegmentTxns: cfg.LiveSegmentTxns,
-		LiveTailWindow:  cfg.LiveTailWindow,
-		Telemetry:       cfg.Telemetry,
+		Workers:      cfg.Procs,
+		Vars:         cfg.Vars,
+		Record:       cfg.Record,
+		QuiesceEvery: cfg.QuiesceEvery,
+		Live:         cfg.Live,
+		Telemetry:    cfg.Telemetry,
 	}
 }
 

@@ -26,9 +26,12 @@ const (
 	// liveRebiasEvery is how often (in observed events) the pump feeds
 	// measured starvation back into the backoff policy.
 	liveRebiasEvery = 256
-	// liveSegmentTxns is the live checker's default per-segment
-	// transaction budget (SessionConfig.LiveSegmentTxns overrides).
+	// liveSegmentTxns is the live checker's per-segment transaction
+	// budget.
 	liveSegmentTxns = 48
+	// liveTailWindow is the live monitor's liveness-classification
+	// window in events.
+	liveTailWindow = 256
 	// liveQuiesceEvery is the default cut interval of a live session
 	// when SessionConfig.QuiesceEvery is 0: real quiescent cuts keep
 	// the live checker exact; the bounded-overlap fallback only has to
@@ -187,16 +190,12 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 	s.roomCond = sync.NewCond(&s.mu)
 	s.drainCond = sync.NewCond(&s.drainMu)
 	if cfg.Live {
-		segTxns := cfg.LiveSegmentTxns
-		if segTxns == 0 {
-			segTxns = liveSegmentTxns
-		}
 		procs := make([]model.Proc, cfg.Workers)
 		for i := range procs {
 			procs[i] = model.Proc(i + 1)
 		}
 		mon, err := monitor.New(monitor.Config{
-			SegmentTxns: segTxns, TailWindow: cfg.LiveTailWindow, Procs: procs, Approx: true,
+			SegmentTxns: liveSegmentTxns, TailWindow: liveTailWindow, Procs: procs, Approx: true,
 			Telemetry: s.met.checker,
 		})
 		if err != nil {

@@ -203,9 +203,6 @@ type Options struct {
 	// cuts within budget) are reported with Checked=false rather than
 	// failing.
 	Check bool
-	// SegmentTxns is the monitor's per-segment transaction budget
-	// (default 48, max 64).
-	SegmentTxns int
 	// QuiesceEvery is the recorded native cells' cut interval: the
 	// session pauses for a quiescent cut after every QuiesceEvery ×
 	// (admitted workers) completed transactions, planting the cuts the
@@ -225,9 +222,6 @@ type Options struct {
 func (o Options) withDefaults() Options {
 	if o.Check {
 		o.Record = true
-	}
-	if o.SegmentTxns <= 0 {
-		o.SegmentTxns = 48
 	}
 	if o.QuiesceEvery == 0 {
 		o.QuiesceEvery = 4
@@ -322,7 +316,7 @@ func runCell(e engine.Engine, caps engine.Capabilities, spec Spec, cfg engine.Ru
 		// the replayed check must stay on the clock too or the
 		// two would not be comparable.
 		t0 := time.Now()
-		checked, err := checkCell(st.History, opts)
+		checked, err := checkCell(st.History)
 		if err != nil {
 			return Result{}, fmt.Errorf("workload %s on %s: %w", spec.Name, e.Name(), err)
 		}
@@ -344,14 +338,18 @@ func runCell(e engine.Engine, caps engine.Capabilities, spec Spec, cfg engine.Ru
 	return r, nil
 }
 
+// checkSegmentTxns is the post-hoc monitor's per-segment transaction
+// budget for checked cells.
+const checkSegmentTxns = 48
+
 // checkCell verifies one recorded cell through the online monitor.
 // False (with nil error) means the streaming checker could not decide
 // the cell within its cut budget.
-func checkCell(h model.History, opts Options) (bool, error) {
+func checkCell(h model.History) (bool, error) {
 	if err := model.CheckWellFormed(h); err != nil {
 		return false, fmt.Errorf("recorded history malformed: %w", err)
 	}
-	m, err := monitor.New(monitor.Config{SegmentTxns: opts.SegmentTxns})
+	m, err := monitor.New(monitor.Config{SegmentTxns: checkSegmentTxns})
 	if err != nil {
 		return false, err
 	}
