@@ -35,18 +35,26 @@
 // The paper's liveness results are statements about ongoing systems —
 // processes that keep issuing transactions forever while the
 // environment schedules them — so the package's core is a long-lived
-// Session, not a closed batch run. Open (or Engine.Open) starts a TM
-// instance with a worker pool; clients submit individual transactions
-// with Session.Exec (blocking, returning the commit error) and
-// Session.Submit (async, with a result callback), pinned to a worker
-// or to AnyWorker; Session.Stats snapshots the counters mid-flight;
-// Session.AddWorkers admits more workers while traffic flows (native
-// substrate, up to the provisioned MaxWorkers); and Session.Close
-// drains the in-flight transactions and returns the monitor's final
-// report. Engine.Run is the batch convenience wrapper over exactly
-// this: open a session, keep each worker's lane loaded with its
-// OpsPerProc rounds, drain, close. `livetm serve` is the same shape as
-// a SIGTERM-clean soak service.
+// Session, not a closed batch run. Sessions are native: Open (or
+// NativeEngine.Open) starts a native TM instance with a worker pool;
+// clients submit individual transactions with Session.Exec (blocking,
+// returning the commit error) and Session.Submit (async, with a result
+// callback), pinned to a worker or to AnyWorker; Session.Stats
+// snapshots the counters mid-flight; Session.AddWorkers admits more
+// workers while traffic flows (up to the provisioned MaxWorkers); and
+// Session.Close drains the in-flight transactions and returns the
+// monitor's final report. A native Engine.Run is the batch wrapper
+// over exactly this: open a session, keep each worker's lane loaded
+// with its OpsPerProc rounds, close. `livetm serve` is the same shape
+// as a SIGTERM-clean soak service.
+//
+// Simulated engines run batches only. Their results — the liveness
+// matrix, the Theorem 1 adversary runs, recorded traces — are fixed
+// batches under a seeded scheduler, so Sim.Run is one deterministic
+// loop: it spawns the processes, runs each one's rounds through the
+// retry logic, and steps the scheduler until the step budget is spent,
+// a body fails terminally, or nothing is runnable. Open refuses a
+// simulated engine.
 //
 // The submission surface is factored out as the Submitter interface
 // (Exec/ExecOn blocking, Submit/SubmitOn async) so layers that put
@@ -58,12 +66,11 @@
 // refuses immediately with ErrOverloaded rather than blocking, the
 // sentinel the server translates to HTTP 429 plus a Retry-After
 // hint. Every sentinel in this package (ErrOverloaded, ErrClosed,
-// ErrStopped, ErrStepBudget, ErrNoCommit, ErrLiveViolation)
-// round-trips the wire as a stable code, so errors.Is holds on both
-// ends of the connection.
+// ErrStopped, ErrNoCommit, ErrLiveViolation) round-trips the wire as a
+// stable code, so errors.Is holds on both ends of the connection.
 //
-// On the native substrate workers are real goroutines and submissions
-// execute as soon as a worker frees up. A blocking ExecOn pinned to an
+// Workers are real goroutines and submissions execute as soon as a
+// worker frees up. A blocking ExecOn pinned to an
 // idle worker with nothing queued ahead of it, whose context can never
 // be done, skips the hand-off: it runs on the caller's goroutine as
 // that worker — the paper's process issuing its own transaction — under
@@ -74,10 +81,7 @@
 // worker they are for (a shared-lane job wakes every worker).
 // Quiescent cuts for the checkers are brief global pauses (no new
 // transaction starts while in-flight ones finish) since idle workers
-// cannot rendezvous at a barrier. On the simulated substrate the
-// session is demand-driven: the cooperative scheduler steps while a
-// caller blocks in Exec, Drain or Close, which is what keeps batch
-// runs bit-for-bit deterministic.
+// cannot rendezvous at a barrier.
 //
 // A transaction costs a native session no allocation of its own, on
 // either path, so that observing a run does not reshape it with
@@ -168,9 +172,9 @@
 // transactions until the budget is exhausted — scheduler steps on the
 // simulated substrate, transaction rounds on the native one — and
 // returns aggregate commit/abort statistics, plus the recorded
-// history when the substrate supports it. Capabilities reports what
-// the substrate can do so callers can select engines by feature
-// rather than by name. Each Run opens a fresh TM instance, so engines
+// history when RunConfig.Record is set. Capabilities reports what
+// varies between engines (substrate, nonblocking) so callers can
+// select engines by feature rather than by name. Each Run opens a fresh TM instance, so engines
 // are safe for concurrent Runs, and any number of Sessions may be open
 // concurrently.
 //

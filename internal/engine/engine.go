@@ -62,7 +62,8 @@ type Tx interface {
 // fails.
 type TxBody func(proc, round int, tx Tx) error
 
-// RunConfig sizes one engine run.
+// RunConfig sizes one engine run. QuiesceEvery, Live and Telemetry
+// are native only: a simulated Run rejects them.
 type RunConfig struct {
 	// Procs is the number of concurrent processes (>= 1).
 	Procs int
@@ -81,11 +82,10 @@ type RunConfig struct {
 	// forever, e.g. behind a wedged lock holder.
 	SimSteps int
 	// Record captures the run's history in the paper's event
-	// vocabulary, on every engine. On the simulated
-	// substrate the recorder wraps the TM inside the deterministic
-	// scheduler; on the native substrate the per-process recorder of
-	// internal/record hangs off the algorithms' linearization-point
-	// hooks.
+	// vocabulary, on every engine. On the simulated substrate the
+	// recorder wraps the TM inside the deterministic scheduler; on the
+	// native substrate the per-process recorder of internal/record
+	// hangs off the algorithms' linearization-point hooks.
 	Record bool
 	// QuiesceEvery plants quiescent cuts in a recorded native run
 	// (0 = never): after every QuiesceEvery × (admitted workers)
@@ -111,8 +111,9 @@ type RunConfig struct {
 	// budget between cuts, degrading those to an approximate verdict.
 	// Live alone does not retain the history — the stream is consumed as
 	// it is produced, capping recorder allocation at one ring per
-	// process — set Record too to also get Stats.History. The simulated substrate rejects Live:
-	// its deterministic histories are checked after the fact.
+	// process — set Record too to also get Stats.History. The simulated
+	// substrate rejects Live: its deterministic histories are checked
+	// after the fact.
 	Live bool
 	// Telemetry registers the run's instruments in the given registry
 	// (see SessionConfig.Telemetry); nil runs on bare instruments.

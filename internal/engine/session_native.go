@@ -87,10 +87,10 @@ func (s *nativeSession) runPump() {
 	pump.Run(s.rec)
 }
 
-// nativeSession is the native-substrate session backend: a pool of
-// real goroutines pulling jobs from a shared lane plus per-worker
-// pinned lanes, with the recorder, live monitor and starvation-aware
-// backoff of the old batch Run now running for the session's lifetime.
+// nativeSession is what a Session runs on: a pool of real goroutines
+// pulling jobs from a shared lane plus per-worker pinned lanes, with
+// the recorder, live monitor and starvation-aware backoff running for
+// the session's lifetime.
 //
 // The lanes are condition-guarded queues, not channels, for one
 // deadlock-freedom property: an asynchronous submission (Submit, the
@@ -163,7 +163,7 @@ type nativeSession struct {
 }
 
 // openNativeSession starts the pool. cfg has defaults applied and is
-// validated for the native substrate.
+// validated.
 func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, error) {
 	tm, err := info.New(cfg.Vars)
 	if err != nil {

@@ -1,8 +1,8 @@
-// Package server puts a native TM session on the wire: a transport-agnostic
-// submission service over an engine.Submitter, serving multiple
-// network clients with admission control, per-client fairness, and a
-// graceful drain that finishes every accepted transaction and returns
-// the resident monitor's final report.
+// Package server puts a native TM session on the wire: a
+// transport-agnostic submission service over an engine.Submitter,
+// serving multiple network clients with admission control, per-client
+// fairness, and a graceful drain that finishes every accepted
+// transaction and returns the resident monitor's final report.
 //
 // # Layering
 //
