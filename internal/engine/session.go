@@ -84,21 +84,21 @@ type SessionConfig struct {
 	// process count. Each worker executes submitted transactions one at
 	// a time, so Workers bounds the transaction concurrency.
 	Workers int
-	// MaxWorkers provisions capacity for dynamic admission:
-	// AddWorkers may grow the pool up to this many workers mid-session
-	// (recorder logs, backoff slots and queue lanes are provisioned up
-	// front so the record/monitor stream stays correct when the process
-	// count is not fixed at Open). 0 means Workers — a fixed pool.
+	// MaxWorkers provisions capacity for dynamic admission: AddWorkers
+	// may grow the pool up to this many workers mid-session (recorder
+	// logs, backoff slots and queue lanes are provisioned up front so
+	// the record/monitor stream stays correct when the process count is
+	// not fixed at Open). 0 means Workers — a fixed pool.
 	MaxWorkers int
 	// Vars is the number of t-variables (>= 1).
 	Vars int
 	// QueueDepth is the backpressure threshold of each submission lane
 	// (the shared queue and each worker's pinned queue): Exec blocks
-	// while its lane holds that many pending
-	// transactions. Asynchronous Submit is exempt — it must never block
-	// because a worker's result callback may be the submitter — so an
-	// unchecked Submit flood grows the queue instead (bound it with
-	// MaxQueue). 0 defaults to 64.
+	// while its lane holds that many pending transactions.
+	// Asynchronous Submit is exempt — it must never block because a
+	// worker's result callback may be the submitter — so an unchecked
+	// Submit flood grows the queue instead (bound it with MaxQueue). 0
+	// defaults to 64.
 	QueueDepth int
 	// MaxQueue is the hard admission cap of each submission lane: an
 	// asynchronous Submit whose target lane already holds this many
@@ -273,11 +273,11 @@ var waiters = sync.Pool{New: func() any {
 // transaction's process identity; AnyWorker restores Exec. Pinned
 // submissions to one worker execute in submission order.
 //
-// Where the transaction runs: a call whose ctx
-// can never be done (ctx.Done() == nil, as for context.Background)
-// and whose worker is idle, with nothing queued on its pinned lane or
-// the shared one, runs the body on the calling goroutine as that
-// worker — no hand-off, no wake-up. Every other call is queued for the
+// Where the transaction runs: a call whose ctx can never be done
+// (ctx.Done() == nil, as for context.Background) and whose worker is
+// idle, with nothing queued on its pinned lane or the shared one, runs
+// the body on the calling goroutine as that worker — no hand-off, no
+// wake-up. Every other call is queued for the
 // worker's goroutine. A cancellable ctx always queues, because a done
 // context abandons the wait, not the transaction: a transaction running
 // on its caller could not be abandoned, and under a starvation
@@ -324,11 +324,11 @@ func (s *Session) Drain(ctx context.Context) error {
 func (s *Session) Stats() SessionStats { return s.b.stats() }
 
 // AddWorkers admits n more workers mid-session, up to
-// SessionConfig.MaxWorkers. The recorder and
-// backoff slots are provisioned for MaxWorkers up front; the live
-// monitor's process set grows lazily — an admitted worker joins the
-// monitored set with its first event, so a worker that never runs a
-// transaction does not appear in the final report.
+// SessionConfig.MaxWorkers. The recorder and backoff slots are
+// provisioned for MaxWorkers up front; the live monitor's process set
+// grows lazily — an admitted worker joins the monitored set with its
+// first event, so a worker that never runs a transaction does not
+// appear in the final report.
 func (s *Session) AddWorkers(n int) error { return s.b.addWorkers(n) }
 
 // Close stops accepting submissions, drains the in-flight and queued
@@ -403,9 +403,9 @@ func (r *jobRing) pop() (sessionJob, bool) {
 	return j, true
 }
 
-// lanes is a session's submission queues: one lane
-// any worker serves and one pinned lane per worker slot, with the
-// queue-depth gauges kept in step. The session's mutex guards it.
+// lanes is a session's submission queues: one lane any worker serves
+// and one pinned lane per worker slot, with the queue-depth gauges
+// kept in step. The session's mutex guards it.
 type lanes struct {
 	shared jobRing
 	pinned []jobRing
