@@ -120,16 +120,6 @@ type RunConfig struct {
 	Telemetry *telemetry.Registry
 }
 
-// validate checks a native run: the session validation of the run's
-// mapped shape (RunConfig.session) plus the batch budget rule, so the
-// two native entry points share one rule set.
-func (cfg RunConfig) validate() error {
-	if cfg.OpsPerProc <= 0 {
-		return fmt.Errorf("engine: native runs need a positive OpsPerProc budget")
-	}
-	return cfg.session().validate()
-}
-
 // validateSim checks a simulated run. The scheduler runs the rounds
 // itself, so the native-only knobs are refused rather than ignored.
 func (cfg RunConfig) validateSim() error {

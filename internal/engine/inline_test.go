@@ -24,7 +24,7 @@ func goid() uint64 {
 
 // closing reports whether Close has sealed the native session.
 func closing(s *Session) bool {
-	ns := s.b
+	ns := s
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	return ns.closed
@@ -33,7 +33,7 @@ func closing(s *Session) bool {
 // enqueueUnwoken queues a job without waking any worker, holding open
 // the moment between a push and its worker's wake-up.
 func enqueueUnwoken(s *Session, worker int, body Body) {
-	ns := s.b
+	ns := s
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	ns.met.submitted.Inc()

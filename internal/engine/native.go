@@ -2,6 +2,8 @@ package engine
 
 import (
 	"errors"
+	"fmt"
+	"sync"
 
 	"livetm/internal/native"
 )
@@ -66,27 +68,95 @@ func (t nativeTx) Write(i int, v int64) error {
 	}
 }
 
-// Open starts a long-lived Session: a fresh TM instance with a worker
-// pool of real goroutines serving client-submitted transactions until
-// Close. Any number of sessions may be open concurrently; cfg.Engine
-// is ignored (the receiver is the engine).
-func (e *NativeEngine) Open(cfg SessionConfig) (*Session, error) {
-	cfg = cfg.withDefaults()
-	if err := cfg.validate(); err != nil {
-		return nil, err
-	}
-	b, err := openNativeSession(e.info, cfg)
-	if err != nil {
-		return nil, err
-	}
-	return &Session{name: e.info.Name, b: b}, nil
-}
-
-// Run implements Engine as a batch wrapper over Open: one session,
-// cfg.Procs workers, OpsPerProc pinned rounds per worker.
+// Run implements Engine as a batch wrapper over Open: one session
+// with cfg.Procs workers, each worker's lane kept topped up with one of
+// its OpsPerProc pinned rounds at a time (so a terminal body error
+// stops that worker's remaining rounds), then Close, with the session's
+// counters refolded into Stats.
 func (e *NativeEngine) Run(cfg RunConfig, body TxBody) (Stats, error) {
-	if err := cfg.validate(); err != nil {
+	if cfg.OpsPerProc <= 0 {
+		return Stats{}, fmt.Errorf("engine: native runs need a positive OpsPerProc budget")
+	}
+	s, err := e.Open(SessionConfig{
+		Workers:      cfg.Procs,
+		Vars:         cfg.Vars,
+		Record:       cfg.Record,
+		QuiesceEvery: cfg.QuiesceEvery,
+		Live:         cfg.Live,
+		Telemetry:    cfg.Telemetry,
+	})
+	if err != nil {
 		return Stats{}, err
 	}
-	return runOnSession(e, cfg, body)
+	var (
+		mu       sync.Mutex
+		firstErr error
+		wg       sync.WaitGroup
+	)
+	fail := func(err error) {
+		mu.Lock()
+		if firstErr == nil {
+			firstErr = err
+		}
+		mu.Unlock()
+	}
+	// expected classifies a pump result that ends a worker's rounds
+	// without being a body error: the session stopped (the violation
+	// surfaces from Close).
+	expected := func(err error) bool {
+		return errors.Is(err, ErrStopped) || errors.Is(err, ErrClosed)
+	}
+	wg.Add(cfg.Procs)
+	var pump func(p, round int)
+	pump = func(p, round int) {
+		if round >= cfg.OpsPerProc {
+			wg.Done()
+			return
+		}
+		err := s.SubmitOn(p, func(tx Tx) error { return body(p, round, tx) }, func(res error) {
+			switch {
+			case res == nil, errors.Is(res, ErrNoCommit):
+				pump(p, round+1)
+			default:
+				if !expected(res) {
+					fail(res)
+				}
+				wg.Done()
+			}
+		})
+		if err != nil {
+			if !expected(err) {
+				fail(err)
+			}
+			wg.Done()
+		}
+	}
+	for p := 0; p < cfg.Procs; p++ {
+		pump(p, 0)
+	}
+	wg.Wait()
+
+	rep, cerr := s.Close()
+	sst := s.Stats()
+	st := Stats{
+		Commits:        sst.Commits,
+		Aborts:         sst.Aborts,
+		NoCommits:      sst.NoCommits,
+		PerProcCommits: sst.PerWorkerCommits,
+		History:        s.History(),
+		Live:           rep,
+		Stopped:        sst.Stopped,
+		BackoffCap:     sst.BackoffCap,
+		BackoffBias:    sst.BackoffBias,
+		RecorderChunks: sst.RecorderChunks,
+		Truncated:      sst.Truncated,
+		CutLatency:     sst.CutLatency,
+	}
+	if cerr != nil {
+		return st, cerr
+	}
+	if firstErr != nil {
+		return st, firstErr
+	}
+	return st, nil
 }

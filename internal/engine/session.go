@@ -6,8 +6,6 @@ import (
 	"fmt"
 	"sync"
 
-	"livetm/internal/model"
-	"livetm/internal/monitor"
 	"livetm/internal/telemetry"
 )
 
@@ -225,16 +223,6 @@ func (s SessionStats) AbortRate() float64 {
 	return float64(s.Aborts) / float64(s.Commits+s.Aborts)
 }
 
-// Session is a long-lived native TM instance serving client-submitted
-// transactions from a worker pool of real goroutines; submissions
-// execute as soon as a worker frees up. Open one with Open (by
-// registry name) or NativeEngine.Open; all methods are safe for
-// concurrent use.
-type Session struct {
-	name string
-	b    *nativeSession
-}
-
 // A Session is the canonical Submitter.
 var _ Submitter = (*Session)(nil)
 
@@ -284,7 +272,7 @@ var waiters = sync.Pool{New: func() any {
 // adversary its retry loop may never end.
 func (s *Session) ExecOn(ctx context.Context, worker int, body Body) error {
 	w := waiters.Get().(*execWaiter)
-	if err := s.b.submit(ctx, worker, body, w.done, true); err != nil {
+	if err := s.submit(ctx, worker, body, w.done, true); err != nil {
 		return err
 	}
 	select {
@@ -307,41 +295,8 @@ func (s *Session) Submit(body Body, done func(error)) error {
 
 // SubmitOn is Submit pinned to one worker (0-based).
 func (s *Session) SubmitOn(worker int, body Body, done func(error)) error {
-	return s.b.submit(context.Background(), worker, body, done, false)
+	return s.submit(context.Background(), worker, body, done, false)
 }
-
-// Drain blocks until every submission accepted so far has completed,
-// or ctx is done.
-func (s *Session) Drain(ctx context.Context) error {
-	return s.b.drain(ctx)
-}
-
-// Stats snapshots the session's counters mid-flight. A result is
-// counted before it is delivered: once an Exec has returned, or a
-// Submit's done callback has started, Stats counts that submission in
-// Completed — and in Commits or NoCommits, or as Stopped, as its
-// result says.
-func (s *Session) Stats() SessionStats { return s.b.stats() }
-
-// AddWorkers admits n more workers mid-session, up to
-// SessionConfig.MaxWorkers. The recorder and backoff slots are
-// provisioned for MaxWorkers up front; the live monitor's process set
-// grows lazily — an admitted worker joins the monitored set with its
-// first event, so a worker that never runs a transaction does not
-// appear in the final report.
-func (s *Session) AddWorkers(n int) error { return s.b.addWorkers(n) }
-
-// Close stops accepting submissions, drains the in-flight and queued
-// transactions, shuts the worker pool down, and returns the live
-// monitor's final report (nil when the session was not live). The
-// error is the session's terminal condition: nil for a clean
-// shutdown, or ErrLiveViolation (wrapped) when the live monitor
-// stopped the session. Closing twice returns ErrClosed.
-func (s *Session) Close() (*monitor.Report, error) { return s.b.close() }
-
-// History returns the recorded history of a SessionConfig.Record
-// session after Close, else nil.
-func (s *Session) History() model.History { return s.b.history() }
 
 // watchCtx arranges wake to be called once if ctx ends before the
 // returned stop function runs — the bridge for condition-variable
@@ -479,101 +434,4 @@ func Open(cfg SessionConfig) (*Session, error) {
 		return nil, fmt.Errorf("engine: %s is simulated, and simulated engines run batches (Engine.Run), not sessions", cfg.Engine)
 	}
 	return n.Open(cfg)
-}
-
-// session maps the batch run's shape onto a session configuration —
-// the single translation both Run's validation and runOnSession use,
-// so the two entry points cannot drift.
-func (cfg RunConfig) session() SessionConfig {
-	return SessionConfig{
-		Workers:      cfg.Procs,
-		Vars:         cfg.Vars,
-		Record:       cfg.Record,
-		QuiesceEvery: cfg.QuiesceEvery,
-		Live:         cfg.Live,
-		Telemetry:    cfg.Telemetry,
-	}
-}
-
-// runOnSession is the native batch Run expressed on a Session: open
-// with the run's shape, keep each worker's lane topped up with one
-// round at a time (so a terminal body error stops that worker's
-// remaining rounds), close, and refold the session's counters into
-// Stats.
-func runOnSession(e *NativeEngine, cfg RunConfig, body TxBody) (Stats, error) {
-	s, err := e.Open(cfg.session())
-	if err != nil {
-		return Stats{}, err
-	}
-	var (
-		mu       sync.Mutex
-		firstErr error
-		wg       sync.WaitGroup
-	)
-	fail := func(err error) {
-		mu.Lock()
-		if firstErr == nil {
-			firstErr = err
-		}
-		mu.Unlock()
-	}
-	// expected classifies a pump result that ends a worker's rounds
-	// without being a body error: the session stopped (the violation
-	// surfaces from Close).
-	expected := func(err error) bool {
-		return errors.Is(err, ErrStopped) || errors.Is(err, ErrClosed)
-	}
-	wg.Add(cfg.Procs)
-	var pump func(p, round int)
-	pump = func(p, round int) {
-		if round >= cfg.OpsPerProc {
-			wg.Done()
-			return
-		}
-		err := s.SubmitOn(p, func(tx Tx) error { return body(p, round, tx) }, func(res error) {
-			switch {
-			case res == nil, errors.Is(res, ErrNoCommit):
-				pump(p, round+1)
-			default:
-				if !expected(res) {
-					fail(res)
-				}
-				wg.Done()
-			}
-		})
-		if err != nil {
-			if !expected(err) {
-				fail(err)
-			}
-			wg.Done()
-		}
-	}
-	for p := 0; p < cfg.Procs; p++ {
-		pump(p, 0)
-	}
-	wg.Wait()
-
-	rep, cerr := s.Close()
-	sst := s.Stats()
-	st := Stats{
-		Commits:        sst.Commits,
-		Aborts:         sst.Aborts,
-		NoCommits:      sst.NoCommits,
-		PerProcCommits: sst.PerWorkerCommits,
-		History:        s.History(),
-		Live:           rep,
-		Stopped:        sst.Stopped,
-		BackoffCap:     sst.BackoffCap,
-		BackoffBias:    sst.BackoffBias,
-		RecorderChunks: sst.RecorderChunks,
-		Truncated:      sst.Truncated,
-		CutLatency:     sst.CutLatency,
-	}
-	if cerr != nil {
-		return st, cerr
-	}
-	if firstErr != nil {
-		return st, firstErr
-	}
-	return st, nil
 }

@@ -62,7 +62,7 @@ type liveState struct {
 // snapshot is sized for MaxWorkers but truncated to the admitted
 // prefix before rebiasing: provisioned-but-idle slots would otherwise
 // drag the mean down and classify every active worker as starved.
-func (s *nativeSession) runPump() {
+func (s *Session) runPump() {
 	ls := s.live
 	defer close(ls.done)
 	pump := &monitor.Pump{
@@ -87,26 +87,32 @@ func (s *nativeSession) runPump() {
 	pump.Run(s.rec)
 }
 
-// nativeSession is what a Session runs on: a pool of real goroutines
-// pulling jobs from a shared lane plus per-worker pinned lanes, with
-// the recorder, live monitor and starvation-aware backoff running for
-// the session's lifetime.
-//
-// The lanes are condition-guarded queues, not channels, for one
-// deadlock-freedom property: an asynchronous submission (Submit, the
-// only kind a result callback may issue) never blocks, so a worker
-// running callbacks can always return to draining. Only Exec blocks —
-// for backpressure against QueueDepth — and Exec is forbidden in
-// callbacks, so the pool as a whole always makes progress.
-//
-// A worker is a slot before it is a goroutine. A blocking ExecOn that
-// finds slot p idle with nothing queued for it claims the slot and runs
-// the transaction on the caller's goroutine, as process p, the way the
-// paper's processes issue their own transactions; everything else
-// queues for p's goroutine. The busy flag makes the two exclusive, so a
-// slot runs one transaction at a time and its recorder log, backoff
-// slot and transaction handle keep a single writer.
-type nativeSession struct {
+// Session is a long-lived native TM instance serving client-submitted
+// transactions from a worker pool of real goroutines; submissions
+// execute as soon as a worker frees up. Open one with Open (by
+// registry name) or NativeEngine.Open; all methods are safe for
+// concurrent use.
+type Session struct {
+	// The pool's workers pull jobs from a shared lane plus per-worker
+	// pinned lanes, with the recorder, live monitor and starvation-aware
+	// backoff running for the session's lifetime.
+	//
+	// The lanes are condition-guarded queues, not channels, for one
+	// deadlock-freedom property: an asynchronous submission (Submit, the
+	// only kind a result callback may issue) never blocks, so a worker
+	// running callbacks can always return to draining. Only Exec blocks —
+	// for backpressure against QueueDepth — and Exec is forbidden in
+	// callbacks, so the pool as a whole always makes progress.
+	//
+	// A worker is a slot before it is a goroutine. A blocking ExecOn that
+	// finds slot p idle with nothing queued for it claims the slot and runs
+	// the transaction on the caller's goroutine, as process p, the way the
+	// paper's processes issue their own transactions; everything else
+	// queues for p's goroutine. The busy flag makes the two exclusive, so a
+	// slot runs one transaction at a time and its recorder log, backoff
+	// slot and transaction handle keep a single writer.
+
+	name string
 	cfg  SessionConfig
 	tm   native.TM
 	bo   *native.Backoff
@@ -155,22 +161,28 @@ type nativeSession struct {
 	drainers  atomic.Int32
 	// settled counts jobs whose result callback has returned. Completed
 	// is counted before the callback runs, so Stats never lags a
-	// delivered result; drain waits on settled instead, so it never
+	// delivered result; Drain waits on settled instead, so it never
 	// returns while a callback may still submit follow-up work.
 	settled atomic.Uint64
 
 	hist model.History
 }
 
-// openNativeSession starts the pool. cfg has defaults applied and is
-// validated.
-func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, error) {
-	tm, err := info.New(cfg.Vars)
+// Open starts a long-lived Session: a fresh TM instance with a worker
+// pool of real goroutines serving client-submitted transactions until
+// Close. Any number of sessions may be open concurrently; cfg.Engine
+// is ignored (the receiver is the engine).
+func (e *NativeEngine) Open(cfg SessionConfig) (*Session, error) {
+	cfg = cfg.withDefaults()
+	if err := cfg.validate(); err != nil {
+		return nil, err
+	}
+	tm, err := e.info.New(cfg.Vars)
 	if err != nil {
 		return nil, err
 	}
-	recording := cfg.Record || cfg.Live
-	s := &nativeSession{
+	s := &Session{
+		name:      e.info.Name,
 		cfg:       cfg,
 		tm:        tm,
 		bo:        native.NewBackoff(cfg.MaxWorkers),
@@ -179,7 +191,7 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 	}
 	s.q = lanes{pinned: make([]jobRing, cfg.MaxWorkers), met: s.met}
 	if cfg.Telemetry != nil {
-		s.met.tx = native.NewTxMetrics(cfg.Telemetry, info.Name)
+		s.met.tx = native.NewTxMetrics(cfg.Telemetry, e.info.Name)
 	}
 	s.wake = make([]sync.Cond, cfg.MaxWorkers)
 	for p := range s.wake {
@@ -219,15 +231,11 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 			Metrics:      s.met.rec,
 		})
 	}
-	s.quiesce = cfg.QuiesceEvery
-	if cfg.Live && s.quiesce == 0 {
+	// Validation leaves an unrecorded session at 0 (no cuts); a live one
+	// defaults to liveQuiesceEvery, and -1 disables its cuts.
+	s.quiesce = max(cfg.QuiesceEvery, 0)
+	if cfg.Live && cfg.QuiesceEvery == 0 {
 		s.quiesce = liveQuiesceEvery
-	}
-	if s.quiesce < 0 { // live with cuts explicitly disabled
-		s.quiesce = 0
-	}
-	if !recording {
-		s.quiesce = 0
 	}
 	s.spawn(cfg.Workers)
 	return s, nil
@@ -235,7 +243,7 @@ func openNativeSession(info native.Info, cfg SessionConfig) (*nativeSession, err
 
 // spawn sets up n more worker slots and starts their goroutines; the
 // caller holds admitMu and mu, or is Open.
-func (s *nativeSession) spawn(n int) {
+func (s *Session) spawn(n int) {
 	base := int(s.admitted.Load())
 	for p := base; p < base+n; p++ {
 		w := &s.workers[p]
@@ -255,7 +263,7 @@ func (s *nativeSession) spawn(n int) {
 	s.met.workers.Set(int64(base + n))
 }
 
-func (s *nativeSession) submit(ctx context.Context, worker int, body Body, done func(error), demand bool) error {
+func (s *Session) submit(ctx context.Context, worker int, body Body, done func(error), demand bool) error {
 	if worker != AnyWorker && (worker < 0 || worker >= int(s.admitted.Load())) {
 		return fmt.Errorf("engine: worker %d not admitted (have %d)", worker, s.admitted.Load())
 	}
@@ -314,7 +322,7 @@ func (s *nativeSession) submit(ctx context.Context, worker int, body Body, done 
 }
 
 // wakeAll wakes every admitted worker; the caller holds mu.
-func (s *nativeSession) wakeAll() {
+func (s *Session) wakeAll() {
 	for p := range int(s.admitted.Load()) {
 		s.wake[p].Signal()
 	}
@@ -324,7 +332,7 @@ func (s *nativeSession) wakeAll() {
 // back. Whatever queued for p meanwhile waited for the slot, not for a
 // wake-up, so p's worker is woken for it — and on a closed session, so
 // that it can exit.
-func (s *nativeSession) runInline(p int, j sessionJob) {
+func (s *Session) runInline(p int, j sessionJob) {
 	defer s.wg.Done()
 	s.runJob(&s.workers[p], j)
 	s.mu.Lock()
@@ -362,7 +370,7 @@ func (w *nativeWorker) run(tx native.Txn) error {
 // worker is slot w's goroutine: it serves its pinned lane and the
 // shared lane until Close seals and drains them, taking nothing while
 // an inline run holds the slot.
-func (s *nativeSession) worker(w *nativeWorker) {
+func (s *Session) worker(w *nativeWorker) {
 	defer s.wg.Done()
 	p := w.p
 	s.mu.Lock()
@@ -395,7 +403,7 @@ func (s *nativeSession) worker(w *nativeWorker) {
 // decline, stop and completion counts, Exec latency, the cut cadence,
 // the result, and the drain wake-up. Every count lands before the
 // result is delivered (see Session.Stats).
-func (s *nativeSession) runJob(w *nativeWorker, j sessionJob) {
+func (s *Session) runJob(w *nativeWorker, j sessionJob) {
 	var res error
 	if h := s.met.execLat; h != nil {
 		start := time.Now()
@@ -437,7 +445,7 @@ func (s *nativeSession) runJob(w *nativeWorker, j sessionJob) {
 // execute runs one submission as a transaction on worker w, retrying
 // through the native retry loop until commit, decline, stop, or a
 // terminal body error.
-func (s *nativeSession) execute(w *nativeWorker, body Body) error {
+func (s *Session) execute(w *nativeWorker, body Body) error {
 	if stop := w.opts.Stop; stop != nil {
 		select {
 		case <-stop:
@@ -458,7 +466,7 @@ func (s *nativeSession) execute(w *nativeWorker, body Body) error {
 // forceCut takes the cut lock exclusively: new transactions wait,
 // in-flight ones finish, and the instant the lock is held the recorded
 // stream has a quiescent cut — the streaming checker's flush point.
-func (s *nativeSession) forceCut() {
+func (s *Session) forceCut() {
 	start := time.Now()
 	s.cutMu.Lock()
 	//lint:ignore SA2001 the empty critical section is the point:
@@ -467,7 +475,9 @@ func (s *nativeSession) forceCut() {
 	s.met.cutPause.Observe(time.Since(start).Nanoseconds())
 }
 
-func (s *nativeSession) drain(ctx context.Context) error {
+// Drain blocks until every submission accepted so far has completed,
+// or ctx is done.
+func (s *Session) Drain(ctx context.Context) error {
 	s.drainers.Add(1)
 	defer s.drainers.Add(-1)
 	stop := watchCtx(ctx, func() {
@@ -487,7 +497,12 @@ func (s *nativeSession) drain(ctx context.Context) error {
 	return nil
 }
 
-func (s *nativeSession) stats() SessionStats {
+// Stats snapshots the session's counters mid-flight. A result is
+// counted before it is delivered: once an Exec has returned, or a
+// Submit's done callback has started, Stats counts that submission in
+// Completed — and in Commits or NoCommits, or as Stopped, as its
+// result says.
+func (s *Session) Stats() SessionStats {
 	n := int(s.admitted.Load())
 	per := make([]uint64, n)
 	var total uint64
@@ -517,7 +532,13 @@ func (s *nativeSession) stats() SessionStats {
 	return st
 }
 
-func (s *nativeSession) addWorkers(n int) error {
+// AddWorkers admits n more workers mid-session, up to
+// SessionConfig.MaxWorkers. The recorder and backoff slots are
+// provisioned for MaxWorkers up front; the live monitor's process set
+// grows lazily — an admitted worker joins the monitored set with its
+// first event, so a worker that never runs a transaction does not
+// appear in the final report.
+func (s *Session) AddWorkers(n int) error {
 	if n <= 0 {
 		return fmt.Errorf("engine: AddWorkers needs a positive count, got %d", n)
 	}
@@ -539,7 +560,13 @@ func (s *nativeSession) addWorkers(n int) error {
 	return nil
 }
 
-func (s *nativeSession) close() (*monitor.Report, error) {
+// Close stops accepting submissions, drains the in-flight and queued
+// transactions, shuts the worker pool down, and returns the live
+// monitor's final report (nil when the session was not live). The
+// error is the session's terminal condition: nil for a clean
+// shutdown, or ErrLiveViolation (wrapped) when the live monitor
+// stopped the session. Closing twice returns ErrClosed.
+func (s *Session) Close() (*monitor.Report, error) {
 	s.mu.Lock()
 	if s.closed {
 		s.mu.Unlock()
@@ -572,4 +599,6 @@ func (s *nativeSession) close() (*monitor.Report, error) {
 	return rep, err
 }
 
-func (s *nativeSession) history() model.History { return s.hist }
+// History returns the recorded history of a SessionConfig.Record
+// session after Close, else nil.
+func (s *Session) History() model.History { return s.hist }
