@@ -12,7 +12,6 @@ import (
 	"livetm/internal/core"
 	"livetm/internal/explore"
 	"livetm/internal/model"
-	"livetm/internal/safety"
 	"livetm/internal/sim"
 	"livetm/internal/stm"
 )
@@ -24,39 +23,14 @@ func main() {
 	}
 }
 
-func incrementBody(tm stm.TM, p model.Proc) func(*sim.Env) {
-	return func(env *sim.Env) {
-		v, st := tm.Read(env, 0)
-		if st != stm.OK {
-			return
-		}
-		if tm.Write(env, 0, v+1) != stm.OK {
-			return
-		}
-		tm.TryCommit(env)
-	}
-}
-
-func opacityCheck(schedule []model.Proc, h model.History) error {
-	res, err := safety.CheckOpacity(h)
-	if err != nil {
-		return err
-	}
-	if !res.Holds {
-		return fmt.Errorf("not opaque: %s", res.Reason)
-	}
-	return nil
-}
-
 func run() error {
 	fmt.Println("Exhaustive opacity verification (all schedules of 2 one-shot increments, depth 14):")
-	for _, name := range []string{"tinystm", "tl2", "norec", "dstm", "ostm", "fgp"} {
+	for _, name := range core.ExploredTMs {
 		nf, ok := core.Lookup(name)
 		if !ok {
 			return fmt.Errorf("%s not registered", name)
 		}
-		sc := explore.Scenario{NProcs: 2, NVars: 1, Factory: nf.Factory, Body: incrementBody}
-		stats, err := explore.Run(sc, 14, opacityCheck)
+		stats, err := core.ExhaustiveOpacity(nf.Factory, 2, 14)
 		if err != nil {
 			return fmt.Errorf("%s FAILED: %w", name, err)
 		}
@@ -85,7 +59,7 @@ func run() error {
 				tm.TryCommit(env)
 			}
 		}}
-	stats, err := explore.RunWithCrashes(sc, 12, []model.Proc{1}, opacityCheck)
+	stats, err := explore.RunWithCrashes(sc, 12, []model.Proc{1}, core.CheckOpaque)
 	if err != nil {
 		return fmt.Errorf("ostm crash-exhaustive FAILED: %w", err)
 	}
@@ -106,7 +80,7 @@ func run() error {
 				tm.TryCommit(env)
 			}
 		}}
-	_, err = explore.Run(broken, 10, opacityCheck)
+	_, err = explore.Run(broken, 10, core.CheckOpaque)
 	if err == nil {
 		return fmt.Errorf("the broken TM was not caught")
 	}
