@@ -268,20 +268,6 @@ func workloadsTable(t *testing.T, args ...string) []string {
 	return table
 }
 
-// withStdin temporarily redirects os.Stdin to the given file.
-func withStdin(t *testing.T, path string, fn func()) {
-	t.Helper()
-	f, err := os.Open(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	old := os.Stdin
-	os.Stdin = f
-	defer func() { os.Stdin = old }()
-	fn()
-}
-
 func TestCmdRecordAndMonitor(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "native.jsonl")
 	if err := run([]string{"record", "-engine", "native-tl2", "-procs", "2", "-ops", "15", "-quiesce", "3", "-out", path}); err != nil {
@@ -352,20 +338,6 @@ func TestCmdCheckStdin(t *testing.T) {
 	})
 }
 
-// withStdout temporarily redirects os.Stdout to a new file at path.
-func withStdout(t *testing.T, path string, fn func()) {
-	t.Helper()
-	f, err := os.Create(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer f.Close()
-	old := os.Stdout
-	os.Stdout = f
-	defer func() { os.Stdout = old }()
-	fn()
-}
-
 // TestCmdRecordDefaultsIntoCheck: `livetm record | livetm check -file -`
 // with record's defaults — more transactions than the whole-history
 // search takes — is decided segment by segment, not refused.
@@ -403,20 +375,6 @@ func TestCmdRecordDefaultsIntoCheck(t *testing.T) {
 func TestCmdWorkloadsChecked(t *testing.T) {
 	if err := run([]string{"workloads", "-procs", "2", "-simsteps", "300", "-ops", "12", "-check"}); err != nil {
 		t.Fatal(err)
-	}
-}
-
-func TestSubcommandTable(t *testing.T) {
-	for _, sc := range subcommands {
-		if sc.name == "" || sc.run == nil {
-			t.Fatalf("malformed dispatch entry %+v", sc)
-		}
-	}
-	if err := run([]string{"tms", "stray"}); err == nil {
-		t.Error("tms with arguments must error")
-	}
-	if err := run([]string{"engines", "stray"}); err == nil {
-		t.Error("engines with arguments must error")
 	}
 }
 
