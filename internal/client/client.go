@@ -13,6 +13,7 @@ import (
 	"fmt"
 	"io"
 	"net/http"
+	"net/url"
 	"strings"
 	"time"
 
@@ -30,10 +31,24 @@ type Config struct {
 	// Empty falls back to the connection's remote address, which
 	// lumps every client behind one NAT together — set it.
 	Name string
-	// HTTPClient overrides the transport; nil uses a dedicated
-	// client with its own connection pool.
+	// HTTPClient supplies the transport. Only two of its fields are
+	// honoured: Transport (nil means http.DefaultTransport) and
+	// Timeout, which bounds each call from sending the request to
+	// reading the reply. Redirects and cookies never occur on this
+	// API, so CheckRedirect and Jar go unused. The Transport is handed
+	// read-only requests that share their headers and URL with other
+	// calls; as http.RoundTripper requires, it must not modify them.
+	// nil uses a transport of the client's own: a clone of
+	// http.DefaultTransport that keeps up to 256 idle connections to
+	// the server instead of 2.
 	HTTPClient *http.Client
 }
+
+// idlePerHost is how many idle connections a client built without an
+// HTTPClient keeps to its server: `livetm serve`'s default admission
+// cap, so every caller the server would admit at once can keep its
+// connection. http.DefaultTransport keeps 2.
+const idlePerHost = 256
 
 // Error is a wire error decoded back into Go: the stable code, the
 // server's message, and the Retry-After hint on overload refusals.
@@ -57,9 +72,12 @@ func (e *Error) Unwrap() error { return server.SentinelOf(e.Code) }
 
 // Client talks the wire API v1. Safe for concurrent use.
 type Client struct {
-	urls map[string]string // endpoint path → URL, built once
-	name string
-	hc   *http.Client
+	urls    map[string]*url.URL // endpoint path → URL, parsed once
+	addrErr error               // why Addr does not parse, returned by every call
+	get     http.Header         // the headers of a GET, read-only
+	post    http.Header         // the headers of a POST, read-only
+	rt      http.RoundTripper
+	timeout time.Duration
 }
 
 // endpoints are the wire API's paths.
@@ -75,15 +93,40 @@ func New(cfg Config) *Client {
 		base = "http://" + base
 	}
 	base = strings.TrimRight(base, "/")
-	hc := cfg.HTTPClient
-	if hc == nil {
-		hc = &http.Client{}
-	}
-	urls := make(map[string]string, len(endpoints))
+	c := &Client{urls: make(map[string]*url.URL, len(endpoints))}
 	for _, path := range endpoints {
-		urls[path] = base + path
+		u, err := url.Parse(base + path)
+		if err != nil {
+			c.addrErr = err
+			break
+		}
+		c.urls[path] = u
 	}
-	return &Client{urls: urls, name: cfg.Name, hc: hc}
+	if hc := cfg.HTTPClient; hc != nil {
+		c.rt, c.timeout = hc.Transport, hc.Timeout
+		if c.rt == nil {
+			c.rt = http.DefaultTransport
+		}
+	} else {
+		t := http.DefaultTransport.(*http.Transport).Clone()
+		t.MaxIdleConns, t.MaxIdleConnsPerHost = idlePerHost, idlePerHost
+		c.rt = t
+	}
+	c.get, c.post = headers(cfg.Name)
+	return c
+}
+
+// headers builds the request headers a client named name sends. The
+// client asks for an uncompressed reply, which is what the server
+// sends; left to itself the transport would negotiate gzip.
+func headers(name string) (get, post http.Header) {
+	get = http.Header{"Accept-Encoding": {"identity"}}
+	if name != "" {
+		get[server.ClientHeader] = []string{name}
+	}
+	post = get.Clone()
+	post["Content-Type"] = []string{server.JSONCodec{}.ContentType()}
+	return get, post
 }
 
 // WithName returns a client identical to c but presenting name as its
@@ -93,34 +136,40 @@ func New(cfg Config) *Client {
 // name.
 func (c *Client) WithName(name string) *Client {
 	cc := *c
-	cc.name = name
+	cc.get, cc.post = headers(name)
 	return &cc
 }
 
-// do posts one frame and decodes the reply; non-2xx replies decode
-// into *Error. in and out are pointers to frames. The request body is
-// allocated per call and never pooled: the transport may still be
-// writing it after Do has returned.
+// do sends one frame and decodes the reply; non-2xx replies decode
+// into *Error. in and out are pointers to frames; a nil in makes a GET.
+// The request goes straight to the transport, since this API never
+// redirects and sets no cookies. Its URL and headers are the client's
+// own, shared by every call. The body is allocated per call and never
+// pooled: the transport may still be writing it after RoundTrip has
+// returned.
 func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
-	var body io.Reader
+	if c.addrErr != nil {
+		return fmt.Errorf("client: %s: %w", path, c.addrErr)
+	}
+	if c.timeout > 0 {
+		var cancel context.CancelFunc
+		ctx, cancel = context.WithTimeout(ctx, c.timeout)
+		defer cancel()
+	}
+	req := http.Request{Method: method, URL: c.urls[path], Header: c.get}
 	if in != nil {
-		var buf bytes.Buffer
-		if err := (server.JSONCodec{}).Encode(&buf, in); err != nil {
+		buf := new(bytes.Buffer)
+		if err := (server.JSONCodec{}).Encode(buf, in); err != nil {
 			return fmt.Errorf("client: encode %s: %w", path, err)
 		}
-		body = &buf
+		// A body in memory goes out with the headers in one write, and
+		// GetBody lets the transport resend it when a kept-alive
+		// connection turns out dead before any of it was written.
+		frame := buf.Bytes()
+		req.Header, req.Body, req.ContentLength = c.post, io.NopCloser(buf), int64(len(frame))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(frame)), nil }
 	}
-	req, err := http.NewRequestWithContext(ctx, method, c.urls[path], body)
-	if err != nil {
-		return fmt.Errorf("client: %s: %w", path, err)
-	}
-	if in != nil {
-		req.Header.Set("Content-Type", server.JSONCodec{}.ContentType())
-	}
-	if c.name != "" {
-		req.Header.Set(server.ClientHeader, c.name)
-	}
-	resp, err := c.hc.Do(req)
+	resp, err := c.rt.RoundTrip(req.WithContext(ctx))
 	if err != nil {
 		return fmt.Errorf("client: %s: %w", path, err)
 	}
@@ -145,6 +194,17 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return nil
 }
 
+// post sends one request frame and decodes the reply. The two frames
+// of a call share one allocation.
+func post[Out, In any](ctx context.Context, c *Client, path string, in In) (Out, error) {
+	f := &struct {
+		in  In
+		out Out
+	}{in: in}
+	err := c.do(ctx, http.MethodPost, path, &f.in, &f.out)
+	return f.out, err
+}
+
 // Info fetches the serving session's shape.
 func (c *Client) Info(ctx context.Context) (server.InfoResponse, error) {
 	var out server.InfoResponse
@@ -162,33 +222,26 @@ func (c *Client) Stats(ctx context.Context) (engine.SessionStats, error) {
 // Exec runs one transaction program to completion on worker
 // (engine.AnyWorker for the shared lane) and returns its result.
 func (c *Client) Exec(ctx context.Context, worker int, ops []server.Op) (server.ExecResponse, error) {
-	var out server.ExecResponse
-	err := c.do(ctx, http.MethodPost, "/v1/exec", &server.ExecRequest{Worker: worker, Ops: ops}, &out)
-	return out, err
+	return post[server.ExecResponse](ctx, c, "/v1/exec", server.ExecRequest{Worker: worker, Ops: ops})
 }
 
 // Submit enqueues a program asynchronously; the id redeems the result
 // through Wait.
 func (c *Client) Submit(ctx context.Context, worker int, ops []server.Op) (string, error) {
-	var out server.SubmitResponse
-	err := c.do(ctx, http.MethodPost, "/v1/submit", &server.ExecRequest{Worker: worker, Ops: ops}, &out)
+	out, err := post[server.SubmitResponse](ctx, c, "/v1/submit", server.ExecRequest{Worker: worker, Ops: ops})
 	return out.ID, err
 }
 
 // Wait blocks for an async submission's result; the result is
 // consumed (a second Wait on the same id is not-found).
 func (c *Client) Wait(ctx context.Context, id string) (server.ExecResponse, error) {
-	var out server.ExecResponse
-	err := c.do(ctx, http.MethodPost, "/v1/wait", &server.WaitRequest{ID: id}, &out)
-	return out, err
+	return post[server.ExecResponse](ctx, c, "/v1/wait", server.WaitRequest{ID: id})
 }
 
 // Drain asks the server to gracefully drain and close its session,
 // returning the final monitor report and closing stats.
 func (c *Client) Drain(ctx context.Context) (server.DrainResponse, error) {
-	var out server.DrainResponse
-	err := c.do(ctx, http.MethodPost, "/v1/drain", &struct{}{}, &out)
-	return out, err
+	return post[server.DrainResponse](ctx, c, "/v1/drain", struct{}{})
 }
 
 // Begin opens an interactive transaction pinned to worker. The
@@ -196,8 +249,8 @@ func (c *Client) Drain(ctx context.Context) (server.DrainResponse, error) {
 // open (the engine's retry loop re-entered the body) and the next op
 // simply lands on the fresh attempt.
 func (c *Client) Begin(ctx context.Context, worker int) (*Tx, error) {
-	var out server.BeginResponse
-	if err := c.do(ctx, http.MethodPost, "/v1/tx/begin", &server.BeginRequest{Worker: worker}, &out); err != nil {
+	out, err := post[server.BeginResponse](ctx, c, "/v1/tx/begin", server.BeginRequest{Worker: worker})
+	if err != nil {
 		return nil, err
 	}
 	return &Tx{c: c, id: out.Txn}, nil
@@ -212,17 +265,15 @@ type Tx struct {
 // Read reads variable i. aborted reports that this attempt aborted on
 // the read — the transaction is still open, retrying.
 func (t *Tx) Read(ctx context.Context, i int) (val int64, aborted bool, err error) {
-	var out server.TxOpResponse
-	err = t.c.do(ctx, http.MethodPost, "/v1/tx/op",
-		&server.TxOpRequest{Txn: t.id, Op: server.Op{Kind: server.OpRead, Var: i}}, &out)
+	out, err := post[server.TxOpResponse](ctx, t.c, "/v1/tx/op",
+		server.TxOpRequest{Txn: t.id, Op: server.Op{Kind: server.OpRead, Var: i}})
 	return out.Val, out.Aborted, err
 }
 
 // Write writes v into variable i; aborted as for Read.
 func (t *Tx) Write(ctx context.Context, i int, v int64) (aborted bool, err error) {
-	var out server.TxOpResponse
-	err = t.c.do(ctx, http.MethodPost, "/v1/tx/op",
-		&server.TxOpRequest{Txn: t.id, Op: server.Op{Kind: server.OpWrite, Var: i, Val: v}}, &out)
+	out, err := post[server.TxOpResponse](ctx, t.c, "/v1/tx/op",
+		server.TxOpRequest{Txn: t.id, Op: server.Op{Kind: server.OpWrite, Var: i, Val: v}})
 	return out.Aborted, err
 }
 
@@ -231,10 +282,7 @@ func (t *Tx) Write(ctx context.Context, i int, v int64) (aborted bool, err error
 // resp.Retrying means a commit attempt aborted and the transaction is
 // still open — keep issuing ops or finish again.
 func (t *Tx) Finish(ctx context.Context, mode string) (server.TxFinishResponse, error) {
-	var out server.TxFinishResponse
-	err := t.c.do(ctx, http.MethodPost, "/v1/tx/finish",
-		&server.TxFinishRequest{Txn: t.id, Mode: mode}, &out)
-	return out, err
+	return post[server.TxFinishResponse](ctx, t.c, "/v1/tx/finish", server.TxFinishRequest{Txn: t.id, Mode: mode})
 }
 
 // Abandon is Finish(FinishAbandon); it never leaves the transaction

@@ -28,11 +28,24 @@ func (r *rng) next() uint64 {
 // float returns a uniform draw in [0, 1).
 func (r *rng) float() float64 { return float64(r.next()>>11) / (1 << 53) }
 
-// exp returns an exponential inter-arrival gap at rate events/sec.
+// exp returns an exponential inter-arrival gap at rate events/sec,
+// saturating at the longest duration there is.
 func (r *rng) exp(rate float64) time.Duration {
 	u := r.float()
 	// 1-u is in (0, 1], so the log is finite.
-	return time.Duration(-math.Log(1-u) / rate * float64(time.Second))
+	gap := -math.Log(1-u) / rate * float64(time.Second)
+	if gap >= math.MaxInt64 {
+		return math.MaxInt64
+	}
+	return time.Duration(gap)
+}
+
+// advance is t+d, or end if that is not before end.
+func advance(t, d, end time.Duration) time.Duration {
+	if d >= end-t {
+		return end
+	}
+	return t + d
 }
 
 // Event kinds of a plan.
@@ -93,10 +106,7 @@ func (s *Scenario) Plan() (*Plan, error) {
 	for pi, ph := range s.Phases {
 		p.Events = append(p.Events, Event{At: offset, Kind: EvPhase, Phase: pi})
 		end := offset + time.Duration(ph.Duration)
-		scale := ph.RateScale
-		if scale <= 0 {
-			scale = 1
-		}
+		scale := ph.scale()
 		emit := func(at time.Duration) {
 			p.Events = append(p.Events, Event{
 				At: at, Kind: EvArrival, Phase: pi, Seq: seq,
@@ -108,22 +118,13 @@ func (s *Scenario) Plan() (*Plan, error) {
 		}
 		switch s.Arrival.Process {
 		case "poisson":
-			t := offset + r.exp(s.Arrival.Rate*scale)
-			for t < end {
+			rate := s.Arrival.Rate * scale
+			for t := advance(offset, r.exp(rate), end); t < end; t = advance(t, r.exp(rate), end) {
 				emit(t)
-				t += r.exp(s.Arrival.Rate * scale)
 			}
 		case "bursty":
-			every := time.Duration(s.Arrival.BurstEvery)
-			size := s.Arrival.BurstSize
-			if size <= 0 {
-				size = int(math.Round(s.Arrival.Rate * every.Seconds()))
-			}
-			n := int(math.Round(float64(size) * scale))
-			if n < 1 {
-				n = 1
-			}
-			for t := offset; t < end; t += every {
+			n := int(s.burst(scale))
+			for t := offset; t < end; t = advance(t, time.Duration(s.Arrival.BurstEvery), end) {
 				for i := 0; i < n; i++ {
 					emit(t)
 				}

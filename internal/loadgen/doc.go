@@ -41,7 +41,9 @@
 //
 // arrival.process is "poisson" (exponential inter-arrivals at rate/sec)
 // or "bursty" (burst_size simultaneous arrivals every burst_every).
-// Each mix cell names a workload-matrix point minus the process count
+// A scenario plans at most 1<<22 arrivals (a poisson one, on average)
+// and no more than one a nanosecond; the schedule is built in memory
+// up front. Each mix cell names a workload-matrix point minus the process count
 // ("mix/contention/sharing"); arrivals draw cells by weight and
 // compile them to declarative programs (the wire's server.Op
 // vocabulary), so the same scenario runs in-process and over the

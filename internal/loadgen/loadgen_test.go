@@ -4,6 +4,7 @@ import (
 	"bytes"
 	"context"
 	"encoding/json"
+	"math"
 	"net/http/httptest"
 	"os"
 	"path/filepath"
@@ -176,33 +177,39 @@ func TestRunRampAddsWorkers(t *testing.T) {
 	}
 }
 
+// strictBase is the body of a minimal valid scenario object.
+const strictBase = `"name": "strict", "arrival": {"process": "poisson", "rate": 10},
+	"mix": [{"cell": "update/hot/shared", "weight": 1}],
+	"phases": [{"name": "steady", "duration": "1s"}]`
+
+// strictScenarios are scenario files Load must accept (ok) or refuse
+// as it parses them. FuzzLoadScenario starts from them too.
+var strictScenarios = []struct {
+	name, body string
+	ok         bool
+}{
+	{"known keys", `{` + strictBase + `, "session": {"engine": "native-tl2", "workers": 2, "vars": 4}}`, true},
+	{"shards key", `{` + strictBase + `, "session": {"engine": "native-tl2", "workers": 2, "vars": 4, "shards": 4}}`, false},
+	{"bench gate", `{` + strictBase + `, "gates": {"min_throughput": 10, "bench_cell": "native-tl2 p4/update/hot/shared", "bench_fraction": 0.0002}}`, false},
+	{"singular fault", `{"name": "strict", "arrival": {"process": "poisson", "rate": 10},
+		"mix": [{"cell": "update/hot/shared", "weight": 1}],
+		"phases": [{"name": "inject", "duration": "1s", "fault": "alg2-parasitic"}]}`, false},
+	{"misspelled key", `{` + strictBase + `, "retires": 3}`, false},
+	{"trailing data", `{` + strictBase + `} {}`, false},
+}
+
 // TestLoadStrict: Load refuses keys the schema does not have — a stale
 // "shards" session key or a misspelling would otherwise run a different
 // session than the file describes — and every committed scenario file
 // still loads.
 func TestLoadStrict(t *testing.T) {
-	const base = `"name": "strict", "arrival": {"process": "poisson", "rate": 10},
-		"mix": [{"cell": "update/hot/shared", "weight": 1}],
-		"phases": [{"name": "steady", "duration": "1s"}]`
 	type row struct {
 		name, path string
 		ok         bool
 	}
 	dir := t.TempDir()
 	var rows []row
-	for _, c := range []struct {
-		name, body string
-		ok         bool
-	}{
-		{"known keys", `{` + base + `, "session": {"engine": "native-tl2", "workers": 2, "vars": 4}}`, true},
-		{"shards key", `{` + base + `, "session": {"engine": "native-tl2", "workers": 2, "vars": 4, "shards": 4}}`, false},
-		{"bench gate", `{` + base + `, "gates": {"min_throughput": 10, "bench_cell": "native-tl2 p4/update/hot/shared", "bench_fraction": 0.0002}}`, false},
-		{"singular fault", `{"name": "strict", "arrival": {"process": "poisson", "rate": 10},
-			"mix": [{"cell": "update/hot/shared", "weight": 1}],
-			"phases": [{"name": "inject", "duration": "1s", "fault": "alg2-parasitic"}]}`, false},
-		{"misspelled key", `{` + base + `, "retires": 3}`, false},
-		{"trailing data", `{` + base + `} {}`, false},
-	} {
+	for _, c := range strictScenarios {
 		path := filepath.Join(dir, c.name+".json")
 		if err := os.WriteFile(path, []byte(c.body), 0o644); err != nil {
 			t.Fatal(err)
@@ -452,4 +459,53 @@ func Passed(results []GateResult) bool {
 		}
 	}
 	return true
+}
+
+// Validate admits only scenarios whose plan is finite and fits in
+// memory, and Plan reaches the end of every phase it admits, however
+// far off that end or the next arrival is.
+func TestValidateBoundsThePlan(t *testing.T) {
+	scenario := func(a Arrival, phases ...Phase) *Scenario {
+		return &Scenario{Name: "bounds", Arrival: a, Mix: []MixEntry{{Cell: "update/hot/shared", Weight: 1}}, Phases: phases}
+	}
+	phase := func(d time.Duration) Phase { return Phase{Name: "p", Duration: Duration(d)} }
+	const forever = time.Duration(math.MaxInt64)
+	for _, tc := range []struct {
+		name     string
+		sc       *Scenario
+		err      string // a substring of Validate's refusal; "" admits
+		arrivals int    // planned when admitted; -1 leaves it to chance
+	}{
+		{"a rate too low ever to arrive", scenario(Arrival{Process: "poisson", Rate: 1e-300}, phase(time.Second)), "", 0},
+		{"one arrival a nanosecond", scenario(Arrival{Process: "poisson", Rate: 1e9}, phase(time.Microsecond)), "", -1},
+		{"two arrivals a nanosecond", scenario(Arrival{Process: "poisson", Rate: 2e9}, phase(time.Microsecond)), "per nanosecond", 0},
+		{"phases past the end of time", scenario(Arrival{Process: "poisson", Rate: 1e-9}, phase(forever), phase(forever)), "longest duration", 0},
+		{"too many arrivals", scenario(Arrival{Process: "poisson", Rate: 1e6}, phase(time.Hour)), "arrivals", 0},
+		{"a burst a nanosecond for an hour", scenario(Arrival{Process: "bursty", BurstSize: 1, BurstEvery: 1}, phase(time.Hour)), "arrivals", 0},
+		{"the last burst at the end of time", scenario(Arrival{Process: "bursty", BurstSize: 1, BurstEvery: Duration(forever)}, phase(forever-1), phase(1)), "", 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			err := tc.sc.Validate()
+			if tc.err != "" {
+				if err == nil || !strings.Contains(err.Error(), tc.err) {
+					t.Fatalf("Validate = %v, want a refusal naming %q", err, tc.err)
+				}
+				return
+			}
+			if err != nil {
+				t.Fatalf("Validate refused: %v", err)
+			}
+			p, err := tc.sc.Plan()
+			if err != nil {
+				t.Fatalf("Plan: %v", err)
+			}
+			n := 0
+			for _, k := range p.PlannedByPhase {
+				n += k
+			}
+			if tc.arrivals >= 0 && n != tc.arrivals {
+				t.Errorf("planned %d arrivals, want %d", n, tc.arrivals)
+			}
+		})
+	}
 }

@@ -7,6 +7,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"os"
 	"strings"
 	"time"
@@ -218,7 +219,16 @@ func (s *Scenario) Validate() error {
 				return err
 			}
 		}
+		if time.Duration(p.Duration) > math.MaxInt64-total {
+			return fmt.Errorf("phase %q runs past the longest duration there is", p.Name)
+		}
 		total += time.Duration(p.Duration)
+		if rate := s.Arrival.Rate * p.scale(); s.Arrival.Process == "poisson" && rate > 1e9 {
+			return fmt.Errorf("phase %q: poisson rate %g/s, over one arrival per nanosecond", p.Name, rate)
+		}
+	}
+	if n := s.arrivals(); n > maxArrivals {
+		return fmt.Errorf("scenario plans about %.3g arrivals, over the %d a plan holds", n, maxArrivals)
 	}
 	for _, r := range s.Ramp {
 		if r.AddWorkers <= 0 {
@@ -229,6 +239,42 @@ func (s *Scenario) Validate() error {
 		}
 	}
 	return nil
+}
+
+// maxArrivals bounds the arrivals one scenario plans: Plan holds them
+// all in memory at once, at 64 bytes each before the run adds its own.
+const maxArrivals = 1 << 22
+
+// arrivals is how many arrivals the scenario plans: exactly for a
+// bursty process, on average for a poisson one.
+func (s *Scenario) arrivals() float64 {
+	n := 0.0
+	for _, p := range s.Phases {
+		switch d := float64(p.Duration); s.Arrival.Process {
+		case "poisson":
+			n += s.Arrival.Rate * p.scale() * d / float64(time.Second)
+		case "bursty":
+			n += s.burst(p.scale()) * math.Ceil(d/float64(s.Arrival.BurstEvery))
+		}
+	}
+	return n
+}
+
+// scale resolves the phase's rate multiplier.
+func (p Phase) scale() float64 {
+	if p.RateScale <= 0 {
+		return 1
+	}
+	return p.RateScale
+}
+
+// burst is how many arrivals fire at once in a bursty phase at scale.
+func (s *Scenario) burst(scale float64) float64 {
+	size := float64(s.Arrival.BurstSize)
+	if size <= 0 {
+		size = math.Round(s.Arrival.Rate * time.Duration(s.Arrival.BurstEvery).Seconds())
+	}
+	return max(math.Round(size*scale), 1)
 }
 
 // FaultStrategy resolves a phase's fault name to the adversary

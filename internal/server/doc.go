@@ -55,6 +55,14 @@
 //	                   accepted submission, close the session, and
 //	                   return the final monitor report
 //
+// Besides what net/http's transport writes itself (Host, User-Agent,
+// Content-Length), internal/client sends these request headers:
+//
+//	Content-Type: application/json   on a POST, which carries a frame
+//	X-Livetm-Client: <name>          the admission identity
+//	                                 (ClientHeader), when it has one
+//	Accept-Encoding: identity        replies are never compressed
+//
 // When a telemetry registry is configured the same listener also
 // serves /metrics, /snapshot and /debug/pprof/ (telemetry.Handler),
 // with per-client admission gauges (inflight, rejected, retry-after
