@@ -89,26 +89,22 @@ func setupServe(fs *flag.FlagSet) func() error {
 				},
 			})
 			remoteDrained = wsrv.Done()
-			ln, err := net.Listen("tcp", *listen)
+			addr, stop, err := listenHTTP(*listen, wsrv.Handler())
 			if err != nil {
 				_, _ = s.Close()
 				return fmt.Errorf("serve: -listen: %w", err)
 			}
-			hsrv := &http.Server{Handler: wsrv.Handler()}
-			go func() { _ = hsrv.Serve(ln) }()
-			defer hsrv.Close()
-			fmt.Printf("serve: wire API v1 on http://%s/v1/ (max-inflight=%d, telemetry at /metrics)\n", ln.Addr(), *maxInflight)
+			defer stop()
+			fmt.Printf("serve: wire API v1 on http://%s/v1/ (max-inflight=%d, telemetry at /metrics)\n", addr, *maxInflight)
 		}
 		if *metricsAddr != "" {
-			ln, err := net.Listen("tcp", *metricsAddr)
+			addr, stop, err := listenHTTP(*metricsAddr, telemetry.Handler(reg))
 			if err != nil {
 				_, _ = s.Close()
 				return fmt.Errorf("serve: -metrics: %w", err)
 			}
-			srv := &http.Server{Handler: telemetry.Handler(reg)}
-			go func() { _ = srv.Serve(ln) }()
-			defer srv.Close()
-			fmt.Printf("serve: telemetry on http://%s/metrics (JSON at /snapshot, pprof at /debug/pprof/)\n", ln.Addr())
+			defer stop()
+			fmt.Printf("serve: telemetry on http://%s/metrics (JSON at /snapshot, pprof at /debug/pprof/)\n", addr)
 		}
 		if *flight != "" {
 			f, err := os.OpenFile(*flight, os.O_CREATE|os.O_WRONLY|os.O_APPEND, 0o644)
@@ -229,6 +225,27 @@ func setupServe(fs *flag.FlagSet) func() error {
 		}
 		return nil
 	}
+}
+
+// listenHTTP serves h on addr. Its stop shuts the listener down
+// gracefully: handlers still running finish and write their replies
+// (the one to a remote POST /v1/drain, which closes the server's Done
+// before it answers, above all), and only connections still busy after
+// a deadline are cut.
+func listenHTTP(addr string, h http.Handler) (net.Addr, func(), error) {
+	ln, err := net.Listen("tcp", addr)
+	if err != nil {
+		return nil, nil, err
+	}
+	srv := &http.Server{Handler: h}
+	go func() { _ = srv.Serve(ln) }()
+	return ln.Addr(), func() {
+		ctx, cancel := context.WithTimeout(context.Background(), 5*time.Second)
+		defer cancel()
+		if srv.Shutdown(ctx) != nil {
+			_ = srv.Close()
+		}
+	}, nil
 }
 
 // progressSummary renders the retry loop's abort-cause breakdown

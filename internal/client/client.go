@@ -1,6 +1,6 @@
 // Package client is the Go client of the livetm wire API: the
-// engine's submission surface (programs, async submissions, and
-// interactive transactions) reconstructed over HTTP against
+// engine's submission surface (blocking programs and interactive
+// transactions) reconstructed over HTTP against
 // internal/server. Errors cross the wire as stable codes and come
 // back as *Error values wrapping the original engine sentinels, so
 // errors.Is(err, engine.ErrOverloaded) holds on the client exactly as
@@ -82,7 +82,7 @@ type Client struct {
 
 // endpoints are the wire API's paths.
 var endpoints = []string{
-	"/v1/exec", "/v1/submit", "/v1/wait", "/v1/tx/begin", "/v1/tx/op", "/v1/tx/finish",
+	"/v1/exec", "/v1/tx/begin", "/v1/tx/op", "/v1/tx/finish",
 	"/v1/info", "/v1/stats", "/v1/drain",
 }
 
@@ -223,19 +223,6 @@ func (c *Client) Stats(ctx context.Context) (engine.SessionStats, error) {
 // (engine.AnyWorker for the shared lane) and returns its result.
 func (c *Client) Exec(ctx context.Context, worker int, ops []server.Op) (server.ExecResponse, error) {
 	return post[server.ExecResponse](ctx, c, "/v1/exec", server.ExecRequest{Worker: worker, Ops: ops})
-}
-
-// Submit enqueues a program asynchronously; the id redeems the result
-// through Wait.
-func (c *Client) Submit(ctx context.Context, worker int, ops []server.Op) (string, error) {
-	out, err := post[server.SubmitResponse](ctx, c, "/v1/submit", server.ExecRequest{Worker: worker, Ops: ops})
-	return out.ID, err
-}
-
-// Wait blocks for an async submission's result; the result is
-// consumed (a second Wait on the same id is not-found).
-func (c *Client) Wait(ctx context.Context, id string) (server.ExecResponse, error) {
-	return post[server.ExecResponse](ctx, c, "/v1/wait", server.WaitRequest{ID: id})
 }
 
 // Drain asks the server to gracefully drain and close its session,

@@ -52,15 +52,6 @@ func TestClientExecAndInteractive(t *testing.T) {
 		t.Fatalf("exec = %+v, %v", res, err)
 	}
 
-	id, err := c.Submit(ctx, engine.AnyWorker, []server.Op{{Kind: server.OpRead, Var: 0}})
-	if err != nil {
-		t.Fatalf("submit: %v", err)
-	}
-	wres, err := c.Wait(ctx, id)
-	if err != nil || !wres.Committed || len(wres.Reads) != 1 || wres.Reads[0] != 7 {
-		t.Fatalf("wait = %+v, %v", wres, err)
-	}
-
 	tx, err := c.Begin(ctx, 1)
 	if err != nil {
 		t.Fatalf("begin: %v", err)
@@ -137,8 +128,8 @@ func TestErrorRoundTrip(t *testing.T) {
 }
 
 // TestEngineOverloadCrossesWire exercises the engine-level MaxQueue
-// cap (satellite of this change set): the session itself refuses the
-// async submission and the sentinel still reaches the client.
+// cap: the session itself refuses a queued interactive transaction
+// (Begin reaches SubmitOn) and the sentinel still reaches the client.
 func TestEngineOverloadCrossesWire(t *testing.T) {
 	sess, err := engine.Open(engine.SessionConfig{
 		Engine: "native-tl2", Workers: 1, Vars: 1, MaxQueue: 1,
@@ -158,25 +149,25 @@ func TestEngineOverloadCrossesWire(t *testing.T) {
 	ctx := context.Background()
 
 	// Park the only worker in an interactive transaction so queued
-	// submissions pile up behind it, then push async submissions until
-	// the engine's MaxQueue refuses one.
+	// ones pile up behind it, then begin more until the engine's
+	// MaxQueue refuses one.
 	tx, err := c.Begin(ctx, 0)
 	if err != nil {
 		t.Fatalf("begin: %v", err)
 	}
 	overloaded := false
 	for i := 0; i < 10; i++ {
-		_, err := c.Submit(ctx, engine.AnyWorker, []server.Op{{Kind: server.OpRead, Var: 0}})
+		_, err := c.Begin(ctx, engine.AnyWorker)
 		if errors.Is(err, engine.ErrOverloaded) {
 			overloaded = true
 			break
 		}
 		if err != nil {
-			t.Fatalf("submit %d: %v", i, err)
+			t.Fatalf("begin %d: %v", i, err)
 		}
 	}
 	if !overloaded {
-		t.Fatalf("MaxQueue=1 never refused an async submission")
+		t.Fatalf("MaxQueue=1 never refused a queued transaction")
 	}
 	if err := tx.Abandon(ctx); err != nil {
 		t.Fatalf("abandon: %v", err)

@@ -57,11 +57,6 @@ var wireCalls = []struct {
 		_, err := c.Exec(ctx, engine.AnyWorker, []server.Op{{Kind: server.OpRead}})
 		return err
 	}},
-	{"submit", http.MethodPost, "/v1/submit", func(ctx context.Context, c *Client) error {
-		_, err := c.Submit(ctx, 0, []server.Op{{Kind: server.OpRead}})
-		return err
-	}},
-	{"wait", http.MethodPost, "/v1/wait", func(ctx context.Context, c *Client) error { _, err := c.Wait(ctx, "s1"); return err }},
 	{"begin", http.MethodPost, "/v1/tx/begin", func(ctx context.Context, c *Client) error { _, err := c.Begin(ctx, 0); return err }},
 	{"tx read", http.MethodPost, "/v1/tx/op", func(ctx context.Context, c *Client) error {
 		_, _, err := (&Tx{c: c, id: "t1"}).Read(ctx, 0)

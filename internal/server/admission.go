@@ -14,7 +14,7 @@ import (
 const evictedClient = "(evicted)"
 
 // admission is the server's slot accountant. Every submission —
-// blocking exec, async submit, interactive transaction — holds one
+// blocking exec or interactive transaction — holds one
 // slot from acceptance to completion. Two limits apply at acquire
 // time: the global cap (max, 0 = unbounded), and each client's fair
 // share of it, recomputed against the set of currently-active clients

@@ -13,9 +13,9 @@ import (
 // internal/client: one JSON document per frame, a newline behind it.
 // It treats a frame by the frame's type and by nothing else. The
 // frames a transaction crosses — ExecRequest, ExecResponse,
-// ErrorResponse, SubmitResponse, WaitRequest, and the Begin, TxOp and
-// TxFinish pairs — are written by append and read by the jsonscan
-// scanner (frames.go), through pooled buffers; a frame of theirs
+// ErrorResponse, and the Begin, TxOp and TxFinish pairs — are written
+// by append and read by the jsonscan scanner (frames.go), through
+// pooled buffers; a frame of theirs
 // outside the scanner's subset, and every other type — the
 // once-per-session InfoResponse, engine.SessionStats, DrainResponse —
 // goes through encoding/json. The bytes are encoding/json's either

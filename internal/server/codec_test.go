@@ -18,8 +18,6 @@ var frames = []func() any{
 	func() any { return new(ExecRequest) },
 	func() any { return new(ExecResponse) },
 	func() any { return new(ErrorResponse) },
-	func() any { return new(SubmitResponse) },
-	func() any { return new(WaitRequest) },
 	func() any { return new(BeginRequest) },
 	func() any { return new(BeginResponse) },
 	func() any { return new(TxOpRequest) },
@@ -84,8 +82,6 @@ func TestGoldenFrames(t *testing.T) {
 			`{"code":"overloaded","error":"server: overloaded","retry_after_ms":50}`},
 		{&ErrorResponse{Code: CodeBadRequest, Error: "op 0: unknown kind \"<frob>\" & more\u2028"},
 			`{"code":"bad-request","error":"op 0: unknown kind \"\u003cfrob\u003e\" \u0026 more\u2028"}`},
-		{&SubmitResponse{ID: "s7"}, `{"id":"s7"}`},
-		{&WaitRequest{ID: "s7"}, `{"id":"s7"}`},
 		{&BeginRequest{Worker: 1}, `{"worker":1}`},
 		{&BeginResponse{Txn: "t9"}, `{"txn":"t9"}`},
 		{&TxOpRequest{Txn: "t9", Op: Op{Kind: OpWrite, Var: 2, Val: 5}}, `{"txn":"t9","op":{"kind":"write","var":2,"val":5}}`},
@@ -203,8 +199,6 @@ func FuzzWireFrames(f *testing.F) {
 			&ExecRequest{Worker: int(n), Ops: ops},
 			&ExecResponse{Committed: flag, NoCommit: !flag, Reads: reads},
 			&ErrorResponse{Code: s, Error: s + " " + s, RetryAfterMS: n},
-			&SubmitResponse{ID: s},
-			&WaitRequest{ID: s},
 			&BeginRequest{Worker: int(n)},
 			&BeginResponse{Txn: s},
 			&TxOpRequest{Txn: s, Op: Op{Kind: s, Var: int(n), Val: n}},

@@ -16,14 +16,14 @@
 //
 // JSONCodec treats a frame by its type and by nothing else. The frames
 // a transaction crosses — ExecRequest and ExecResponse, ErrorResponse,
-// SubmitResponse and WaitRequest, the Begin, TxOp and TxFinish pairs —
-// have hand-written halves (frames.go): append-style encoders that
-// write encoding/json's bytes, and a scanning decoder (internal/jsonscan,
-// shared with the trace reader of internal/model) that accepts the
-// canonical spelling of a frame and hands any other input — escapes,
-// unknown, repeated or case-folded keys, null, anything malformed — to
-// encoding/json for that frame, which therefore still defines every
-// rejection and every odd acceptance. The once-per-session frames
+// the Begin, TxOp and TxFinish pairs — have hand-written halves
+// (frames.go): append-style encoders that write encoding/json's bytes,
+// and a scanning decoder (internal/jsonscan, shared with the trace
+// reader of internal/model) that accepts the canonical spelling of a
+// frame and hands any other input — escapes, unknown, repeated or
+// case-folded keys, null, anything malformed — to encoding/json for
+// that frame, which therefore still defines every rejection and every
+// odd acceptance. The once-per-session frames
 // (InfoResponse, engine.SessionStats, DrainResponse with its monitor
 // report) are encoding/json's outright. Request bodies are capped at
 // 1 MiB; a larger one is a bad request.
@@ -33,17 +33,13 @@
 // to its pool only when ExecOn reported the submission finished (nil
 // or ErrNoCommit); after any other return — a done context above all —
 // the engine may still hold the body, and the scratch is left to the
-// collector. An async /v1/submit never borrows it: its body outlives
-// the handler.
+// collector.
 //
 // # Wire API (v1)
 //
 //	POST /v1/exec      one-shot transaction program, blocking: the
 //	                   response carries the commit verdict and the
 //	                   values read (Session.Exec over the wire)
-//	POST /v1/submit    the same program asynchronously: an id comes
-//	                   back immediately (Session.Submit over the wire)
-//	POST /v1/wait      block for an async submission's result by id
 //	POST /v1/tx/begin  open an interactive transaction pinned to a
 //	                   worker lane; the transaction stays open across
 //	                   requests (the adversary strategies' gates)
@@ -70,7 +66,7 @@
 //
 // # Admission control and fairness
 //
-// Every submission — blocking, async, or interactive — occupies one
+// Every submission — blocking or interactive — occupies one
 // admission slot from acceptance to completion. Config.MaxInflight
 // caps the slots globally, and each client is limited to its fair
 // share (MaxInflight divided by the number of currently-active

@@ -163,26 +163,9 @@ func (f *ErrorResponse) parseJSON(s *jsonscan.Scanner) bool {
 }
 
 var (
-	idKeys     = []string{"id"}
 	workerKeys = []string{"worker"}
 	txnKeys    = []string{"txn"}
 )
-
-func (f SubmitResponse) appendJSON(dst []byte) []byte {
-	return append(appendString(dst, `{"id":`, f.ID), '}')
-}
-
-func (f *SubmitResponse) parseJSON(s *jsonscan.Scanner) bool {
-	return object(s, idKeys, func(int) bool { return s.String(&f.ID) })
-}
-
-func (f WaitRequest) appendJSON(dst []byte) []byte {
-	return append(appendString(dst, `{"id":`, f.ID), '}')
-}
-
-func (f *WaitRequest) parseJSON(s *jsonscan.Scanner) bool {
-	return object(s, idKeys, func(int) bool { return s.String(&f.ID) })
-}
 
 func (f BeginRequest) appendJSON(dst []byte) []byte {
 	return append(appendInt(dst, `{"worker":`, int64(f.Worker)), '}')

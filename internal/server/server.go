@@ -33,7 +33,7 @@ type Backend interface {
 // Config parameterizes a Server.
 type Config struct {
 	// MaxInflight is the global admission cap: the total number of
-	// submissions (blocking, async, and interactive) the server holds
+	// submissions (blocking and interactive) the server holds
 	// in flight at once, shared fairly among active clients. 0 leaves
 	// admission unbounded (the engine's own MaxQueue still applies).
 	MaxInflight int
@@ -56,13 +56,6 @@ type Config struct {
 	Info InfoResponse
 }
 
-// pendingSub is one async submission awaiting its /v1/wait.
-type pendingSub struct {
-	done   chan struct{}
-	result error
-	reads  []int64
-}
-
 // Server is the wire front of one Backend. Create with New, expose
 // via Handler, and end with Drain (directly on SIGTERM, or remotely
 // through POST /v1/drain).
@@ -76,9 +69,8 @@ type Server struct {
 	idSeq    atomic.Uint64
 	draining atomic.Bool
 
-	mu    sync.Mutex
-	itxs  map[string]*itx
-	waits map[string]*pendingSub
+	mu   sync.Mutex
+	itxs map[string]*itx
 
 	drainOnce sync.Once
 	drainErr  error
@@ -102,12 +94,9 @@ func New(backend Backend, cfg Config) *Server {
 		mux:     http.NewServeMux(),
 		ctype:   []string{JSONCodec{}.ContentType()},
 		itxs:    make(map[string]*itx),
-		waits:   make(map[string]*pendingSub),
 		done:    make(chan struct{}),
 	}
 	s.mux.HandleFunc("POST /v1/exec", s.handleExec)
-	s.mux.HandleFunc("POST /v1/submit", s.handleSubmit)
-	s.mux.HandleFunc("POST /v1/wait", s.handleWait)
 	s.mux.HandleFunc("POST /v1/tx/begin", s.handleTxBegin)
 	s.mux.HandleFunc("POST /v1/tx/op", s.handleTxOp)
 	s.mux.HandleFunc("POST /v1/tx/finish", s.handleTxFinish)
@@ -241,10 +230,10 @@ func (s *Server) checkProgram(worker int, ops []Op) error {
 }
 
 // ProgramBody compiles a program into a transaction body for any
-// engine.Submitter (the wire handlers and internal/loadgen's
-// in-process target share it). reads is
-// reset at each attempt entry, so the values handed back always come
-// from the attempt that committed.
+// engine.Submitter (internal/loadgen's in-process target runs its
+// programs through it; /v1/exec binds the same runProgram into its
+// pooled scratch). reads is reset at each attempt entry, so the values
+// handed back always come from the attempt that committed.
 func ProgramBody(ops []Op, reads *[]int64) engine.Body {
 	return func(tx engine.Tx) error { return runProgram(tx, ops, reads) }
 }
@@ -352,72 +341,6 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	}
 	s.writeOK(w, &sc.resp)
 	sc.recycle() // ExecOn returned nil or ErrNoCommit: the body ran to its end
-}
-
-func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
-	if s.draining.Load() {
-		s.writeErr(w, engine.ErrClosed)
-		return
-	}
-	var req ExecRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	if err := s.checkProgram(req.Worker, req.Ops); err != nil {
-		s.writeCode(w, CodeBadRequest, err.Error())
-		return
-	}
-	client := clientOf(r)
-	if err := s.adm.acquire(client); err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	id := "s" + strconv.FormatUint(s.idSeq.Add(1), 10)
-	p := &pendingSub{done: make(chan struct{})}
-	body := ProgramBody(req.Ops, &p.reads)
-	err := s.backend.SubmitOn(req.Worker, body, func(res error) {
-		p.result = res
-		close(p.done)
-		s.adm.release(client)
-	})
-	if err != nil {
-		s.adm.release(client)
-		s.writeErr(w, err)
-		return
-	}
-	s.mu.Lock()
-	s.waits[id] = p
-	s.mu.Unlock()
-	s.writeOK(w, SubmitResponse{ID: id})
-}
-
-func (s *Server) handleWait(w http.ResponseWriter, r *http.Request) {
-	var req WaitRequest
-	if !s.decode(w, r, &req) {
-		return
-	}
-	s.mu.Lock()
-	p := s.waits[req.ID]
-	s.mu.Unlock()
-	if p == nil {
-		s.writeCode(w, CodeNotFound, "no pending submission "+req.ID)
-		return
-	}
-	select {
-	case <-p.done:
-	case <-r.Context().Done():
-		s.writeCode(w, CodeTimeout, "wait: "+r.Context().Err().Error())
-		return
-	}
-	s.mu.Lock()
-	delete(s.waits, req.ID)
-	s.mu.Unlock()
-	resp, err := execResult(p.result, p.reads)
-	if err != nil {
-		s.writeErr(w, err)
-		return
-	}
-	s.writeOK(w, resp)
 }
 
 func (s *Server) handleTxBegin(w http.ResponseWriter, r *http.Request) {

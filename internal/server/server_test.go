@@ -132,28 +132,6 @@ func TestExecBadProgram(t *testing.T) {
 	}
 }
 
-func TestSubmitWait(t *testing.T) {
-	_, hs := testServer(t, Config{})
-	var sub SubmitResponse
-	status := post(t, hs.URL+"/v1/submit", ExecRequest{
-		Worker: engine.AnyWorker,
-		Ops:    []Op{{Kind: OpIncr, Var: 1, Val: 7}},
-	}, &sub)
-	if status != http.StatusOK || sub.ID == "" {
-		t.Fatalf("submit: status %d id %q", status, sub.ID)
-	}
-	var res ExecResponse
-	status = post(t, hs.URL+"/v1/wait", WaitRequest{ID: sub.ID}, &res)
-	if status != http.StatusOK || !res.Committed {
-		t.Fatalf("wait: status %d resp %+v", status, res)
-	}
-	// A second wait on the same id is a 404: the result is consumed.
-	var er ErrorResponse
-	if status = post(t, hs.URL+"/v1/wait", WaitRequest{ID: sub.ID}, &er); status != http.StatusNotFound {
-		t.Fatalf("re-wait status = %d", status)
-	}
-}
-
 func TestInteractiveCommit(t *testing.T) {
 	_, hs := testServer(t, Config{})
 	var begin BeginResponse
@@ -447,40 +425,34 @@ func (b *keepBackend) ExecOn(_ context.Context, _ int, body engine.Body) error {
 	return body(&recTx{})
 }
 
-func (b *keepBackend) SubmitOn(_ int, body engine.Body, _ func(error)) error {
-	b.kept = append(b.kept, body)
-	return nil
-}
-
 // A body the engine may still run owns its program: whatever ExecOn
-// returned short of completion, and always for an async submission,
-// later requests must not be decoded over it. Everything runs on this
-// goroutine, so a scratch put back would be the next one taken.
+// returned short of completion, later requests must not be decoded
+// over it. Everything runs on this goroutine, so a scratch put back
+// would be the next one taken.
 func TestQueuedBodyKeepsItsProgram(t *testing.T) {
-	serve := func(srv *Server, path, frame string) (int, string) {
+	serve := func(srv *Server, frame string) (int, string) {
 		rec := httptest.NewRecorder()
-		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, path, strings.NewReader(frame)))
+		srv.Handler().ServeHTTP(rec, httptest.NewRequest(http.MethodPost, "/v1/exec", strings.NewReader(frame)))
 		return rec.Code, rec.Body.String()
 	}
 	for _, c := range []struct {
-		name, path string
-		keepErr    error
+		name    string
+		keepErr error
 	}{
-		{"exec, context cancelled mid-queue", "/v1/exec", context.Canceled},
-		{"exec, deadline mid-queue", "/v1/exec", context.DeadlineExceeded},
-		{"exec, session stopped", "/v1/exec", engine.ErrStopped},
-		{"exec, unknown failure", "/v1/exec", errors.New("surprise")},
-		{"async submit", "/v1/submit", nil},
+		{"exec, context cancelled mid-queue", context.Canceled},
+		{"exec, deadline mid-queue", context.DeadlineExceeded},
+		{"exec, session stopped", engine.ErrStopped},
+		{"exec, unknown failure", errors.New("surprise")},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			backend := &keepBackend{keepErr: c.keepErr}
 			srv := New(backend, Config{Info: InfoResponse{Workers: 1, Vars: 8}})
-			if status, reply := serve(srv, c.path, `{"worker":0,"ops":[{"kind":"read","var":1}]}`); (status == http.StatusOK) != (c.keepErr == nil) {
+			if status, reply := serve(srv, `{"worker":0,"ops":[{"kind":"read","var":1}]}`); status == http.StatusOK {
 				t.Fatalf("kept submission: status %d, reply %s", status, reply)
 			}
 			backend.keepErr = nil
 			for i := 0; i < 8; i++ {
-				status, reply := serve(srv, "/v1/exec", `{"worker":0,"ops":[{"kind":"read","var":2},{"kind":"incr","var":3,"val":1}]}`)
+				status, reply := serve(srv, `{"worker":0,"ops":[{"kind":"read","var":2},{"kind":"incr","var":3,"val":1}]}`)
 				if want := `{"committed":true,"reads":[102,103]}` + "\n"; status != http.StatusOK || reply != want {
 					t.Fatalf("later request %d: status %d, reply %q, want %q", i, status, reply, want)
 				}

@@ -57,16 +57,6 @@ type ExecResponse struct {
 	Reads     []int64 `json:"reads,omitempty"`
 }
 
-// SubmitResponse acknowledges an asynchronously accepted program.
-type SubmitResponse struct {
-	ID string `json:"id"`
-}
-
-// WaitRequest blocks for an async submission's result.
-type WaitRequest struct {
-	ID string `json:"id"`
-}
-
 // BeginRequest opens an interactive transaction pinned to a worker
 // lane. The transaction stays open across requests until finished or
 // abandoned; its ops arrive one TxOpRequest at a time.

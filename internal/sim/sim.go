@@ -51,7 +51,7 @@ type Env struct {
 
 // Background returns an Env not attached to any scheduler: Yield is a
 // no-op. Use it to run TM operations directly from a single goroutine
-// (examples, quick tests).
+// (godoc Examples, quick tests).
 func Background(p model.Proc) *Env { return &Env{p: p} }
 
 // Proc returns the process this environment belongs to.

@@ -1,8 +1,11 @@
-// Package workload provides application-level building blocks on top
-// of the TM operational interface: a retrying transaction runner
-// (`Atomically`) and the synthetic workloads used by the examples and
-// the scalability experiment (E21) — a shared counter and a
+// Package workload declares the workload matrix that `livetm
+// workloads` and the benchmarks run on every engine (matrix.go), and
+// keeps the simulated-TM helpers the tests build on (workload.go): a
+// retrying transaction runner (Atomically) over the TM operational
+// interface, and two synthetic workloads, a shared counter and a
 // transactional bank.
+//
+//lint:allow(unused) the simulated-TM helpers (Tx, Atomically, Increment, Bank) are test support: workload's own tests and Examples and the tests of internal/tstruct and internal/linear use them
 package workload
 
 import (

@@ -3,6 +3,7 @@ package workload
 import (
 	"testing"
 
+	"livetm/internal/core"
 	"livetm/internal/model"
 	"livetm/internal/sim"
 	"livetm/internal/stm"
@@ -165,5 +166,58 @@ func TestBankTotalDuringChaos(t *testing.T) {
 	s.Run(8000)
 	if bad != 0 {
 		t.Errorf("%d audits observed a non-conserved total", bad)
+	}
+}
+
+// TestBankCrashAudit crashes p1 mid-run while three processes transfer
+// on each simulated TM, lets the survivors go on, then audits. No audit
+// may read a non-conserved total. Whether it completes is the TM's
+// liveness under a crash, pinned per TM: a crashed lock holder wedges
+// glock, tinystm and tl2, and the audit blocks.
+func TestBankCrashAudit(t *testing.T) {
+	const accounts, initial = 6, model.Value(100)
+	want := map[string]string{
+		"glock": "blocked", "tinystm": "blocked", "tl2": "blocked",
+		"2pl": "ok", "norec": "ok", "dstm": "ok", "ostm": "ok", "fgp": "ok",
+	}
+	for _, nf := range core.Registry(false) {
+		t.Run(nf.Name, func(t *testing.T) {
+			bank := NewBank(nf.Factory(4, accounts), sim.Background(4), accounts, initial)
+			s := sim.New(sim.NewSeeded(7))
+			defer s.Close()
+			for i := 0; i < 3; i++ {
+				state := uint64(i + 13)
+				_ = s.Spawn(model.Proc(i+1), func(env *sim.Env) {
+					for {
+						state ^= state << 13
+						state ^= state >> 7
+						state ^= state << 17
+						bank.Transfer(env, int(state%accounts), int((state>>8)%accounts), 1)
+					}
+				})
+			}
+			s.Run(900)
+			s.Crash(1)
+			s.Run(4000)
+			// The audit runs inside the scheduler, so a wedged TM leaves
+			// it blocked within the step budget instead of hanging.
+			var total model.Value
+			audited := false
+			_ = s.Spawn(4, func(env *sim.Env) {
+				total = bank.Total(env)
+				audited = true
+			})
+			s.Run(4000)
+			got := "blocked"
+			if audited {
+				if total != accounts*initial {
+					t.Fatalf("audit read total %d, want %d", total, accounts*initial)
+				}
+				got = "ok"
+			}
+			if got != want[nf.Name] {
+				t.Errorf("audit %s, want %q", got, want[nf.Name])
+			}
+		})
 	}
 }
