@@ -7,6 +7,7 @@ import (
 	"strings"
 
 	"livetm/internal/adversary"
+	"livetm/internal/adversary/live"
 	"livetm/internal/core"
 	"livetm/internal/model"
 	"livetm/internal/native"
@@ -66,7 +67,7 @@ func setupAdversary(fs *flag.FlagSet) func() error {
 // algorithm and its simulated counterpart, and optionally writes the
 // comparison as the starvation artifact.
 func adversaryMatrix(cfg adversary.Config, artifact string) error {
-	cells, err := adversary.RunMatrix(cfg)
+	cells, err := live.RunMatrix(cfg)
 	if err != nil {
 		return err
 	}
@@ -95,14 +96,14 @@ func adversaryNative(engineName string, s adversary.Strategy, cfg adversary.Conf
 		return fmt.Errorf("unknown native engine %q (see `livetm engines`)", engineName)
 	}
 	info := algs[i]
-	res, err := adversary.RunNative(info, s, cfg)
+	res, err := live.RunNative(info, s, cfg)
 	if err != nil {
 		return err
 	}
 	fmt.Printf("adversary %s vs %s: rounds=%d p1Committed=%v blocked=%v\n",
 		s.Name(), info.Name, res.Rounds, res.P1Committed, res.Blocked)
-	fmt.Printf("tm stats: commits=%d aborts=%d   backoff bias=%v (over %d rebias snapshots)\n",
-		res.TMStats.Commits, res.TMStats.Aborts, res.BackoffBias, len(res.BiasTrajectory))
+	fmt.Printf("tm stats: commits=%d aborts=%d   backoff bias=%v (over %d changes)\n",
+		res.Stats.Commits, res.Stats.Aborts, res.Stats.BackoffBias, len(res.BiasTrajectory))
 	printReport(&res.Report)
 	err = adversaryHistory(res.History, tail, out, res.P1Committed)
 	if res.Violation != nil {

@@ -12,7 +12,7 @@ import (
 	"time"
 
 	"livetm/internal/adversary"
-	"livetm/internal/adversary/netadv"
+	"livetm/internal/adversary/live"
 	"livetm/internal/client"
 	"livetm/internal/engine"
 	"livetm/internal/server"
@@ -77,7 +77,7 @@ func clientStrategy(c *client.Client, info server.InfoResponse, name string, cfg
 	if info.Workers < 2 {
 		return fmt.Errorf("the adversary needs 2 workers, the server has %d", info.Workers)
 	}
-	outcome, err := netadv.RunNetwork(c, variants[i], cfg)
+	outcome, err := live.RunNetwork(c, variants[i], cfg)
 	if err != nil {
 		return err
 	}

@@ -13,18 +13,19 @@
 // progress too.
 //
 // The strategy logic is substrate-agnostic: drive executes Algorithms
-// 1 and 2 once, against the Driver interface, and two backends supply
+// 1 and 2 once, against the Driver interface, and two drivers supply
 // the per-process actions. SimDriver steps the two processes under the
 // deterministic cooperative scheduler of internal/sim (the original
-// proof-checking vehicle, kept reproducible by seed). NativeDriver
-// gates two real goroutines through internal/native's
-// linearization-point hooks (RunOpts{Observer, Stop, Backoff, Proc}),
-// streams the recorded events through the online monitor while the run
-// executes, and harvests per-process starvation intervals, liveness
-// classes and the backoff-bias trajectory — so the same strategies
-// that prove the impossibility also measure how the five
-// production-style native TMs starve in real concurrency, and RunMatrix
-// compares the two substrates cell by cell.
+// proof-checking vehicle, kept reproducible by seed). TxDriver holds
+// each process's transaction open as an interactive transaction — the
+// engine parks its body on a session worker between operations — over
+// any Txns: a native session in process or a served one over the wire
+// (both adapters live in internal/adversary/live, which also runs the
+// native half of the cross-substrate matrix). Every cell of that
+// matrix, on either substrate, is harvested by replaying its recorded
+// history through the online monitor (Replay, Harvest), so the same
+// strategies that prove the impossibility also measure how the five
+// production-style native TMs starve in real concurrency.
 package adversary
 
 import (
@@ -50,22 +51,17 @@ type Config struct {
 	// the budget mid-matrix and misreport a live TM as blocking.
 	MaxSteps int
 	// Seed drives the simulated scheduler for the phases where both
-	// processes are runnable (ignored by the native driver, whose
-	// interleavings come from the hardware).
+	// processes are runnable (ignored by TxDriver, whose interleavings
+	// come from the hardware).
 	Seed uint64
-	// BlockTimeout is the native driver's per-action budget: an action
-	// still pending after it reports Blocked — the TM parked a process,
-	// which on this substrate only a wall clock can detect. Defaults to
-	// 500ms (generous: a gated handoff takes microseconds, so the
+	// BlockTimeout is TxDriver's per-action budget: an action still
+	// pending after it reports Blocked — the TM parked a process, which
+	// on real hardware only a wall clock can detect. Defaults to 500ms
+	// (generous: an in-process operation takes microseconds, so the
 	// timeout only has to outlast scheduler stalls on loaded machines);
 	// the simulated driver uses MaxSteps instead.
 	BlockTimeout time.Duration
 }
-
-// WithDefaults returns the config with the documented defaults
-// filled in — for out-of-package Driver implementations that hold a
-// copy of the config (Drive applies the same defaults internally).
-func (c Config) WithDefaults() Config { return c.withDefaults() }
 
 func (c Config) withDefaults() Config {
 	if c.Rounds == 0 {

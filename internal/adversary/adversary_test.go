@@ -220,3 +220,24 @@ func TestConfigDefaults(t *testing.T) {
 		t.Error("steps must be counted")
 	}
 }
+
+func TestStrategyNames(t *testing.T) {
+	want := map[string]bool{"alg1": true, "alg1-crash": true, "alg2": true, "alg2-parasitic": true}
+	vs := Variants()
+	if len(vs) != 4 {
+		t.Fatalf("want 4 variants, got %d", len(vs))
+	}
+	for _, s := range vs {
+		if !want[s.Name()] {
+			t.Errorf("unexpected variant %q", s.Name())
+		}
+		if err := s.validate(); err != nil {
+			t.Errorf("%s: %v", s.Name(), err)
+		}
+	}
+	for _, bad := range []Strategy{{}, {Algorithm: 3}, {Algorithm: 2, Crash: true}, {Algorithm: 1, Parasitic: true}} {
+		if err := bad.validate(); err == nil {
+			t.Errorf("strategy %+v must not validate", bad)
+		}
+	}
+}

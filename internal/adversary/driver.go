@@ -85,16 +85,18 @@ type StepResult struct {
 	// it belonged to) aborted.
 	OK bool
 	// Blocked reports the substrate exhausted its budget — scheduler
-	// steps on the simulated substrate, the block timeout on the native
-	// one — with the action still pending: the TM blocked the process.
+	// steps on the simulated substrate, the block timeout on an
+	// interactive transaction — with the action still pending: the TM
+	// blocked the process.
 	Blocked bool
 }
 
-// Driver runs the strategies' per-process actions on one substrate.
-// The strategy logic (drive) is substrate-agnostic; the simulated
-// backend steps the cooperative scheduler under each call, the native
-// backend gates two real goroutines through the linearization-point
-// hooks. Process indices are 1 (the victim) and 2 (the committer).
+// Driver runs the strategies' per-process actions on one substrate
+// family. The strategy logic (drive) is substrate-agnostic. SimDriver
+// steps the cooperative scheduler under each call; TxDriver issues each
+// action as operations of an interactive transaction, which a native
+// session parks on a worker between operations, in process or over the
+// wire. Process indices are 1 (the victim) and 2 (the committer).
 type Driver interface {
 	// Read lets process p issue one read of x in its open transaction,
 	// beginning one if none is open, and reports the response.
@@ -129,20 +131,6 @@ type Outcome struct {
 // infinite continuation p1 is correct — it is aborted or retries
 // forever, or everyone blocks — yet pending.)
 func (o Outcome) LocalProgressViolated() bool { return !o.P1Committed }
-
-// Drive executes strategy s against driver d for up to cfg.Rounds p2
-// commits, validating the strategy and applying the config defaults
-// first. It is the exported entry point for Driver implementations
-// living outside this package (the network driver of
-// internal/adversary/netadv); the in-package substrates call drive
-// directly.
-func Drive(d Driver, s Strategy, cfg Config) (Outcome, error) {
-	cfg = cfg.withDefaults()
-	if err := s.validate(); err != nil {
-		return Outcome{}, err
-	}
-	return drive(d, s, cfg), nil
-}
 
 // drive executes strategy s against driver d for up to cfg.Rounds p2
 // commits. It is the one copy of Algorithms 1 and 2: both substrates

@@ -1,4 +1,4 @@
-package netadv
+package live
 
 import (
 	"context"
@@ -13,19 +13,16 @@ import (
 	"livetm/internal/server"
 )
 
-// startNetTM serves a fresh live native session over loopback: the
-// environment the network adversary attacks. Quiescent cuts are
-// disabled — the strategies hold transactions open across round
-// trips, which would stall a cut's rendezvous (see server docs).
+// startNetTM serves a fresh session over loopback, of the kind
+// RunNative drives in process: the environment the network adversary
+// attacks. Quiescent cuts are disabled — the strategies hold
+// transactions open across round trips, which would stall a cut's
+// rendezvous (see the engine docs).
 func startNetTM(t *testing.T, engineName string) (*server.Server, *client.Client) {
 	t.Helper()
-	sess, err := engine.Open(engine.SessionConfig{
-		Engine:       engineName,
-		Workers:      2,
-		Vars:         1,
-		Live:         true,
-		QuiesceEvery: -1,
-	})
+	cfg := sessionConfig
+	cfg.Engine = engineName
+	sess, err := engine.Open(cfg)
 	if err != nil {
 		t.Fatalf("open session: %v", err)
 	}

@@ -8,7 +8,6 @@ import (
 
 	"livetm/internal/model"
 	"livetm/internal/monitor"
-	"livetm/internal/native"
 	"livetm/internal/stm"
 	"livetm/internal/stm/dstm"
 	"livetm/internal/stm/glock"
@@ -91,7 +90,7 @@ type Cell struct {
 	// Starvation holds the per-process interval distributions.
 	Starvation map[string]ProcStarvation `json:"starvation"`
 	// BackoffBias and BiasTrajectory carry the starvation-aware
-	// backoff's final per-process bias and its snapshot at every rebias
+	// backoff's final per-process bias and the bias each time it changed
 	// (native cells only; the simulated substrate has no backoff loop).
 	BackoffBias    []int   `json:"backoff_bias,omitempty"`
 	BiasTrajectory [][]int `json:"bias_trajectory,omitempty"`
@@ -107,10 +106,11 @@ func (c Cell) Dichotomy() bool {
 // starvation-witnessing abort, or -1 when p1 never aborts. An abort
 // witnesses starvation only when the strategy observed it and went on
 // (p1 has later events) or it ended a commit attempt (a write or tryC
-// invocation preceded it): the native driver's teardown abandon also
-// records one trailing p1 abort on crash/blocked cells — p1 stopped or
-// waited, it did not starve — and that artifact must not count, or the
-// native cells would disagree with their simulated twins.
+// invocation preceded it): on a native session, the teardown abandon of
+// p1's open transaction also records one trailing p1 abort on
+// crash/blocked cells — p1 stopped or waited, it did not starve — and
+// that artifact must not count, or the native cells would disagree with
+// their simulated twins.
 func roundsToFirstStarvation(h model.History) int {
 	commits := 0
 	attempted := false // p1 invoked a write or tryC before this point
@@ -135,8 +135,26 @@ func roundsToFirstStarvation(h model.History) int {
 	return -1
 }
 
-// harvest folds a monitor report and outcome into one matrix cell.
-func harvest(strategy Strategy, engineName, algorithm, substrate string, o Outcome, h model.History, rep monitor.Report) Cell {
+// Replay runs a recorded two-process adversary history through a fresh
+// online monitor, event by event: the accounting every matrix cell is
+// harvested from, on either substrate. The error is the monitor's
+// terminal safety verdict (nil against a correct TM).
+func Replay(h model.History) (monitor.Report, error) {
+	mon, err := monitor.New(monitor.Config{
+		Procs:      []model.Proc{1, 2},
+		Approx:     true,
+		RecordGaps: true,
+	})
+	if err != nil {
+		return monitor.Report{}, err
+	}
+	err = mon.ObserveHistory(h)
+	return mon.Report(), err
+}
+
+// Harvest folds a run's outcome, history and monitor report into one
+// matrix cell.
+func Harvest(strategy Strategy, engineName, algorithm, substrate string, o Outcome, h model.History, rep monitor.Report) Cell {
 	cell := Cell{
 		Strategy:                strategy.Name(),
 		Engine:                  engineName,
@@ -167,83 +185,42 @@ func harvest(strategy Strategy, engineName, algorithm, substrate string, o Outco
 	return cell
 }
 
-// NativeCell runs one strategy against one native algorithm and
-// harvests the cell.
-func NativeCell(info native.Info, s Strategy, cfg Config) (Cell, error) {
-	res, err := RunNative(info, s, cfg)
-	if err != nil {
-		return Cell{}, err
-	}
-	if res.Violation != nil {
-		return Cell{}, fmt.Errorf("adversary: %s under %s violated safety: %w", info.Name, s.Name(), res.Violation)
-	}
-	algorithm := strings.TrimPrefix(info.Name, "native-")
-	return harvest(s, info.Name, algorithm, "native", res.Outcome, res.History, res.Report), nil
-}
-
 // SimCell runs one strategy against one simulated TM and harvests the
-// cell through the same monitor pipeline, so the two substrates report
-// identical metrics.
+// cell. Simulated histories are deterministic and complete, so Replay
+// sees exactly what a live monitor would have.
 func SimCell(name string, factory stm.Factory, s Strategy, cfg Config) (Cell, error) {
 	cfg = cfg.withDefaults()
 	if err := s.validate(); err != nil {
 		return Cell{}, err
 	}
 	res := NewSimDriver(factory, cfg).Run(s)
-	mon, err := monitor.New(monitor.Config{
-		Procs:      []model.Proc{1, 2},
-		Approx:     true,
-		RecordGaps: true,
-	})
+	rep, err := Replay(res.History)
 	if err != nil {
-		return Cell{}, err
-	}
-	// The simulated histories are deterministic and complete, so the
-	// monitor replays them event by event — the same accounting the
-	// native pump performs live. A terminal safety error would mean the
-	// simulated TM is broken; surface it.
-	if err := mon.ObserveHistory(res.History); err != nil {
+		// A terminal safety error means the simulated TM is broken.
 		return Cell{}, fmt.Errorf("adversary: sim-%s under %s violated safety: %w", name, s.Name(), err)
 	}
-	return harvest(s, "sim-"+name, name, "sim", res.Outcome, res.History, mon.Report()), nil
+	return Harvest(s, "sim-"+name, name, "sim", res.Outcome, res.History, rep), nil
 }
 
-// RunMatrix runs every strategy variant against every native algorithm
-// and its simulated counterpart, returning the cells grouped by
-// algorithm (native cell, then sim cell) so the cross-substrate
-// comparison reads side by side.
-func RunMatrix(cfg Config) ([]Cell, error) {
-	sims := simCounterparts()
-	var out []Cell
-	for _, s := range Variants() {
-		for _, info := range native.Algorithms() {
-			cell, err := NativeCell(info, s, cfg)
-			if err != nil {
-				return out, err
-			}
-			out = append(out, cell)
-			algorithm := strings.TrimPrefix(info.Name, "native-")
-			sc, ok := sims[algorithm]
-			if !ok {
-				// The matrix's contract is strict native/sim pairing —
-				// consumers index the cells two at a time — so a native
-				// algorithm without a registered counterpart must fail
-				// loudly, not skip silently.
-				return out, fmt.Errorf("adversary: no simulated counterpart registered for %s", info.Name)
-			}
-			simCell, err := SimCell(sc.name, sc.factory, s, cfg)
-			if err != nil {
-				return out, err
-			}
-			// The pairing key across substrates is the native algorithm
-			// name, even where the sim twin is registered differently
-			// (mutex ↔ glock); Engine keeps the registry name so the
-			// table drills into `livetm adversary -engine sim-<name>`.
-			simCell.Algorithm = algorithm
-			out = append(out, simCell)
-		}
+// CounterpartCell runs one strategy against the simulated twin of the
+// native algorithm (its name without the "native-" prefix), keyed by
+// that algorithm so the matrix pairs the two substrates cell by cell.
+func CounterpartCell(algorithm string, s Strategy, cfg Config) (Cell, error) {
+	sc, ok := simCounterparts()[algorithm]
+	if !ok {
+		// The matrix's contract is strict native/sim pairing —
+		// consumers index the cells two at a time — so a native
+		// algorithm without a registered counterpart must fail loudly,
+		// not skip silently.
+		return Cell{}, fmt.Errorf("adversary: no simulated counterpart registered for native-%s", algorithm)
 	}
-	return out, nil
+	cell, err := SimCell(sc.name, sc.factory, s, cfg)
+	// The pairing key across substrates is the native algorithm name,
+	// even where the sim twin is registered differently (mutex ↔
+	// glock); Engine keeps the registry name so the table drills into
+	// `livetm adversary -engine sim-<name>`.
+	cell.Algorithm = algorithm
+	return cell, err
 }
 
 // StarvationArtifactSchema versions the starvation-comparison artifact

@@ -1,4 +1,8 @@
-package adversary
+package adversary_test
+
+// The strategies on the native substrate: each run drives a live,
+// recording session through the interactive-transaction driver
+// (internal/adversary/live).
 
 import (
 	"encoding/json"
@@ -7,6 +11,8 @@ import (
 	"testing"
 	"time"
 
+	"livetm/internal/adversary"
+	"livetm/internal/adversary/live"
 	"livetm/internal/model"
 	"livetm/internal/native"
 	"livetm/internal/safety"
@@ -15,31 +21,10 @@ import (
 // testCfg keeps the native cells fast but flake-free: a small round
 // budget, and a block timeout generous enough that a descheduled
 // goroutine on a loaded -race runner is not misread as a parked one
-// (the handoffs themselves take microseconds; only genuinely blocked
+// (an operation itself takes microseconds; only genuinely blocked
 // mutex cells ever pay the full second).
-func testCfg() Config {
-	return Config{Rounds: 4, MaxSteps: 8000, BlockTimeout: time.Second}
-}
-
-func TestStrategyNames(t *testing.T) {
-	want := map[string]bool{"alg1": true, "alg1-crash": true, "alg2": true, "alg2-parasitic": true}
-	vs := Variants()
-	if len(vs) != 4 {
-		t.Fatalf("want 4 variants, got %d", len(vs))
-	}
-	for _, s := range vs {
-		if !want[s.Name()] {
-			t.Errorf("unexpected variant %q", s.Name())
-		}
-		if err := s.validate(); err != nil {
-			t.Errorf("%s: %v", s.Name(), err)
-		}
-	}
-	for _, bad := range []Strategy{{}, {Algorithm: 3}, {Algorithm: 2, Crash: true}, {Algorithm: 1, Parasitic: true}} {
-		if err := bad.validate(); err == nil {
-			t.Errorf("strategy %+v must not validate", bad)
-		}
-	}
+func testCfg() adversary.Config {
+	return adversary.Config{Rounds: 4, MaxSteps: 8000, BlockTimeout: time.Second}
 }
 
 // TestNativeDriverDichotomy drives every variant against every native
@@ -49,9 +34,9 @@ func TestStrategyNames(t *testing.T) {
 func TestNativeDriverDichotomy(t *testing.T) {
 	cfg := testCfg()
 	for _, info := range native.Algorithms() {
-		for _, s := range Variants() {
+		for _, s := range adversary.Variants() {
 			t.Run(info.Name+"/"+s.Name(), func(t *testing.T) {
-				res, err := RunNative(info, s, cfg)
+				res, err := live.RunNative(info, s, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -95,8 +80,8 @@ func TestNativeHistoriesOpaque(t *testing.T) {
 		if info.Name == "native-mutex" {
 			continue // blocked: three events, nothing to check
 		}
-		for _, s := range Variants() {
-			res, err := RunNative(info, s, cfg)
+		for _, s := range adversary.Variants() {
+			res, err := live.RunNative(info, s, cfg)
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -114,7 +99,7 @@ func TestNativeHistoriesOpaque(t *testing.T) {
 // TestNativeParasiticNeverTriesCommit checks the Figure 12 shape on
 // the native substrate: the parasitic p1 never invokes tryC.
 func TestNativeParasiticNeverTriesCommit(t *testing.T) {
-	res, err := RunNative(native.Algorithms()[1], Strategy{Algorithm: 2, Parasitic: true}, testCfg())
+	res, err := live.RunNative(native.Algorithms()[1], adversary.Strategy{Algorithm: 2, Parasitic: true}, testCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -130,13 +115,13 @@ func TestNativeParasiticNeverTriesCommit(t *testing.T) {
 // starving p1.
 func TestNativeBiasTrajectory(t *testing.T) {
 	cfg := testCfg()
-	cfg.Rounds = 12
-	res, err := RunNative(native.Algorithms()[1], Strategy{Algorithm: 1}, cfg)
+	cfg.Rounds = 32
+	res, err := live.RunNative(native.Algorithms()[1], adversary.Strategy{Algorithm: 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	if len(res.BiasTrajectory) == 0 {
-		t.Fatal("a 12-round run must cross the rebias cadence at least once")
+		t.Fatal("a 32-round run must cross the rebias cadence at least once")
 	}
 	for _, snap := range res.BiasTrajectory {
 		if len(snap) != 2 {
@@ -157,12 +142,12 @@ func TestNativeBiasTrajectory(t *testing.T) {
 // simulated counterpart, the dichotomy holds in every cell, and the
 // artifact round-trips.
 func TestMatrixCrossSubstrate(t *testing.T) {
-	cfg := Config{Rounds: 3, MaxSteps: 6000, BlockTimeout: time.Second}
-	cells, err := RunMatrix(cfg)
+	cfg := adversary.Config{Rounds: 3, MaxSteps: 6000, BlockTimeout: time.Second}
+	cells, err := live.RunMatrix(cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if want := len(Variants()) * len(native.Algorithms()) * 2; len(cells) != want {
+	if want := len(adversary.Variants()) * len(native.Algorithms()) * 2; len(cells) != want {
 		t.Fatalf("want %d cells, got %d", want, len(cells))
 	}
 	for i := 0; i < len(cells); i += 2 {
@@ -173,7 +158,7 @@ func TestMatrixCrossSubstrate(t *testing.T) {
 		if nat.Algorithm != sim.Algorithm || nat.Strategy != sim.Strategy {
 			t.Fatalf("cell pair %d: mismatched (%s,%s) vs (%s,%s)", i, nat.Strategy, nat.Algorithm, sim.Strategy, sim.Algorithm)
 		}
-		for _, c := range []Cell{nat, sim} {
+		for _, c := range []adversary.Cell{nat, sim} {
 			if !c.Dichotomy() {
 				t.Errorf("%s on %s: p1 committed", c.Strategy, c.Engine)
 			}
@@ -191,20 +176,20 @@ func TestMatrixCrossSubstrate(t *testing.T) {
 }
 
 func TestStarvationArtifactRoundTrip(t *testing.T) {
-	cfg := Config{Rounds: 2, MaxSteps: 4000, BlockTimeout: time.Second}
-	cell, err := NativeCell(native.Algorithms()[1], Strategy{Algorithm: 1}, cfg)
+	cfg := adversary.Config{Rounds: 2, MaxSteps: 4000, BlockTimeout: time.Second}
+	cell, err := live.NativeCell(native.Algorithms()[1], adversary.Strategy{Algorithm: 1}, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
 	path := t.TempDir() + "/starvation.json"
-	if err := WriteStarvationArtifact(path, cfg.Rounds, []Cell{cell}); err != nil {
+	if err := adversary.WriteStarvationArtifact(path, cfg.Rounds, []adversary.Cell{cell}); err != nil {
 		t.Fatal(err)
 	}
-	art, err := LoadStarvationArtifact(path)
+	art, err := loadStarvationArtifact(path)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if art.Schema != StarvationArtifactSchema {
+	if art.Schema != adversary.StarvationArtifactSchema {
 		t.Errorf("schema %q", art.Schema)
 	}
 	if len(art.Cells) != 1 || art.Cells[0].Engine != cell.Engine || art.Cells[0].Rounds != cell.Rounds {
@@ -212,18 +197,18 @@ func TestStarvationArtifactRoundTrip(t *testing.T) {
 	}
 }
 
-// LoadStarvationArtifact reads an artifact back, verifying the schema.
-func LoadStarvationArtifact(path string) (StarvationArtifact, error) {
+// loadStarvationArtifact reads an artifact back, verifying the schema.
+func loadStarvationArtifact(path string) (adversary.StarvationArtifact, error) {
 	data, err := os.ReadFile(path)
 	if err != nil {
-		return StarvationArtifact{}, err
+		return adversary.StarvationArtifact{}, err
 	}
-	var art StarvationArtifact
+	var art adversary.StarvationArtifact
 	if err := json.Unmarshal(data, &art); err != nil {
-		return StarvationArtifact{}, fmt.Errorf("adversary: malformed starvation artifact %s: %w", path, err)
+		return adversary.StarvationArtifact{}, fmt.Errorf("adversary: malformed starvation artifact %s: %w", path, err)
 	}
-	if art.Schema != StarvationArtifactSchema {
-		return StarvationArtifact{}, fmt.Errorf("adversary: artifact %s has schema %q, want %q", path, art.Schema, StarvationArtifactSchema)
+	if art.Schema != adversary.StarvationArtifactSchema {
+		return adversary.StarvationArtifact{}, fmt.Errorf("adversary: artifact %s has schema %q, want %q", path, art.Schema, adversary.StarvationArtifactSchema)
 	}
 	return art, nil
 }

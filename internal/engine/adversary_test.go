@@ -1,4 +1,4 @@
-package engine
+package engine_test
 
 // The cross-substrate adversary conformance suite: the environment
 // strategies of the impossibility proofs (internal/adversary) driven
@@ -13,6 +13,8 @@ import (
 	"time"
 
 	"livetm/internal/adversary"
+	"livetm/internal/adversary/live"
+	"livetm/internal/engine"
 	"livetm/internal/model"
 	"livetm/internal/native"
 	"livetm/internal/safety"
@@ -30,12 +32,12 @@ func adversaryCfg() adversary.Config {
 func TestAdversaryConformance(t *testing.T) {
 	cfg := adversaryCfg()
 	for _, info := range native.Algorithms() {
-		if _, ok := Lookup(info.Name); !ok {
+		if _, ok := engine.Lookup(info.Name); !ok {
 			t.Fatalf("%s is not in the engine registry", info.Name)
 		}
 		for _, s := range adversary.Variants() {
 			t.Run(info.Name+"/"+s.Name(), func(t *testing.T) {
-				cell, err := adversary.NativeCell(info, s, cfg)
+				cell, err := live.NativeCell(info, s, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}
@@ -65,7 +67,7 @@ func TestAdversaryConformance(t *testing.T) {
 // same dichotomy branch, and on the starving branch the same order of
 // starvation (p1's interval spans the whole run on both).
 func TestAdversaryCrossSubstrateComparison(t *testing.T) {
-	cells, err := adversary.RunMatrix(adversaryCfg())
+	cells, err := live.RunMatrix(adversaryCfg())
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -141,7 +143,7 @@ func TestAdversaryCommittedP1NotOpaque(t *testing.T) {
 		}
 		for _, s := range adversary.Variants() {
 			t.Run(info.Name+"/"+s.Name(), func(t *testing.T) {
-				res, err := adversary.RunNative(info, s, cfg)
+				res, err := live.RunNative(info, s, cfg)
 				if err != nil {
 					t.Fatal(err)
 				}

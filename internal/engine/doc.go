@@ -65,9 +65,11 @@
 // bounds each worker lane and an async Submit against a full lane
 // refuses immediately with ErrOverloaded rather than blocking, the
 // sentinel the server translates to HTTP 429 plus a Retry-After
-// hint. Every sentinel in this package (ErrOverloaded, ErrClosed,
-// ErrStopped, ErrNoCommit, ErrLiveViolation) round-trips the wire as a
-// stable code, so errors.Is holds on both ends of the connection.
+// hint. The submission sentinels (ErrOverloaded, ErrClosed,
+// ErrStopped, ErrNoCommit, ErrLiveViolation, ErrAbandoned) round-trip
+// the wire as stable codes, so errors.Is holds on both ends of the
+// connection; ErrNotAdmitted and ErrTxDone go one way, as a bad request
+// and a missing transaction.
 //
 // Workers are real goroutines and submissions execute as soon as a
 // worker frees up. A blocking ExecOn pinned to an
@@ -95,6 +97,28 @@
 // TestAllocBudgetPerLiveCommit holds the whole path to that,
 // and the packages underneath (native, record, monitor, safety) each
 // have a budget of their own, so a regression names its layer.
+//
+// # Interactive transactions and cuts
+//
+// Session.Begin opens an interactive transaction: a submission whose
+// body parks on its worker between operations, so a caller outside the
+// worker issues the reads, writes and the finish one at a time while
+// the transaction stays open — what the wire's /v1/tx/* frames relay,
+// and how the adversary strategies (internal/adversary/live) hold p1's
+// transaction open across p2's commits. The native retry loop re-enters
+// the body after every abort, so one Interactive spans many attempts:
+// an aborted operation leaves it open, and a finish tells a commit from
+// a commit that aborted (the transaction is open again) by the attempt
+// counter the body bumps at each entry. Abandon makes the parked body
+// return ErrAbandoned, which the retry loop treats as terminal,
+// releasing whatever the attempt holds.
+//
+// A parked transaction holds the session's quiescent-cut lock the whole
+// time, so a live session serving interactive transactions should
+// disable quiescent cuts (SessionConfig.QuiesceEvery = -1); the
+// monitor's liveness accounting and approximate opacity fallback carry
+// the stream instead. It also holds its worker, so Close and Drain wait
+// for it: abandon what is still open first.
 //
 // # Live monitoring
 //
@@ -185,7 +209,8 @@
 // The registry is also where the paper's impossibility arguments meet
 // the production-style algorithms: the adversary conformance suite
 // (adversary_test.go) drives the Theorem 1 strategies
-// (internal/adversary) against every native algorithm and asserts the
+// (internal/adversary, on sessions through internal/adversary/live)
+// against every native algorithm and asserts the
 // no-local-progress dichotomy — p1 never commits, or nobody does — on
 // every strategy-variant × algorithm cell, with per-process starvation
 // intervals harvested from the online monitor.

@@ -26,9 +26,9 @@ const (
 // only see it if they inspect operation errors, and must return it
 // (or the operation's error) unchanged. ErrAborted never crosses the
 // wire — the retry loop consumes it before a submission can finish,
-// and the interactive wire protocol signals a mid-attempt abort with
-// TxOpResponse.Aborted (deliberately not this sentinel; see
-// internal/server/interactive.go) — hence the wiresentinel allowance.
+// and an interactive transaction reports a mid-attempt abort as the
+// operation's aborted flag (TxOpResponse.Aborted on the wire;
+// deliberately not this sentinel) — hence the wiresentinel allowance.
 //
 //lint:allow(wiresentinel) never crosses the wire: consumed by the retry loop; interactive aborts use TxOpResponse.Aborted
 var ErrAborted = errors.New("engine: transaction aborted")

@@ -37,10 +37,25 @@ var ErrStopped = errors.New("engine: session stopped by the live monitor")
 // ErrOverloaded is returned by an asynchronous Submit when the target
 // lane already holds SessionConfig.MaxQueue pending submissions: the
 // submission was not accepted and the caller should back off and
-// retry. Only Submit sees it — Exec blocks against QueueDepth instead
-// of failing — so it is the signal a service layer turns into
-// HTTP 429 + Retry-After.
+// retry. Only Submit sees it — Exec blocks against the lane's queue
+// depth instead of failing — so it is the signal a service layer turns
+// into HTTP 429 + Retry-After.
 var ErrOverloaded = errors.New("engine: submission queue full")
+
+// ErrNotAdmitted is wrapped by a submission pinned to a worker the
+// session has not admitted: the caller named a process that does not
+// exist.
+//
+//lint:allow(wiresentinel) the server answers it as CodeBadRequest, which carries no sentinel back
+var ErrNotAdmitted = errors.New("engine: worker not admitted")
+
+// queueDepth is the backpressure threshold of each submission lane (the
+// shared queue and each worker's pinned queue): Exec blocks while its
+// lane holds that many pending transactions. Asynchronous Submit is
+// exempt — it must never block because a worker's result callback may
+// be the submitter — so an unchecked Submit flood grows the queue
+// instead (bound it with SessionConfig.MaxQueue).
+const queueDepth = 64
 
 // Body is one client-submitted transaction: like TxBody but anonymous
 // — a session transaction has no round number, and its process
@@ -55,7 +70,7 @@ type Body func(tx Tx) error
 // service layer can accept submissions through any intermediary: a
 // *Session directly, a wire server fronting one, or a router fanning
 // out over several. The contract is the Session one: Exec/ExecOn
-// block for the commit result and feel QueueDepth backpressure;
+// block for the commit result and feel queue-depth backpressure;
 // Submit/SubmitOn never block, invoke done (which must not block)
 // exactly once per accepted submission, and fail fast with
 // ErrOverloaded past MaxQueue.
@@ -90,22 +105,14 @@ type SessionConfig struct {
 	MaxWorkers int
 	// Vars is the number of t-variables (>= 1).
 	Vars int
-	// QueueDepth is the backpressure threshold of each submission lane
-	// (the shared queue and each worker's pinned queue): Exec blocks
-	// while its lane holds that many pending transactions.
-	// Asynchronous Submit is exempt — it must never block because a
-	// worker's result callback may be the submitter — so an unchecked
-	// Submit flood grows the queue instead (bound it with MaxQueue). 0
-	// defaults to 64.
-	QueueDepth int
 	// MaxQueue is the hard admission cap of each submission lane: an
 	// asynchronous Submit whose target lane already holds this many
 	// pending transactions is refused with ErrOverloaded instead of
-	// growing the queue without bound. Unlike QueueDepth it never
-	// blocks — refusal is immediate, which is what lets a worker's
-	// result callback keep submitting safely and a service layer turn
-	// the sentinel into HTTP 429. 0 means unbounded (the historical
-	// behaviour).
+	// growing the queue without bound. Unlike the queue depth Exec
+	// waits on (64 per lane), it never blocks — refusal is immediate,
+	// which is what lets a worker's result callback keep submitting
+	// safely and a service layer turn the sentinel into HTTP 429. 0
+	// means unbounded (the historical behaviour).
 	MaxQueue int
 	// Record retains the session's history (see RunConfig.Record);
 	// Session.History returns it after Close.
@@ -141,9 +148,6 @@ type SessionConfig struct {
 func (cfg SessionConfig) withDefaults() SessionConfig {
 	if cfg.MaxWorkers < cfg.Workers {
 		cfg.MaxWorkers = cfg.Workers
-	}
-	if cfg.QueueDepth <= 0 {
-		cfg.QueueDepth = 64
 	}
 	return cfg
 }
@@ -287,7 +291,7 @@ func (s *Session) ExecOn(ctx context.Context, worker int, body Body) error {
 // Submit enqueues one transaction asynchronously; done (may be nil) is
 // invoked with the commit result on the executing worker's goroutine,
 // so it must not block — submitting follow-up work with Submit is
-// fine (Submit never blocks; only Exec feels QueueDepth backpressure,
+// fine (Submit never blocks; only Exec feels queue-depth backpressure,
 // and Exec is therefore forbidden in callbacks).
 func (s *Session) Submit(body Body, done func(error)) error {
 	return s.SubmitOn(AnyWorker, body, done)

@@ -101,7 +101,7 @@ type Session struct {
 	// deadlock-freedom property: an asynchronous submission (Submit, the
 	// only kind a result callback may issue) never blocks, so a worker
 	// running callbacks can always return to draining. Only Exec blocks —
-	// for backpressure against QueueDepth — and Exec is forbidden in
+	// for backpressure against queueDepth — and Exec is forbidden in
 	// callbacks, so the pool as a whole always makes progress.
 	//
 	// A worker is a slot before it is a goroutine. A blocking ExecOn that
@@ -141,7 +141,7 @@ type Session struct {
 	// inline run handed the slot back with work queued, or the session
 	// closed. One per slot, so a pinned push wakes only its worker.
 	wake     []sync.Cond
-	roomCond *sync.Cond // a lane drained below QueueDepth, or closed
+	roomCond *sync.Cond // a lane drained below queueDepth, or closed
 	q        lanes
 	// busy[p] is set while slot p executes a job, on its goroutine or
 	// inline on an Exec caller's; the worker takes no job while it is.
@@ -265,7 +265,7 @@ func (s *Session) spawn(n int) {
 
 func (s *Session) submit(ctx context.Context, worker int, body Body, done func(error), demand bool) error {
 	if worker != AnyWorker && (worker < 0 || worker >= int(s.admitted.Load())) {
-		return fmt.Errorf("engine: worker %d not admitted (have %d)", worker, s.admitted.Load())
+		return fmt.Errorf("%w: %d (have %d)", ErrNotAdmitted, worker, s.admitted.Load())
 	}
 	s.mu.Lock()
 	// A blocking pinned submission whose slot is idle, with nothing
@@ -283,8 +283,8 @@ func (s *Session) submit(ctx context.Context, worker int, body Body, done func(e
 		return nil
 	}
 	defer s.mu.Unlock()
-	if demand && s.q.depth(worker) >= s.cfg.QueueDepth {
-		// Only blocking submissions (Exec) feel QueueDepth: they come
+	if demand && s.q.depth(worker) >= queueDepth {
+		// Only blocking submissions (Exec) feel queueDepth: they come
 		// from client goroutines that may wait (bounded by ctx).
 		// Asynchronous ones must never block — a worker's result
 		// callback may be the caller. The ctx watcher starts lazily:
@@ -295,7 +295,7 @@ func (s *Session) submit(ctx context.Context, worker int, body Body, done func(e
 			s.mu.Unlock()
 		})
 		defer stop()
-		for !s.closed && s.q.depth(worker) >= s.cfg.QueueDepth {
+		for !s.closed && s.q.depth(worker) >= queueDepth {
 			if err := ctx.Err(); err != nil {
 				return err
 			}

@@ -78,10 +78,12 @@ func TestSessionExecBothSubstrates(t *testing.T) {
 
 // TestSessionMoreSubmittersThanWorkers floods a small pool from many
 // client goroutines: every submission must execute exactly once, and
-// the counter must account for every commit. Run with -race.
+// the counter must account for every commit. There are more
+// submitters than the shared lane's queue depth, so some of them wait
+// for room. Run with -race.
 func TestSessionMoreSubmittersThanWorkers(t *testing.T) {
-	const workers, submitters, perSubmitter = 2, 9, 40
-	s := openTestSession(t, "native-tinystm", SessionConfig{Workers: workers, Vars: 1, QueueDepth: 4})
+	const workers, submitters, perSubmitter = 2, queueDepth + 9, 40
+	s := openTestSession(t, "native-tinystm", SessionConfig{Workers: workers, Vars: 1})
 	var wg sync.WaitGroup
 	var failed atomic.Int64
 	for i := 0; i < submitters; i++ {
@@ -127,7 +129,7 @@ func TestSessionMoreSubmittersThanWorkers(t *testing.T) {
 // already accepted — async submissions included — before returning,
 // and late submissions must fail with ErrClosed. Run with -race.
 func TestSessionCloseDrainsInFlight(t *testing.T) {
-	s := openTestSession(t, "native-norec", SessionConfig{Workers: 3, Vars: 1, QueueDepth: 8})
+	s := openTestSession(t, "native-norec", SessionConfig{Workers: 3, Vars: 1})
 	const n = 300
 	var done atomic.Int64
 	for i := 0; i < n; i++ {
@@ -366,10 +368,11 @@ func TestSessionAddWorkers(t *testing.T) {
 // TestSessionCallbackResubmitSaturated: result callbacks that submit
 // follow-up work must never deadlock the pool, even with every lane at
 // its backpressure threshold — async Submit is non-blocking by
-// contract, only Exec feels QueueDepth. Run with -race.
+// contract, only Exec feels queueDepth. There are more chains than the
+// shared lane's queue depth. Run with -race.
 func TestSessionCallbackResubmitSaturated(t *testing.T) {
-	const workers, chains, depth = 2, 60, 5
-	s := openTestSession(t, "native-tl2", SessionConfig{Workers: workers, Vars: 1, QueueDepth: 1})
+	const workers, chains, depth = 2, queueDepth + 60, 5
+	s := openTestSession(t, "native-tl2", SessionConfig{Workers: workers, Vars: 1})
 	var done atomic.Int64
 	var submit func(left int) error
 	submit = func(left int) error {
@@ -403,10 +406,10 @@ func TestSessionCallbackResubmitSaturated(t *testing.T) {
 }
 
 // TestSessionExecBackpressureHonorsContext: an Exec blocked in the
-// QueueDepth admission wait must abandon it when its context ends,
+// queueDepth admission wait must abandon it when its context ends,
 // instead of waiting for room indefinitely. Run with -race.
 func TestSessionExecBackpressureHonorsContext(t *testing.T) {
-	s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1, QueueDepth: 1})
+	s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1})
 	release := make(chan struct{})
 	if err := s.SubmitOn(0, func(tx Tx) error {
 		<-release // occupy the only worker
@@ -414,8 +417,10 @@ func TestSessionExecBackpressureHonorsContext(t *testing.T) {
 	}, nil); err != nil {
 		t.Fatal(err)
 	}
-	if err := s.SubmitOn(0, counterSessionBody(0), nil); err != nil {
-		t.Fatal(err) // fills the pinned lane to QueueDepth
+	for range queueDepth { // fill the pinned lane to queueDepth
+		if err := s.SubmitOn(0, counterSessionBody(0), nil); err != nil {
+			t.Fatal(err)
+		}
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	execErr := make(chan error, 1)
@@ -431,8 +436,8 @@ func TestSessionExecBackpressureHonorsContext(t *testing.T) {
 	if _, err := s.Close(); err != nil {
 		t.Fatal(err)
 	}
-	if got := s.Stats().Completed; got != 2 {
-		t.Fatalf("completed = %d, want 2 (the cancelled Exec was never admitted)", got)
+	if got := s.Stats().Completed; got != 1+queueDepth {
+		t.Fatalf("completed = %d, want %d (the cancelled Exec was never admitted)", got, 1+queueDepth)
 	}
 }
 

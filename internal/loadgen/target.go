@@ -6,7 +6,7 @@ import (
 	"fmt"
 
 	"livetm/internal/adversary"
-	"livetm/internal/adversary/netadv"
+	"livetm/internal/adversary/live"
 	"livetm/internal/client"
 	"livetm/internal/engine"
 	"livetm/internal/server"
@@ -128,7 +128,7 @@ func (t *WireTarget) Fault(s adversary.Strategy, cfg adversary.Config) (adversar
 	if t.Info.Workers < 2 {
 		return adversary.Outcome{}, fmt.Errorf("loadgen: fault %s needs 2 workers, the server has %d", s.Name(), t.Info.Workers)
 	}
-	return netadv.RunNetwork(t.C, s, cfg)
+	return live.RunNetwork(t.C, s, cfg)
 }
 
 // Workers reports the served pool size.

@@ -42,7 +42,7 @@
 //	                   values read (Session.Exec over the wire)
 //	POST /v1/tx/begin  open an interactive transaction pinned to a
 //	                   worker lane; the transaction stays open across
-//	                   requests (the adversary strategies' gates)
+//	                   requests (Session.Begin over the wire)
 //	POST /v1/tx/op     one read or write inside the open transaction
 //	POST /v1/tx/finish commit, decline (nocommit), or abandon it
 //	GET  /v1/info      engine name, worker/variable counts, liveness
@@ -74,16 +74,4 @@
 // still admitted. Refusals are engine.ErrOverloaded on the wire:
 // HTTP 429 with a Retry-After hint. The engine-level
 // SessionConfig.MaxQueue cap surfaces through the same path.
-//
-// # Interactive transactions and cuts
-//
-// An interactive transaction parks a worker inside its transaction
-// body between ops, holding the session's quiescent-cut lock the whole
-// time, so a live session serving interactive clients should disable
-// quiescent cuts (SessionConfig.QuiesceEvery = -1); the monitor's
-// liveness accounting and approximate opacity fallback carry the
-// stream instead. This is exactly the trade the network adversary
-// driver (internal/adversary.RunNetwork) makes: starvation is
-// measured at the protocol boundary, where a production user would
-// feel it.
 package server

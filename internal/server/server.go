@@ -16,11 +16,15 @@ import (
 	"livetm/internal/telemetry"
 )
 
-// Backend is what the server serves: the submission surface plus the
-// session lifecycle. *engine.Session satisfies it directly; a router
-// fanning out over several sessions would too.
+// Backend is what the server serves: the submission surface, the
+// interactive transactions, and the session lifecycle. *engine.Session
+// satisfies it directly; a router fanning out over several sessions
+// would too.
 type Backend interface {
 	engine.Submitter
+	// Begin opens an interactive transaction pinned to a worker; done
+	// receives its terminal result (see engine.Session.Begin).
+	Begin(worker int, done func(error)) (*engine.Interactive, error)
 	// Drain blocks until every accepted submission has completed.
 	Drain(ctx context.Context) error
 	// Stats snapshots the session counters.
@@ -70,7 +74,7 @@ type Server struct {
 	draining atomic.Bool
 
 	mu   sync.Mutex
-	itxs map[string]*itx
+	itxs map[string]*engine.Interactive
 
 	drainOnce sync.Once
 	drainErr  error
@@ -93,7 +97,7 @@ func New(backend Backend, cfg Config) *Server {
 		adm:     newAdmission(cfg.MaxInflight, idle, cfg.Registry),
 		mux:     http.NewServeMux(),
 		ctype:   []string{JSONCodec{}.ContentType()},
-		itxs:    make(map[string]*itx),
+		itxs:    make(map[string]*engine.Interactive),
 		done:    make(chan struct{}),
 	}
 	s.mux.HandleFunc("POST /v1/exec", s.handleExec)
@@ -129,14 +133,10 @@ func (s *Server) Drain(ctx context.Context) (DrainResponse, error) {
 	s.drainOnce.Do(func() {
 		s.draining.Store(true)
 		s.mu.Lock()
-		open := make([]*itx, 0, len(s.itxs))
 		for _, t := range s.itxs {
-			open = append(open, t)
+			t.Abandon()
 		}
 		s.mu.Unlock()
-		for _, t := range open {
-			t.abandonNow()
-		}
 		if err := s.backend.Drain(ctx); err != nil {
 			s.drainErr = fmt.Errorf("drain: %w", err)
 		}
@@ -208,11 +208,9 @@ func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
 	return true
 }
 
-// checkProgram validates a program against the session shape.
-func (s *Server) checkProgram(worker int, ops []Op) error {
-	if worker < engine.AnyWorker {
-		return fmt.Errorf("worker %d out of range", worker)
-	}
+// checkProgram validates a program against the session shape. The
+// worker it is pinned to is the engine's to check (ErrNotAdmitted).
+func (s *Server) checkProgram(ops []Op) error {
 	if len(ops) == 0 {
 		return errors.New("empty program")
 	}
@@ -320,7 +318,7 @@ func (s *Server) handleExec(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &sc.req) {
 		return
 	}
-	if err := s.checkProgram(sc.req.Worker, sc.req.Ops); err != nil {
+	if err := s.checkProgram(sc.req.Ops); err != nil {
 		s.writeCode(w, CodeBadRequest, err.Error())
 		return
 	}
@@ -352,31 +350,26 @@ func (s *Server) handleTxBegin(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	if req.Worker < engine.AnyWorker {
-		s.writeCode(w, CodeBadRequest, fmt.Sprintf("worker %d out of range", req.Worker))
-		return
-	}
 	client := clientOf(r)
 	if err := s.adm.acquire(client); err != nil {
 		s.writeErr(w, err)
 		return
 	}
 	id := "t" + strconv.FormatUint(s.idSeq.Add(1), 10)
-	t := newItx(id, client, req.Worker)
+	// mu is held across Begin so that the id is registered before the
+	// done callback, which runs on a worker, can remove it.
 	s.mu.Lock()
-	s.itxs[id] = t
-	s.mu.Unlock()
-	err := s.backend.SubmitOn(req.Worker, t.body, func(res error) {
-		t.finished(res)
+	t, err := s.backend.Begin(req.Worker, func(error) {
 		s.mu.Lock()
 		delete(s.itxs, id)
 		s.mu.Unlock()
 		s.adm.release(client)
 	})
+	if err == nil {
+		s.itxs[id] = t
+	}
+	s.mu.Unlock()
 	if err != nil {
-		s.mu.Lock()
-		delete(s.itxs, id)
-		s.mu.Unlock()
 		s.adm.release(client)
 		s.writeErr(w, err)
 		return
@@ -384,11 +377,26 @@ func (s *Server) handleTxBegin(w http.ResponseWriter, r *http.Request) {
 	s.writeOK(w, BeginResponse{Txn: id})
 }
 
-// lookupItx finds an open interactive transaction.
-func (s *Server) lookupItx(id string) *itx {
+// lookupTx finds an open interactive transaction, answering an unknown
+// id with CodeNotFound.
+func (s *Server) lookupTx(w http.ResponseWriter, id string) *engine.Interactive {
 	s.mu.Lock()
-	defer s.mu.Unlock()
-	return s.itxs[id]
+	t := s.itxs[id]
+	s.mu.Unlock()
+	if t == nil {
+		s.writeCode(w, CodeNotFound, "no open transaction "+id)
+	}
+	return t
+}
+
+// writeTxErr answers an interactive call that failed: a done request
+// context is a timeout, anything else the transaction's own error.
+func (s *Server) writeTxErr(w http.ResponseWriter, what string, err error) {
+	if errors.Is(err, context.Canceled) || errors.Is(err, context.DeadlineExceeded) {
+		s.writeCode(w, CodeTimeout, what+": "+err.Error())
+		return
+	}
+	s.writeErr(w, err)
 }
 
 func (s *Server) handleTxOp(w http.ResponseWriter, r *http.Request) {
@@ -396,18 +404,11 @@ func (s *Server) handleTxOp(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	t := s.lookupItx(req.Txn)
+	t := s.lookupTx(w, req.Txn)
 	if t == nil {
-		s.writeCode(w, CodeNotFound, "no open transaction "+req.Txn)
 		return
 	}
-	var kind int
-	switch req.Op.Kind {
-	case OpRead:
-		kind = icRead
-	case OpWrite:
-		kind = icWrite
-	default:
+	if req.Op.Kind != OpRead && req.Op.Kind != OpWrite {
 		s.writeCode(w, CodeBadRequest, "interactive op must be read or write, got "+req.Op.Kind)
 		return
 	}
@@ -416,36 +417,18 @@ func (s *Server) handleTxOp(w http.ResponseWriter, r *http.Request) {
 			fmt.Sprintf("var %d out of range [0,%d)", req.Op.Var, s.cfg.Info.Vars))
 		return
 	}
-	t.opMu.Lock()
-	defer t.opMu.Unlock()
-	c := &icmd{kind: kind, varIx: req.Op.Var, val: req.Op.Val, reply: make(chan ireply, 1)}
-	select {
-	case t.cmds <- c:
-	case <-t.complete:
-		s.writeTerminal(w, t.result)
-		return
-	case <-r.Context().Done():
-		s.writeCode(w, CodeTimeout, "tx op: "+r.Context().Err().Error())
-		return
+	var resp TxOpResponse
+	var err error
+	if req.Op.Kind == OpRead {
+		resp.Val, resp.Aborted, err = t.Read(r.Context(), req.Op.Var)
+	} else {
+		resp.Aborted, err = t.Write(r.Context(), req.Op.Var, req.Op.Val)
 	}
-	select {
-	case rep := <-c.reply:
-		s.writeOK(w, TxOpResponse{Val: rep.val, Aborted: rep.err != nil})
-	case <-t.complete:
-		s.writeTerminal(w, t.result)
-	}
-}
-
-// writeTerminal reports an op against a transaction that turned out
-// to be already over (abandoned under it, or the session closed).
-func (s *Server) writeTerminal(w http.ResponseWriter, res error) {
-	if res == nil {
-		// A committed transaction has no business receiving further
-		// ops; the id simply no longer exists.
-		s.writeCode(w, CodeNotFound, "transaction already finished")
+	if err != nil {
+		s.writeTxErr(w, "tx op", err)
 		return
 	}
-	s.writeErr(w, res)
+	s.writeOK(w, resp)
 }
 
 func (s *Server) handleTxFinish(w http.ResponseWriter, r *http.Request) {
@@ -453,85 +436,34 @@ func (s *Server) handleTxFinish(w http.ResponseWriter, r *http.Request) {
 	if !s.decode(w, r, &req) {
 		return
 	}
-	t := s.lookupItx(req.Txn)
+	t := s.lookupTx(w, req.Txn)
 	if t == nil {
-		s.writeCode(w, CodeNotFound, "no open transaction "+req.Txn)
 		return
 	}
 	switch req.Mode {
 	case FinishAbandon:
-		t.abandonNow()
-		select {
-		case <-t.complete:
-		case <-r.Context().Done():
-			s.writeCode(w, CodeTimeout, "abandon: "+r.Context().Err().Error())
-			return
+		t.Abandon()
+		if res := t.Wait(r.Context()); r.Context().Err() != nil {
+			s.writeTxErr(w, "abandon", res)
+		} else {
+			s.writeOK(w, TxFinishResponse{Code: CodeOf(res)})
 		}
-		s.writeOK(w, TxFinishResponse{Code: CodeOf(t.result)})
 		return
 	case FinishCommit, FinishNoCommit:
 	default:
 		s.writeCode(w, CodeBadRequest, "unknown finish mode "+req.Mode)
 		return
 	}
-	kind := icFinish
-	if req.Mode == FinishNoCommit {
-		kind = icNoCommit
-	}
-	t.opMu.Lock()
-	defer t.opMu.Unlock()
-	t.drainEntered()
-	c := &icmd{kind: kind, reply: make(chan ireply, 1)}
-	select {
-	case t.cmds <- c:
-	case <-t.complete:
-		s.writeFinish(w, t.result)
-		return
-	case <-r.Context().Done():
-		s.writeCode(w, CodeTimeout, "finish: "+r.Context().Err().Error())
-		return
-	}
-	var handed ireply
-	select {
-	case handed = <-c.reply:
-	case <-t.complete:
-		s.writeFinish(w, t.result)
-		return
-	}
-	// The body returned; the engine is now committing (or, for
-	// nocommit, completing the round). Either the submission reaches
-	// its terminal result, or the retry loop re-enters the body — a
-	// pulse on entered with a higher attempt means the commit aborted
-	// and the transaction is open again.
-	for {
-		select {
-		case <-t.complete:
-			s.writeFinish(w, t.result)
-			return
-		case <-t.entered:
-			if t.attempt.Load() > handed.attempt {
-				s.writeOK(w, TxFinishResponse{Retrying: true})
-				return
-			}
-		case <-r.Context().Done():
-			s.writeCode(w, CodeTimeout, "finish: "+r.Context().Err().Error())
-			return
-		}
-	}
-}
-
-// writeFinish maps a terminal submission result onto the finish
-// frame.
-func (s *Server) writeFinish(w http.ResponseWriter, res error) {
+	retrying, res := t.Finish(r.Context(), req.Mode == FinishCommit)
 	switch {
+	case retrying:
+		s.writeOK(w, TxFinishResponse{Retrying: true})
 	case res == nil:
 		s.writeOK(w, TxFinishResponse{Committed: true})
-	case errors.Is(res, engine.ErrNoCommit):
-		s.writeOK(w, TxFinishResponse{Code: CodeNoCommit})
-	case errors.Is(res, errAbandoned):
-		s.writeOK(w, TxFinishResponse{Code: CodeAbandoned})
+	case errors.Is(res, engine.ErrNoCommit), errors.Is(res, engine.ErrAbandoned):
+		s.writeOK(w, TxFinishResponse{Code: CodeOf(res)})
 	default:
-		s.writeErr(w, res)
+		s.writeTxErr(w, "finish", res)
 	}
 }
 

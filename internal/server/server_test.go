@@ -300,7 +300,9 @@ func TestWireCodeTables(t *testing.T) {
 		{engine.ErrStopped, CodeStopped, http.StatusServiceUnavailable},
 		{engine.ErrNoCommit, CodeNoCommit, http.StatusInternalServerError},
 		{engine.ErrLiveViolation, CodeViolation, http.StatusServiceUnavailable},
-		{errAbandoned, CodeAbandoned, http.StatusInternalServerError},
+		{engine.ErrAbandoned, CodeAbandoned, http.StatusInternalServerError},
+		{fmt.Errorf("%w: 7 (have 2)", engine.ErrNotAdmitted), CodeBadRequest, http.StatusBadRequest},
+		{engine.ErrTxDone, CodeNotFound, http.StatusNotFound},
 		{errors.New("surprise"), CodeInternal, http.StatusInternalServerError},
 	}
 	for _, c := range cases {
@@ -314,7 +316,7 @@ func TestWireCodeTables(t *testing.T) {
 	// Sentinels survive the round trip for every engine sentinel.
 	for _, err := range []error{
 		engine.ErrOverloaded, engine.ErrClosed, engine.ErrStopped,
-		engine.ErrNoCommit, engine.ErrLiveViolation,
+		engine.ErrNoCommit, engine.ErrLiveViolation, engine.ErrAbandoned,
 	} {
 		if back := SentinelOf(CodeOf(err)); !errors.Is(back, err) {
 			t.Errorf("sentinel round trip lost %v (got %v)", err, back)
@@ -341,7 +343,9 @@ func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
 // large, cut short or empty ones are bad requests; whatever
 // json.Decoder accepted before the frames were hand-written — bytes
 // after the frame, unknown, repeated and case-folded keys — is
-// accepted still, and means what encoding/json says it means.
+// accepted still, and means what encoding/json says it means. A worker
+// the session never admitted is a bad request too, on /v1/exec and on
+// /v1/tx/begin alike.
 func TestExecBadFrames(t *testing.T) {
 	_, hs := testServer(t, Config{})
 	for v := 0; v < 4; v++ {
@@ -354,23 +358,30 @@ func TestExecBadFrames(t *testing.T) {
 		body   string
 		status int
 		reply  string // of a refusal: a substring of the error
+		path   string // "" is /v1/exec
 	}{
 		{"oversized", `{"worker":-1,"ops":[` + strings.Repeat(read0+",", maxFrameBytes/len(read0)) + read0 + `]}`,
-			http.StatusBadRequest, "request body too large"},
-		{"largest accepted", `{"worker":-1,"ops":[` + read0 + `]}` + strings.Repeat(" ", maxFrameBytes-64), http.StatusOK, ""},
-		{"truncated", `{"worker":-1,"ops":[{"kind":"re`, http.StatusBadRequest, "unexpected EOF"},
-		{"empty", ``, http.StatusBadRequest, "decode: EOF"},
-		{"not a frame", `[1,2]`, http.StatusBadRequest, "cannot unmarshal array"},
-		{"exponent", `{"worker":-1e0,"ops":[` + read0 + `]}`, http.StatusBadRequest, "cannot unmarshal number"},
-		{"trailing bytes", `{"worker":-1,"ops":[` + read0 + `]} {"worker":"x"} ]]garbage`, http.StatusOK, ""},
-		{"unknown key", `{"worker":-1,"trace":{"id":[1,"x"]},"ops":[{"kind":"read","var":1,"why":null}]}`, http.StatusOK, ""},
-		{"duplicate key", `{"worker":7,"worker":-1,"ops":[{"kind":"read","var":1,"var":2}]}`, http.StatusOK, ""},
-		{"case-folded and escaped keys", `{"WORKER":-1,"Ops":[{"KIND":"read","v\u0061r":3}]}`, http.StatusOK, ""},
-		{"escaped kind", `{"worker":-1,"ops":[{"kind":"re\u0061d","var":3}]}`, http.StatusOK, ""},
-		{"kind in the wrong case", `{"worker":-1,"ops":[{"kind":"Read","var":3}]}`, http.StatusBadRequest, `unknown kind \"Read\"`},
+			http.StatusBadRequest, "request body too large", ""},
+		{"largest accepted", `{"worker":-1,"ops":[` + read0 + `]}` + strings.Repeat(" ", maxFrameBytes-64), http.StatusOK, "", ""},
+		{"truncated", `{"worker":-1,"ops":[{"kind":"re`, http.StatusBadRequest, "unexpected EOF", ""},
+		{"empty", ``, http.StatusBadRequest, "decode: EOF", ""},
+		{"not a frame", `[1,2]`, http.StatusBadRequest, "cannot unmarshal array", ""},
+		{"exponent", `{"worker":-1e0,"ops":[` + read0 + `]}`, http.StatusBadRequest, "cannot unmarshal number", ""},
+		{"trailing bytes", `{"worker":-1,"ops":[` + read0 + `]} {"worker":"x"} ]]garbage`, http.StatusOK, "", ""},
+		{"unknown key", `{"worker":-1,"trace":{"id":[1,"x"]},"ops":[{"kind":"read","var":1,"why":null}]}`, http.StatusOK, "", ""},
+		{"duplicate key", `{"worker":7,"worker":-1,"ops":[{"kind":"read","var":1,"var":2}]}`, http.StatusOK, "", ""},
+		{"case-folded and escaped keys", `{"WORKER":-1,"Ops":[{"KIND":"read","v\u0061r":3}]}`, http.StatusOK, "", ""},
+		{"escaped kind", `{"worker":-1,"ops":[{"kind":"re\u0061d","var":3}]}`, http.StatusOK, "", ""},
+		{"kind in the wrong case", `{"worker":-1,"ops":[{"kind":"Read","var":3}]}`, http.StatusBadRequest, `unknown kind \"Read\"`, ""},
+		{"unadmitted worker", `{"worker":7,"ops":[` + read0 + `]}`, http.StatusBadRequest, "worker not admitted", ""},
+		{"unadmitted worker on begin", `{"worker":7}`, http.StatusBadRequest, "worker not admitted", "/v1/tx/begin"},
 	} {
 		t.Run(c.name, func(t *testing.T) {
-			status, reply := postRaw(t, hs.URL+"/v1/exec", []byte(c.body))
+			path := c.path
+			if path == "" {
+				path = "/v1/exec"
+			}
+			status, reply := postRaw(t, hs.URL+path, []byte(c.body))
 			if status != c.status {
 				t.Fatalf("status %d, want %d (reply %s)", status, c.status, reply)
 			}

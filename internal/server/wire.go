@@ -79,8 +79,8 @@ type TxOpRequest struct {
 // TxOpResponse reports one interactive op. Aborted means the current
 // attempt aborted on this op: the retry loop re-enters the body and
 // the transaction handle stays open, with the next op starting a
-// fresh attempt — the wire form of the adversary gates' "on abort,
-// return to Step 1".
+// fresh attempt — the wire form of the adversary strategies' "on
+// abort, return to Step 1".
 type TxOpResponse struct {
 	Val     int64 `json:"val"`
 	Aborted bool  `json:"aborted,omitempty"`
@@ -107,7 +107,7 @@ type TxFinishRequest struct {
 // TxFinishResponse reports a finish. Retrying means the commit
 // attempt aborted and the retry loop re-entered the body: the
 // transaction is still open and the client may keep issuing ops (the
-// gate semantics of a failed Finish). Otherwise the transaction is
+// adversary strategies' failed Finish). Otherwise the transaction is
 // over and Code carries its terminal result ("" commit, CodeNoCommit,
 // CodeAbandoned, or an error code).
 type TxFinishResponse struct {
@@ -178,8 +178,12 @@ func CodeOf(err error) string {
 		return CodeViolation
 	case errors.Is(err, engine.ErrNoCommit):
 		return CodeNoCommit
-	case errors.Is(err, errAbandoned):
+	case errors.Is(err, engine.ErrAbandoned):
 		return CodeAbandoned
+	case errors.Is(err, engine.ErrNotAdmitted):
+		return CodeBadRequest
+	case errors.Is(err, engine.ErrTxDone):
+		return CodeNotFound
 	default:
 		return CodeInternal
 	}
@@ -221,6 +225,8 @@ func SentinelOf(code string) error {
 		return engine.ErrLiveViolation
 	case CodeNoCommit:
 		return engine.ErrNoCommit
+	case CodeAbandoned:
+		return engine.ErrAbandoned
 	default:
 		return nil
 	}
