@@ -1,8 +1,13 @@
 package main
 
 import (
+	"bytes"
 	"errors"
+	"fmt"
+	"os"
 	"path/filepath"
+	"slices"
+	"strconv"
 	"testing"
 
 	"livetm/internal/core"
@@ -15,8 +20,9 @@ import (
 // TestCheckAgreesWithMonitor: `check`, the offline monitor (exact, with
 // the live monitor's 48-transaction budget) and safety.CheckOpacity
 // give one opacity verdict on the violating-stream fixtures, the
-// paper's figure histories and a recorded trace of every native engine
-// at two processes. The monitor's smaller budget may leave a trace
+// paper's figure histories, a recorded trace of every native engine
+// at two processes, and native-tl2 traces of about 10², 10³ and 10⁴
+// transactions. The monitor's smaller budget may leave a trace
 // undecided that the others decide, never the other way round.
 func TestCheckAgreesWithMonitor(t *testing.T) {
 	type trace struct {
@@ -58,6 +64,35 @@ func TestCheckAgreesWithMonitor(t *testing.T) {
 			t.Fatal(err)
 		}
 		traces = append(traces, trace{e.Name(), h, ""})
+	}
+	// Traces of about 10², 10³ and 10⁴ transactions, each decoded from
+	// its file and again from memory, where ReadTrace counts the events
+	// before it sizes the history: the two must be one history.
+	for _, ops := range []int{50, 500, 5000} {
+		name := fmt.Sprintf("native-tl2-ops%d", ops)
+		path := filepath.Join(dir, name+".jsonl")
+		if err := run([]string{"record", "-engine", "native-tl2", "-procs", "2", "-ops", strconv.Itoa(ops), "-out", path}); err != nil {
+			t.Fatal(err)
+		}
+		h, err := model.LoadTrace(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		data, err := os.ReadFile(path)
+		if err != nil {
+			t.Fatal(err)
+		}
+		counted, err := model.ReadTrace(bytes.NewReader(data))
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !slices.Equal(counted, h) {
+			t.Fatalf("%s: the in-memory decode (%d events) differs from the file's (%d)", name, len(counted), len(h))
+		}
+		if cap(counted) != len(counted) {
+			t.Errorf("%s: the in-memory decode reserved %d events for %d", name, cap(counted), len(counted))
+		}
+		traces = append(traces, trace{name, counted, ""})
 	}
 
 	for _, tr := range traces {

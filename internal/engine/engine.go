@@ -128,6 +128,10 @@ func (cfg RunConfig) validateSim() error {
 		return fmt.Errorf("engine: need a positive process count, got %d", cfg.Procs)
 	case cfg.Vars <= 0:
 		return fmt.Errorf("engine: need a positive variable count, got %d", cfg.Vars)
+	case cfg.Procs > model.MaxProc:
+		return fmt.Errorf("engine: %d processes, above model.MaxProc (%d)", cfg.Procs, model.MaxProc)
+	case cfg.Vars > model.MaxTVar:
+		return fmt.Errorf("engine: %d variables, above model.MaxTVar (%d)", cfg.Vars, model.MaxTVar)
 	case cfg.SimSteps <= 0:
 		return fmt.Errorf("engine: simulated runs need a positive SimSteps budget")
 	case cfg.OpsPerProc < 0:

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"sync"
 
+	"livetm/internal/model"
 	"livetm/internal/telemetry"
 )
 
@@ -158,6 +159,14 @@ func (cfg SessionConfig) validate() error {
 	}
 	if cfg.Vars <= 0 {
 		return fmt.Errorf("engine: need a positive variable count, got %d", cfg.Vars)
+	}
+	// Workers are processes 1..MaxWorkers of the recorded history, and
+	// withDefaults has raised MaxWorkers to at least Workers.
+	if cfg.MaxWorkers > model.MaxProc {
+		return fmt.Errorf("engine: %d workers (MaxWorkers %d), above model.MaxProc (%d)", cfg.Workers, cfg.MaxWorkers, model.MaxProc)
+	}
+	if cfg.Vars > model.MaxTVar {
+		return fmt.Errorf("engine: %d variables, above model.MaxTVar (%d)", cfg.Vars, model.MaxTVar)
 	}
 	if cfg.MaxQueue < 0 {
 		return fmt.Errorf("engine: MaxQueue must be non-negative, got %d", cfg.MaxQueue)

@@ -80,6 +80,9 @@ func RunWithCrashes(sc Scenario, maxSteps int, crashable []model.Proc, check Che
 	if sc.NProcs <= 0 || sc.Factory == nil || sc.Body == nil {
 		return Stats{}, fmt.Errorf("explore: scenario needs processes, a factory, and bodies")
 	}
+	if sc.NProcs > model.MaxProc {
+		return Stats{}, fmt.Errorf("explore: %d processes, above model.MaxProc (%d)", sc.NProcs, model.MaxProc)
+	}
 	if maxSteps <= 0 {
 		return Stats{}, fmt.Errorf("explore: maxSteps must be positive")
 	}

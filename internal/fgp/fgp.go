@@ -71,6 +71,9 @@ func New(nProcs, nVars int, variant Variant) (*Automaton, error) {
 	if nProcs <= 0 || nVars <= 0 {
 		return nil, fmt.Errorf("fgp: need positive process and variable counts, got %d, %d", nProcs, nVars)
 	}
+	if nProcs > model.MaxProc || nVars > model.MaxTVar {
+		return nil, fmt.Errorf("fgp: %d processes and %d variables, above model.MaxProc (%d) or model.MaxTVar (%d)", nProcs, nVars, model.MaxProc, model.MaxTVar)
+	}
 	if variant != Faithful && variant != Corrected {
 		return nil, fmt.Errorf("fgp: unknown variant %d", int(variant))
 	}

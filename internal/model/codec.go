@@ -2,6 +2,7 @@ package model
 
 import (
 	"bufio"
+	"bytes"
 	"encoding/json"
 	"fmt"
 	"io"
@@ -88,7 +89,7 @@ func (e *Event) scan(s *jsonscan.Scanner) bool {
 			return s.Int64(&v)
 		}
 	})
-	if !ok || kind == 0 || proc <= 0 {
+	if !ok || kind == 0 || proc <= 0 || proc > MaxProc {
 		return false
 	}
 	ev := Event{Proc: Proc(proc), Kind: kind}
@@ -104,7 +105,7 @@ func (e *Event) scan(s *jsonscan.Scanner) bool {
 		need = hasVal
 		ev.Val = Value(v)
 	}
-	if seen&need != need {
+	if seen&need != need || need&hasVar != 0 && (x < 0 || x > MaxTVar) {
 		return false
 	}
 	*e = ev
@@ -133,16 +134,25 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 	if ej.Proc <= 0 {
 		return fmt.Errorf("model: event has non-positive process id %d", ej.Proc)
 	}
+	if ej.Proc > MaxProc {
+		return fmt.Errorf("model: event member \"proc\" is %d, above MaxProc %d", ej.Proc, MaxProc)
+	}
 	ev := Event{Proc: Proc(ej.Proc), Kind: kind}
 	switch kind {
 	case InvRead:
 		if ej.Var == nil {
 			return fmt.Errorf("model: read event missing var")
 		}
+		if err := checkVar(*ej.Var); err != nil {
+			return err
+		}
 		ev.Var = TVar(*ej.Var)
 	case InvWrite:
 		if ej.Var == nil || ej.Val == nil {
 			return fmt.Errorf("model: write event missing var or val")
+		}
+		if err := checkVar(*ej.Var); err != nil {
+			return err
 		}
 		ev.Var, ev.Val = TVar(*ej.Var), Value(*ej.Val)
 	case RespValue:
@@ -152,6 +162,14 @@ func (e *Event) UnmarshalJSON(data []byte) error {
 		ev.Val = Value(*ej.Val)
 	}
 	*e = ev
+	return nil
+}
+
+// checkVar refuses a t-variable id that TVar cannot hold.
+func checkVar(x int) error {
+	if x < 0 || x > MaxTVar {
+		return fmt.Errorf("model: event member \"var\" is %d, outside 0..MaxTVar (%d)", x, MaxTVar)
+	}
 	return nil
 }
 
@@ -293,6 +311,35 @@ func sizeHint(r io.Reader) int64 {
 	return 0
 }
 
+// eventBound returns how many events to reserve for what r still
+// holds. Every event is an object, so an input in memory (a
+// bytes.Reader or strings.Reader, whose remainder ReadAt reads again at
+// no cost) holds at most as many events as '{' bytes; they are counted
+// through buf, which the reader has not filled yet. Any other input, or
+// a count past it, gets the bound its length gives, size/minEventLine,
+// so a file or a pipe is never read twice.
+func eventBound(r io.Reader, buf []byte) int64 {
+	bound := sizeHint(r) / int64(minEventLine)
+	m, ok := r.(interface {
+		Len() int
+		Size() int64
+		io.ReaderAt
+	})
+	if !ok || bound == 0 {
+		return bound
+	}
+	var n int64
+	for off := m.Size() - int64(m.Len()); ; {
+		k, err := m.ReadAt(buf, off)
+		n += int64(bytes.Count(buf[:k], []byte("{")))
+		off += int64(k)
+		if err != nil || k == 0 {
+			break
+		}
+	}
+	return min(n, bound)
+}
+
 // WriteTrace writes the history as JSON Lines: one event object per
 // line, streamable and appendable.
 func WriteTrace(w io.Writer, h History) error {
@@ -311,11 +358,13 @@ func WriteTrace(w io.Writer, h History) error {
 	return bw.Flush()
 }
 
-// ReadTrace reads a JSON Lines trace written by WriteTrace.
+// ReadTrace reads a JSON Lines trace written by WriteTrace. It sizes
+// the History once, before decoding: exactly for a canonical trace in
+// memory (see eventBound), and by the input's length otherwise.
 func ReadTrace(r io.Reader) (History, error) {
 	tr := NewTraceReader(r)
 	var h History
-	if n := sizeHint(r) / int64(minEventLine); n > 0 {
+	if n := eventBound(r, tr.buf); n > 0 {
 		h = make(History, 0, n)
 	}
 	for {

@@ -5,11 +5,14 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"math"
 	"path/filepath"
+	"runtime"
 	"strings"
 	"testing"
 	"testing/iotest"
 	"testing/quick"
+	"unsafe"
 )
 
 // referenceReadTrace is ReadTrace as it was before TraceReader: one
@@ -385,4 +388,96 @@ func FuzzReadTrace(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte) {
 		checkAgainstReference(t, data)
 	})
+}
+
+// idBoundCases are the edges of the identifier ranges: the largest
+// Proc and TVar decode, one past them and a negative var are refused
+// in UnmarshalJSON's words, naming the member and the value, on both
+// the scanning path and the reference path. The FuzzReadTrace seeds
+// under testdata/fuzz repeat them.
+var idBoundCases = []struct {
+	name string
+	in   string
+	want History
+	err  string
+}{
+	{name: "largest proc", in: `{"proc":32767,"kind":"C"}`, want: History{Commit(MaxProc)}},
+	{name: "proc past MaxProc", in: `{"proc":32768,"kind":"C"}`, err: `member "proc" is 32768`},
+	{name: "largest var", in: `{"proc":1,"kind":"read","var":2147483647}`, want: History{Read(1, MaxTVar)}},
+	{name: "var past MaxTVar", in: `{"proc":1,"kind":"write","var":2147483648,"val":5}`, err: `member "var" is 2147483648`},
+	{name: "var that would wrap to 0", in: `{"proc":1,"kind":"read","var":4294967296}`, err: `member "var" is 4294967296`},
+	{name: "negative var", in: `{"proc":1,"kind":"read","var":-1}`, err: `member "var" is -1`},
+	{name: "negative var on a kind without one", in: `{"proc":1,"kind":"tryC","var":-1}`, want: History{TryCommit(1)}},
+}
+
+func TestEventIDBounds(t *testing.T) {
+	for _, c := range idBoundCases {
+		t.Run(c.name, func(t *testing.T) {
+			got, err := checkAgainstReference(t, []byte(c.in))
+			if c.err != "" {
+				if err == nil || !strings.Contains(err.Error(), c.err) {
+					t.Fatalf("got %v, %v; want an error containing %q", got, err, c.err)
+				}
+				return
+			}
+			if err != nil || fmt.Sprint(got) != fmt.Sprint(c.want) || got[0] != c.want[0] {
+				t.Fatalf("got %v, %v; want %v", got, err, c.want)
+			}
+		})
+	}
+}
+
+// ReadTrace over an in-memory canonical trace reserves exactly its
+// events: the History is the one allocation that grows with the trace,
+// at 16 bytes an event, beside the reader's fixed buffer. An input of
+// nothing but '{' reserves no more than its length allows.
+func TestAllocBudgetPerDecodedTrace(t *testing.T) {
+	events := []Event{Read(1, 3), ValueResp(1, -42), Write(12, 7, 1<<40), OK(12), TryCommit(1), Commit(1), Abort(12)}
+	want := make(History, 10_000)
+	for i := range want {
+		want[i] = events[i%len(events)]
+	}
+	var trace bytes.Buffer
+	if err := WriteTrace(&trace, want); err != nil {
+		t.Fatal(err)
+	}
+	// TotalAlloc counts every goroutine's allocations, so the least of a
+	// few decodes is ReadTrace's own.
+	var (
+		h     History
+		err   error
+		alloc uint64 = math.MaxUint64
+	)
+	for range 3 {
+		var before, after runtime.MemStats
+		runtime.GC()
+		runtime.ReadMemStats(&before)
+		h, err = ReadTrace(bytes.NewReader(trace.Bytes()))
+		runtime.ReadMemStats(&after)
+		alloc = min(alloc, after.TotalAlloc-before.TotalAlloc)
+	}
+	if err != nil || len(h) != len(want) {
+		t.Fatalf("ReadTrace: %d events, %v; want %d", len(h), err, len(want))
+	}
+	for i := range want {
+		if h[i] != want[i] {
+			t.Fatalf("event %d is %v, want %v", i, h[i], want[i])
+		}
+	}
+	if cap(h) != len(h) {
+		t.Errorf("cap(h) = %d for %d events, want them equal", cap(h), len(h))
+	}
+	// The runtime hands out an allocation this large in whole 8 KiB
+	// pages, so the History's share is rounded up to one.
+	const page = 8 << 10
+	history := (uint64(len(want))*uint64(unsafe.Sizeof(Event{})) + page - 1) / page * page
+	budget := history + traceBufSize + 1<<10
+	if alloc > budget {
+		t.Errorf("ReadTrace allocated %d B for %d events, budget %d B", alloc, len(want), budget)
+	}
+
+	braces := bytes.Repeat([]byte("{"), 100_000)
+	if n, bound := eventBound(bytes.NewReader(braces), make([]byte, traceBufSize)), int64(len(braces)/minEventLine); n > bound {
+		t.Errorf("a %d-byte input of '{' reserves %d events, more than size/minEventLine = %d", len(braces), n, bound)
+	}
 }

@@ -23,30 +23,51 @@
 // order and at most once each, exactly spelled, JSON whitespace
 // anywhere between tokens, integers as plain digit strings of at most
 // 18 digits, the kind as an unescaped string, and the members the kind
-// needs present with a positive proc. It only ever accepts. Any other
+// needs present with ids in range. It only ever accepts. Any other
 // value — escaped, case-folded, repeated or unknown members, null,
-// exponents and fractions, 19-digit numbers, a value longer than the
-// buffer, a non-object, anything malformed or invalid — is handed, for
-// that one value, to a json.Decoder and through it to UnmarshalJSON,
-// so what is rejected, and in which words, is decided where it always
-// was. The differential tests and FuzzReadTrace hold the two to the
-// same histories and the same errors.
+// exponents and fractions, 19-digit numbers, an id out of range, a
+// value longer than the buffer, a non-object, anything malformed or
+// invalid — is handed, for that one value, to a json.Decoder and
+// through it to UnmarshalJSON, so what is rejected, and in which
+// words, is decided where it always was. The differential tests and
+// FuzzReadTrace hold the two to the same histories and the same
+// errors.
+//
+// Ids are range-checked, never narrowed: "proc" must lie in
+// 1..MaxProc (32 767) and, on a read or a write, "var" in 0..MaxTVar
+// (2³¹−1); UnmarshalJSON refuses anything else, naming the member and
+// the value. ReadTrace sizes its History once, before decoding. From a
+// reader whose remainder is in memory (bytes.Reader, strings.Reader)
+// it reserves one event per '{' byte, counted through the reader's own
+// buffer, which is exact for a canonical trace; from a file one per 22
+// bytes (the shortest line), a bound that reads nothing twice and that
+// also caps the count; from a pipe nothing, growing as events arrive.
 package model
 
 import (
 	"fmt"
+	"math"
 	"strconv"
 	"strings"
 )
 
-// Proc identifies a process p_k. Process identifiers are positive; the
-// zero value is invalid so that accidentally unset fields are caught.
-type Proc int
+// Proc identifies a process p_k. Process identifiers are positive and
+// at most MaxProc, so a Proc is 16 bits wide; the zero value is invalid
+// so that accidentally unset fields are caught.
+type Proc int16
 
 // TVar identifies a transactional variable ("t-variable" in the paper).
-// T-variable identifiers are non-negative; experiments use small dense
-// identifiers starting at 0.
-type TVar int
+// T-variable identifiers are non-negative and at most MaxTVar, so a TVar
+// is 32 bits wide; experiments use small dense identifiers starting at 0.
+type TVar int32
+
+// The largest identifiers the model holds. Decoding rejects a larger
+// one, and every configuration that numbers processes or t-variables
+// refuses counts above them, so no identifier is ever narrowed.
+const (
+	MaxProc = math.MaxInt16
+	MaxTVar = math.MaxInt32
+)
 
 // Value is the value domain V of t-variables. The paper leaves V
 // abstract; int64 is large enough for every experiment, including the
@@ -56,8 +77,9 @@ type Value int64
 
 // Kind enumerates the kinds of events that can appear in a history.
 // Invocation kinds come first, response kinds second; the zero value is
-// invalid per the style guide ("start enums at one").
-type Kind int
+// invalid per the style guide ("start enums at one"). The seven kinds
+// fit in 8 bits.
+type Kind uint8
 
 // Event kinds. InvRead, InvWrite and InvTryCommit are the invocation
 // events Inv_k of the paper; the remaining kinds are the response
@@ -121,11 +143,15 @@ func (k Kind) IsResponse() bool {
 //	RespOK        Proc
 //	RespCommit    Proc
 //	RespAbort     Proc
+//
+// The fields are ordered widest first, so an Event packs into 16 bytes
+// (15 of fields, one of padding); every history, stream ring and window
+// holds events at that size.
 type Event struct {
+	Val  Value
+	Var  TVar
 	Proc Proc
 	Kind Kind
-	Var  TVar
-	Val  Value
 }
 
 // Read returns the invocation event x.read_k().

@@ -67,6 +67,7 @@
 package record
 
 import (
+	"fmt"
 	"math/bits"
 	"sync/atomic"
 
@@ -86,7 +87,8 @@ const chunkEvents = 4096
 // Streamed is one stamped event. Seq is the event's position in the
 // recorded total order (1-based, contiguous across processes), which
 // the stream's consumer uses to restore that order from the per-process
-// rings (see Resequencer).
+// rings (see Resequencer). It is 24 bytes, the stamp and a 16-byte
+// model.Event: the entry of every stream ring slot and retained chunk.
 type Streamed struct {
 	Seq uint64
 	Ev  model.Event
@@ -180,13 +182,20 @@ type Recorder struct {
 
 // New creates a recorder for procs processes (model.Proc identifiers 1
 // through procs), each with a buffer pre-sized to capacityHint events.
+// It panics with an error, before allocating, when procs is negative or
+// above model.MaxProc, whose identifiers no model.Proc holds: every
+// configuration that reaches a recorder has refused such a count, so
+// only a caller's bug gets here.
 func New(procs, capacityHint int) *Recorder {
 	return NewWithOptions(procs, Options{CapacityHint: capacityHint})
 }
 
 // NewWithOptions creates a recorder with streaming and retention
-// control.
+// control. It refuses procs as New does.
 func NewWithOptions(procs int, o Options) *Recorder {
+	if procs < 0 || procs > model.MaxProc {
+		panic(fmt.Errorf("record: %d processes, outside 0..model.MaxProc (%d)", procs, model.MaxProc))
+	}
 	hint := o.CapacityHint
 	if hint <= 0 {
 		hint = 256

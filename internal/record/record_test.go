@@ -4,6 +4,7 @@ import (
 	"sync"
 	"testing"
 	"time"
+	"unsafe"
 
 	"livetm/internal/model"
 	"livetm/internal/native"
@@ -267,5 +268,17 @@ func TestStreamStopUnblocks(t *testing.T) {
 	}
 	if err := model.CheckWellFormed(r.History()); err != nil {
 		t.Fatalf("malformed: %v", err)
+	}
+}
+
+// Every history, stream ring, retained chunk and resequencer ring holds
+// events at these sizes; a field added to model.Event must not regrow
+// them unnoticed.
+func TestEventLayout(t *testing.T) {
+	if n := unsafe.Sizeof(model.Event{}); n != 16 {
+		t.Errorf("model.Event is %d bytes, want 16", n)
+	}
+	if n := unsafe.Sizeof(Streamed{}); n != 24 {
+		t.Errorf("record.Streamed is %d bytes, want 24", n)
 	}
 }
