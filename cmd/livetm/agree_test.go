@@ -66,8 +66,9 @@ func TestCheckAgreesWithMonitor(t *testing.T) {
 		traces = append(traces, trace{e.Name(), h, ""})
 	}
 	// Traces of about 10², 10³ and 10⁴ transactions, each decoded from
-	// its file and again from memory, where ReadTrace counts the events
-	// before it sizes the history: the two must be one history.
+	// its file and again from memory. ReadTrace counts the events of
+	// both before it sizes the history: the two must be one history,
+	// with no event reserved past its end.
 	for _, ops := range []int{50, 500, 5000} {
 		name := fmt.Sprintf("native-tl2-ops%d", ops)
 		path := filepath.Join(dir, name+".jsonl")
@@ -89,8 +90,8 @@ func TestCheckAgreesWithMonitor(t *testing.T) {
 		if !slices.Equal(counted, h) {
 			t.Fatalf("%s: the in-memory decode (%d events) differs from the file's (%d)", name, len(counted), len(h))
 		}
-		if cap(counted) != len(counted) {
-			t.Errorf("%s: the in-memory decode reserved %d events for %d", name, cap(counted), len(counted))
+		if cap(h) != len(h) || cap(counted) != len(counted) {
+			t.Errorf("%s: the decodes reserved %d (file) and %d (memory) events for %d", name, cap(h), cap(counted), len(h))
 		}
 		traces = append(traces, trace{name, counted, ""})
 	}

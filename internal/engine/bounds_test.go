@@ -6,7 +6,6 @@ import (
 	"testing"
 
 	"livetm/internal/model"
-	"livetm/internal/record"
 )
 
 // Counts whose identifiers would not fit a model.Proc or model.TVar are
@@ -52,21 +51,11 @@ func TestConfigRefusesIDsPastTheModel(t *testing.T) {
 		{"session Vars", SessionConfig{Workers: 1, Vars: model.MaxTVar + 1}.withDefaults().validate,
 			func() error { return openOn(SessionConfig{Workers: 1, Vars: model.MaxTVar + 1}) },
 			"above model.MaxTVar"},
-		{"record.New", nil,
-			func() error { return refusal(func() { record.New(model.MaxProc+1, 1) }) },
-			"outside 0..model.MaxProc"},
-		{"record.NewWithOptions", nil,
-			func() error {
-				return refusal(func() { record.NewWithOptions(model.MaxProc+1, record.Options{CapacityHint: 1, StreamCapacity: 1}) })
-			},
-			"outside 0..model.MaxProc"},
 	}
 	for _, r := range rows {
 		t.Run(r.name, func(t *testing.T) {
-			if r.check != nil {
-				if err := r.check(); err == nil || !strings.Contains(err.Error(), r.want) {
-					t.Fatalf("validator: %v, want an error containing %q", err, r.want)
-				}
+			if err := r.check(); err == nil || !strings.Contains(err.Error(), r.want) {
+				t.Fatalf("validator: %v, want an error containing %q", err, r.want)
 			}
 			before := runtime.NumGoroutine()
 			err := r.enter()
@@ -105,15 +94,4 @@ func openOn(cfg SessionConfig) error {
 		s.Close()
 	}
 	return err
-}
-
-// refusal runs f and returns the error it panicked with, or nil.
-func refusal(f func()) (err error) {
-	defer func() {
-		if e, ok := recover().(error); ok {
-			err = e
-		}
-	}()
-	f()
-	return nil
 }

@@ -297,40 +297,43 @@ func (f readerFunc) Read(p []byte) (int, error) { return f(p) }
 // input's length into an upper bound on its events.
 const minEventLine = len(`{"proc":1,"kind":"C"}` + "\n")
 
-// sizeHint returns the length of what r still holds, when r says: the
-// in-memory readers' Len, a regular file's size.
-func sizeHint(r io.Reader) int64 {
-	switch r := r.(type) {
-	case interface{ Len() int }:
-		return int64(r.Len())
-	case *os.File:
-		if fi, err := r.Stat(); err == nil && fi.Mode().IsRegular() {
-			return fi.Size()
-		}
-	}
-	return 0
-}
-
 // eventBound returns how many events to reserve for what r still
-// holds. Every event is an object, so an input in memory (a
-// bytes.Reader or strings.Reader, whose remainder ReadAt reads again at
-// no cost) holds at most as many events as '{' bytes; they are counted
-// through buf, which the reader has not filled yet. Any other input, or
-// a count past it, gets the bound its length gives, size/minEventLine,
-// so a file or a pipe is never read twice.
+// holds, when r says what that is: the unread part of a bytes.Reader or
+// strings.Reader, or a regular file from its offset to its end (an
+// input redirected from a file is one). Every event is an object, so
+// that part holds at most as many events as '{' bytes. They are counted
+// with ReadAt, which moves no reader, through buf, which the
+// TraceReader has not filled yet, and the count is capped at
+// size/minEventLine. Any other input, a pipe among them, gets 0 and its
+// History grows as events arrive.
 func eventBound(r io.Reader, buf []byte) int64 {
-	bound := sizeHint(r) / int64(minEventLine)
-	m, ok := r.(interface {
+	var (
+		at       io.ReaderAt
+		off, end int64
+	)
+	switch r := r.(type) {
+	case interface {
 		Len() int
 		Size() int64
 		io.ReaderAt
-	})
-	if !ok || bound == 0 {
-		return bound
+	}:
+		at, off, end = r, r.Size()-int64(r.Len()), r.Size()
+	case *os.File:
+		fi, err := r.Stat()
+		if err != nil || !fi.Mode().IsRegular() {
+			return 0
+		}
+		if off, err = r.Seek(0, io.SeekCurrent); err != nil {
+			return 0
+		}
+		at, end = r, fi.Size()
+	default:
+		return 0
 	}
+	bound := (end - off) / int64(minEventLine)
 	var n int64
-	for off := m.Size() - int64(m.Len()); ; {
-		k, err := m.ReadAt(buf, off)
+	for off < end {
+		k, err := at.ReadAt(buf[:min(int64(len(buf)), end-off)], off)
 		n += int64(bytes.Count(buf[:k], []byte("{")))
 		off += int64(k)
 		if err != nil || k == 0 {
@@ -359,8 +362,8 @@ func WriteTrace(w io.Writer, h History) error {
 }
 
 // ReadTrace reads a JSON Lines trace written by WriteTrace. It sizes
-// the History once, before decoding: exactly for a canonical trace in
-// memory (see eventBound), and by the input's length otherwise.
+// the History once, before decoding, exactly for a canonical trace in
+// memory or in a file (see eventBound).
 func ReadTrace(r io.Reader) (History, error) {
 	tr := NewTraceReader(r)
 	var h History

@@ -6,6 +6,7 @@ import (
 	"fmt"
 	"io"
 	"math"
+	"os"
 	"path/filepath"
 	"runtime"
 	"strings"
@@ -474,6 +475,28 @@ func TestAllocBudgetPerDecodedTrace(t *testing.T) {
 	budget := history + traceBufSize + 1<<10
 	if alloc > budget {
 		t.Errorf("ReadTrace allocated %d B for %d events, budget %d B", alloc, len(want), budget)
+	}
+
+	// A file is counted the same way, from its offset: a trace
+	// redirected to stdin part-read is sized by what is left.
+	path := filepath.Join(t.TempDir(), "trace.jsonl")
+	if err := os.WriteFile(path, trace.Bytes(), 0o644); err != nil {
+		t.Fatal(err)
+	}
+	if h, err = LoadTrace(path); err != nil || len(h) != len(want) || cap(h) != len(h) {
+		t.Errorf("LoadTrace: %d events, cap %d, %v; want %d and cap == len", len(h), cap(h), err, len(want))
+	}
+	f, err := os.Open(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	skip := bytes.IndexByte(trace.Bytes(), '\n') + 1
+	if _, err := f.Seek(int64(skip), io.SeekStart); err != nil {
+		t.Fatal(err)
+	}
+	if h, err = ReadTrace(f); err != nil || len(h) != len(want)-1 || cap(h) != len(h) {
+		t.Errorf("ReadTrace after one line: %d events, cap %d, %v; want %d and cap == len", len(h), cap(h), err, len(want)-1)
 	}
 
 	braces := bytes.Repeat([]byte("{"), 100_000)

@@ -37,11 +37,11 @@
 // 1..MaxProc (32 767) and, on a read or a write, "var" in 0..MaxTVar
 // (2³¹−1); UnmarshalJSON refuses anything else, naming the member and
 // the value. ReadTrace sizes its History once, before decoding. From a
-// reader whose remainder is in memory (bytes.Reader, strings.Reader)
-// it reserves one event per '{' byte, counted through the reader's own
-// buffer, which is exact for a canonical trace; from a file one per 22
-// bytes (the shortest line), a bound that reads nothing twice and that
-// also caps the count; from a pipe nothing, growing as events arrive.
+// reader whose remainder it can read again in place (bytes.Reader,
+// strings.Reader, a regular file) it reserves one event per '{' byte,
+// counted with ReadAt through the reader's own buffer, which is exact
+// for a canonical trace and capped at one event per 22 bytes (the
+// shortest line); from a pipe nothing, growing as events arrive.
 package model
 
 import (

@@ -67,7 +67,6 @@
 package record
 
 import (
-	"fmt"
 	"math/bits"
 	"sync/atomic"
 
@@ -182,20 +181,13 @@ type Recorder struct {
 
 // New creates a recorder for procs processes (model.Proc identifiers 1
 // through procs), each with a buffer pre-sized to capacityHint events.
-// It panics with an error, before allocating, when procs is negative or
-// above model.MaxProc, whose identifiers no model.Proc holds: every
-// configuration that reaches a recorder has refused such a count, so
-// only a caller's bug gets here.
 func New(procs, capacityHint int) *Recorder {
 	return NewWithOptions(procs, Options{CapacityHint: capacityHint})
 }
 
 // NewWithOptions creates a recorder with streaming and retention
-// control. It refuses procs as New does.
+// control.
 func NewWithOptions(procs int, o Options) *Recorder {
-	if procs < 0 || procs > model.MaxProc {
-		panic(fmt.Errorf("record: %d processes, outside 0..model.MaxProc (%d)", procs, model.MaxProc))
-	}
 	hint := o.CapacityHint
 	if hint <= 0 {
 		hint = 256
