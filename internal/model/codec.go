@@ -8,6 +8,7 @@ import (
 	"io"
 	"os"
 	"strconv"
+	"strings"
 
 	"livetm/internal/jsonscan"
 )
@@ -375,11 +376,25 @@ func ReadTrace(r io.Reader) (History, error) {
 		if err == io.EOF {
 			return h, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("model: decode event %d: %w", len(h), err)
+			return nil, &decodeError{len(h), err}
 		}
 		h = append(h, e)
 	}
 }
+
+// decodeError is the error that stopped a decode at one event. The
+// errors of UnmarshalJSON name the package already, so its text does
+// so once: "model: decode event 0: event member ...".
+type decodeError struct {
+	at  int
+	err error
+}
+
+func (e *decodeError) Error() string {
+	return fmt.Sprintf("model: decode event %d: %s", e.at, strings.TrimPrefix(e.err.Error(), "model: "))
+}
+
+func (e *decodeError) Unwrap() error { return e.err }
 
 // SaveTrace writes the history to a file.
 func SaveTrace(path string, h History) error {

@@ -3,6 +3,7 @@ package model
 import (
 	"bytes"
 	"encoding/json"
+	"errors"
 	"fmt"
 	"io"
 	"math"
@@ -28,7 +29,7 @@ func referenceReadTrace(r io.Reader) (History, error) {
 		if err := dec.Decode(&e); err == io.EOF {
 			return h, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("model: decode event %d: %w", i, err)
+			return nil, &decodeError{i, err}
 		}
 		h = append(h, e)
 	}
@@ -45,7 +46,7 @@ func readTraceBuffered(r io.Reader, size int) (History, error) {
 		if err == io.EOF {
 			return h, nil
 		} else if err != nil {
-			return nil, fmt.Errorf("model: decode event %d: %w", len(h), err)
+			return nil, &decodeError{len(h), err}
 		}
 		h = append(h, e)
 	}
@@ -311,6 +312,33 @@ func TestLoadTraceMissingFile(t *testing.T) {
 func TestReadTraceGarbage(t *testing.T) {
 	if _, err := ReadTrace(strings.NewReader("not json\n")); err == nil {
 		t.Error("garbage must error")
+	}
+}
+
+// TestReadTraceErrorText pins the whole message ReadTrace returns: the
+// package is named once, whether the cause is UnmarshalJSON's (which
+// names it too) or the JSON decoder's, and the cause still unwraps.
+func TestReadTraceErrorText(t *testing.T) {
+	cases := []struct {
+		name, in, want string
+	}{
+		{"var past MaxTVar", `{"proc":1,"kind":"write","var":2147483648,"val":5}`,
+			`model: decode event 0: event member "var" is 2147483648, outside 0..MaxTVar (2147483647)`},
+		{"unknown kind", `{"proc":1,"kind":"C"}` + "\n" + `{"proc":1,"kind":"?"}`,
+			`model: decode event 1: unknown event kind "?"`},
+		{"missing member", `{"proc":2,"kind":"read"}`, `model: decode event 0: read event missing var`},
+		{"truncated", `{"proc":1,"ki`, `model: decode event 0: unexpected EOF`},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			_, err := ReadTrace(strings.NewReader(c.in))
+			if err == nil || err.Error() != c.want {
+				t.Fatalf("got %v, want %q", err, c.want)
+			}
+			if errors.Unwrap(err) == nil {
+				t.Error("the cause does not unwrap")
+			}
+		})
 	}
 }
 

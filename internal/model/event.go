@@ -54,7 +54,41 @@ import (
 // Proc identifies a process p_k. Process identifiers are positive and
 // at most MaxProc, so a Proc is 16 bits wide; the zero value is invalid
 // so that accidentally unset fields are caught.
+//
+// State kept per process on a per-event path belongs in a slice
+// indexed by Proc (ProcTable), not in a map keyed by it: the runtime's
+// map fast paths cover 32- and 64-bit keys only, so every lookup of a
+// 16-bit key hashes through its generic path.
 type Proc int16
+
+// ProcTable is per-process state in a slice indexed by Proc: entry p
+// is process p's and entry 0 is unused. At lengthens it to the largest
+// id asked for and no further, so a table holds what the processes
+// seen so far need, never MaxProc entries; its storage doubles, from
+// room for minProcTable entries, so a small system allocates it once.
+// The zero value is an empty table.
+type ProcTable[T any] []T
+
+const minProcTable = 8
+
+// At returns process p's entry, lengthening the table with zero entries
+// to reach it, or nil when p is not a process id (p < 1). The pointer
+// is valid until a later At lengthens the table.
+func (t *ProcTable[T]) At(p Proc) *T {
+	if p < 1 {
+		return nil
+	}
+	if n := int(p) + 1; n > len(*t) {
+		s := *t
+		if n > cap(s) {
+			s = make([]T, len(s), max(n, 2*cap(s), minProcTable))
+			copy(s, *t)
+		}
+		*t = s[:n]
+		clear((*t)[len(s):])
+	}
+	return &(*t)[p]
+}
 
 // TVar identifies a transactional variable ("t-variable" in the paper).
 // T-variable identifiers are non-negative and at most MaxTVar, so a TVar

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -252,4 +253,30 @@ func randomishHistory(raw []uint8) History {
 		}
 	}
 	return h
+}
+
+// TestProcTableGrowsToTheLargestID: a table holds entries up to the
+// largest id asked for and no further, keeps what its entries hold as
+// it grows, and has no entry for an id below 1.
+func TestProcTableGrowsToTheLargestID(t *testing.T) {
+	var tab ProcTable[int]
+	for _, p := range []Proc{0, -1, math.MinInt16} {
+		if tab.At(p) != nil || len(tab) != 0 {
+			t.Fatalf("At(%d) gave an entry (table length %d)", p, len(tab))
+		}
+	}
+	*tab.At(3) = 30
+	*tab.At(1) = 10
+	if len(tab) != 4 {
+		t.Fatalf("length %d after ids 3 and 1, want 4", len(tab))
+	}
+	*tab.At(MaxProc) = 7
+	if len(tab) != MaxProc+1 || tab[1] != 10 || tab[2] != 0 || tab[3] != 30 || tab[MaxProc] != 7 {
+		t.Fatalf("after MaxProc: length %d, entries 1..3 %v, last %d", len(tab), tab[1:4], tab[MaxProc])
+	}
+	// A table cut back for reuse hands out zero entries again.
+	tab = tab[:0]
+	if got := *tab.At(3); got != 0 || len(tab) != 4 {
+		t.Fatalf("a reused table gives entry 3 = %d at length %d", got, len(tab))
+	}
 }

@@ -202,32 +202,15 @@ type procParse struct {
 // checks them for CheckWellFormed, in storage that one parse leaves to
 // the next. The zero value is ready to use.
 type parser struct {
-	index map[Proc]int32 // process -> position in procs: the one map a parse needs
-	procs []procParse
+	procs ProcTable[procParse]
 	slab  []Transaction
 	txns  []*Transaction
 	ops   []Op
 }
 
-func (p *parser) reset() {
-	if p.index == nil {
-		p.index = make(map[Proc]int32, 8)
-		p.procs = make([]procParse, 0, 8)
-	}
-	clear(p.index)
-	p.procs = p.procs[:0]
-}
-
-// of returns the process's state, valid until the next call.
-func (p *parser) of(proc Proc) *procParse {
-	i, ok := p.index[proc]
-	if !ok {
-		i = int32(len(p.procs))
-		p.index[proc] = i
-		p.procs = append(p.procs, procParse{})
-	}
-	return &p.procs[i]
-}
+// badProc is the well-formedness error of an event whose process id is
+// below 1: only a hand-built event has one, since decoding refuses it.
+const badProc = "non-positive process id"
 
 // CheckWellFormed verifies that the history is a valid sequence over
 // the per-process alphabets Σ_k: for every process, events strictly
@@ -242,9 +225,12 @@ func (p *parser) of(proc Proc) *procParse {
 // transaction granularity, above the event alphabet.
 func CheckWellFormed(h History) error {
 	var p parser
-	p.reset()
 	for i, e := range h {
-		if _, _, err := p.of(e.Proc).cur.Step(e); err != nil {
+		s := p.procs.At(e.Proc)
+		if s == nil {
+			return &wfError{i, e, badProc}
+		}
+		if _, _, err := s.cur.Step(e); err != nil {
 			return &wfError{i, e, err.Error()}
 		}
 	}
@@ -270,10 +256,13 @@ func Transactions(h History) ([]*Transaction, error) {
 // program order, and each transaction's Ops is its stretch of that
 // run.
 func (p *parser) parse(h History) ([]*Transaction, error) {
-	p.reset()
+	p.procs = p.procs[:0]
 	txnCount, opCount := 0, 0
 	for i, e := range h {
-		s := p.of(e.Proc)
+		s := p.procs.At(e.Proc)
+		if s == nil {
+			return nil, &wfError{i, e, badProc}
+		}
 		if e.Kind.IsInvocation() && !s.cur.InTxn {
 			txnCount++
 		}
@@ -305,7 +294,7 @@ func (p *parser) parse(h History) ([]*Transaction, error) {
 	}
 
 	for i, e := range h {
-		s := p.of(e.Proc)
+		s := &p.procs[e.Proc]
 		t := s.open
 		if t == nil {
 			// Well-formedness makes this an invocation.

@@ -1,6 +1,8 @@
 package model
 
 import (
+	"fmt"
+	"math"
 	"testing"
 	"testing/quick"
 )
@@ -442,4 +444,49 @@ func (t *Transaction) Reads() []Op {
 		}
 	}
 	return out
+}
+
+// TestParseProcIDEdges drives CheckWellFormed and Transactions, whose
+// per-process state is a table indexed by Proc, at the ends of the id
+// range: a hand-built event whose process id is not positive is a
+// well-formedness error naming the event, never an index panic, and
+// the largest id parses like any other.
+func TestParseProcIDEdges(t *testing.T) {
+	txn := func(p Proc) History { return History{Read(p, 0), ValueResp(p, 0), TryCommit(p), Commit(p)} }
+	cases := []struct {
+		name string
+		h    History
+		bad  int // index of the event named in the error, -1 when well-formed
+	}{
+		{"process 0 first", txn(0), 0},
+		{"negative process after a good one", append(txn(1), Read(-3, 0)), 4},
+		{"most negative process", History{Commit(math.MinInt16)}, 0},
+		{"zero-proc response inside a transaction", History{Read(1, 0), ValueResp(0, 0)}, 1},
+		{"MaxProc", append(txn(MaxProc), txn(1)...), -1},
+		{"MaxProc pending", History{Write(MaxProc, 7, 1)}, -1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			wfErr := CheckWellFormed(c.h)
+			txns, txErr := Transactions(c.h)
+			if c.bad < 0 {
+				if wfErr != nil || txErr != nil {
+					t.Fatalf("CheckWellFormed: %v, Transactions: %v; want both nil", wfErr, txErr)
+				}
+				if len(txns) == 0 || txns[0].Proc != c.h[0].Proc || txns[0].First != 0 {
+					t.Fatalf("transactions %v", txns)
+				}
+				return
+			}
+			want := fmt.Sprintf("event %d (%s): non-positive process id", c.bad, c.h[c.bad])
+			for name, err := range map[string]error{"CheckWellFormed": wfErr, "Transactions": txErr} {
+				if err == nil || err.Error() != want {
+					t.Errorf("%s: %v, want %q", name, err, want)
+				}
+			}
+			if txns != nil {
+				t.Errorf("Transactions returned %v beside its error", txns)
+			}
+		})
+	}
 }

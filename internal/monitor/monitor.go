@@ -99,8 +99,8 @@ type ProcProgress struct {
 	// last commit, or since the run began if it never committed.
 	OpenGap int
 
-	firstEvent *model.Event // first observed event, for the lasso prefix
-	activeFrom int          // global index the current commit gap started at
+	firstEvent model.Event // first observed event, for the lasso prefix; zero before it
+	activeFrom int         // global index the current commit gap started at
 }
 
 // starvation returns the process's current starvation figure at
@@ -119,8 +119,10 @@ type Monitor struct {
 	cfg     Config
 	checker *safety.StreamChecker
 	events  int
-	procs   map[model.Proc]*ProcProgress
-	order   []model.Proc  // the keys of procs, ascending
+	// procs holds each known process's accounting at its id (Proc is 0
+	// in the other entries), and order lists the known ids, ascending.
+	procs   model.ProcTable[ProcProgress]
+	order   []model.Proc
 	window  []model.Event // ring buffer of the last TailWindow events
 	wnext   int           // next ring slot: the oldest event once the ring is full
 	safeErr error         // terminal opacity/structure error from the checker
@@ -150,20 +152,22 @@ func New(cfg Config) (*Monitor, error) {
 	m := &Monitor{
 		cfg:     cfg,
 		checker: checker,
-		procs:   make(map[model.Proc]*ProcProgress),
 		window:  make([]model.Event, 0, cfg.TailWindow),
 	}
 	for _, p := range cfg.Procs {
-		m.progress(p)
+		if m.progress(p) == nil {
+			return nil, fmt.Errorf("monitor: process id %d is not positive", p)
+		}
 	}
 	return m, nil
 }
 
+// progress returns the process's accounting, or nil when p is not a
+// process id.
 func (m *Monitor) progress(p model.Proc) *ProcProgress {
-	pp := m.procs[p]
-	if pp == nil {
-		pp = &ProcProgress{Proc: p, LastCommitAt: -1}
-		m.procs[p] = pp
+	pp := m.procs.At(p)
+	if pp != nil && pp.Proc == 0 {
+		*pp = ProcProgress{Proc: p, LastCommitAt: -1}
 		at, _ := slices.BinarySearch(m.order, p)
 		m.order = slices.Insert(m.order, at, p)
 	}
@@ -173,12 +177,29 @@ func (m *Monitor) progress(p model.Proc) *ProcProgress {
 // Observe consumes one event. A non-nil error is terminal: the history
 // violated opacity (errors.Is safety.ErrStreamNotOpaque), starved the
 // streaming checker of quiescent cuts, or was malformed. Progress
-// accounting still absorbs the event either way.
+// accounting still absorbs the event either way, unless its process id
+// is below 1: then only the checker sees it, and reports it malformed.
 func (m *Monitor) Observe(e model.Event) error {
-	pp := m.progress(e.Proc)
-	if pp.firstEvent == nil {
-		ev := e
-		pp.firstEvent = &ev
+	if pp := m.progress(e.Proc); pp != nil {
+		m.account(pp, e)
+	}
+	m.events++
+
+	if m.safeErr != nil {
+		return m.safeErr
+	}
+	if err := m.checker.Feed(e); err != nil {
+		m.safeErr = err
+		return err
+	}
+	return nil
+}
+
+// account adds the event to its process's figures and to the tail
+// window.
+func (m *Monitor) account(pp *ProcProgress, e model.Event) {
+	if pp.firstEvent.Proc == 0 {
+		pp.firstEvent = e
 	}
 	switch e.Kind {
 	case model.RespCommit:
@@ -204,17 +225,11 @@ func (m *Monitor) Observe(e model.Event) error {
 	} else {
 		m.window[m.wnext] = e
 	}
-	m.wnext = (m.wnext + 1) % m.cfg.TailWindow
-	m.events++
-
-	if m.safeErr != nil {
-		return m.safeErr
+	// A compare, not a modulo: the division would be the costliest
+	// instruction on the per-event path.
+	if m.wnext++; m.wnext == m.cfg.TailWindow {
+		m.wnext = 0
 	}
-	if err := m.checker.Feed(e); err != nil {
-		m.safeErr = err
-		return err
-	}
-	return nil
 }
 
 // ObserveHistory feeds a whole history. Unlike a bare Observe loop it
@@ -242,9 +257,9 @@ func (m *Monitor) ObserveHistory(h model.History) error {
 // being observed.
 func (m *Monitor) StarvationNow(out []int) {
 	clear(out)
-	for p, pp := range m.procs {
-		if i := int(p) - 1; i >= 0 && i < len(out) {
-			out[i] = m.events - pp.activeFrom
+	for _, p := range m.order {
+		if i := int(p) - 1; i < len(out) {
+			out[i] = m.events - m.procs[p].activeFrom
 		}
 	}
 }
@@ -387,7 +402,7 @@ func (m *Monitor) Report() Report {
 	}
 	lasso := m.lasso()
 	for _, p := range m.order {
-		pp := *m.procs[p]
+		pp := m.procs[p]
 		pp.MaxStarvation = pp.starvation(m.events)
 		pp.OpenGap = m.events - pp.activeFrom
 		r.Procs = append(r.Procs, ProcReport{ProcProgress: pp, Class: m.class(lasso, p)})
@@ -422,8 +437,8 @@ func (m *Monitor) lasso() *liveness.Lasso {
 	l.Prefix = l.Prefix[:0]
 	if m.events > len(l.Cycle) {
 		for _, p := range m.order {
-			if first := m.procs[p].firstEvent; first != nil {
-				l.Prefix = append(l.Prefix, *first)
+			if first := m.procs[p].firstEvent; first.Proc != 0 {
+				l.Prefix = append(l.Prefix, first)
 			}
 		}
 	}

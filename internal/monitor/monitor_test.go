@@ -2,6 +2,7 @@ package monitor
 
 import (
 	"errors"
+	"slices"
 	"strings"
 	"testing"
 
@@ -297,3 +298,68 @@ func TestReportLivenessClass(t *testing.T) {
 
 // Events returns the number of events observed so far.
 func (m *Monitor) Events() int { return m.events }
+
+// TestMonitorProcIDEdges: the monitor keeps each process's accounting
+// at its id. An event whose process id is not positive (hand-built:
+// decoding refuses it) reaches only the checker, which reports it as a
+// malformed event — from Observe or from the report — while the other
+// processes' accounting goes on; the largest id is accounted like any
+// other; and a fixed process set with a non-positive id is refused.
+func TestMonitorProcIDEdges(t *testing.T) {
+	const malformed = "non-positive process id"
+	cases := []struct {
+		name   string
+		h      model.History
+		procs  []model.Proc // the accounted processes, in report order
+		commit []uint64     // their commits
+		bad    bool         // the report must be unchecked, for a malformed event
+	}{
+		{"commit by process 0", model.History{model.Read(1, 0), model.ValueResp(1, 0), model.Commit(0), model.TryCommit(1), model.Commit(1)},
+			[]model.Proc{1}, []uint64{1}, true},
+		{"invocation by process -2 last", model.History{model.TryCommit(1), model.Commit(1), model.Read(-2, 0)},
+			[]model.Proc{1}, []uint64{1}, true},
+		{"MaxProc and process 1", model.NewBuilder().Read(model.MaxProc, 0, 0).Write(1, 0, 1).Commit(1).Commit(model.MaxProc).History(),
+			[]model.Proc{1, model.MaxProc}, []uint64{1, 1}, false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			m, err := New(Config{SegmentTxns: 4})
+			if err != nil {
+				t.Fatal(err)
+			}
+			obsErr := m.ObserveHistory(c.h)
+			r := m.Report()
+			if r.Events != len(c.h) {
+				t.Errorf("%d events reported, %d observed", r.Events, len(c.h))
+			}
+			if c.bad {
+				if r.Checked || !strings.Contains(r.Opacity.Reason, malformed) {
+					t.Errorf("checked=%v reason %q; want unchecked for a malformed event", r.Checked, r.Opacity.Reason)
+				}
+				if obsErr != nil && !strings.Contains(obsErr.Error(), malformed) {
+					t.Errorf("Observe: %v", obsErr)
+				}
+			} else if obsErr != nil || !r.Checked || !r.Opacity.Holds {
+				t.Errorf("Observe: %v; report %+v; want opaque", obsErr, r.Opacity)
+			}
+			if len(r.Procs) != len(c.procs) {
+				t.Fatalf("%d processes reported, want %v", len(r.Procs), c.procs)
+			}
+			for i, p := range r.Procs {
+				if p.Proc != c.procs[i] || p.Commits != c.commit[i] {
+					t.Errorf("report row %d: p%d with %d commits, want p%d with %d", i, p.Proc, p.Commits, c.procs[i], c.commit[i])
+				}
+			}
+			if l := m.lasso(); l != nil {
+				for _, e := range slices.Concat(l.Prefix, l.Cycle) {
+					if e.Proc < 1 {
+						t.Errorf("the lasso reading holds %s", e)
+					}
+				}
+			}
+		})
+	}
+	if _, err := New(Config{Procs: []model.Proc{1, 0}}); err == nil {
+		t.Error("a fixed process set with process 0 must be refused")
+	}
+}

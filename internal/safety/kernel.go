@@ -79,7 +79,7 @@ type finalsKernel struct {
 	reads, writes           []span
 	rslab, wslab            []varVal
 
-	index map[model.TVar]int32
+	index varTable
 	vars  []model.TVar
 	uses  []varUse
 	nw    int // vars[:nw] are the variables a search can change
@@ -160,9 +160,6 @@ func (k *finalsKernel) feasibleFinals(seg []*model.Transaction, starts []model.S
 	if len(seg) > 64 {
 		return nil, ErrTooManyTransactions
 	}
-	if k.index == nil {
-		k.index = make(map[model.TVar]int32)
-	}
 	defer k.trim()
 	if !k.compile(seg, relaxed) {
 		return nil, nil
@@ -212,7 +209,7 @@ func (k *finalsKernel) compile(seg []*model.Transaction, relaxed uint64) bool {
 	k.reads = resized(k.reads, n)
 	k.writes = resized(k.writes, n)
 	clear(k.succs)
-	clear(k.index)
+	k.index.reset()
 	k.vars, k.uses = k.vars[:0], k.uses[:0]
 	k.rslab, k.wslab = k.rslab[:0], k.wslab[:0]
 	k.undo = k.undo[:0]
@@ -326,14 +323,14 @@ func (k *finalsKernel) compile(seg []*model.Transaction, relaxed uint64) bool {
 // varIndex returns the variable's segment-local index, assigning the
 // next one on first sight.
 func (k *finalsKernel) varIndex(x model.TVar) int32 {
-	if v, ok := k.index[x]; ok {
+	v, at := k.index.find(x, k.vars)
+	if v >= 0 {
 		return v
 	}
-	v := int32(len(k.vars))
-	k.index[x] = v
 	k.vars = append(k.vars, x)
 	k.uses = append(k.uses, varUse{})
-	return v
+	k.index.add(at, k.vars)
+	return int32(len(k.vars) - 1)
 }
 
 // search records the final state of every legal serialization that
@@ -509,7 +506,7 @@ func (k *finalsKernel) ownerOf(starts []model.Snapshot, i int) int {
 
 func (k *finalsKernel) agreeOutside(a, b model.Snapshot) bool {
 	for x, val := range a {
-		if v, ok := k.index[x]; ok && int(v) < k.nw {
+		if v, _ := k.index.find(x, k.vars); v >= 0 && int(v) < k.nw {
 			continue
 		}
 		if b.Get(x) != val {
@@ -526,6 +523,59 @@ func resized[T any](s []T, n int) []T {
 		return make([]T, n)
 	}
 	return s[:n]
+}
+
+// varTable indexes a segment's variables by their segment-local
+// indices: open addressing over a power-of-two slot array, each slot 0
+// (empty) or 1 + an index into the kernel's vars, where the keys
+// themselves live. A TVar ranges to 2³¹−1, so no direct array would
+// do. The array doubles while a segment fills it past half and is kept
+// from one segment to the next; reset clears the slots it holds.
+type varTable struct{ slots []int32 }
+
+const minVarSlots = 64
+
+func (t *varTable) reset() {
+	if t.slots == nil {
+		t.slots = make([]int32, minVarSlots)
+	}
+	clear(t.slots)
+}
+
+// find returns x's index in vars, or -1 and the empty slot its entry
+// would take.
+func (t *varTable) find(x model.TVar, vars []model.TVar) (int32, int) {
+	mask := len(t.slots) - 1
+	for at := varHash(x) & mask; ; at = (at + 1) & mask {
+		v := t.slots[at] - 1
+		if v < 0 || vars[v] == x {
+			return v, at
+		}
+	}
+}
+
+// add enters vars' last variable at the empty slot find returned for it.
+func (t *varTable) add(at int, vars []model.TVar) {
+	t.slots[at] = int32(len(vars))
+	if 2*len(vars) <= len(t.slots) {
+		return
+	}
+	t.slots = make([]int32, 2*len(t.slots))
+	mask := len(t.slots) - 1
+	for v, x := range vars {
+		at := varHash(x) & mask
+		for t.slots[at] != 0 {
+			at = (at + 1) & mask
+		}
+		t.slots[at] = int32(v + 1)
+	}
+}
+
+// varHash scatters a variable over the slots: a Fibonacci multiply
+// spreads the small dense ids experiments use across the bits the
+// table's mask keeps.
+func varHash(x model.TVar) int {
+	return int(uint64(uint32(x)) * 0x9e3779b97f4a7c15 >> 32)
 }
 
 // keyTable is an insert-only set of (head, values) keys with values of

@@ -308,7 +308,7 @@ func TestKernelFinalsEqualReference(t *testing.T) {
 // runKernel searches one segment on a private kernel and returns the
 // finals with the number of prefixes it branched from.
 func runKernel(seg []*model.Transaction, start model.Snapshot, relaxed uint64) (finals []string, branched int) {
-	k := &finalsKernel{index: make(map[model.TVar]int32)}
+	k := &finalsKernel{}
 	if !k.compile(seg, relaxed) {
 		return nil, 0
 	}
@@ -517,5 +517,92 @@ func FuzzFeasibleFinals(f *testing.F) {
 			return // seven transactions never need more
 		}
 		checkAgainstReference(t, genSegment(data))
+	})
+}
+
+// collidingVars returns n t-variables, 0 and then the largest ids
+// below MaxTVar that start their probe at variable 0's slot of a
+// fresh varTable: every lookup among them walks one probe run.
+func collidingVars(n int) []model.TVar {
+	const mask = minVarSlots - 1
+	home := varHash(0) & mask
+	out := []model.TVar{0}
+	for x := model.TVar(model.MaxTVar); len(out) < n; x-- {
+		if varHash(x)&mask == home {
+			out = append(out, x)
+		}
+	}
+	return out
+}
+
+// TestKernelCollidingVariables holds the kernel's variable table to
+// the reference where its probes collide: generated segments renamed
+// onto colliding ids (the starts' outside variables too, which
+// agreeOutside looks up) give the finals the reference does, and a
+// segment of 2·minVarSlots colliding variables grows the table twice
+// and still reads every write back.
+func TestKernelCollidingVariables(t *testing.T) {
+	xs := collidingVars(2 * minVarSlots)
+	t.Run("generated segments", func(t *testing.T) {
+		// genSegment's variables are 0..2 and its outside ones 100 and 101.
+		rename := map[model.TVar]model.TVar{0: xs[1], 1: xs[2], 2: xs[3], 100: xs[4], 101: xs[5]}
+		rng := rand.New(rand.NewSource(29))
+		for iter := 0; iter < 1000; iter++ {
+			data := make([]byte, 8+rng.Intn(72))
+			rng.Read(data)
+			c := genSegment(data)
+			for i, e := range c.h {
+				if e.Kind == model.InvRead || e.Kind == model.InvWrite {
+					c.h[i].Var = rename[e.Var]
+				}
+			}
+			seg, err := model.Transactions(c.h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.seg = seg
+			for i, s := range c.starts {
+				renamed := model.Snapshot{}
+				for x, v := range s {
+					renamed[rename[x]] = v
+				}
+				c.starts[i] = renamed
+			}
+			checkAgainstReference(t, c)
+		}
+	})
+	t.Run("growth", func(t *testing.T) {
+		b := model.NewBuilder()
+		for i, x := range xs {
+			b.Write(1, x, model.Value(i+1))
+		}
+		b.Commit(1)
+		for i, x := range xs {
+			b.Read(2, x, model.Value(i+1))
+		}
+		b.Commit(2)
+		seg, err := model.Transactions(b.History())
+		if err != nil {
+			t.Fatal(err)
+		}
+		var k finalsKernel
+		finals, err := k.feasibleFinals(seg, []model.Snapshot{{}}, 0)
+		if err != nil || len(finals) != 1 {
+			t.Fatalf("%d finals, %v; want one", len(finals), err)
+		}
+		for i, x := range xs {
+			if got := finals[0].Get(x); got != model.Value(i+1) {
+				t.Fatalf("x%d ends at %d, want %d", x, got, i+1)
+			}
+		}
+		if len(k.index.slots) != 4*minVarSlots {
+			t.Errorf("%d slots for %d variables, want %d", len(k.index.slots), len(xs), 4*minVarSlots)
+		}
+		// A stale read of the last variable leaves no serialization.
+		b.Read(3, xs[len(xs)-1], 0).Commit(3)
+		seg, _ = model.Transactions(b.History())
+		if finals, _ := k.feasibleFinals(seg, []model.Snapshot{{}}, 0); len(finals) != 0 {
+			t.Errorf("a stale read of x%d still admits %d finals", xs[len(xs)-1], len(finals))
+		}
 	})
 }

@@ -105,13 +105,12 @@ type StreamChecker struct {
 	segments int
 	kernel   finalsKernel
 
-	// index maps each process seen to its slot. win is the window: the
-	// transactions since the last cut in first-event order, a live one
-	// as a placeholder its slot fills when it completes. ops holds the
-	// operations of the window's completed transactions, and seg is the
-	// window as the kernel takes it.
-	index map[model.Proc]int32
-	slots []procSlot
+	// slots holds each process's slot at its id. win is the window:
+	// the transactions since the last cut in first-event order, a live
+	// one as a placeholder its slot fills when it completes. ops holds
+	// the operations of the window's completed transactions, and seg is
+	// the window as the kernel takes it.
+	slots model.ProcTable[procSlot]
 	win   []winTxn
 	ops   []model.Op
 	seg   []*model.Transaction
@@ -138,7 +137,7 @@ type procSlot struct {
 	// txn is the process's open transaction, assembled in place; its
 	// Ops storage is kept from one transaction to the next.
 	txn model.Transaction
-	at  int32        // txn's window position, -1 when none is open
+	at  int32        // txn's window position while it is open
 	cur model.Cursor // the process's place in its alphabet
 	seq int          // transactions the process has opened in the stream
 	// straddler marks an open transaction carried across the last
@@ -147,11 +146,11 @@ type procSlot struct {
 	straddler bool
 }
 
-// winTxn is a window entry: a transaction, Live while its slot still
-// assembles it, and its process's slot.
+// winTxn is a window entry: a transaction, Live while its process's
+// slot still assembles it, and the process.
 type winTxn struct {
 	t    model.Transaction
-	slot int32
+	proc model.Proc
 }
 
 // ErrStreamNotOpaque wraps the verdict a StreamChecker returns from
@@ -170,7 +169,6 @@ func NewStreamChecker(maxTxnsPerSegment int) (*StreamChecker, error) {
 	return &StreamChecker{
 		max:    maxTxnsPerSegment,
 		states: []model.Snapshot{make(model.Snapshot)},
-		index:  make(map[model.Proc]int32),
 		tel:    LaneTelemetry{}.orBare(),
 	}, nil
 }
@@ -258,15 +256,12 @@ func (c *StreamChecker) Feed(e model.Event) error {
 func (c *StreamChecker) step(e model.Event) error {
 	pos := c.pos
 	c.pos++
-	i, ok := c.index[e.Proc]
-	if !ok {
-		i = int32(len(c.slots))
-		c.index[e.Proc] = i
-		c.slots = append(c.slots, procSlot{at: -1})
+	s := c.slots.At(e.Proc)
+	if s == nil {
+		return fmt.Errorf("streaming opacity: event %d (%s): non-positive process id", pos, e)
 	}
-	s := &c.slots[i]
 	if e.Kind.IsInvocation() && !s.cur.InTxn {
-		c.open(s, i, e.Proc, pos)
+		c.open(s, e.Proc, pos)
 	}
 	op, answered, err := s.cur.Step(e)
 	if err != nil {
@@ -284,8 +279,8 @@ func (c *StreamChecker) step(e model.Event) error {
 
 // open starts the slot's transaction at pos and reserves its window
 // position, so the window stays in first-event order.
-func (c *StreamChecker) open(s *procSlot, slot int32, p model.Proc, pos int) {
-	c.win = append(c.win, winTxn{t: model.Transaction{Status: model.Live}, slot: slot})
+func (c *StreamChecker) open(s *procSlot, p model.Proc, pos int) {
+	c.win = append(c.win, winTxn{t: model.Transaction{Status: model.Live}, proc: p})
 	s.at = int32(len(c.win) - 1)
 	s.txn = model.Transaction{Proc: p, Seq: s.seq, Status: model.Live, First: pos, Last: pos, Ops: s.txn.Ops[:0]}
 	s.seq++
@@ -299,7 +294,6 @@ func (c *StreamChecker) complete(s *procSlot) {
 	lo := len(c.ops)
 	c.ops = append(c.ops, s.txn.Ops...)
 	w.t.Ops = c.ops[lo:len(c.ops):len(c.ops)]
-	s.at = -1
 	c.completed++
 }
 
@@ -312,7 +306,7 @@ func (c *StreamChecker) gather(withLive bool) ([]*model.Transaction, uint64) {
 	var mask uint64
 	for i := range c.win {
 		w := &c.win[i]
-		s := &c.slots[w.slot]
+		s := &c.slots[w.proc]
 		if w.t.Status == model.Live {
 			if !withLive {
 				continue
@@ -373,7 +367,7 @@ func (c *StreamChecker) flush(forced bool) error {
 		if w.t.Status != model.Live {
 			continue
 		}
-		s := &c.slots[w.slot]
+		s := &c.slots[w.proc]
 		s.at, s.straddler = int32(carried), true
 		held += 2 * len(s.txn.Ops)
 		if s.cur.Pending {

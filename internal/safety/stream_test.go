@@ -2,6 +2,7 @@ package safety
 
 import (
 	"errors"
+	"math"
 	"strings"
 	"testing"
 	"testing/quick"
@@ -800,3 +801,50 @@ func (c *StreamChecker) ForcedCuts() int { return c.forced }
 // Buffered returns the number of events held in the window's
 // transactions.
 func (c *StreamChecker) Buffered() int { return c.held }
+
+// TestStreamProcIDEdges: the checker keeps each process's slot at its
+// id, so a hand-built event whose process id is not positive must come
+// back as a malformed event — at once when it would end a transaction,
+// otherwise from the next Feed or Finish — and never as an index
+// panic, while the largest id checks like any other.
+func TestStreamProcIDEdges(t *testing.T) {
+	const malformed = "non-positive process id"
+	cases := []struct {
+		name string
+		h    model.History
+		// at is the index of the Feed that returns the error; len(h)
+		// stands for Finish. -1 means the stream is opaque.
+		at int
+	}{
+		{"commit by process 0", model.History{model.Commit(0)}, 0},
+		{"invocation by process 0", model.History{model.Read(0, 1)}, 1},
+		{"invocation by process -7, then a good event", model.History{model.TryCommit(-7), model.Read(1, 0)}, 1},
+		{"abort by the most negative id mid-window", model.History{model.Read(1, 0), model.Abort(math.MinInt16)}, 1},
+		{"MaxProc beside process 1", model.NewBuilder().
+			Read(model.MaxProc, 0, 0).Write(1, 0, 1).Commit(1).Commit(model.MaxProc).
+			Read(model.MaxProc, 0, 1).Commit(model.MaxProc).History(), -1},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			s, err := NewStreamChecker(8)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i, e := range c.h {
+				if err := s.Feed(e); err != nil {
+					if i != c.at || !strings.Contains(err.Error(), malformed) || errors.Is(err, ErrStreamNotOpaque) {
+						t.Fatalf("Feed %d (%s): %v; want the malformed-event error from Feed %d", i, e, err, c.at)
+					}
+					return
+				}
+			}
+			res, err := s.Finish()
+			switch {
+			case c.at < 0 && (err != nil || !res.Holds || res.Segments == 0):
+				t.Fatalf("Finish: %+v, %v; want an opaque verdict", res, err)
+			case c.at >= 0 && (c.at != len(c.h) || err == nil || !strings.Contains(err.Error(), malformed)):
+				t.Fatalf("Finish: %+v, %v; want the malformed-event error at Feed %d", res, err, c.at)
+			}
+		})
+	}
+}
