@@ -381,7 +381,7 @@ func BenchmarkWorkloadMatrix(b *testing.B) {
 	for i := 0; i < b.N; i++ {
 		var err error
 		results, err = workload.RunMatrix(engines, specs, budget,
-			workload.Options{Live: true, QuiesceEvery: 4})
+			workload.Options{Live: true})
 		if err != nil {
 			b.Fatal(err)
 		}

@@ -41,9 +41,6 @@ func TestCmdServe(t *testing.T) {
 	if err := run([]string{"serve", "-engine", "sim-tl2", "-duration", "100ms"}); err == nil {
 		t.Error("serve on a simulated engine must error")
 	}
-	if err := run([]string{"serve", "-live=false", "-quiesce", "-1", "-duration", "100ms"}); err == nil {
-		t.Error("monitor-only flags with -live=false must error, not be dropped")
-	}
 	if err := run([]string{"serve", "-engine", "nope", "-duration", "100ms"}); err == nil {
 		t.Error("serve on an unknown engine must error")
 	}
@@ -270,7 +267,7 @@ func workloadsTable(t *testing.T, args ...string) []string {
 
 func TestCmdRecordAndMonitor(t *testing.T) {
 	path := filepath.Join(t.TempDir(), "native.jsonl")
-	if err := run([]string{"record", "-engine", "native-tl2", "-procs", "2", "-ops", "15", "-quiesce", "3", "-out", path}); err != nil {
+	if err := run([]string{"record", "-engine", "native-tl2", "-procs", "2", "-ops", "15", "-out", path}); err != nil {
 		t.Fatal(err)
 	}
 	if fi, err := os.Stat(path); err != nil || fi.Size() == 0 {

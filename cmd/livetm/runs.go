@@ -18,7 +18,6 @@ import (
 func setupRun(fs *flag.FlagSet) func() error {
 	lookup := cellFlags(fs, "native engine to run (see `livetm engines`)", "procs", 4, "process count")
 	ops := fs.Int("ops", 200, "rounds per process")
-	quiesce := fs.Int("quiesce", 0, "quiescent-cut interval: a session pause after every N × workers completed transactions (0 = the live default of 4, -1 = never)")
 	out := fs.String("out", "", "also retain the history and write it as a JSON Lines trace file")
 	return func() error {
 		e, spec, err := lookup()
@@ -26,12 +25,11 @@ func setupRun(fs *flag.FlagSet) func() error {
 			return fmt.Errorf("run: %w", err)
 		}
 		st, runErr := e.Run(engine.RunConfig{
-			Procs:        spec.Procs,
-			Vars:         spec.Vars,
-			OpsPerProc:   *ops,
-			Live:         true,
-			Record:       *out != "",
-			QuiesceEvery: *quiesce,
+			Procs:      spec.Procs,
+			Vars:       spec.Vars,
+			OpsPerProc: *ops,
+			Live:       true,
+			Record:     *out != "",
 		}, spec.Body())
 		fmt.Printf("live %s on %s: commits=%d aborts=%d no-commits=%d stopped=%v\n",
 			spec.Name, e.Name(), st.Commits, st.Aborts, st.NoCommits, st.Stopped)
@@ -55,12 +53,7 @@ func setupWorkloads(fs *flag.FlagSet) func() error {
 	record := fs.Bool("record", false, "record each cell's history")
 	check := fs.Bool("check", false, "verify each recorded history through the online monitor (implies -record)")
 	live := fs.Bool("live", false, "run native cells under the in-process monitor (mid-flight stop, starvation-aware backoff, per-cell liveness class)")
-	quiesce := fs.Int("quiesce", 4, "quiescent-cut interval of recorded native cells: a session pause after every N × workers completed transactions (0 = never)")
 	return func() error {
-		quiesceOpt := *quiesce
-		if quiesceOpt <= 0 {
-			quiesceOpt = -1 // "never" in workload.Options
-		}
 		var procs []int
 		for _, part := range strings.Split(*procsArg, ",") {
 			n, err := strconv.Atoi(strings.TrimSpace(part))
@@ -74,7 +67,7 @@ func setupWorkloads(fs *flag.FlagSet) func() error {
 		fmt.Printf("running %d workloads × %d engines...\n", len(specs), len(engines))
 		results, err := workload.RunMatrix(engines, specs,
 			workload.Budget{SimSteps: *simSteps, NativeOps: *ops},
-			workload.Options{Record: *record, Check: *check, Live: *live, QuiesceEvery: quiesceOpt})
+			workload.Options{Record: *record, Check: *check, Live: *live})
 		if err != nil {
 			return err
 		}

@@ -26,8 +26,7 @@ func setupServe(fs *flag.FlagSet) func() error {
 	live := fs.Bool("live", true, "keep the in-process monitor resident (mid-flight violation stop + starvation-aware backoff)")
 	duration := fs.Duration("duration", 0, "stop after this long (0 = serve until SIGINT/SIGTERM)")
 	progress := fs.Duration("progress", 2*time.Second, "progress line interval")
-	quiesce := fs.Int("quiesce", 0, "quiescent-cut interval: a session pause after every N × workers completed transactions (0 = the live default of 4, -1 = never)")
-	listen := fs.String("listen", "", "serve the wire API v1 on this address (livetm client / internal/client); telemetry rides the same listener at /metrics. Defaults -submitters to 0 and -quiesce to -1 (network clients park transactions across round trips, which would stall a cut) unless set explicitly")
+	listen := fs.String("listen", "", "serve the wire API v1 on this address (livetm client / internal/client); telemetry rides the same listener at /metrics. Defaults -submitters to 0 unless set explicitly")
 	maxInflight := fs.Int("max-inflight", 256, "wire admission cap: total submissions in flight across all clients, shared fairly (0 = unbounded; -listen only)")
 	retryAfter := fs.Duration("retry-after", 50*time.Millisecond, "backoff hint attached to wire overload refusals (-listen only)")
 	metricsAddr := fs.String("metrics", "", "serve live telemetry on this address: Prometheus text at /metrics, JSON at /snapshot, pprof at /debug/pprof/ (empty = no endpoint)")
@@ -45,19 +44,12 @@ func setupServe(fs *flag.FlagSet) func() error {
 				return fmt.Errorf("serve: %s only applies with -listen (wire admission control)", strings.Join(wireOnly, ", "))
 			}
 		} else {
-			// A wire service defaults to no local submitters (the load comes
-			// from the network) and, on a live session, to cuts disabled: a
-			// network client parks its transaction inside the body between
-			// round trips, and a quiescent cut would wait on it forever.
+			// A wire service defaults to no local submitters: the load
+			// comes from the network.
 			if setFlags(fs, "submitters") == nil {
 				*submitters = 0
 			}
-			if setFlags(fs, "quiesce") == nil && *live {
-				*quiesce = -1
-			}
 		}
-		// A -quiesce that only the resident monitor honours reaches
-		// engine.Open, which rejects it on a session with -live=false.
 		e, spec, err := lookup()
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)
@@ -67,12 +59,11 @@ func setupServe(fs *flag.FlagSet) func() error {
 		// BenchmarkTelemetryOverhead enforces keeps it cheap either way.
 		reg := telemetry.NewRegistry()
 		s, err := engine.Open(engine.SessionConfig{
-			Engine:       e.Name(),
-			Workers:      spec.Procs,
-			Vars:         spec.Vars,
-			Live:         *live,
-			QuiesceEvery: *quiesce,
-			Telemetry:    reg,
+			Engine:    e.Name(),
+			Workers:   spec.Procs,
+			Vars:      spec.Vars,
+			Live:      *live,
+			Telemetry: reg,
 		})
 		if err != nil {
 			return fmt.Errorf("serve: %w", err)

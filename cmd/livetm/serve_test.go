@@ -22,8 +22,8 @@ func TestRemoteDrainGetsItsReply(t *testing.T) {
 	const runs = 200
 	failed := 0
 	for i := range runs {
-		// serve -listen's session: live, 4 workers, no quiescent cuts.
-		s, err := engine.Open(engine.SessionConfig{Engine: "native-tl2", Workers: 4, Vars: 8, Live: true, QuiesceEvery: -1})
+		// serve -listen's session: live, 4 workers.
+		s, err := engine.Open(engine.SessionConfig{Engine: "native-tl2", Workers: 4, Vars: 8, Live: true})
 		if err != nil {
 			t.Fatal(err)
 		}

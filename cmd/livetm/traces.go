@@ -147,7 +147,6 @@ func setupRecord(fs *flag.FlagSet) func() error {
 	lookup := cellFlags(fs, "engine to run (see `livetm engines`)", "procs", 2, "process count")
 	ops := fs.Int("ops", 50, "rounds per process (native), round budget (sim)")
 	simSteps := fs.Int("simsteps", 20000, "scheduler step budget (simulated engines)")
-	quiesce := fs.Int("quiesce", 4, "quiescent-cut interval on native engines: a session pause after every N × workers completed transactions plants the cuts the checkers need (0 = never)")
 	seed := fs.Uint64("seed", 1, "scheduler seed (simulated engines)")
 	out := fs.String("out", "-", "trace file, or - for stdout")
 	return func() error {
@@ -164,8 +163,6 @@ func setupRecord(fs *flag.FlagSet) func() error {
 		}
 		if e.Capabilities().Substrate == engine.Simulated {
 			cfg.SimSteps = *simSteps
-		} else {
-			cfg.QuiesceEvery = *quiesce
 		}
 		st, err := e.Run(cfg, spec.Body())
 		if err != nil {

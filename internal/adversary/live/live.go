@@ -71,10 +71,7 @@ func (t wireTx) Commit(ctx context.Context) (committed, retrying bool, err error
 // manufactures is measured at the protocol boundary, where a production
 // user would feel it. The outcome carries the substrate-independent
 // figures; the final monitor report comes from draining the server
-// afterwards (client.Drain or the serve process's SIGTERM handler). The
-// served session should disable quiescent cuts
-// (SessionConfig.QuiesceEvery = -1): the strategies hold transactions
-// open across round trips, which would stall a cut's rendezvous.
+// afterwards (client.Drain or the serve process's SIGTERM handler).
 func RunNetwork(c *client.Client, s adversary.Strategy, cfg adversary.Config) (adversary.Outcome, error) {
 	return adversary.NewTxDriver(wireTxns{c}, cfg).Run(s, nil)
 }
@@ -108,10 +105,9 @@ type NativeResult struct {
 }
 
 // sessionConfig is the session RunNative drives: live and recording,
-// one worker per process, one variable, and no quiescent cuts (the
-// strategies hold p1's transaction open across p2's commits, which
-// would stall a cut).
-var sessionConfig = engine.SessionConfig{Workers: 2, Vars: 1, Live: true, Record: true, QuiesceEvery: -1}
+// one worker per process, one variable. Its quiescent cuts never wait
+// on the transaction a strategy holds open (see engine.Session.Begin).
+var sessionConfig = engine.SessionConfig{Workers: 2, Vars: 1, Live: true, Record: true}
 
 // RunNative runs strategy s against a fresh instance of the native
 // algorithm on a sessionConfig session, whose live monitor's starvation

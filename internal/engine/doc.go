@@ -25,8 +25,8 @@
 // points (internal/native's Observer hooks feeding internal/record's
 // per-process chunked buffers, globally ordered by one atomic sequence
 // counter), and Stats.History carries a well-formed model.History of
-// what the hardware actually did. RunConfig.QuiesceEvery plants
-// quiescent cuts in recorded runs so the opacity checkers
+// what the hardware actually did. A recorded or live native run plants
+// quiescent cuts (see SessionConfig.QuiesceEvery) so the opacity checkers
 // (safety.CheckOpacity past 64 transactions, internal/monitor) can
 // verify arbitrarily long native executions segment by segment.
 //
@@ -113,12 +113,14 @@
 // return ErrAbandoned, which the retry loop treats as terminal,
 // releasing whatever the attempt holds.
 //
-// A parked transaction holds the session's quiescent-cut lock the whole
-// time, so a live session serving interactive transactions should
-// disable quiescent cuts (SessionConfig.QuiesceEvery = -1); the
-// monitor's liveness accounting and approximate opacity fallback carry
-// the stream instead. It also holds its worker, so Close and Drain wait
-// for it: abandon what is still open first.
+// An interactive transaction runs outside the session's quiescent-cut
+// lock, which every other transaction holds shared, so a cut never
+// waits on a parked body and a served session cuts at the cadence of
+// any other checked session. A cut taken while one is open is simply
+// not a quiescent point: the checker finds quiescence in the stream
+// itself, not in the engine's pauses. A parked transaction does hold
+// its worker, so Close and Drain wait for it: abandon what is still
+// open first.
 //
 // # Live monitoring
 //

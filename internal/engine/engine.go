@@ -62,8 +62,8 @@ type Tx interface {
 // fails.
 type TxBody func(proc, round int, tx Tx) error
 
-// RunConfig sizes one engine run. QuiesceEvery, Live and Telemetry
-// are native only: a simulated Run rejects them.
+// RunConfig sizes one engine run. Live and Telemetry are native only:
+// a simulated Run rejects them.
 type RunConfig struct {
 	// Procs is the number of concurrent processes (>= 1).
 	Procs int
@@ -85,30 +85,19 @@ type RunConfig struct {
 	// vocabulary, on every engine. On the simulated substrate the
 	// recorder wraps the TM inside the deterministic scheduler; on the
 	// native substrate the per-process recorder of internal/record
-	// hangs off the algorithms' linearization-point hooks.
+	// hangs off the algorithms' linearization-point hooks, and the run
+	// takes quiescent cuts (see SessionConfig.QuiesceEvery).
 	Record bool
-	// QuiesceEvery plants quiescent cuts in a recorded native run
-	// (0 = never): after every QuiesceEvery × (admitted workers)
-	// completed transactions the session pauses — no new transaction
-	// starts while the in-flight ones finish — and the paused instant
-	// is a quiescent cut in the recorded history, which the segmented
-	// and streaming opacity checkers need to keep their search windows
-	// bounded; unrecorded runs and throughput measurements leave it 0.
-	// Live runs treat 0 as the live default (4) because the live
-	// checker wants cuts; pass -1 to run live with no cuts at all (the
-	// approximate fallback then carries the whole stream).
-	QuiesceEvery int
 	// Live attaches the online monitor to a native run: recorded
 	// events stream through bounded per-process rings into
 	// monitor.Observe while the workload executes. A safety violation
 	// cancels the remaining rounds mid-flight (Run returns
 	// ErrLiveViolation), and the measured per-process starvation
 	// continuously rebiases the native retry loop's backoff so starved
-	// processes back off less and hot ones more. Live runs pause on
-	// QuiesceEvery's cadence (4 when left 0) to plant the quiescent
-	// cuts that keep the live checker exact; the
-	// bounded-overlap fallback absorbs windows that outrun the segment
-	// budget between cuts, degrading those to an approximate verdict.
+	// processes back off less and hot ones more. Quiescent cuts keep
+	// the live checker exact; the bounded-overlap fallback absorbs
+	// windows that outrun the segment budget between cuts, degrading
+	// those to an approximate verdict.
 	// Live alone does not retain the history — the stream is consumed as
 	// it is produced, capping recorder allocation at one ring per
 	// process — set Record too to also get Stats.History. The simulated
@@ -138,8 +127,6 @@ func (cfg RunConfig) validateSim() error {
 		return fmt.Errorf("engine: OpsPerProc must be non-negative, got %d", cfg.OpsPerProc)
 	case cfg.Live:
 		return fmt.Errorf("engine: live monitoring needs the native substrate (simulated histories are checked after the run)")
-	case cfg.QuiesceEvery != 0:
-		return fmt.Errorf("engine: QuiesceEvery needs the native substrate (a simulated run has no concurrent transactions to pause)")
 	case cfg.Telemetry != nil:
 		return fmt.Errorf("engine: Telemetry needs the native substrate")
 	}

@@ -107,11 +107,8 @@ func TestRunConfigValidation(t *testing.T) {
 		{s, RunConfig{Procs: 1, Vars: 1}}, // no step budget
 		{s, RunConfig{Procs: 1, Vars: 1, SimSteps: 10, OpsPerProc: -1}},
 		{s, RunConfig{Procs: 1, Vars: 1, SimSteps: 10, Live: true}},
-		{s, RunConfig{Procs: 1, Vars: 1, SimSteps: 10, Record: true, QuiesceEvery: 2}},
 		{s, RunConfig{Procs: 1, Vars: 1, SimSteps: 10, Telemetry: telemetry.NewRegistry()}},
-		{n, RunConfig{Procs: 1, Vars: 1}},                                 // no ops budget
-		{n, RunConfig{Procs: 1, Vars: 1, OpsPerProc: 1, QuiesceEvery: 2}}, // quiesce without recording
-		{n, RunConfig{Procs: 1, Vars: 1, OpsPerProc: 1, Record: true, QuiesceEvery: -1}},
+		{n, RunConfig{Procs: 1, Vars: 1}}, // no ops budget
 	}
 	for i, c := range cases {
 		if _, err := c.e.Run(c.cfg, counterBody(0)); err == nil {

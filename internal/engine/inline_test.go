@@ -337,9 +337,9 @@ func TestExecOnInline(t *testing.T) {
 			}
 		}},
 		{"inline and queued commits take the same cuts", func(t *testing.T) {
-			const n = 40 // ten cuts at QuiesceEvery 4 on one worker
+			const n = 40 // ten cuts at the default cadence on one worker
 			cuts := func(ctx context.Context) uint64 {
-				s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1, Record: true, QuiesceEvery: 4})
+				s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1, Record: true})
 				for range n {
 					if err := s.ExecOn(ctx, 0, counterSessionBody(0)); err != nil {
 						t.Fatal(err)

@@ -82,13 +82,13 @@ func (s *Session) Begin(worker int, done func(error)) (*Interactive, error) {
 		abandon:  make(chan struct{}),
 		complete: make(chan struct{}),
 	}
-	err := s.SubmitOn(worker, t.body, func(res error) {
+	err := s.submit(context.Background(), worker, sessionJob{body: t.body, done: func(res error) {
 		t.result = res
 		close(t.complete)
 		if done != nil {
 			done(res)
 		}
-	})
+	}, interactive: true}, false)
 	if err != nil {
 		return nil, err
 	}

@@ -182,7 +182,7 @@ func TestLiveWithRecordRetainsHistory(t *testing.T) {
 	e, _ := Lookup("native-norec")
 	const procs, ops = 2, 100
 	st, err := e.Run(RunConfig{
-		Procs: procs, Vars: 2, OpsPerProc: ops, Live: true, Record: true, QuiesceEvery: 4,
+		Procs: procs, Vars: 2, OpsPerProc: ops, Live: true, Record: true,
 	}, mixedBody(2))
 	if err != nil {
 		t.Fatal(err)
@@ -248,13 +248,13 @@ func TestShardedLiveAgreesWithSingleChecker(t *testing.T) {
 			const procs, ops = 4, 200
 			st, err := e.Run(RunConfig{
 				Procs: procs, Vars: 4, OpsPerProc: ops,
-				Record: true, Live: true, QuiesceEvery: 4,
+				Record: true, Live: true,
 			}, body.fn)
 			if err != nil {
 				t.Fatal(err)
 			}
 			if st.CutLatency.Count == 0 {
-				t.Fatal("QuiesceEvery was set but no cut was taken")
+				t.Fatal("a checked run took no cut")
 			}
 			if st.Live == nil || !st.Live.Checked {
 				t.Fatalf("live run undecided: %+v", st.Live)

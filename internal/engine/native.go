@@ -78,12 +78,11 @@ func (e *NativeEngine) Run(cfg RunConfig, body TxBody) (Stats, error) {
 		return Stats{}, fmt.Errorf("engine: native runs need a positive OpsPerProc budget")
 	}
 	s, err := e.Open(SessionConfig{
-		Workers:      cfg.Procs,
-		Vars:         cfg.Vars,
-		Record:       cfg.Record,
-		QuiesceEvery: cfg.QuiesceEvery,
-		Live:         cfg.Live,
-		Telemetry:    cfg.Telemetry,
+		Workers:   cfg.Procs,
+		Vars:      cfg.Vars,
+		Record:    cfg.Record,
+		Live:      cfg.Live,
+		Telemetry: cfg.Telemetry,
 	})
 	if err != nil {
 		return Stats{}, err

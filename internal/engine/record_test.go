@@ -15,8 +15,8 @@ import (
 // with recording on, and the drained history must be well-formed and
 // pass the (streaming) opacity check. Run with -race.
 //
-// The workloads keep the checker's search windows small: QuiesceEvery
-// plants quiescent cuts, few processes bound the concurrent
+// The workloads keep the checker's search windows small: a recorded
+// run takes quiescent cuts, few processes bound the concurrent
 // transactions per window, and the disjoint variant keeps abort storms
 // (which add transactions between cuts) out of the hot loop. The
 // history is replayed through the configuration a live session runs —
@@ -54,7 +54,7 @@ func TestNativeRecordingConformance(t *testing.T) {
 			t.Run(e.Name()+"/"+w.name, func(t *testing.T) {
 				st, err := e.Run(RunConfig{
 					Procs: w.procs, Vars: w.vars,
-					OpsPerProc: 12, Record: true, QuiesceEvery: 2,
+					OpsPerProc: 12, Record: true,
 				}, w.body(w.vars))
 				if err != nil {
 					t.Fatal(err)
@@ -105,7 +105,7 @@ func TestNativeRecordingConformance(t *testing.T) {
 // committed write must equal the commit count, since each committed
 // transaction adds exactly one.
 //
-// The test depends on the schedule: QuiesceEvery plants cuts, but a run
+// The test depends on the schedule: the recorded run takes cuts, but a run
 // can still reach 49 concurrent transactions without a quiescent point,
 // and the monitor then refuses it. That dependence belongs to ROADMAP
 // item 1 (exact verdicts past a fixed window), which removes it.
@@ -115,7 +115,7 @@ func TestNativeCounterMonitored(t *testing.T) {
 		t.Fatal("native-tl2 not registered")
 	}
 	st, err := e.Run(RunConfig{
-		Procs: 3, Vars: 1, OpsPerProc: 30, Record: true, QuiesceEvery: 3,
+		Procs: 3, Vars: 1, OpsPerProc: 30, Record: true,
 	}, counterBody(0))
 	if err != nil {
 		t.Fatal(err)
@@ -165,7 +165,7 @@ func TestNativeRecordingCounts(t *testing.T) {
 		t.Fatal("native-tl2 not registered")
 	}
 	st, err := e.Run(RunConfig{
-		Procs: 2, Vars: 1, OpsPerProc: 25, Record: true, QuiesceEvery: 5,
+		Procs: 2, Vars: 1, OpsPerProc: 25, Record: true,
 	}, counterBody(0))
 	if err != nil {
 		t.Fatal(err)
@@ -196,7 +196,7 @@ func TestNativeRecordingCounts(t *testing.T) {
 // the attempt — keeping the history well-formed across rounds.
 func TestNativeRecordingParasitic(t *testing.T) {
 	e, _ := Lookup("native-dstm")
-	st, err := e.Run(RunConfig{Procs: 2, Vars: 1, OpsPerProc: 20, Record: true, QuiesceEvery: 4},
+	st, err := e.Run(RunConfig{Procs: 2, Vars: 1, OpsPerProc: 20, Record: true},
 		func(proc, round int, tx Tx) error {
 			if proc == 0 {
 				return parasiticBody(0)(proc, round, tx)
@@ -231,7 +231,7 @@ func TestNativeRecordingParasitic(t *testing.T) {
 // `livetm check`/`livetm monitor` losslessly.
 func TestRecordedTraceRoundTrip(t *testing.T) {
 	e, _ := Lookup("native-norec")
-	st, err := e.Run(RunConfig{Procs: 2, Vars: 4, OpsPerProc: 10, Record: true, QuiesceEvery: 2},
+	st, err := e.Run(RunConfig{Procs: 2, Vars: 4, OpsPerProc: 10, Record: true},
 		mixedBody(4))
 	if err != nil {
 		t.Fatal(err)
@@ -269,7 +269,7 @@ func TestNativeRecordingBodyAbort(t *testing.T) {
 	const procs, rounds = 2, 12
 	var tried [procs][rounds]bool // per-goroutine rows: no sharing
 	st, err := e.Run(RunConfig{
-		Procs: procs, Vars: 2, OpsPerProc: rounds, Record: true, QuiesceEvery: 3,
+		Procs: procs, Vars: 2, OpsPerProc: rounds, Record: true,
 	}, func(proc, round int, tx Tx) error {
 		if _, err := tx.Read(proc % 2); err != nil {
 			return err

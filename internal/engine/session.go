@@ -118,11 +118,12 @@ type SessionConfig struct {
 	// Record retains the session's history (see RunConfig.Record);
 	// Session.History returns it after Close.
 	Record bool
-	// QuiesceEvery plants a quiescent cut in the recorded stream after
-	// every QuiesceEvery × (admitted workers) completed transactions
-	// (see RunConfig.QuiesceEvery): a brief session pause in which no
-	// new transaction starts while the in-flight ones finish. Live
-	// sessions treat 0 as the live default (4); pass -1 for no cuts.
+	// QuiesceEvery is the cut cadence of a checked (Record or Live)
+	// session, 0 meaning the default, 4: after every QuiesceEvery ×
+	// (admitted workers) completed transactions the session pauses while
+	// its in-flight transactions finish, planting a quiescent cut in the
+	// recorded stream (see the package doc's "Interactive transactions
+	// and cuts"). An unchecked session never cuts.
 	QuiesceEvery int
 	// Live attaches the online monitor for the session's whole
 	// lifetime: events stream into the checker while transactions
@@ -171,8 +172,8 @@ func (cfg SessionConfig) validate() error {
 	if cfg.MaxQueue < 0 {
 		return fmt.Errorf("engine: MaxQueue must be non-negative, got %d", cfg.MaxQueue)
 	}
-	if cfg.QuiesceEvery < 0 && !(cfg.Live && cfg.QuiesceEvery == -1) {
-		return fmt.Errorf("engine: QuiesceEvery must be non-negative (or -1 on a live session), got %d", cfg.QuiesceEvery)
+	if cfg.QuiesceEvery < 0 {
+		return fmt.Errorf("engine: QuiesceEvery must be non-negative, got %d", cfg.QuiesceEvery)
 	}
 	if cfg.QuiesceEvery > 0 && !cfg.Record && !cfg.Live {
 		return fmt.Errorf("engine: QuiesceEvery only applies to recorded or live sessions")
@@ -285,7 +286,7 @@ var waiters = sync.Pool{New: func() any {
 // adversary its retry loop may never end.
 func (s *Session) ExecOn(ctx context.Context, worker int, body Body) error {
 	w := waiters.Get().(*execWaiter)
-	if err := s.submit(ctx, worker, body, w.done, true); err != nil {
+	if err := s.submit(ctx, worker, sessionJob{body: body, done: w.done}, true); err != nil {
 		return err
 	}
 	select {
@@ -308,7 +309,7 @@ func (s *Session) Submit(body Body, done func(error)) error {
 
 // SubmitOn is Submit pinned to one worker (0-based).
 func (s *Session) SubmitOn(worker int, body Body, done func(error)) error {
-	return s.submit(context.Background(), worker, body, done, false)
+	return s.submit(context.Background(), worker, sessionJob{body: body, done: done}, false)
 }
 
 // watchCtx arranges wake to be called once if ctx ends before the
@@ -330,10 +331,13 @@ func watchCtx(ctx context.Context, wake func()) (stop func()) {
 	return func() { close(ch) }
 }
 
-// sessionJob is one accepted submission.
+// sessionJob is one accepted submission. An interactive job (Begin)
+// runs outside the cut lock, since its body parks between operations
+// for as long as its caller likes.
 type sessionJob struct {
-	body Body
-	done func(error)
+	body        Body
+	done        func(error)
+	interactive bool
 }
 
 // jobRing is one submission lane: a FIFO of jobs in a circular buffer

@@ -32,11 +32,11 @@ const (
 	// liveTailWindow is the live monitor's liveness-classification
 	// window in events.
 	liveTailWindow = 256
-	// liveQuiesceEvery is the default cut interval of a live session
-	// when SessionConfig.QuiesceEvery is 0: real quiescent cuts keep
-	// the live checker exact; the bounded-overlap fallback only has to
+	// defaultQuiesceEvery is the cut interval of a checked session when
+	// SessionConfig.QuiesceEvery is 0: real quiescent cuts keep the
+	// checkers exact; the live bounded-overlap fallback only has to
 	// absorb the windows that outrun the budget between cuts.
-	liveQuiesceEvery = 4
+	defaultQuiesceEvery = 4
 	// recorderHint pre-sizes each worker's first event chunk. Sessions
 	// have no round budget to derive it from; the chunked buffers grow
 	// (or recycle) process-locally either way.
@@ -124,12 +124,13 @@ type Session struct {
 	quiesce int
 	cutTick atomic.Int64
 
-	// cutMu is held shared around every transaction a worker runs; a
-	// quiescent cut takes it exclusively, so at the instant the cut
-	// holds the lock no transaction is in flight and the recorded
-	// stream has a quiescent cut at that stamp. Idle workers hold
-	// nothing, so — unlike the batch barrier — a cut never waits on a
-	// worker that has no work.
+	// cutMu is held shared around every non-interactive transaction a
+	// worker runs; a quiescent cut takes it exclusively, so at the
+	// instant the cut holds the lock no such transaction is in flight
+	// and, unless an interactive one is open, the recorded stream has a
+	// quiescent cut at that stamp. Idle workers and parked interactive
+	// transactions hold nothing, so a cut never waits on a worker that
+	// has no work or on a caller that has gone quiet.
 	cutMu sync.RWMutex
 
 	// met holds every counter behind SessionStats plus the registered
@@ -231,11 +232,10 @@ func (e *NativeEngine) Open(cfg SessionConfig) (*Session, error) {
 			Metrics:      s.met.rec,
 		})
 	}
-	// Validation leaves an unrecorded session at 0 (no cuts); a live one
-	// defaults to liveQuiesceEvery, and -1 disables its cuts.
-	s.quiesce = max(cfg.QuiesceEvery, 0)
-	if cfg.Live && cfg.QuiesceEvery == 0 {
-		s.quiesce = liveQuiesceEvery
+	// Validation leaves an unchecked session at 0 (no cuts).
+	s.quiesce = cfg.QuiesceEvery
+	if s.quiesce == 0 && (cfg.Record || cfg.Live) {
+		s.quiesce = defaultQuiesceEvery
 	}
 	s.spawn(cfg.Workers)
 	return s, nil
@@ -263,7 +263,7 @@ func (s *Session) spawn(n int) {
 	s.met.workers.Set(int64(base + n))
 }
 
-func (s *Session) submit(ctx context.Context, worker int, body Body, done func(error), demand bool) error {
+func (s *Session) submit(ctx context.Context, worker int, j sessionJob, demand bool) error {
 	if worker != AnyWorker && (worker < 0 || worker >= int(s.admitted.Load())) {
 		return fmt.Errorf("%w: %d (have %d)", ErrNotAdmitted, worker, s.admitted.Load())
 	}
@@ -279,7 +279,7 @@ func (s *Session) submit(ctx context.Context, worker int, body Body, done func(e
 		s.wg.Add(1) // registered while not closed, so Close waits for it
 		s.met.submitted.Inc()
 		s.mu.Unlock()
-		s.runInline(worker, sessionJob{body: body, done: done})
+		s.runInline(worker, j)
 		return nil
 	}
 	defer s.mu.Unlock()
@@ -312,7 +312,7 @@ func (s *Session) submit(ctx context.Context, worker int, body Body, done func(e
 		return ErrOverloaded
 	}
 	s.met.submitted.Inc()
-	s.q.push(worker, sessionJob{body: body, done: done})
+	s.q.push(worker, j)
 	if worker == AnyWorker {
 		s.wakeAll()
 	} else {
@@ -407,10 +407,10 @@ func (s *Session) runJob(w *nativeWorker, j sessionJob) {
 	var res error
 	if h := s.met.execLat; h != nil {
 		start := time.Now()
-		res = s.execute(w, j.body)
+		res = s.execute(w, j)
 		h.Observe(time.Since(start).Nanoseconds())
 	} else {
-		res = s.execute(w, j.body)
+		res = s.execute(w, j)
 	}
 	switch {
 	case res == nil:
@@ -445,7 +445,7 @@ func (s *Session) runJob(w *nativeWorker, j sessionJob) {
 // execute runs one submission as a transaction on worker w, retrying
 // through the native retry loop until commit, decline, stop, or a
 // terminal body error.
-func (s *Session) execute(w *nativeWorker, body Body) error {
+func (s *Session) execute(w *nativeWorker, j sessionJob) error {
 	if stop := w.opts.Stop; stop != nil {
 		select {
 		case <-stop:
@@ -453,11 +453,11 @@ func (s *Session) execute(w *nativeWorker, body Body) error {
 		default:
 		}
 	}
-	if s.quiesce > 0 {
+	if s.quiesce > 0 && !j.interactive {
 		s.cutMu.RLock()
 		defer s.cutMu.RUnlock()
 	}
-	w.body = body
+	w.body = j.body
 	res := s.tm.AtomicallyOpts(w.opts, w.fn)
 	w.body = nil // an idle worker must not pin its last job
 	return res

@@ -8,6 +8,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"testing"
+	"time"
 
 	"livetm/internal/native"
 )
@@ -159,6 +160,16 @@ func TestSessionCloseDrainsInFlight(t *testing.T) {
 // batches, and Open says so.
 func TestSessionMisuse(t *testing.T) {
 	t.Run("native-tl2", func(t *testing.T) {
+		for _, cfg := range []SessionConfig{
+			{Workers: 1, Vars: 1, Live: true, QuiesceEvery: -1}, // cuts come at one cadence
+			{Workers: 1, Vars: 1, QuiesceEvery: 2},              // an unchecked session never cuts
+		} {
+			cfg.Engine = "native-tl2"
+			if s, err := Open(cfg); err == nil {
+				s.Close()
+				t.Errorf("Open(%+v) must be rejected", cfg)
+			}
+		}
 		s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1})
 		if err := s.ExecOn(context.Background(), 7, counterSessionBody(0)); err == nil {
 			t.Error("ExecOn an unadmitted worker must error")
@@ -274,6 +285,49 @@ func TestSessionLiveViolationStops(t *testing.T) {
 	}
 	if !s.Stats().Stopped {
 		t.Error("Stats.Stopped must report the mid-session stop")
+	}
+}
+
+// TestParkedInteractiveDoesNotStallCuts: an interactive transaction
+// parked on worker 0 of a live session at the default cut cadence does
+// not hold up the quiescent cuts that worker 1's Exec traffic takes —
+// every Exec commits within the deadline, the cuts are taken, and once
+// the parked transaction is abandoned the session closes opaque. A
+// parked body that held the cut lock would stall the first cut, and
+// with it every Exec after it.
+func TestParkedInteractiveDoesNotStallCuts(t *testing.T) {
+	s := openTestSession(t, "native-tl2", SessionConfig{Workers: 2, Vars: 2, Live: true})
+	bg := context.Background()
+	it, err := s.Begin(0, nil)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if _, aborted, err := it.Read(bg, 0); err != nil || aborted {
+		t.Fatalf("interactive read: aborted=%v err=%v", aborted, err)
+	}
+	const n = 64
+	ctx, cancel := context.WithTimeout(bg, 3*time.Second)
+	committed := 0
+	for ; committed < n; committed++ {
+		if err := s.ExecOn(ctx, 1, counterSessionBody(1)); err != nil {
+			t.Errorf("Exec %d of %d behind a parked interactive transaction: %v", committed+1, n, err)
+			break
+		}
+	}
+	cancel()
+	if st := s.Stats(); committed == n && st.CutLatency.Count == 0 {
+		t.Errorf("%d commits took no quiescent cut", committed)
+	}
+	it.Abandon()
+	if err := it.Wait(bg); !errors.Is(err, ErrAbandoned) {
+		t.Errorf("abandoned transaction ended with %v, want ErrAbandoned", err)
+	}
+	rep, err := s.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if rep == nil || !rep.Opacity.Holds {
+		t.Fatalf("healthy session verdict: %+v", rep)
 	}
 }
 

@@ -13,7 +13,8 @@ import (
 // sessionMetrics is a session's pre-resolved telemetry handle bundle.
 // The Stats-backing handles (submitted, completed, commits, noCommits,
 // cutPause, queue gauges) are always non-nil: with no registry
-// they are bare (unregistered) instruments, which cost exactly what the
+// they are bare (unregistered) instruments, which a nil
+// telemetry.Registry hands out and which cost exactly what the
 // ad-hoc atomics they replaced cost, so the hot paths carry no nil
 // checks and SessionStats has one source of truth either way. The
 // clock-involving extras (execLat, tx) and the live-monitor gauges are
@@ -45,8 +46,8 @@ type sessionMetrics struct {
 	tx *native.TxMetrics
 
 	// rec and checker are handed to the recorder and the live checker
-	// at open time; nil (or unset instruments) leaves those layers on
-	// their bare defaults.
+	// at open time; unset checker instruments leave that layer on its
+	// bare defaults.
 	rec     *record.Metrics
 	checker safety.LaneTelemetry
 
@@ -57,26 +58,12 @@ type sessionMetrics struct {
 	bias       []*telemetry.Gauge // per worker slot
 }
 
-// newSessionMetrics resolves (or, with reg nil, fabricates bare
-// versions of) the session's instruments. workers is the provisioned
-// slot count (MaxWorkers), live whether the monitor gauges and checker
-// telemetry apply.
+// newSessionMetrics resolves the session's instruments in reg (bare
+// ones when reg is nil, without the extras). workers is the
+// provisioned slot count (MaxWorkers), live whether the monitor gauges
+// and checker telemetry apply.
 func newSessionMetrics(reg *telemetry.Registry, workers int, live bool) *sessionMetrics {
-	m := &sessionMetrics{commits: make([]*telemetry.Counter, workers)}
-	if reg == nil {
-		m.submitted = &telemetry.Counter{}
-		m.completed = &telemetry.Counter{}
-		m.noCommits = &telemetry.Counter{}
-		m.queueShared = &telemetry.Gauge{}
-		m.queuePinned = &telemetry.Gauge{}
-		m.workers = &telemetry.Gauge{}
-		m.admissions = &telemetry.Counter{}
-		for i := range m.commits {
-			m.commits[i] = &telemetry.Counter{}
-		}
-		m.cutPause = &telemetry.Histogram{}
-		return m
-	}
+	m := &sessionMetrics{commits: make([]*telemetry.Counter, workers), rec: record.NewMetrics(reg)}
 	m.submitted = reg.Counter("livetm_session_submitted_total",
 		"Transactions accepted by the session")
 	m.completed = reg.Counter("livetm_session_completed_total",
@@ -91,24 +78,17 @@ func newSessionMetrics(reg *telemetry.Registry, workers int, live bool) *session
 		"Admitted workers")
 	m.admissions = reg.Counter("livetm_session_admissions_total",
 		"Workers admitted after open (AddWorkers)")
-	m.execLat = reg.Histogram("livetm_session_exec_latency_ns",
-		"Submission latency from queue exit to completion, nanoseconds")
 	for i := range m.commits {
 		m.commits[i] = reg.Counter("livetm_session_commits_total",
 			"Committed transactions per worker", "worker", strconv.Itoa(i))
 	}
 	m.cutPause = reg.Histogram("livetm_cut_pause_ns",
 		"Quiescent-cut pause latency, nanoseconds")
-	m.rec = &record.Metrics{
-		Events: reg.Counter("livetm_recorder_events_total",
-			"Events stamped into the per-process logs"),
-		Chunks: reg.Gauge("livetm_recorder_chunks",
-			"Event-buffer chunks currently allocated"),
-		Laps: reg.Counter("livetm_recorder_recycled_total",
-			"Drop-mode stream-ring laps (slots reused)"),
-		Dropped: reg.Counter("livetm_recorder_dropped_total",
-			"Events the live stream lost after a stop muted a publisher"),
+	if reg == nil {
+		return m
 	}
+	m.execLat = reg.Histogram("livetm_session_exec_latency_ns",
+		"Submission latency from queue exit to completion, nanoseconds")
 	if live {
 		m.checker = safety.LaneTelemetry{
 			Segments: reg.Counter("livetm_checker_segments_total",

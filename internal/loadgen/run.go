@@ -62,15 +62,6 @@ type phaseAgg struct {
 //
 //lint:allow(telemetrylabel) phase label space is the validated scenario's phase list, finite per run/registry
 func newPhaseAgg(reg *telemetry.Registry, phase string) *phaseAgg {
-	if reg == nil {
-		return &phaseAgg{
-			dispatched: &telemetry.Counter{}, committed: &telemetry.Counter{},
-			nocommits: &telemetry.Counter{}, refusals: &telemetry.Counter{},
-			retries: &telemetry.Counter{}, dropped: &telemetry.Counter{},
-			shed: &telemetry.Counter{}, errs: &telemetry.Counter{},
-			latency: &telemetry.Histogram{},
-		}
-	}
 	return &phaseAgg{
 		dispatched: reg.Counter("livetm_loadgen_dispatched_total", "Arrivals dispatched per phase", "phase", phase),
 		committed:  reg.Counter("livetm_loadgen_committed_total", "Arrivals committed per phase", "phase", phase),

@@ -22,14 +22,15 @@ import (
 //     function of the seed.
 //   - native-tl2: two processes on 16 shared variables (update/cold),
 //     2 000 rounds each, recorded with a quiescent cut after every
-//     4 × 2 completed transactions, as `livetm record` does.
+//     4 × 2 completed transactions, the default cadence of a recorded
+//     session, as `livetm record` runs it.
 func BenchmarkObserve(b *testing.B) {
 	cases := []struct {
 		name, engine, spec string
 		run                engine.RunConfig
 	}{
 		{"check-replay", "sim-tl2", "p5/writeheavy/cold/disjoint", engine.RunConfig{Seed: 1, SimSteps: 64000}},
-		{"native-tl2", "native-tl2", "p2/update/cold/shared", engine.RunConfig{OpsPerProc: 2000, QuiesceEvery: 4}},
+		{"native-tl2", "native-tl2", "p2/update/cold/shared", engine.RunConfig{OpsPerProc: 2000}},
 	}
 	for _, c := range cases {
 		b.Run(c.name, func(b *testing.B) {

@@ -9,9 +9,9 @@ import (
 // executes: it reads each process's stream ring in place
 // (Recorder.Receive), restores the recorded total order
 // (record.Resequencer), and feeds each event to Monitor.Observe on the
-// pump's goroutine, so the monitor needs no locking. It is the shared
-// consumer half of live monitoring — the engine's native adapter and
-// the adversary's native driver both run one.
+// pump's goroutine, so the monitor needs no locking. It is the
+// consumer half of live monitoring: every live internal/engine session
+// runs one.
 //
 // A terminal safety error fires OnViolation exactly once; the pump
 // then keeps draining (so no producer stays blocked on a full ring)

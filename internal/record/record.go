@@ -22,8 +22,8 @@
 //
 // With Options.StreamCapacity a recorder also streams every stamped
 // event to one consumer while the run executes, which is how the live
-// monitor (monitor.Pump, run by internal/engine's native adapter and
-// the adversary's native driver) observes it. Each process owns a
+// monitor (monitor.Pump, run by every live internal/engine session)
+// observes it. Each process owns a
 // single-producer/single-consumer ring of Streamed entries, a power of
 // two in size; the capacity is split across the processes, so at most
 // StreamCapacity events are in flight between the recorder and the
@@ -144,14 +144,18 @@ type Metrics struct {
 	Dropped *telemetry.Counter
 }
 
-// bareMetrics is the no-registry default: valid zero-value instruments
-// nobody reads.
-func bareMetrics() *Metrics {
+// NewMetrics resolves the recorder's instruments in reg; a nil reg
+// gives bare ones, the default of a recorder without Metrics.
+func NewMetrics(reg *telemetry.Registry) *Metrics {
 	return &Metrics{
-		Events:  &telemetry.Counter{},
-		Chunks:  &telemetry.Gauge{},
-		Laps:    &telemetry.Counter{},
-		Dropped: &telemetry.Counter{},
+		Events: reg.Counter("livetm_recorder_events_total",
+			"Events stamped into the per-process logs"),
+		Chunks: reg.Gauge("livetm_recorder_chunks",
+			"Event-buffer chunks currently allocated"),
+		Laps: reg.Counter("livetm_recorder_recycled_total",
+			"Drop-mode stream-ring laps (slots reused)"),
+		Dropped: reg.Counter("livetm_recorder_dropped_total",
+			"Events the live stream lost after a stop muted a publisher"),
 	}
 }
 
@@ -197,7 +201,7 @@ func NewWithOptions(procs int, o Options) *Recorder {
 	}
 	r := &Recorder{logs: make([]*ProcLog, procs), stop: o.Stop, met: o.Metrics}
 	if r.met == nil {
-		r.met = bareMetrics()
+		r.met = NewMetrics(nil)
 	}
 	size := 0
 	if o.StreamCapacity > 0 {

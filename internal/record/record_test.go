@@ -173,7 +173,7 @@ func TestStreamMatchesHistory(t *testing.T) {
 // History returns nil (the stream was the record).
 func TestDropStreamedCapsChunks(t *testing.T) {
 	const procs = 2
-	met := bareMetrics()
+	met := NewMetrics(nil)
 	r := NewWithOptions(procs, Options{CapacityHint: 8, StreamCapacity: 32, DropStreamed: true, Metrics: met})
 	done := make(chan int, 1)
 	go func() {

@@ -95,7 +95,7 @@ func TestRecycledBatchesKeepOrderAndEvents(t *testing.T) {
 func TestStopMutedLogNeverRecycles(t *testing.T) {
 	const procs, rounds, consumed = 3, 400, 25
 	stop := make(chan struct{})
-	met := bareMetrics()
+	met := NewMetrics(nil)
 	r := NewWithOptions(procs, Options{CapacityHint: 16, StreamCapacity: 2 * streamBatch, Stop: stop, Metrics: met})
 	var delivered []Streamed
 	take := func(events []Streamed) { delivered = append(delivered, events...) }
@@ -229,7 +229,7 @@ func TestStreamRingContract(t *testing.T) {
 		}},
 		{"stop releases a producer waiting on a full ring", func(t *testing.T) {
 			stop := make(chan struct{})
-			met := bareMetrics()
+			met := NewMetrics(nil)
 			r := NewWithOptions(1, Options{StreamCapacity: 2, Stop: stop, Metrics: met})
 			l := r.Log(1)
 			done := make(chan struct{})
@@ -379,7 +379,7 @@ func TestEventsMetricAtQuiescence(t *testing.T) {
 		{"live, dropped", Options{StreamCapacity: 64, DropStreamed: true}},
 	} {
 		t.Run(tc.name, func(t *testing.T) {
-			met := bareMetrics()
+			met := NewMetrics(nil)
 			tc.o.Metrics = met
 			r := NewWithOptions(procs, tc.o)
 			got := consume(r)

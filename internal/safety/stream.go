@@ -99,6 +99,13 @@ type SegmentedResult struct {
 // evidence is a straddler's own reads goes undetected once a frontier
 // fires. Everything inside one window, and every non-straddler
 // transaction, is still searched exactly.
+// A writer that has invoked tryC may already have published, so when a
+// completed transaction of the window read or wrote one of its
+// variables after that invocation, the writer goes out with the forced
+// window as commit-pending, completed both ways by the search, and its
+// later C or A response is dropped: its fate goes unchecked, which can
+// hide a violation but never raise one. Other writers straddle, since
+// each one completed both ways doubles the feasible snapshots.
 type StreamChecker struct {
 	max      int
 	states   []model.Snapshot
@@ -118,6 +125,7 @@ type StreamChecker struct {
 	pos       int   // stream position of the next event
 	held      int   // events held in the window's transactions
 	completed int   // completed transactions in the window; the rest are live
+	pulled    int   // live transactions the forced window takes along
 	bad       error // a malformed event Feed has yet to report
 
 	approx  bool // bounded-overlap fallback enabled
@@ -144,6 +152,9 @@ type procSlot struct {
 	// forced frontier; the check that first includes it waives its
 	// reads and clears the mark.
 	straddler bool
+	// flushed marks a commit-pending transaction that went out with a
+	// forced window: its C or A response is dropped.
+	flushed bool
 }
 
 // winTxn is a window entry: a transaction, Live while its process's
@@ -228,7 +239,6 @@ func (c *StreamChecker) Feed(e model.Event) error {
 		}
 		return c.fail(err)
 	}
-	c.held++
 	if c.held%bufferedEvery == 0 {
 		c.tel.Buffered.Set(int64(c.held))
 	}
@@ -271,7 +281,12 @@ func (c *StreamChecker) step(e model.Event) error {
 		s.txn.Ops = append(s.txn.Ops, op)
 	}
 	s.txn.Last = pos
-	if s.txn.Status = model.StatusAfter(e); s.txn.Status != model.Live {
+	if s.txn.Status = model.StatusAfter(e); s.txn.Status == model.Live {
+		c.held++
+	} else if s.flushed {
+		s.flushed = false // it went out with a forced window
+	} else {
+		c.held++
 		c.complete(s)
 	}
 	return nil
@@ -298,9 +313,10 @@ func (c *StreamChecker) complete(s *procSlot) {
 }
 
 // gather lays out the window's transactions for the kernel — without
-// the live ones unless withLive — and returns them with the mask of
-// the straddlers among them, whose reads are waived. A straddler is
-// gathered, and its reads waived, once: its mark clears here.
+// the live ones unless withLive or pulled in by a forced frontier —
+// and returns them with the mask of the straddlers among them, whose
+// reads are waived. A straddler is gathered, and its reads waived,
+// once: its mark clears here.
 func (c *StreamChecker) gather(withLive bool) ([]*model.Transaction, uint64) {
 	c.seg = c.seg[:0]
 	var mask uint64
@@ -308,7 +324,7 @@ func (c *StreamChecker) gather(withLive bool) ([]*model.Transaction, uint64) {
 		w := &c.win[i]
 		s := &c.slots[w.proc]
 		if w.t.Status == model.Live {
-			if !withLive {
+			if !withLive && !s.flushed {
 				continue
 			}
 			// Completion answers a pending invocation, which the slot
@@ -337,12 +353,14 @@ func (c *StreamChecker) gather(withLive bool) ([]*model.Transaction, uint64) {
 // frontier are flushed with them once complete. At a quiescent cut
 // that is the whole window. A forced frontier is the bounded-overlap
 // fallback: it flushes while open transactions still straddle the
-// cut, carries them, in order, into the next window as straddlers,
-// and makes every later verdict approximate.
+// cut, takes along the commit-pending writers pullCommitPending
+// marks, carries the other open transactions, in order, into the next
+// window as straddlers, and makes every later verdict approximate.
 func (c *StreamChecker) flush(forced bool) error {
 	if forced {
 		c.forced++
 		c.tel.Forced.Inc()
+		c.pullCommitPending()
 	}
 	// A frontier propagates the final snapshots of serializing the
 	// flushed window — not the visited intermediates — so post-frontier
@@ -364,7 +382,7 @@ func (c *StreamChecker) flush(forced bool) error {
 	c.states = next
 	carried, held := 0, 0
 	for _, w := range c.win {
-		if w.t.Status != model.Live {
+		if w.t.Status != model.Live || c.slots[w.proc].flushed {
 			continue
 		}
 		s := &c.slots[w.proc]
@@ -377,9 +395,45 @@ func (c *StreamChecker) flush(forced bool) error {
 		carried++
 	}
 	c.win, c.ops = c.win[:carried], c.ops[:0]
-	c.held, c.completed = held, 0
+	c.held, c.completed, c.pulled = held, 0, 0
 	c.tel.Buffered.Set(int64(held))
 	return nil
+}
+
+// pullCommitPending marks the commit-pending transactions a forced
+// window takes along (see the type comment), as far as the search cap
+// allows.
+func (c *StreamChecker) pullCommitPending() {
+	for _, w := range c.win {
+		s := &c.slots[w.proc]
+		if c.completed+c.pulled < 64 && w.t.Status == model.Live && s.cur.Pending &&
+			s.cur.Inv.Kind == model.InvTryCommit && c.touchedAfter(&s.txn) {
+			s.flushed = true
+			c.pulled++
+		}
+	}
+}
+
+// touchedAfter reports whether a completed transaction of the window
+// that ended after w's last event read or wrote a variable w wrote.
+func (c *StreamChecker) touchedAfter(w *model.Transaction) bool {
+	for _, wo := range w.Ops {
+		if wo.Kind != model.OpWrite {
+			continue
+		}
+		for i := range c.win {
+			r := &c.win[i].t
+			if r.Status == model.Live || r.Last < w.Last {
+				continue
+			}
+			for _, op := range r.Ops {
+				if op.Kind != model.OpTryCommit && op.Var == wo.Var && !op.Aborted {
+					return true
+				}
+			}
+		}
+	}
+	return false
 }
 
 // checkWindow propagates the feasible committed snapshots through the
@@ -388,7 +442,7 @@ func (c *StreamChecker) flush(forced bool) error {
 // string means no legal serialization exists from any feasible
 // predecessor state.
 func (c *StreamChecker) checkWindow(withLive bool) ([]model.Snapshot, string, error) {
-	n := c.completed
+	n := c.completed + c.pulled
 	if withLive {
 		n = len(c.win)
 	}

@@ -484,6 +484,62 @@ func TestStreamStraddlerFalseAlarm(t *testing.T) {
 	}
 }
 
+// TestStreamForcedFrontierPullsCommitPendingWriter: a writer that has
+// invoked tryC is still open when the budget forces a frontier, and a
+// transaction in the flushed window has already read its value, or
+// overwritten it, and committed. The forced window must take the
+// writer along as commit-pending and drop its later commit response:
+// carried past the frontier instead, it leaves the read unexplained,
+// or applies its write after the overwrite that a later read observes,
+// and the healthy stream is judged violating.
+func TestStreamForcedFrontierPullsCommitPendingWriter(t *testing.T) {
+	for _, tc := range []struct {
+		name    string
+		touch   func(b *model.Builder) // p2 touches x after p1's tryC
+		readsOf model.Value            // what a read of x returns afterwards
+	}{
+		{"reader", func(b *model.Builder) { b.Read(2, 0, 1).Commit(2) }, 1},
+		{"overwriter", func(b *model.Builder) { b.Write(2, 0, 2).Commit(2) }, 2},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			b := model.NewBuilder()
+			b.Raw(model.Write(1, 0, 1), model.OK(1), model.TryCommit(1)) // x = 1, commit-pending
+			tc.touch(b)
+			for i := 0; i < 3; i++ { // overflow the budget of 2
+				b.Read(3, 1, model.Value(i)).Write(3, 1, model.Value(i+1)).Commit(3)
+			}
+			b.Raw(model.Commit(1))
+			b.Read(2, 0, tc.readsOf).Commit(2)
+			h := b.History()
+
+			exact, err := CheckOpacity(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !exact.Holds {
+				t.Fatalf("fixture history must be opaque: %s", exact.Reason)
+			}
+			c, err := NewStreamChecker(2)
+			if err != nil {
+				t.Fatal(err)
+			}
+			c.WithApproxFallback()
+			for i, e := range h {
+				if err := c.Feed(e); err != nil {
+					t.Fatalf("false alarm at event %d: %v", i, err)
+				}
+			}
+			res, err := c.Finish()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Holds || !res.Approx || res.ForcedCuts == 0 {
+				t.Fatalf("verdict %+v, want an approximate opaque one", res)
+			}
+		})
+	}
+}
+
 // The TestSharded* cases below keep the obligations the keyspace-
 // sharded router in front of the checker was held to. The router is
 // gone; each case now holds the single streaming checker, with the

@@ -47,8 +47,8 @@ type admission struct {
 
 // clientSlots is one client's admission account and its per-client
 // instrument handles. The handles are bare instruments when the
-// server has no registry (the sessionMetrics convention), so the
-// accounting path carries no nil checks.
+// server has no registry (a nil telemetry.Registry hands them out), so
+// the accounting path carries no nil checks.
 type clientSlots struct {
 	inflight   int
 	idleAt     time.Time // last acquire attempt or drop to zero in flight
@@ -60,29 +60,21 @@ type clientSlots struct {
 // newAdmission builds the accountant. idleAfter <= 0 disables
 // eviction (callers resolve the default; see Config.ClientIdleAfter).
 func newAdmission(max int, idleAfter time.Duration, reg *telemetry.Registry) *admission {
-	a := &admission{
+	return &admission{
 		max:       max,
 		clients:   make(map[string]*clientSlots),
 		reg:       reg,
 		idleAfter: idleAfter,
 		now:       time.Now,
+		cUnknown: reg.Counter("livetm_server_release_unknown_total",
+			"Slot releases with no matching admitted client (protocol anomaly)"),
+		cEvicted: reg.Counter("livetm_server_clients_evicted_total",
+			"Idle client admission accounts evicted"),
+		evRejected: reg.Counter("livetm_server_rejected_total",
+			"Submissions refused by admission control per client", "client", evictedClient),
+		evRetryHint: reg.Counter("livetm_server_retry_after_total",
+			"Retry-After hints issued per client", "client", evictedClient),
 	}
-	if reg != nil {
-		a.cUnknown = reg.Counter("livetm_server_release_unknown_total",
-			"Slot releases with no matching admitted client (protocol anomaly)")
-		a.cEvicted = reg.Counter("livetm_server_clients_evicted_total",
-			"Idle client admission accounts evicted")
-		a.evRejected = reg.Counter("livetm_server_rejected_total",
-			"Submissions refused by admission control per client", "client", evictedClient)
-		a.evRetryHint = reg.Counter("livetm_server_retry_after_total",
-			"Retry-After hints issued per client", "client", evictedClient)
-	} else {
-		a.cUnknown = &telemetry.Counter{}
-		a.cEvicted = &telemetry.Counter{}
-		a.evRejected = &telemetry.Counter{}
-		a.evRetryHint = &telemetry.Counter{}
-	}
-	return a
 }
 
 // slotsFor resolves (or fabricates, registry-free) the client's
@@ -97,18 +89,13 @@ func newAdmission(max int, idleAfter time.Duration, reg *telemetry.Registry) *ad
 func (a *admission) slotsFor(client string) *clientSlots {
 	cs := a.clients[client]
 	if cs == nil {
-		cs = &clientSlots{}
-		if a.reg != nil {
-			cs.gInflight = a.reg.Gauge("livetm_server_inflight",
-				"Admitted submissions currently in flight per client", "client", client)
-			cs.cRejected = a.reg.Counter("livetm_server_rejected_total",
-				"Submissions refused by admission control per client", "client", client)
-			cs.cRetryHint = a.reg.Counter("livetm_server_retry_after_total",
-				"Retry-After hints issued per client", "client", client)
-		} else {
-			cs.gInflight = &telemetry.Gauge{}
-			cs.cRejected = &telemetry.Counter{}
-			cs.cRetryHint = &telemetry.Counter{}
+		cs = &clientSlots{
+			gInflight: a.reg.Gauge("livetm_server_inflight",
+				"Admitted submissions currently in flight per client", "client", client),
+			cRejected: a.reg.Counter("livetm_server_rejected_total",
+				"Submissions refused by admission control per client", "client", client),
+			cRetryHint: a.reg.Counter("livetm_server_retry_after_total",
+				"Retry-After hints issued per client", "client", client),
 		}
 		a.clients[client] = cs
 	}
@@ -192,11 +179,9 @@ func (a *admission) sweep() {
 		}
 		a.evRejected.Add(cs.cRejected.Load())
 		a.evRetryHint.Add(cs.cRetryHint.Load())
-		if a.reg != nil {
-			a.reg.Unregister("livetm_server_inflight", "client", name)
-			a.reg.Unregister("livetm_server_rejected_total", "client", name)
-			a.reg.Unregister("livetm_server_retry_after_total", "client", name)
-		}
+		a.reg.Unregister("livetm_server_inflight", "client", name)
+		a.reg.Unregister("livetm_server_rejected_total", "client", name)
+		a.reg.Unregister("livetm_server_retry_after_total", "client", name)
 		delete(a.clients, name)
 		a.cEvicted.Inc()
 	}

@@ -56,7 +56,10 @@ type family struct {
 // Registry holds named metric families. Instrument handles are
 // resolved once (Counter/Gauge/Histogram panic on schema misuse, which
 // is a wiring bug, not a runtime condition) and then used lock-free;
-// the registry lock guards only resolution and snapshotting.
+// the registry lock guards only resolution and snapshotting. A nil
+// *Registry hands out bare instruments — working, at the same cost,
+// but registered nowhere — and Unregister on it is a no-op, so a
+// caller without a registry resolves its instruments the same way.
 type Registry struct {
 	mu       sync.Mutex
 	families map[string]*family
@@ -73,18 +76,27 @@ func NewRegistry() *Registry {
 // first resolution of a name fixes its kind, help string, and label
 // keys; later resolutions must match.
 func (r *Registry) Counter(name, help string, labels ...string) *Counter {
+	if r == nil {
+		return &Counter{}
+	}
 	s := r.resolve(name, help, kindCounter, labels)
 	return s.c
 }
 
 // Gauge resolves the gauge series of family name. See Counter.
 func (r *Registry) Gauge(name, help string, labels ...string) *Gauge {
+	if r == nil {
+		return &Gauge{}
+	}
 	s := r.resolve(name, help, kindGauge, labels)
 	return s.g
 }
 
 // Histogram resolves the histogram series of family name. See Counter.
 func (r *Registry) Histogram(name, help string, labels ...string) *Histogram {
+	if r == nil {
+		return &Histogram{}
+	}
 	s := r.resolve(name, help, kindHistogram, labels)
 	return s.h
 }
@@ -147,6 +159,9 @@ func (r *Registry) resolve(name, help string, k kind, kvs []string) *series {
 // held on the removed series keep working; their updates are simply
 // no longer exported.
 func (r *Registry) Unregister(name string, kvs ...string) bool {
+	if r == nil {
+		return false
+	}
 	if len(kvs)%2 != 0 {
 		panic(fmt.Sprintf("telemetry: %s unregistered with odd label list %q", name, kvs))
 	}

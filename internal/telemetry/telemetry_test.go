@@ -147,6 +147,26 @@ func TestRegistryUnregister(t *testing.T) {
 	}
 }
 
+// TestNilRegistryHandsOutBareInstruments: a nil registry resolves
+// working instruments that are registered nowhere, a fresh one per
+// call, and unregisters nothing.
+func TestNilRegistryHandsOutBareInstruments(t *testing.T) {
+	var r *Registry
+	c, g, h := r.Counter("livetm_test_total", "help"), r.Gauge("livetm_test", "help", "k", "v"), r.Histogram("livetm_test_ns", "help")
+	c.Add(3)
+	g.Set(-2)
+	h.Observe(100)
+	if c.Load() != 3 || g.Load() != -2 || h.Count() != 1 {
+		t.Fatalf("bare instruments read %d, %d, %d; want 3, -2, 1", c.Load(), g.Load(), h.Count())
+	}
+	if r.Counter("livetm_test_total", "help") == c {
+		t.Fatal("a nil registry must not share instruments between resolutions")
+	}
+	if r.Unregister("livetm_test_total") {
+		t.Fatal("Unregister on a nil registry must report false")
+	}
+}
+
 func TestRegistrySchemaMisusePanics(t *testing.T) {
 	r := NewRegistry()
 	r.Counter("livetm_x_total", "h")

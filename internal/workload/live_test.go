@@ -25,7 +25,7 @@ func TestRunMatrixLive(t *testing.T) {
 	specs := Matrix([]int{2})
 	results, err := RunMatrix(engines, specs,
 		Budget{SimSteps: 300, NativeOps: 24},
-		Options{Live: true, Check: true, QuiesceEvery: 2})
+		Options{Live: true, Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -93,7 +93,7 @@ func TestLiveBackoffPreservesOpacity(t *testing.T) {
 		for iter := 0; iter < 3; iter++ {
 			st, err := e.Run(engine.RunConfig{
 				Procs: spec.Procs, Vars: spec.Vars, OpsPerProc: 25,
-				Live: true, Record: true, QuiesceEvery: 2,
+				Live: true, Record: true,
 			}, spec.Body())
 			if err != nil {
 				t.Fatalf("%s iter %d: live run failed: %v", name, iter, err)

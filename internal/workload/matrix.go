@@ -203,12 +203,6 @@ type Options struct {
 	// cuts within budget) are reported with Checked=false rather than
 	// failing.
 	Check bool
-	// QuiesceEvery is the recorded native cells' cut interval: the
-	// session pauses for a quiescent cut after every QuiesceEvery ×
-	// (admitted workers) completed transactions, planting the cuts the
-	// checker needs. Zero defaults to 4; a negative value disables the
-	// cuts (cells then usually come back undecided under Check).
-	QuiesceEvery int
 	// Live runs native cells under the in-process monitor: events
 	// stream into the checker while the cell executes, a violation
 	// stops the cell mid-flight (failing the matrix), and measured
@@ -223,11 +217,6 @@ func (o Options) withDefaults() Options {
 	if o.Check {
 		o.Record = true
 	}
-	if o.QuiesceEvery == 0 {
-		o.QuiesceEvery = 4
-	} else if o.QuiesceEvery < 0 {
-		o.QuiesceEvery = 0
-	}
 	return o
 }
 
@@ -241,32 +230,18 @@ func RunMatrix(engines []engine.Engine, specs []Spec, budget Budget, opts Option
 	for _, e := range engines {
 		caps := e.Capabilities()
 		for _, spec := range specs {
+			live := opts.Live && caps.Substrate == engine.Native
 			cfg := engine.RunConfig{
-				Procs: spec.Procs,
-				Vars:  spec.Vars,
-				Seed:  uint64(len(out) + 1),
+				Procs:  spec.Procs,
+				Vars:   spec.Vars,
+				Seed:   uint64(len(out) + 1),
+				Record: opts.Record,
+				Live:   live,
 			}
 			if caps.Substrate == engine.Simulated {
 				cfg.SimSteps = budget.SimSteps
 			} else {
 				cfg.OpsPerProc = budget.NativeOps
-			}
-			if opts.Record {
-				cfg.Record = true
-				if caps.Substrate == engine.Native {
-					cfg.QuiesceEvery = opts.QuiesceEvery
-				}
-			}
-			live := opts.Live && caps.Substrate == engine.Native
-			if live {
-				cfg.Live = true
-				if opts.QuiesceEvery == 0 {
-					// The user disabled the cuts; tell the engine
-					// explicitly or it would substitute its live default.
-					cfg.QuiesceEvery = -1
-				} else {
-					cfg.QuiesceEvery = opts.QuiesceEvery
-				}
 			}
 			r, err := runCell(e, caps, spec, cfg, opts, live)
 			if err != nil {

@@ -154,7 +154,7 @@ func TestRunMatrixShardSweep(t *testing.T) {
 	specs := Matrix([]int{4})
 	results, err := RunMatrix([]engine.Engine{e}, specs,
 		Budget{NativeOps: 24},
-		Options{Check: true, Live: true, QuiesceEvery: 2})
+		Options{Check: true, Live: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -189,7 +189,7 @@ func TestRunMatrixRecordChecked(t *testing.T) {
 	specs := Matrix([]int{2})
 	results, err := RunMatrix(engines, specs,
 		Budget{SimSteps: 400, NativeOps: 16},
-		Options{Check: true, QuiesceEvery: 2})
+		Options{Check: true})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -202,7 +202,7 @@ func TestRunMatrixRecordChecked(t *testing.T) {
 			undecided++
 		}
 	}
-	// The quiesce barrier plants cuts on native cells and simulated
+	// Recorded native cells take quiescent cuts and simulated
 	// cells quiesce naturally, so the vast majority of cells must be
 	// decided, not refused.
 	if undecided > len(results)/4 {
