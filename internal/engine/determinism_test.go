@@ -206,7 +206,7 @@ func TestSimRunGolden(t *testing.T) {
 		}
 		st, err := e.Run(sh.cfg, sh.body)
 		got := fmt.Sprintf("commits=%d aborts=%d nocommits=%d per-proc=%v steps=%d err=%v digest=%s",
-			st.Commits, st.Aborts, st.NoCommits, st.PerProcCommits, st.Steps, err, historyDigest(t, st.History))
+			st.Commits, st.Aborts, st.NoCommits, st.PerWorkerCommits, st.Steps, err, historyDigest(t, st.History))
 		if want := simRunGolden[sh.name]; got != want {
 			t.Errorf("%s on %s:\n got  %s\n want %s", sh.name, sh.engine, got, want)
 		}

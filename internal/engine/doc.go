@@ -44,9 +44,10 @@
 // workers while traffic flows (up to the provisioned MaxWorkers); and
 // Session.Close drains the in-flight transactions and returns the
 // monitor's final report. A native Engine.Run is the batch wrapper
-// over exactly this: open a session, keep each worker's lane loaded
-// with its OpsPerProc rounds, close. `livetm serve` is the same shape
-// as a SIGTERM-clean soak service.
+// over exactly this: open a session, let one goroutine per process run
+// its OpsPerProc rounds as blocking ExecOn calls on its own worker (the
+// inline path below), close. `livetm serve` is the same shape as a
+// SIGTERM-clean soak service.
 //
 // Simulated engines run batches only. Their results — the liveness
 // matrix, the Theorem 1 adversary runs, recorded traces — are fixed
@@ -92,7 +93,7 @@
 // context leaves the waiter with the worker that still owes it one),
 // the lanes are rings
 // whose popped slots are cleared, each worker keeps one body adapter
-// and one transaction handle for every attempt it runs, and on a live
+// for every attempt it runs (the body gets the native handle), and on a live
 // session the pump reads each worker's stream ring in place.
 // TestAllocBudgetPerLiveCommit holds the whole path to that,
 // and the packages underneath (native, record, monitor, safety) each
@@ -113,14 +114,22 @@
 // return ErrAbandoned, which the retry loop treats as terminal,
 // releasing whatever the attempt holds.
 //
-// An interactive transaction runs outside the session's quiescent-cut
-// lock, which every other transaction holds shared, so a cut never
-// waits on a parked body and a served session cuts at the cadence of
-// any other checked session. A cut taken while one is open is simply
-// not a quiescent point: the checker finds quiescence in the stream
-// itself, not in the engine's pauses. A parked transaction does hold
-// its worker, so Close and Drain wait for it: abandon what is still
-// open first.
+// Cuts land between attempts. Every attempt counts toward the cut
+// cadence, since each one, committed or aborted, is a transaction of
+// the recorded stream and fills the checker's window like any other.
+// Every transaction but an interactive one holds the session's
+// quiescent-cut lock shared from before its first attempt begins to
+// the end of its last,
+// but lets go at each retry's entry, where a retry whose count crossed
+// the cadence takes the cut itself; a first attempt's cut waits for its
+// job to end. So a transaction that keeps aborting brings cuts instead
+// of holding them off. An interactive attempt counts too but runs
+// outside the lock, so a cut never waits on a parked body and a served
+// session cuts at the cadence of any other checked session. A cut
+// taken while one is open is simply not a quiescent point: the checker
+// finds quiescence in the stream itself, not in the engine's
+// pauses. A parked transaction does hold its worker, so Close and
+// Drain wait for it: abandon what is still open first.
 //
 // # Live monitoring
 //
@@ -197,8 +206,14 @@
 // cfg.Procs processes that each execute a TxBody as repeated
 // transactions until the budget is exhausted — scheduler steps on the
 // simulated substrate, transaction rounds on the native one — and
-// returns aggregate commit/abort statistics, plus the recorded
-// history when RunConfig.Record is set. Capabilities reports what
+// returns Stats: the session counters of SessionStats, plus the
+// recorded history when RunConfig.Record is set. A native process's
+// terminal body error ends only its own rounds, and Run returns the
+// error of the lowest-numbered failed process. Bodies on either
+// substrate see one handle and one abort vocabulary: Tx is native.Txn,
+// so a native body runs on the retry loop's own attempt handle, and
+// ErrAborted is native.ErrAborted, which the simulated adapter returns
+// too. Capabilities reports what
 // varies between engines (substrate, nonblocking) so callers can
 // select engines by feature rather than by name. Each Run opens a fresh TM instance, so engines
 // are safe for concurrent Runs, and any number of Sessions may be open

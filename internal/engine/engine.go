@@ -6,6 +6,7 @@ import (
 
 	"livetm/internal/model"
 	"livetm/internal/monitor"
+	"livetm/internal/native"
 	"livetm/internal/telemetry"
 )
 
@@ -22,16 +23,18 @@ const (
 )
 
 // ErrAborted is returned by transaction operations when the current
-// attempt must be retried. The runner handles it internally; bodies
-// only see it if they inspect operation errors, and must return it
-// (or the operation's error) unchanged. ErrAborted never crosses the
+// attempt must be retried. It is native.ErrAborted, so a body on
+// either substrate sees one abort vocabulary and a native body runs on
+// the native attempt handle itself. The runner handles it internally;
+// bodies only see it if they inspect operation errors, and must return
+// it (or the operation's error) unchanged. ErrAborted never crosses the
 // wire — the retry loop consumes it before a submission can finish,
 // and an interactive transaction reports a mid-attempt abort as the
 // operation's aborted flag (TxOpResponse.Aborted on the wire;
 // deliberately not this sentinel) — hence the wiresentinel allowance.
 //
 //lint:allow(wiresentinel) never crosses the wire: consumed by the retry loop; interactive aborts use TxOpResponse.Aborted
-var ErrAborted = errors.New("engine: transaction aborted")
+var ErrAborted = native.ErrAborted
 
 // ErrLiveViolation is returned by Run when the live monitor
 // (RunConfig.Live) detected a safety violation and stopped the run
@@ -47,13 +50,10 @@ var ErrLiveViolation = errors.New("engine: live monitor stopped the run")
 var ErrNoCommit = errors.New("engine: body declined to commit")
 
 // Tx is the per-attempt transaction handle, identical across
-// substrates: int64 values over a fixed variable array.
-type Tx interface {
-	// Read returns the value of variable i, or ErrAborted.
-	Read(i int) (int64, error)
-	// Write buffers v into variable i, or returns ErrAborted.
-	Write(i int, v int64) error
-}
+// substrates: int64 values over a fixed variable array. It is
+// native.Txn, so a native body runs on the retry loop's own handle,
+// under the same validity rule: the handle dies with the attempt.
+type Tx = native.Txn
 
 // TxBody is one transaction of a workload. proc is the zero-based
 // process index, round counts the process's completed transactions.
@@ -86,7 +86,8 @@ type RunConfig struct {
 	// recorder wraps the TM inside the deterministic scheduler; on the
 	// native substrate the per-process recorder of internal/record
 	// hangs off the algorithms' linearization-point hooks, and the run
-	// takes quiescent cuts (see SessionConfig.QuiesceEvery).
+	// takes quiescent cuts between transaction attempts (see
+	// SessionConfig.QuiesceEvery).
 	Record bool
 	// Live attaches the online monitor to a native run: recorded
 	// events stream through bounded per-process rings into
@@ -133,16 +134,12 @@ func (cfg RunConfig) validateSim() error {
 	return nil
 }
 
-// Stats aggregates one run.
+// Stats aggregates one run: the counters a session reports (see
+// SessionStats; a simulated Run fills Commits, Aborts, NoCommits and
+// PerWorkerCommits, one entry per process) plus what only a batch
+// has.
 type Stats struct {
-	// Commits and Aborts count committed transactions and aborted
-	// attempts across all processes.
-	Commits uint64
-	Aborts  uint64
-	// NoCommits counts rounds a body finished with ErrNoCommit.
-	NoCommits uint64
-	// PerProcCommits holds each process's commit count.
-	PerProcCommits []uint64
+	SessionStats
 	// Steps is the number of scheduler steps consumed (simulated
 	// substrate only).
 	Steps int
@@ -154,39 +151,6 @@ type Stats struct {
 	// and the per-process progress accounting with liveness
 	// classification.
 	Live *monitor.Report
-	// Stopped reports that the live monitor cancelled the run
-	// mid-flight; the commit counters then cover only the rounds that
-	// completed before the stop.
-	Stopped bool
-	// BackoffCap is the retry-backoff policy's spin-shift ceiling on
-	// native runs — the dynamic range the starvation-aware bias moves
-	// within. Zero on the simulated substrate (no backoff loop).
-	BackoffCap int
-	// BackoffBias is each process's final backoff bias on native runs:
-	// negative for processes the starvation feedback favoured, positive
-	// for processes it penalized. Nil when Live was off (no feedback
-	// ran) or on the simulated substrate.
-	BackoffBias []int
-	// RecorderChunks counts the event-buffer chunks the recorder
-	// allocated. On a live run without Record it stays capped at one
-	// reusable ring chunk per process regardless of run length.
-	RecorderChunks int
-	// Truncated reports that some process hit the recorder's retained-
-	// buffer cap: History (and, on a Record+Live run, the live verdict)
-	// covers a per-process prefix of the run, so verdicts are advisory.
-	// Live-only runs retain nothing and never truncate.
-	Truncated bool
-	// CutLatency is the pause-latency summary over every quiescent cut
-	// the run forced (see SessionStats).
-	CutLatency CutStats
-}
-
-// AbortRate is Aborts / (Commits + Aborts), or 0 with no attempts.
-func (s Stats) AbortRate() float64 {
-	if s.Commits+s.Aborts == 0 {
-		return 0
-	}
-	return float64(s.Aborts) / float64(s.Commits+s.Aborts)
 }
 
 // Capabilities describes what varies between engines, so callers

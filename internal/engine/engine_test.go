@@ -98,6 +98,7 @@ func TestRegistryShape(t *testing.T) {
 func TestRunConfigValidation(t *testing.T) {
 	s, _ := Lookup("sim-tl2")
 	n, _ := Lookup("native-tl2")
+	m, _ := Lookup("native-mutex")
 	cases := []struct {
 		e   Engine
 		cfg RunConfig
@@ -109,6 +110,9 @@ func TestRunConfigValidation(t *testing.T) {
 		{s, RunConfig{Procs: 1, Vars: 1, SimSteps: 10, Live: true}},
 		{s, RunConfig{Procs: 1, Vars: 1, SimSteps: 10, Telemetry: telemetry.NewRegistry()}},
 		{n, RunConfig{Procs: 1, Vars: 1}}, // no ops budget
+		{n, RunConfig{Procs: 1, Vars: 1, OpsPerProc: -1}},
+		{m, RunConfig{Procs: 1, Vars: 1}},
+		{m, RunConfig{Procs: 1, Vars: 1, OpsPerProc: -1}},
 	}
 	for i, c := range cases {
 		if _, err := c.e.Run(c.cfg, counterBody(0)); err == nil {
@@ -168,8 +172,8 @@ func TestSimDeterministicReplay(t *testing.T) {
 	if a.Commits != b.Commits || a.Aborts != b.Aborts || a.Steps != b.Steps {
 		t.Fatalf("replay diverged: %+v vs %+v", a, b)
 	}
-	for p := range a.PerProcCommits {
-		if a.PerProcCommits[p] != b.PerProcCommits[p] {
+	for p := range a.PerWorkerCommits {
+		if a.PerWorkerCommits[p] != b.PerWorkerCommits[p] {
 			t.Fatalf("replay diverged at proc %d: %+v vs %+v", p, a, b)
 		}
 	}
@@ -198,13 +202,13 @@ func TestSimParasitic(t *testing.T) {
 		if err != nil {
 			t.Fatal(err)
 		}
-		if st.PerProcCommits[0] != 0 {
-			t.Fatalf("%s: the parasite committed %d times", name, st.PerProcCommits[0])
+		if st.PerWorkerCommits[0] != 0 {
+			t.Fatalf("%s: the parasite committed %d times", name, st.PerWorkerCommits[0])
 		}
 		if st.NoCommits == 0 {
 			t.Fatalf("%s: the parasite never completed a round", name)
 		}
-		return st.PerProcCommits[1]
+		return st.PerWorkerCommits[1]
 	}
 	// The survivor may land a commit or two before the parasite
 	// establishes itself (stmtest.Parasitic discards a warm-up phase
@@ -277,49 +281,75 @@ func TestNativeConformance(t *testing.T) {
 	}
 }
 
-// TestNativeParasitic runs the parasitic scenario on the nonblocking
-// native algorithm: the correct process finishes its budget even
-// though a peer never commits.
+// TestNativeParasitic runs the parasitic scenario on native
+// algorithms: each declined round lands in NoCommits and the parasite
+// goes on to its next round, and the correct process finishes its
+// budget even though a peer never commits — on the nonblocking
+// algorithm, and on blocking ones, where a declined attempt holds
+// nothing once it is abandoned.
 func TestNativeParasitic(t *testing.T) {
-	e, ok := Lookup("native-dstm")
-	if !ok {
-		t.Fatal("native-dstm not registered")
-	}
-	if !e.Capabilities().Nonblocking {
-		t.Fatal("native-dstm must be nonblocking")
-	}
-	st, err := e.Run(RunConfig{Procs: 2, Vars: 1, OpsPerProc: 200},
-		func(proc, round int, tx Tx) error {
-			if proc == 0 {
-				return parasiticBody(0)(proc, round, tx)
+	for _, name := range []string{"native-dstm", "native-tl2", "native-mutex"} {
+		t.Run(name, func(t *testing.T) {
+			e, ok := Lookup(name)
+			if !ok {
+				t.Fatalf("%s not registered", name)
 			}
-			return counterBody(0)(proc, round, tx)
+			st, err := e.Run(RunConfig{Procs: 2, Vars: 1, OpsPerProc: 200},
+				func(proc, round int, tx Tx) error {
+					if proc == 0 {
+						return parasiticBody(0)(proc, round, tx)
+					}
+					return counterBody(0)(proc, round, tx)
+				})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if st.PerWorkerCommits[0] != 0 {
+				t.Fatalf("parasite committed %d times", st.PerWorkerCommits[0])
+			}
+			if st.PerWorkerCommits[1] != 200 {
+				t.Fatalf("correct process committed %d times, want 200", st.PerWorkerCommits[1])
+			}
+			if st.NoCommits != 200 {
+				t.Fatalf("parasitic rounds = %d, want 200", st.NoCommits)
+			}
 		})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if st.PerProcCommits[0] != 0 {
-		t.Fatalf("parasite committed %d times", st.PerProcCommits[0])
-	}
-	if st.PerProcCommits[1] != 200 {
-		t.Fatalf("correct process committed %d times, want 200", st.PerProcCommits[1])
-	}
-	if st.NoCommits != 200 {
-		t.Fatalf("parasitic rounds = %d, want 200", st.NoCommits)
 	}
 }
 
-// TestBodyErrorSurfaces: a non-abort body error stops the run and is
-// returned on both substrates.
+// TestBodyErrorSurfaces: a non-abort body error is returned on both
+// substrates. A simulated run stops at that step; a native one ends
+// only the failing process's rounds, and every other process commits
+// its whole budget.
 func TestBodyErrorSurfaces(t *testing.T) {
 	sentinel := errors.New("sentinel")
-	for _, name := range []string{"sim-tl2", "native-tl2"} {
-		e, _ := Lookup(name)
-		cfg := RunConfig{Procs: 1, Vars: 1, SimSteps: 1000, OpsPerProc: 10}
-		_, err := e.Run(cfg, func(proc, round int, tx Tx) error { return sentinel })
-		if !errors.Is(err, sentinel) {
-			t.Errorf("%s: err = %v, want sentinel", name, err)
-		}
+	const procs, ops, failAt = 3, 10, 4
+	for _, name := range []string{"sim-tl2", "native-tl2", "native-mutex"} {
+		t.Run(name, func(t *testing.T) {
+			e, _ := Lookup(name)
+			cfg := RunConfig{Procs: procs, Vars: procs, SimSteps: 100000, OpsPerProc: ops}
+			st, err := e.Run(cfg, func(proc, round int, tx Tx) error {
+				if proc == 1 && round == failAt {
+					return sentinel
+				}
+				return counterBody(proc)(proc, round, tx)
+			})
+			if !errors.Is(err, sentinel) {
+				t.Fatalf("err = %v, want sentinel", err)
+			}
+			if e.Capabilities().Substrate != Native {
+				return
+			}
+			for p, got := range st.PerWorkerCommits {
+				want := uint64(ops)
+				if p == 1 {
+					want = failAt
+				}
+				if got != want {
+					t.Errorf("process %d committed %d rounds, want %d", p, got, want)
+				}
+			}
+		})
 	}
 }
 

@@ -95,35 +95,72 @@ func bogusEngine() *NativeEngine {
 // with the violation verdict in the stats. Run with -race.
 func TestLiveMonitorStopsViolatingRun(t *testing.T) {
 	const procs, ops = 3, 200000
-	st, err := bogusEngine().Run(RunConfig{
-		Procs: procs, Vars: 2, OpsPerProc: ops, Live: true,
-	}, func(proc, round int, tx Tx) error {
-		_, err := tx.Read(0)
-		return err
-	})
-	if !errors.Is(err, ErrLiveViolation) {
-		t.Fatalf("err = %v, want ErrLiveViolation", err)
+	for _, e := range []*NativeEngine{bogusEngine(), lyingEngine(t, "native-tl2"), lyingEngine(t, "native-mutex")} {
+		t.Run(e.Name(), func(t *testing.T) {
+			st, err := e.Run(RunConfig{
+				Procs: procs, Vars: 2, OpsPerProc: ops, Live: true,
+			}, func(proc, round int, tx Tx) error {
+				_, err := tx.Read(0)
+				return err
+			})
+			if !errors.Is(err, ErrLiveViolation) {
+				t.Fatalf("err = %v, want ErrLiveViolation", err)
+			}
+			if !st.Stopped {
+				t.Error("Stats.Stopped must report the cancellation")
+			}
+			if st.Live == nil {
+				t.Fatal("no live report")
+			}
+			if !st.Live.Checked || st.Live.Opacity.Holds {
+				t.Fatalf("live verdict must be a violation: %+v", st.Live.Opacity)
+			}
+			if st.Live.Opacity.Reason == "" {
+				t.Error("violation verdict must carry a reason")
+			}
+			if st.Commits >= uint64(procs*ops) {
+				t.Fatalf("run completed its whole budget (%d commits) — not stopped mid-flight", st.Commits)
+			}
+			// The violation surfaces within the first checker window (~50
+			// transactions), so the stop must land well inside the budget.
+			if st.Commits > uint64(procs)*10000 {
+				t.Errorf("stop took %d commits — suspiciously late", st.Commits)
+			}
+		})
 	}
-	if !st.Stopped {
-		t.Error("Stats.Stopped must report the cancellation")
+}
+
+// lyingEngine wraps the registered native algorithm name so that its
+// recorder hears, for every read, a value no transaction wrote: the TM
+// itself stays correct, but the history it reports is not opaque.
+func lyingEngine(t *testing.T, name string) *NativeEngine {
+	for _, info := range native.Algorithms() {
+		if info.Name == name {
+			inner := info.New
+			info.New = func(n int) (native.TM, error) {
+				tm, err := inner(n)
+				return lyingTM{tm}, err
+			}
+			return NewNative(info)
+		}
 	}
-	if st.Live == nil {
-		t.Fatal("no live report")
+	t.Fatalf("%s is not registered", name)
+	return nil
+}
+
+type lyingTM struct{ native.TM }
+
+func (tm lyingTM) AtomicallyOpts(opts native.RunOpts, fn func(native.Txn) error) error {
+	if opts.Observer != nil {
+		opts.Observer = lyingObserver{opts.Observer}
 	}
-	if !st.Live.Checked || st.Live.Opacity.Holds {
-		t.Fatalf("live verdict must be a violation: %+v", st.Live.Opacity)
-	}
-	if st.Live.Opacity.Reason == "" {
-		t.Error("violation verdict must carry a reason")
-	}
-	if st.Commits >= uint64(procs*ops) {
-		t.Fatalf("run completed its whole budget (%d commits) — not stopped mid-flight", st.Commits)
-	}
-	// The violation surfaces within the first checker window (~50
-	// transactions), so the stop must land well inside the budget.
-	if st.Commits > uint64(procs)*10000 {
-		t.Errorf("stop took %d commits — suspiciously late", st.Commits)
-	}
+	return tm.TM.AtomicallyOpts(opts, fn)
+}
+
+type lyingObserver struct{ native.Observer }
+
+func (o lyingObserver) ReadReturn(i int, v int64, aborted bool) {
+	o.Observer.ReadReturn(i, v+1000, aborted)
 }
 
 // TestLiveMonitorHealthyRun: a correct TM under live monitoring

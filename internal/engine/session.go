@@ -16,7 +16,7 @@ import (
 // serves — the shape of the paper's liveness statements, which are
 // about processes that keep issuing transactions forever, not about a
 // fixed Procs × OpsPerProc budget. A native Run is a thin wrapper over
-// a Session (open → submit the budget → close), so the native
+// a Session (open → ExecOn each process's rounds → close), so the native
 // substrate has exactly one execution core. Simulated engines run
 // batches only: Sim.Run is its own deterministic loop.
 
@@ -120,10 +120,12 @@ type SessionConfig struct {
 	Record bool
 	// QuiesceEvery is the cut cadence of a checked (Record or Live)
 	// session, 0 meaning the default, 4: after every QuiesceEvery ×
-	// (admitted workers) completed transactions the session pauses while
-	// its in-flight transactions finish, planting a quiescent cut in the
-	// recorded stream (see the package doc's "Interactive transactions
-	// and cuts"). An unchecked session never cuts.
+	// (admitted workers) transaction attempts — each one a transaction
+	// of the recorded stream, so an abort storm brings cuts sooner —
+	// the session pauses while its in-flight attempts finish, planting a
+	// quiescent cut in the recorded stream (see the package doc's
+	// "Interactive transactions and cuts"). An unchecked session never
+	// cuts.
 	QuiesceEvery int
 	// Live attaches the online monitor for the session's whole
 	// lifetime: events stream into the checker while transactions
@@ -197,7 +199,8 @@ type CutStats struct {
 }
 
 // SessionStats is a point-in-time snapshot of a session's counters,
-// safe to take mid-flight from any goroutine.
+// safe to take mid-flight from any goroutine. In every snapshot
+// Commits + NoCommits ≤ Completed ≤ Submitted.
 type SessionStats struct {
 	// Workers is the number of admitted workers at snapshot time.
 	Workers int
@@ -206,24 +209,35 @@ type SessionStats struct {
 	// in-flight plus queued load.
 	Submitted uint64
 	Completed uint64
-	// Commits, Aborts and NoCommits mirror Stats: committed
-	// transactions, aborted attempts, and declined (ErrNoCommit)
-	// completions.
-	Commits   uint64
-	Aborts    uint64
+	// Commits and Aborts count committed transactions and aborted
+	// attempts across all workers.
+	Commits uint64
+	Aborts  uint64
+	// NoCommits counts completions a body finished with ErrNoCommit.
 	NoCommits uint64
 	// PerWorkerCommits holds each admitted worker's commit count.
 	PerWorkerCommits []uint64
-	// Stopped reports that the live monitor stopped the session.
+	// Stopped reports that the live monitor stopped the session
+	// mid-flight; the commit counters then cover only the transactions
+	// that completed before the stop.
 	Stopped bool
-	// BackoffCap and BackoffBias mirror Stats (BackoffBias only on
-	// live sessions, where the feedback runs).
-	BackoffCap  int
+	// BackoffCap is the retry-backoff policy's spin-shift ceiling: the
+	// dynamic range the starvation-aware bias moves within. Zero on the
+	// simulated substrate (no backoff loop).
+	BackoffCap int
+	// BackoffBias is each worker's backoff bias: negative for workers
+	// the starvation feedback favoured, positive for those it
+	// penalized. Nil unless the session is live (no feedback runs).
 	BackoffBias []int
-	// RecorderChunks and Truncated mirror Stats on recording or live
-	// sessions.
+	// RecorderChunks counts the event-buffer chunks the recorder
+	// allocated. On a live session without Record it stays capped at
+	// one reusable ring chunk per worker slot regardless of length.
 	RecorderChunks int
-	Truncated      bool
+	// Truncated reports that some worker hit the recorder's retained-
+	// buffer cap: the history (and, on a Record+Live session, the live
+	// verdict) covers a per-worker prefix, so verdicts are advisory.
+	// Live-only sessions retain nothing and never truncate.
+	Truncated bool
 	// CutLatency summarizes every quiescent cut the session forced
 	// (Count 0 when the session takes no cuts).
 	CutLatency CutStats

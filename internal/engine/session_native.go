@@ -110,7 +110,7 @@ type Session struct {
 	// paper's processes issue their own transactions; everything else
 	// queues for p's goroutine. The busy flag makes the two exclusive, so a
 	// slot runs one transaction at a time and its recorder log, backoff
-	// slot and transaction handle keep a single writer.
+	// slot and attempt state keep a single writer.
 
 	name string
 	cfg  SessionConfig
@@ -118,19 +118,22 @@ type Session struct {
 	bo   *native.Backoff
 	rec  *record.Recorder
 	live *liveState
-	// quiesce is the per-worker completed-transaction interval between
-	// forced quiescent cuts (0 = never): one cut per quiesce completed
-	// transactions of every admitted worker, counted on cutTick.
+	// quiesce is the per-worker attempt interval between forced
+	// quiescent cuts (0 = never): one cut per quiesce transaction
+	// attempts of every admitted worker, counted on cutTick.
 	quiesce int
 	cutTick atomic.Int64
 
-	// cutMu is held shared around every non-interactive transaction a
-	// worker runs; a quiescent cut takes it exclusively, so at the
-	// instant the cut holds the lock no such transaction is in flight
-	// and, unless an interactive one is open, the recorded stream has a
-	// quiescent cut at that stamp. Idle workers and parked interactive
-	// transactions hold nothing, so a cut never waits on a worker that
-	// has no work or on a caller that has gone quiet.
+	// cutMu is held shared by every non-interactive job, from before its
+	// first attempt begins to the end of its last, and let go at each
+	// retry's entry (see nativeWorker.run); a quiescent cut takes it
+	// exclusively, so at the instant the cut holds the lock no such
+	// attempt is in flight and, unless an interactive one is open, the
+	// recorded stream has a quiescent cut at that stamp. Idle workers
+	// and parked interactive transactions hold nothing, and a retrying
+	// job lets go between attempts, so a cut never waits on a worker
+	// that has no work, on a caller that has gone quiet, or for an
+	// abort storm to end.
 	cutMu sync.RWMutex
 
 	// met holds every counter behind SessionStats plus the registered
@@ -247,7 +250,7 @@ func (s *Session) spawn(n int) {
 	base := int(s.admitted.Load())
 	for p := base; p < base+n; p++ {
 		w := &s.workers[p]
-		*w = nativeWorker{p: p}
+		*w = nativeWorker{s: s, p: p}
 		w.fn = w.run
 		w.opts = native.RunOpts{Backoff: s.bo, Proc: p, Metrics: s.met.tx}
 		if s.rec != nil {
@@ -344,26 +347,52 @@ func (s *Session) runInline(p int, j sessionJob) {
 }
 
 // nativeWorker is what one worker slot keeps across the jobs it runs,
-// so that a job costs it nothing: the retry loop's options, the
-// function the loop calls (bound once to run), and the handle that
-// function gives the body, reused for every attempt. Whichever
-// goroutine holds the slot's busy flag owns it.
+// so that a job costs it nothing: the retry loop's options and the
+// function the loop calls (bound once to run). Whichever goroutine
+// holds the slot's busy flag owns it.
 type nativeWorker struct {
-	p    int
-	opts native.RunOpts
-	fn   func(native.Txn) error
-	body Body // the job being executed
-	tx   nativeTx
+	s      *Session
+	p      int
+	opts   native.RunOpts
+	fn     func(native.Txn) error
+	body   Body // the job being executed
+	shared bool // the job holds cutMu shared (checked, not interactive)
+	retry  bool // the job has entered an attempt before
+	cutDue bool // the last attempt crossed the cut interval
 }
 
 // run is one attempt of the job being executed: the engine body on the
-// worker's handle, with an abort handed back to the native retry loop.
+// native attempt handle, entered at the cut boundary. Every attempt is
+// counted on cutTick, and the one whose count crosses the interval is
+// followed by a cut, which its worker takes holding nothing: before
+// the job's next attempt, so an abort storm brings cuts instead of
+// holding them off, or when the job ends. A retry has no TM lock to
+// hold there (native-mutex never retries).
+//
+//lint:allow(lockorder) a retry's shared hold spans the attempt: the next run or execute releases it
 func (w *nativeWorker) run(tx native.Txn) error {
-	w.tx.tx = tx
-	if err := w.body(&w.tx); errors.Is(err, ErrAborted) {
-		return native.ErrAborted
-	} else {
-		return err
+	if s := w.s; s.quiesce > 0 {
+		if w.retry {
+			w.release()
+			if w.shared {
+				s.cutMu.RLock()
+			}
+		}
+		w.retry = true
+		w.cutDue = s.cutTick.Add(1)%(int64(s.quiesce)*int64(s.admitted.Load())) == 0
+	}
+	return w.body(tx)
+}
+
+// release ends the job's shared hold on the cut lock and then takes the
+// cut its last attempt made due.
+func (w *nativeWorker) release() {
+	if w.shared {
+		w.s.cutMu.RUnlock()
+	}
+	if w.cutDue {
+		w.cutDue = false
+		w.s.forceCut()
 	}
 }
 
@@ -399,10 +428,10 @@ func (s *Session) worker(w *nativeWorker) {
 }
 
 // runJob executes one job as worker slot w and accounts for it — the
-// one path behind the slot's goroutine and an inline run alike: commit,
-// decline, stop and completion counts, Exec latency, the cut cadence,
-// the result, and the drain wake-up. Every count lands before the
-// result is delivered (see Session.Stats).
+// one path behind the slot's goroutine and an inline run alike:
+// completion, commit, decline and stop counts, Exec latency, the
+// result, and the drain wake-up. Every count lands before the result
+// is delivered, and completion before its outcome (see Session.Stats).
 func (s *Session) runJob(w *nativeWorker, j sessionJob) {
 	var res error
 	if h := s.met.execLat; h != nil {
@@ -412,6 +441,7 @@ func (s *Session) runJob(w *nativeWorker, j sessionJob) {
 	} else {
 		res = s.execute(w, j)
 	}
+	s.met.completed.Inc()
 	switch {
 	case res == nil:
 		s.met.commits[w.p].Inc()
@@ -421,16 +451,6 @@ func (s *Session) runJob(w *nativeWorker, j sessionJob) {
 		s.stopped.Store(true)
 		res = ErrStopped
 	}
-	if s.quiesce > 0 {
-		// One cut per QuiesceEvery completed transactions of every
-		// admitted worker, counted on a shared counter since workers
-		// are not in lockstep.
-		interval := int64(s.quiesce) * int64(s.admitted.Load())
-		if s.cutTick.Add(1)%interval == 0 {
-			s.forceCut()
-		}
-	}
-	s.met.completed.Inc()
 	if j.done != nil {
 		j.done(res)
 	}
@@ -443,23 +463,22 @@ func (s *Session) runJob(w *nativeWorker, j sessionJob) {
 }
 
 // execute runs one submission as a transaction on worker w, retrying
-// through the native retry loop until commit, decline, stop, or a
-// terminal body error.
+// through the native retry loop (which checks the stop signal before
+// every attempt) until commit, decline, stop, or a terminal body
+// error. A checked non-interactive job holds the cut lock shared from
+// before its first attempt begins, so that the attempt's snapshot
+// never predates a cut, to the end of its last, letting go between
+// attempts (see run).
+//
+//lint:allow(lockorder) the shared hold ends in release, between attempts or when the job ends
 func (s *Session) execute(w *nativeWorker, j sessionJob) error {
-	if stop := w.opts.Stop; stop != nil {
-		select {
-		case <-stop:
-			return native.ErrStopped
-		default:
-		}
-	}
-	if s.quiesce > 0 && !j.interactive {
+	w.body, w.shared = j.body, s.quiesce > 0 && !j.interactive
+	if w.shared {
 		s.cutMu.RLock()
-		defer s.cutMu.RUnlock()
 	}
-	w.body = j.body
 	res := s.tm.AtomicallyOpts(w.opts, w.fn)
-	w.body = nil // an idle worker must not pin its last job
+	w.release()
+	w.body, w.retry = nil, false // an idle worker must not pin its last job
 	return res
 }
 
@@ -501,7 +520,9 @@ func (s *Session) Drain(ctx context.Context) error {
 // counted before it is delivered: once an Exec has returned, or a
 // Submit's done callback has started, Stats counts that submission in
 // Completed — and in Commits or NoCommits, or as Stopped, as its
-// result says.
+// result says. A job is counted submitted before it runs and completed
+// before its outcome, so reading the outcomes, then Completed, then
+// Submitted keeps Commits + NoCommits ≤ Completed ≤ Submitted.
 func (s *Session) Stats() SessionStats {
 	n := int(s.admitted.Load())
 	per := make([]uint64, n)
@@ -510,13 +531,14 @@ func (s *Session) Stats() SessionStats {
 		per[p] = s.met.commits[p].Load()
 		total += per[p]
 	}
+	// A literal evaluates its calls left to right: the order matters.
 	st := SessionStats{
 		Workers:          n,
-		Submitted:        s.met.submitted.Load(),
-		Completed:        s.met.completed.Load(),
 		Commits:          total,
-		Aborts:           s.tm.Stats().Aborts,
 		NoCommits:        s.met.noCommits.Load(),
+		Completed:        s.met.completed.Load(),
+		Submitted:        s.met.submitted.Load(),
+		Aborts:           s.tm.Stats().Aborts,
 		PerWorkerCommits: per,
 		Stopped:          s.stopped.Load(),
 		BackoffCap:       s.bo.Cap(),

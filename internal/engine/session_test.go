@@ -331,6 +331,56 @@ func TestParkedInteractiveDoesNotStallCuts(t *testing.T) {
 	}
 }
 
+// TestCutLandsDuringAbortStorm: a transaction that keeps aborting does
+// not hold off the quiescent cuts. Worker 0's body aborts until it sees
+// a cut taken, for at most 3 s; once it has begun, worker 1 runs 8
+// Execs. Each
+// attempt is a transaction of the recorded stream, so it counts toward
+// the cut cadence, and the cut lock is held per attempt: a cut lands
+// between two of worker 0's attempts. A job-wide hold would keep the
+// cut waiting on worker 0 until its budget ran out.
+func TestCutLandsDuringAbortStorm(t *testing.T) {
+	s := openTestSession(t, "native-tl2", SessionConfig{Workers: 2, Vars: 2, Live: true})
+	bg := context.Background()
+	deadline := time.Now().Add(3 * time.Second)
+	sawCut := false // worker 0's body writes it before its result is delivered
+	stormDone := make(chan error, 1)
+	started := make(chan struct{})
+	var once sync.Once
+	if err := s.SubmitOn(0, func(tx Tx) error {
+		once.Do(func() { close(started) })
+		if s.Stats().CutLatency.Count > 0 {
+			sawCut = true
+			return nil
+		}
+		if time.Now().After(deadline) {
+			return nil
+		}
+		return ErrAborted
+	}, func(err error) { stormDone <- err }); err != nil {
+		t.Fatal(err)
+	}
+	<-started
+	for i := 0; i < 8; i++ {
+		if err := s.ExecOn(bg, 1, counterSessionBody(1)); err != nil {
+			t.Fatalf("Exec %d beside the abort storm: %v", i+1, err)
+		}
+	}
+	if err := <-stormDone; err != nil {
+		t.Fatalf("abort storm ended with %v", err)
+	}
+	if !sawCut {
+		t.Error("worker 0 aborted for 3 s without a quiescent cut landing")
+	}
+	rep, err := s.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if rep == nil || !rep.Opacity.Holds {
+		t.Fatalf("healthy session verdict: %+v", rep)
+	}
+}
+
 // TestSessionLiveHealthySoak: a healthy live session serves a batch of
 // concurrent submitters with the monitor running for the session's
 // lifetime, and Close returns a holding verdict with per-worker

@@ -100,7 +100,7 @@ func (e *Sim) Run(cfg RunConfig, body TxBody) (Stats, error) {
 		tm = rec
 	}
 	sched := sim.New(sim.NewSeeded(cfg.Seed))
-	st := Stats{PerProcCommits: make([]uint64, cfg.Procs)}
+	st := Stats{SessionStats: SessionStats{PerWorkerCommits: make([]uint64, cfg.Procs)}}
 	var fatal error
 	for p := range cfg.Procs {
 		err := sched.Spawn(model.Proc(p+1), func(env *sim.Env) {
@@ -115,7 +115,7 @@ func (e *Sim) Run(cfg RunConfig, body TxBody) (Stats, error) {
 					}
 					if err == nil && !tx.aborted {
 						if tm.TryCommit(env) == stm.OK {
-							st.PerProcCommits[p]++
+							st.PerWorkerCommits[p]++
 							break
 						}
 					} else if err != nil && !errors.Is(err, ErrAborted) {
@@ -135,7 +135,7 @@ func (e *Sim) Run(cfg RunConfig, body TxBody) (Stats, error) {
 		st.Steps++
 	}
 	sched.Close()
-	for _, c := range st.PerProcCommits {
+	for _, c := range st.PerWorkerCommits {
 		st.Commits += c
 	}
 	if rec != nil {

@@ -3,8 +3,68 @@ package engine
 import (
 	"context"
 	"errors"
+	"sync"
+	"sync/atomic"
 	"testing"
 )
+
+// TestStatsSnapshotOrder holds every Stats snapshot to
+// Commits + NoCommits ≤ Completed ≤ Submitted while jobs complete on
+// every path: a snapshot is taken continuously while submitters run
+// committing and declining Execs, inline and queued. Run with -race.
+func TestStatsSnapshotOrder(t *testing.T) {
+	s := openTestSession(t, "native-tl2", SessionConfig{Workers: 2, Vars: 4})
+	var stop atomic.Bool
+	var snaps int
+	watched := make(chan struct{})
+	go func() {
+		defer close(watched)
+		for ; !stop.Load(); snaps++ {
+			st := s.Stats()
+			if st.Commits+st.NoCommits > st.Completed || st.Completed > st.Submitted {
+				t.Errorf("snapshot %d: commits %d + no-commits %d, completed %d, submitted %d",
+					snaps, st.Commits, st.NoCommits, st.Completed, st.Submitted)
+				return
+			}
+		}
+	}()
+	decline := func(tx Tx) error {
+		if _, err := tx.Read(3); err != nil {
+			return err
+		}
+		return ErrNoCommit
+	}
+	var wg sync.WaitGroup
+	for i := range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			ctx := context.Background()
+			if i%2 == 1 { // cancellable: the queued path
+				var cancel context.CancelFunc
+				ctx, cancel = context.WithCancel(ctx)
+				defer cancel()
+			}
+			for j := 0; j < 2000; j++ {
+				body := counterSessionBody(i % 2)
+				if j%3 == 0 {
+					body = decline
+				}
+				if err := s.ExecOn(ctx, i%2, body); err != nil && !errors.Is(err, ErrNoCommit) {
+					t.Errorf("exec: %v", err)
+					return
+				}
+			}
+		}()
+	}
+	wg.Wait()
+	stop.Store(true)
+	<-watched
+	s.Close()
+	if snaps == 0 {
+		t.Error("no snapshot was taken during the load")
+	}
+}
 
 // TestStatsCountDeliveredResults holds Session.Stats to its contract:
 // by the time a result is delivered — an Exec returns, or a Submit's

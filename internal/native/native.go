@@ -33,6 +33,9 @@
 // experiments; this package is deliberately minimal — a fixed
 // t-variable set, int64 values, and a retry-loop API — and is driven
 // through the unified engine API (internal/engine) alongside them.
+// Engine bodies run on this package's handles: engine.Tx is Txn and
+// engine.ErrAborted is ErrAborted, so an engine body is a retry-loop
+// body with no adapter between them.
 package native
 
 import (
