@@ -288,11 +288,21 @@ func TestNativeConformance(t *testing.T) {
 // algorithm, and on blocking ones, where a declined attempt holds
 // nothing once it is abandoned.
 func TestNativeParasitic(t *testing.T) {
-	for _, name := range []string{"native-dstm", "native-tl2", "native-mutex"} {
-		t.Run(name, func(t *testing.T) {
-			e, ok := Lookup(name)
+	for _, tc := range []struct {
+		name        string
+		nonblocking bool
+	}{
+		{"native-dstm", true},
+		{"native-tl2", false},
+		{"native-mutex", false},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			e, ok := Lookup(tc.name)
 			if !ok {
-				t.Fatalf("%s not registered", name)
+				t.Fatalf("%s not registered", tc.name)
+			}
+			if got := e.Capabilities().Nonblocking; got != tc.nonblocking {
+				t.Fatalf("%s nonblocking = %v, want %v", tc.name, got, tc.nonblocking)
 			}
 			st, err := e.Run(RunConfig{Procs: 2, Vars: 1, OpsPerProc: 200},
 				func(proc, round int, tx Tx) error {
