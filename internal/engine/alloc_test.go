@@ -10,7 +10,7 @@ import (
 
 // TestAllocBudgetPerLiveCommit pins what one committed transaction
 // costs a session end to end — Exec's waiter, the lane, the worker's
-// body adapter, the retry loop, and on a live session the recorder, the
+// gate, the retry loop, and on a live session the recorder, the
 // stream, the pump, the monitor and the checker behind it — once all of
 // them have their storage. The body is allocated once, so whatever is
 // counted is the session's. Mallocs are counted process-wide because

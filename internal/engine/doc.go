@@ -92,9 +92,10 @@
 // the caller that received its result — a wait abandoned by a done
 // context leaves the waiter with the worker that still owes it one),
 // the lanes are rings
-// whose popped slots are cleared, each worker keeps one body adapter
-// for every attempt it runs (the body gets the native handle), and on a live
-// session the pump reads each worker's stream ring in place.
+// whose popped slots are cleared, a worker hands its job's body to the
+// native retry loop as it is (the body gets the native handle; the
+// loop's gate is the worker itself), and on a live session the pump
+// reads each worker's stream ring in place.
 // TestAllocBudgetPerLiveCommit holds the whole path to that,
 // and the packages underneath (native, record, monitor, safety) each
 // have a budget of their own, so a regression names its layer.
@@ -114,18 +115,23 @@
 // return ErrAbandoned, which the retry loop treats as terminal,
 // releasing whatever the attempt holds.
 //
-// Cuts land between attempts. Every attempt counts toward the cut
-// cadence, since each one, committed or aborted, is a transaction of
-// the recorded stream and fills the checker's window like any other.
-// Every transaction but an interactive one holds the session's
-// quiescent-cut lock shared from before its first attempt begins to
-// the end of its last,
-// but lets go at each retry's entry, where a retry whose count crossed
-// the cadence takes the cut itself; a first attempt's cut waits for its
-// job to end. So a transaction that keeps aborting brings cuts instead
-// of holding them off. An interactive attempt counts too but runs
-// outside the lock, so a cut never waits on a parked body and a served
-// session cuts at the cadence of any other checked session. A cut
+// Cuts land between attempts, never inside an attempt or its backoff.
+// The worker is the native retry loop's gate (native.Gate), which
+// brackets every attempt: it enters before the attempt begins and
+// leaves once the attempt has released everything it held, before any
+// backoff. Every attempt but an interactive one holds the session's
+// quiescent-cut lock shared from its entry to its leaving, so its
+// snapshot never predates a cut and no cut lands inside it. Every
+// attempt counts toward the cut cadence on leaving, since each one,
+// committed or aborted, is a transaction of the recorded stream and
+// fills the checker's window like any other; the attempt whose count
+// crosses the cadence is followed by a cut its worker takes holding
+// nothing. So a transaction that keeps aborting brings cuts instead of
+// holding them off, and its retry begins after the cut, on a snapshot
+// that includes the commits the cut drained. An interactive attempt
+// counts too but runs outside the lock, so a cut never waits on a
+// parked body and a served session cuts at the cadence of any other
+// checked session. A cut
 // taken while one is open is simply not a quiescent point: the checker
 // finds quiescence in the stream itself, not in the engine's
 // pauses. A parked transaction does hold its worker, so Close and
@@ -142,8 +148,8 @@
 // execute. Neither side polls: the pump sleeps while no ring has news,
 // and a worker whose ring is full waits for the pump (see
 // internal/record). A safety violation stops the session mid-flight —
-// the stop signal threads through the native retry loop, so even a
-// transaction wedged in retries stops; outstanding submissions fail
+// the worker's gate refuses the next attempt, so even a transaction
+// wedged in retries stops; outstanding submissions fail
 // with ErrStopped and Close (or Run) returns ErrLiveViolation with the
 // verdict in the report. The same
 // feedback path drives starvation-aware backoff: the monitor's

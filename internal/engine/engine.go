@@ -86,8 +86,8 @@ type RunConfig struct {
 	// recorder wraps the TM inside the deterministic scheduler; on the
 	// native substrate the per-process recorder of internal/record
 	// hangs off the algorithms' linearization-point hooks, and the run
-	// takes quiescent cuts between transaction attempts (see
-	// SessionConfig.QuiesceEvery).
+	// takes quiescent cuts between transaction attempts, never inside
+	// an attempt or its backoff (see SessionConfig.QuiesceEvery).
 	Record bool
 	// Live attaches the online monitor to a native run: recorded
 	// events stream through bounded per-process rings into

@@ -34,12 +34,11 @@ func (b *bogusTM) Atomically(fn func(native.Txn) error) error {
 }
 
 func (b *bogusTM) AtomicallyOpts(opts native.RunOpts, fn func(native.Txn) error) error {
-	if opts.Stop != nil {
-		select {
-		case <-opts.Stop:
+	if g := opts.Gate; g != nil {
+		if !g.Enter() {
 			return native.ErrStopped
-		default:
 		}
+		defer g.Leave()
 	}
 	obs := opts.Observer
 	tx := bogusTxn{tm: b}

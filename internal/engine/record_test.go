@@ -263,49 +263,75 @@ func TestRecordedTraceRoundTrip(t *testing.T) {
 // TestNativeRecordingBodyAbort: bodies that hand ErrAborted back to
 // the retry loop themselves must not corrupt the recorded history —
 // each abandoned attempt closes its transaction before the retry
-// starts a new one.
+// starts a new one. On native-mutex, which holds its lock from an
+// attempt's begin to after its last event, no other process's event
+// may fall inside an open transaction: the history is sequential.
 func TestNativeRecordingBodyAbort(t *testing.T) {
-	e, _ := Lookup("native-tinystm")
-	const procs, rounds = 2, 12
-	var tried [procs][rounds]bool // per-goroutine rows: no sharing
-	st, err := e.Run(RunConfig{
-		Procs: procs, Vars: 2, OpsPerProc: rounds, Record: true,
-	}, func(proc, round int, tx Tx) error {
-		if _, err := tx.Read(proc % 2); err != nil {
-			return err
-		}
-		if round%3 == 0 && !tried[proc][round] {
-			tried[proc][round] = true
-			return ErrAborted // voluntary abort on the first attempt
-		}
-		return tx.Write(proc%2, int64(round))
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	h := st.History
-	if err := model.CheckWellFormed(h); err != nil {
-		t.Fatalf("malformed: %v", err)
-	}
-	res, err := safety.CheckOpacity(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if !res.Holds {
-		t.Fatalf("not opaque: %s", res.Reason)
-	}
-	txns, err := model.Transactions(h)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var aborted int
-	for _, txn := range txns {
-		if txn.Status == model.Aborted {
-			aborted++
-		}
-	}
-	// Each process voluntarily aborts rounds 0, 3, 6, 9 once.
-	if aborted < procs*4 {
-		t.Fatalf("aborted transactions = %d, want >= %d", aborted, procs*4)
+	const rounds = 12
+	for _, c := range []struct {
+		name       string
+		procs      int
+		sequential bool
+	}{
+		{"native-tinystm", 2, false},
+		{"native-mutex", 4, true},
+	} {
+		t.Run(c.name, func(t *testing.T) {
+			e, _ := Lookup(c.name)
+			tried := make([][rounds]bool, c.procs) // per-goroutine rows: no sharing
+			st, err := e.Run(RunConfig{
+				Procs: c.procs, Vars: 2, OpsPerProc: rounds, Record: true,
+			}, func(proc, round int, tx Tx) error {
+				if _, err := tx.Read(proc % 2); err != nil {
+					return err
+				}
+				if round%3 == 0 && !tried[proc][round] {
+					tried[proc][round] = true
+					return ErrAborted // voluntary abort on the first attempt
+				}
+				return tx.Write(proc%2, int64(round))
+			})
+			if err != nil {
+				t.Fatal(err)
+			}
+			h := st.History
+			if err := model.CheckWellFormed(h); err != nil {
+				t.Fatalf("malformed: %v", err)
+			}
+			res, err := safety.CheckOpacity(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if !res.Holds {
+				t.Fatalf("not opaque: %s", res.Reason)
+			}
+			txns, err := model.Transactions(h)
+			if err != nil {
+				t.Fatal(err)
+			}
+			var aborted int
+			for _, txn := range txns {
+				if txn.Status == model.Aborted {
+					aborted++
+				}
+			}
+			// Each process voluntarily aborts rounds 0, 3, 6, 9 once.
+			if aborted < c.procs*4 {
+				t.Fatalf("aborted transactions = %d, want >= %d", aborted, c.procs*4)
+			}
+			if !c.sequential {
+				return
+			}
+			var open model.Proc // the process whose transaction is open, or 0
+			for i, ev := range h {
+				if open != 0 && ev.Proc != open {
+					t.Fatalf("event %d (%s) falls inside process %d's open transaction", i, ev, open)
+				}
+				open = ev.Proc
+				if ev.Kind == model.RespCommit || ev.Kind == model.RespAbort {
+					open = 0
+				}
+			}
+		})
 	}
 }

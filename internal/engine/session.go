@@ -123,9 +123,10 @@ type SessionConfig struct {
 	// (admitted workers) transaction attempts — each one a transaction
 	// of the recorded stream, so an abort storm brings cuts sooner —
 	// the session pauses while its in-flight attempts finish, planting a
-	// quiescent cut in the recorded stream (see the package doc's
-	// "Interactive transactions and cuts"). An unchecked session never
-	// cuts.
+	// quiescent cut in the recorded stream. A cut lands between
+	// attempts, never inside an attempt or its backoff (see the package
+	// doc's "Interactive transactions and cuts"). An unchecked session
+	// never cuts.
 	QuiesceEvery int
 	// Live attaches the online monitor for the session's whole
 	// lifetime: events stream into the checker while transactions

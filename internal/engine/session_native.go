@@ -124,16 +124,15 @@ type Session struct {
 	quiesce int
 	cutTick atomic.Int64
 
-	// cutMu is held shared by every non-interactive job, from before its
-	// first attempt begins to the end of its last, and let go at each
-	// retry's entry (see nativeWorker.run); a quiescent cut takes it
-	// exclusively, so at the instant the cut holds the lock no such
+	// cutMu is held shared by every attempt of a non-interactive job,
+	// from before it begins to after it has released everything (the
+	// retry loop's gate, see nativeWorker.Enter); a quiescent cut takes
+	// it exclusively, so at the instant the cut holds the lock no such
 	// attempt is in flight and, unless an interactive one is open, the
-	// recorded stream has a quiescent cut at that stamp. Idle workers
-	// and parked interactive transactions hold nothing, and a retrying
-	// job lets go between attempts, so a cut never waits on a worker
-	// that has no work, on a caller that has gone quiet, or for an
-	// abort storm to end.
+	// recorded stream has a quiescent cut at that stamp. Idle workers,
+	// parked interactive transactions and backing-off retries hold
+	// nothing, so a cut never waits on a worker that has no work, on a
+	// caller that has gone quiet, or for an abort storm to end.
 	cutMu sync.RWMutex
 
 	// met holds every counter behind SessionStats plus the registered
@@ -251,13 +250,9 @@ func (s *Session) spawn(n int) {
 	for p := base; p < base+n; p++ {
 		w := &s.workers[p]
 		*w = nativeWorker{s: s, p: p}
-		w.fn = w.run
-		w.opts = native.RunOpts{Backoff: s.bo, Proc: p, Metrics: s.met.tx}
+		w.opts = native.RunOpts{Gate: w, Backoff: s.bo, Proc: p, Metrics: s.met.tx}
 		if s.rec != nil {
 			w.opts.Observer = s.rec.Log(model.Proc(p + 1))
-		}
-		if s.live != nil {
-			w.opts.Stop = s.live.stop
 		}
 		s.wg.Add(1)
 		go s.worker(w)
@@ -347,52 +342,55 @@ func (s *Session) runInline(p int, j sessionJob) {
 }
 
 // nativeWorker is what one worker slot keeps across the jobs it runs,
-// so that a job costs it nothing: the retry loop's options and the
-// function the loop calls (bound once to run). Whichever goroutine
-// holds the slot's busy flag owns it.
+// so that a job costs it nothing: the retry loop's options, whose gate
+// is the worker itself. Whichever goroutine holds the slot's busy flag
+// owns it.
 type nativeWorker struct {
-	s      *Session
-	p      int
-	opts   native.RunOpts
-	fn     func(native.Txn) error
-	body   Body // the job being executed
-	shared bool // the job holds cutMu shared (checked, not interactive)
-	retry  bool // the job has entered an attempt before
-	cutDue bool // the last attempt crossed the cut interval
+	s           *Session
+	p           int
+	opts        native.RunOpts
+	interactive bool // the job being executed is interactive
 }
 
-// run is one attempt of the job being executed: the engine body on the
-// native attempt handle, entered at the cut boundary. Every attempt is
-// counted on cutTick, and the one whose count crosses the interval is
-// followed by a cut, which its worker takes holding nothing: before
-// the job's next attempt, so an abort storm brings cuts instead of
-// holding them off, or when the job ends. A retry has no TM lock to
-// hold there (native-mutex never retries).
+// Enter implements native.Gate, before each attempt begins: no attempt
+// begins once the live monitor has stopped the session, and a checked
+// non-interactive attempt holds the cut lock shared until its Leave, so
+// that a cut never lands inside it and its snapshot never predates a
+// cut.
 //
-//lint:allow(lockorder) a retry's shared hold spans the attempt: the next run or execute releases it
-func (w *nativeWorker) run(tx native.Txn) error {
-	if s := w.s; s.quiesce > 0 {
-		if w.retry {
-			w.release()
-			if w.shared {
-				s.cutMu.RLock()
-			}
+//lint:allow(lockorder) the shared hold spans one attempt: the retry loop's Leave releases it
+func (w *nativeWorker) Enter() bool {
+	s := w.s
+	if s.live != nil {
+		select {
+		case <-s.live.stop:
+			return false
+		default:
 		}
-		w.retry = true
-		w.cutDue = s.cutTick.Add(1)%(int64(s.quiesce)*int64(s.admitted.Load())) == 0
 	}
-	return w.body(tx)
+	if s.quiesce > 0 && !w.interactive {
+		s.cutMu.RLock()
+	}
+	return true
 }
 
-// release ends the job's shared hold on the cut lock and then takes the
-// cut its last attempt made due.
-func (w *nativeWorker) release() {
-	if w.shared {
-		w.s.cutMu.RUnlock()
+// Leave implements native.Gate, after each attempt has released
+// everything it held and before any backoff: the attempt's shared hold
+// ends, the attempt is counted on cutTick, and the one whose count
+// crosses the interval is followed by a cut, which its worker takes
+// holding nothing. A cut therefore lands between attempts, never inside
+// an attempt or its backoff, and an abort storm brings cuts instead of
+// holding them off.
+func (w *nativeWorker) Leave() {
+	s := w.s
+	if s.quiesce == 0 {
+		return
 	}
-	if w.cutDue {
-		w.cutDue = false
-		w.s.forceCut()
+	if !w.interactive {
+		s.cutMu.RUnlock()
+	}
+	if s.cutTick.Add(1)%(int64(s.quiesce)*int64(s.admitted.Load())) == 0 {
+		s.forceCut()
 	}
 }
 
@@ -463,23 +461,12 @@ func (s *Session) runJob(w *nativeWorker, j sessionJob) {
 }
 
 // execute runs one submission as a transaction on worker w, retrying
-// through the native retry loop (which checks the stop signal before
-// every attempt) until commit, decline, stop, or a terminal body
-// error. A checked non-interactive job holds the cut lock shared from
-// before its first attempt begins, so that the attempt's snapshot
-// never predates a cut, to the end of its last, letting go between
-// attempts (see run).
-//
-//lint:allow(lockorder) the shared hold ends in release, between attempts or when the job ends
+// through the native retry loop until commit, decline, stop, or a
+// terminal body error. The worker is the loop's gate (see Enter and
+// Leave).
 func (s *Session) execute(w *nativeWorker, j sessionJob) error {
-	w.body, w.shared = j.body, s.quiesce > 0 && !j.interactive
-	if w.shared {
-		s.cutMu.RLock()
-	}
-	res := s.tm.AtomicallyOpts(w.opts, w.fn)
-	w.release()
-	w.body, w.retry = nil, false // an idle worker must not pin its last job
-	return res
+	w.interactive = j.interactive
+	return s.tm.AtomicallyOpts(w.opts, j.body)
 }
 
 // forceCut takes the cut lock exclusively: new transactions wait,

@@ -381,6 +381,73 @@ func TestCutLandsDuringAbortStorm(t *testing.T) {
 	}
 }
 
+// TestRetryBeginsAfterCut: a retry that waits for a cut begins after
+// it, so its snapshot includes the commits the cut drained. Worker 1
+// writes x and parks inside its attempt, holding the cut off; worker 0
+// reads x and aborts on its own until the cut its attempts made due is
+// pending, which the test sees as the cut lock refusing a reader. Then
+// worker 1 commits, the cut lands, and worker 0's next attempt reads x
+// again: one that began before the cut would read x at a version older
+// than worker 1's commit and abort on it.
+func TestRetryBeginsAfterCut(t *testing.T) {
+	s := openTestSession(t, "native-tl2", SessionConfig{Workers: 2, Vars: 2, Live: true, QuiesceEvery: 1})
+	const x = 0
+	parked, release := make(chan struct{}), make(chan struct{})
+	var once sync.Once
+	results := make(chan error, 2)
+	if err := s.SubmitOn(1, func(tx Tx) error {
+		if err := tx.Write(x, 1); err != nil {
+			return err
+		}
+		once.Do(func() { close(parked) })
+		<-release
+		return nil
+	}, func(err error) { results <- err }); err != nil {
+		t.Fatal(err)
+	}
+	<-parked
+	var cutPending atomic.Bool
+	var abortedReads atomic.Int64
+	if err := s.SubmitOn(0, func(tx Tx) error {
+		if _, err := tx.Read(x); err != nil {
+			abortedReads.Add(1)
+			return err
+		}
+		if !cutPending.Load() {
+			return ErrAborted
+		}
+		return nil
+	}, func(err error) { results <- err }); err != nil {
+		t.Fatal(err)
+	}
+	deadline := time.Now().Add(5 * time.Second)
+	for s.cutMu.TryRLock() {
+		s.cutMu.RUnlock()
+		if time.Now().After(deadline) {
+			t.Error("no cut became pending behind the parked attempt")
+			break
+		}
+		time.Sleep(100 * time.Microsecond)
+	}
+	cutPending.Store(true)
+	close(release)
+	for range 2 {
+		if err := <-results; err != nil {
+			t.Fatalf("job ended with %v", err)
+		}
+	}
+	if n := abortedReads.Load(); n != 0 {
+		t.Errorf("%d reads aborted", n)
+	}
+	rep, err := s.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if rep == nil || !rep.Opacity.Holds {
+		t.Fatalf("healthy session verdict: %+v", rep)
+	}
+}
+
 // TestSessionLiveHealthySoak: a healthy live session serves a batch of
 // concurrent submitters with the monitor running for the session's
 // lifetime, and Close returns a holding verdict with per-worker

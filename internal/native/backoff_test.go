@@ -63,9 +63,6 @@ func TestBackoffRebias(t *testing.T) {
 // algorithm. Run with -race.
 func TestAtomicallyOptsStopped(t *testing.T) {
 	for _, info := range Algorithms() {
-		if info.Name == "native-mutex" {
-			continue // no retry loop: a body abort returns, it never wedges
-		}
 		t.Run(info.Name, func(t *testing.T) {
 			tm, err := info.New(1)
 			if err != nil {
@@ -75,7 +72,7 @@ func TestAtomicallyOptsStopped(t *testing.T) {
 			done := make(chan error, 1)
 			var once sync.Once
 			go func() {
-				done <- tm.AtomicallyOpts(RunOpts{Stop: stop, Backoff: NewBackoff(1)},
+				done <- tm.AtomicallyOpts(RunOpts{Gate: stopGate(stop), Backoff: NewBackoff(1)},
 					func(tx Txn) error {
 						once.Do(func() { close(stop) })
 						return ErrAborted // retry forever until stopped
@@ -93,8 +90,8 @@ func TestAtomicallyOptsStopped(t *testing.T) {
 	}
 }
 
-// TestAtomicallyOptsStoppedBeforeStart: a closed stop channel refuses
-// even the first attempt.
+// TestAtomicallyOptsStoppedBeforeStart: a gate over a closed stop
+// channel refuses even the first attempt.
 func TestAtomicallyOptsStoppedBeforeStart(t *testing.T) {
 	for _, info := range Algorithms() {
 		tm, err := info.New(1)
@@ -103,7 +100,7 @@ func TestAtomicallyOptsStoppedBeforeStart(t *testing.T) {
 		}
 		stop := make(chan struct{})
 		close(stop)
-		err = tm.AtomicallyOpts(RunOpts{Stop: stop}, func(tx Txn) error {
+		err = tm.AtomicallyOpts(RunOpts{Gate: stopGate(stop)}, func(tx Txn) error {
 			t.Fatalf("%s: body ran after stop", info.Name)
 			return nil
 		})
@@ -113,8 +110,8 @@ func TestAtomicallyOptsStoppedBeforeStart(t *testing.T) {
 	}
 }
 
-// TestAtomicallyOptsCommits: a zero-bias policy with a stop channel
-// that never fires behaves exactly like plain Atomically.
+// TestAtomicallyOptsCommits: a zero-bias policy with a gate that never
+// refuses behaves exactly like plain Atomically.
 func TestAtomicallyOptsCommits(t *testing.T) {
 	for _, info := range Algorithms() {
 		tm, err := info.New(1)
@@ -124,7 +121,7 @@ func TestAtomicallyOptsCommits(t *testing.T) {
 		stop := make(chan struct{})
 		bo := NewBackoff(1)
 		for i := 0; i < 10; i++ {
-			err := tm.AtomicallyOpts(RunOpts{Stop: stop, Backoff: bo}, func(tx Txn) error {
+			err := tm.AtomicallyOpts(RunOpts{Gate: stopGate(stop), Backoff: bo}, func(tx Txn) error {
 				v, err := tx.Read(0)
 				if err != nil {
 					return err

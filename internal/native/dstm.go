@@ -14,7 +14,7 @@ import (
 // (internal/stm/dstm): on encountering an active owner, abort it with
 // one CAS on its status word and move on.
 type DSTM struct {
-	counters
+	loop
 	vars []atomic.Pointer[locator]
 	pool sync.Pool // recycled *dstmTxn scratch
 }
@@ -60,31 +60,13 @@ func NewDSTM(n int) (*DSTM, error) {
 		return nil, err
 	}
 	t := &DSTM{vars: make([]atomic.Pointer[locator], n)}
+	t.loop = loop{name: "native-dstm", vars: n, begin: t.begin}
 	seed := &dstmDesc{}
 	seed.status.Store(dstmCommitted)
 	for i := range t.vars {
 		t.vars[i].Store(&locator{owner: seed})
 	}
 	return t, nil
-}
-
-// Name implements TM.
-func (t *DSTM) Name() string { return "native-dstm" }
-
-// Vars implements TM.
-func (t *DSTM) Vars() int { return len(t.vars) }
-
-// Stats implements TM.
-func (t *DSTM) Stats() Stats { return t.snapshot() }
-
-// Atomically implements TM.
-func (t *DSTM) Atomically(fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, RunOpts{}, fn)
-}
-
-// AtomicallyOpts implements TM.
-func (t *DSTM) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, opts, fn)
 }
 
 func (t *DSTM) begin() attempt {
@@ -112,7 +94,7 @@ type dstmTxn struct {
 	dead  bool
 }
 
-// recycle implements recyclable: clear the logs, keep the capacity
+// recycle implements attempt: clear the logs, keep the capacity
 // (the descriptor and locators stay behind — see begin).
 func (tx *dstmTxn) recycle() {
 	tx.reads = tx.reads[:0]

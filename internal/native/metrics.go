@@ -24,7 +24,7 @@ type TxMetrics struct {
 	// AbortAbandoned counts attempts abandoned on a terminal body
 	// error (including the engine's declined-to-commit sentinel).
 	AbortAbandoned *telemetry.Counter
-	// AbortStopped counts transactions cancelled by RunOpts.Stop.
+	// AbortStopped counts transactions cancelled by RunOpts.Gate.
 	AbortStopped *telemetry.Counter
 	// RetryLatency distributes nanoseconds from a transaction's first
 	// abort to its eventual commit (first-try commits are not

@@ -8,9 +8,8 @@ import (
 )
 
 // TestRunOptsMetrics drives AtomicallyOpts with a fresh telemetry
-// bundle on every algorithm — the mutex baseline, which has no retry
-// loop, included — through some commits, one body error and one
-// pre-closed stop, and checks every counter the run should move and
+// bundle on every algorithm through some commits, one body error and
+// one gate that refuses, and checks every counter the run should move and
 // the ones it must not.
 func TestRunOptsMetrics(t *testing.T) {
 	const commits = 5
@@ -47,7 +46,7 @@ func TestRunOptsMetrics(t *testing.T) {
 			stop := make(chan struct{})
 			close(stop)
 			stopped := opts
-			stopped.Stop = stop
+			stopped.Gate = stopGate(stop)
 			if err := tm.AtomicallyOpts(stopped, incr); !errors.Is(err, ErrStopped) {
 				t.Fatalf("stopped run: got %v, want ErrStopped", err)
 			}

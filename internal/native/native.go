@@ -14,10 +14,16 @@
 //     aggressive (abort-other) contention manager.
 //   - Mutex: the coarse-grained blocking baseline.
 //
-// The lock-based algorithms share one infrastructure: a striped
-// versioned-lock table (power-of-two stripes, see stripes.go), TL2's
-// single-word global version clock (see clock.go), and a common
-// retry/backoff loop with commit/abort statistics (below). Commits and
+// Every algorithm runs in one retry/backoff loop (runAtomically,
+// below), which it embeds with its name, variable count and
+// commit/abort statistics; an algorithm supplies only begin and the
+// attempt it returns. The loop is the one place that knows where an
+// attempt begins and ends, so a caller's Gate (RunOpts.Gate) brackets
+// every attempt: Enter before begin, Leave once the attempt has
+// released everything it held — the Mutex's lock included — and
+// before any backoff. The lock-based algorithms also share a striped
+// versioned-lock table (power-of-two stripes, see stripes.go) and
+// TL2's single-word global version clock (see clock.go). Commits and
 // aborts land in padded per-slot words picked by the attempt's
 // address, and Stats sums the slots, so counting a commit adds to no
 // word every core shares.
@@ -51,8 +57,8 @@ import (
 // only see it if they inspect operation errors.
 var ErrAborted = errors.New("native: transaction aborted")
 
-// ErrStopped is returned by AtomicallyOpts when RunOpts.Stop closed
-// between attempts: the run is being torn down (e.g. the live monitor
+// ErrStopped is returned by AtomicallyOpts when RunOpts.Gate refused
+// an attempt: the run is being torn down (e.g. the live monitor
 // detected a safety violation) and the transaction will not retry.
 var ErrStopped = errors.New("native: run stopped")
 
@@ -71,9 +77,10 @@ type TM interface {
 	// Stats returns the cumulative commit/abort counters.
 	Stats() Stats
 	// AtomicallyOpts is Atomically under the given RunOpts: observed
-	// at its linearization points, cancellable between attempts
-	// (RunOpts.Stop, returning ErrStopped), and backing off under the
-	// supplied policy. A zero RunOpts is plain Atomically.
+	// at its linearization points, every attempt bracketed by the
+	// gate (cancellable between attempts, returning ErrStopped), and
+	// backing off under the supplied policy. A zero RunOpts is plain
+	// Atomically.
 	AtomicallyOpts(opts RunOpts, fn func(Txn) error) error
 }
 
@@ -105,10 +112,10 @@ func (s Stats) AbortRate() float64 {
 	return float64(s.Aborts) / float64(s.Commits+s.Aborts)
 }
 
-// --- shared attempt loop ---
+// --- the retry loop ---
 
 // attempt is the single-attempt contract each algorithm implements
-// behind the shared retry loop.
+// behind the retry loop.
 type attempt interface {
 	Txn
 	// observed returns the handle the body runs on (observedSlot).
@@ -122,26 +129,46 @@ type attempt interface {
 	// on every non-committed attempt, including after commit() has
 	// cleaned up its own failure.
 	abandon()
+	// recycle hands the ended attempt back once its last observer event
+	// has fired: its scratch — read logs, write logs, lock-order
+	// buffers — returns to the TM's pool, so the next begin() is served
+	// from the same allocation instead of growing per-transaction
+	// garbage (the budget TestAllocBudgetPerCommit asserts), and what
+	// it held for its whole life (the Mutex's lock) is released. The
+	// attempt must not be touched afterwards: the same allocation may
+	// already be serving another worker's begin().
+	recycle()
 }
 
-// recyclable is implemented by attempts that keep reusable scratch —
-// read logs, write logs, lock-order buffers. The shared retry loop
-// hands every terminal attempt back through recycle, so a TM's pool
-// can serve the next begin() from the same allocation instead of
-// growing per-transaction garbage; the allocation budget asserted by
-// TestAllocBudgetPerCommit rests on this.
-type recyclable interface{ recycle() }
-
-// recycle returns a terminal attempt's scratch to its TM's pool. The
-// attempt must not be touched afterwards: the same allocation may
-// already be serving another worker's begin().
-func recycle(tx attempt) {
-	if r, ok := tx.(recyclable); ok {
-		r.recycle()
-	}
+// loop is embedded by every TM: its name and variable count, its
+// commit and abort counters, and the begin that starts one of its
+// attempts. It implements the TM methods on top of runAtomically, so
+// an algorithm supplies only begin and the attempt behind it.
+type loop struct {
+	name  string
+	vars  int
+	begin func() attempt
+	counters
 }
 
-// counters is embedded by every TM: commit and abort counts striped
+// Name implements TM.
+func (l *loop) Name() string { return l.name }
+
+// Vars implements TM.
+func (l *loop) Vars() int { return l.vars }
+
+// Stats implements TM.
+func (l *loop) Stats() Stats { return l.snapshot() }
+
+// Atomically implements TM.
+func (l *loop) Atomically(fn func(Txn) error) error { return l.runAtomically(RunOpts{}, fn) }
+
+// AtomicallyOpts implements TM.
+func (l *loop) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
+	return l.runAtomically(opts, fn)
+}
+
+// counters is embedded by the loop: commit and abort counts striped
 // over cache-line-sized slots. An attempt counts into the slot shardOf
 // picks for it, so concurrent committers add to different lines
 // instead of one shared word.
@@ -180,16 +207,27 @@ func (c *counters) snapshot() Stats {
 	return s
 }
 
-// RunOpts configures one execution of the shared retry loop beyond
-// plain Atomically. The zero value is plain Atomically.
+// Gate brackets every attempt of a retry loop: the caller's hook at the
+// two points where the attempt holds nothing of the TM's.
+type Gate interface {
+	// Enter runs before an attempt begins. Returning false ends the
+	// loop with ErrStopped: no attempt begins and no event is observed.
+	Enter() bool
+	// Leave runs after an attempt that Enter admitted has ended and
+	// released everything it held — its last observer event fired —
+	// and before any backoff.
+	Leave()
+}
+
+// RunOpts configures one execution of the retry loop beyond plain
+// Atomically. The zero value is plain Atomically.
 type RunOpts struct {
 	// Observer receives the linearization-point callbacks (nil: none).
 	Observer Observer
-	// Stop, when non-nil, cancels the retry loop: once the channel is
-	// closed no further attempt begins and the call returns ErrStopped.
-	// A committed attempt is never undone — the stop takes effect
-	// between attempts only.
-	Stop <-chan struct{}
+	// Gate, when non-nil, brackets every attempt; its Enter refusing
+	// cancels the loop with ErrStopped. A committed attempt is never
+	// undone — a refusal takes effect between attempts only.
+	Gate Gate
 	// Backoff is the retry-backoff policy (nil: the package default —
 	// DefaultBackoffCap, no bias).
 	Backoff *Backoff
@@ -202,14 +240,15 @@ type RunOpts struct {
 	Metrics *TxMetrics
 }
 
-// runAtomically is the retry/backoff loop shared by every algorithm:
-// begin an attempt, run the body, commit or back off and retry. With a
+// runAtomically is the retry/backoff loop of every algorithm, and the
+// one place that knows where an attempt begins and ends: pass the
+// gate, begin an attempt, run the body, commit or give the attempt up,
+// recycle it, leave the gate, and return or back off and retry. With a
 // non-nil observer, every operation return and attempt outcome is
 // reported at its linearization point — these are the instrumentation
 // hooks behind TM.AtomicallyOpts.
-func runAtomically(c *counters, begin func() attempt, opts RunOpts, fn func(Txn) error) error {
-	obs := opts.Observer
-	m := opts.Metrics
+func (l *loop) runAtomically(opts RunOpts, fn func(Txn) error) error {
+	obs, g, m := opts.Observer, opts.Gate, opts.Metrics
 	bo := opts.Backoff
 	if bo == nil {
 		bo = defaultBackoff
@@ -222,18 +261,15 @@ func runAtomically(c *counters, begin func() attempt, opts RunOpts, fn func(Txn)
 	// never read the clock.
 	var retryStart time.Time
 	for round := 0; ; round++ {
-		if opts.Stop != nil {
-			select {
-			case <-opts.Stop:
-				if m != nil {
-					m.AbortStopped.Inc()
-				}
-				return ErrStopped
-			default:
+		if g != nil && !g.Enter() {
+			if m != nil {
+				m.AbortStopped.Inc()
 			}
+			return ErrStopped
 		}
-		tx := begin()
+		tx := l.begin()
 		err := fn(tx.observed(obs, tx))
+		ends := true // the transaction ends with this attempt
 		if err == nil {
 			if obs != nil {
 				obs.TryCommitInv()
@@ -243,50 +279,52 @@ func runAtomically(c *counters, begin func() attempt, opts RunOpts, fn func(Txn)
 				obs.TryCommitReturn(committed)
 			}
 			if committed {
-				c.slot(tx).commits.Add(1)
+				l.slot(tx).commits.Add(1)
 				if m != nil {
 					m.Commits.Inc()
 					if round > 0 {
 						m.RetryLatency.Observe(time.Since(retryStart).Nanoseconds())
 					}
 				}
-				recycle(tx)
-				return nil
+			} else {
+				// A failed commit already cleans up after itself, but
+				// abandon is idempotent and closing the loop here keeps
+				// resource release off each algorithm's commit path as
+				// an undocumented obligation.
+				tx.abandon()
+				ends = false
+				if m != nil {
+					m.AbortConflict.Inc()
+				}
 			}
-			// A failed commit already cleans up after itself, but
-			// abandon is idempotent and closing the loop here keeps
-			// resource release off each algorithm's commit path as an
-			// undocumented obligation.
-			tx.abandon()
-			if m != nil {
-				m.AbortConflict.Inc()
-			}
-		} else if !errors.Is(err, ErrAborted) {
-			tx.abandon()
-			if obs != nil {
-				obs.Abandon()
-			}
-			if m != nil {
-				m.AbortAbandoned.Inc()
-			}
-			recycle(tx)
-			return err
 		} else {
+			// The body gave the attempt up: with a terminal error, or
+			// with ErrAborted, possibly of its own accord, with no
+			// operation having aborted. The observer must still see the
+			// attempt end or a retry's events would merge into the same
+			// recorded transaction. Abandon is a no-op when an
+			// operation-level abort already closed it.
 			tx.abandon()
-			// A body may return ErrAborted of its own accord, with no
-			// operation having aborted; the observer must still see
-			// the attempt end or the next attempt's events would merge
-			// into the same recorded transaction. Abandon is a no-op
-			// when an operation-level abort already closed it.
 			if obs != nil {
 				obs.Abandon()
 			}
-			if m != nil {
+			ends = !errors.Is(err, ErrAborted)
+			if m != nil && ends {
+				m.AbortAbandoned.Inc()
+			} else if m != nil {
 				m.AbortOperation.Inc()
 			}
 		}
-		c.slot(tx).aborts.Add(1)
-		recycle(tx)
+		if !ends {
+			l.slot(tx).aborts.Add(1)
+		}
+		tx.recycle()
+		if g != nil {
+			g.Leave()
+		}
+		if ends {
+			return err
+		}
 		if m != nil {
 			m.Retries.Inc()
 			if round == 0 {

@@ -13,7 +13,7 @@ import (
 // commit makes it the simplest of the scalable designs and the best
 // fit for read-dominated workloads.
 type NOrec struct {
-	counters
+	loop
 	seq  atomic.Uint64
 	_    [7]uint64
 	vals []vcell
@@ -27,26 +27,9 @@ func NewNOrec(n int) (*NOrec, error) {
 	if err := checkVars(n); err != nil {
 		return nil, err
 	}
-	return &NOrec{vals: make([]vcell, n)}, nil
-}
-
-// Name implements TM.
-func (t *NOrec) Name() string { return "native-norec" }
-
-// Vars implements TM.
-func (t *NOrec) Vars() int { return len(t.vals) }
-
-// Stats implements TM.
-func (t *NOrec) Stats() Stats { return t.snapshot() }
-
-// Atomically implements TM.
-func (t *NOrec) Atomically(fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, RunOpts{}, fn)
-}
-
-// AtomicallyOpts implements TM.
-func (t *NOrec) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, opts, fn)
+	t := &NOrec{vals: make([]vcell, n)}
+	t.loop = loop{name: "native-norec", vars: n, begin: t.begin}
+	return t, nil
 }
 
 func (t *NOrec) begin() attempt {
@@ -83,7 +66,7 @@ type norecTxn struct {
 	dead     bool
 }
 
-// recycle implements recyclable: clear the logs, keep the capacity.
+// recycle implements attempt: clear the logs, keep the capacity.
 func (tx *norecTxn) recycle() {
 	tx.reads = tx.reads[:0]
 	tx.writes.reset()

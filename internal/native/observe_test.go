@@ -135,9 +135,6 @@ func TestObserveRangeError(t *testing.T) {
 // end so the next attempt is a fresh transaction.
 func TestObserveBodyAbort(t *testing.T) {
 	for _, info := range Algorithms() {
-		if info.Name == "native-mutex" {
-			continue // the mutex has no retry loop; ErrAborted is terminal there
-		}
 		t.Run(info.Name, func(t *testing.T) {
 			tm, err := info.New(1)
 			if err != nil {

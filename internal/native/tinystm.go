@@ -8,7 +8,7 @@ import "sync"
 // that sees a version newer than the read timestamp revalidates the
 // read set and slides the timestamp forward instead of aborting.
 type TinySTM struct {
-	counters
+	loop
 	clock *versionClock
 	table *stripeTable
 	pool  sync.Pool // recycled *tinyTxn scratch
@@ -21,26 +21,9 @@ func NewTinySTM(n int) (*TinySTM, error) {
 	if err := checkVars(n); err != nil {
 		return nil, err
 	}
-	return &TinySTM{clock: &versionClock{}, table: newStripeTable(n)}, nil
-}
-
-// Name implements TM.
-func (t *TinySTM) Name() string { return "native-tinystm" }
-
-// Vars implements TM.
-func (t *TinySTM) Vars() int { return len(t.table.vals) }
-
-// Stats implements TM.
-func (t *TinySTM) Stats() Stats { return t.snapshot() }
-
-// Atomically implements TM.
-func (t *TinySTM) Atomically(fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, RunOpts{}, fn)
-}
-
-// AtomicallyOpts implements TM.
-func (t *TinySTM) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, opts, fn)
+	t := &TinySTM{clock: &versionClock{}, table: newStripeTable(n)}
+	t.loop = loop{name: "native-tinystm", vars: n, begin: t.begin}
+	return t, nil
 }
 
 func (t *TinySTM) begin() attempt {
@@ -67,7 +50,7 @@ type tinyTxn struct {
 	dead   bool
 }
 
-// recycle implements recyclable: clear the logs, keep the capacity.
+// recycle implements attempt: clear the logs, keep the capacity.
 func (tx *tinyTxn) recycle() {
 	tx.reads = tx.reads[:0]
 	tx.writes.reset()

@@ -9,7 +9,7 @@ import (
 // reads validated against a read version, commit-time locking in
 // stripe order over the shared striped lock table.
 type TL2 struct {
-	counters
+	loop
 	clock *versionClock
 	table *stripeTable
 	pool  sync.Pool // recycled *tl2Txn scratch
@@ -22,26 +22,9 @@ func NewTL2(n int) (*TL2, error) {
 	if err := checkVars(n); err != nil {
 		return nil, err
 	}
-	return &TL2{clock: &versionClock{}, table: newStripeTable(n)}, nil
-}
-
-// Name implements TM.
-func (t *TL2) Name() string { return "native-tl2" }
-
-// Vars implements TM.
-func (t *TL2) Vars() int { return len(t.table.vals) }
-
-// Stats implements TM.
-func (t *TL2) Stats() Stats { return t.snapshot() }
-
-// Atomically implements TM.
-func (t *TL2) Atomically(fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, RunOpts{}, fn)
-}
-
-// AtomicallyOpts implements TM.
-func (t *TL2) AtomicallyOpts(opts RunOpts, fn func(Txn) error) error {
-	return runAtomically(&t.counters, t.begin, opts, fn)
+	t := &TL2{clock: &versionClock{}, table: newStripeTable(n)}
+	t.loop = loop{name: "native-tl2", vars: n, begin: t.begin}
+	return t, nil
 }
 
 func (t *TL2) begin() attempt {
@@ -67,7 +50,7 @@ type tl2Txn struct {
 	pre     []uint64
 }
 
-// recycle implements recyclable: clear the logs, keep the capacity.
+// recycle implements attempt: clear the logs, keep the capacity.
 func (tx *tl2Txn) recycle() {
 	tx.reads = tx.reads[:0]
 	tx.writes.reset()
