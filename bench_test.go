@@ -1,7 +1,7 @@
 // Benchmark harness: one benchmark per paper artifact (figures 1–16,
 // theorems 1–3), plus the liveness matrix (E20), the scalability/
-// resilience experiment (E21), and the design-choice ablations
-// (DESIGN.md §5). Each benchmark reports its headline measurement as
+// resilience experiment (E21), and the design-choice ablations (the
+// variants core.Registry flags with Ablation). Each benchmark reports its headline measurement as
 // custom metrics, so `go test -bench=. -benchmem` regenerates the
 // paper's rows/series.
 package livetm_test
@@ -546,7 +546,7 @@ func BenchmarkTelemetryOverhead(b *testing.B) {
 		spec.Name, bare, instrumented, ratio, overheadBudgetRatio))
 }
 
-// --- Ablations (DESIGN.md §5) ---
+// --- Ablations (core.Registry's Ablation variants) ---
 
 func BenchmarkAblationCM(b *testing.B) {
 	b.Run("abort-other", func(b *testing.B) {

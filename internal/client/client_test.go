@@ -128,8 +128,9 @@ func TestErrorRoundTrip(t *testing.T) {
 }
 
 // TestEngineOverloadCrossesWire exercises the engine-level MaxQueue
-// cap: the session itself refuses a queued interactive transaction
-// (Begin reaches SubmitOn) and the sentinel still reaches the client.
+// cap: the session itself refuses an interactive transaction whose lane
+// is full (Begin meets the same cap as ExecOn) and the sentinel still
+// reaches the client.
 func TestEngineOverloadCrossesWire(t *testing.T) {
 	sess, err := engine.Open(engine.SessionConfig{
 		Engine: "native-tl2", Workers: 1, Vars: 1, MaxQueue: 1,

@@ -1,7 +1,7 @@
 // Package core ties the reproduction together: it provides the
 // paper's figures as executable artifacts, the registry of TM
-// implementations, the liveness-matrix experiment (DESIGN.md E20),
-// and the theorem-evidence runners (E17–E19).
+// implementations, the liveness-matrix experiment (E20, pinned by
+// TestLivenessMatrix), and the theorem-evidence runners (E17–E19).
 package core
 
 import (

@@ -121,6 +121,6 @@ func FormatMatrix(rows []MatrixRow) string {
 	b.WriteString("\ncolumns: fault-free = min commits across 3 fair processes;\n" +
 		"crash = survivor commits at the worst crash point;\n" +
 		"parasitic = survivor commits under fair / 2:1-biased schedules;\n" +
-		"* = ablation variant (DESIGN.md §5)\n")
+		"* = ablation variant (core.Registry's Ablation flag)\n")
 	return b.String()
 }

@@ -20,8 +20,10 @@ type NamedFactory struct {
 	Factory stm.Factory
 	// Expected liveness verdicts (see Verdict) per the paper's claims.
 	Expected Verdict
-	// Ablation marks the variants kept for DESIGN.md §5 rather than
-	// the paper's main claims.
+	// Ablation marks the design-choice variants (a barging lock, other
+	// contention managers, visible reads, no helping), kept to show what
+	// each choice buys rather than for the paper's main claims; `livetm
+	// tms` lists them as ablation variants.
 	Ablation bool
 }
 

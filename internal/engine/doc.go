@@ -37,9 +37,10 @@
 // environment schedules them — so the package's core is a long-lived
 // Session, not a closed batch run. Sessions are native: Open (or
 // NativeEngine.Open) starts a native TM instance with a worker pool;
-// clients submit individual transactions with Session.Exec (blocking,
-// returning the commit error) and Session.Submit (async, with a result
-// callback), pinned to a worker or to AnyWorker; Session.Stats
+// clients submit individual transactions with Session.ExecOn, which
+// blocks and returns the commit error, pinned to a worker or to
+// AnyWorker, and hold transactions open with Session.Begin (below);
+// Session.Stats
 // snapshots the counters mid-flight; Session.AddWorkers admits more
 // workers while traffic flows (up to the provisioned MaxWorkers); and
 // Session.Close drains the in-flight transactions and returns the
@@ -57,16 +58,16 @@
 // a body fails terminally, or nothing is runnable. Open refuses a
 // simulated engine.
 //
-// The submission surface is factored out as the Submitter interface
-// (Exec/ExecOn blocking, Submit/SubmitOn async) so layers that put
-// sessions on the wire depend on the capability, not the struct:
-// internal/server adapts any Submitter to an HTTP/JSON wire API with
-// per-client fair admission, and internal/client speaks it back.
-// Backpressure is part of the contract — SessionConfig.MaxQueue
-// bounds each worker lane and an async Submit against a full lane
-// refuses immediately with ErrOverloaded rather than blocking, the
-// sentinel the server translates to HTTP 429 plus a Retry-After
-// hint. The submission sentinels (ErrOverloaded, ErrClosed,
+// The Submitter interface is ExecOn alone, so layers that put sessions
+// on the wire depend on the capability, not the struct: internal/server
+// adapts any Submitter (plus Begin and the lifecycle) to an HTTP/JSON
+// wire API with per-client fair admission, and internal/client speaks
+// it back. Backpressure is one rule per lane. With
+// SessionConfig.MaxQueue set, an ExecOn or a Begin whose lane already
+// holds MaxQueue jobs is refused at once with ErrOverloaded, the
+// sentinel the server translates to HTTP 429 plus a Retry-After hint;
+// without it, ExecOn waits (bounded by its context) while the lane
+// holds 64 jobs, and Begin never waits. The submission sentinels (ErrOverloaded, ErrClosed,
 // ErrStopped, ErrNoCommit, ErrLiveViolation, ErrAbandoned) round-trip
 // the wire as stable codes, so errors.Is holds on both ends of the
 // connection; ErrNotAdmitted and ErrTxDone go one way, as a bad request
@@ -81,14 +82,16 @@
 // worker run. A cancellable context keeps the queued path, since
 // cancelling abandons the wait but cannot abandon a transaction that
 // runs on the canceller itself. Jobs that do queue wake only the
-// worker they are for (a shared-lane job wakes every worker).
+// worker they are for: an AnyWorker job is handed to an idle worker's
+// own lane, taking the idle workers in turn, and waits on the shared
+// lane only while every worker is busy.
 // Quiescent cuts for the checkers are brief global pauses (no new
 // transaction starts while in-flight ones finish) since idle workers
 // cannot rendezvous at a barrier.
 //
 // A transaction costs a native session no allocation of its own, on
 // either path, so that observing a run does not reshape it with
-// collector pauses: Exec waits on a pooled waiter (handed back only by
+// collector pauses: ExecOn waits on a pooled waiter (handed back only by
 // the caller that received its result — a wait abandoned by a done
 // context leaves the waiter with the worker that still owes it one),
 // the lanes are rings

@@ -37,7 +37,7 @@ func enqueueUnwoken(s *Session, worker int, body Body) {
 	ns.mu.Lock()
 	defer ns.mu.Unlock()
 	ns.met.submitted.Inc()
-	ns.q.push(worker, sessionJob{body: body})
+	ns.q.push(worker, sessionJob{body: body, done: func(error) {}})
 }
 
 // eventually polls cond until it holds, failing the test after 20 s.
@@ -154,19 +154,19 @@ func TestExecOnInline(t *testing.T) {
 			s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1})
 			var order orderLog
 			started, release := make(chan struct{}), make(chan struct{})
-			if err := s.SubmitOn(0, func(tx Tx) error {
+			gate := goExecOn(s, 0, func(tx Tx) error {
 				close(started)
 				return order.body("gate", release)(tx)
-			}, nil); err != nil {
-				t.Fatal(err)
-			}
+			})
 			<-started
 			errc := make(chan error, 1)
 			go func() { errc <- s.ExecOn(bg, 0, order.body("exec", nil)) }()
 			eventually(t, "the ExecOn is queued", func() bool { return s.Stats().Submitted == 2 })
 			close(release)
-			if err := <-errc; err != nil {
-				t.Fatal(err)
+			for _, res := range []<-chan error{gate, errc} {
+				if err := <-res; err != nil {
+					t.Fatal(err)
+				}
 			}
 			if got := order.String(); got != "gate,exec" {
 				t.Errorf("ran %s, want gate,exec", got)
@@ -179,25 +179,21 @@ func TestExecOnInline(t *testing.T) {
 			s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1})
 			var order orderLog
 			started, release := make(chan struct{}), make(chan struct{})
-			if err := s.SubmitOn(0, func(tx Tx) error {
+			gate := goExecOn(s, 0, func(tx Tx) error {
 				close(started)
 				return order.body("gate", release)(tx)
-			}, nil); err != nil {
-				t.Fatal(err)
-			}
+			})
 			<-started
-			if err := s.Submit(order.body("shared", nil), nil); err != nil {
-				t.Fatal(err)
-			}
+			shared := goExecOn(s, AnyWorker, order.body("shared", nil))
+			eventually(t, "the shared job is queued", func() bool { return s.Stats().Submitted == 2 })
 			errc := make(chan error, 1)
 			go func() { errc <- s.ExecOn(bg, 0, order.body("exec", nil)) }()
 			eventually(t, "the ExecOn is queued", func() bool { return s.Stats().Submitted == 3 })
 			close(release)
-			if err := <-errc; err != nil {
-				t.Fatal(err)
-			}
-			if err := s.Drain(bg); err != nil {
-				t.Fatal(err)
+			for _, res := range []<-chan error{gate, shared, errc} {
+				if err := <-res; err != nil {
+					t.Fatal(err)
+				}
 			}
 			if got := order.String(); got != "gate,shared,exec" {
 				t.Errorf("ran %s, want gate,shared,exec", got)

@@ -68,8 +68,9 @@ type txReply struct {
 }
 
 // Begin opens an interactive transaction pinned to worker (AnyWorker:
-// whichever worker frees up first). Like Submit it never blocks and is
-// refused with ErrOverloaded past MaxQueue. done (may be nil) is called
+// whichever worker frees up first). It never blocks, and is refused
+// with ErrOverloaded when its lane holds MaxQueue jobs (see
+// SessionConfig.MaxQueue). done (may be nil) is called
 // once, on the worker, with the transaction's terminal result — nil for
 // a commit, ErrNoCommit, ErrAbandoned, or the error that ended it — and
 // must not block. The transaction holds its worker until it finishes, so
@@ -88,7 +89,7 @@ func (s *Session) Begin(worker int, done func(error)) (*Interactive, error) {
 		if done != nil {
 			done(res)
 		}
-	}, interactive: true}, false)
+	}, interactive: true})
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"time"
@@ -45,6 +46,20 @@ func TestLanePoppedJobIsCollectable(t *testing.T) {
 			t.Run(tc.engine+"/"+lane, func(t *testing.T) {
 				s := openTestSession(t, tc.engine, tc.cfg)
 				defer s.Close()
+				if worker == AnyWorker {
+					// A shared job is handed to an idle worker's own lane:
+					// park both workers, so that the probe waits on the
+					// shared lane, and let them go once it is queued.
+					release := make(chan struct{})
+					park(s, 0, release)
+					park(s, 1, release)
+					go func() {
+						for s.Stats().Submitted < 3 {
+							runtime.Gosched()
+						}
+						close(release)
+					}()
+				}
 				collected := make(chan struct{})
 				execProbe(t, s, worker, collected)
 				for i := 0; i < 200; i++ { // a finalizer runs some time after the collection that found it
@@ -94,9 +109,7 @@ func TestExecOnCancelledWaiterIsNeverRecycled(t *testing.T) {
 	for round := 0; round < 30; round++ {
 		// The gate holds the worker, so everything below queues behind it.
 		release := make(chan struct{})
-		if err := s.SubmitOn(0, func(Tx) error { <-release; return nil }, nil); err != nil {
-			t.Fatal(err)
-		}
+		gate := park(s, 0, release)
 		midQueue, cancelMidQueue := context.WithCancel(context.Background())
 		var wg sync.WaitGroup
 		for _, ctx := range []context.Context{done, midQueue} {
@@ -120,6 +133,9 @@ func TestExecOnCancelledWaiterIsNeverRecycled(t *testing.T) {
 		submitted(accepted) // both ordinary calls are queued behind the abandoned ones
 		close(release)
 		wg.Wait()
+		if err := <-gate; err != nil {
+			t.Fatal(err)
+		}
 		if t.Failed() {
 			// A result that went astray can leave the worker blocked on a
 			// full waiter; Close would wait for it.
@@ -131,6 +147,40 @@ func TestExecOnCancelledWaiterIsNeverRecycled(t *testing.T) {
 	}
 	if st := s.Stats(); st.Completed != st.Submitted || st.Submitted != accepted {
 		t.Errorf("completed %d of %d submitted, %d accepted", st.Completed, st.Submitted, accepted)
+	}
+	if _, err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+}
+
+// TestSharedLaneSpreadsOverWorkers: sequential AnyWorker submissions
+// land on every worker. Each is handed to an idle worker, the next one
+// after the last picked, so each of 4 workers commits at least an
+// eighth of 400 calls. A job queued on the shared lane with every
+// worker woken goes to whichever worker runs first, nearly always the
+// same one.
+func TestSharedLaneSpreadsOverWorkers(t *testing.T) {
+	const workers, calls = 4, 400
+	s := openTestSession(t, "native-tl2", SessionConfig{Workers: workers, Vars: 1})
+	ctx, cancel := context.WithCancel(context.Background()) // cancellable: every call queues
+	defer cancel()
+	for i := range calls {
+		// Each call finds every worker idle, so where it lands depends
+		// on the pick alone, not on how soon the last worker got back.
+		eventually(t, "every worker is idle", func() bool {
+			s.mu.Lock()
+			defer s.mu.Unlock()
+			return !slices.Contains(s.busy, true)
+		})
+		if err := s.ExecOn(ctx, AnyWorker, counterSessionBody(0)); err != nil {
+			t.Fatalf("call %d: %v", i, err)
+		}
+	}
+	st := s.Stats()
+	for p, c := range st.PerWorkerCommits {
+		if c < calls/8 {
+			t.Errorf("worker %d committed %d of %d calls, want at least %d (per worker: %v)", p, c, calls, calls/8, st.PerWorkerCommits)
+		}
 	}
 	if _, err := s.Close(); err != nil {
 		t.Fatal(err)

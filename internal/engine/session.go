@@ -35,12 +35,10 @@ var ErrClosed = errors.New("engine: session is closed")
 // ErrLiveViolation).
 var ErrStopped = errors.New("engine: session stopped by the live monitor")
 
-// ErrOverloaded is returned by an asynchronous Submit when the target
-// lane already holds SessionConfig.MaxQueue pending submissions: the
-// submission was not accepted and the caller should back off and
-// retry. Only Submit sees it — Exec blocks against the lane's queue
-// depth instead of failing — so it is the signal a service layer turns
-// into HTTP 429 + Retry-After.
+// ErrOverloaded is returned by a submission whose lane already holds
+// SessionConfig.MaxQueue pending jobs: the submission was not accepted
+// and the caller should back off and retry. It is the signal a service
+// layer turns into HTTP 429 + Retry-After.
 var ErrOverloaded = errors.New("engine: submission queue full")
 
 // ErrNotAdmitted is wrapped by a submission pinned to a worker the
@@ -51,11 +49,8 @@ var ErrOverloaded = errors.New("engine: submission queue full")
 var ErrNotAdmitted = errors.New("engine: worker not admitted")
 
 // queueDepth is the backpressure threshold of each submission lane (the
-// shared queue and each worker's pinned queue): Exec blocks while its
-// lane holds that many pending transactions. Asynchronous Submit is
-// exempt — it must never block because a worker's result callback may
-// be the submitter — so an unchecked Submit flood grows the queue
-// instead (bound it with SessionConfig.MaxQueue).
+// shared queue and each worker's pinned queue) on a session without
+// MaxQueue: ExecOn waits while its lane holds that many pending jobs.
 const queueDepth = 64
 
 // Body is one client-submitted transaction: like TxBody but anonymous
@@ -65,28 +60,14 @@ const queueDepth = 64
 // fails.
 type Body func(tx Tx) error
 
-// Submitter is the transaction-submission surface of a Session — the
-// four ways a client hands work to a TM instance, separated from the
-// session's lifecycle methods (Drain, Stats, AddWorkers, Close) so a
-// service layer can accept submissions through any intermediary: a
-// *Session directly, a wire server fronting one, or a router fanning
-// out over several. The contract is the Session one: Exec/ExecOn
-// block for the commit result and feel queue-depth backpressure;
-// Submit/SubmitOn never block, invoke done (which must not block)
-// exactly once per accepted submission, and fail fast with
-// ErrOverloaded past MaxQueue.
+// Submitter is the blocking submission surface of a Session,
+// separated from its lifecycle so that a service layer can depend on
+// the capability: internal/server serves any Submitter on the wire.
 type Submitter interface {
-	// Exec submits one transaction to any worker and blocks until it
-	// commits (nil), is declined (ErrNoCommit), or fails.
-	Exec(ctx context.Context, body Body) error
-	// ExecOn is Exec pinned to one worker (0-based); AnyWorker
-	// restores Exec.
+	// ExecOn submits one transaction to a worker (0-based, or
+	// AnyWorker) and blocks until it commits (nil), is declined
+	// (ErrNoCommit), or fails.
 	ExecOn(ctx context.Context, worker int, body Body) error
-	// Submit enqueues one transaction asynchronously; done (may be
-	// nil) is invoked exactly once with the commit result.
-	Submit(body Body, done func(error)) error
-	// SubmitOn is Submit pinned to one worker (0-based).
-	SubmitOn(worker int, body Body, done func(error)) error
 }
 
 // SessionConfig sizes a long-lived session.
@@ -106,14 +87,11 @@ type SessionConfig struct {
 	MaxWorkers int
 	// Vars is the number of t-variables (>= 1).
 	Vars int
-	// MaxQueue is the hard admission cap of each submission lane: an
-	// asynchronous Submit whose target lane already holds this many
-	// pending transactions is refused with ErrOverloaded instead of
-	// growing the queue without bound. Unlike the queue depth Exec
-	// waits on (64 per lane), it never blocks — refusal is immediate,
-	// which is what lets a worker's result callback keep submitting
-	// safely and a service layer turn the sentinel into HTTP 429. 0
-	// means unbounded (the historical behaviour).
+	// MaxQueue is the admission cap of each submission lane: with
+	// MaxQueue > 0 a submission (ExecOn or Begin) whose lane already
+	// holds MaxQueue jobs is refused with ErrOverloaded at once, never
+	// waiting. With 0, ExecOn waits while its lane holds 64 jobs and
+	// Begin is unbounded.
 	MaxQueue int
 	// Record retains the session's history (see RunConfig.Record);
 	// Session.History returns it after Close.
@@ -258,15 +236,7 @@ var _ Submitter = (*Session)(nil)
 // Name returns the engine name the session runs on.
 func (s *Session) Name() string { return s.name }
 
-// Exec submits one transaction to any worker and blocks until it
-// commits (nil), is declined (ErrNoCommit), or fails. A done context
-// abandons the wait — not the transaction, which still runs (or is
-// still failed by Close) with nobody reading its result.
-func (s *Session) Exec(ctx context.Context, body Body) error {
-	return s.ExecOn(ctx, AnyWorker, body)
-}
-
-// execWaiter is what a blocked Exec waits on: the channel its result
+// execWaiter is what a blocked ExecOn waits on: the channel its result
 // arrives on and the callback that delivers it, bound to each other
 // once so a call costs neither.
 type execWaiter struct {
@@ -274,7 +244,7 @@ type execWaiter struct {
 	done func(error)
 }
 
-// waiters recycles execWaiters across Exec calls, on one rule: a waiter
+// waiters recycles execWaiters across ExecOn calls, on one rule: a waiter
 // goes back only from the goroutine that received its result. Until
 // that receive the waiter belongs to the worker that will send on it,
 // so a wait abandoned by a done context leaves its waiter to the
@@ -286,9 +256,14 @@ var waiters = sync.Pool{New: func() any {
 	return w
 }}
 
-// ExecOn is Exec pinned to one worker (0-based), fixing the
-// transaction's process identity; AnyWorker restores Exec. Pinned
-// submissions to one worker execute in submission order.
+// ExecOn submits one transaction to worker (0-based, fixing the
+// transaction's process identity; AnyWorker: whichever worker frees up
+// first) and blocks until it commits (nil), is declined (ErrNoCommit),
+// or fails. Pinned submissions to one worker execute in submission
+// order. A done context abandons the wait — not the transaction, which
+// still runs (or is still failed by Close) with nobody reading its
+// result. A full lane refuses it or holds it back (see
+// SessionConfig.MaxQueue).
 //
 // Where the transaction runs: a call whose ctx can never be done
 // (ctx.Done() == nil, as for context.Background) and whose worker is
@@ -301,7 +276,7 @@ var waiters = sync.Pool{New: func() any {
 // adversary its retry loop may never end.
 func (s *Session) ExecOn(ctx context.Context, worker int, body Body) error {
 	w := waiters.Get().(*execWaiter)
-	if err := s.submit(ctx, worker, sessionJob{body: body, done: w.done}, true); err != nil {
+	if err := s.submit(ctx, worker, sessionJob{body: body, done: w.done}); err != nil {
 		return err
 	}
 	select {
@@ -311,20 +286,6 @@ func (s *Session) ExecOn(ctx context.Context, worker int, body Body) error {
 	case <-ctx.Done():
 		return ctx.Err()
 	}
-}
-
-// Submit enqueues one transaction asynchronously; done (may be nil) is
-// invoked with the commit result on the executing worker's goroutine,
-// so it must not block — submitting follow-up work with Submit is
-// fine (Submit never blocks; only Exec feels queue-depth backpressure,
-// and Exec is therefore forbidden in callbacks).
-func (s *Session) Submit(body Body, done func(error)) error {
-	return s.SubmitOn(AnyWorker, body, done)
-}
-
-// SubmitOn is Submit pinned to one worker (0-based).
-func (s *Session) SubmitOn(worker int, body Body, done func(error)) error {
-	return s.submit(context.Background(), worker, sessionJob{body: body, done: done}, false)
 }
 
 // watchCtx arranges wake to be called once if ctx ends before the

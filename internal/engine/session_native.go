@@ -97,12 +97,11 @@ type Session struct {
 	// pinned lanes, with the recorder, live monitor and starvation-aware
 	// backoff running for the session's lifetime.
 	//
-	// The lanes are condition-guarded queues, not channels, for one
-	// deadlock-freedom property: an asynchronous submission (Submit, the
-	// only kind a result callback may issue) never blocks, so a worker
-	// running callbacks can always return to draining. Only Exec blocks —
-	// for backpressure against queueDepth — and Exec is forbidden in
-	// callbacks, so the pool as a whole always makes progress.
+	// The lanes are rings under the session's mutex, with one condition
+	// per slot, not channels: a job wakes only the worker whose lane it
+	// joins (a shared-lane job is handed to an idle worker's lane, see
+	// idle), and the busy flag the inline path claims is read under the
+	// same lock.
 	//
 	// A worker is a slot before it is a goroutine. A blocking ExecOn that
 	// finds slot p idle with nothing queued for it claims the slot and runs
@@ -147,8 +146,10 @@ type Session struct {
 	roomCond *sync.Cond // a lane drained below queueDepth, or closed
 	q        lanes
 	// busy[p] is set while slot p executes a job, on its goroutine or
-	// inline on an Exec caller's; the worker takes no job while it is.
-	busy      []bool
+	// inline on an ExecOn caller's; the worker takes no job while it is.
+	busy []bool
+	// nextIdle is the slot idle tries first.
+	nextIdle  int
 	workers   []nativeWorker // per slot, set up by spawn
 	closed    bool
 	closeDone chan struct{} // the winning Close finished finalizing
@@ -162,10 +163,10 @@ type Session struct {
 	drainMu   sync.Mutex
 	drainCond *sync.Cond
 	drainers  atomic.Int32
-	// settled counts jobs whose result callback has returned. Completed
-	// is counted before the callback runs, so Stats never lags a
-	// delivered result; Drain waits on settled instead, so it never
-	// returns while a callback may still submit follow-up work.
+	// settled counts jobs whose result has been delivered (a Begin's
+	// done has returned). Completed is counted before delivery, so
+	// Stats never lags a delivered result; Drain waits on settled
+	// instead, so it never returns while a done callback still runs.
 	settled atomic.Uint64
 
 	hist model.History
@@ -261,7 +262,11 @@ func (s *Session) spawn(n int) {
 	s.met.workers.Set(int64(base + n))
 }
 
-func (s *Session) submit(ctx context.Context, worker int, j sessionJob, demand bool) error {
+// submit accepts one job for worker (AnyWorker: the shared lane). A
+// job that is not interactive comes from a blocking ExecOn, so it may
+// run inline and, on a session without MaxQueue, waits for room; an
+// interactive one (Begin) never waits.
+func (s *Session) submit(ctx context.Context, worker int, j sessionJob) error {
 	if worker != AnyWorker && (worker < 0 || worker >= int(s.admitted.Load())) {
 		return fmt.Errorf("%w: %d (have %d)", ErrNotAdmitted, worker, s.admitted.Load())
 	}
@@ -271,7 +276,7 @@ func (s *Session) submit(ctx context.Context, worker int, j sessionJob, demand b
 	// uncancellable one does: a done context abandons the wait, not the
 	// transaction, and a transaction running on its caller cannot be
 	// left behind.
-	if demand && worker != AnyWorker && ctx.Done() == nil && !s.closed && !s.busy[worker] &&
+	if !j.interactive && worker != AnyWorker && ctx.Done() == nil && !s.closed && !s.busy[worker] &&
 		s.q.depth(worker) == 0 && s.q.depth(AnyWorker) == 0 {
 		s.busy[worker] = true
 		s.wg.Add(1) // registered while not closed, so Close waits for it
@@ -281,12 +286,9 @@ func (s *Session) submit(ctx context.Context, worker int, j sessionJob, demand b
 		return nil
 	}
 	defer s.mu.Unlock()
-	if demand && s.q.depth(worker) >= queueDepth {
-		// Only blocking submissions (Exec) feel queueDepth: they come
-		// from client goroutines that may wait (bounded by ctx).
-		// Asynchronous ones must never block — a worker's result
-		// callback may be the caller. The ctx watcher starts lazily:
-		// the common uncontended path pays no goroutine.
+	if !j.interactive && s.cfg.MaxQueue == 0 && s.q.depth(worker) >= queueDepth {
+		// The ctx watcher starts lazily: the common uncontended path
+		// pays no goroutine.
 		stop := watchCtx(ctx, func() {
 			s.mu.Lock()
 			s.roomCond.Broadcast()
@@ -303,20 +305,41 @@ func (s *Session) submit(ctx context.Context, worker int, j sessionJob, demand b
 	if s.closed {
 		return ErrClosed
 	}
-	if !demand && s.cfg.MaxQueue > 0 && s.q.depth(worker) >= s.cfg.MaxQueue {
-		// The admission cap: a Submit flood is refused, never queued
-		// without bound — and never blocked, so result callbacks that
-		// submit follow-up work stay deadlock-free.
+	if s.cfg.MaxQueue > 0 && s.q.depth(worker) >= s.cfg.MaxQueue {
 		return ErrOverloaded
+	}
+	if worker == AnyWorker && s.q.depth(AnyWorker) == 0 {
+		worker = s.idle()
 	}
 	s.met.submitted.Inc()
 	s.q.push(worker, j)
-	if worker == AnyWorker {
-		s.wakeAll()
-	} else {
+	if worker != AnyWorker {
 		s.wake[worker].Signal()
 	}
 	return nil
+}
+
+// idle picks the worker a shared-lane job is handed to: an idle one
+// with nothing queued, trying the slots in turn from the one after the
+// last picked, or AnyWorker when there is none; the caller holds mu.
+// The job goes onto the picked worker's own lane (and its queue-depth
+// gauge), so the worker it wakes is the one that runs it: a job on a
+// lane every worker serves goes to whichever worker reaches it first,
+// mostly the one that has just finished, and the rest of the pool
+// idles. A job left on the shared lane needs no wake-up: every worker
+// is busy or has work queued, and each one takes from the shared lane
+// before it waits again; nor can a slot be claimed inline while the
+// shared lane holds a job.
+func (s *Session) idle() int {
+	n := int(s.admitted.Load())
+	for i := range n {
+		p := (s.nextIdle + i) % n
+		if !s.busy[p] && s.q.depth(p) == 0 {
+			s.nextIdle = (p + 1) % n
+			return p
+		}
+	}
+	return AnyWorker
 }
 
 // wakeAll wakes every admitted worker; the caller holds mu.
@@ -427,7 +450,7 @@ func (s *Session) worker(w *nativeWorker) {
 
 // runJob executes one job as worker slot w and accounts for it — the
 // one path behind the slot's goroutine and an inline run alike:
-// completion, commit, decline and stop counts, Exec latency, the
+// completion, commit, decline and stop counts, ExecOn latency, the
 // result, and the drain wake-up. Every count lands before the result
 // is delivered, and completion before its outcome (see Session.Stats).
 func (s *Session) runJob(w *nativeWorker, j sessionJob) {
@@ -449,9 +472,7 @@ func (s *Session) runJob(w *nativeWorker, j sessionJob) {
 		s.stopped.Store(true)
 		res = ErrStopped
 	}
-	if j.done != nil {
-		j.done(res)
-	}
+	j.done(res)
 	s.settled.Add(1)
 	if s.drainers.Load() > 0 {
 		s.drainMu.Lock()
@@ -504,8 +525,8 @@ func (s *Session) Drain(ctx context.Context) error {
 }
 
 // Stats snapshots the session's counters mid-flight. A result is
-// counted before it is delivered: once an Exec has returned, or a
-// Submit's done callback has started, Stats counts that submission in
+// counted before it is delivered: once an ExecOn has returned, or a
+// Begin's done callback has started, Stats counts that submission in
 // Completed — and in Commits or NoCommits, or as Stopped, as its
 // result says. A job is counted submitted before it runs and completed
 // before its outcome, so reading the outcomes, then Completed, then

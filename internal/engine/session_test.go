@@ -25,6 +25,33 @@ func openTestSession(t *testing.T, name string, cfg SessionConfig) *Session {
 	return s
 }
 
+// goExecOn runs ExecOn on a goroutine of its own and returns the
+// channel its result arrives on. The context is cancellable, so the
+// call never runs inline: the job queues for the worker's goroutine.
+func goExecOn(s *Session, worker int, body Body) <-chan error {
+	res := make(chan error, 1)
+	ctx, cancel := context.WithCancel(context.Background())
+	go func() {
+		defer cancel()
+		res <- s.ExecOn(ctx, worker, body)
+	}()
+	return res
+}
+
+// park occupies worker with a job that waits for release, and returns
+// once the job runs, with the channel its result arrives on.
+func park(s *Session, worker int, release <-chan struct{}) <-chan error {
+	started := make(chan struct{})
+	var once sync.Once
+	res := goExecOn(s, worker, func(Tx) error {
+		once.Do(func() { close(started) })
+		<-release
+		return nil
+	})
+	<-started
+	return res
+}
+
 // counterSessionBody increments variable x once.
 func counterSessionBody(x int) Body {
 	return func(tx Tx) error {
@@ -36,7 +63,7 @@ func counterSessionBody(x int) Body {
 	}
 }
 
-// TestSessionExecBothSubstrates: the basic session loop — open, Exec a
+// TestSessionExecBothSubstrates: the basic session loop — open, ExecOn a
 // few transactions, Stats, Close — commits, and the committed
 // increments are all there. Sessions are native only, so the one row
 // left is native; the name is the one CI's scheduling step runs.
@@ -51,12 +78,12 @@ func TestSessionExecBothSubstrates(t *testing.T) {
 			s := openTestSession(t, tc.name, tc.cfg)
 			const n = 20
 			for i := 0; i < n; i++ {
-				if err := s.Exec(context.Background(), counterSessionBody(0)); err != nil {
+				if err := s.ExecOn(context.Background(), AnyWorker, counterSessionBody(0)); err != nil {
 					t.Fatalf("exec %d: %v", i, err)
 				}
 			}
 			var got int64
-			if err := s.Exec(context.Background(), func(tx Tx) error {
+			if err := s.ExecOn(context.Background(), AnyWorker, func(tx Tx) error {
 				v, err := tx.Read(0)
 				got = v
 				return err
@@ -92,7 +119,7 @@ func TestSessionMoreSubmittersThanWorkers(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < perSubmitter; j++ {
-				if err := s.Exec(context.Background(), counterSessionBody(0)); err != nil {
+				if err := s.ExecOn(context.Background(), AnyWorker, counterSessionBody(0)); err != nil {
 					failed.Add(1)
 				}
 			}
@@ -111,7 +138,7 @@ func TestSessionMoreSubmittersThanWorkers(t *testing.T) {
 		t.Errorf("per-worker commits cover %d workers, want %d", len(st.PerWorkerCommits), workers)
 	}
 	var final int64
-	if err := s.Exec(context.Background(), func(tx Tx) error {
+	if err := s.ExecOn(context.Background(), AnyWorker, func(tx Tx) error {
 		v, err := tx.Read(0)
 		final = v
 		return err
@@ -127,34 +154,52 @@ func TestSessionMoreSubmittersThanWorkers(t *testing.T) {
 }
 
 // TestSessionCloseDrainsInFlight: Close must execute everything
-// already accepted — async submissions included — before returning,
-// and late submissions must fail with ErrClosed. Run with -race.
+// already accepted — queued submissions included — before returning,
+// and late submissions must fail with ErrClosed. The workers are parked
+// while the jobs queue and released only once Close has sealed the
+// lanes. Run with -race.
 func TestSessionCloseDrainsInFlight(t *testing.T) {
-	s := openTestSession(t, "native-norec", SessionConfig{Workers: 3, Vars: 1})
-	const n = 300
-	var done atomic.Int64
-	for i := 0; i < n; i++ {
-		if err := s.Submit(counterSessionBody(0), func(err error) {
-			if err == nil {
-				done.Add(1)
-			}
-		}); err != nil {
-			t.Fatalf("submit %d: %v", i, err)
-		}
+	const workers, n = 3, 60
+	s := openTestSession(t, "native-norec", SessionConfig{Workers: workers, Vars: 1})
+	release := make(chan struct{})
+	var gates []<-chan error
+	for w := range workers {
+		gates = append(gates, park(s, w, release))
 	}
-	if _, err := s.Close(); err != nil {
+	var results []<-chan error
+	for range n {
+		results = append(results, goExecOn(s, AnyWorker, counterSessionBody(0)))
+	}
+	eventually(t, "every job is queued", func() bool { return s.Stats().Submitted == workers+n })
+	closed := make(chan error, 1)
+	go func() {
+		_, err := s.Close()
+		closed <- err
+	}()
+	eventually(t, "Close has sealed the lanes", func() bool {
+		s.mu.Lock()
+		defer s.mu.Unlock()
+		return s.closed
+	})
+	if err := s.ExecOn(context.Background(), AnyWorker, counterSessionBody(0)); !errors.Is(err, ErrClosed) {
+		t.Errorf("ExecOn during Close: err = %v, want ErrClosed", err)
+	}
+	close(release)
+	if err := <-closed; err != nil {
 		t.Fatal(err)
 	}
-	if got := done.Load(); got != n {
-		t.Errorf("%d of %d accepted submissions completed across Close", got, n)
+	for i, res := range append(gates, results...) {
+		if err := <-res; err != nil {
+			t.Errorf("accepted submission %d: %v", i, err)
+		}
 	}
 	st := s.Stats()
-	if st.Submitted != n || st.Completed != n || st.Commits != n {
-		t.Errorf("stats after close = %+v, want %d everywhere", st, n)
+	if st.Submitted != workers+n || st.Completed != workers+n || st.Commits != workers+n {
+		t.Errorf("stats after close = %+v, want %d everywhere", st, workers+n)
 	}
 }
 
-// TestSessionMisuse: Exec/Submit after Close and double Close return
+// TestSessionMisuse: ExecOn/Begin after Close and double Close return
 // ErrClosed; out-of-range workers are rejected. On a simulated engine
 // the misuse is opening a session at all: simulated engines run
 // batches, and Open says so.
@@ -177,11 +222,11 @@ func TestSessionMisuse(t *testing.T) {
 		if _, err := s.Close(); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.Exec(context.Background(), counterSessionBody(0)); !errors.Is(err, ErrClosed) {
-			t.Errorf("Exec after Close: err = %v, want ErrClosed", err)
+		if err := s.ExecOn(context.Background(), AnyWorker, counterSessionBody(0)); !errors.Is(err, ErrClosed) {
+			t.Errorf("ExecOn after Close: err = %v, want ErrClosed", err)
 		}
-		if err := s.Submit(counterSessionBody(0), nil); !errors.Is(err, ErrClosed) {
-			t.Errorf("Submit after Close: err = %v, want ErrClosed", err)
+		if _, err := s.Begin(AnyWorker, nil); !errors.Is(err, ErrClosed) {
+			t.Errorf("Begin after Close: err = %v, want ErrClosed", err)
 		}
 		if _, err := s.Close(); !errors.Is(err, ErrClosed) {
 			t.Errorf("second Close: err = %v, want ErrClosed", err)
@@ -258,7 +303,7 @@ func TestSessionLiveViolationStops(t *testing.T) {
 	}
 	var stopped bool
 	for i := 0; i < 200000; i++ {
-		err := s.Exec(context.Background(), func(tx Tx) error {
+		err := s.ExecOn(context.Background(), AnyWorker, func(tx Tx) error {
 			_, err := tx.Read(0)
 			return err
 		})
@@ -273,8 +318,8 @@ func TestSessionLiveViolationStops(t *testing.T) {
 	if !stopped {
 		t.Fatal("no submission was stopped by the live monitor")
 	}
-	if err := s.Exec(context.Background(), counterSessionBody(0)); !errors.Is(err, ErrStopped) {
-		t.Errorf("post-stop Exec: err = %v, want ErrStopped", err)
+	if err := s.ExecOn(context.Background(), AnyWorker, counterSessionBody(0)); !errors.Is(err, ErrStopped) {
+		t.Errorf("post-stop ExecOn: err = %v, want ErrStopped", err)
 	}
 	rep, err := s.Close()
 	if !errors.Is(err, ErrLiveViolation) {
@@ -344,10 +389,9 @@ func TestCutLandsDuringAbortStorm(t *testing.T) {
 	bg := context.Background()
 	deadline := time.Now().Add(3 * time.Second)
 	sawCut := false // worker 0's body writes it before its result is delivered
-	stormDone := make(chan error, 1)
 	started := make(chan struct{})
 	var once sync.Once
-	if err := s.SubmitOn(0, func(tx Tx) error {
+	stormDone := goExecOn(s, 0, func(tx Tx) error {
 		once.Do(func() { close(started) })
 		if s.Stats().CutLatency.Count > 0 {
 			sawCut = true
@@ -357,9 +401,7 @@ func TestCutLandsDuringAbortStorm(t *testing.T) {
 			return nil
 		}
 		return ErrAborted
-	}, func(err error) { stormDone <- err }); err != nil {
-		t.Fatal(err)
-	}
+	})
 	<-started
 	for i := 0; i < 8; i++ {
 		if err := s.ExecOn(bg, 1, counterSessionBody(1)); err != nil {
@@ -394,21 +436,18 @@ func TestRetryBeginsAfterCut(t *testing.T) {
 	const x = 0
 	parked, release := make(chan struct{}), make(chan struct{})
 	var once sync.Once
-	results := make(chan error, 2)
-	if err := s.SubmitOn(1, func(tx Tx) error {
+	writer := goExecOn(s, 1, func(tx Tx) error {
 		if err := tx.Write(x, 1); err != nil {
 			return err
 		}
 		once.Do(func() { close(parked) })
 		<-release
 		return nil
-	}, func(err error) { results <- err }); err != nil {
-		t.Fatal(err)
-	}
+	})
 	<-parked
 	var cutPending atomic.Bool
 	var abortedReads atomic.Int64
-	if err := s.SubmitOn(0, func(tx Tx) error {
+	reader := goExecOn(s, 0, func(tx Tx) error {
 		if _, err := tx.Read(x); err != nil {
 			abortedReads.Add(1)
 			return err
@@ -417,9 +456,7 @@ func TestRetryBeginsAfterCut(t *testing.T) {
 			return ErrAborted
 		}
 		return nil
-	}, func(err error) { results <- err }); err != nil {
-		t.Fatal(err)
-	}
+	})
 	deadline := time.Now().Add(5 * time.Second)
 	for s.cutMu.TryRLock() {
 		s.cutMu.RUnlock()
@@ -431,8 +468,8 @@ func TestRetryBeginsAfterCut(t *testing.T) {
 	}
 	cutPending.Store(true)
 	close(release)
-	for range 2 {
-		if err := <-results; err != nil {
+	for _, res := range []<-chan error{writer, reader} {
+		if err := <-res; err != nil {
 			t.Fatalf("job ended with %v", err)
 		}
 	}
@@ -461,7 +498,7 @@ func TestSessionLiveHealthySoak(t *testing.T) {
 		go func() {
 			defer wg.Done()
 			for j := 0; j < per; j++ {
-				if err := s.Exec(context.Background(), counterSessionBody(j%2)); err != nil {
+				if err := s.ExecOn(context.Background(), AnyWorker, counterSessionBody(j%2)); err != nil {
 					t.Errorf("exec: %v", err)
 					return
 				}
@@ -499,7 +536,7 @@ func TestSessionLiveHealthySoak(t *testing.T) {
 // -race.
 func TestSessionAddWorkers(t *testing.T) {
 	s := openTestSession(t, "native-dstm", SessionConfig{Workers: 1, MaxWorkers: 3, Vars: 1, Live: true})
-	if err := s.Exec(context.Background(), counterSessionBody(0)); err != nil {
+	if err := s.ExecOn(context.Background(), AnyWorker, counterSessionBody(0)); err != nil {
 		t.Fatal(err)
 	}
 	if err := s.AddWorkers(2); err != nil {
@@ -536,71 +573,37 @@ func TestSessionAddWorkers(t *testing.T) {
 	}
 }
 
-// TestSessionCallbackResubmitSaturated: result callbacks that submit
-// follow-up work must never deadlock the pool, even with every lane at
-// its backpressure threshold — async Submit is non-blocking by
-// contract, only Exec feels queueDepth. There are more chains than the
-// shared lane's queue depth. Run with -race.
-func TestSessionCallbackResubmitSaturated(t *testing.T) {
-	const workers, chains, depth = 2, queueDepth + 60, 5
-	s := openTestSession(t, "native-tl2", SessionConfig{Workers: workers, Vars: 1})
-	var done atomic.Int64
-	var submit func(left int) error
-	submit = func(left int) error {
-		return s.Submit(counterSessionBody(0), func(err error) {
-			if err != nil {
-				t.Errorf("chained submission: %v", err)
-				return
-			}
-			done.Add(1)
-			if left > 1 {
-				if err := submit(left - 1); err != nil {
-					t.Errorf("resubmit: %v", err)
-				}
-			}
-		})
-	}
-	for i := 0; i < chains; i++ {
-		if err := submit(depth); err != nil {
-			t.Fatal(err)
-		}
-	}
-	if err := s.Drain(context.Background()); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := s.Close(); err != nil {
-		t.Fatal(err)
-	}
-	if got := done.Load(); got != chains*depth {
-		t.Fatalf("completed %d of %d chained submissions", got, chains*depth)
-	}
-}
-
-// TestSessionExecBackpressureHonorsContext: an Exec blocked in the
-// queueDepth admission wait must abandon it when its context ends,
-// instead of waiting for room indefinitely. Run with -race.
+// TestSessionExecBackpressureHonorsContext: on a session without
+// MaxQueue, an ExecOn blocked in the queueDepth admission wait must
+// abandon it when its context ends, instead of waiting for room
+// indefinitely. The lane is filled with interactive transactions behind
+// a parked worker: Begin never waits for room. Run with -race.
 func TestSessionExecBackpressureHonorsContext(t *testing.T) {
 	s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1})
 	release := make(chan struct{})
-	if err := s.SubmitOn(0, func(tx Tx) error {
-		<-release // occupy the only worker
-		return tx.Write(0, 1)
-	}, nil); err != nil {
-		t.Fatal(err)
-	}
+	gate := park(s, 0, release)
+	var queued []*Interactive
 	for range queueDepth { // fill the pinned lane to queueDepth
-		if err := s.SubmitOn(0, counterSessionBody(0), nil); err != nil {
+		it, err := s.Begin(0, nil)
+		if err != nil {
 			t.Fatal(err)
 		}
+		queued = append(queued, it)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
 	execErr := make(chan error, 1)
 	go func() { execErr <- s.ExecOn(ctx, 0, counterSessionBody(0)) }()
 	cancel()
 	if err := <-execErr; !errors.Is(err, context.Canceled) {
-		t.Fatalf("blocked Exec: err = %v, want context.Canceled", err)
+		t.Fatalf("blocked ExecOn: err = %v, want context.Canceled", err)
+	}
+	for _, it := range queued {
+		it.Abandon()
 	}
 	close(release)
+	if err := <-gate; err != nil {
+		t.Fatal(err)
+	}
 	if err := s.Drain(context.Background()); err != nil {
 		t.Fatal(err)
 	}
@@ -608,46 +611,56 @@ func TestSessionExecBackpressureHonorsContext(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got := s.Stats().Completed; got != 1+queueDepth {
-		t.Fatalf("completed = %d, want %d (the cancelled Exec was never admitted)", got, 1+queueDepth)
+		t.Fatalf("completed = %d, want %d (the cancelled ExecOn was never admitted)", got, 1+queueDepth)
 	}
 }
 
-// TestSessionMaxQueueOverloaded: the hard admission cap — an async
-// Submit whose lane is full is refused with ErrOverloaded, refusal is
-// immediate (never blocks), and freeing the lane readmits.
+// TestSessionMaxQueueOverloaded: the hard admission cap — an ExecOn or
+// a Begin whose lane already holds MaxQueue jobs is refused with
+// ErrOverloaded at once, never waiting for room, and freeing the lane
+// readmits. Each lane, pinned and shared, has its own cap.
 func TestSessionMaxQueueOverloaded(t *testing.T) {
 	t.Run("native-tl2", func(t *testing.T) {
 		s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1, MaxQueue: 1})
-		started := make(chan struct{})
 		release := make(chan struct{})
-		if err := s.SubmitOn(0, func(tx Tx) error {
-			close(started)
-			<-release // occupy the only worker, off the lane
-			return tx.Write(0, 1)
-		}, nil); err != nil {
-			t.Fatal(err)
+		gate := park(s, 0, release) // the only worker, off the lane
+		// A refusal that waited would outlive this context and report
+		// its error instead of ErrOverloaded.
+		ctx, cancel := context.WithTimeout(context.Background(), 10*time.Second)
+		defer cancel()
+		var queued []*Interactive
+		for _, lane := range []int{0, AnyWorker} {
+			it, err := s.Begin(lane, nil)
+			if err != nil {
+				t.Fatalf("lane %d: Begin filling the lane: %v", lane, err) // lane now at MaxQueue
+			}
+			queued = append(queued, it)
+			if err := s.ExecOn(ctx, lane, counterSessionBody(0)); !errors.Is(err, ErrOverloaded) {
+				t.Fatalf("lane %d: over-cap ExecOn err = %v, want ErrOverloaded", lane, err)
+			}
+			if err := s.ExecOn(context.Background(), lane, counterSessionBody(0)); !errors.Is(err, ErrOverloaded) {
+				t.Fatalf("lane %d: over-cap uncancellable ExecOn err = %v, want ErrOverloaded", lane, err)
+			}
+			if _, err := s.Begin(lane, nil); !errors.Is(err, ErrOverloaded) {
+				t.Fatalf("lane %d: over-cap Begin err = %v, want ErrOverloaded", lane, err)
+			}
 		}
-		<-started
-		if err := s.SubmitOn(0, counterSessionBody(0), nil); err != nil {
-			t.Fatalf("submission filling the lane: %v", err) // lane now at MaxQueue
+		if st := s.Stats(); st.Submitted != 3 {
+			t.Errorf("submitted = %d, want 3: refusals are not accepted", st.Submitted)
 		}
-		if err := s.SubmitOn(0, counterSessionBody(0), nil); !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("over-cap submit err = %v, want ErrOverloaded", err)
-		}
-		// The shared lane has its own cap.
-		if err := s.Submit(counterSessionBody(0), nil); err != nil {
-			t.Fatalf("shared-lane submit: %v", err)
-		}
-		if err := s.Submit(counterSessionBody(0), nil); !errors.Is(err, ErrOverloaded) {
-			t.Fatalf("over-cap shared submit err = %v, want ErrOverloaded", err)
+		for _, it := range queued {
+			it.Abandon()
 		}
 		close(release)
+		if err := <-gate; err != nil {
+			t.Fatal(err)
+		}
 		if err := s.Drain(context.Background()); err != nil {
 			t.Fatal(err)
 		}
 		// Drained lanes admit again.
-		if err := s.SubmitOn(0, counterSessionBody(0), nil); err != nil {
-			t.Fatalf("submit after drain: %v", err)
+		if err := s.ExecOn(ctx, 0, counterSessionBody(0)); err != nil {
+			t.Fatalf("ExecOn after drain: %v", err)
 		}
 		if _, err := s.Close(); err != nil {
 			t.Fatal(err)
@@ -657,7 +670,7 @@ func TestSessionMaxQueueOverloaded(t *testing.T) {
 
 // TestSessionSubmitWorkerOutOfRange: pinned submissions past the
 // admitted pool (or negative, other than AnyWorker) are refused
-// outright — async and blocking alike.
+// outright — interactive and blocking alike.
 func TestSessionSubmitWorkerOutOfRange(t *testing.T) {
 	for _, tc := range []struct {
 		name string
@@ -668,13 +681,13 @@ func TestSessionSubmitWorkerOutOfRange(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openTestSession(t, tc.name, tc.cfg)
 			for _, worker := range []int{2, 99, -2} {
-				if err := s.SubmitOn(worker, counterSessionBody(0), func(error) {
+				if _, err := s.Begin(worker, func(error) {
 					t.Errorf("callback invoked for refused worker %d", worker)
-				}); err == nil {
-					t.Errorf("SubmitOn(%d) accepted, want out-of-range refusal", worker)
+				}); !errors.Is(err, ErrNotAdmitted) {
+					t.Errorf("Begin(%d): err = %v, want ErrNotAdmitted", worker, err)
 				}
-				if err := s.ExecOn(context.Background(), worker, counterSessionBody(0)); err == nil {
-					t.Errorf("ExecOn(%d) accepted, want out-of-range refusal", worker)
+				if err := s.ExecOn(context.Background(), worker, counterSessionBody(0)); !errors.Is(err, ErrNotAdmitted) {
+					t.Errorf("ExecOn(%d): err = %v, want ErrNotAdmitted", worker, err)
 				}
 			}
 			if st := s.Stats(); st.Submitted != 0 {
@@ -687,11 +700,12 @@ func TestSessionSubmitWorkerOutOfRange(t *testing.T) {
 	}
 }
 
-// TestSessionSubmitCallbacksRaceClose floods Submit from several
-// goroutines while Close runs: every accepted submission's callback
-// fires exactly once (executed or failed, but never dropped and never
-// doubled). Run with -race.
-func TestSessionSubmitCallbacksRaceClose(t *testing.T) {
+// TestSessionExecRacesClose floods ExecOn from several goroutines —
+// inline, queued on a pinned lane and queued on the shared one — while
+// Close runs: every call returns, an accepted one with its commit and
+// a refused one with ErrClosed, and the session counts exactly the
+// accepted ones. Run with -race.
+func TestSessionExecRacesClose(t *testing.T) {
 	for _, tc := range []struct {
 		name string
 		cfg  SessionConfig
@@ -700,27 +714,33 @@ func TestSessionSubmitCallbacksRaceClose(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			s := openTestSession(t, tc.name, tc.cfg)
-			const floods = 4
-			var accepted, fired atomic.Int64
+			const floods = 6
+			var accepted atomic.Int64
 			var wg sync.WaitGroup
-			stop := make(chan struct{})
 			for g := 0; g < floods; g++ {
 				wg.Add(1)
 				go func() {
 					defer wg.Done()
+					ctx := context.Background()
+					worker := g % 2
+					switch g % 3 {
+					case 1: // cancellable: the queued path
+						var cancel context.CancelFunc
+						ctx, cancel = context.WithCancel(ctx)
+						defer cancel()
+					case 2:
+						worker = AnyWorker
+					}
 					for {
-						select {
-						case <-stop:
-							return
-						default:
-						}
-						err := s.Submit(counterSessionBody(0), func(error) { fired.Add(1) })
+						err := s.ExecOn(ctx, worker, counterSessionBody(0))
 						if errors.Is(err, ErrClosed) {
 							return
 						}
-						if err == nil {
-							accepted.Add(1)
+						if err != nil {
+							t.Errorf("flood %d: %v", g, err)
+							return
 						}
+						accepted.Add(1)
 					}
 				}()
 			}
@@ -729,15 +749,14 @@ func TestSessionSubmitCallbacksRaceClose(t *testing.T) {
 				runtime.Gosched()
 			}
 			_, cerr := s.Close()
-			close(stop)
 			wg.Wait()
 			if cerr != nil {
 				t.Fatalf("close: %v", cerr)
 			}
-			// Close drained the workers, so no callback is still in
-			// flight: the counts must match exactly.
-			if accepted.Load() != fired.Load() {
-				t.Fatalf("accepted %d submissions but %d callbacks fired", accepted.Load(), fired.Load())
+			st := s.Stats()
+			if n := uint64(accepted.Load()); st.Submitted != n || st.Completed != n || st.Commits != n {
+				t.Fatalf("%d calls committed, stats count submitted %d completed %d commits %d",
+					n, st.Submitted, st.Completed, st.Commits)
 			}
 		})
 	}

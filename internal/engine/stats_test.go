@@ -67,7 +67,7 @@ func TestStatsSnapshotOrder(t *testing.T) {
 }
 
 // TestStatsCountDeliveredResults holds Session.Stats to its contract:
-// by the time a result is delivered — an Exec returns, or a Submit's
+// by the time a result is delivered — an ExecOn returns, or a Begin's
 // done callback starts — Stats already counts it, whichever way the
 // transaction ran and however it ended. Sessions are native only, so
 // the native rows are the ones left. Run with -race.
@@ -105,15 +105,29 @@ func TestStatsCountDeliveredResults(t *testing.T) {
 			check(s.ExecOn(ctx, 0, body))
 		}},
 		{"async", func(s *Session, body Body, check func(error)) {
+			// An interactive transaction, whose result goes to Begin's
+			// done callback; the body issues its operations from here.
 			done := make(chan struct{})
-			if err := s.SubmitOn(0, body, func(err error) {
+			it, err := s.Begin(0, func(err error) {
 				defer close(done)
 				check(err)
-			}); err != nil {
+			})
+			if err != nil {
 				check(err)
 				return
 			}
-			_ = s.Drain(bg)
+			for {
+				res := body(interactiveTx{it})
+				if errors.Is(res, ErrAborted) {
+					continue // the attempt ended; the transaction is open again
+				}
+				if res != nil && !errors.Is(res, ErrNoCommit) {
+					break // the transaction is over: done has its result
+				}
+				if retrying, _ := it.Finish(bg, res == nil); !retrying {
+					break
+				}
+			}
 			<-done
 		}},
 	}
@@ -180,4 +194,25 @@ func TestStatsCountDeliveredResults(t *testing.T) {
 			}
 		}
 	}
+}
+
+// interactiveTx runs a Body's operations on an open interactive
+// transaction: an operation that ended the attempt is ErrAborted, and
+// one on a finished transaction is its terminal result.
+type interactiveTx struct{ it *Interactive }
+
+func (x interactiveTx) Read(i int) (int64, error) {
+	v, aborted, err := x.it.Read(context.Background(), i)
+	if err == nil && aborted {
+		err = ErrAborted
+	}
+	return v, err
+}
+
+func (x interactiveTx) Write(i int, v int64) error {
+	aborted, err := x.it.Write(context.Background(), i, v)
+	if err == nil && aborted {
+		err = ErrAborted
+	}
+	return err
 }

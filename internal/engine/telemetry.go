@@ -122,7 +122,7 @@ func (m *sessionMetrics) syncLive(mon *monitor.Monitor, starvation []int, bo *na
 	if m.class == nil {
 		return
 	}
-	m.class.Set(livenessOrdinal(mon.LivenessClassNow()))
+	m.class.Set(int64(monitor.LivenessRank(mon.LivenessClassNow())))
 	for i, s := range starvation {
 		if i < len(m.starvation) {
 			m.starvation[i].Set(int64(s))
@@ -130,23 +130,6 @@ func (m *sessionMetrics) syncLive(mon *monitor.Monitor, starvation []int, bo *na
 	}
 	for i := range m.bias {
 		m.bias[i].Set(int64(bo.Bias(i)))
-	}
-}
-
-// livenessOrdinal maps a liveness-class name onto a strongest-first
-// ordinal, so the gauge moves up as the observed run strengthens.
-func livenessOrdinal(class string) int64 {
-	switch class {
-	case "local progress":
-		return 4
-	case "2-progress":
-		return 3
-	case "global progress":
-		return 2
-	case "solo progress":
-		return 1
-	default:
-		return 0
 	}
 }
 

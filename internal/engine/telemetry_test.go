@@ -151,7 +151,7 @@ func TestSessionStatsMatchRegistry(t *testing.T) {
 		Workers: 2, Vars: 4, Telemetry: reg,
 	})
 	for i := 0; i < 50; i++ {
-		if err := s.Exec(context.Background(), func(tx Tx) error {
+		if err := s.ExecOn(context.Background(), AnyWorker, func(tx Tx) error {
 			v, err := tx.Read(i % 4)
 			if err != nil {
 				return err

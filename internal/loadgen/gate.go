@@ -1,6 +1,10 @@
 package loadgen
 
-import "fmt"
+import (
+	"fmt"
+
+	"livetm/internal/monitor"
+)
 
 // Gates are a scenario's release thresholds: the four-gate
 // methodology (latency, abort rate, overload refusals, throughput)
@@ -29,22 +33,6 @@ type GateResult struct {
 	Gate   string `json:"gate"`
 	Pass   bool   `json:"pass"`
 	Detail string `json:"detail"`
-}
-
-// livenessRank orders the lattice for MinLiveness comparisons.
-func livenessRank(class string) int {
-	switch class {
-	case "local progress":
-		return 4
-	case "2-progress":
-		return 3
-	case "global progress":
-		return 2
-	case "solo progress":
-		return 1
-	default:
-		return 0
-	}
 }
 
 // steadyPhases filters out warmup: gates judge the phases that are
@@ -114,7 +102,7 @@ func Evaluate(a *Artifact, g Gates) []GateResult {
 	}
 	if g.MinLiveness != "" {
 		got := a.LivenessClass
-		pass := got != "" && livenessRank(got) >= livenessRank(g.MinLiveness)
+		pass := got != "" && monitor.LivenessRank(got) >= monitor.LivenessRank(g.MinLiveness)
 		detail := fmt.Sprintf("class %q, min %q", got, g.MinLiveness)
 		if got == "" {
 			detail = fmt.Sprintf("no monitor report in artifact (run with -drain), min %q", g.MinLiveness)

@@ -40,35 +40,28 @@ type FaultDriver interface {
 	Fault(s adversary.Strategy, cfg adversary.Config) (adversary.Outcome, error)
 }
 
-// SessionTarget drives an in-process engine.Session. Programs submit
-// asynchronously so the session's MaxQueue refuses overload with
-// ErrOverloaded (hint-less — the backoff falls back to its base)
-// instead of Exec's blocking backpressure, keeping the driver
-// open-loop.
+// SessionTarget drives an in-process engine.Session through ExecOn on
+// any worker. With the session's MaxQueue set, a full lane refuses a
+// program at once with ErrOverloaded (hint-less — the backoff falls
+// back to its base), which keeps the driver open-loop; without it a
+// program waits for room on its lane, and the driver's outstanding cap
+// sheds instead.
 type SessionTarget struct {
 	S     *engine.Session
 	NVars int
 }
 
-// Exec submits the program and waits for its result.
+// Exec runs the program and waits for its result.
 func (t *SessionTarget) Exec(ctx context.Context, _ string, ops []server.Op) (bool, error) {
 	var reads []int64
-	done := make(chan error, 1)
-	if err := t.S.Submit(server.ProgramBody(ops, &reads), func(err error) { done <- err }); err != nil {
+	err := t.S.ExecOn(ctx, engine.AnyWorker, server.ProgramBody(ops, &reads))
+	switch {
+	case err == nil:
+		return true, nil
+	case errors.Is(err, engine.ErrNoCommit):
+		return false, nil
+	default:
 		return false, err
-	}
-	select {
-	case err := <-done:
-		switch {
-		case err == nil:
-			return true, nil
-		case errors.Is(err, engine.ErrNoCommit):
-			return false, nil
-		default:
-			return false, err
-		}
-	case <-ctx.Done():
-		return false, ctx.Err()
 	}
 }
 

@@ -138,6 +138,20 @@ var lattice = []liveness.Property{
 	liveness.GlobalProgress, liveness.SoloProgress,
 }
 
+// LivenessRank places a liveness-class name on the lattice: len(lattice)
+// for the strongest property ("local progress") down to 1 for the
+// weakest ("solo progress"), and 0 for "none" or any name outside the
+// lattice. A stronger class ranks higher, so the rank can floor a class
+// (a release gate) or chart it (a gauge).
+func LivenessRank(class string) int {
+	for i, prop := range lattice {
+		if prop.Name == class {
+			return len(lattice) - i
+		}
+	}
+	return 0
+}
+
 // New creates a monitor.
 func New(cfg Config) (*Monitor, error) {
 	cfg = cfg.withDefaults()

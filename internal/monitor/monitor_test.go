@@ -363,3 +363,32 @@ func TestMonitorProcIDEdges(t *testing.T) {
 		t.Error("a fixed process set with process 0 must be refused")
 	}
 }
+
+// TestLivenessRank: every lattice name ranks above the next weaker one,
+// strongest at len(lattice), and "none", the empty string and unknown
+// names rank 0 — the order the liveness-class gauge and loadgen's
+// MinLiveness gate both read.
+func TestLivenessRank(t *testing.T) {
+	for _, tc := range []struct {
+		class string
+		want  int
+	}{
+		{"local progress", 4},
+		{"2-progress", 3},
+		{"global progress", 2},
+		{"solo progress", 1},
+		{"none", 0},
+		{"", 0},
+		{"3-progress", 0},
+		{"Local Progress", 0},
+	} {
+		if got := LivenessRank(tc.class); got != tc.want {
+			t.Errorf("LivenessRank(%q) = %d, want %d", tc.class, got, tc.want)
+		}
+	}
+	for i, prop := range lattice {
+		if got, want := LivenessRank(prop.Name), len(lattice)-i; got != want {
+			t.Errorf("lattice[%d] %q ranks %d, want %d", i, prop.Name, got, want)
+		}
+	}
+}

@@ -1,15 +1,15 @@
 // Package server puts a native TM session on the wire: a
-// transport-agnostic submission service over an engine.Submitter,
+// transport-agnostic submission service over an engine.Session,
 // serving multiple network clients with admission control, per-client
 // fairness, and a graceful drain that finishes every accepted
 // transaction and returns the resident monitor's final report.
 //
 // # Layering
 //
-// The server accepts submissions through the engine.Submitter
-// interface plus the session lifecycle (Backend), so anything that
-// executes transactions — a *engine.Session directly, or a router
-// fanning out over several — can sit behind the same wire API.
+// The server serves a Backend: engine.Submitter's ExecOn, Begin and
+// the session lifecycle. *engine.Session satisfies it directly, and a
+// decorator (a tracing wrapper, a test double) can stand in front of
+// it.
 // Sessions are native: a simulated engine runs batches only, so there
 // is no simulated session to serve. The wire itself is HTTP, with
 // JSONCodec framing the bodies on both sides.
@@ -39,7 +39,7 @@
 //
 //	POST /v1/exec      one-shot transaction program, blocking: the
 //	                   response carries the commit verdict and the
-//	                   values read (Session.Exec over the wire)
+//	                   values read (Session.ExecOn over the wire)
 //	POST /v1/tx/begin  open an interactive transaction pinned to a
 //	                   worker lane; the transaction stays open across
 //	                   requests (Session.Begin over the wire)
@@ -72,6 +72,9 @@
 // share (MaxInflight divided by the number of currently-active
 // clients), so a flooding client is refused while a light one is
 // still admitted. Refusals are engine.ErrOverloaded on the wire:
-// HTTP 429 with a Retry-After hint. The engine-level
-// SessionConfig.MaxQueue cap surfaces through the same path.
+// HTTP 429 with a Retry-After hint. A session opened with
+// SessionConfig.MaxQueue refuses a blocking or an interactive
+// submission whose lane is full with the same sentinel, so it surfaces
+// through the same path; without it a blocking submission waits for
+// room on its lane instead.
 package server

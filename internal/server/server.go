@@ -16,10 +16,9 @@ import (
 	"livetm/internal/telemetry"
 )
 
-// Backend is what the server serves: the submission surface, the
-// interactive transactions, and the session lifecycle. *engine.Session
-// satisfies it directly; a router fanning out over several sessions
-// would too.
+// Backend is what the server serves: the blocking submission surface,
+// the interactive transactions, and the session lifecycle.
+// *engine.Session satisfies it directly.
 type Backend interface {
 	engine.Submitter
 	// Begin opens an interactive transaction pinned to a worker; done

@@ -511,8 +511,8 @@ func TestCancelledExecNeverLendsItsScratch(t *testing.T) {
 		}
 	}
 
-	gate := make(chan struct{})
-	if err := sess.SubmitOn(0, func(engine.Tx) error { <-gate; return nil }, nil); err != nil {
+	parked, err := sess.Begin(0, nil) // holds the only worker until abandoned
+	if err != nil {
 		t.Fatal(err)
 	}
 	ctx, cancel := context.WithCancel(context.Background())
@@ -545,6 +545,6 @@ func TestCancelledExecNeverLendsItsScratch(t *testing.T) {
 		}()
 	}
 	queued(1 + victims + survivors)
-	close(gate)
+	parked.Abandon()
 	wg.Wait()
 }

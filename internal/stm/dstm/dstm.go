@@ -17,7 +17,8 @@
 // The choice is observable in the liveness matrix — with AbortSelf a
 // crashed writer's descriptor is never cleaned up and conflicting
 // processes abort forever, losing solo progress even in parasitic-free
-// systems. This is the CM ablation of DESIGN.md §5.
+// systems. This is the CM ablation: an Ablation variant of
+// core.Registry, listed by `livetm tms`.
 package dstm
 
 import (

@@ -12,7 +12,8 @@
 // individual transactions can starve (validation can keep failing),
 // but some transaction always completes.
 //
-// The helping ablation (DESIGN.md §5): NewWithoutHelping returns a
+// The helping ablation (core.Registry's ostm-nohelp, an Ablation
+// variant): NewWithoutHelping returns a
 // variant that aborts instead of helping; with it a crashed committer
 // leaves its descriptor in place forever and every conflicting
 // transaction aborts indefinitely — global progress degrades to solo

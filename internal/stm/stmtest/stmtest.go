@@ -2,7 +2,8 @@
 // scenario harness used by every TM implementation in the repository:
 // randomized opacity conformance, sequential-semantics checks, and the
 // fault-injection scenarios (crash-point sweeps, parasitic processes)
-// that the liveness matrix (DESIGN.md E20) is built on.
+// that the liveness matrix (E20, core's TestLivenessMatrix) is built
+// on.
 //
 //lint:allow(unused) test support: the liveness matrix uses the scenario bodies, and every TM package's tests run the conformance harness
 package stmtest
