@@ -1,8 +1,10 @@
 // Package jsonscan is the hand-written half of this repository's JSON
 // codecs: a scanner that accepts one canonical subset of JSON without
 // reflection or allocation, and append-style encoders that write the
-// bytes encoding/json would. internal/model reads and writes trace
-// events with it, internal/server the per-transaction wire frames.
+// bytes encoding/json would. internal/server reads and writes its
+// per-transaction wire frames with it. internal/model takes only
+// IsSpace: a trace line has one canonical spelling, which its reader
+// matches byte for byte without a scanner.
 //
 // The scanner only ever accepts. Objects with known, exactly spelled,
 // unrepeated keys; plain integers of at most 18 digits; true and
@@ -18,16 +20,12 @@ import "encoding/json"
 
 // Scanner walks Buf from Pos. Every method skips leading whitespace,
 // and on success leaves Pos after what it consumed. After a method
-// reported false the value is not in the accepted subset — or, when
-// Short reports true, Buf ended before the value did.
+// reported false the value is not in the accepted subset of what Buf
+// holds, which is always a whole document.
 type Scanner struct {
 	Buf []byte
 	Pos int
 }
-
-// Short reports whether the scan that just failed ran out of bytes:
-// with more input the same value might be accepted.
-func (s *Scanner) Short() bool { return s.Pos >= len(s.Buf) }
 
 // IsSpace reports whether c is JSON whitespace.
 func IsSpace(c byte) bool { return c == ' ' || c == '\n' || c == '\r' || c == '\t' }
@@ -115,17 +113,9 @@ func (s *Scanner) Bool(dst *bool) bool {
 	return true
 }
 
-// literal consumes lit. When Buf ends inside a matching prefix it
-// moves Pos to the end, which is what Short reads.
+// literal consumes lit.
 func (s *Scanner) literal(lit string) bool {
-	rest := s.Buf[s.Pos:]
-	if len(rest) < len(lit) {
-		if string(rest) == lit[:len(rest)] {
-			s.Pos = len(s.Buf)
-		}
-		return false
-	}
-	if string(rest[:len(lit)]) != lit {
+	if rest := s.Buf[s.Pos:]; len(rest) < len(lit) || string(rest[:len(lit)]) != lit {
 		return false
 	}
 	s.Pos += len(lit)
@@ -191,7 +181,6 @@ func (s *Scanner) Object(keys []string, field func(i int) bool) (seen uint32, ok
 			i++
 		}
 		if i == len(keys) || seen&(1<<i) != 0 {
-			s.Pos-- // a key we do not take is not the input running short
 			return seen, false
 		}
 		seen |= 1 << i

@@ -9,10 +9,9 @@ import (
 
 func TestInt64(t *testing.T) {
 	for _, c := range []struct {
-		in    string
-		want  int64
-		ok    bool
-		short bool // a refusal that more input could lift
+		in   string
+		want int64
+		ok   bool
 	}{
 		{in: "0,", want: 0, ok: true},
 		{in: " \t\r\n-0}", want: 0, ok: true},
@@ -29,9 +28,9 @@ func TestInt64(t *testing.T) {
 		{in: "1E2,"},
 		{in: "null,"},
 		{in: `"1",`},
-		{in: "", short: true},
-		{in: "-", short: true},
-		{in: "12", short: true}, // nothing shows the number ended
+		{in: ""},
+		{in: "-"},
+		{in: "12"}, // nothing shows the number ended
 	} {
 		s := Scanner{Buf: []byte(c.in)}
 		got := int64(-77)
@@ -39,18 +38,14 @@ func TestInt64(t *testing.T) {
 		if ok != c.ok || (ok && got != c.want) || (!ok && got != -77) {
 			t.Errorf("Int64(%q) = %d, %v; want %d, %v (and the destination untouched on refusal)", c.in, got, ok, c.want, c.ok)
 		}
-		if !ok && s.Short() != c.short {
-			t.Errorf("Int64(%q): Short() = %v, want %v", c.in, s.Short(), c.short)
-		}
 	}
 }
 
 func TestStringAndBool(t *testing.T) {
 	for _, c := range []struct {
-		in    string
-		want  string
-		ok    bool
-		short bool
+		in   string
+		want string
+		ok   bool
 	}{
 		{in: `"read"`, want: "read", ok: true},
 		{in: ` "" `, want: "", ok: true},
@@ -60,8 +55,8 @@ func TestStringAndBool(t *testing.T) {
 		{in: "\"a\tb\""},
 		{in: "\"caf\xc3\xa9\""}, // not ASCII: encoding/json checks the UTF-8
 		{in: `read`},
-		{in: `"rea`, short: true},
-		{in: ` `, short: true},
+		{in: `"rea`},
+		{in: ` `},
 	} {
 		s := Scanner{Buf: []byte(c.in)}
 		got := "untouched"
@@ -69,22 +64,19 @@ func TestStringAndBool(t *testing.T) {
 		if ok != c.ok || (ok && got != c.want) || (!ok && got != "untouched") {
 			t.Errorf("String(%q) = %q, %v; want %q, %v", c.in, got, ok, c.want, c.ok)
 		}
-		if !ok && s.Short() != c.short {
-			t.Errorf("String(%q): Short() = %v, want %v", c.in, s.Short(), c.short)
-		}
 	}
-	for in, want := range map[string][3]bool{ // value, ok, short
-		"true":   {true, true, false},
-		" false": {false, true, false},
-		"tru":    {false, false, true},
-		"f":      {false, false, true},
-		"True":   {false, false, false},
-		"nul":    {false, false, false},
+	for in, want := range map[string][2]bool{ // value, ok
+		"true":   {true, true},
+		" false": {false, true},
+		"tru":    {false, false},
+		"f":      {false, false},
+		"True":   {false, false},
+		"nul":    {false, false},
 	} {
 		s := Scanner{Buf: []byte(in)}
 		var got bool
-		if ok := s.Bool(&got); ok != want[1] || got != want[0] || (!ok && s.Short() != want[2]) {
-			t.Errorf("Bool(%q) = %v, %v (short %v); want %v", in, got, ok, s.Short(), want)
+		if ok := s.Bool(&got); ok != want[1] || got != want[0] {
+			t.Errorf("Bool(%q) = %v, %v; want %v", in, got, ok, want)
 		}
 	}
 }
@@ -92,10 +84,9 @@ func TestStringAndBool(t *testing.T) {
 func TestObject(t *testing.T) {
 	keys := []string{"a", "b", "c"}
 	for _, c := range []struct {
-		in    string
-		seen  uint32
-		ok    bool
-		short bool
+		in   string
+		seen uint32
+		ok   bool
 	}{
 		{in: `{}`, seen: 0, ok: true},
 		{in: ` { "c" : 3 , "a" : 1 } x`, seen: 0b101, ok: true},
@@ -108,10 +99,10 @@ func TestObject(t *testing.T) {
 		{in: `{"a":1 "b":2}`}, // malformed
 		{in: `{"a":null}`},    // not in the subset
 		{in: `[1]`},           // not an object
-		{in: `{"a":1,"b"`, short: true},
-		{in: `{"a":1,"b":`, short: true},
-		{in: `{"a":1`, short: true},
-		{in: `{`, short: true},
+		{in: `{"a":1,"b"`},
+		{in: `{"a":1,"b":`},
+		{in: `{"a":1`},
+		{in: `{`},
 	} {
 		s := Scanner{Buf: []byte(c.in)}
 		seen, ok := s.Object(keys, func(int) bool {
@@ -120,9 +111,6 @@ func TestObject(t *testing.T) {
 		})
 		if ok != c.ok || (ok && seen != c.seen) {
 			t.Errorf("Object(%q) = %03b, %v; want %03b, %v", c.in, seen, ok, c.seen, c.ok)
-		}
-		if !ok && s.Short() != c.short {
-			t.Errorf("Object(%q): Short() = %v, want %v", c.in, s.Short(), c.short)
 		}
 	}
 }

@@ -5,6 +5,7 @@ import (
 	"fmt"
 	"os"
 	"os/exec"
+	"runtime/debug"
 	"strings"
 
 	"livetm/internal/monitor"
@@ -149,11 +150,35 @@ func LoadArtifact(path string) (*Artifact, error) {
 	return &a, nil
 }
 
-// GitDescribe stamps provenance; "unknown" outside a git checkout.
+// GitDescribe stamps provenance with the build of the running binary:
+// its VCS revision, shortened to 12 hex digits, with "-dirty" when it
+// was built from a modified tree. Only a binary that carries no VCS
+// stamp (go test and go run build none) falls back to `git describe`
+// in the working directory, and outside a checkout to "unknown".
 func GitDescribe() string {
+	if info, ok := debug.ReadBuildInfo(); ok {
+		if stamp, ok := buildStamp(info.Settings); ok {
+			return stamp
+		}
+	}
 	out, err := exec.Command("git", "describe", "--always", "--dirty").Output()
 	if err != nil {
 		return "unknown"
 	}
 	return strings.TrimSpace(string(out))
+}
+
+// buildStamp is GitDescribe's reading of a binary's build settings;
+// false when they hold no vcs.revision.
+func buildStamp(settings []debug.BuildSetting) (string, bool) {
+	var rev, dirty string
+	for _, s := range settings {
+		switch {
+		case s.Key == "vcs.revision":
+			rev = s.Value[:min(len(s.Value), 12)]
+		case s.Key == "vcs.modified" && s.Value == "true":
+			dirty = "-dirty"
+		}
+	}
+	return rev + dirty, rev != ""
 }

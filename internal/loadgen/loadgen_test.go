@@ -8,6 +8,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"path/filepath"
+	"runtime/debug"
 	"strings"
 	"testing"
 	"time"
@@ -459,6 +460,29 @@ func Passed(results []GateResult) bool {
 		}
 	}
 	return true
+}
+
+// An artifact names the build of the binary that wrote it, read from
+// the binary's own VCS stamp; without one GitDescribe looks elsewhere.
+func TestBuildStamp(t *testing.T) {
+	const rev = "0123456789abcdef0123456789abcdef01234567"
+	cases := []struct {
+		name     string
+		settings []debug.BuildSetting
+		want     string
+		ok       bool
+	}{
+		{"revision", []debug.BuildSetting{{Key: "vcs", Value: "git"}, {Key: "vcs.revision", Value: rev}, {Key: "vcs.modified", Value: "false"}}, "0123456789ab", true},
+		{"revision and modified", []debug.BuildSetting{{Key: "vcs.modified", Value: "true"}, {Key: "vcs.revision", Value: rev}}, "0123456789ab-dirty", true},
+		{"no VCS keys", []debug.BuildSetting{{Key: "-compiler", Value: "gc"}, {Key: "GOOS", Value: "linux"}}, "", false},
+	}
+	for _, c := range cases {
+		t.Run(c.name, func(t *testing.T) {
+			if got, ok := buildStamp(c.settings); got != c.want || ok != c.ok {
+				t.Fatalf("buildStamp = %q, %v; want %q, %v", got, ok, c.want, c.ok)
+			}
+		})
+	}
 }
 
 // Validate admits only scenarios whose plan is finite and fits in

@@ -13,16 +13,6 @@ import (
 	"livetm/internal/jsonscan"
 )
 
-// eventKeys are the members of an event object, in the order
-// AppendJSON writes them; hasVar and hasVal are the last two's bits in
-// the set Scanner.Object reports.
-var eventKeys = []string{"proc", "kind", "var", "val"}
-
-const (
-	hasVar = 1 << 2
-	hasVal = 1 << 3
-)
-
 // kindNamed maps a conventional short name (Kind.String) back to its
 // kind; 0 when there is none.
 func kindNamed(name []byte) Kind {
@@ -58,6 +48,30 @@ func (e Event) AppendJSON(dst []byte) ([]byte, error) {
 	return append(dst, "}\n"...), nil
 }
 
+// lineLen is the length of the line AppendJSON writes for e.
+func (e Event) lineLen() int {
+	n := len(`{"proc":,"kind":""}`+"\n") + intLen(int64(e.Proc)) + len(e.Kind.String())
+	if e.Kind == InvRead || e.Kind == InvWrite {
+		n += len(`,"var":`) + intLen(int64(e.Var))
+	}
+	if e.Kind == InvWrite || e.Kind == RespValue {
+		n += len(`,"val":`) + intLen(int64(e.Val))
+	}
+	return n
+}
+
+// intLen is the length of strconv.AppendInt's decimal text for v.
+func intLen(v int64) int {
+	n, u := 1, uint64(v)
+	if v < 0 {
+		n, u = 2, -u
+	}
+	for ; u >= 10; u /= 10 {
+		n++
+	}
+	return n
+}
+
 // MarshalJSON implements json.Marshaler.
 func (e Event) MarshalJSON() ([]byte, error) {
 	line, err := e.AppendJSON(nil)
@@ -67,55 +81,128 @@ func (e Event) MarshalJSON() ([]byte, error) {
 	return line[:len(line)-1], nil
 }
 
-// scan is the fast half of decoding: it fills e from an event object
-// in the scanner's subset that UnmarshalJSON would accept, and reports
-// false for every other input, leaving it to UnmarshalJSON.
-func (e *Event) scan(s *jsonscan.Scanner) bool {
-	var (
-		proc, x int
-		v       int64
-		kind    Kind
-	)
-	seen, ok := s.Object(eventKeys, func(i int) bool {
-		switch i {
-		case 0:
-			return s.Int(&proc)
-		case 1:
-			name, ok := s.Str()
-			kind = kindNamed(name)
-			return ok
-		case 2:
-			return s.Int(&x)
-		default:
-			return s.Int64(&v)
+// The outcomes of matching a trace line other than a match, which
+// returns the index after it (never negative).
+const (
+	declined = -1 // not an object AppendJSON writes
+	short    = -2 // the bytes end inside what may still be one
+)
+
+// Digit counts that keep a matched id in its own range check and a
+// value inside int64 without an overflow check. A longer value, which
+// AppendJSON writes, is left to encoding/json.
+const (
+	procDigits = 5  // MaxProc, 32 767
+	varDigits  = 10 // MaxTVar, 2 147 483 647
+	valDigits  = 18
+)
+
+// kindLits are the kinds' names as AppendJSON writes them, each with
+// the quote that closes it, and kindOf is the kind whose name starts
+// with a byte (no two start alike), 0 for any other byte.
+var kindLits, kindOf = func() (lits [RespAbort + 1]string, of [256]Kind) {
+	for k := InvRead; k <= RespAbort; k++ {
+		lits[k] = k.String() + `"`
+		of[lits[k][0]] = k
+	}
+	return lits, of
+}()
+
+// matchEvent matches, at the start of b, an event object exactly as
+// AppendJSON writes it, up to its closing brace. It returns the event
+// and the object's length, or declined, or short when b ends before
+// the match is decided either way. It reads nothing past the brace.
+func matchEvent(b []byte) (Event, int) {
+	proc, i := matchDigits(b, matchLit(b, 0, `{"proc":`), procDigits)
+	if i >= 0 && (proc == 0 || proc > MaxProc) {
+		return Event{}, declined
+	}
+	i = matchLit(b, i, `,"kind":"`)
+	switch {
+	case i < 0:
+		return Event{}, i
+	case i == len(b):
+		return Event{}, short
+	}
+	e := Event{Kind: kindOf[b[i]]}
+	if e.Kind == 0 {
+		return Event{}, declined
+	}
+	i = matchLit(b, i, kindLits[e.Kind])
+	if e.Kind == InvRead || e.Kind == InvWrite {
+		var x uint64
+		x, i = matchDigits(b, matchLit(b, i, `,"var":`), varDigits)
+		if i >= 0 && x > MaxTVar {
+			return Event{}, declined
 		}
-	})
-	if !ok || kind == 0 || proc <= 0 || proc > MaxProc {
-		return false
+		e.Var = TVar(x)
 	}
-	ev := Event{Proc: Proc(proc), Kind: kind}
-	var need uint32
-	switch kind {
-	case InvRead:
-		need = hasVar
-		ev.Var = TVar(x)
-	case InvWrite:
-		need = hasVar | hasVal
-		ev.Var, ev.Val = TVar(x), Value(v)
-	case RespValue:
-		need = hasVal
-		ev.Val = Value(v)
+	if e.Kind == InvWrite || e.Kind == RespValue {
+		i = matchLit(b, i, `,"val":`)
+		neg := i >= 0 && i < len(b) && b[i] == '-'
+		if neg {
+			i++
+		}
+		var v uint64
+		v, i = matchDigits(b, i, valDigits)
+		if neg && i >= 0 && v == 0 {
+			return Event{}, declined // AppendJSON writes no -0
+		}
+		e.Val = Value(v)
+		if neg {
+			e.Val = -e.Val
+		}
 	}
-	if seen&need != need || need&hasVar != 0 && (x < 0 || x > MaxTVar) {
-		return false
+	e.Proc = Proc(proc)
+	return e, matchLit(b, i, "}")
+}
+
+// matchLit matches lit at b[i:] and returns the index after it. Like
+// matchDigits, it passes on a negative i, the outcome of an earlier
+// step.
+func matchLit(b []byte, i int, lit string) int {
+	if i < 0 {
+		return i
 	}
-	*e = ev
-	return true
+	if rest := b[i:]; len(rest) < len(lit) {
+		if string(rest) == lit[:len(rest)] {
+			return short
+		}
+		return declined
+	}
+	if string(b[i:i+len(lit)]) != lit {
+		return declined
+	}
+	return i + len(lit)
+}
+
+// matchDigits matches at b[i:] a non-negative integer as
+// strconv.AppendInt writes it, 0 or at most width digits without a
+// leading zero, and returns its value and the index after it.
+func matchDigits(b []byte, i, width int) (uint64, int) {
+	if i < 0 {
+		return 0, i
+	}
+	var v uint64
+	j := i
+	for ; j < len(b) && b[j]-'0' <= 9; j++ {
+		if j-i == width {
+			return 0, declined
+		}
+		v = v*10 + uint64(b[j]-'0')
+	}
+	switch {
+	case j == len(b):
+		return 0, short
+	case j == i, b[i] == '0' && j > i+1:
+		return 0, declined
+	}
+	return v, j
 }
 
 // UnmarshalJSON implements json.Unmarshaler. It is the definition of
-// which event objects decode and to what; TraceReader's scanner takes
-// the common ones off it and hands it the rest.
+// which event objects decode and to what; TraceReader matches the lines
+// AppendJSON writes without it and hands it every other value.
 func (e *Event) UnmarshalJSON(data []byte) error {
 	// The pointers tell an absent member from a zero one.
 	type eventJSON struct {
@@ -174,22 +261,22 @@ func checkVar(x int) error {
 	return nil
 }
 
-// traceBufSize is TraceReader's refill buffer: a few thousand events
-// per read, and longer than any value but a deliberately padded one.
+// traceBufSize is TraceReader's refill buffer and WriteTrace's write
+// buffer: a few thousand events per read or write, and longer than any
+// value but a deliberately padded one.
 const traceBufSize = 64 << 10
 
 // TraceReader streams the events of a JSON Lines trace: a sequence of
-// event objects separated by any JSON whitespace. Events in the
-// canonical form (see the package comment) are scanned in place out of
-// one fixed buffer; any other value is decoded by encoding/json
-// through Event.UnmarshalJSON, exactly as json.Decoder would have.
+// event objects separated by any JSON whitespace. An event exactly as
+// AppendJSON writes it is matched in place out of one fixed buffer;
+// any other value is decoded by encoding/json through
+// Event.UnmarshalJSON, exactly as json.Decoder would have.
 type TraceReader struct {
 	src      io.Reader
 	buf      []byte
 	pos, end int   // buf[pos:end] is read and not yet consumed
 	srcErr   error // what src last returned; no Read follows it
 	err      error // sticky: what Next returns from now on
-	sc       jsonscan.Scanner
 }
 
 // NewTraceReader returns a reader of the trace in r. It reads r no
@@ -213,14 +300,13 @@ func (r *TraceReader) Next() (Event, error) {
 			}
 			continue
 		}
-		r.sc.Buf, r.sc.Pos = r.buf[:r.end], r.pos
-		var e Event
-		if e.scan(&r.sc) {
-			r.pos = r.sc.Pos
+		e, n := matchEvent(r.buf[r.pos:r.end])
+		if n >= 0 {
+			r.pos += n
 			return e, nil
 		}
-		if r.sc.Short() && r.fill() {
-			continue // the value was cut off by the buffer's end: scan it again, whole
+		if n == short && r.fill() {
+			continue // the line was cut off by the buffer's end: match it again, whole
 		}
 		return r.decode()
 	}
@@ -345,9 +431,18 @@ func eventBound(r io.Reader, buf []byte) int64 {
 }
 
 // WriteTrace writes the history as JSON Lines: one event object per
-// line, streamable and appendable.
+// line, streamable and appendable. It writes through one buffer of
+// traceBufSize bytes, and a writer that can grow (a bytes.Buffer, a
+// strings.Builder) first reserves the trace's exact length.
 func WriteTrace(w io.Writer, h History) error {
-	bw := bufio.NewWriter(w)
+	if g, ok := w.(interface{ Grow(int) }); ok {
+		n := 0
+		for _, e := range h {
+			n += e.lineLen()
+		}
+		g.Grow(n)
+	}
+	bw := bufio.NewWriterSize(w, traceBufSize)
 	var line []byte
 	for i, e := range h {
 		var err error

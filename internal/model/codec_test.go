@@ -20,7 +20,7 @@ import (
 // referenceReadTrace is ReadTrace as it was before TraceReader: one
 // json.Decoder over the whole input, every value through
 // Event.UnmarshalJSON. The edge-case table and FuzzReadTrace hold the
-// scanning reader to it.
+// matching reader to it.
 func referenceReadTrace(r io.Reader) (History, error) {
 	dec := json.NewDecoder(r)
 	var h History
@@ -126,7 +126,7 @@ func TestEventJSONEncoding(t *testing.T) {
 	}
 }
 
-// traceCases are the reader's edge cases: inputs the scanner takes
+// traceCases are the reader's edge cases: inputs the matcher takes
 // itself, inputs it must leave to encoding/json, and inputs nobody
 // accepts. want is nil where err (a substring of the error) is set.
 var traceCases = []struct {
@@ -409,7 +409,7 @@ func TestAllocBudgetPerDecodedEvent(t *testing.T) {
 	}
 }
 
-// FuzzReadTrace holds the scanning reader to the json.Decoder loop it
+// FuzzReadTrace holds the matching reader to the json.Decoder loop it
 // replaced, on arbitrary bytes: same success, same history, same
 // failing event and error text, whatever the refill buffer's size.
 // The seeds, one per corner of the grammar, are under testdata/fuzz.
@@ -422,7 +422,7 @@ func FuzzReadTrace(f *testing.F) {
 // idBoundCases are the edges of the identifier ranges: the largest
 // Proc and TVar decode, one past them and a negative var are refused
 // in UnmarshalJSON's words, naming the member and the value, on both
-// the scanning path and the reference path. The FuzzReadTrace seeds
+// the matching path and the reference path. The FuzzReadTrace seeds
 // under testdata/fuzz repeat them.
 var idBoundCases = []struct {
 	name string
@@ -531,4 +531,235 @@ func TestAllocBudgetPerDecodedTrace(t *testing.T) {
 	if n, bound := eventBound(bytes.NewReader(braces), make([]byte, traceBufSize)), int64(len(braces)/minEventLine); n > bound {
 		t.Errorf("a %d-byte input of '{' reserves %d events, more than size/minEventLine = %d", len(braces), n, bound)
 	}
+}
+
+// matchCases are the exact-line matcher's edges. An accepted row is a
+// line AppendJSON writes, matched whole to the event UnmarshalJSON
+// decodes; every proper prefix of it is short, never declined. A
+// declined row is one AppendJSON never writes, so the matcher leaves it
+// to encoding/json, whatever that makes of it. The declined rows are
+// FuzzReadTrace seeds under testdata/fuzz (named declined-*).
+var matchCases = []struct {
+	name   string
+	in     string
+	accept bool
+}{
+	{name: "read at the low edges", in: `{"proc":1,"kind":"read","var":0}`, accept: true},
+	{name: "read at the high edges", in: `{"proc":32767,"kind":"read","var":2147483647}`, accept: true},
+	{name: "write at the low edges", in: `{"proc":1,"kind":"write","var":0,"val":-999999999999999999}`, accept: true},
+	{name: "write at the high edges", in: `{"proc":32767,"kind":"write","var":2147483647,"val":999999999999999999}`, accept: true},
+	{name: "write of zero", in: `{"proc":9,"kind":"write","var":10,"val":0}`, accept: true},
+	{name: "tryC", in: `{"proc":1,"kind":"tryC"}`, accept: true},
+	{name: "tryC at MaxProc", in: `{"proc":32767,"kind":"tryC"}`, accept: true},
+	{name: "negative value", in: `{"proc":1,"kind":"val","val":-1}`, accept: true},
+	{name: "zero value", in: `{"proc":1,"kind":"val","val":0}`, accept: true},
+	{name: "eighteen-digit value", in: `{"proc":32767,"kind":"val","val":123456789012345678}`, accept: true},
+	{name: "ok", in: `{"proc":1,"kind":"ok"}`, accept: true},
+	{name: "ok at MaxProc", in: `{"proc":32767,"kind":"ok"}`, accept: true},
+	{name: "commit", in: `{"proc":1,"kind":"C"}`, accept: true},
+	{name: "commit at MaxProc", in: `{"proc":32767,"kind":"C"}`, accept: true},
+	{name: "abort", in: `{"proc":1,"kind":"A"}`, accept: true},
+	{name: "abort at MaxProc", in: `{"proc":32767,"kind":"A"}`, accept: true},
+
+	{name: "leading zero in proc", in: `{"proc":01,"kind":"C"}`},
+	{name: "leading zero in var", in: `{"proc":1,"kind":"read","var":00}`},
+	{name: "leading zero in val", in: `{"proc":1,"kind":"val","val":-07}`},
+	{name: "proc 0", in: `{"proc":0,"kind":"C"}`},
+	{name: "proc 32768", in: `{"proc":32768,"kind":"C"}`},
+	{name: "var 2^31", in: `{"proc":1,"kind":"read","var":2147483648}`},
+	{name: "minus zero", in: `{"proc":1,"kind":"write","var":3,"val":-0}`},
+	{name: "members reordered", in: `{"kind":"C","proc":1}`},
+	{name: "var and val reordered", in: `{"proc":1,"kind":"write","val":5,"var":3}`},
+	{name: "space after a colon", in: `{"proc": 1,"kind":"C"}`},
+	{name: "kind Read", in: `{"proc":1,"kind":"Read","var":0}`},
+	{name: "escaped quote in the kind", in: `{"proc":1,"kind":"C\"","var":0}`},
+	{name: "extra member", in: `{"proc":1,"kind":"C","val":4}`},
+	{name: "missing member", in: `{"proc":1,"kind":"write","var":3}`},
+}
+
+func TestMatchEvent(t *testing.T) {
+	for _, c := range matchCases {
+		t.Run(c.name, func(t *testing.T) {
+			ref, refErr := checkAgainstReference(t, []byte(c.in))
+			got, n := matchEvent([]byte(c.in))
+			if !c.accept {
+				if n != declined {
+					t.Fatalf("matchEvent = %v, %d; want declined", got, n)
+				}
+				return
+			}
+			var want Event
+			if err := want.UnmarshalJSON([]byte(c.in)); err != nil || refErr != nil || len(ref) != 1 || ref[0] != want {
+				t.Fatalf("UnmarshalJSON: %v, %v; reference %v, %v", want, err, ref, refErr)
+			}
+			if got != want || n != len(c.in) {
+				t.Fatalf("matchEvent = %v, %d; want %v, %d", got, n, want, len(c.in))
+			}
+			line, _ := want.AppendJSON(nil)
+			if string(line) != c.in+"\n" {
+				t.Fatalf("AppendJSON writes %q, not the row", line)
+			}
+			for k := range len(c.in) {
+				if _, n := matchEvent([]byte(c.in[:k])); n != short {
+					t.Fatalf("prefix %q: %d, want short", c.in[:k], n)
+				}
+			}
+		})
+	}
+}
+
+// A 19-digit value, which AppendJSON writes, may be matched or left to
+// encoding/json; either way it decodes as the reference does. So do two
+// objects with no separator, and a line cut at every point of a small
+// refill buffer, each cut matched again after the refill: no value of
+// that trace reaches encoding/json, which would allocate.
+func TestMatchEventEdges(t *testing.T) {
+	for _, in := range []string{
+		`{"proc":1,"kind":"val","val":-9223372036854775808}`,
+		`{"proc":1,"kind":"write","var":0,"val":1234567890123456789}`,
+		`{"proc":1,"kind":"C"}{"proc":2,"kind":"write","var":1,"val":-3}`,
+	} {
+		checkAgainstReference(t, []byte(in))
+	}
+	if e, n := matchEvent([]byte(`{"proc":1,"kind":"C"}{"proc":2,"kind":"A"}`)); e != Commit(1) || n != len(`{"proc":1,"kind":"C"}`) {
+		t.Fatalf("first of two objects: %v, %d", e, n)
+	}
+
+	h := History{Write(3, 12, -40), OK(3), Read(1, 2), ValueResp(1, 7), TryCommit(3), Commit(3), Abort(1)}
+	var trace bytes.Buffer
+	if err := WriteTrace(&trace, h); err != nil {
+		t.Fatal(err)
+	}
+	longest := len(`{"proc":3,"kind":"write","var":12,"val":-40}` + "\n")
+	var src bytes.Reader
+	for size := longest; size <= trace.Len(); size++ {
+		tr := &TraceReader{buf: make([]byte, size)}
+		if n := testing.AllocsPerRun(5, func() {
+			src.Reset(trace.Bytes())
+			*tr = TraceReader{src: &src, buf: tr.buf}
+			for i := 0; ; i++ {
+				e, err := tr.Next()
+				if err == io.EOF && i == len(h) {
+					return
+				}
+				if err != nil || i >= len(h) || e != h[i] {
+					t.Fatalf("%d-byte buffer, event %d: %v, %v", size, i, e, err)
+				}
+			}
+		}); n != 0 {
+			t.Errorf("%d-byte buffer: %.1f allocations, want 0 (a cut line went to encoding/json)", size, n)
+		}
+	}
+}
+
+// WriteTrace reserves, in a writer that can grow, exactly the bytes it
+// then writes, and writes what AppendJSON does line by line.
+func TestWriteTraceReservesExactLength(t *testing.T) {
+	h := History{
+		Read(1, 0), Read(MaxProc, MaxTVar), Write(12, 7, math.MinInt64), Write(1, 0, math.MaxInt64),
+		ValueResp(2, -1), ValueResp(2, 0), ValueResp(2, 10), ValueResp(2, -99), OK(100), TryCommit(1000), Commit(9), Abort(10),
+	}
+	h = append(h, syntheticHistory(5000)...)
+	var want []byte
+	for _, e := range h {
+		want, _ = e.AppendJSON(want)
+	}
+	var g growRecorder
+	if err := WriteTrace(&g, h); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(g.Bytes(), want) {
+		t.Fatal("WriteTrace wrote other bytes than AppendJSON")
+	}
+	if g.grown != len(want) {
+		t.Errorf("WriteTrace reserved %d bytes for a %d-byte trace", g.grown, len(want))
+	}
+}
+
+// growRecorder is a bytes.Buffer that adds up what it is asked to
+// reserve.
+type growRecorder struct {
+	bytes.Buffer
+	grown int
+}
+
+func (g *growRecorder) Grow(n int) {
+	g.grown += n
+	g.Buffer.Grow(n)
+}
+
+// syntheticHistory returns n events of five processes, round robin,
+// each running transactions of a read, a write and a commit attempt,
+// with every kind and values of every width.
+func syntheticHistory(n int) History {
+	h := make(History, 0, n+8)
+	for round := 0; len(h) < n; round++ {
+		for p := Proc(1); p <= 5; p++ {
+			x, v := TVar(round*7+int(p))%64, Value(round)*Value(p)*valueSpread(round)
+			h = append(h, Read(p, x), ValueResp(p, v), Write(p, x, v+1), OK(p), TryCommit(p))
+			if round%4 == 3 {
+				h = append(h, Abort(p))
+			} else {
+				h = append(h, Commit(p))
+			}
+		}
+	}
+	return h[:n]
+}
+
+// valueSpread varies the width of the synthetic values: small for most
+// rounds, a few long and negative ones among them.
+func valueSpread(round int) Value {
+	switch round % 16 {
+	case 5:
+		return -1
+	case 11:
+		return 1 << 40
+	default:
+		return 1
+	}
+}
+
+// BenchmarkTraceCodec measures the trace codec alone on an 80 000-event
+// history of five processes: WriteTrace into a bytes.Buffer (the
+// in-memory image a recorder hands to the checker) and into io.Discard,
+// and ReadTrace from a bytes.Reader.
+func BenchmarkTraceCodec(b *testing.B) {
+	h := syntheticHistory(80_000)
+	var trace bytes.Buffer
+	if err := WriteTrace(&trace, h); err != nil {
+		b.Fatal(err)
+	}
+	perEvent := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(len(h)), "ns/event")
+	}
+	b.Run("write/buffer", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			var buf bytes.Buffer
+			if err := WriteTrace(&buf, h); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perEvent(b)
+	})
+	b.Run("write/discard", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			if err := WriteTrace(io.Discard, h); err != nil {
+				b.Fatal(err)
+			}
+		}
+		perEvent(b)
+	})
+	b.Run("read", func(b *testing.B) {
+		b.ReportAllocs()
+		for range b.N {
+			back, err := ReadTrace(bytes.NewReader(trace.Bytes()))
+			if err != nil || len(back) != len(h) {
+				b.Fatalf("%d events, %v", len(back), err)
+			}
+		}
+		perEvent(b)
+	})
 }

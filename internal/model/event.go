@@ -11,27 +11,30 @@
 // # Trace files
 //
 // A history is stored as JSON Lines: one event object per line, with
-// the members "proc", "kind" (read, write, tryC, val, ok, C, A), "var"
-// for reads and writes and "val" for writes and value responses —
-// {"proc":1,"kind":"read","var":0}. Event.AppendJSON writes exactly
+// the members "proc", "kind" (read, write, tryC, val, ok, C, A),
+// "var" for reads and writes and "val" for writes and value responses
+// — {"proc":1,"kind":"read","var":0}. Event.AppendJSON writes exactly
 // these bytes, and WriteTrace, SaveTrace and MarshalJSON go through
-// it. Reading accepts more than is written: any sequence of event
-// objects separated by JSON whitespace, each as encoding/json would
-// decode it through Event.UnmarshalJSON. TraceReader (behind ReadTrace
-// and LoadTrace) scans the canonical form itself, out of one fixed
-// buffer and without allocating per event: the four members in any
-// order and at most once each, exactly spelled, JSON whitespace
-// anywhere between tokens, integers as plain digit strings of at most
-// 18 digits, the kind as an unescaped string, and the members the kind
-// needs present with ids in range. It only ever accepts. Any other
-// value — escaped, case-folded, repeated or unknown members, null,
-// exponents and fractions, 19-digit numbers, an id out of range, a
-// value longer than the buffer, a non-object, anything malformed or
-// invalid — is handed, for that one value, to a json.Decoder and
-// through it to UnmarshalJSON, so what is rejected, and in which
-// words, is decided where it always was. The differential tests and
-// FuzzReadTrace hold the two to the same histories and the same
-// errors.
+// it; WriteTrace writes through one 64 KB buffer, into a writer that
+// can grow only after reserving the trace's exact length. Reading
+// accepts more than is written: any sequence of event objects
+// separated by JSON whitespace, each as encoding/json would decode it
+// through Event.UnmarshalJSON. Reading has two tiers. TraceReader
+// (behind ReadTrace and LoadTrace) matches the exact object
+// AppendJSON writes itself, out of one fixed buffer and without
+// allocating per event: the members in AppendJSON's order with no
+// whitespace inside the object, only those the kind needs, the kind's
+// name unescaped, ids in range and every integer as strconv.AppendInt
+// writes it (no leading zero, no -0) with at most 18 digits. Any
+// other value — whitespace inside the object, members in another
+// order, escaped, case-folded, repeated, unknown or unused members,
+// null, exponents and fractions, 19-digit numbers, an id out of
+// range, a value longer than the buffer, a non-object, anything
+// malformed or invalid — is handed, for that one value, to a
+// json.Decoder and through it to UnmarshalJSON, so what is accepted,
+// what is rejected, and in which words, is decided where it always
+// was. The differential tests and FuzzReadTrace hold the two tiers to
+// the same histories and the same errors.
 //
 // Ids are range-checked, never narrowed: "proc" must lie in
 // 1..MaxProc (32 767) and, on a read or a write, "var" in 0..MaxTVar

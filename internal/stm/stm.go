@@ -12,8 +12,6 @@
 package stm
 
 import (
-	"sync"
-
 	"livetm/internal/model"
 	"livetm/internal/sim"
 )
@@ -62,11 +60,26 @@ type TM interface {
 // paper's event vocabulary. Invocations are recorded before the inner
 // operation runs, so an operation that blocks forever leaves a pending
 // invocation — a live transaction — in the history.
+//
+// A Recorder has one writer at a time and no lock: it is driven under
+// the cooperative scheduler of package sim, which runs one process at a
+// time and orders every switch (or from one goroutine, through
+// sim.Background). Events go into chunks that are filled in place and
+// never copied or regrown, as internal/record's logs keep theirs; their
+// sizes double from firstChunkEvents, so a short run (schedule
+// exploration replays thousands) allocates little, up to a fixed
+// chunkEvents. History copies them once, into one slice.
 type Recorder struct {
-	mu    sync.Mutex
 	inner TM
-	h     model.History
+	done  []model.History // filled chunks, in order
+	cur   model.History   // the chunk being filled
 }
+
+// Chunk capacities in events.
+const (
+	firstChunkEvents = 16
+	chunkEvents      = 4096
+)
 
 // NewRecorder wraps tm.
 func NewRecorder(tm TM) *Recorder { return &Recorder{inner: tm} }
@@ -78,15 +91,25 @@ func (r *Recorder) Name() string { return r.inner.Name() }
 
 // History returns a copy of the recorded history.
 func (r *Recorder) History() model.History {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.h.Clone()
+	n := len(r.cur)
+	for _, c := range r.done {
+		n += len(c)
+	}
+	h := make(model.History, 0, n)
+	for _, c := range r.done {
+		h = append(h, c...)
+	}
+	return append(h, r.cur...)
 }
 
 func (r *Recorder) record(e model.Event) {
-	r.mu.Lock()
-	r.h = append(r.h, e)
-	r.mu.Unlock()
+	if len(r.cur) == cap(r.cur) {
+		if r.cur != nil {
+			r.done = append(r.done, r.cur)
+		}
+		r.cur = make(model.History, 0, min(max(2*cap(r.cur), firstChunkEvents), chunkEvents))
+	}
+	r.cur = append(r.cur, e)
 }
 
 // Read implements TM.

@@ -1,6 +1,7 @@
 package stm
 
 import (
+	"slices"
 	"testing"
 
 	"livetm/internal/model"
@@ -144,4 +145,42 @@ func (s Stats) TotalCommits() int {
 		n += c
 	}
 	return n
+}
+
+// A history spanning several chunks, up to full-size ones, is the
+// plain append log of its events, and every History call is an equal
+// copy of its own.
+func TestRecorderChunks(t *testing.T) {
+	rec := NewRecorder(&memTM{store: map[model.TVar]model.Value{}})
+	env := sim.Background(3)
+	var want model.History
+	for i := range firstChunkEvents + 2*chunkEvents + 77 {
+		x, v := model.TVar(i%5), model.Value(i)
+		rec.Write(env, x, v)
+		want = append(want, model.Write(3, x, v), model.OK(3))
+		if i%3 == 2 {
+			rec.TryCommit(env)
+			want = append(want, model.TryCommit(3), model.Commit(3))
+		}
+	}
+	if n := len(rec.done); n < 3 || cap(rec.done[0]) != firstChunkEvents || cap(rec.done[n-1]) != chunkEvents {
+		t.Fatalf("%d events filled %d chunks, want at least 3, from %d up to %d events", len(want), n, firstChunkEvents, chunkEvents)
+	}
+	a, b := rec.History(), rec.History()
+	if !slices.Equal(a, want) || !slices.Equal(b, want) {
+		t.Fatalf("History differs from the append log (%d and %d events, want %d)", len(a), len(b), len(want))
+	}
+	a[0], a[len(a)-1] = model.Abort(9), model.Abort(9)
+	if b[0] != want[0] || b[len(b)-1] != want[len(want)-1] || rec.History()[0] != want[0] {
+		t.Error("two History calls share storage")
+	}
+}
+
+// An empty recorder's history is empty and not nil, as a copy of
+// nothing always was.
+func TestRecorderEmptyHistory(t *testing.T) {
+	h := NewRecorder(&memTM{}).History()
+	if h == nil || len(h) != 0 {
+		t.Fatalf("History() = %#v, want an empty non-nil history", h)
+	}
 }
