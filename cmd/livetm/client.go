@@ -81,7 +81,7 @@ func clientStrategy(c *client.Client, info server.InfoResponse, name string, cfg
 	if err != nil {
 		return err
 	}
-	fmt.Printf("client: strategy %s: rounds=%d p1-committed=%v blocked=%v local-progress-violated=%v\n",
+	fmt.Printf("client: strategy %s: rounds=%d p1-committed=%v blocked=%v local-progress-violated=%v (true means p1 never committed; it is not the monitor's liveness class)\n",
 		name, outcome.Rounds, outcome.P1Committed, outcome.Blocked, outcome.LocalProgressViolated())
 	return nil
 }

@@ -126,10 +126,12 @@ type Outcome struct {
 	Blocked bool
 }
 
-// LocalProgressViolated reports whether the sampled run is consistent
-// with a violation of local progress: p1 never committed. (In the
-// infinite continuation p1 is correct — it is aborted or retries
-// forever, or everyone blocks — yet pending.)
+// LocalProgressViolated reports that p1 never committed, and nothing
+// more: it is !P1Committed, not the liveness class a monitor gives the
+// run. The sampled run is then consistent with a violation of local
+// progress when p1 is correct (in the infinite continuation it is
+// aborted or retries forever, or everyone blocks, yet pending); under
+// a strategy that crashes p1 it is not, since p1 is not correct there.
 func (o Outcome) LocalProgressViolated() bool { return !o.P1Committed }
 
 // drive executes strategy s against driver d for up to cfg.Rounds p2

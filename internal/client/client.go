@@ -118,9 +118,11 @@ func New(cfg Config) *Client {
 
 // headers builds the request headers a client named name sends. The
 // client asks for an uncompressed reply, which is what the server
-// sends; left to itself the transport would negotiate gzip.
+// sends; left to itself the transport would negotiate gzip. The empty
+// User-Agent keeps the transport from writing its own, a line the
+// server would parse and never read.
 func headers(name string) (get, post http.Header) {
-	get = http.Header{"Accept-Encoding": {"identity"}}
+	get = http.Header{"Accept-Encoding": {"identity"}, "User-Agent": {""}}
 	if name != "" {
 		get[server.ClientHeader] = []string{name}
 	}
@@ -140,14 +142,48 @@ func (c *Client) WithName(name string) *Client {
 	return &cc
 }
 
-// do sends one frame and decodes the reply; non-2xx replies decode
-// into *Error. in and out are pointers to frames; a nil in makes a GET.
+// frameRoom is how many bytes of a request frame a call holds inline;
+// only a longer frame allocates its bytes. It is sized from the frames
+// of the wire-mixed benchmark, whose largest, eight reads on 32
+// variables, is 221 bytes.
+const frameRoom = 256
+
+// body is a POST's request frame: its bytes, in room when they fit, and
+// the reader the transport takes them from.
+type body struct {
+	frame []byte
+	r     bytes.Reader
+	room  [frameRoom]byte
+}
+
+// call is everything one POST needs, in one allocation per call: both
+// frames and the request's body. It is never pooled: the transport may
+// still be writing the body after RoundTrip has returned, and the reply
+// frame may hand its caller storage inside it (an Exec's Reads).
+type call[In, Out any] struct {
+	in   In
+	out  Out
+	body body
+}
+
+// post sends the call's request frame to path and decodes the reply
+// into its reply frame.
+func (f *call[In, Out]) post(ctx context.Context, c *Client, path string) error {
+	frame, err := server.JSONCodec{}.AppendEncode(f.body.room[:0], &f.in)
+	if err != nil {
+		return fmt.Errorf("client: encode %s: %w", path, err)
+	}
+	f.body.frame = frame
+	f.body.r.Reset(frame)
+	return c.do(ctx, http.MethodPost, path, &f.body, &f.out)
+}
+
+// do sends one request and decodes the reply into out, a pointer to a
+// frame; non-2xx replies decode into *Error. A nil body makes a GET.
 // The request goes straight to the transport, since this API never
 // redirects and sets no cookies. Its URL and headers are the client's
-// own, shared by every call. The body is allocated per call and never
-// pooled: the transport may still be writing it after RoundTrip has
-// returned.
-func (c *Client) do(ctx context.Context, method, path string, in, out any) error {
+// own, shared by every call.
+func (c *Client) do(ctx context.Context, method, path string, b *body, out any) error {
 	if c.addrErr != nil {
 		return fmt.Errorf("client: %s: %w", path, c.addrErr)
 	}
@@ -157,17 +193,14 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 		defer cancel()
 	}
 	req := http.Request{Method: method, URL: c.urls[path], Header: c.get}
-	if in != nil {
-		buf := new(bytes.Buffer)
-		if err := (server.JSONCodec{}).Encode(buf, in); err != nil {
-			return fmt.Errorf("client: encode %s: %w", path, err)
-		}
-		// A body in memory goes out with the headers in one write, and
-		// GetBody lets the transport resend it when a kept-alive
+	if b != nil {
+		// net/http takes io.NopCloser over a *bytes.Reader for a body in
+		// memory, and writes it with the headers in one write; a body
+		// of any other type has the headers flushed on their own first.
+		// GetBody lets the transport resend the frame when a kept-alive
 		// connection turns out dead before any of it was written.
-		frame := buf.Bytes()
-		req.Header, req.Body, req.ContentLength = c.post, io.NopCloser(buf), int64(len(frame))
-		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(frame)), nil }
+		req.Header, req.Body, req.ContentLength = c.post, io.NopCloser(&b.r), int64(len(b.frame))
+		req.GetBody = func() (io.ReadCloser, error) { return io.NopCloser(bytes.NewReader(b.frame)), nil }
 	}
 	resp, err := c.rt.RoundTrip(req.WithContext(ctx))
 	if err != nil {
@@ -194,14 +227,10 @@ func (c *Client) do(ctx context.Context, method, path string, in, out any) error
 	return nil
 }
 
-// post sends one request frame and decodes the reply. The two frames
-// of a call share one allocation.
+// post sends one request frame and decodes the reply.
 func post[Out, In any](ctx context.Context, c *Client, path string, in In) (Out, error) {
-	f := &struct {
-		in  In
-		out Out
-	}{in: in}
-	err := c.do(ctx, http.MethodPost, path, &f.in, &f.out)
+	f := &call[In, Out]{in: in}
+	err := f.post(ctx, c, path)
 	return f.out, err
 }
 
@@ -219,10 +248,24 @@ func (c *Client) Stats(ctx context.Context) (engine.SessionStats, error) {
 	return out, err
 }
 
+// execReads is how many read values an Exec's reply holds inline.
+const execReads = 8
+
 // Exec runs one transaction program to completion on worker
-// (engine.AnyWorker for the shared lane) and returns its result.
+// (engine.AnyWorker for the shared lane) and returns its result. Reads
+// of up to execReads values live in the call's own allocation.
 func (c *Client) Exec(ctx context.Context, worker int, ops []server.Op) (server.ExecResponse, error) {
-	return post[server.ExecResponse](ctx, c, "/v1/exec", server.ExecRequest{Worker: worker, Ops: ops})
+	f := &struct {
+		call[server.ExecRequest, server.ExecResponse]
+		reads [execReads]int64
+	}{}
+	f.in = server.ExecRequest{Worker: worker, Ops: ops}
+	f.out.Reads = f.reads[:0]
+	err := f.post(ctx, c, "/v1/exec")
+	if len(f.out.Reads) == 0 {
+		f.out.Reads = nil // a reply without reads, as it decodes on its own
+	}
+	return f.out, err
 }
 
 // Drain asks the server to gracefully drain and close its session,

@@ -1,9 +1,12 @@
 package client
 
 import (
+	"bytes"
 	"context"
 	"errors"
+	"io"
 	"maps"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"slices"
@@ -76,7 +79,7 @@ var wireCalls = []struct {
 // TestWireRequestHeaders holds every endpoint's request to the headers
 // the server reads: a body's content type on a POST and none on a GET,
 // the identity the client was named with (none when it has no name),
-// and an uncompressed reply.
+// and an uncompressed reply; and no User-Agent, which it does not read.
 func TestWireRequestHeaders(t *testing.T) {
 	url, seen := recordingServer(t)
 	for _, name := range []string{"alice", ""} {
@@ -110,6 +113,9 @@ func TestWireRequestHeaders(t *testing.T) {
 				}
 				if ae := r.header.Values("Accept-Encoding"); strings.Contains(strings.Join(ae, ","), "gzip") {
 					t.Errorf("request asks for gzip: Accept-Encoding %q", ae)
+				}
+				if ua, ok := r.header["User-Agent"]; ok {
+					t.Errorf("request carries User-Agent %q, which the server never reads", ua)
 				}
 			})
 		}
@@ -236,6 +242,99 @@ func TestBadAddrFailsEveryCall(t *testing.T) {
 	for _, wc := range wireCalls {
 		if err := wc.call(context.Background(), c); err == nil || !strings.Contains(err.Error(), wc.path) {
 			t.Errorf("%s: err = %v, want a parse error naming %s", wc.name, err, wc.path)
+		}
+	}
+}
+
+// countingConn counts the writes made on a connection.
+type countingConn struct {
+	net.Conn
+	writes *atomic.Int64
+}
+
+func (c countingConn) Write(p []byte) (int, error) {
+	c.writes.Add(1)
+	return c.Conn.Write(p)
+}
+
+// rewindingTransport asks each request, once its reply is in and so
+// its Body has been read, for the frame GetBody gives back: the frame
+// the transport would resend over a fresh connection.
+type rewindingTransport struct {
+	next   http.RoundTripper
+	frames [][]byte
+}
+
+func (rt *rewindingTransport) RoundTrip(req *http.Request) (*http.Response, error) {
+	resp, err := rt.next.RoundTrip(req)
+	if err != nil {
+		return nil, err
+	}
+	rc, err := req.GetBody()
+	if err != nil {
+		resp.Body.Close()
+		return nil, err
+	}
+	frame, err := io.ReadAll(rc)
+	if err != nil {
+		resp.Body.Close()
+		return nil, err
+	}
+	rt.frames = append(rt.frames, frame)
+	return resp, nil
+}
+
+// An Exec goes out in one write, headers and frame together, which
+// net/http does only for a body it knows to be in memory. GetBody,
+// which the transport calls to resend a request, gives back the very
+// frame the server read, after Body has been read to its end.
+func TestExecIsOneWrite(t *testing.T) {
+	var mu sync.Mutex
+	var got [][]byte
+	hs := httptest.NewServer(http.HandlerFunc(func(w http.ResponseWriter, r *http.Request) {
+		frame, err := io.ReadAll(r.Body)
+		if err != nil {
+			t.Errorf("read body: %v", err)
+		}
+		mu.Lock()
+		got = append(got, frame)
+		mu.Unlock()
+		_, _ = w.Write([]byte("{}\n"))
+	}))
+	defer hs.Close()
+	var writes atomic.Int64
+	var d net.Dialer
+	tr := &http.Transport{DialContext: func(ctx context.Context, network, addr string) (net.Conn, error) {
+		conn, err := d.DialContext(ctx, network, addr)
+		if err != nil {
+			return nil, err
+		}
+		return countingConn{conn, &writes}, nil
+	}}
+	defer tr.CloseIdleConnections()
+	rt := &rewindingTransport{next: tr}
+	c := New(Config{Addr: hs.URL, Name: "one-write", HTTPClient: &http.Client{Transport: rt}})
+	const n = 20
+	for i := 0; i < n; i++ {
+		ops := make([]server.Op, 1+i) // frames on both sides of the inline room
+		for j := range ops {
+			ops[j] = server.Op{Kind: server.OpIncr, Var: j, Val: int64(i)}
+		}
+		if _, err := c.Exec(context.Background(), 0, ops); err != nil {
+			t.Fatalf("exec %d: %v", i, err)
+		}
+	}
+	if w := writes.Load(); w != n {
+		t.Errorf("%d Execs made %d writes, want %d", n, w, n)
+	}
+	mu.Lock()
+	defer mu.Unlock()
+	if len(got) != n || len(rt.frames) != n {
+		t.Fatalf("the server read %d frames and GetBody gave %d, for %d Execs", len(got), len(rt.frames), n)
+	}
+	for i := range got {
+		if !bytes.Equal(rt.frames[i], got[i]) {
+			t.Errorf("exec %d: GetBody gave %q, the server read %q", i, rt.frames[i], got[i])
 		}
 	}
 }

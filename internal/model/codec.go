@@ -430,10 +430,16 @@ func eventBound(r io.Reader, buf []byte) int64 {
 	return min(n, bound)
 }
 
+// maxEventLine bounds the line AppendJSON writes: the longest kind
+// that carries both var and val, and three integers of int64's widest.
+const maxEventLine = len(`{"proc":,"kind":"write","var":,"val":}`+"\n") + 3*len("-9223372036854775808")
+
 // WriteTrace writes the history as JSON Lines: one event object per
-// line, streamable and appendable. It writes through one buffer of
-// traceBufSize bytes, and a writer that can grow (a bytes.Buffer, a
-// strings.Builder) first reserves the trace's exact length.
+// line, streamable and appendable. The lines are appended straight into
+// the free space of what they are written to, traceBufSize bytes at a
+// time: a bytes.Buffer's own, reserved first at the trace's exact
+// length, or, for any other writer, that of one bufio.Writer. A writer
+// that can grow (a strings.Builder) reserves the length too.
 func WriteTrace(w io.Writer, h History) error {
 	if g, ok := w.(interface{ Grow(int) }); ok {
 		n := 0
@@ -442,17 +448,35 @@ func WriteTrace(w io.Writer, h History) error {
 		}
 		g.Grow(n)
 	}
-	bw := bufio.NewWriterSize(w, traceBufSize)
-	var line []byte
+	var lw interface {
+		io.Writer
+		AvailableBuffer() []byte
+	}
+	var bw *bufio.Writer
+	if b, ok := w.(*bytes.Buffer); ok {
+		lw = b
+	} else {
+		bw = bufio.NewWriterSize(w, traceBufSize)
+		lw = bw
+	}
+	chunk := lw.AvailableBuffer()
 	for i, e := range h {
 		var err error
-		line, err = e.AppendJSON(line[:0])
+		if len(chunk) >= traceBufSize || cap(chunk)-len(chunk) < maxEventLine {
+			if _, err = lw.Write(chunk); err == nil && bw != nil {
+				err = bw.Flush() // the chunk filled its buffer
+			}
+			chunk = lw.AvailableBuffer()
+		}
 		if err == nil {
-			_, err = bw.Write(line)
+			chunk, err = e.AppendJSON(chunk)
 		}
 		if err != nil {
 			return fmt.Errorf("model: encode event %d: %w", i, err)
 		}
+	}
+	if _, err := lw.Write(chunk); err != nil || bw == nil {
+		return err
 	}
 	return bw.Flush()
 }

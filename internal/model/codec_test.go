@@ -676,6 +676,46 @@ func TestWriteTraceReservesExactLength(t *testing.T) {
 	}
 }
 
+// WriteTrace writes the same bytes whichever writer it is handed: a
+// bytes.Buffer, whose free space takes the lines straight in (after
+// what it held already), and a plain writer, which gets them through a
+// buffer; over a trace of many chunks of either. A writer that fails
+// fails the write, naming an event.
+func TestWriteTraceEveryWriter(t *testing.T) {
+	h := syntheticHistory(20_000)
+	want := []byte("held already\n")
+	for _, e := range h {
+		want, _ = e.AppendJSON(want)
+	}
+	direct := bytes.NewBufferString("held already\n")
+	if err := WriteTrace(direct, h); err != nil || !bytes.Equal(direct.Bytes(), want) {
+		t.Errorf("into a bytes.Buffer: %v, or other bytes than AppendJSON's", err)
+	}
+	var plain bytes.Buffer
+	plain.WriteString("held already\n")
+	if err := WriteTrace(struct{ io.Writer }{&plain}, h); err != nil || !bytes.Equal(plain.Bytes(), want) {
+		t.Errorf("into a plain writer: %v, or other bytes than AppendJSON's", err)
+	}
+	failing := failAfter{n: 3 * traceBufSize}
+	if err := WriteTrace(&failing, h); err == nil || !strings.Contains(err.Error(), "encode event") || !errors.Is(err, errFull) {
+		t.Errorf("into a writer that fails: %v", err)
+	}
+}
+
+// errFull is failAfter's error.
+var errFull = errors.New("full")
+
+// failAfter accepts n bytes and then fails.
+type failAfter struct{ n int }
+
+func (f *failAfter) Write(p []byte) (int, error) {
+	if len(p) > f.n {
+		return 0, errFull
+	}
+	f.n -= len(p)
+	return len(p), nil
+}
+
 // growRecorder is a bytes.Buffer that adds up what it is asked to
 // reserve.
 type growRecorder struct {

@@ -40,7 +40,22 @@ func checkEncode(t *testing.T, v any) []byte {
 	if !bytes.Equal(got.Bytes(), want.Bytes()) {
 		t.Fatalf("encode %T:\n got %q\nwant %q", v, got.Bytes(), want.Bytes())
 	}
+	checkAppendEncode(t, v, []byte("frame: "), got.Bytes())
 	return got.Bytes()
+}
+
+// checkAppendEncode requires AppendEncode to append to a copy of pre
+// exactly the frame Encode wrote, leaving pre's bytes as they were.
+func checkAppendEncode(t *testing.T, v any, pre, frame []byte) {
+	t.Helper()
+	dst := append(make([]byte, 0, len(pre)+len(frame)/2), pre...)
+	got, err := (JSONCodec{}).AppendEncode(dst, v)
+	if err != nil {
+		t.Fatalf("append-encode %+v: %v", v, err)
+	}
+	if !bytes.HasPrefix(got, pre) || !bytes.Equal(got[len(pre):], frame) {
+		t.Fatalf("append-encode %T after %q:\n got %q\nwant %q", v, pre, got, append(pre[:len(pre):len(pre)], frame...))
+	}
 }
 
 // checkDecode requires JSONCodec to decode data into a fresh frame
@@ -177,8 +192,10 @@ func TestAllocBudgetPerWireFrame(t *testing.T) {
 // FuzzWireFrames holds the hand-written frames to encoding/json from
 // both ends: any bytes decode into every frame as json.Decoder decodes
 // them (same success, same value), and frames built from fuzzed field
-// values encode byte for byte as json.Encoder encodes them. The
-// seeds, one per corner of the grammar, are under testdata/fuzz.
+// values encode byte for byte as json.Encoder encodes them, and append
+// after a fuzzed non-empty prefix, which they keep, exactly as Encode
+// writes them. The seeds, one per corner of the grammar, are under
+// testdata/fuzz.
 func FuzzWireFrames(f *testing.F) {
 	f.Fuzz(func(t *testing.T, data []byte, s string, n int64, shape byte) {
 		for _, fresh := range frames {
@@ -207,6 +224,7 @@ func FuzzWireFrames(f *testing.F) {
 			&TxFinishResponse{Committed: flag, Retrying: !flag, Code: s},
 		} {
 			wire := checkEncode(t, v)
+			checkAppendEncode(t, v, append([]byte{shape}, s...), wire)
 			fresh := func() any { return reflect.New(reflect.TypeOf(v).Elem()).Interface() }
 			if _, err := checkDecode(t, fresh, wire); err != nil {
 				t.Fatalf("%T does not decode its own encoding %q: %v", v, wire, err)

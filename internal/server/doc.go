@@ -25,8 +25,10 @@
 // that frame, which therefore still defines every rejection and every
 // odd acceptance. The once-per-session frames
 // (InfoResponse, engine.SessionStats, DrainResponse with its monitor
-// report) are encoding/json's outright. Request bodies are capped at
-// 1 MiB; a larger one is a bad request.
+// report) are encoding/json's outright. A request body is read into
+// the codec's pooled buffer through a bounded read that stops past
+// 1 MiB: a larger body is a bad request, refused before any of it is
+// decoded, and the connection closes after that reply.
 //
 // A blocking /v1/exec decodes into pooled scratch that also owns the
 // values read, the reply and the transaction body. The scratch returns
@@ -51,13 +53,17 @@
 //	                   accepted submission, close the session, and
 //	                   return the final monitor report
 //
-// Besides what net/http's transport writes itself (Host, User-Agent,
-// Content-Length), internal/client sends these request headers:
+// Besides what net/http's transport writes itself (Host, and
+// Content-Length on a POST), internal/client sends these request
+// headers:
 //
 //	Content-Type: application/json   on a POST, which carries a frame
 //	X-Livetm-Client: <name>          the admission identity
 //	                                 (ClientHeader), when it has one
 //	Accept-Encoding: identity        replies are never compressed
+//
+// It sends no User-Agent: the server reads none, and would allocate
+// for the line all the same.
 //
 // When a telemetry registry is configured the same listener also
 // serves /metrics, /snapshot and /debug/pprof/ (telemetry.Handler),

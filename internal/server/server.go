@@ -198,13 +198,20 @@ func (s *Server) writeOK(w http.ResponseWriter, v any) {
 const maxFrameBytes = 1 << 20
 
 // decode reads the request's frame into v, answering a body that is
-// too large, cut short, or not a frame with CodeBadRequest.
-func (s *Server) decode(w http.ResponseWriter, r *http.Request, v any) bool {
-	if err := (JSONCodec{}).Decode(http.MaxBytesReader(w, r.Body, maxFrameBytes), v); err != nil {
-		s.writeCode(w, CodeBadRequest, "decode: "+err.Error())
-		return false
+// too large, cut short, or not a frame with CodeBadRequest. A body that
+// is too large is left unread past the cap, so the connection closes
+// after the reply instead of reading on.
+func (s *Server) decode(w http.ResponseWriter, r *http.Request, v parser) bool {
+	err := decodeCapped(r.Body, v, maxFrameBytes)
+	if err == nil {
+		return true
 	}
-	return true
+	var tooLarge *http.MaxBytesError
+	if errors.As(err, &tooLarge) {
+		w.Header().Set("Connection", "close")
+	}
+	s.writeCode(w, CodeBadRequest, "decode: "+err.Error())
+	return false
 }
 
 // checkProgram validates a program against the session shape. The

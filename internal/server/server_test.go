@@ -1,18 +1,21 @@
 package server
 
 import (
+	"bufio"
 	"bytes"
 	"context"
 	"encoding/json"
 	"errors"
 	"fmt"
 	"io"
+	"net"
 	"net/http"
 	"net/http/httptest"
 	"runtime"
 	"slices"
 	"strings"
 	"sync"
+	"syscall"
 	"testing"
 	"time"
 
@@ -324,19 +327,44 @@ func TestWireCodeTables(t *testing.T) {
 	}
 }
 
-// postRaw posts body as it is and returns the status and reply bytes.
-func postRaw(t *testing.T, url string, body []byte) (int, []byte) {
+// postRaw posts body as it is, on a connection of its own, and returns
+// the status and reply bytes. closed reports that the server closed the
+// connection after the reply: the reply said Connection: close, and a
+// read past it finds the connection closed.
+func postRaw(t *testing.T, url string, body []byte) (status int, reply []byte, closed bool) {
 	t.Helper()
-	resp, err := http.Post(url, "application/json", bytes.NewReader(body))
+	req, err := http.NewRequest(http.MethodPost, url, bytes.NewReader(body))
 	if err != nil {
-		t.Fatalf("post %s: %v", url, err)
+		t.Fatalf("request %s: %v", url, err)
 	}
-	defer resp.Body.Close()
-	reply, err := io.ReadAll(resp.Body)
+	req.Header.Set("Content-Type", "application/json")
+	conn, err := net.Dial("tcp", req.URL.Host)
 	if err != nil {
+		t.Fatalf("dial %s: %v", req.URL.Host, err)
+	}
+	defer conn.Close()
+	// The request goes out on its own goroutine: a server that refuses
+	// a body need not read all of it.
+	wrote := make(chan error, 1)
+	go func() { wrote <- req.Write(conn) }()
+	defer func() { <-wrote }()
+	if err := conn.SetDeadline(time.Now().Add(10 * time.Second)); err != nil {
+		t.Fatalf("deadline: %v", err)
+	}
+	br := bufio.NewReader(conn)
+	resp, err := http.ReadResponse(br, req)
+	if err != nil {
+		t.Fatalf("read response: %v", err)
+	}
+	if reply, err = io.ReadAll(resp.Body); err != nil {
 		t.Fatalf("read reply: %v", err)
 	}
-	return resp.StatusCode, reply
+	if resp.Close {
+		if n, err := br.Read(make([]byte, 1)); n != 0 || !errors.Is(err, io.EOF) && !errors.Is(err, syscall.ECONNRESET) {
+			t.Fatalf("the connection stays open after a reply that closes it: read %d bytes, %v", n, err)
+		}
+	}
+	return resp.StatusCode, reply, resp.Close
 }
 
 // What the server does with bodies that are not a clean frame: too
@@ -359,31 +387,35 @@ func TestExecBadFrames(t *testing.T) {
 		status int
 		reply  string // of a refusal: a substring of the error
 		path   string // "" is /v1/exec
+		closes bool   // the server hangs up after its reply
 	}{
 		{"oversized", `{"worker":-1,"ops":[` + strings.Repeat(read0+",", maxFrameBytes/len(read0)) + read0 + `]}`,
-			http.StatusBadRequest, "request body too large", ""},
-		{"largest accepted", `{"worker":-1,"ops":[` + read0 + `]}` + strings.Repeat(" ", maxFrameBytes-64), http.StatusOK, "", ""},
-		{"truncated", `{"worker":-1,"ops":[{"kind":"re`, http.StatusBadRequest, "unexpected EOF", ""},
-		{"empty", ``, http.StatusBadRequest, "decode: EOF", ""},
-		{"not a frame", `[1,2]`, http.StatusBadRequest, "cannot unmarshal array", ""},
-		{"exponent", `{"worker":-1e0,"ops":[` + read0 + `]}`, http.StatusBadRequest, "cannot unmarshal number", ""},
-		{"trailing bytes", `{"worker":-1,"ops":[` + read0 + `]} {"worker":"x"} ]]garbage`, http.StatusOK, "", ""},
-		{"unknown key", `{"worker":-1,"trace":{"id":[1,"x"]},"ops":[{"kind":"read","var":1,"why":null}]}`, http.StatusOK, "", ""},
-		{"duplicate key", `{"worker":7,"worker":-1,"ops":[{"kind":"read","var":1,"var":2}]}`, http.StatusOK, "", ""},
-		{"case-folded and escaped keys", `{"WORKER":-1,"Ops":[{"KIND":"read","v\u0061r":3}]}`, http.StatusOK, "", ""},
-		{"escaped kind", `{"worker":-1,"ops":[{"kind":"re\u0061d","var":3}]}`, http.StatusOK, "", ""},
-		{"kind in the wrong case", `{"worker":-1,"ops":[{"kind":"Read","var":3}]}`, http.StatusBadRequest, `unknown kind \"Read\"`, ""},
-		{"unadmitted worker", `{"worker":7,"ops":[` + read0 + `]}`, http.StatusBadRequest, "worker not admitted", ""},
-		{"unadmitted worker on begin", `{"worker":7}`, http.StatusBadRequest, "worker not admitted", "/v1/tx/begin"},
+			http.StatusBadRequest, "request body too large", "", true},
+		{"largest accepted", `{"worker":-1,"ops":[` + read0 + `]}` + strings.Repeat(" ", maxFrameBytes-64), http.StatusOK, "", "", false},
+		{"truncated", `{"worker":-1,"ops":[{"kind":"re`, http.StatusBadRequest, "unexpected EOF", "", false},
+		{"empty", ``, http.StatusBadRequest, "decode: EOF", "", false},
+		{"not a frame", `[1,2]`, http.StatusBadRequest, "cannot unmarshal array", "", false},
+		{"exponent", `{"worker":-1e0,"ops":[` + read0 + `]}`, http.StatusBadRequest, "cannot unmarshal number", "", false},
+		{"trailing bytes", `{"worker":-1,"ops":[` + read0 + `]} {"worker":"x"} ]]garbage`, http.StatusOK, "", "", false},
+		{"unknown key", `{"worker":-1,"trace":{"id":[1,"x"]},"ops":[{"kind":"read","var":1,"why":null}]}`, http.StatusOK, "", "", false},
+		{"duplicate key", `{"worker":7,"worker":-1,"ops":[{"kind":"read","var":1,"var":2}]}`, http.StatusOK, "", "", false},
+		{"case-folded and escaped keys", `{"WORKER":-1,"Ops":[{"KIND":"read","v\u0061r":3}]}`, http.StatusOK, "", "", false},
+		{"escaped kind", `{"worker":-1,"ops":[{"kind":"re\u0061d","var":3}]}`, http.StatusOK, "", "", false},
+		{"kind in the wrong case", `{"worker":-1,"ops":[{"kind":"Read","var":3}]}`, http.StatusBadRequest, `unknown kind \"Read\"`, "", false},
+		{"unadmitted worker", `{"worker":7,"ops":[` + read0 + `]}`, http.StatusBadRequest, "worker not admitted", "", false},
+		{"unadmitted worker on begin", `{"worker":7}`, http.StatusBadRequest, "worker not admitted", "/v1/tx/begin", false},
 	} {
 		t.Run(c.name, func(t *testing.T) {
 			path := c.path
 			if path == "" {
 				path = "/v1/exec"
 			}
-			status, reply := postRaw(t, hs.URL+path, []byte(c.body))
+			status, reply, closed := postRaw(t, hs.URL+path, []byte(c.body))
 			if status != c.status {
 				t.Fatalf("status %d, want %d (reply %s)", status, c.status, reply)
+			}
+			if closed != c.closes {
+				t.Fatalf("connection closed after the reply: %v, want %v", closed, c.closes)
 			}
 			if status != http.StatusOK {
 				var er ErrorResponse
