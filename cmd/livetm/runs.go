@@ -34,7 +34,7 @@ func setupRun(fs *flag.FlagSet) func() error {
 		fmt.Printf("live %s on %s: commits=%d aborts=%d no-commits=%d stopped=%v\n",
 			spec.Name, e.Name(), st.Commits, st.Aborts, st.NoCommits, st.Stopped)
 		printReport(st.Live)
-		fmt.Printf("  backoff cap=%d bias=%v recorder chunks=%d\n", st.BackoffCap, st.BackoffBias, st.RecorderChunks)
+		fmt.Printf("  backoff bias=%v recorder chunks=%d\n", st.BackoffBias, st.RecorderChunks)
 		if *out != "" && st.History != nil {
 			if err := model.SaveTrace(*out, st.History); err != nil {
 				return err

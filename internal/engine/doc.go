@@ -158,13 +158,13 @@
 // feedback path drives starvation-aware backoff: the monitor's
 // per-process starvation intervals periodically rebias the shared
 // backoff policy (native.Backoff) so starved processes back off less
-// and hot ones more, within the capped dynamic range reported by
-// Stats.BackoffCap. Live without Record retains nothing: each worker's
-// stream ring is its whole log, capping recorder allocation at one ring
-// per worker slot for arbitrarily long monitored sessions
-// (Stats.RecorderChunks). Streams whose schedule outruns the segment
-// budget between quiescent cuts degrade to an explicit approximate
-// verdict (forced serialization frontiers) instead of failing.
+// and hot ones more, within a capped dynamic range. Live without
+// Record retains nothing: each worker's stream ring is its whole log,
+// capping recorder allocation at one ring per worker slot for
+// arbitrarily long monitored sessions (Stats.RecorderChunks). Streams
+// whose schedule outruns the segment budget between quiescent cuts
+// degrade to an explicit approximate verdict (forced serialization
+// frontiers) instead of failing.
 //
 // # Telemetry
 //
@@ -191,7 +191,9 @@
 // livetm_checker_* (segments, forced cuts, relaxed straddlers, the
 // lane-lag gauge); and the monitor's live gauges
 // (livetm_monitor_liveness_class as a lattice ordinal,
-// livetm_monitor_starvation and livetm_backoff_bias per process).
+// livetm_monitor_starvation and livetm_backoff_bias per process,
+// synced by the pump every 256 observed events and once more when the
+// stream closes).
 // Gauges owned by single-writer goroutines (lane lag, monitor class)
 // are pushed by their owners so scrapers never race workers; every
 // scrape works from an immutable Snapshot.

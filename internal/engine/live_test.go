@@ -198,9 +198,6 @@ func TestLiveMonitorHealthyRun(t *testing.T) {
 	if st.RecorderChunks > procs {
 		t.Errorf("live run allocated %d chunks, want <= %d (ring per process)", st.RecorderChunks, procs)
 	}
-	if st.BackoffCap != native.DefaultBackoffCap {
-		t.Errorf("BackoffCap = %d, want %d", st.BackoffCap, native.DefaultBackoffCap)
-	}
 	if len(st.BackoffBias) != procs {
 		t.Errorf("BackoffBias covers %d procs, want %d", len(st.BackoffBias), procs)
 	}

@@ -116,15 +116,16 @@ type SessionConfig struct {
 	// Telemetry registers the session's instruments — submission and
 	// commit counters, lane queue depths, Exec latency, cut pauses, the
 	// native retry loop's per-algorithm transaction families, recorder
-	// and checker telemetry, and (on live
-	// sessions) the monitor's liveness-class, starvation and backoff-
-	// bias gauges — in the given registry, where a /metrics scrape or a
-	// flight recorder can read them mid-run without touching session
-	// state. Nil keeps the session on bare (unregistered) instruments:
-	// the Stats-backing counters cost exactly the same, and the clock-
-	// involving extras (Exec latency, retry-latency and backoff-wait
-	// histograms) are skipped entirely — the uninstrumented baseline
-	// the telemetry-overhead benchmark compares against.
+	// and checker telemetry, and (on live sessions) the monitor's
+	// liveness-class, starvation and backoff-bias gauges, synced every
+	// 256 observed events and once more at Close — in the given
+	// registry, where a /metrics scrape or a flight recorder can read
+	// them mid-run without touching session state. Nil keeps the
+	// session on bare (unregistered) instruments: the Stats-backing
+	// counters cost exactly the same, and the clock-involving extras
+	// (Exec latency, retry-latency and backoff-wait histograms) are
+	// skipped entirely — the uninstrumented baseline the
+	// telemetry-overhead benchmark compares against.
 	Telemetry *telemetry.Registry
 }
 
@@ -200,10 +201,6 @@ type SessionStats struct {
 	// mid-flight; the commit counters then cover only the transactions
 	// that completed before the stop.
 	Stopped bool
-	// BackoffCap is the retry-backoff policy's spin-shift ceiling: the
-	// dynamic range the starvation-aware bias moves within. Zero on the
-	// simulated substrate (no backoff loop).
-	BackoffCap int
 	// BackoffBias is each worker's backoff bias: negative for workers
 	// the starvation feedback favoured, positive for those it
 	// penalized. Nil unless the session is live (no feedback runs).

@@ -61,7 +61,9 @@ type liveState struct {
 // the backoff policy every liveRebiasEvery events. The starvation
 // snapshot is sized for MaxWorkers but truncated to the admitted
 // prefix before rebiasing: provisioned-but-idle slots would otherwise
-// drag the mean down and classify every active worker as starved.
+// drag the mean down and classify every active worker as starved. With
+// a registry, each rebias tick also syncs the live gauges, and they are
+// synced once more when the stream closes.
 func (s *Session) runPump() {
 	ls := s.live
 	defer close(ls.done)
@@ -85,6 +87,14 @@ func (s *Session) runPump() {
 		},
 	}
 	pump.Run(s.rec)
+	// The monitor has absorbed every event, but the last tick may lie up
+	// to liveRebiasEvery events back, or before a violation stopped the
+	// ticks: publish the final view to the gauges, if there are any.
+	if s.met.class != nil {
+		starvation := make([]int, s.admitted.Load())
+		ls.mon.StarvationNow(starvation)
+		s.met.syncLive(ls.mon, starvation, s.bo)
+	}
 }
 
 // Session is a long-lived native TM instance serving client-submitted
@@ -549,7 +559,6 @@ func (s *Session) Stats() SessionStats {
 		Aborts:           s.tm.Stats().Aborts,
 		PerWorkerCommits: per,
 		Stopped:          s.stopped.Load(),
-		BackoffCap:       s.bo.Cap(),
 	}
 	if s.live != nil {
 		st.BackoffBias = s.bo.BiasSnapshot()

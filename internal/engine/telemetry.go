@@ -117,7 +117,8 @@ func newSessionMetrics(reg *telemetry.Registry, workers int, live bool) *session
 
 // syncLive pushes the live monitor's current view into the gauges.
 // Runs on the pump goroutine (the monitor's owner) at each rebias
-// tick, so the monitor reads are race-free.
+// tick and once more when the stream closes, so the monitor reads are
+// race-free.
 func (m *sessionMetrics) syncLive(mon *monitor.Monitor, starvation []int, bo *native.Backoff) {
 	if m.class == nil {
 		return

@@ -4,10 +4,12 @@ import (
 	"context"
 	"io"
 	"net/http/httptest"
+	"strconv"
 	"strings"
 	"sync"
 	"testing"
 
+	"livetm/internal/monitor"
 	"livetm/internal/telemetry"
 )
 
@@ -171,6 +173,47 @@ func TestSessionStatsMatchRegistry(t *testing.T) {
 	}
 	if _, err := s.Close(); err != nil {
 		t.Fatalf("close: %v", err)
+	}
+}
+
+// TestLiveGaugesSettleAtClose: a registry-backed live session shorter
+// than one rebias tick still leaves the gauges on the final figures —
+// the report's liveness class, each process's open commit gap and the
+// closing backoff bias — once Close returns.
+func TestLiveGaugesSettleAtClose(t *testing.T) {
+	reg := telemetry.NewRegistry()
+	s := openTestSession(t, "native-tl2", SessionConfig{
+		Workers: 2, Vars: 2, Live: true, Telemetry: reg,
+	})
+	for i := 0; i < 10; i++ {
+		if err := s.ExecOn(context.Background(), i%2, counterSessionBody(i%2)); err != nil {
+			t.Fatalf("exec: %v", err)
+		}
+	}
+	rep, err := s.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	if rep.Events >= liveRebiasEvery {
+		t.Fatalf("%d events reach a rebias tick; the test needs fewer than %d", rep.Events, liveRebiasEvery)
+	}
+	rank := monitor.LivenessRank(rep.LivenessClass())
+	if rank == 0 {
+		t.Fatalf("healthy session classified %q", rep.LivenessClass())
+	}
+	bias := s.Stats().BackoffBias
+	snap := reg.Snapshot()
+	if got, _ := snap.Value("livetm_monitor_liveness_class"); got != float64(rank) {
+		t.Errorf("liveness-class gauge %v, report says %q (rank %d)", got, rep.LivenessClass(), rank)
+	}
+	for _, p := range rep.Procs {
+		proc := strconv.Itoa(int(p.Proc) - 1)
+		if got, _ := snap.Value("livetm_monitor_starvation", "proc", proc); got != float64(p.OpenGap) {
+			t.Errorf("p%d starvation gauge %v, report's open gap %d", p.Proc, got, p.OpenGap)
+		}
+		if got, _ := snap.Value("livetm_backoff_bias", "proc", proc); got != float64(bias[p.Proc-1]) {
+			t.Errorf("p%d bias gauge %v, closing bias %d", p.Proc, got, bias[p.Proc-1])
+		}
 	}
 }
 

@@ -13,13 +13,13 @@ import (
 func TestBackoffShiftCapped(t *testing.T) {
 	b := NewBackoff(2)
 	for round := 0; round < 100; round++ {
-		if s := b.shift(0, round); s > b.Cap() {
-			t.Fatalf("round %d: shift %d exceeds cap %d", round, s, b.Cap())
+		if s := b.shift(0, round); s > backoffCap {
+			t.Fatalf("round %d: shift %d exceeds cap %d", round, s, backoffCap)
 		}
 	}
 	b.SetBias(0, MaxBias)
-	if s := b.shift(0, 1000); s != b.Cap() {
-		t.Fatalf("saturated shift = %d, want cap %d", s, b.Cap())
+	if s := b.shift(0, 1000); s != backoffCap {
+		t.Fatalf("saturated shift = %d, want cap %d", s, backoffCap)
 	}
 	b.SetBias(1, -MaxBias)
 	if s := b.shift(1, 1); s != 0 {

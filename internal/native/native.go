@@ -228,8 +228,8 @@ type RunOpts struct {
 	// cancels the loop with ErrStopped. A committed attempt is never
 	// undone — a refusal takes effect between attempts only.
 	Gate Gate
-	// Backoff is the retry-backoff policy (nil: the package default —
-	// DefaultBackoffCap, no bias).
+	// Backoff is the retry-backoff policy (nil: the package default,
+	// with no bias).
 	Backoff *Backoff
 	// Proc is the zero-based process index selecting the caller's bias
 	// in the Backoff policy.

@@ -49,7 +49,7 @@ func TestBackoffConcurrentRebias(t *testing.T) {
 				default:
 				}
 				bo.SetBias(p, i%9-4) // beyond ±MaxBias on purpose: must clamp
-				bo.wait(p, i%(DefaultBackoffCap+2))
+				bo.wait(p, i%(backoffCap+2))
 				_ = bo.Bias(p)
 				_ = bo.BiasSnapshot()
 			}

@@ -45,9 +45,6 @@ func TestRunMatrixLive(t *testing.T) {
 		if !r.Checked {
 			t.Errorf("%s/%s: live cell undecided", r.Engine, r.Workload)
 		}
-		if r.BackoffCap == 0 {
-			t.Errorf("%s/%s: live cell without backoff cap", r.Engine, r.Workload)
-		}
 		if r.Cuts == 0 || r.CutP50ns > r.CutP99ns {
 			t.Errorf("%s/%s: cut summary %d cuts, p50 %dns, p99 %dns", r.Engine, r.Workload, r.Cuts, r.CutP50ns, r.CutP99ns)
 		}

@@ -182,9 +182,6 @@ type Result struct {
 	// serialization frontiers (the cut-starved fallback) rather than
 	// exact quiescent cuts.
 	ApproxVerdict bool
-	// BackoffCap is the native retry loop's spin-shift ceiling for the
-	// cell — the dynamic range starvation-aware backoff operated in.
-	BackoffCap int
 	// Cuts, CutP50ns and CutP99ns summarize the cell's quiescent-cut
 	// pauses: how many cuts were forced and the pause-latency
 	// percentiles in nanoseconds.
@@ -262,18 +259,17 @@ func runCell(e engine.Engine, caps engine.Capabilities, spec Spec, cfg engine.Ru
 	}
 	elapsed := time.Since(start).Seconds()
 	r := Result{
-		Engine:     e.Name(),
-		Algorithm:  e.Algorithm(),
-		Substrate:  string(caps.Substrate),
-		Workload:   spec.Name,
-		Procs:      spec.Procs,
-		Vars:       spec.Vars,
-		Commits:    st.Commits,
-		Aborts:     st.Aborts,
-		AbortRate:  st.AbortRate(),
-		Recorded:   st.History != nil,
-		Live:       live,
-		BackoffCap: st.BackoffCap,
+		Engine:    e.Name(),
+		Algorithm: e.Algorithm(),
+		Substrate: string(caps.Substrate),
+		Workload:  spec.Name,
+		Procs:     spec.Procs,
+		Vars:      spec.Vars,
+		Commits:   st.Commits,
+		Aborts:    st.Aborts,
+		AbortRate: st.AbortRate(),
+		Recorded:  st.History != nil,
+		Live:      live,
 	}
 	if live && st.Live != nil {
 		r.LivenessClass = st.Live.LivenessClass()
