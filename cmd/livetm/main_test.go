@@ -2,8 +2,10 @@ package main
 
 import (
 	"encoding/json"
+	"errors"
 	"os"
 	"path/filepath"
+	"strconv"
 	"strings"
 	"testing"
 
@@ -399,15 +401,17 @@ func TestCmdRunLive(t *testing.T) {
 	}
 }
 
-// TestCmdWorkloadsLive: with -live the table gains the liveness and
-// quiescent-cut columns, and every native row prints a liveness class
-// and a non-zero cut count; -overhead is refused, since the matrix
-// measures no overhead ratio.
+// TestCmdWorkloadsLive: with -live the table gains the liveness,
+// forced-cut and segment columns, and every native row prints a
+// liveness class and a quiescent point, natural or forced, within every
+// cut interval: at the default cadence (QuiesceEvery 4) on 2 processes,
+// one segment per 4 × 2 + 1 attempts at least; -overhead is refused,
+// since the matrix measures no overhead ratio.
 func TestCmdWorkloadsLive(t *testing.T) {
 	table := workloadsTable(t, "-procs", "2", "-simsteps", "200", "-ops", "12", "-live", "-check")
 	header := strings.Fields(table[0])
-	if len(header) != 10 || header[7] != "liveness" || header[8] != "cuts" {
-		t.Fatalf("live matrix header %q, want liveness and cut columns", table[0])
+	if len(header) != 11 || header[7] != "liveness" || header[8] != "forced-cuts" || header[10] != "segments" {
+		t.Fatalf("live matrix header %q, want liveness, forced-cut and segment columns", table[0])
 	}
 	liveCells := 0
 	for _, row := range table[1:] {
@@ -418,11 +422,14 @@ func TestCmdWorkloadsLive(t *testing.T) {
 		// The class may contain spaces ("local progress"), so the cut
 		// columns are read from the end of the row.
 		f := strings.Fields(row)
-		if class := strings.Join(f[7:len(f)-2], " "); class == "" || class == "-" {
+		if class := strings.Join(f[7:len(f)-3], " "); class == "" || class == "-" {
 			t.Errorf("live row without a liveness class: %q", row)
 		}
-		if f[len(f)-2] == "0" {
-			t.Errorf("live row took no quiescent cuts: %q", row)
+		commits, err1 := strconv.Atoi(f[2])
+		aborts, err2 := strconv.Atoi(f[3])
+		segments, err3 := strconv.Atoi(f[len(f)-1])
+		if err := errors.Join(err1, err2, err3); err != nil || segments < (commits+aborts)/(4*2+1) {
+			t.Errorf("live row without a quiescent point in some cut interval (%v): %q", err, row)
 		}
 	}
 	if liveCells == 0 {

@@ -25,8 +25,10 @@
 // points (internal/native's Observer hooks feeding internal/record's
 // per-process chunked buffers, globally ordered by one atomic sequence
 // counter), and Stats.History carries a well-formed model.History of
-// what the hardware actually did. A recorded or live native run plants
-// quiescent cuts (see SessionConfig.QuiesceEvery) so the opacity checkers
+// what the hardware actually did. A recorded or live native run keeps
+// quiescent cuts in its stream, forcing one wherever the stream goes a
+// whole cut interval without quiescing by itself (see
+// SessionConfig.QuiesceEvery), so the opacity checkers
 // (safety.CheckOpacity past 64 transactions, internal/monitor) can
 // verify arbitrarily long native executions segment by segment.
 //
@@ -78,16 +80,17 @@
 // idle worker with nothing queued ahead of it, whose context can never
 // be done, skips the hand-off: it runs on the caller's goroutine as
 // that worker — the paper's process issuing its own transaction — under
-// the same accounting, cut cadence and Close/Drain registration as a
+// the same accounting, cut gate and Close/Drain registration as a
 // worker run. A cancellable context keeps the queued path, since
 // cancelling abandons the wait but cannot abandon a transaction that
 // runs on the canceller itself. Jobs that do queue wake only the
 // worker they are for: an AnyWorker job is handed to an idle worker's
 // own lane, taking the idle workers in turn, and waits on the shared
 // lane only while every worker is busy.
-// Quiescent cuts for the checkers are brief global pauses (no new
-// transaction starts while in-flight ones finish) since idle workers
-// cannot rendezvous at a barrier.
+// A forced cut for the checkers is a brief global pause (no new attempt
+// begins while the ones in flight finish), since idle workers cannot
+// rendezvous at a barrier; a session forces one only when its attempts
+// have overlapped for a whole cut interval.
 //
 // A transaction costs a native session no allocation of its own, on
 // either path, so that observing a run does not reshape it with
@@ -122,23 +125,30 @@
 // The worker is the native retry loop's gate (native.Gate), which
 // brackets every attempt: it enters before the attempt begins and
 // leaves once the attempt has released everything it held, before any
-// backoff. Every attempt but an interactive one holds the session's
-// quiescent-cut lock shared from its entry to its leaving, so its
-// snapshot never predates a cut and no cut lands inside it. Every
-// attempt counts toward the cut cadence on leaving, since each one,
-// committed or aborted, is a transaction of the recorded stream and
-// fills the checker's window like any other; the attempt whose count
-// crosses the cadence is followed by a cut its worker takes holding
-// nothing. So a transaction that keeps aborting brings cuts instead of
-// holding them off, and its retry begins after the cut, on a snapshot
-// that includes the commits the cut drained. An interactive attempt
-// counts too but runs outside the lock, so a cut never waits on a
-// parked body and a served session cuts at the cadence of any other
-// checked session. A cut
-// taken while one is open is simply not a quiescent point: the checker
-// finds quiescence in the stream itself, not in the engine's
-// pauses. A parked transaction does hold its worker, so Close and
-// Drain wait for it: abandon what is still open first.
+// backoff. Every attempt but an interactive one counts itself in flight
+// on the session's cut gate, one atomic word, from its entry to its
+// leaving. An attempt that leaves none in flight ends at a quiescent
+// point the stream already has, and needs no cut; the gate starts a new
+// run of attempts. Otherwise the attempt extends the run, since each
+// one, committed or aborted, is a transaction of the recorded stream
+// and fills the checker's window like any other, and the attempt that
+// takes the run to QuiesceEvery × (admitted workers) makes a cut
+// pending and takes it holding nothing: new attempts wait at entry
+// while the ones in flight finish, and at the instant none is in
+// flight the stream quiesces. So no cut lands inside an attempt, no
+// attempt's snapshot predates a cut, a transaction that keeps aborting
+// brings quiescent points instead of holding them off, and a retry that
+// waited for a cut begins after it, on a snapshot that includes the
+// commits the cut drained. An attempt pays two read-modify-writes of
+// the gate, one at entry and one at leaving. A live session's stream
+// quiesces between almost every two transactions by itself, so it
+// forces almost no cut. Interactive attempts stay off the
+// gate, so a cut never waits on a parked body. An instant the gate
+// sees as quiescent while an interactive transaction is open is simply
+// not a quiescent point: the checker finds quiescence in the stream
+// itself, not in the engine's accounting. A parked transaction does
+// hold its worker, so Close and Drain wait for it: abandon what is
+// still open first.
 //
 // # Live monitoring
 //

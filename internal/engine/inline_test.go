@@ -78,7 +78,7 @@ func (o *orderLog) String() string {
 // pinned to an idle worker with nothing queued for it, runs on its
 // caller as that worker, and is indistinguishable from a queued run in
 // everything but the goroutine: ordering, Close, Drain, Stats, live
-// stops and cut cadence. Every other call queues. Run with -race.
+// stops and quiescent points. Every other call queues. Run with -race.
 func TestExecOnInline(t *testing.T) {
 	bg := context.Background()
 	for _, tc := range []struct {
@@ -333,24 +333,32 @@ func TestExecOnInline(t *testing.T) {
 			}
 		}},
 		{"inline and queued commits take the same cuts", func(t *testing.T) {
-			const n = 40 // ten cuts at the default cadence on one worker
-			cuts := func(ctx context.Context) uint64 {
-				s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1, Record: true})
+			// One worker's attempts never overlap, so each one ends at a
+			// quiescent point of its own: every transaction is a segment
+			// of the checker, and no cut is ever forced.
+			const n = 40
+			type quiescence struct {
+				segments int
+				cuts     uint64
+			}
+			run := func(ctx context.Context) quiescence {
+				s := openTestSession(t, "native-tl2", SessionConfig{Workers: 1, Vars: 1, Live: true})
 				for range n {
 					if err := s.ExecOn(ctx, 0, counterSessionBody(0)); err != nil {
 						t.Fatal(err)
 					}
 				}
-				if _, err := s.Close(); err != nil {
-					t.Fatal(err)
+				rep, err := s.Close()
+				if err != nil || rep == nil || !rep.Checked {
+					t.Fatalf("close: %+v, %v", rep, err)
 				}
-				return s.Stats().CutLatency.Count
+				return quiescence{rep.Opacity.Segments, s.Stats().CutLatency.Count}
 			}
 			ctx, cancel := context.WithCancel(bg)
 			defer cancel()
-			inline, queued := cuts(bg), cuts(ctx)
-			if inline != queued || inline != n/4 {
-				t.Errorf("%d cuts inline, %d queued, want %d each", inline, queued, n/4)
+			inline, queued := run(bg), run(ctx)
+			if want := (quiescence{n, 0}); inline != want || queued != want {
+				t.Errorf("inline %+v, queued %+v, want %+v each", inline, queued, want)
 			}
 		}},
 		{"a cancellable context queues", func(t *testing.T) {

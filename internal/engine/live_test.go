@@ -258,11 +258,29 @@ func disjointBody() TxBody {
 	}
 }
 
+// quiescedWithin fails t unless the live checker found a quiescent
+// point, natural or forced, within every run of attempts the cut gate
+// allows. At most quiesce × procs attempts end between two such points,
+// plus the procs - 1 still in flight when a cut is made pending, so a
+// stream of n attempts has at least n / (quiesce × procs + procs - 1)
+// segments. Every attempt st counts must be a transaction of the
+// stream, and no interactive transaction may be open.
+func quiescedWithin(t *testing.T, segments int, st SessionStats, quiesce, procs int) {
+	t.Helper()
+	attempts := st.Commits + st.Aborts + st.NoCommits
+	per := uint64(quiesce*procs + procs - 1)
+	if want := attempts / per; uint64(segments) < want {
+		t.Errorf("%d segments over %d attempts, want at least %d: some run of more than %d attempts had no quiescent point",
+			segments, attempts, want, per)
+	}
+}
+
 // TestShardedLiveAgreesWithSingleChecker: a recorded live run, whether
-// its processes keep to disjoint variables or span all of them, takes
-// its quiescent cuts and decides, and its verdict matches a replay of
-// the same history through a fresh monitor configured as a live
-// session configures its own. The name predates the removal of
+// its processes keep to disjoint variables or span all of them, has a
+// quiescent point within every cut interval and decides, and its
+// verdict matches a replay of the same history through a fresh monitor
+// configured as a live session configures its own. The name predates
+// the removal of
 // keyspace sharding, whose lanes this once compared with the single
 // checker. Run with -race.
 func TestShardedLiveAgreesWithSingleChecker(t *testing.T) {
@@ -286,12 +304,10 @@ func TestShardedLiveAgreesWithSingleChecker(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			if st.CutLatency.Count == 0 {
-				t.Fatal("a checked run took no cut")
-			}
 			if st.Live == nil || !st.Live.Checked {
 				t.Fatalf("live run undecided: %+v", st.Live)
 			}
+			quiescedWithin(t, st.Live.Opacity.Segments, st.SessionStats, defaultQuiesceEvery, procs)
 			// 48-transaction segments, forced frontiers when cut-starved.
 			m, err := monitor.New(monitor.Config{SegmentTxns: 48, Approx: true})
 			if err != nil {

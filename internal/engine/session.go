@@ -96,15 +96,17 @@ type SessionConfig struct {
 	// Record retains the session's history (see RunConfig.Record);
 	// Session.History returns it after Close.
 	Record bool
-	// QuiesceEvery is the cut cadence of a checked (Record or Live)
-	// session, 0 meaning the default, 4: after every QuiesceEvery ×
-	// (admitted workers) transaction attempts — each one a transaction
-	// of the recorded stream, so an abort storm brings cuts sooner —
-	// the session pauses while its in-flight attempts finish, planting a
-	// quiescent cut in the recorded stream. A cut lands between
-	// attempts, never inside an attempt or its backoff (see the package
-	// doc's "Interactive transactions and cuts"). An unchecked session
-	// never cuts.
+	// QuiesceEvery bounds, per admitted worker, the longest run of
+	// transaction attempts a checked (Record or Live) session's stream
+	// goes without a quiescent point, 0 meaning the default, 4. An
+	// attempt that ends with no other in flight is such a point. Once
+	// QuiesceEvery × (admitted workers) attempts — each one a
+	// transaction of the recorded stream, so an abort storm counts too
+	// — have ended without one, the session forces a cut: it pauses
+	// while its in-flight attempts finish, planting a quiescent point in
+	// the stream. A cut lands between attempts, never inside an attempt
+	// or its backoff (see the package doc's "Interactive transactions
+	// and cuts"). An unchecked session never cuts.
 	QuiesceEvery int
 	// Live attaches the online monitor for the session's whole
 	// lifetime: events stream into the checker while transactions
@@ -215,7 +217,8 @@ type SessionStats struct {
 	// Live-only sessions retain nothing and never truncate.
 	Truncated bool
 	// CutLatency summarizes every quiescent cut the session forced
-	// (Count 0 when the session takes no cuts).
+	// (Count 0 when it forced none): the quiescent points its stream
+	// reached by itself are not counted here.
 	CutLatency CutStats
 }
 
@@ -305,8 +308,8 @@ func watchCtx(ctx context.Context, wake func()) (stop func()) {
 }
 
 // sessionJob is one accepted submission. An interactive job (Begin)
-// runs outside the cut lock, since its body parks between operations
-// for as long as its caller likes.
+// stays off the cut gate, since its body parks between operations for
+// as long as its caller likes.
 type sessionJob struct {
 	body        Body
 	done        func(error)

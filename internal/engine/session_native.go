@@ -127,22 +127,27 @@ type Session struct {
 	bo   *native.Backoff
 	rec  *record.Recorder
 	live *liveState
-	// quiesce is the per-worker attempt interval between forced
-	// quiescent cuts (0 = never): one cut per quiesce transaction
-	// attempts of every admitted worker, counted on cutTick.
+	// quiesce is the longest run of attempts per admitted worker that
+	// may end without a quiescent point before a cut is forced (0 =
+	// never cut).
 	quiesce int
-	cutTick atomic.Int64
 
-	// cutMu is held shared by every attempt of a non-interactive job,
-	// from before it begins to after it has released everything (the
-	// retry loop's gate, see nativeWorker.Enter); a quiescent cut takes
-	// it exclusively, so at the instant the cut holds the lock no such
-	// attempt is in flight and, unless an interactive one is open, the
-	// recorded stream has a quiescent cut at that stamp. Idle workers,
-	// parked interactive transactions and backing-off retries hold
-	// nothing, so a cut never waits on a worker that has no work, on a
-	// caller that has gone quiet, or for an abort storm to end.
-	cutMu sync.RWMutex
+	// gate is the cut gate in one word: the attempts of non-interactive
+	// jobs in flight (gateInflight units), from before each begins to
+	// after it has released everything (the retry loop's gate, see
+	// nativeWorker.Enter); the attempts ended since the last instant
+	// none was (gateAttempt units); and gateCut while a forced cut is
+	// pending. At an instant with none in flight, unless an interactive
+	// transaction is open, the recorded stream has a quiescent cut at
+	// that stamp. Idle workers, parked interactive transactions and
+	// backing-off retries count for nothing, so a cut never waits on a
+	// worker that has no work, on a caller that has gone quiet, or for
+	// an abort storm to end.
+	gate atomic.Uint64
+	// cutMu guards the waits on cutCond: a forced cut's for its
+	// in-flight attempts to end, and new attempts' for the cut.
+	cutMu   sync.Mutex
+	cutCond sync.Cond
 
 	// met holds every counter behind SessionStats plus the registered
 	// observability extras; see sessionMetrics. Always non-nil.
@@ -207,6 +212,7 @@ func (e *NativeEngine) Open(cfg SessionConfig) (*Session, error) {
 	if cfg.Telemetry != nil {
 		s.met.tx = native.NewTxMetrics(cfg.Telemetry, e.info.Name)
 	}
+	s.cutCond.L = &s.cutMu
 	s.wake = make([]sync.Cond, cfg.MaxWorkers)
 	for p := range s.wake {
 		s.wake[p].L = &s.mu
@@ -385,13 +391,23 @@ type nativeWorker struct {
 	interactive bool // the job being executed is interactive
 }
 
+// The fields of Session.gate.
+const (
+	gateInflight = 1 << 0  // bits 0..31: attempts in flight
+	gateAttempt  = 1 << 32 // bits 32..62: attempts ended since the stream last quiesced
+	gateCut      = 1 << 63 // a forced cut is pending: no attempt may begin
+	inflightMask = gateAttempt - 1
+	// maxCutRun caps the run of attempts a cut is forced after, so the
+	// attempt count never reaches the cut bit.
+	maxCutRun = 1 << 30
+)
+
 // Enter implements native.Gate, before each attempt begins: no attempt
 // begins once the live monitor has stopped the session, and a checked
-// non-interactive attempt holds the cut lock shared until its Leave, so
-// that a cut never lands inside it and its snapshot never predates a
-// cut.
-//
-//lint:allow(lockorder) the shared hold spans one attempt: the retry loop's Leave releases it
+// non-interactive attempt counts itself in flight on the gate until its
+// Leave, waiting first while a forced cut is pending, so that a cut
+// never lands inside it and its snapshot never predates a cut. It pays
+// one read-modify-write of the gate.
 func (w *nativeWorker) Enter() bool {
 	s := w.s
 	if s.live != nil {
@@ -401,29 +417,68 @@ func (w *nativeWorker) Enter() bool {
 		default:
 		}
 	}
-	if s.quiesce > 0 && !w.interactive {
-		s.cutMu.RLock()
+	if s.quiesce == 0 || w.interactive {
+		return true
 	}
-	return true
+	for {
+		old := s.gate.Load()
+		if old&gateCut != 0 {
+			s.cutMu.Lock()
+			for s.gate.Load()&gateCut != 0 {
+				s.cutCond.Wait()
+			}
+			s.cutMu.Unlock()
+			continue
+		}
+		if s.gate.CompareAndSwap(old, old+gateInflight) {
+			return true
+		}
+	}
 }
 
 // Leave implements native.Gate, after each attempt has released
-// everything it held and before any backoff: the attempt's shared hold
-// ends, the attempt is counted on cutTick, and the one whose count
-// crosses the interval is followed by a cut, which its worker takes
+// everything it held and before any backoff, in one read-modify-write
+// of the gate. A checked non-interactive attempt leaves the in-flight
+// count. The one that leaves none in flight has found a quiescent point
+// the stream already has, and the run of attempts starts again;
+// otherwise the attempt extends the run, and the one that takes it to
+// quiesce × (admitted workers) makes a cut pending and takes it,
 // holding nothing. A cut therefore lands between attempts, never inside
-// an attempt or its backoff, and an abort storm brings cuts instead of
-// holding them off.
+// an attempt or its backoff, and only when the stream has not quiesced
+// by itself; an abort storm brings cuts instead of holding them off.
 func (w *nativeWorker) Leave() {
 	s := w.s
-	if s.quiesce == 0 {
+	if s.quiesce == 0 || w.interactive {
 		return
 	}
-	if !w.interactive {
-		s.cutMu.RUnlock()
-	}
-	if s.cutTick.Add(1)%(int64(s.quiesce)*int64(s.admitted.Load())) == 0 {
-		s.forceCut()
+	run := min(uint64(s.quiesce)*uint64(s.admitted.Load()), maxCutRun)
+	for {
+		old := s.gate.Load()
+		inflight := old&inflightMask - gateInflight
+		var next uint64
+		switch ended := (old&^gateCut)>>32 + 1; {
+		case old&gateCut != 0:
+			next = old - gateInflight
+		case inflight == 0:
+			next = 0
+		case ended >= run:
+			next = gateCut | ended<<32 | inflight
+		default:
+			next = ended<<32 | inflight
+		}
+		if !s.gate.CompareAndSwap(old, next) {
+			continue
+		}
+		switch {
+		case old&gateCut == 0 && next&gateCut != 0:
+			s.forceCut()
+		case old&gateCut != 0 && inflight == 0:
+			// The last attempt a pending cut waits for.
+			s.cutMu.Lock()
+			s.cutCond.Broadcast()
+			s.cutMu.Unlock()
+		}
+		return
 	}
 }
 
@@ -500,14 +555,20 @@ func (s *Session) execute(w *nativeWorker, j sessionJob) error {
 	return s.tm.AtomicallyOpts(w.opts, j.body)
 }
 
-// forceCut takes the cut lock exclusively: new transactions wait,
-// in-flight ones finish, and the instant the lock is held the recorded
-// stream has a quiescent cut — the streaming checker's flush point.
+// forceCut takes the cut its caller made pending: new attempts wait
+// while the ones in flight finish, and at the instant none is in flight
+// the recorded stream has a quiescent cut — the streaming checker's
+// flush point. The gate then starts a new run and lets attempts begin.
 func (s *Session) forceCut() {
 	start := time.Now()
 	s.cutMu.Lock()
-	//lint:ignore SA2001 the empty critical section is the point:
-	// holding the lock exclusively for one instant is the cut.
+	for s.gate.Load()&inflightMask != 0 {
+		s.cutCond.Wait()
+	}
+	// Nothing else writes the gate now: no attempt is in flight to
+	// leave, and none may begin.
+	s.gate.Store(0)
+	s.cutCond.Broadcast()
 	s.cutMu.Unlock()
 	s.met.cutPause.Observe(time.Since(start).Nanoseconds())
 }

@@ -333,11 +333,14 @@ func TestSessionLiveViolationStops(t *testing.T) {
 
 // TestParkedInteractiveDoesNotStallCuts: an interactive transaction
 // parked on worker 0 of a live session at the default cut cadence does
-// not hold up the quiescent cuts that worker 1's Exec traffic takes —
-// every Exec commits within the deadline, the cuts are taken, and once
-// the parked transaction is abandoned the session closes opaque. A
-// parked body that held the cut lock would stall the first cut, and
-// with it every Exec after it.
+// not count as in flight on the cut gate. Worker 1's Exec traffic alone
+// then quiesces the gate at every attempt, so every Exec commits within
+// the deadline and no cut is forced; a cut made pending while the
+// transaction is still parked lands at once; and once the parked
+// transaction is abandoned the session closes opaque. A parked body
+// counted in flight would hold every attempt's run open, and the cut
+// forced after 8 of them would wait on it, stalling every Exec after
+// it.
 func TestParkedInteractiveDoesNotStallCuts(t *testing.T) {
 	s := openTestSession(t, "native-tl2", SessionConfig{Workers: 2, Vars: 2, Live: true})
 	bg := context.Background()
@@ -358,8 +361,19 @@ func TestParkedInteractiveDoesNotStallCuts(t *testing.T) {
 		}
 	}
 	cancel()
-	if st := s.Stats(); committed == n && st.CutLatency.Count == 0 {
-		t.Errorf("%d commits took no quiescent cut", committed)
+	if c := s.Stats().CutLatency.Count; c != 0 {
+		t.Errorf("%d cuts forced over %d attempts that each quiesced the gate", c, committed)
+	}
+	cut := make(chan struct{})
+	go func() {
+		s.gate.Add(gateCut) // worker 1 is idle: nothing else writes the gate
+		s.forceCut()
+		close(cut)
+	}()
+	select {
+	case <-cut:
+	case <-time.After(3 * time.Second):
+		t.Fatal("a pending cut waited on the parked interactive transaction")
 	}
 	it.Abandon()
 	if err := it.Wait(bg); !errors.Is(err, ErrAbandoned) {
@@ -375,49 +389,163 @@ func TestParkedInteractiveDoesNotStallCuts(t *testing.T) {
 }
 
 // TestCutLandsDuringAbortStorm: a transaction that keeps aborting does
-// not hold off the quiescent cuts. Worker 0's body aborts until it sees
-// a cut taken, for at most 3 s; once it has begun, worker 1 runs 8
-// Execs. Each
+// not hold off the quiescent points. Worker 0's body reads and aborts
+// until worker 1 has run 16 Execs beside it, for at most 3 s. Each
 // attempt is a transaction of the recorded stream, so it counts toward
-// the cut cadence, and the cut lock is held per attempt: a cut lands
-// between two of worker 0's attempts. A job-wide hold would keep the
-// cut waiting on worker 0 until its budget ran out.
+// the cut cadence, and it is in flight on the cut gate per attempt, not
+// per job: between two of worker 0's attempts the gate can quiesce, or
+// a forced cut land. A job-wide hold would keep worker 0 in flight for
+// the whole storm, and the cut forced after 8 of worker 1's attempts
+// would wait on it until the budget ran out. The live checker must
+// find a quiescent point within every cut interval.
 func TestCutLandsDuringAbortStorm(t *testing.T) {
 	s := openTestSession(t, "native-tl2", SessionConfig{Workers: 2, Vars: 2, Live: true})
 	bg := context.Background()
 	deadline := time.Now().Add(3 * time.Second)
-	sawCut := false // worker 0's body writes it before its result is delivered
+	var besideDone atomic.Bool
 	started := make(chan struct{})
 	var once sync.Once
 	stormDone := goExecOn(s, 0, func(tx Tx) error {
 		once.Do(func() { close(started) })
-		if s.Stats().CutLatency.Count > 0 {
-			sawCut = true
-			return nil
+		if _, err := tx.Read(0); err != nil {
+			return err
 		}
-		if time.Now().After(deadline) {
+		if besideDone.Load() || time.Now().After(deadline) {
 			return nil
 		}
 		return ErrAborted
 	})
 	<-started
-	for i := 0; i < 8; i++ {
+	for i := 0; i < 16; i++ {
 		if err := s.ExecOn(bg, 1, counterSessionBody(1)); err != nil {
 			t.Fatalf("Exec %d beside the abort storm: %v", i+1, err)
 		}
 	}
+	besideDone.Store(true)
 	if err := <-stormDone; err != nil {
 		t.Fatalf("abort storm ended with %v", err)
 	}
-	if !sawCut {
-		t.Error("worker 0 aborted for 3 s without a quiescent cut landing")
+	if time.Now().After(deadline) {
+		t.Error("worker 1's Execs waited out worker 0's abort storm")
 	}
 	rep, err := s.Close()
 	if err != nil {
 		t.Fatalf("close: %v", err)
 	}
-	if rep == nil || !rep.Opacity.Holds {
+	if rep == nil || !rep.Checked || !rep.Opacity.Holds {
 		t.Fatalf("healthy session verdict: %+v", rep)
+	}
+	quiescedWithin(t, rep.Opacity.Segments, s.Stats(), defaultQuiesceEvery, 2)
+}
+
+// cutPending reports that a forced cut is pending on the gate.
+func (s *Session) cutPending() bool { return s.gate.Load()&gateCut != 0 }
+
+// TestForcedCutsWhenAttemptsOverlap: when the session's attempts always
+// overlap, the stream never quiesces by itself, and exactly one forced
+// cut must land after every QuiesceEvery × Workers attempts. Workers 1
+// and 2 each read a variable and park, their transactions open in the
+// stream, until a cut is pending; worker 0's attempts each wait until
+// both are in flight, so every one ends while theirs are open. Each
+// cycle is QuiesceEvery × Workers of worker 0's attempts, then the cut,
+// whose pending state releases the parked attempts: they end inside the
+// cut and do not count, and the first of them to leave must not take a
+// second cut. So the session forces exactly one cut per cycle, and the
+// checker finds one segment per cut, plus the parked workers' last
+// transactions, which end together.
+func TestForcedCutsWhenAttemptsOverlap(t *testing.T) {
+	const quiesce, workers, cycles = 3, 3, 5
+	const parkers = workers - 1
+	s := openTestSession(t, "native-tl2", SessionConfig{Workers: workers, Vars: workers, Live: true, QuiesceEvery: quiesce})
+	var parked atomic.Int32 // parking attempts in flight
+	var stop atomic.Bool
+	var done []<-chan error
+	for p := 1; p <= parkers; p++ {
+		done = append(done, goExecOn(s, p, func(tx Tx) error {
+			if _, err := tx.Read(p); err != nil {
+				return err
+			}
+			parked.Add(1)
+			for !s.cutPending() && !stop.Load() {
+				runtime.Gosched()
+			}
+			parked.Add(-1)
+			if stop.Load() {
+				return nil
+			}
+			return ErrAborted // one attempt per cut; the retry is the next one
+		}))
+	}
+	bg := context.Background()
+	const attempts = cycles * quiesce * workers
+	for range attempts {
+		err := s.ExecOn(bg, 0, func(tx Tx) error {
+			for parked.Load() < parkers {
+				runtime.Gosched()
+			}
+			return counterSessionBody(0)(tx)
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+	}
+	for parked.Load() < parkers {
+		runtime.Gosched()
+	}
+	stop.Store(true)
+	for _, res := range done {
+		if err := <-res; err != nil {
+			t.Fatal(err)
+		}
+	}
+	rep, err := s.Close()
+	if err != nil {
+		t.Fatalf("close: %v", err)
+	}
+	st := s.Stats()
+	if st.Aborts != parkers*cycles || st.Commits != attempts+parkers {
+		t.Fatalf("%d commits and %d aborts, want %d and %d: some attempt did not overlap",
+			st.Commits, st.Aborts, attempts+parkers, parkers*cycles)
+	}
+	if st.CutLatency.Count != cycles {
+		t.Errorf("%d forced cuts over %d overlapping attempts, want one per %d", st.CutLatency.Count, attempts, quiesce*workers)
+	}
+	if rep == nil || !rep.Checked || !rep.Opacity.Holds || rep.Opacity.Segments != cycles+1 {
+		t.Fatalf("verdict %+v, want opaque in %d segments", rep, cycles+1)
+	}
+}
+
+// TestQuiescentPointRestartsRun: an attempt that leaves none in flight
+// is a quiescent point the stream already has, so the run a cut is
+// forced after starts again there. Driven on the gate directly from one
+// goroutine, with the session's workers idle: worker 0 stays in flight
+// while worker 1 ends one attempt short of the run, then worker 0 ends
+// and leaves none in flight. Stretch after stretch, no cut may come
+// due, as it would in the second stretch if the run went on counting
+// across quiescent points.
+func TestQuiescentPointRestartsRun(t *testing.T) {
+	const quiesce, workers = 2, 2
+	s := openTestSession(t, "native-tl2", SessionConfig{Workers: workers, Vars: 1, Live: true, QuiesceEvery: quiesce})
+	a, b := &s.workers[0], &s.workers[1]
+	for stretch := range 5 {
+		a.Enter()
+		for range quiesce*workers - 1 {
+			b.Enter()
+			b.Leave()
+		}
+		if g := s.gate.Load(); g != (quiesce*workers-1)*gateAttempt+gateInflight {
+			t.Fatalf("stretch %d: gate %#x, want %d attempts ended and one in flight", stretch, g, quiesce*workers-1)
+		}
+		a.Leave()
+		if g := s.gate.Load(); g != 0 {
+			t.Fatalf("stretch %d: gate %#x after the last attempt in flight ended, want a new run", stretch, g)
+		}
+	}
+	if _, err := s.Close(); err != nil {
+		t.Fatal(err)
+	}
+	if c := s.Stats().CutLatency.Count; c != 0 {
+		t.Errorf("%d cuts forced", c)
 	}
 }
 
@@ -425,7 +553,7 @@ func TestCutLandsDuringAbortStorm(t *testing.T) {
 // it, so its snapshot includes the commits the cut drained. Worker 1
 // writes x and parks inside its attempt, holding the cut off; worker 0
 // reads x and aborts on its own until the cut its attempts made due is
-// pending, which the test sees as the cut lock refusing a reader. Then
+// pending, which the test reads from the gate. Then
 // worker 1 commits, the cut lands, and worker 0's next attempt reads x
 // again: one that began before the cut would read x at a version older
 // than worker 1's commit and abort on it.
@@ -456,8 +584,7 @@ func TestRetryBeginsAfterCut(t *testing.T) {
 		return nil
 	})
 	deadline := time.Now().Add(5 * time.Second)
-	for s.cutMu.TryRLock() {
-		s.cutMu.RUnlock()
+	for !s.cutPending() {
 		if time.Now().After(deadline) {
 			t.Error("no cut became pending behind the parked attempt")
 			break

@@ -133,15 +133,12 @@ func TestMetricsEndpointUnderLoad(t *testing.T) {
 	if familyTotal(snap, "livetm_session_workers") != 4 {
 		t.Errorf("workers gauge = %v, want 4 after AddWorkers", familyTotal(snap, "livetm_session_workers"))
 	}
-	if familyTotal(snap, "livetm_cut_pause_ns") == 0 {
-		t.Errorf("no quiescent cuts recorded")
-	}
 	if familyTotal(snap, "livetm_recorder_events_total") == 0 {
 		t.Errorf("no recorder events counted")
 	}
-	if familyTotal(snap, "livetm_checker_segments_total") == 0 {
-		t.Errorf("no checker segments counted")
-	}
+	// Quiescent points, natural or forced, at the cadence of the
+	// largest pool.
+	quiescedWithin(t, int(familyTotal(snap, "livetm_checker_segments_total")), s.Stats(), 2, 4)
 }
 
 // TestSessionStatsMatchRegistry opens an instrumented session and

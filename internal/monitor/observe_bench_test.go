@@ -21,9 +21,12 @@ import (
 //     approximate fallback forces every frontier; the history is a
 //     function of the seed.
 //   - native-tl2: two processes on 16 shared variables (update/cold),
-//     2 000 rounds each, recorded with a quiescent cut after every
-//     4 × 2 completed transactions, the default cadence of a recorded
-//     session, as `livetm record` runs it.
+//     2 000 rounds each, recorded at the default cadence of a recorded
+//     session, as `livetm record` runs it: its stream quiesces by itself
+//     between most two transactions, so most segments hold one and are
+//     checked in place, and a cut is forced only after 4 × 2 attempts
+//     that end without a quiescent point. The recorded schedule, and
+//     with it the segment count, varies from run to run.
 func BenchmarkObserve(b *testing.B) {
 	cases := []struct {
 		name, engine, spec string

@@ -51,15 +51,16 @@ func updateStream(procs, commits int, staggered bool) model.History {
 }
 
 // TestAllocBudgetPerCheckedCommit pins what the live checker allocates
-// per committed transaction once its scratch is warm, on the two
-// shapes the benchmark's checker-bound workloads have: two processes
-// with a quiescent cut after every round, and five that never quiesce,
-// so every 49th commit forces a frontier. Transactions are assembled in
-// window entries that keep their storage, and a forced frontier carries
-// the open ones by swapping entries, so neither shape allocates at all:
-// a search that allocates per segment, per transaction or per node, or
-// a frontier that allocates per carried process, fails here without a
-// run of bench/.
+// per committed transaction once its scratch is warm, on the shapes
+// the benchmark's checker-bound workloads have: one transaction per
+// segment, which is checked in place, two processes with a quiescent
+// cut after every round, and five that never quiesce, so every 49th
+// commit forces a frontier. Transactions are assembled in window
+// entries that keep their storage, and a forced frontier carries the
+// open ones by swapping entries, so no shape allocates at all: a
+// one-transaction check that allocates, a search that allocates per
+// segment, per transaction or per node, or a frontier that allocates
+// per carried process, fails here without a run of bench/.
 func TestAllocBudgetPerCheckedCommit(t *testing.T) {
 	const (
 		runs         = 40
@@ -72,6 +73,7 @@ func TestAllocBudgetPerCheckedCommit(t *testing.T) {
 		staggered bool
 		budget    float64
 	}{
+		{"one process, a cut per transaction", 1, false, 0},
 		{"two processes, a cut per round", 2, false, 0.1},
 		{"five processes, cut-starved", 5, true, 0.01},
 	} {

@@ -8,11 +8,21 @@ import (
 	"livetm/internal/monitor"
 )
 
+// quiescedWithin reports whether a live cell's checker found a
+// quiescent point, natural or forced, within every cut interval. At the
+// session's default cadence (QuiesceEvery 4) at most 4 × procs attempts
+// end between two such points, plus the procs - 1 in flight when a cut
+// is made pending, and every attempt is a transaction of the stream.
+func quiescedWithin(r Result) bool {
+	const quiesce = 4
+	return uint64(r.Segments) >= (r.Commits+r.Aborts)/uint64(quiesce*r.Procs+r.Procs-1)
+}
+
 // TestRunMatrixLive: native cells run under the in-process monitor —
 // verdicts come from the live checker, every cell carries a liveness
-// class, a backoff cap and its quiescent-cut summary, and the table
-// prints each live cell's class — while simulated cells ride along
-// unaffected.
+// class, a quiescent point within every cut interval and a consistent
+// forced-cut summary, and the table prints each live cell's class —
+// while simulated cells ride along unaffected.
 func TestRunMatrixLive(t *testing.T) {
 	var engines []engine.Engine
 	for _, name := range []string{"sim-tl2", "native-tl2", "native-dstm"} {
@@ -45,8 +55,9 @@ func TestRunMatrixLive(t *testing.T) {
 		if !r.Checked {
 			t.Errorf("%s/%s: live cell undecided", r.Engine, r.Workload)
 		}
-		if r.Cuts == 0 || r.CutP50ns > r.CutP99ns {
-			t.Errorf("%s/%s: cut summary %d cuts, p50 %dns, p99 %dns", r.Engine, r.Workload, r.Cuts, r.CutP50ns, r.CutP99ns)
+		if !quiescedWithin(r) || r.CutP50ns > r.CutP99ns {
+			t.Errorf("%s/%s: %d segments over %d commits and %d aborts; %d forced cuts, p50 %dns, p99 %dns",
+				r.Engine, r.Workload, r.Segments, r.Commits, r.Aborts, r.Cuts, r.CutP50ns, r.CutP99ns)
 		}
 	}
 	lines := strings.Split(strings.TrimSuffix(FormatResults(results), "\n"), "\n")

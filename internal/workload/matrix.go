@@ -182,12 +182,18 @@ type Result struct {
 	// serialization frontiers (the cut-starved fallback) rather than
 	// exact quiescent cuts.
 	ApproxVerdict bool
-	// Cuts, CutP50ns and CutP99ns summarize the cell's quiescent-cut
-	// pauses: how many cuts were forced and the pause-latency
-	// percentiles in nanoseconds.
+	// Cuts, CutP50ns and CutP99ns summarize the cell's forced cuts:
+	// how many the session forced and their pause-latency percentiles
+	// in nanoseconds. A session forces a cut only when its stream has
+	// gone a whole cut interval without quiescing by itself, so most
+	// cells force none; Segments says how often the stream quiesced.
 	Cuts     uint64
 	CutP50ns int64
 	CutP99ns int64
+	// Segments counts the segments the live checker decided the cell
+	// in: one per quiescent point of the stream, natural or forced,
+	// plus any forced frontier. 0 when the cell did not run live.
+	Segments int
 }
 
 // Options selects the optional record/check path of a matrix run.
@@ -274,6 +280,7 @@ func runCell(e engine.Engine, caps engine.Capabilities, spec Spec, cfg engine.Ru
 	if live && st.Live != nil {
 		r.LivenessClass = st.Live.LivenessClass()
 		r.ApproxVerdict = st.Live.Opacity.Approx
+		r.Segments = st.Live.Opacity.Segments
 		if opts.Check {
 			// The live monitor already checked the cell as it
 			// ran — a violation would have stopped it and failed
@@ -345,15 +352,16 @@ func checkCell(h model.History) (bool, error) {
 
 // FormatResults renders the cells as an aligned text table. The
 // liveness column appears once any cell carries a liveness
-// classification (live matrix runs); the cut columns appear once any
-// cell took quiescent cuts.
+// classification (live matrix runs); the cut columns — forced cuts,
+// their p99 pause and the live checker's segments, which count every
+// quiescent point — appear once any cell ran live or forced a cut.
 func FormatResults(results []Result) string {
 	classes, cuts := false, false
 	for _, r := range results {
 		if r.LivenessClass != "" {
 			classes = true
 		}
-		if r.Cuts > 0 {
+		if r.Live || r.Cuts > 0 {
 			cuts = true
 		}
 	}
@@ -363,7 +371,7 @@ func FormatResults(results []Result) string {
 		out += fmt.Sprintf(" %-18s", "liveness")
 	}
 	if cuts {
-		out += fmt.Sprintf(" %8s %12s", "cuts", "cut-p99")
+		out += fmt.Sprintf(" %11s %12s %9s", "forced-cuts", "cut-p99", "segments")
 	}
 	out += "\n"
 	for _, r := range results {
@@ -391,11 +399,14 @@ func FormatResults(results []Result) string {
 			out += fmt.Sprintf(" %-18s", class)
 		}
 		if cuts {
-			lat := "-"
+			lat, segs := "-", "-"
 			if r.Cuts > 0 {
 				lat = (time.Duration(r.CutP99ns) * time.Nanosecond).String()
 			}
-			out += fmt.Sprintf(" %8d %12s", r.Cuts, lat)
+			if r.Live {
+				segs = fmt.Sprint(r.Segments)
+			}
+			out += fmt.Sprintf(" %11d %12s %9s", r.Cuts, lat, segs)
 		}
 		out += "\n"
 	}

@@ -141,8 +141,9 @@ func TestRunMatrixCrossEngine(t *testing.T) {
 }
 
 // TestRunMatrixShardSweep runs one native engine live over the p4
-// matrix: every spec yields exactly one cell, each cell took quiescent
-// cuts and carries a consistent cut summary, and no cell flips its
+// matrix: every spec yields exactly one cell, each cell had a quiescent
+// point within every cut interval and carries a consistent forced-cut
+// summary, and no cell flips its
 // opacity verdict (a violation would fail the sweep outright). The
 // name predates the removal of keyspace sharding, when the sweep also
 // ran each spec split four ways.
@@ -165,8 +166,9 @@ func TestRunMatrixShardSweep(t *testing.T) {
 		if !r.Live {
 			t.Errorf("%s: cell did not run live", r.Workload)
 		}
-		if r.Cuts == 0 {
-			t.Errorf("%s: cell took no quiescent cuts", r.Workload)
+		if !quiescedWithin(r) {
+			t.Errorf("%s: %d segments over %d commits and %d aborts: some cut interval had no quiescent point",
+				r.Workload, r.Segments, r.Commits, r.Aborts)
 		}
 		if r.CutP50ns > r.CutP99ns {
 			t.Errorf("%s: cut p50 %dns above p99 %dns", r.Workload, r.CutP50ns, r.CutP99ns)
