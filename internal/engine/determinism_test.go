@@ -176,26 +176,28 @@ var simRunShapes = []struct {
 			}
 			return goldenBody(4)(proc, round, tx)
 		}},
-	// Five processes on disjoint 16-variable partitions of 80, each
-	// round reading one variable and incrementing four.
-	{"partitioned", "sim-tl2", RunConfig{Procs: 5, Vars: 80, Seed: 1, SimSteps: 1500, Record: true},
-		func(proc, round int, tx Tx) error {
-			base := 16 * proc
-			if _, err := tx.Read(base + round%16); err != nil {
-				return err
-			}
-			for k := 1; k <= 4; k++ {
-				x := base + (round*5+k*3)%16
-				v, err := tx.Read(x)
-				if err != nil {
-					return err
-				}
-				if err := tx.Write(x, v+1); err != nil {
-					return err
-				}
-			}
-			return nil
-		}},
+	{"partitioned", "sim-tl2", RunConfig{Procs: 5, Vars: 80, Seed: 1, SimSteps: 1500, Record: true}, partitionedBody},
+}
+
+// partitionedBody has the shape of bench's check-replay recording: five processes
+// on disjoint 16-variable partitions of 80, each round reading one
+// variable and incrementing four.
+func partitionedBody(proc, round int, tx Tx) error {
+	base := 16 * proc
+	if _, err := tx.Read(base + round%16); err != nil {
+		return err
+	}
+	for k := 1; k <= 4; k++ {
+		x := base + (round*5+k*3)%16
+		v, err := tx.Read(x)
+		if err != nil {
+			return err
+		}
+		if err := tx.Write(x, v+1); err != nil {
+			return err
+		}
+	}
+	return nil
 }
 
 func TestSimRunGolden(t *testing.T) {

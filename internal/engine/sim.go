@@ -40,7 +40,8 @@ func (e *Sim) Capabilities() Capabilities {
 }
 
 // simTx adapts the request/response operational interface to the
-// engine's error-based one. After any abort the handle is dead.
+// engine's error-based one. After any abort the handle is dead until
+// Run hands it, one per process, to the process's next attempt.
 type simTx struct {
 	tm      stm.TM
 	env     *sim.Env
@@ -104,9 +105,10 @@ func (e *Sim) Run(cfg RunConfig, body TxBody) (Stats, error) {
 	var fatal error
 	for p := range cfg.Procs {
 		err := sched.Spawn(model.Proc(p+1), func(env *sim.Env) {
+			tx := &simTx{tm: tm, env: env, vars: cfg.Vars}
 			for round := 0; cfg.OpsPerProc == 0 || round < cfg.OpsPerProc; round++ {
 				for {
-					tx := &simTx{tm: tm, env: env, vars: cfg.Vars}
+					tx.aborted = false
 					err := body(p, round, tx)
 					if errors.Is(err, ErrNoCommit) {
 						st.NoCommits++
