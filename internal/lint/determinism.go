@@ -11,8 +11,8 @@ import (
 // Determinism statically enforces the repo's pure-function contracts:
 // the loadgen plan/arrival compile path (Plan.Encode/Digest is the
 // runtime witness that a schedule is a pure function of (scenario,
-// seed)) and the deterministic sim scheduler. In scoped files the
-// rule flags:
+// seed)), the deterministic sim scheduler, and the simulated TMs it
+// drives. In scoped files the rule flags:
 //
 //   - wall-clock reads: time.Now, time.Since, time.Until, and the
 //     timer constructors that embed one (time.After, time.Tick);
@@ -23,9 +23,10 @@ import (
 //     on the compile path can leak schedule-order nondeterminism into
 //     an encoder or hasher. Collect and sort the keys instead.
 //
-// Scope: every file of internal/sim, the loadgen files that compile
-// plans (arrival.go, scenario.go), and any file carrying a
-// //lint:deterministic marker comment. If the loadgen package exists
+// Scope: every file of internal/sim, of internal/stm and of their
+// subpackages, the loadgen files that compile plans (arrival.go,
+// scenario.go), and any file carrying a //lint:deterministic marker
+// comment. If the loadgen package exists
 // but its scoped files vanish in a refactor, that is a finding too —
 // renames must not silently drop coverage.
 func Determinism() *Analyzer {
@@ -37,7 +38,6 @@ func Determinism() *Analyzer {
 }
 
 const (
-	simPathSuffix     = "internal/sim"
 	loadgenPathSuffix = "internal/loadgen"
 	deterministicMark = "//lint:deterministic"
 )
@@ -66,13 +66,14 @@ func runDeterminism(prog *Program) []Finding {
 	var out []Finding
 	for _, pkg := range prog.Pkgs {
 		p := pkg
-		simScoped := pathHasSuffix(p.Path, simPathSuffix)
+		path := "/" + p.Path + "/"
+		treeScoped := strings.Contains(path, "/internal/sim/") || strings.Contains(path, "/internal/stm/")
 		loadgenPkg := pathHasSuffix(p.Path, loadgenPathSuffix)
 		seen := map[string]bool{}
 		for _, f := range p.Files {
 			base := filepath.Base(prog.Position(f.Pos()).Filename)
 			seen[base] = true
-			scoped := simScoped || hasMarker(f)
+			scoped := treeScoped || hasMarker(f)
 			if loadgenPkg {
 				for _, want := range loadgenScopedFiles {
 					if base == want {

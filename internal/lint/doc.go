@@ -38,10 +38,11 @@
 // carry an allow directive saying so.
 //
 // determinism — the deterministic-by-contract code (all of
-// internal/sim; the loadgen plan-compile files arrival.go and
-// scenario.go; any file marked //lint:deterministic) must not reach
-// time.Now, the process-global math/rand generator, or range over a
-// map (iteration order is randomized). These are exactly the paths
+// internal/sim and of internal/stm, subpackages included; the loadgen
+// plan-compile files arrival.go and scenario.go; any file marked
+// //lint:deterministic) must not reach time.Now, the process-global
+// math/rand generator, or range over a map (iteration order is
+// randomized). These are exactly the paths
 // whose byte-identical replay CI asserts; the analyzer also fails if
 // a scoped loadgen file disappears, so the scope cannot rot silently.
 //

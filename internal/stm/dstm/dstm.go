@@ -70,6 +70,8 @@ type locator struct {
 	newVal model.Value
 }
 
+// varRecord is one t-variable. A nil locator means the variable was
+// never acquired and holds model.InitialValue.
 type varRecord struct {
 	loc *locator
 	// readers holds the descriptors of active visible readers (visible
@@ -79,19 +81,20 @@ type varRecord struct {
 
 type txn struct {
 	d     *desc
-	reads map[model.TVar]model.Value
-	mine  map[model.TVar]*locator
+	reads stm.Log[model.Value]
 	activ bool
+	// stamp is the process's Greedy timestamp, 0 until it starts a
+	// transaction; a commit retires it.
+	stamp uint64
 }
 
 // TM is the DSTM-style TM.
 type TM struct {
 	cm      CM
 	visible bool // visible reads: readers register, writers abort them
-	vars    map[model.TVar]*varRecord
-	txns    map[model.Proc]*txn
-	clock   uint64                // Greedy timestamp source
-	stamps  map[model.Proc]uint64 // Greedy: retained across retries
+	vars    stm.Table[varRecord]
+	txns    model.ProcTable[*txn]
+	clock   uint64 // Greedy timestamp source
 }
 
 var _ stm.TM = (*TM)(nil)
@@ -100,14 +103,7 @@ var _ stm.TM = (*TM)(nil)
 func New() *TM { return NewWithCM(AbortOther) }
 
 // NewWithCM returns an instance with the given contention manager.
-func NewWithCM(cm CM) *TM {
-	return &TM{
-		cm:     cm,
-		vars:   make(map[model.TVar]*varRecord),
-		txns:   make(map[model.Proc]*txn),
-		stamps: make(map[model.Proc]uint64),
-	}
-}
+func NewWithCM(cm CM) *TM { return &TM{cm: cm} }
 
 // NewVisible returns the visible-reads variant with the aggressive
 // contention manager: readers register on the variables they read and
@@ -134,31 +130,20 @@ func (t *TM) Name() string {
 	}
 }
 
-func (t *TM) rec(x model.TVar) *varRecord {
-	r, ok := t.vars[x]
-	if !ok {
-		r = &varRecord{loc: &locator{owner: &desc{st: committed}, newVal: model.InitialValue}}
-		t.vars[x] = r
-	}
-	return r
-}
-
 func (t *TM) txn(p model.Proc) *txn {
-	tx, ok := t.txns[p]
-	if !ok || !tx.activ {
-		stamp, has := t.stamps[p]
-		if !has {
+	e := t.txns.At(p)
+	if *e == nil {
+		*e = new(txn)
+	}
+	tx := *e
+	if !tx.activ {
+		if tx.stamp == 0 {
 			t.clock++
-			stamp = t.clock
-			t.stamps[p] = stamp
+			tx.stamp = t.clock
 		}
-		tx = &txn{
-			d:     &desc{st: active, stamp: stamp},
-			reads: make(map[model.TVar]model.Value),
-			mine:  make(map[model.TVar]*locator),
-			activ: true,
-		}
-		t.txns[p] = tx
+		tx.d = &desc{st: active, stamp: tx.stamp}
+		tx.reads.Reset()
+		tx.activ = true
 	}
 	return tx
 }
@@ -167,6 +152,9 @@ func (t *TM) txn(p model.Proc) *txn {
 // locator: the new value if the owner committed, the old one if the
 // owner is active or aborted.
 func current(r *varRecord) model.Value {
+	if r.loc == nil {
+		return model.InitialValue
+	}
 	if r.loc.owner.st == committed {
 		return r.loc.newVal
 	}
@@ -179,8 +167,8 @@ func (t *TM) validate(tx *txn) bool {
 	if tx.d.st != active {
 		return false
 	}
-	for x, v := range tx.reads {
-		if current(t.rec(x)) != v {
+	for _, e := range tx.reads.Entries() {
+		if current(t.vars.At(e.X)) != e.V {
 			return false
 		}
 	}
@@ -233,14 +221,14 @@ func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 		t.selfAbort(tx)
 		return 0, stm.Aborted
 	}
-	r := t.rec(x)
-	if loc, mine := tx.mine[x]; mine && r.loc == loc {
-		return loc.newVal, stm.OK
+	r := t.vars.At(x)
+	if r.loc != nil && r.loc.owner == tx.d {
+		return r.loc.newVal, stm.OK // our own write
 	}
 	if t.visible {
 		// A visible reader conflicts with an active writer like a
 		// writer would: the contention manager resolves it.
-		if r.loc.owner.st == active && r.loc.owner != tx.d {
+		if r.loc != nil && r.loc.owner.st == active && r.loc.owner != tx.d {
 			r.loc.owner.st = aborted // AbortOther; NewVisible pins the aggressive CM
 		}
 		registerReader(r, tx.d)
@@ -249,11 +237,12 @@ func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 		return current(r), stm.OK
 	}
 	v := current(r)
-	if prev, seen := tx.reads[x]; seen && prev != v {
+	if prev, added := tx.reads.Add(x); added {
+		*prev = v
+	} else if *prev != v {
 		t.selfAbort(tx)
 		return 0, stm.Aborted
 	}
-	tx.reads[x] = v
 	if !t.validate(tx) {
 		t.selfAbort(tx)
 		return 0, stm.Aborted
@@ -272,12 +261,12 @@ func (t *TM) Write(env *sim.Env, x model.TVar, v model.Value) stm.Status {
 		t.selfAbort(tx)
 		return stm.Aborted
 	}
-	r := t.rec(x)
-	if loc, mine := tx.mine[x]; mine && r.loc == loc {
-		loc.newVal = v
+	r := t.vars.At(x)
+	if r.loc != nil && r.loc.owner == tx.d {
+		r.loc.newVal = v // x is already ours
 		return stm.OK
 	}
-	if r.loc.owner.st == active && r.loc.owner != tx.d {
+	if r.loc != nil && r.loc.owner.st == active && r.loc.owner != tx.d {
 		switch t.cm {
 		case AbortOther:
 			r.loc.owner.st = aborted
@@ -293,31 +282,18 @@ func (t *TM) Write(env *sim.Env, x model.TVar, v model.Value) stm.Status {
 			return stm.Aborted
 		}
 	}
+	old := current(r)
 	if t.visible {
 		// Acquiring a variable aborts its visible readers; our own
-		// registered reads stay protected the same way.
+		// registered reads stay protected the same way. A visible
+		// reader logs no reads, so validation below is its status.
 		abortReaders(r, tx.d)
-		if tx.d.st != active {
-			t.selfAbort(tx)
-			return stm.Aborted
-		}
-		loc := &locator{owner: tx.d, oldVal: current(r), newVal: v}
-		r.loc = loc
-		tx.mine[x] = loc
-		return stm.OK
 	}
-	old := current(r)
-	if prev, seen := tx.reads[x]; seen && prev != old {
+	if prev, seen := tx.reads.Get(x); (seen && *prev != old) || !t.validate(tx) {
 		t.selfAbort(tx)
 		return stm.Aborted
 	}
-	if !t.validate(tx) {
-		t.selfAbort(tx)
-		return stm.Aborted
-	}
-	loc := &locator{owner: tx.d, oldVal: old, newVal: v}
-	r.loc = loc
-	tx.mine[x] = loc
+	r.loc = &locator{owner: tx.d, oldVal: old, newVal: v}
 	return stm.OK
 }
 
@@ -327,8 +303,7 @@ func (t *TM) Write(env *sim.Env, x model.TVar, v model.Value) stm.Status {
 // process's Greedy timestamp; aborts retain it, so priority only
 // grows with failed attempts.
 func (t *TM) TryCommit(env *sim.Env) stm.Status {
-	p := env.Proc()
-	tx := t.txn(p)
+	tx := t.txn(env.Proc())
 	env.Yield()
 	if !t.validate(tx) {
 		t.selfAbort(tx)
@@ -336,6 +311,6 @@ func (t *TM) TryCommit(env *sim.Env) stm.Status {
 	}
 	tx.d.st = committed
 	tx.activ = false
-	delete(t.stamps, p)
+	tx.stamp = 0
 	return stm.OK
 }

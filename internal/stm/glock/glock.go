@@ -22,8 +22,8 @@ type TM struct {
 	fair   bool
 	holder model.Proc // 0 when free
 	queue  []model.Proc
-	store  map[model.TVar]model.Value
-	inTxn  map[model.Proc]bool
+	store  stm.Table[model.Value]
+	inTxn  model.ProcTable[bool]
 }
 
 var _ stm.TM = (*TM)(nil)
@@ -35,13 +35,7 @@ func New() *TM { return newTM(true) }
 // the lock free first takes it, regardless of arrival order.
 func NewBarging() *TM { return newTM(false) }
 
-func newTM(fair bool) *TM {
-	return &TM{
-		fair:  fair,
-		store: make(map[model.TVar]model.Value),
-		inTxn: make(map[model.Proc]bool),
-	}
-}
+func newTM(fair bool) *TM { return &TM{fair: fair} }
 
 // Name implements stm.TM.
 func (t *TM) Name() string {
@@ -71,7 +65,7 @@ func (t *TM) acquire(env *sim.Env, p model.Proc) {
 		for {
 			env.Yield()
 			if t.holder == 0 && len(t.queue) > 0 && t.queue[0] == p {
-				t.queue = t.queue[1:]
+				t.queue = t.queue[:copy(t.queue, t.queue[1:])]
 				t.holder = p
 				return
 			}
@@ -96,37 +90,37 @@ func (t *TM) release(p model.Proc) {
 // aborts.
 func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 	p := env.Proc()
-	if !t.inTxn[p] {
+	if !*t.inTxn.At(p) {
 		t.acquire(env, p)
-		t.inTxn[p] = true
+		*t.inTxn.At(p) = true
 	}
 	env.Yield()
-	return t.store[x], stm.OK
+	return *t.store.At(x), stm.OK
 }
 
 // Write implements stm.TM. Writes apply in place: the transaction runs
 // exclusively and never aborts, so no undo is needed.
 func (t *TM) Write(env *sim.Env, x model.TVar, v model.Value) stm.Status {
 	p := env.Proc()
-	if !t.inTxn[p] {
+	if !*t.inTxn.At(p) {
 		t.acquire(env, p)
-		t.inTxn[p] = true
+		*t.inTxn.At(p) = true
 	}
 	env.Yield()
-	t.store[x] = v
+	*t.store.At(x) = v
 	return stm.OK
 }
 
 // TryCommit implements stm.TM. It always commits.
 func (t *TM) TryCommit(env *sim.Env) stm.Status {
 	p := env.Proc()
-	if !t.inTxn[p] {
+	if !*t.inTxn.At(p) {
 		// An empty transaction: nothing was read or written.
 		env.Yield()
 		return stm.OK
 	}
 	env.Yield()
-	t.inTxn[p] = false
+	*t.inTxn.At(p) = false
 	t.release(p)
 	return stm.OK
 }

@@ -24,9 +24,8 @@ import (
 type txn struct {
 	active   bool
 	snapshot uint64
-	reads    []readEntry
-	writes   map[model.TVar]model.Value
-	order    []model.TVar
+	reads    []readEntry // every read, repeats included
+	writes   stm.Log[model.Value]
 }
 
 type readEntry struct {
@@ -38,39 +37,29 @@ type readEntry struct {
 type TM struct {
 	seq    uint64 // odd while the writer holds the sequence lock
 	owner  model.Proc
-	values map[model.TVar]model.Value
-	txns   map[model.Proc]*txn
+	values stm.Table[model.Value]
+	txns   model.ProcTable[*txn]
 }
 
 var _ stm.TM = (*TM)(nil)
 
 // New returns an empty instance.
-func New() *TM {
-	return &TM{
-		values: make(map[model.TVar]model.Value),
-		txns:   make(map[model.Proc]*txn),
-	}
-}
+func New() *TM { return &TM{} }
 
 // Name implements stm.TM.
 func (t *TM) Name() string { return "norec" }
 
-func (t *TM) value(x model.TVar) model.Value {
-	if v, ok := t.values[x]; ok {
-		return v
-	}
-	return model.InitialValue
-}
-
 func (t *TM) txn(p model.Proc) *txn {
-	tx, ok := t.txns[p]
-	if !ok || !tx.active {
-		tx = &txn{
-			active:   true,
-			snapshot: t.seq,
-			writes:   make(map[model.TVar]model.Value),
-		}
-		t.txns[p] = tx
+	e := t.txns.At(p)
+	if *e == nil {
+		*e = new(txn)
+	}
+	tx := *e
+	if !tx.active {
+		tx.active = true
+		tx.snapshot = t.seq
+		tx.reads = tx.reads[:0]
+		tx.writes.Reset()
 	}
 	return tx
 }
@@ -84,7 +73,7 @@ func (t *TM) revalidate(tx *txn) bool {
 		return false // a writer holds the sequence lock
 	}
 	for _, r := range tx.reads {
-		if t.value(r.x) != r.v {
+		if *t.values.At(r.x) != r.v {
 			return false
 		}
 	}
@@ -96,9 +85,9 @@ func (t *TM) revalidate(tx *txn) bool {
 func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 	p := env.Proc()
 	tx := t.txn(p)
-	if v, buffered := tx.writes[x]; buffered {
+	if v, buffered := tx.writes.Get(x); buffered {
 		env.Yield()
-		return v, stm.OK
+		return *v, stm.OK
 	}
 	env.Yield()
 	if t.seq != tx.snapshot {
@@ -109,7 +98,7 @@ func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 			return 0, stm.Aborted
 		}
 	}
-	v := t.value(x)
+	v := *t.values.At(x)
 	tx.reads = append(tx.reads, readEntry{x: x, v: v})
 	return v, stm.OK
 }
@@ -119,10 +108,7 @@ func (t *TM) Write(env *sim.Env, x model.TVar, v model.Value) stm.Status {
 	p := env.Proc()
 	tx := t.txn(p)
 	env.Yield()
-	if _, buffered := tx.writes[x]; !buffered {
-		tx.order = append(tx.order, x)
-	}
-	tx.writes[x] = v
+	tx.writes.Put(x, v)
 	return stm.OK
 }
 
@@ -135,7 +121,7 @@ func (t *TM) TryCommit(env *sim.Env) stm.Status {
 	p := env.Proc()
 	tx := t.txn(p)
 	env.Yield()
-	if len(tx.writes) == 0 {
+	if len(tx.writes.Entries()) == 0 {
 		ok := t.seq == tx.snapshot || t.revalidate(tx)
 		tx.active = false
 		if ok {
@@ -164,8 +150,8 @@ func (t *TM) TryCommit(env *sim.Env) stm.Status {
 	}
 	// Publish and release in one atomic slice (the lock protects the
 	// write-back; a half-published commit would be unaccountable).
-	for _, x := range tx.order {
-		t.values[x] = tx.writes[x]
+	for _, w := range tx.writes.Entries() {
+		*t.values.At(w.X) = w.V
 	}
 	t.seq++ // even: released, new version
 	t.owner = 0
@@ -177,7 +163,7 @@ func (t *TM) TryCommit(env *sim.Env) stm.Status {
 // lock (seq is odd and owned by the caller).
 func (t *TM) revalidateLocked(tx *txn) bool {
 	for _, r := range tx.reads {
-		if t.value(r.x) != r.v {
+		if *t.values.At(r.x) != r.v {
 			return false
 		}
 	}

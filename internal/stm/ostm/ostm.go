@@ -21,8 +21,6 @@
 package ostm
 
 import (
-	"sort"
-
 	"livetm/internal/model"
 	"livetm/internal/sim"
 	"livetm/internal/stm"
@@ -36,16 +34,15 @@ const (
 	failed
 )
 
-type writeEntry struct {
-	x model.TVar
-	v model.Value
-}
-
+// desc is a commit descriptor. Its read and write sets are its owner's
+// logs, not copies: the owner resets them only when its next
+// transaction starts, and by then no variable points at the descriptor
+// any more (the owner's TryCommit cleans it up before returning, and a
+// crashed owner starts no transaction).
 type desc struct {
-	st      status
-	reads   map[model.TVar]uint64
-	writes  []writeEntry // ascending by variable
-	applied map[model.TVar]bool
+	st     status
+	reads  []stm.Entry[uint64]      // var -> version observed
+	writes []stm.Entry[model.Value] // ascending by variable
 }
 
 type varRecord struct {
@@ -56,29 +53,25 @@ type varRecord struct {
 
 type txn struct {
 	activ  bool
-	reads  map[model.TVar]uint64
-	writes map[model.TVar]model.Value
+	reads  stm.Log[uint64] // var -> version observed
+	writes stm.Log[model.Value]
 }
 
 // TM is the OSTM-style TM.
 type TM struct {
 	helping bool
-	vars    map[model.TVar]*varRecord
-	txns    map[model.Proc]*txn
+	vars    stm.Table[varRecord]
+	txns    model.ProcTable[*txn]
 }
 
 var _ stm.TM = (*TM)(nil)
 
 // New returns an instance with helping enabled.
-func New() *TM {
-	return &TM{helping: true, vars: map[model.TVar]*varRecord{}, txns: map[model.Proc]*txn{}}
-}
+func New() *TM { return &TM{helping: true} }
 
 // NewWithoutHelping returns the ablation variant that aborts on
 // encountering a foreign in-flight descriptor instead of helping it.
-func NewWithoutHelping() *TM {
-	return &TM{helping: false, vars: map[model.TVar]*varRecord{}, txns: map[model.Proc]*txn{}}
-}
+func NewWithoutHelping() *TM { return &TM{} }
 
 // Name implements stm.TM.
 func (t *TM) Name() string {
@@ -88,24 +81,16 @@ func (t *TM) Name() string {
 	return "ostm"
 }
 
-func (t *TM) rec(x model.TVar) *varRecord {
-	r, ok := t.vars[x]
-	if !ok {
-		r = &varRecord{value: model.InitialValue}
-		t.vars[x] = r
-	}
-	return r
-}
-
 func (t *TM) txn(p model.Proc) *txn {
-	tx, ok := t.txns[p]
-	if !ok || !tx.activ {
-		tx = &txn{
-			activ:  true,
-			reads:  make(map[model.TVar]uint64),
-			writes: make(map[model.TVar]model.Value),
-		}
-		t.txns[p] = tx
+	e := t.txns.At(p)
+	if *e == nil {
+		*e = new(txn)
+	}
+	tx := *e
+	if !tx.activ {
+		tx.activ = true
+		tx.reads.Reset()
+		tx.writes.Reset()
 	}
 	return tx
 }
@@ -122,7 +107,7 @@ func (t *TM) help(d *desc) {
 			if d.st != active {
 				break
 			}
-			r := t.rec(w.x)
+			r := t.vars.At(w.X)
 			if r.d == d {
 				continue
 			}
@@ -143,9 +128,9 @@ func (t *TM) help(d *desc) {
 
 // decide validates the descriptor's read set and fixes the outcome.
 func (t *TM) decide(d *desc) {
-	for x, ver := range d.reads {
-		r := t.rec(x)
-		if r.version != ver || (r.d != nil && r.d != d) {
+	for _, e := range d.reads {
+		r := t.vars.At(e.X)
+		if r.version != e.V || (r.d != nil && r.d != d) {
 			d.st = failed
 			return
 		}
@@ -153,19 +138,19 @@ func (t *TM) decide(d *desc) {
 	d.st = successful
 }
 
-// cleanup applies a decided descriptor's writes (once) and clears its
-// variable pointers. It is idempotent and safe to run by the owner and
-// any number of helpers.
+// cleanup applies a decided descriptor's writes and clears its
+// variable pointers. A write applies only where the descriptor is still
+// installed and uninstalls it there, so it applies once: cleanup is
+// idempotent and safe to run by the owner and any number of helpers.
 func (t *TM) cleanup(d *desc) {
 	for _, w := range d.writes {
-		r := t.rec(w.x)
+		r := t.vars.At(w.X)
 		if r.d != d {
 			continue
 		}
-		if d.st == successful && !d.applied[w.x] {
-			r.value = w.v
+		if d.st == successful {
+			r.value = w.V
 			r.version++
-			d.applied[w.x] = true
 		}
 		r.d = nil
 	}
@@ -173,8 +158,8 @@ func (t *TM) cleanup(d *desc) {
 
 // validate checks the transaction's reads against current versions.
 func (t *TM) validate(tx *txn) bool {
-	for x, ver := range tx.reads {
-		if t.rec(x).version != ver {
+	for _, e := range tx.reads.Entries() {
+		if t.vars.At(e.X).version != e.V {
 			return false
 		}
 	}
@@ -185,12 +170,12 @@ func (t *TM) validate(tx *txn) bool {
 func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 	p := env.Proc()
 	tx := t.txn(p)
-	if v, buffered := tx.writes[x]; buffered {
+	if v, buffered := tx.writes.Get(x); buffered {
 		env.Yield()
-		return v, stm.OK
+		return *v, stm.OK
 	}
 	env.Yield()
-	r := t.rec(x)
+	r := t.vars.At(x)
 	if r.d != nil {
 		if !t.helping {
 			tx.activ = false
@@ -198,11 +183,12 @@ func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 		}
 		t.help(r.d)
 	}
-	if ver, seen := tx.reads[x]; seen && ver != r.version {
+	if ver, added := tx.reads.Add(x); added {
+		*ver = r.version
+	} else if *ver != r.version {
 		tx.activ = false
 		return 0, stm.Aborted
 	}
-	tx.reads[x] = r.version
 	if !t.validate(tx) {
 		tx.activ = false
 		return 0, stm.Aborted
@@ -215,7 +201,7 @@ func (t *TM) Write(env *sim.Env, x model.TVar, v model.Value) stm.Status {
 	p := env.Proc()
 	tx := t.txn(p)
 	env.Yield()
-	tx.writes[x] = v
+	tx.writes.Put(x, v)
 	return stm.OK
 }
 
@@ -224,7 +210,7 @@ func (t *TM) TryCommit(env *sim.Env) stm.Status {
 	p := env.Proc()
 	tx := t.txn(p)
 	env.Yield()
-	if len(tx.writes) == 0 {
+	if len(tx.writes.Entries()) == 0 {
 		ok := t.validate(tx)
 		tx.activ = false
 		if ok {
@@ -233,19 +219,8 @@ func (t *TM) TryCommit(env *sim.Env) stm.Status {
 		return stm.Aborted
 	}
 
-	d := &desc{
-		st:      active,
-		reads:   tx.reads,
-		applied: make(map[model.TVar]bool),
-	}
-	order := make([]model.TVar, 0, len(tx.writes))
-	for x := range tx.writes {
-		order = append(order, x)
-	}
-	sort.Slice(order, func(i, j int) bool { return order[i] < order[j] })
-	for _, x := range order {
-		d.writes = append(d.writes, writeEntry{x: x, v: tx.writes[x]})
-	}
+	tx.writes.Sort()
+	d := &desc{st: active, reads: tx.reads.Entries(), writes: tx.writes.Entries()}
 
 	// Acquisition phase, with a crash point before each variable. A
 	// crash here leaves d active and partially installed; the next
@@ -255,7 +230,7 @@ func (t *TM) TryCommit(env *sim.Env) stm.Status {
 		if d.st != active {
 			break // a helper already finished the commit
 		}
-		r := t.rec(w.x)
+		r := t.vars.At(w.X)
 		if r.d == d {
 			continue
 		}

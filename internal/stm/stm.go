@@ -9,6 +9,16 @@
 // global-lock TM) block by yielding in a loop inside the operation, so
 // a blocked operation simply never returns — exactly the paper's
 // notion of a transaction waiting forever.
+//
+// Every simulated TM keeps its state in one way, so that an operation
+// neither hashes nor allocates once its tables cover the ids in use,
+// and nothing depends on map iteration order: per-variable state in a
+// Table, whose entries start as zero values (model.InitialValue is 0);
+// per-process state in a model.ProcTable of pointers, since a process's
+// state must not move while the process is suspended at a yield; and a
+// transaction's read and write sets in Logs, which a new transaction
+// resets instead of reallocating. No TM keys a map by model.Proc or
+// model.TVar; Table's own map for ids past its pages is the one.
 package stm
 
 import (

@@ -25,49 +25,35 @@ type varRecord struct {
 }
 
 type txn struct {
-	active  bool
-	reads   map[model.TVar]uint64      // var -> version observed
-	undo    map[model.TVar]model.Value // var -> pre-image
-	ordered []model.TVar               // locked vars in acquisition order
+	active bool
+	reads  stm.Log[uint64]      // var -> version observed
+	undo   stm.Log[model.Value] // locked var -> pre-image, in acquisition order
 }
 
 // TM is the encounter-time-locking TM.
 type TM struct {
-	vars map[model.TVar]*varRecord
-	txns map[model.Proc]*txn
+	vars stm.Table[varRecord]
+	txns model.ProcTable[*txn]
 }
 
 var _ stm.TM = (*TM)(nil)
 
 // New returns an empty instance.
-func New() *TM {
-	return &TM{
-		vars: make(map[model.TVar]*varRecord),
-		txns: make(map[model.Proc]*txn),
-	}
-}
+func New() *TM { return &TM{} }
 
 // Name implements stm.TM.
 func (t *TM) Name() string { return "tinystm" }
 
-func (t *TM) rec(x model.TVar) *varRecord {
-	r, ok := t.vars[x]
-	if !ok {
-		r = &varRecord{value: model.InitialValue}
-		t.vars[x] = r
-	}
-	return r
-}
-
 func (t *TM) txn(p model.Proc) *txn {
-	tx, ok := t.txns[p]
-	if !ok || !tx.active {
-		tx = &txn{
-			active: true,
-			reads:  make(map[model.TVar]uint64),
-			undo:   make(map[model.TVar]model.Value),
-		}
-		t.txns[p] = tx
+	e := t.txns.At(p)
+	if *e == nil {
+		*e = new(txn)
+	}
+	tx := *e
+	if !tx.active {
+		tx.active = true
+		tx.reads.Reset()
+		tx.undo.Reset()
 	}
 	return tx
 }
@@ -75,12 +61,12 @@ func (t *TM) txn(p model.Proc) *txn {
 // validate re-checks every read: its version must be unchanged and the
 // variable unlocked or owned by p.
 func (t *TM) validate(p model.Proc, tx *txn) bool {
-	for x, ver := range tx.reads {
-		r := t.rec(x)
+	for _, e := range tx.reads.Entries() {
+		r := t.vars.At(e.X)
 		if r.owner != 0 && r.owner != p {
 			return false
 		}
-		if r.version != ver {
+		if r.version != e.V {
 			return false
 		}
 	}
@@ -91,10 +77,10 @@ func (t *TM) validate(p model.Proc, tx *txn) bool {
 // (readers that saw intermediate dirty state must fail validation),
 // and releases locks.
 func (t *TM) rollback(p model.Proc, tx *txn) {
-	for _, x := range tx.ordered {
-		r := t.rec(x)
+	for _, u := range tx.undo.Entries() {
+		r := t.vars.At(u.X)
 		if r.owner == p {
-			r.value = tx.undo[x]
+			r.value = u.V
 			r.version++
 			r.owner = 0
 		}
@@ -107,7 +93,7 @@ func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 	p := env.Proc()
 	tx := t.txn(p)
 	env.Yield()
-	r := t.rec(x)
+	r := t.vars.At(x)
 	if r.owner == p {
 		// Reading our own encounter-time write: the in-place value.
 		return r.value, stm.OK
@@ -116,9 +102,9 @@ func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 		t.rollback(p, tx)
 		return 0, stm.Aborted
 	}
-	if _, seen := tx.reads[x]; !seen {
-		tx.reads[x] = r.version
-	} else if tx.reads[x] != r.version {
+	if ver, added := tx.reads.Add(x); added {
+		*ver = r.version
+	} else if *ver != r.version {
 		t.rollback(p, tx)
 		return 0, stm.Aborted
 	}
@@ -137,7 +123,7 @@ func (t *TM) Write(env *sim.Env, x model.TVar, v model.Value) stm.Status {
 	p := env.Proc()
 	tx := t.txn(p)
 	env.Yield()
-	r := t.rec(x)
+	r := t.vars.At(x)
 	if r.owner != 0 && r.owner != p {
 		t.rollback(p, tx)
 		return stm.Aborted
@@ -145,13 +131,12 @@ func (t *TM) Write(env *sim.Env, x model.TVar, v model.Value) stm.Status {
 	if r.owner != p {
 		// Acquire: but first make sure our own earlier read of x (if
 		// any) is still valid, and the snapshot still holds.
-		if ver, seen := tx.reads[x]; seen && ver != r.version {
+		if ver, seen := tx.reads.Get(x); seen && *ver != r.version {
 			t.rollback(p, tx)
 			return stm.Aborted
 		}
 		r.owner = p
-		tx.undo[x] = r.value
-		tx.ordered = append(tx.ordered, x)
+		tx.undo.Put(x, r.value)
 	}
 	env.Yield()
 	r.value = v
@@ -173,8 +158,8 @@ func (t *TM) TryCommit(env *sim.Env) stm.Status {
 	// locks held forever. The release itself is one atomic slice so
 	// the recorded history never shows a half-committed transaction.
 	env.Yield()
-	for _, x := range tx.ordered {
-		r := t.rec(x)
+	for _, u := range tx.undo.Entries() {
+		r := t.vars.At(u.X)
 		r.version++
 		r.owner = 0
 	}

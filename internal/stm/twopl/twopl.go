@@ -15,6 +15,8 @@
 package twopl
 
 import (
+	"slices"
+
 	"livetm/internal/model"
 	"livetm/internal/sim"
 	"livetm/internal/stm"
@@ -30,51 +32,44 @@ const (
 
 type varLock struct {
 	mode    lockMode
-	holders map[model.Proc]bool // readers under shared, one writer under exclusive
+	holders []model.Proc // readers under shared, one writer under exclusive
 	value   model.Value
 	undo    model.Value // pre-image for the exclusive holder
 }
 
 type txn struct {
-	active bool
-	locked []model.TVar // variables this transaction holds (in order)
+	active  bool
+	locked  []model.TVar // variables this transaction holds (in order)
+	waits   bool         // the process waits for waitFor
+	waitFor model.TVar
+	visit   uint64 // the last wait-for search that reached the process
 }
 
 // TM is the strict-2PL TM.
 type TM struct {
-	vars    map[model.TVar]*varLock
-	txns    map[model.Proc]*txn
-	waiting map[model.Proc]model.TVar // who waits for which variable
+	vars  stm.Table[varLock]
+	txns  model.ProcTable[*txn]
+	visit uint64       // the current wait-for search
+	stack []model.Proc // the wait-for search's work list
 }
 
 var _ stm.TM = (*TM)(nil)
 
 // New returns an empty instance.
-func New() *TM {
-	return &TM{
-		vars:    make(map[model.TVar]*varLock),
-		txns:    make(map[model.Proc]*txn),
-		waiting: make(map[model.Proc]model.TVar),
-	}
-}
+func New() *TM { return &TM{} }
 
 // Name implements stm.TM.
 func (t *TM) Name() string { return "2pl" }
 
-func (t *TM) lk(x model.TVar) *varLock {
-	l, ok := t.vars[x]
-	if !ok {
-		l = &varLock{holders: make(map[model.Proc]bool), value: model.InitialValue}
-		t.vars[x] = l
-	}
-	return l
-}
-
 func (t *TM) txn(p model.Proc) *txn {
-	tx, ok := t.txns[p]
-	if !ok || !tx.active {
-		tx = &txn{active: true}
-		t.txns[p] = tx
+	e := t.txns.At(p)
+	if *e == nil {
+		*e = new(txn)
+	}
+	tx := *e
+	if !tx.active {
+		tx.active = true
+		tx.locked = tx.locked[:0]
 	}
 	return tx
 }
@@ -83,27 +78,28 @@ func (t *TM) txn(p model.Proc) *txn {
 // wait-for graph: following holders of x through their own waits
 // reaches p.
 func (t *TM) wouldDeadlock(p model.Proc, x model.TVar) bool {
-	visited := make(map[model.Proc]bool)
-	var stack []model.Proc
-	for q := range t.lk(x).holders {
+	t.visit++
+	t.stack = t.stack[:0]
+	for _, q := range t.vars.At(x).holders {
 		if q != p {
-			stack = append(stack, q)
+			t.stack = append(t.stack, q)
 		}
 	}
-	for len(stack) > 0 {
-		q := stack[len(stack)-1]
-		stack = stack[:len(stack)-1]
+	for len(t.stack) > 0 {
+		q := t.stack[len(t.stack)-1]
+		t.stack = t.stack[:len(t.stack)-1]
 		if q == p {
 			return true
 		}
-		if visited[q] {
+		qt := *t.txns.At(q)
+		if qt.visit == t.visit {
 			continue
 		}
-		visited[q] = true
-		if wx, waits := t.waiting[q]; waits {
-			for r := range t.lk(wx).holders {
+		qt.visit = t.visit
+		if qt.waits {
+			for _, r := range t.vars.At(qt.waitFor).holders {
 				if r != q {
-					stack = append(stack, r)
+					t.stack = append(t.stack, r)
 				}
 			}
 		}
@@ -113,7 +109,7 @@ func (t *TM) wouldDeadlock(p model.Proc, x model.TVar) bool {
 
 // grantable reports whether p can take x in the given mode now.
 func (t *TM) grantable(p model.Proc, x model.TVar, mode lockMode) bool {
-	l := t.lk(x)
+	l := t.vars.At(x)
 	switch l.mode {
 	case unlocked:
 		return true
@@ -122,9 +118,9 @@ func (t *TM) grantable(p model.Proc, x model.TVar, mode lockMode) bool {
 			return true
 		}
 		// Upgrade allowed only when p is the sole reader.
-		return len(l.holders) == 1 && l.holders[p]
+		return len(l.holders) == 1 && l.holders[0] == p
 	default: // exclusive
-		return l.holders[p]
+		return l.holders[0] == p
 	}
 }
 
@@ -136,9 +132,9 @@ func (t *TM) acquire(env *sim.Env, p model.Proc, x model.TVar, mode lockMode) bo
 	for {
 		env.Yield()
 		if t.grantable(p, x, mode) {
-			l := t.lk(x)
-			if !l.holders[p] {
-				l.holders[p] = true
+			l := t.vars.At(x)
+			if !slices.Contains(l.holders, p) {
+				l.holders = append(l.holders, p)
 				tx.locked = append(tx.locked, x)
 			}
 			if mode == exclusive && l.mode != exclusive {
@@ -147,44 +143,37 @@ func (t *TM) acquire(env *sim.Env, p model.Proc, x model.TVar, mode lockMode) bo
 			} else if l.mode == unlocked {
 				l.mode = shared
 			}
-			delete(t.waiting, p)
+			tx.waits = false
 			return true
 		}
 		if t.wouldDeadlock(p, x) {
-			delete(t.waiting, p)
+			tx.waits = false
 			t.rollback(p)
 			return false
 		}
-		t.waiting[p] = x
+		tx.waits, tx.waitFor = true, x
 	}
 }
 
 // rollback restores pre-images of exclusively held variables and
 // releases all of p's locks.
 func (t *TM) rollback(p model.Proc) {
-	tx := t.txns[p]
-	for _, x := range tx.locked {
-		l := t.lk(x)
-		if !l.holders[p] {
-			continue
-		}
-		if l.mode == exclusive {
+	for _, x := range (*t.txns.At(p)).locked {
+		if l := t.vars.At(x); l.mode == exclusive && l.holders[0] == p {
 			l.value = l.undo
 		}
-		delete(l.holders, p)
-		if len(l.holders) == 0 {
-			l.mode = unlocked
-		}
 	}
-	tx.active = false
+	t.release(p)
 }
 
 // release frees all of p's locks, keeping the written values.
 func (t *TM) release(p model.Proc) {
-	tx := t.txns[p]
+	tx := *t.txns.At(p)
 	for _, x := range tx.locked {
-		l := t.lk(x)
-		delete(l.holders, p)
+		l := t.vars.At(x)
+		if i := slices.Index(l.holders, p); i >= 0 {
+			l.holders = slices.Delete(l.holders, i, i+1)
+		}
 		if len(l.holders) == 0 {
 			l.mode = unlocked
 		}
@@ -195,24 +184,22 @@ func (t *TM) release(p model.Proc) {
 // Read implements stm.TM: take a shared lock and read in place.
 func (t *TM) Read(env *sim.Env, x model.TVar) (model.Value, stm.Status) {
 	p := env.Proc()
-	t.txn(p)
 	if !t.acquire(env, p, x, shared) {
 		return 0, stm.Aborted
 	}
 	env.Yield()
-	return t.lk(x).value, stm.OK
+	return t.vars.At(x).value, stm.OK
 }
 
 // Write implements stm.TM: take an exclusive lock (possibly an
 // upgrade) and write in place with an undo image.
 func (t *TM) Write(env *sim.Env, x model.TVar, v model.Value) stm.Status {
 	p := env.Proc()
-	t.txn(p)
 	if !t.acquire(env, p, x, exclusive) {
 		return stm.Aborted
 	}
 	env.Yield()
-	t.lk(x).value = v
+	t.vars.At(x).value = v
 	return stm.OK
 }
 
